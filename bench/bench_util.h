@@ -12,7 +12,6 @@
 
 #include "common/cpu_features.h"
 #include "common/parallel.h"
-#include "substrates/matrix_profile.h"
 
 namespace tsad::bench {
 
@@ -24,27 +23,6 @@ inline void InitThreadsFromArgs(int* argc, char** argv) {
     if (std::string(argv[i]) == "--threads" && i + 1 < *argc) {
       SetParallelThreads(
           static_cast<std::size_t>(std::strtoull(argv[i + 1], nullptr, 10)));
-      for (int j = i; j + 2 < *argc; ++j) argv[j] = argv[j + 2];
-      *argc -= 2;
-      return;
-    }
-  }
-}
-
-/// Applies a `--mp-kernel K` argument (if present) as the process-wide
-/// matrix-profile kernel override (same values and "did you mean"
-/// rejection as the tsad CLI flag) and strips it from argv. Exits on an
-/// unknown kernel name — a bench silently running the wrong kernel
-/// would poison the perf record.
-inline void InitMpKernelFromArgs(int* argc, char** argv) {
-  for (int i = 1; i < *argc; ++i) {
-    if (std::string(argv[i]) == "--mp-kernel" && i + 1 < *argc) {
-      const Result<MpKernel> kernel = ParseMpKernel(argv[i + 1]);
-      if (!kernel.ok()) {
-        std::fprintf(stderr, "%s\n", kernel.status().ToString().c_str());
-        std::exit(1);
-      }
-      SetMpKernelOverride(*kernel);
       for (int j = i; j + 2 < *argc; ++j) argv[j] = argv[j + 2];
       *argc -= 2;
       return;
@@ -81,31 +59,6 @@ inline void InitMpIsaFromArgs(int* argc, char** argv) {
       } else {
         ClearSimdTierOverride();
       }
-      for (int j = i; j + 2 < *argc; ++j) argv[j] = argv[j + 2];
-      *argc -= 2;
-      return;
-    }
-  }
-}
-
-/// Applies a `--mp-precision P` argument (if present) as the
-/// process-wide matrix-profile precision override and strips it from
-/// argv; consumes TSAD_MP_PRECISION eagerly for the same clean-error
-/// reason as InitMpIsaFromArgs. Exits on an unknown precision name.
-inline void InitMpPrecisionFromArgs(int* argc, char** argv) {
-  const Status env = ApplyMpPrecisionEnv();
-  if (!env.ok()) {
-    std::fprintf(stderr, "%s\n", env.ToString().c_str());
-    std::exit(1);
-  }
-  for (int i = 1; i < *argc; ++i) {
-    if (std::string(argv[i]) == "--mp-precision" && i + 1 < *argc) {
-      const Result<MpPrecision> precision = ParseMpPrecision(argv[i + 1]);
-      if (!precision.ok()) {
-        std::fprintf(stderr, "%s\n", precision.status().ToString().c_str());
-        std::exit(1);
-      }
-      SetMpPrecisionOverride(*precision);
       for (int j = i; j + 2 < *argc; ++j) argv[j] = argv[j + 2];
       *argc -= 2;
       return;

@@ -1,23 +1,16 @@
 // Performance benchmarks for the matrix-profile substrate: MASS
-// distance profiles, the STOMP and MPX self-join kernels, and the
-// naive O(n^2 m) reference. Establishes that the substrate scales as
-// published (n log n per MASS query, n^2 for the self-join).
+// distance profiles and the MPX joins. Establishes that the substrate
+// scales as published (n log n per MASS query, n^2 for the self-join).
 //
-// Before the google-benchmark suites run, main() times the frozen
-// reference, the STOMP kernel, and the MPX kernel single-threaded
-// (plus both kernels at the resolved thread count when it exceeds 1)
-// and writes the results to BENCH_perf_matrix_profile.json — the
-// machine-readable record CI archives to track the caching layer's
-// win (kernel_speedup), the diagonal kernel's win (mpx_speedup), the
-// SIMD dispatch layer's win (the per-ISA-tier sweep + the float32
-// precision tier), the join-shaped wins (ab_mpx_speedup /
-// left_mpx_speedup), the pan-profile engine's multi-length win
+// Before the google-benchmark suites run, main() times the MPX
+// self-join single-threaded at every ISA tier the host supports, the
+// AB-join and left profile, the pan-profile engine's multi-length win
 // (merlin_pan_speedup vs the per-length recompute), and the parallel
-// layer's scaling. Flags:
-// --threads N, --mp-kernel K, --mp-isa T, --mp-precision P,
-// --smoke (tiny run for the perf_smoke ctest label; writes no JSON —
-// but still sweeps every supported ISA tier, so the smoke label
-// exercises each variant).
+// layer's scaling, and writes the results to
+// BENCH_perf_matrix_profile.json — the machine-readable record CI
+// archives. Flags: --threads N, --mp-isa T, --smoke (tiny run for the
+// perf_smoke ctest label; writes no JSON — but still sweeps every
+// supported ISA tier, so the smoke label exercises each variant).
 
 #include <benchmark/benchmark.h>
 
@@ -27,7 +20,6 @@
 
 #include "bench_util.h"
 #include "common/cpu_features.h"
-#include "common/fft.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/series.h"
@@ -61,57 +53,15 @@ void BM_MassDistanceProfile(benchmark::State& state) {
 }
 BENCHMARK(BM_MassDistanceProfile)->Range(1 << 10, 1 << 16)->Complexity();
 
-void BM_StompMatrixProfile(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const tsad::Series x = RandomWalk(n, 2);
-  // Pinned to STOMP: above the auto-dispatch threshold the default
-  // entry point would silently switch to MPX and this suite would stop
-  // measuring the row kernel.
-  tsad::MatrixProfileOptions options;
-  options.kernel = tsad::MpKernel::kStomp;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tsad::ComputeMatrixProfile(x, 64, options));
-  }
-  state.SetComplexityN(static_cast<int64_t>(n));
-}
-BENCHMARK(BM_StompMatrixProfile)->Range(1 << 10, 1 << 13)->Complexity();
-
-void BM_StompMatrixProfileReference(benchmark::State& state) {
-  // The frozen pre-caching kernel: per-block full-series FFT seeds and
-  // the fused per-entry distance scan. The gap to BM_StompMatrixProfile
-  // is the kernel-caching layer's win.
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const tsad::Series x = RandomWalk(n, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tsad::ComputeMatrixProfileReference(x, 64));
-  }
-  state.SetComplexityN(static_cast<int64_t>(n));
-}
-BENCHMARK(BM_StompMatrixProfileReference)->Range(1 << 10, 1 << 13)->Complexity();
-
 void BM_MpxMatrixProfile(benchmark::State& state) {
-  // The diagonal-traversal kernel on the same series as
-  // BM_StompMatrixProfile; the gap between the two suites is the MPX
-  // win at each size.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const tsad::Series x = RandomWalk(n, 2);
-  tsad::MatrixProfileOptions options;
-  options.kernel = tsad::MpKernel::kMpx;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tsad::ComputeMatrixProfile(x, 64, options));
+    benchmark::DoNotOptimize(tsad::ComputeMatrixProfile(x, 64));
   }
   state.SetComplexityN(static_cast<int64_t>(n));
 }
 BENCHMARK(BM_MpxMatrixProfile)->Range(1 << 10, 1 << 13)->Complexity();
-
-void BM_NaiveMatrixProfile(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const tsad::Series x = RandomWalk(n, 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tsad::ComputeMatrixProfileNaive(x, 64));
-  }
-}
-BENCHMARK(BM_NaiveMatrixProfile)->Range(1 << 10, 1 << 11);
 
 void BM_WindowStats(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -122,9 +72,9 @@ void BM_WindowStats(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowStats)->Range(1 << 12, 1 << 18);
 
-// Best-of-2 wall time of one STOMP self-join, in milliseconds.
+// Best-of-2 wall time of one profile computation, in milliseconds.
 template <typename Fn>
-double TimeStompMs(const tsad::Series& x, Fn&& compute) {
+double TimeMs(const tsad::Series& x, Fn&& compute) {
   double best = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 2; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -140,9 +90,7 @@ double TimeStompMs(const tsad::Series& x, Fn&& compute) {
 
 int main(int argc, char** argv) {
   tsad::bench::InitThreadsFromArgs(&argc, argv);
-  tsad::bench::InitMpKernelFromArgs(&argc, argv);
   tsad::bench::InitMpIsaFromArgs(&argc, argv);
-  tsad::bench::InitMpPrecisionFromArgs(&argc, argv);
   const bool smoke = tsad::bench::ConsumeFlag(&argc, argv, "--smoke");
   const std::size_t threads = tsad::ParallelThreads();
   // Series size: 2^14 by default; TSAD_PERF_MP_N overrides (the
@@ -157,132 +105,59 @@ int main(int argc, char** argv) {
     }
   }
   const tsad::Series x = RandomWalk(n, 2);
-
-  const auto stomp = [](const tsad::Series& s) {
-    tsad::MatrixProfileOptions options;
-    options.kernel = tsad::MpKernel::kStomp;
-    return tsad::ComputeMatrixProfile(s, 64, options);
-  };
-  const auto mpx = [](const tsad::Series& s) {
-    tsad::MatrixProfileOptions options;
-    options.kernel = tsad::MpKernel::kMpx;
-    return tsad::ComputeMatrixProfile(s, 64, options);
-  };
-  const auto mpx_f32 = [](const tsad::Series& s) {
-    tsad::MatrixProfileOptions options;
-    options.kernel = tsad::MpKernel::kMpx;
-    options.precision = tsad::MpPrecision::kFloat32;
-    return tsad::ComputeMatrixProfile(s, 64, options);
-  };
-  const auto reference = [](const tsad::Series& s) {
-    return tsad::ComputeMatrixProfileReference(s, 64);
+  const auto self_join = [](const tsad::Series& s) {
+    return tsad::ComputeMatrixProfile(s, 64);
   };
 
-  // Single-threaded legs, so each ratio isolates one layer: reference
-  // vs STOMP is the kernel-caching win, STOMP vs MPX is the diagonal
-  // kernel's win on top of it.
+  // Single-threaded legs, so each number isolates the kernel.
   tsad::SetParallelThreads(1);
-  tsad::ResetFftPlanCacheStats();
-  const double reference_ms = TimeStompMs(x, reference);
-  const double serial_ms = TimeStompMs(x, stomp);
-  const tsad::FftPlanCacheStats plan_stats = tsad::GetFftPlanCacheStats();
-  const double mpx_ms = TimeStompMs(x, mpx);
-  const double mpx_f32_ms = TimeStompMs(x, mpx_f32);
-
+  const double mpx_ms = TimeMs(x, self_join);
   const tsad::SimdTier active_tier = tsad::ActiveSimdTier();
-  const tsad::MpPrecision active_precision =
-      tsad::ResolveMpPrecision(tsad::MpPrecision::kAuto);
-  std::printf("matrix profile n=%zu [isa %s, precision %s]: reference %.1f "
-              "ms, stomp serial %.1f ms (kernel speedup %.2fx), mpx serial "
-              "%.1f ms (mpx speedup %.2fx), mpx float32 %.1f ms (f32 speedup "
-              "%.2fx); fft plan cache %zu hits / %zu misses / %zu evictions\n",
-              n, tsad::SimdTierName(active_tier),
-              tsad::MpPrecisionName(active_precision), reference_ms, serial_ms,
-              reference_ms / serial_ms, mpx_ms, serial_ms / mpx_ms, mpx_f32_ms,
-              mpx_ms / mpx_f32_ms, plan_stats.hits, plan_stats.misses,
-              plan_stats.evictions);
+  std::printf("matrix profile n=%zu [isa %s]: mpx serial %.1f ms\n", n,
+              tsad::SimdTierName(active_tier), mpx_ms);
 
   std::vector<std::pair<std::string, double>> fields = {
-      {"serial_ms", serial_ms},
-      {"threads", static_cast<double>(threads)},
-      {"reference_ms", reference_ms},
-      {"kernel_speedup", reference_ms / serial_ms},
-      {"mpx_ms", mpx_ms},
-      {"mpx_speedup", serial_ms / mpx_ms},
-      {"mpx_f32_ms", mpx_f32_ms},
-      {"mpx_f32_speedup", mpx_ms / mpx_f32_ms},
-      {"fft_plan_hits", static_cast<double>(plan_stats.hits)},
-      {"fft_plan_misses", static_cast<double>(plan_stats.misses)},
-      {"fft_plan_evictions", static_cast<double>(plan_stats.evictions)}};
+      {"threads", static_cast<double>(threads)}, {"mpx_ms", mpx_ms}};
   const std::vector<std::pair<std::string, std::string>> text_fields = {
       {"mp_isa", tsad::SimdTierName(active_tier)},
-      {"mp_isa_detected", tsad::SimdTierName(tsad::DetectSimdTier())},
-      {"mp_precision", tsad::MpPrecisionName(active_precision)}};
+      {"mp_isa_detected", tsad::SimdTierName(tsad::DetectSimdTier())}};
 
   // Per-ISA-tier sweep: force each tier the host supports and time the
-  // three dispatched kernels, so one JSON records the whole dispatch
-  // ladder (the gap between adjacent tiers is that tier's win). The
-  // active tier is restored afterwards for the parallel leg and the
-  // google-benchmark suites.
+  // self-join, so one JSON records the whole dispatch ladder (the gap
+  // between adjacent tiers is that tier's win). The active tier is
+  // restored afterwards for the other legs and the google-benchmark
+  // suites.
   for (int t = 0; t <= static_cast<int>(tsad::DetectSimdTier()); ++t) {
     const tsad::SimdTier tier = static_cast<tsad::SimdTier>(t);
     if (!tsad::SetSimdTierOverride(tier).ok()) continue;
     const std::string name = tsad::SimdTierName(tier);
-    const double tier_stomp_ms = TimeStompMs(x, stomp);
-    const double tier_mpx_ms = TimeStompMs(x, mpx);
-    const double tier_f32_ms = TimeStompMs(x, mpx_f32);
-    std::printf("  isa %-6s: stomp %.1f ms, mpx %.1f ms, mpx float32 %.1f "
-                "ms\n",
-                name.c_str(), tier_stomp_ms, tier_mpx_ms, tier_f32_ms);
-    fields.push_back({"stomp_" + name + "_ms", tier_stomp_ms});
+    const double tier_mpx_ms = TimeMs(x, self_join);
+    std::printf("  isa %-6s: mpx %.1f ms\n", name.c_str(), tier_mpx_ms);
     fields.push_back({"mpx_" + name + "_ms", tier_mpx_ms});
-    fields.push_back({"mpx_f32_" + name + "_ms", tier_f32_ms});
   }
   if (!tsad::SetSimdTierOverride(active_tier).ok()) {
     tsad::ClearSimdTierOverride();  // unreachable: active is supported
   }
 
-  // Join and left-profile legs (single-threaded, still): the same
-  // STOMP-vs-MPX ratio as the self-join, measured on the two other
-  // profile shapes the dispatcher serves. The AB-join splits the walk
-  // in half (query vs reference — no exclusion zone); the left profile
-  // runs on the full series.
-  tsad::SetParallelThreads(1);
+  // Join and left-profile legs (single-threaded, still): the two other
+  // profile shapes. The AB-join splits the walk in half (query vs
+  // reference — no exclusion zone); the left profile runs on the full
+  // series.
   const tsad::Series query_half(
       x.begin(), x.begin() + static_cast<std::ptrdiff_t>(x.size() / 2));
   const tsad::Series ref_half(
       x.begin() + static_cast<std::ptrdiff_t>(x.size() / 2), x.end());
-  const auto time_join = [&](tsad::MpKernel kernel) {
-    tsad::MatrixProfileOptions options;
-    options.kernel = kernel;
-    return TimeStompMs(x, [&](const tsad::Series&) {
-      return tsad::ComputeAbJoin(query_half, ref_half, 64, options);
-    });
-  };
-  const auto time_left = [&](tsad::MpKernel kernel) {
-    tsad::MatrixProfileOptions options;
-    options.kernel = kernel;
-    return TimeStompMs(x, [&](const tsad::Series& s) {
-      return tsad::ComputeLeftMatrixProfile(s, 64, options);
-    });
-  };
-  const double ab_stomp_ms = time_join(tsad::MpKernel::kStomp);
-  const double ab_mpx_ms = time_join(tsad::MpKernel::kMpx);
-  const double left_stomp_ms = time_left(tsad::MpKernel::kStomp);
-  const double left_mpx_ms = time_left(tsad::MpKernel::kMpx);
-  std::printf("ab-join n=%zu x %zu: stomp %.1f ms, mpx %.1f ms (speedup "
-              "%.2fx)\n",
-              query_half.size(), ref_half.size(), ab_stomp_ms, ab_mpx_ms,
-              ab_stomp_ms / ab_mpx_ms);
-  std::printf("left profile n=%zu: stomp %.1f ms, mpx %.1f ms (speedup "
-              "%.2fx)\n",
-              n, left_stomp_ms, left_mpx_ms, left_stomp_ms / left_mpx_ms);
-  fields.push_back({"ab_stomp_ms", ab_stomp_ms});
+  const double ab_mpx_ms = TimeMs(x, [&](const tsad::Series&) {
+    return tsad::ComputeAbJoin(query_half, ref_half, 64);
+  });
+  const double left_mpx_ms = TimeMs(x, [](const tsad::Series& s) {
+    return tsad::ComputeLeftMatrixProfile(s, 64);
+  });
+  std::printf("ab-join n=%zu x %zu: mpx %.1f ms\n", query_half.size(),
+              ref_half.size(), ab_mpx_ms);
+  std::printf("left profile n=%zu: mpx %.1f ms\n", n, left_mpx_ms);
   fields.push_back({"ab_mpx_ms", ab_mpx_ms});
-  fields.push_back({"ab_mpx_speedup", ab_stomp_ms / ab_mpx_ms});
-  fields.push_back({"left_stomp_ms", left_stomp_ms});
   fields.push_back({"left_mpx_ms", left_mpx_ms});
-  fields.push_back({"left_mpx_speedup", left_stomp_ms / left_mpx_ms});
 
   // MERLIN leg: the multi-length discord sweep through the shared-dot
   // pan-profile engine versus the per-length full recompute, over the
@@ -294,13 +169,12 @@ int main(int argc, char** argv) {
   const std::size_t merlin_min = smoke ? 24 : 48;
   const std::size_t merlin_max = smoke ? 40 : 96;
   const double merlin_per_length_ms =
-      TimeStompMs(x_merlin, [&](const tsad::Series& s) {
+      TimeMs(x_merlin, [&](const tsad::Series& s) {
         return tsad::MerlinSweepPerLength(s, merlin_min, merlin_max);
       });
-  const double merlin_pan_ms =
-      TimeStompMs(x_merlin, [&](const tsad::Series& s) {
-        return tsad::MerlinSweep(s, merlin_min, merlin_max);
-      });
+  const double merlin_pan_ms = TimeMs(x_merlin, [&](const tsad::Series& s) {
+    return tsad::MerlinSweep(s, merlin_min, merlin_max);
+  });
   std::printf("merlin n=%zu m=[%zu, %zu]: per-length %.1f ms, pan %.1f ms "
               "(speedup %.2fx)\n",
               n_merlin, merlin_min, merlin_max, merlin_per_length_ms,
@@ -312,19 +186,13 @@ int main(int argc, char** argv) {
       {"merlin_pan_speedup", merlin_per_length_ms / merlin_pan_ms});
 
   // The parallel leg is only meaningful when the pool actually has
-  // more than one thread. On a 1-core runner the old bench re-timed
-  // the serial path and reported its noise as "speedup" ~0.99x — now
-  // the leg is skipped and marked instead of fabricating a ratio.
+  // more than one thread; on a 1-core runner it is skipped and marked
+  // instead of reporting the serial path's noise as a "speedup".
   tsad::SetParallelThreads(threads);
   if (threads > 1) {
-    const double parallel_ms = TimeStompMs(x, stomp);
-    const double mpx_parallel_ms = TimeStompMs(x, mpx);
-    std::printf("parallel (%zu threads): stomp %.1f ms (speedup %.2fx), "
-                "mpx %.1f ms (speedup %.2fx)\n",
-                threads, parallel_ms, serial_ms / parallel_ms,
-                mpx_parallel_ms, mpx_ms / mpx_parallel_ms);
-    fields.push_back({"parallel_ms", parallel_ms});
-    fields.push_back({"speedup", serial_ms / parallel_ms});
+    const double mpx_parallel_ms = TimeMs(x, self_join);
+    std::printf("parallel (%zu threads): mpx %.1f ms (speedup %.2fx)\n",
+                threads, mpx_parallel_ms, mpx_ms / mpx_parallel_ms);
     fields.push_back({"mpx_parallel_ms", mpx_parallel_ms});
     fields.push_back({"mpx_parallel_speedup", mpx_ms / mpx_parallel_ms});
     fields.push_back({"parallel_skipped", 0.0});

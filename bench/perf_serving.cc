@@ -27,7 +27,6 @@
 #include "detectors/registry.h"
 #include "serving/online_adapters.h"
 #include "serving/replay.h"
-#include "substrates/streaming_profile.h"
 
 namespace {
 
@@ -216,7 +215,6 @@ int main(int argc, char** argv) {
   // dispatched MPX kernels, so the serving numbers depend on the ISA
   // tier; accept the override flag and stamp the tier into the JSON.
   tsad::bench::InitMpIsaFromArgs(&argc, argv);
-  tsad::bench::InitMpPrecisionFromArgs(&argc, argv);
   const bool smoke = tsad::bench::ConsumeFlag(&argc, argv, "--smoke");
   std::size_t threads = tsad::ParallelThreads();
   if (threads < 2) threads = 8;  // the point is the scaling comparison
@@ -272,13 +270,16 @@ int main(int argc, char** argv) {
   std::printf("  %9.0f points/s, %zu B/stream (peak %zu B, 0 evictions)\n",
               fleet.points_per_sec, fleet.floss_bytes_per_stream,
               fleet.peak_bytes);
-  // Contrast with the unbounded left profile the fleet replaces: its
-  // documented per-stream bound keeps growing with the stream.
-  std::printf("  left-profile bound at m=64: %zu B @10k, %zu B @100k, "
-              "%zu B @1M points\n",
-              tsad::OnlineLeftProfile::MemoryBytesBound(64, 10'000),
-              tsad::OnlineLeftProfile::MemoryBytesBound(64, 100'000),
-              tsad::OnlineLeftProfile::MemoryBytesBound(64, 1'000'000));
+  // Contrast with the unbounded streaming-discord kernel the fleet
+  // replaces: it keeps the whole stream, so its footprint grows with
+  // every point.
+  const std::size_t streaming_points = smoke ? 1024 : 10'000;
+  const double streaming_bytes_per_point =
+      static_cast<double>(ProbeFootprint("streaming:m=64", streaming_points)) /
+      static_cast<double>(streaming_points);
+  std::printf("  streaming:m=64 kernel: %.1f B/point measured after %zu "
+              "points (unbounded)\n",
+              streaming_bytes_per_point, streaming_points);
 
   if (smoke) return 0;
   tsad::bench::WriteBenchJson(
@@ -297,10 +298,9 @@ int main(int argc, char** argv) {
         static_cast<double>(fleet.floss_bytes_per_stream)},
        {"floss_fleet_budget_bytes",
         static_cast<double>(fleet.budget_bytes)},
-       {"floss_fleet_peak_bytes", static_cast<double>(fleet.peak_bytes)}},
+       {"floss_fleet_peak_bytes", static_cast<double>(fleet.peak_bytes)},
+       {"streaming_bytes_per_point", streaming_bytes_per_point}},
       {{"mp_isa", tsad::SimdTierName(tsad::ActiveSimdTier())},
-       {"mp_isa_detected", tsad::SimdTierName(tsad::DetectSimdTier())},
-       {"mp_precision", tsad::MpPrecisionName(
-                            tsad::ResolveMpPrecision(tsad::MpPrecision::kAuto))}});
+       {"mp_isa_detected", tsad::SimdTierName(tsad::DetectSimdTier())}});
   return 0;
 }

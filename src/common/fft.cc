@@ -2,11 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <list>
-#include <mutex>
-#include <unordered_map>
 
 namespace tsad {
 
@@ -64,173 +59,6 @@ void Fft(std::vector<std::complex<double>>& x, bool inverse) {
   }
 }
 
-FftPlan::FftPlan(std::size_t n) : n_(NextPowerOfTwo(n)) {
-  // Bit-reversal permutation, tabulated by the same incremental
-  // recurrence the free Fft runs per call.
-  bitrev_.assign(n_, 0);
-  for (std::size_t i = 1, j = 0; i < n_; ++i) {
-    std::size_t bit = n_ >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    bitrev_[i] = j;
-  }
-
-  // Twiddle tables: for each stage the free Fft restarts w at (1, 0)
-  // and advances it with w *= wlen for every butterfly, the same
-  // sequence in every i-block. Tabulating that exact recurrence once
-  // yields the exact doubles the free function multiplies by, which is
-  // what makes the planned transform bit-identical.
-  fwd_twiddles_.reserve(n_ > 0 ? n_ - 1 : 0);
-  inv_twiddles_.reserve(n_ > 0 ? n_ - 1 : 0);
-  for (int pass = 0; pass < 2; ++pass) {
-    const bool inverse = pass == 1;
-    auto& table = inverse ? inv_twiddles_ : fwd_twiddles_;
-    for (std::size_t len = 2; len <= n_; len <<= 1) {
-      const double angle = 2.0 * kPi / static_cast<double>(len) *
-                           (inverse ? 1.0 : -1.0);
-      const std::complex<double> wlen(std::cos(angle), std::sin(angle));
-      std::complex<double> w(1.0, 0.0);
-      for (std::size_t j = 0; j < len / 2; ++j) {
-        table.push_back(w);
-        w *= wlen;
-      }
-    }
-  }
-}
-
-void FftPlan::Run(std::vector<std::complex<double>>& x, bool inverse) const {
-  if (x.size() > n_) {
-    std::fprintf(stderr,
-                 "FftPlan: input length %zu exceeds plan size %zu — "
-                 "transforming a truncated prefix would corrupt results\n",
-                 x.size(), n_);
-    std::abort();
-  }
-  if (x.size() != n_) x.resize(n_);
-
-  for (std::size_t i = 1; i < n_; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(x[i], x[j]);
-  }
-
-  const std::vector<std::complex<double>>& twiddles =
-      inverse ? inv_twiddles_ : fwd_twiddles_;
-  for (std::size_t len = 2; len <= n_; len <<= 1) {
-    const std::complex<double>* w = twiddles.data() + (len / 2 - 1);
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < n_; i += len) {
-      for (std::size_t j = 0; j < half; ++j) {
-        const std::complex<double> u = x[i + j];
-        const std::complex<double> v = x[i + j + half] * w[j];
-        x[i + j] = u + v;
-        x[i + j + half] = u - v;
-      }
-    }
-  }
-
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n_);
-    for (auto& c : x) c *= inv_n;
-  }
-}
-
-void FftPlan::Forward(std::vector<std::complex<double>>& x) const {
-  Run(x, /*inverse=*/false);
-}
-
-void FftPlan::Inverse(std::vector<std::complex<double>>& x) const {
-  Run(x, /*inverse=*/true);
-}
-
-namespace {
-
-struct PlanCache {
-  std::mutex mutex;
-  struct Entry {
-    std::shared_ptr<const FftPlan> plan;
-    std::list<std::size_t>::iterator lru_pos;
-  };
-  std::unordered_map<std::size_t, Entry> plans;
-  std::list<std::size_t> lru;  // front = most recently used
-  std::size_t capacity = kDefaultFftPlanCacheCapacity;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t evictions = 0;
-
-  PlanCache() {
-    if (const char* env = std::getenv("TSAD_FFT_PLAN_CACHE_CAP")) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0') {
-        capacity = static_cast<std::size_t>(v);
-      }
-    }
-  }
-
-  // Drops least-recently-used plans until within capacity. Caller
-  // holds the mutex. capacity == 0 means unbounded.
-  void EvictToCapacity() {
-    if (capacity == 0) return;
-    while (plans.size() > capacity) {
-      plans.erase(lru.back());
-      lru.pop_back();
-      ++evictions;
-    }
-  }
-};
-
-PlanCache& GetPlanCache() {
-  static PlanCache* cache = new PlanCache;  // leaked: workers may outlive exit
-  return *cache;
-}
-
-}  // namespace
-
-std::shared_ptr<const FftPlan> GetFftPlan(std::size_t n) {
-  const std::size_t size = NextPowerOfTwo(n);
-  PlanCache& cache = GetPlanCache();
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  auto it = cache.plans.find(size);
-  if (it != cache.plans.end()) {
-    ++cache.hits;
-    cache.lru.splice(cache.lru.begin(), cache.lru, it->second.lru_pos);
-    return it->second.plan;
-  }
-  ++cache.misses;
-  auto plan = std::make_shared<const FftPlan>(size);
-  cache.lru.push_front(size);
-  cache.plans.emplace(size, PlanCache::Entry{plan, cache.lru.begin()});
-  cache.EvictToCapacity();
-  return plan;
-}
-
-void SetFftPlanCacheCapacity(std::size_t capacity) {
-  PlanCache& cache = GetPlanCache();
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  cache.capacity = capacity;
-  cache.EvictToCapacity();
-}
-
-std::size_t FftPlanCacheCapacity() {
-  PlanCache& cache = GetPlanCache();
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  return cache.capacity;
-}
-
-FftPlanCacheStats GetFftPlanCacheStats() {
-  PlanCache& cache = GetPlanCache();
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  return {cache.hits, cache.misses, cache.evictions, cache.plans.size()};
-}
-
-void ResetFftPlanCacheStats() {
-  PlanCache& cache = GetPlanCache();
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  cache.hits = 0;
-  cache.misses = 0;
-  cache.evictions = 0;
-}
-
 std::vector<double> SlidingDotProductNaive(const std::vector<double>& t,
                                            const std::vector<double>& q) {
   const std::size_t n = t.size();
@@ -266,45 +94,6 @@ std::vector<double> SlidingDotProduct(const std::vector<double>& t,
   // Valid correlation outputs live at offsets m-1 .. n-1.
   std::vector<double> out(n - m + 1);
   for (std::size_t i = 0; i + m <= n; ++i) out[i] = fa[i + m - 1].real();
-  return out;
-}
-
-SlidingDotPlan::SlidingDotPlan(const std::vector<double>& series, std::size_t m)
-    : series_(series), m_(m) {
-  const std::size_t n = series_.size();
-  // Degenerate shapes and the small-input naive cutoff never touch the
-  // FFT in the free function; the plan mirrors that exactly.
-  if (m_ == 0 || m_ > n || n < 64) return;
-  size_ = NextPowerOfTwo(n + m_ - 1);
-  fft_ = GetFftPlan(size_);
-  spectrum_.assign(size_, std::complex<double>());
-  for (std::size_t i = 0; i < n; ++i) spectrum_[i] = series_[i];
-  fft_->Forward(spectrum_);
-}
-
-std::vector<double> SlidingDotPlan::Query(const std::vector<double>& q) const {
-  if (q.size() != m_) {
-    std::fprintf(stderr,
-                 "SlidingDotPlan: query length %zu does not match the plan's "
-                 "query length %zu\n",
-                 q.size(), m_);
-    std::abort();
-  }
-  const std::size_t n = series_.size();
-  const std::size_t m = m_;
-  if (m == 0 || m > n) return {};
-  if (n < 64) return SlidingDotProductNaive(series_, q);
-
-  std::vector<std::complex<double>> fb(size_);
-  for (std::size_t i = 0; i < m; ++i) fb[i] = q[m - 1 - i];
-  fft_->Forward(fb);
-  // Same operand order as the free function's fa[i] *= fb[i] (series
-  // spectrum times query spectrum).
-  for (std::size_t i = 0; i < size_; ++i) fb[i] = spectrum_[i] * fb[i];
-  fft_->Inverse(fb);
-
-  std::vector<double> out(n - m + 1);
-  for (std::size_t i = 0; i + m <= n; ++i) out[i] = fb[i + m - 1].real();
   return out;
 }
 

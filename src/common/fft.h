@@ -1,32 +1,18 @@
 // FFT support for MASS (Mueen's Algorithm for Similarity Search), the
-// sliding-dot-product kernel under the matrix profile / discord
-// substrate.
+// sliding-dot-product kernel under MASS distance profiles and spectral
+// residual.
 //
 // We implement an iterative radix-2 Cooley-Tukey transform and provide
 // power-of-two padding helpers; callers (MASS) pad to the next power of
-// two, so no Bluestein stage is needed.
-//
-// Two layers are exposed:
-//  * The free functions Fft / SlidingDotProduct — self-contained, no
-//    shared state, recomputing twiddle factors per call. These are the
-//    reference kernels.
-//  * FftPlan / SlidingDotPlan — precomputed transform state for
-//    repeated work at one size: the plan caches the bit-reversal
-//    permutation and the twiddle tables (FftPlan), and additionally the
-//    forward spectrum of a fixed series (SlidingDotPlan) so each
-//    repeated sliding-dot query costs one forward FFT + pointwise
-//    multiply + one inverse instead of three FFTs. The planned kernels
-//    execute the exact same arithmetic, in the same order, as the free
-//    functions (the tables hold the very values the free functions
-//    compute on the fly), so their outputs are BIT-IDENTICAL — the
-//    property the STOMP drivers rely on to keep profiles reproducible.
+// two, so no Bluestein stage is needed. Everything here is
+// self-contained, with no shared state: twiddle factors are recomputed
+// per call.
 
 #ifndef TSAD_COMMON_FFT_H_
 #define TSAD_COMMON_FFT_H_
 
 #include <complex>
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 namespace tsad {
@@ -46,73 +32,6 @@ void Fft(std::vector<std::complex<double>>& x, bool inverse);
 /// Smallest power of two >= n (n = 0 maps to 1).
 std::size_t NextPowerOfTwo(std::size_t n);
 
-/// Precomputed radix-2 FFT state for one transform size: the
-/// bit-reversal permutation and the per-stage twiddle factors. The
-/// tables are generated by running the exact recurrences the free Fft
-/// uses per call, so Forward/Inverse produce bit-identical output to
-/// Fft at the same length. Immutable after construction; safe to share
-/// across threads.
-class FftPlan {
- public:
-  /// `n` is rounded up to the next power of two.
-  explicit FftPlan(std::size_t n);
-
-  std::size_t size() const { return n_; }
-
-  /// In-place transform. `x` is zero-padded to size(); feeding a vector
-  /// LONGER than size() is a caller bug and aborts loudly (silently
-  /// transforming a truncated prefix would corrupt results).
-  void Forward(std::vector<std::complex<double>>& x) const;
-  void Inverse(std::vector<std::complex<double>>& x) const;
-
- private:
-  void Run(std::vector<std::complex<double>>& x, bool inverse) const;
-
-  std::size_t n_;
-  std::vector<std::size_t> bitrev_;
-  // Twiddles for stage `len` live at offset len/2 - 1, len/2 entries.
-  std::vector<std::complex<double>> fwd_twiddles_;
-  std::vector<std::complex<double>> inv_twiddles_;
-};
-
-/// Returns the shared plan for transform size NextPowerOfTwo(n) from a
-/// process-wide, mutex-guarded LRU cache. Plans are immutable, so
-/// handing the same plan to concurrent STOMP block workers is safe,
-/// and eviction is safe too: in-flight users hold shared_ptrs, so an
-/// evicted plan dies only after its last user finishes.
-///
-/// Keys are powers of two, so even unbounded the cache could hold at
-/// most ~64 entries — but each plan owns O(size) twiddle/bitrev
-/// storage (a 2^26 plan is ~2 GiB of tables), so a long-lived server
-/// sweeping many sizes must not retain every plan forever. The cache
-/// keeps the kDefaultFftPlanCacheCapacity most-recently-used sizes;
-/// override with SetFftPlanCacheCapacity or the
-/// TSAD_FFT_PLAN_CACHE_CAP environment variable (read once, at first
-/// use; the setter wins thereafter).
-std::shared_ptr<const FftPlan> GetFftPlan(std::size_t n);
-
-/// Default number of distinct transform sizes kept alive. 16 covers a
-/// 2^16 size spread — far beyond what any single workload sweeps —
-/// while bounding worst-case table memory.
-inline constexpr std::size_t kDefaultFftPlanCacheCapacity = 16;
-
-/// Sets the plan-cache capacity (number of distinct sizes). 0 means
-/// unbounded. Shrinking evicts least-recently-used plans immediately.
-void SetFftPlanCacheCapacity(std::size_t capacity);
-/// The current capacity (0 = unbounded).
-std::size_t FftPlanCacheCapacity();
-
-/// Plan-cache effectiveness counters (for the perf benches).
-struct FftPlanCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t evictions = 0;  // capacity-driven LRU drops, cumulative
-  std::size_t entries = 0;
-};
-FftPlanCacheStats GetFftPlanCacheStats();
-/// Zeroes hits/misses/evictions (cached plans stay cached).
-void ResetFftPlanCacheStats();
-
 /// Full linear cross-correlation-style sliding dot products via FFT:
 /// given series t (length n) and query q (length m <= n), returns the
 /// vector d of length n - m + 1 with
@@ -125,37 +44,6 @@ std::vector<double> SlidingDotProduct(const std::vector<double>& t,
 /// fallback for tiny inputs.
 std::vector<double> SlidingDotProductNaive(const std::vector<double>& t,
                                            const std::vector<double>& q);
-
-/// Precomputed state for repeated sliding-dot-product queries of a
-/// fixed length m against one fixed series: the padded-size FftPlan
-/// (via the shared cache) plus the forward spectrum of the padded
-/// series, which SlidingDotProduct otherwise recomputes on every call.
-/// Query() then costs one forward FFT of the query + a pointwise
-/// multiply + one inverse FFT, and returns output BIT-IDENTICAL to
-/// SlidingDotProduct(series, q) — including the n < 64 naive cutoff,
-/// which is preserved exactly. Query() is const and allocates its own
-/// scratch, so one plan serves concurrent callers (the STOMP block
-/// seeds) without synchronization.
-class SlidingDotPlan {
- public:
-  SlidingDotPlan(const std::vector<double>& series, std::size_t m);
-
-  /// `q.size()` must equal query_length(); a mismatch is a caller bug
-  /// and aborts loudly. Degenerate shapes (m == 0 or m > n) return an
-  /// empty vector, exactly as the free function does.
-  std::vector<double> Query(const std::vector<double>& q) const;
-
-  std::size_t series_length() const { return series_.size(); }
-  std::size_t query_length() const { return m_; }
-  std::size_t padded_size() const { return size_; }
-
- private:
-  std::vector<double> series_;  // kept for the small-input naive path
-  std::size_t m_;
-  std::size_t size_ = 0;
-  std::shared_ptr<const FftPlan> fft_;
-  std::vector<std::complex<double>> spectrum_;  // forward FFT of padded series
-};
 
 }  // namespace tsad
 

@@ -1,7 +1,7 @@
 // The parallel execution layer: a lazily-initialized fixed thread pool
 // behind a ParallelFor / ParallelMap API, built for the repository's
 // embarrassingly parallel hot loops (per-series triviality search,
-// row-blocked STOMP, the robustness matrix, archive evaluation).
+// the MPX diagonal tiles, the robustness matrix, archive evaluation).
 //
 // Guarantees, in order of importance:
 //

@@ -1,5 +1,5 @@
 // Shared "did you mean" machinery for user-facing name lookups: the
-// detector registry's spec names and the matrix-profile --mp-kernel
+// detector registry's spec names and the matrix-profile --mp-isa
 // values both reject unknown names with a nearest-candidate hint, and
 // both must suggest with the same plausibility rule so CLI errors feel
 // uniform across subsystems.

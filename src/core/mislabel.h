@@ -58,8 +58,9 @@ struct TwinSearchConfig {
   /// value (i.e., it matches the anomaly far better than typical data
   /// does)...
   double ratio = 0.25;
-  /// ...AND below `identity_cap` x sqrt(2m), the maximum attainable
-  /// z-normalized distance. This near-identity requirement keeps
+  /// ...AND below `identity_cap` x sqrt(2m), the z-normalized distance
+  /// at zero correlation (the maximum, at correlation -1, is 2*sqrt(m)).
+  /// This near-identity requirement keeps
   /// phase-aligned seasonal windows (distance ~0.25-0.35 of max) from
   /// masquerading as twins; genuine twins (identical dropout, repeated
   /// freeze) sit within noise of zero.

@@ -35,6 +35,17 @@ StreamingMpxConfig KernelConfig(const FlossParams& params) {
   return config;
 }
 
+// FLOSS scores a bounded window, so the kernel's no-eviction mode
+// (buffer_cap = 0) is not a floss buffer.
+Status ValidateKernelConfig(const FlossParams& params) {
+  if (params.buffer_cap == 0) {
+    return Status::InvalidArgument(
+        "floss needs a bounded buffer: need buffer >= 4*window = " +
+        std::to_string(4 * params.m) + ", got 0");
+  }
+  return StreamingMpx::Validate(KernelConfig(params));
+}
+
 }  // namespace
 
 void SetDefaultFlossBufferCap(std::size_t cap) {
@@ -78,7 +89,7 @@ Result<FlossParams> ParseFlossSpec(const std::string& spec) {
         std::to_string(params.m) +
         " (the m/2 exclusion zone degenerates for shorter windows)");
   }
-  TSAD_RETURN_IF_ERROR(StreamingMpx::Validate(KernelConfig(params)));
+  TSAD_RETURN_IF_ERROR(ValidateKernelConfig(params));
   return params;
 }
 
@@ -121,7 +132,7 @@ Result<std::vector<double>> FlossDetector::Score(
         "floss requires subsequence length m >= 3, got m=" +
         std::to_string(params_.m));
   }
-  TSAD_RETURN_IF_ERROR(StreamingMpx::Validate(KernelConfig(params_)));
+  TSAD_RETURN_IF_ERROR(ValidateKernelConfig(params_));
   if (series.size() < params_.m + 1) {
     return Status::InvalidArgument(
         "series too short: need at least 2 subsequences of length " +

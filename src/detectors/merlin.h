@@ -55,9 +55,8 @@ Result<std::vector<LengthDiscord>> MerlinSweep(const Series& series,
 /// lowest position by the shared kPanTieCorrEps contract (see
 /// substrates/pan_profile.h). Same validation, same output contract as
 /// MerlinSweep — the oracle its equivalence tests check against and
-/// the "before" leg of the MERLIN bench. Deliberately kept
-/// dispatcher-driven (ComputeMatrixProfile), so it benefits from
-/// --mp-kernel/--mp-isa.
+/// the "before" leg of the MERLIN bench. Runs ComputeMatrixProfile,
+/// so it benefits from --mp-isa.
 Result<std::vector<LengthDiscord>> MerlinSweepPerLength(
     const Series& series, std::size_t min_length, std::size_t max_length);
 

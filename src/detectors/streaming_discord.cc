@@ -3,9 +3,23 @@
 #include <cmath>
 #include <string>
 
-#include "substrates/streaming_profile.h"
-
 namespace tsad {
+
+StreamingMpxConfig StreamingDiscordKernelConfig(std::size_t m) {
+  StreamingMpxConfig config;
+  config.m = m;
+  config.buffer_cap = 0;
+  return config;
+}
+
+double StreamingDiscordScore(const StreamingMpx& kernel, std::size_t t,
+                             std::size_t burn_in) {
+  // Causal alignment: the newest entry describes the window ending at
+  // the point just pushed (index t) and becomes known exactly there.
+  if (t < burn_in || kernel.num_subsequences() == 0) return 0.0;
+  const double d = kernel.Left(kernel.num_subsequences() - 1).distance;
+  return std::isfinite(d) ? d : 0.0;
+}
 
 StreamingDiscordDetector::StreamingDiscordDetector(std::size_t m,
                                                    std::size_t burn_in)
@@ -27,18 +41,14 @@ Result<std::vector<double>> StreamingDiscordDetector::Score(
         std::to_string(m_));
   }
 
-  // Replay through the exact causal kernel — the same one the online
-  // adapter advances point by point — so streaming replay reproduces
-  // these scores byte for byte.
-  OnlineLeftProfile profile(m_);
+  // Replay through the causal kernel — the same one the online adapter
+  // advances point by point — so streaming replay reproduces these
+  // scores byte for byte.
+  StreamingMpx kernel(StreamingDiscordKernelConfig(m_));
   std::vector<double> scores(series.size(), 0.0);
   for (std::size_t t = 0; t < series.size(); ++t) {
-    const auto entry = profile.Push(series[t]);
-    if (!entry) continue;
-    // Causal alignment: the profile entry starting at j describes the
-    // window [j, j+m) and becomes known at its END, point j+m-1 == t.
-    if (t < burn_in_) continue;
-    if (std::isfinite(entry->distance)) scores[t] = entry->distance;
+    kernel.Push(series[t]);
+    scores[t] = StreamingDiscordScore(kernel, t, burn_in_);
   }
   return scores;
 }

@@ -10,9 +10,9 @@
 // nature, and callers should treat the first few hundred points as
 // burn-in (the NAB probationary period).
 //
-// Score() replays the series through the OnlineLeftProfile kernel
-// (substrates/streaming_profile.h) rather than the FFT-seeded batch
-// join, so the batch path and the serving layer's point-at-a-time
+// Score() replays the series through StreamingMpx without eviction
+// (StreamingDiscordKernelConfig) rather than the batch left profile,
+// so the batch path and the serving layer's point-at-a-time
 // OnlineStreamingDiscord adapter are bit-identical by construction.
 
 #ifndef TSAD_DETECTORS_STREAMING_DISCORD_H_
@@ -21,8 +21,21 @@
 #include <cstddef>
 
 #include "detectors/detector.h"
+#include "substrates/streaming_mpx.h"
 
 namespace tsad {
+
+/// The kernel both the batch detector and the online adapter advance:
+/// subsequence length m, the default m/2 exclusion, no eviction
+/// (buffer_cap = 0), so every entry's left profile sees the whole past.
+StreamingMpxConfig StreamingDiscordKernelConfig(std::size_t m);
+
+/// The score of the point that completes the newest subsequence of
+/// `kernel` at stream index `t`: that subsequence's left-profile
+/// distance, or 0 during burn-in (t < burn_in), before the first window
+/// completes, or while no eligible past neighbor exists.
+double StreamingDiscordScore(const StreamingMpx& kernel, std::size_t t,
+                             std::size_t burn_in);
 
 class StreamingDiscordDetector : public AnomalyDetector {
  public:

@@ -1,7 +1,7 @@
 // Cooperative per-run deadlines.
 //
 // A DeadlineScope installs a deadline for the current thread;
-// long-running library code (the STOMP matrix-profile loops, the
+// long-running library code (the MPX matrix-profile loops, the
 // resilient wrapper's pipeline) polls CheckDeadline() at safe points
 // and unwinds with kDeadlineExceeded once the budget is spent. The
 // watchdog is cooperative rather than preemptive: a detector that

@@ -402,16 +402,16 @@ Status OnlineOneLiner::Restore(std::string_view blob) {
 
 OnlineStreamingDiscord::OnlineStreamingDiscord(std::string name, std::size_t m,
                                                std::size_t burn_in)
-    : name_(std::move(name)), m_(m), burn_in_(burn_in), profile_(m) {}
+    : name_(std::move(name)),
+      m_(m),
+      burn_in_(burn_in),
+      kernel_(StreamingDiscordKernelConfig(m)) {}
 
 Status OnlineStreamingDiscord::Observe(double value,
                                        std::vector<ScoredPoint>* out) {
-  const auto entry = profile_.Push(value);
-  double score = 0.0;
-  if (entry && observed_ >= burn_in_ && std::isfinite(entry->distance)) {
-    score = entry->distance;
-  }
-  out->push_back({observed_, score});
+  kernel_.Push(value);
+  out->push_back(
+      {observed_, StreamingDiscordScore(kernel_, observed_, burn_in_)});
   ++observed_;
   return Status::OK();
 }
@@ -430,7 +430,7 @@ Result<std::string> OnlineStreamingDiscord::Snapshot() const {
   writer.PutString(name_);
   writer.PutU64(observed_);
   writer.PutU64(burn_in_);
-  profile_.Serialize(&writer);
+  kernel_.Serialize(&writer);
   return writer.Take();
 }
 
@@ -443,7 +443,7 @@ Status OnlineStreamingDiscord::Restore(std::string_view blob) {
   if (burn_in != burn_in_) {
     return Status::InvalidArgument("snapshot burn_in mismatch for " + name_);
   }
-  TSAD_RETURN_IF_ERROR(profile_.Deserialize(&reader));
+  TSAD_RETURN_IF_ERROR(kernel_.Deserialize(&reader));
   TSAD_RETURN_IF_ERROR(reader.ExpectDone());
   observed_ = observed;
   return Status::OK();

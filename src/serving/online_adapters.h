@@ -22,7 +22,7 @@
 #include "detectors/floss.h"
 #include "detectors/oneliner.h"
 #include "serving/online_detector.h"
-#include "substrates/streaming_profile.h"
+#include "substrates/streaming_mpx.h"
 
 namespace tsad {
 
@@ -207,9 +207,9 @@ class OnlineOneLiner : public OnlineDetector {
   double run_min_ = 0.0;     // running global minimum margin
 };
 
-/// Streaming discord: wraps the OnlineLeftProfile kernel (which the
-/// batch StreamingDiscordDetector::Score also replays through — the
-/// equivalence is by construction, see substrates/streaming_profile.h).
+/// Streaming discord: wraps the no-eviction StreamingMpx kernel (which
+/// the batch StreamingDiscordDetector::Score also replays through — the
+/// equivalence is by construction, see detectors/streaming_discord.h).
 /// Emits one score per point; burn-in and non-finite entries score 0.
 class OnlineStreamingDiscord : public OnlineDetector {
  public:
@@ -222,14 +222,14 @@ class OnlineStreamingDiscord : public OnlineDetector {
   Result<std::string> Snapshot() const override;
   Status Restore(std::string_view blob) override;
   std::size_t MemoryFootprint() const override {
-    return sizeof(*this) + name_.capacity() + profile_.MemoryBytes();
+    return sizeof(*this) + name_.capacity() + kernel_.MemoryBytes();
   }
 
  private:
   std::string name_;
   std::size_t m_;
   std::size_t burn_in_;
-  OnlineLeftProfile profile_;
+  StreamingMpx kernel_;
 };
 
 /// FLOSS regime-change scoring: wraps the shared FlossCore (which the

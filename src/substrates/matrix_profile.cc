@@ -1,200 +1,257 @@
 #include "substrates/matrix_profile.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <mutex>
 
 #include "common/fft.h"
 #include "common/parallel.h"
 #include "common/stats.h"
-#include "common/suggest.h"
-#include "common/vector_ops.h"
 #include "robustness/deadline.h"
 #include "substrates/mp_kernels.h"
-#include "substrates/mpx_kernel.h"
 #include "substrates/profile_internal.h"
 
 namespace tsad {
 
 namespace {
 
-// How many O(count) STOMP rows run between cooperative deadline polls.
-// A row of a few thousand entries costs microseconds, so this bounds
-// watchdog latency to well under a millisecond while keeping the clock
-// read off the hot path.
-constexpr std::size_t kDeadlinePollRows = 64;
+// Diagonals per ParallelFor work item. Also the determinism grain: a
+// diagonal's running covariance lives entirely inside one tile, so the
+// per-pair correlations are identical no matter how tiles land on
+// threads. 128 diagonals keep ~100+ tasks alive at bench sizes and
+// still give several tiles at test sizes (count ~600), so the merge
+// path is exercised even in small suites.
+constexpr std::size_t kMpxDiagTile = 128;
 
-// Row-block size for the STOMP drivers. Each block seeds its first row
-// with an O(n log n) FFT pass and runs the O(1)-per-entry recurrence
-// within the block, so blocks are independent and run in parallel. The
-// block size is a fixed constant — NOT derived from the thread count —
-// which is what makes profiles bit-identical at every thread count:
-// the same rows are always computed from the same seeds.
-constexpr std::size_t kStompBlockRows = 256;
+// Offsets per cache block inside a tile. A tile touches the row segment
+// [r0, r1) and the column segment [r0 + d_begin, r1 + d_end) of the
+// ddf/ddg/inv/best arrays — with 1024 offsets that is about
+// 2 * (1024 + 128) * 5 arrays * 8 bytes ~= 90 KiB, sized to stay
+// L2-resident across all 128 diagonals of the tile instead of
+// streaming full n-length arrays once per diagonal.
+//
+// The block boundary doubles as the error-containment boundary: each
+// diagonal RE-SEEDS its covariance at the first offset of every block
+// with a locally-centered O(m) dot product. The ddf/ddg recurrence is
+// exact in exact arithmetic but mixes magnitudes — a diagonal crossing
+// an extreme level shift (say a 1e6-level flat run in an O(1) series)
+// briefly holds a ~1e12 covariance and keeps that magnitude's ABSOLUTE
+// rounding error after returning to O(1) values. Re-seeding flushes
+// the drift every kMpxRowBlock steps (the centered dot is well-
+// conditioned at any level), so error accumulates over at most one
+// block instead of a whole diagonal. Seeding costs m/kMpxRowBlock
+// (~6% at m=64) of the recurrence work. Boundaries are fixed
+// constants, so determinism is unaffected.
+constexpr std::size_t kMpxRowBlock = 1024;
 
-// The flat-subsequence threshold and classifier live in
-// profile_internal.h, shared with the MPX kernel so both kernels take
-// the SCAMP special cases on exactly the same entries.
-using profile_internal::IsFlat;
+constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-// Shorthand for the exported ZNormPairDistance, keeping the call sites
-// below readable.
-inline double PairDistance(double qt, double mean_a, double std_a,
-                           double mean_b, double std_b, std::size_t m) {
-  return ZNormPairDistance(qt, mean_a, std_a, mean_b, std_b, m);
-}
-
-// Drives a STOMP-style row recurrence over [0, rows) in fixed-size row
-// blocks distributed across the thread pool. Within a block, rows run
-// in order: the first row comes from seed_row(i) (an FFT pass), each
-// later row from advance_row(i, qt) (the O(1)-per-entry update), and
-// every row is handed to visit_row along with a per-block scratch
-// buffer of `scratch_size` doubles (the hoisted row scans stage
-// distances there; sharing one buffer per block keeps the O(n) storage
-// out of the per-row path). Each worker polls the cooperative deadline
-// between row batches; the submitting thread's DeadlineScope is
-// propagated by ParallelFor, and the first (lowest-block) error is the
-// one reported.
-Status RunStompRowBlocks(
-    std::size_t rows, std::size_t scratch_size,
-    const std::function<std::vector<double>(std::size_t)>& seed_row,
-    const std::function<void(std::size_t, std::vector<double>&)>& advance_row,
-    const std::function<void(std::size_t, const std::vector<double>&,
-                             std::vector<double>&)>& visit_row) {
-  const std::size_t num_blocks =
-      (rows + kStompBlockRows - 1) / kStompBlockRows;
-  return ParallelFor(0, num_blocks, [&](std::size_t block) -> Status {
-    const std::size_t row_begin = block * kStompBlockRows;
-    const std::size_t row_end = std::min(rows, row_begin + kStompBlockRows);
-    std::vector<double> qt_row;
-    std::vector<double> scratch(scratch_size);
-    for (std::size_t i = row_begin; i < row_end; ++i) {
-      if ((i - row_begin) % kDeadlinePollRows == 0) {
-        TSAD_RETURN_IF_ERROR(CheckDeadline());
-      }
-      if (i == row_begin) {
-        qt_row = seed_row(i);
-      } else {
-        advance_row(i, qt_row);
-      }
-      visit_row(i, qt_row, scratch);
-    }
-    return Status::OK();
-  });
-}
-
-// Per-side invariants of the hoisted row scans, computed once per
-// profile instead of once per O(n^2) inner-loop entry: raw pointers to
-// the rolling stats plus the per-subsequence flat flags (IsFlat on the
-// same inputs yields the same booleans, so hoisting it cannot change
-// any branch the original per-entry code would have taken). The sorted
-// flat-index list drives the fix-up pass after the branch-free
-// distance loop.
-struct ScanSide {
-  const double* means = nullptr;
-  const double* stds = nullptr;
-  std::vector<uint8_t> flat;
-  std::vector<std::size_t> flat_indices;
-};
-
-ScanSide BuildScanSide(const WindowStats& stats) {
-  ScanSide side;
-  side.means = stats.means.data();
-  side.stds = stats.stds.data();
-  side.flat.assign(stats.size(), 0);
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    if (IsFlat(stats.means[i], stats.stds[i])) {
-      side.flat[i] = 1;
-      side.flat_indices.push_back(i);
-    }
-  }
-  return side;
-}
-
-// Row-invariant factors of ZNormPairDistance for row subsequence i.
-// Each is a left-to-right PREFIX of the exact expression the per-pair
-// formula evaluates — (m * mean_i) * mean_j, (m * std_i) * std_j,
-// (2 * m) * (1 - corr), sqrt(2 * m) — so reusing them changes no
-// rounding anywhere.
-struct RowInvariants {
-  double m_mean_i;
-  double m_std_i;
-  bool flat_i;
-};
-
-// Fills dist[j] for j in [begin, end) with the distance of row
-// subsequence i against column subsequences of `side`, bit-identical
-// to calling ZNormPairDistance per entry. The branch-free div/sqrt
-// chain runs through `fill` — the runtime-dispatched ISA variant the
-// caller hoisted from ActiveKernelVariant() — whose packed ops are
-// IEEE correctly rounded per lane, i.e. the EXACT doubles of the
-// shared scalar tail (mp_kernels.h documents the contract; the
-// equivalence tests assert it). Flat columns are patched after the
-// main loop (their mathematically-computed values, possibly garbage
-// from a ~0 std, are overwritten before anything reads them), which
-// keeps the dispatched chain free of branches.
-void FillRowDistances(const double* qt, const ScanSide& side,
-                      const RowInvariants& row, double two_m,
-                      double sqrt_two_m, std::size_t begin, std::size_t end,
-                      double* dist, StompFillFn fill) {
-  if (row.flat_i) {
-    // Flat row: every pair is a flat-vs-flat (0) or flat-vs-dynamic
-    // (max distance) case; no arithmetic needed.
-    for (std::size_t j = begin; j < end; ++j) {
-      dist[j] = side.flat[j] ? 0.0 : sqrt_two_m;
-    }
-    return;
-  }
-  StompFillArgs args;
-  args.qt = qt;
-  args.means = side.means;
-  args.stds = side.stds;
-  args.m_mean_i = row.m_mean_i;
-  args.m_std_i = row.m_std_i;
-  args.two_m = two_m;
-  args.begin = begin;
-  args.end = end;
-  args.dist = dist;
-  fill(args);
-  if (!side.flat_indices.empty()) {
-    auto it = std::lower_bound(side.flat_indices.begin(),
-                               side.flat_indices.end(), begin);
-    for (; it != side.flat_indices.end() && *it < end; ++it) {
-      dist[*it] = sqrt_two_m;
-    }
-  }
-}
-
-// Left-to-right argmin with strict '<' — the exact tie-break (lowest j
-// wins) of the original fused scan.
-inline void ArgMinSegment(const double* dist, std::size_t begin,
-                          std::size_t end, double& best, std::size_t& best_j) {
-  for (std::size_t j = begin; j < end; ++j) {
-    if (dist[j] < best) {
-      best = dist[j];
-      best_j = j;
-    }
-  }
-}
-
-}  // namespace
-
+// Pairwise z-normalized distance from a dot product `qt` and rolling
+// means/stds, with the SCAMP flat cases (flat-vs-flat 0, flat-vs-dynamic
+// sqrt(2m)). MASS is its only user.
 double ZNormPairDistance(double qt, double mean_a, double std_a, double mean_b,
                          double std_b, std::size_t m) {
   const double dm = static_cast<double>(m);
-  const bool flat_a = IsFlat(mean_a, std_a);
-  const bool flat_b = IsFlat(mean_b, std_b);
+  const bool flat_a = profile_internal::IsFlat(mean_a, std_a);
+  const bool flat_b = profile_internal::IsFlat(mean_b, std_b);
   if (flat_a && flat_b) return 0.0;
   if (flat_a || flat_b) return std::sqrt(2.0 * dm);
   double corr = (qt - dm * mean_a * mean_b) / (dm * std_a * std_b);
   corr = std::clamp(corr, -1.0, 1.0);
   return std::sqrt(std::max(0.0, 2.0 * dm * (1.0 - corr)));
 }
+
+// Per-side precompute of the MPX drivers: rolling stats, muinvn inverse
+// norms (0 for flats, so every correlation a flat takes part in is
+// exactly +/-0 — flats drop out of the neighbor race numerically and
+// are patched to the SCAMP cases afterwards), the ascending flat index
+// list, and the ddf/ddg difference tracks. Entry 0 of the tracks is
+// never read (every block's first offset is an explicitly accumulated
+// seed, and offset 0 is always a block start) but is kept zero so the
+// arrays index directly by offset.
+struct MpxSide {
+  WindowStats stats;
+  std::vector<double> inv;
+  std::vector<std::size_t> flat_indices;
+  std::vector<double> ddf, ddg;
+};
+
+MpxSide BuildMpxSide(const std::vector<double>& series, std::size_t m,
+                     std::size_t count) {
+  MpxSide s;
+  s.stats = ComputeWindowStats(series, m);
+  const double sqrt_m = std::sqrt(static_cast<double>(m));
+  s.inv.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (profile_internal::IsFlat(s.stats.means[i], s.stats.stds[i])) {
+      s.inv[i] = 0.0;
+      s.flat_indices.push_back(i);
+    } else {
+      s.inv[i] = 1.0 / (s.stats.stds[i] * sqrt_m);
+    }
+  }
+  s.ddf.assign(count, 0.0);
+  s.ddg.assign(count, 0.0);
+  for (std::size_t j = 1; j < count; ++j) {
+    s.ddf[j] = 0.5 * (series[j + m - 1] - series[j - 1]);
+    s.ddg[j] = (series[j + m - 1] - s.stats.means[j]) +
+               (series[j - 1] - s.stats.means[j - 1]);
+  }
+  return s;
+}
+
+// The best-so-far profile in correlation space.
+struct CorrProfile {
+  std::vector<double> corr;
+  std::vector<std::size_t> index;
+};
+
+// Runs `num_tiles` tiles over a small fixed worker set. Each worker
+// owns ONE local profile of `entries` for its whole strided tile share
+// (per-tile locals would cost two allocations, fills and a merge per
+// tile — with the dispatched SIMD kernels that bookkeeping, not the
+// recurrence, would dominate) and merges it into `best` under a mutex
+// with the lexicographic max. The result is independent of the
+// partition and the thread count: every diagonal's chain lives in one
+// tile, and both the local accumulation and the merge are
+// order-independent. 4 shares per thread keep the tail balanced.
+// `run_tile(t, local_corr, local_index)` computes tile t.
+template <typename RunTile>
+Status RunTiles(std::size_t num_tiles, std::size_t entries, CorrProfile* best,
+                const RunTile& run_tile) {
+  best->corr.assign(entries, kNegInf);
+  best->index.assign(entries, kNoNeighbor);
+  if (num_tiles == 0) return Status::OK();
+  std::mutex merge_mutex;
+  const std::size_t workers = std::min(
+      num_tiles, std::max<std::size_t>(ParallelThreads(), 1) * 4);
+  return ParallelFor(0, workers, [&](std::size_t w) -> Status {
+    std::vector<double> local_corr(entries, kNegInf);
+    std::vector<std::size_t> local_index(entries, kNoNeighbor);
+    for (std::size_t t = w; t < num_tiles; t += workers) {
+      TSAD_RETURN_IF_ERROR(run_tile(t, local_corr.data(), local_index.data()));
+    }
+    std::lock_guard<std::mutex> lock(merge_mutex);
+    for (std::size_t i = 0; i < entries; ++i) {
+      MpxUpdateBest(best->corr.data(), best->index.data(), local_corr[i], i,
+                    local_index[i]);
+    }
+    return Status::OK();
+  });
+}
+
+// Correlation -> distance for entries [begin, size), with the SCAMP
+// flat cases patched in: a flat entry i sits at distance 0 from
+// flat_nn(i) (the lowest eligible flat neighbor, or kNoNeighbor when
+// none exists), else at sqrt(2m) from whatever neighbor won the
+// all-zero-correlation race. Entries before `begin` stay +inf /
+// kNoNeighbor.
+template <typename FlatNn>
+MatrixProfile FinishProfile(const CorrProfile& best,
+                            const std::vector<double>& inv, std::size_t m,
+                            std::size_t begin, const FlatNn& flat_nn) {
+  const std::size_t count = best.corr.size();
+  const double two_m = 2.0 * static_cast<double>(m);
+  MatrixProfile profile;
+  profile.subsequence_length = m;
+  profile.distances.assign(count, std::numeric_limits<double>::infinity());
+  profile.indices.assign(count, kNoNeighbor);
+  for (std::size_t i = begin; i < count; ++i) {
+    if (inv[i] == 0.0) {
+      const std::size_t j = flat_nn(i);
+      if (j != kNoNeighbor) {
+        profile.distances[i] = 0.0;
+        profile.indices[i] = j;
+      } else if (best.index[i] != kNoNeighbor) {
+        profile.distances[i] = std::sqrt(two_m);
+        profile.indices[i] = best.index[i];
+      }
+      continue;
+    }
+    if (best.index[i] == kNoNeighbor) continue;  // NaN-poisoned input
+    const double corr = std::clamp(best.corr[i], -1.0, 1.0);
+    const double v = two_m * (1.0 - corr);
+    profile.distances[i] = std::sqrt(v > 0.0 ? v : 0.0);
+    profile.indices[i] = best.index[i];
+  }
+  return profile;
+}
+
+// One diagonal half-space of a cross join: side A offsets o pair with
+// side B offsets o + d over d in [d_begin, d_end), updating the A side
+// (entry o) or the B side (entry o + d). The AB-join runs two sweeps
+// (the rectangle's two halves), the left profile one.
+struct CrossSweep {
+  const MpxSide* a = nullptr;
+  const std::vector<double>* series_a = nullptr;
+  std::size_t count_a = 0;
+  const MpxSide* b = nullptr;
+  const std::vector<double>* series_b = nullptr;
+  std::size_t count_b = 0;
+  std::size_t d_begin = 0;
+  std::size_t d_end = 0;
+  bool update_a = false;
+};
+
+// The cross-join driver: the self-join's tile partition (tiles never
+// straddle a sweep) and fixed row blocks, through the dispatched
+// one-sided variants.
+Status RunCrossSweeps(const std::vector<CrossSweep>& sweeps, std::size_t m,
+                      std::size_t entries, CorrProfile* best) {
+  struct Tile {
+    std::size_t sweep = 0;
+    std::size_t d_begin = 0;
+    std::size_t d_end = 0;
+  };
+  std::vector<Tile> tiles;
+  for (std::size_t s = 0; s < sweeps.size(); ++s) {
+    for (std::size_t d = sweeps[s].d_begin; d < sweeps[s].d_end;
+         d += kMpxDiagTile) {
+      tiles.push_back({s, d, std::min(sweeps[s].d_end, d + kMpxDiagTile)});
+    }
+  }
+  const MpKernelVariant& variant = ActiveKernelVariant();
+  return RunTiles(tiles.size(), entries, best,
+                  [&](std::size_t t, double* local_corr,
+                      std::size_t* local_index) -> Status {
+    const Tile& tile = tiles[t];
+    const CrossSweep& sweep = sweeps[tile.sweep];
+    MpxCrossBlockArgs args;
+    args.series_a = sweep.series_a->data();
+    args.means_a = sweep.a->stats.means.data();
+    args.ddf_a = sweep.a->ddf.data();
+    args.ddg_a = sweep.a->ddg.data();
+    args.inv_a = sweep.a->inv.data();
+    args.count_a = sweep.count_a;
+    args.series_b = sweep.series_b->data();
+    args.means_b = sweep.b->stats.means.data();
+    args.ddf_b = sweep.b->ddf.data();
+    args.ddg_b = sweep.b->ddg.data();
+    args.inv_b = sweep.b->inv.data();
+    args.count_b = sweep.count_b;
+    args.m = m;
+    args.d_begin = tile.d_begin;
+    args.d_end = tile.d_end;
+    args.local_corr = local_corr;
+    args.local_index = local_index;
+    const MpxCrossBlockFn block =
+        sweep.update_a ? variant.mpx_cross_a : variant.mpx_cross_b;
+    // Longest diagonal of the tile (d ascending shortens them).
+    const std::size_t max_len =
+        std::min(sweep.count_a, sweep.count_b - tile.d_begin);
+    for (std::size_t r0 = 0; r0 < max_len; r0 += kMpxRowBlock) {
+      TSAD_RETURN_IF_ERROR(CheckDeadline());
+      args.r0 = r0;
+      args.r1 = std::min(max_len, r0 + kMpxRowBlock);
+      block(args);
+    }
+    return Status::OK();
+  });
+}
+
+}  // namespace
 
 std::vector<double> MassDistanceProfile(const std::vector<double>& series,
                                         const std::vector<double>& query,
@@ -221,8 +278,8 @@ std::vector<double> MassDistanceProfile(const std::vector<double>& series,
 
   std::vector<double> dist(count);
   for (std::size_t i = 0; i < count; ++i) {
-    dist[i] =
-        PairDistance(qt[i], mean_q, std_q, stats.means[i], stats.stds[i], m);
+    dist[i] = ZNormPairDistance(qt[i], mean_q, std_q, stats.means[i],
+                                stats.stds[i], m);
   }
   return dist;
 }
@@ -233,532 +290,120 @@ std::vector<double> MassDistanceProfile(const std::vector<double>& series,
                              ComputeWindowStats(series, query.size()));
 }
 
-namespace {
-
-// The STOMP self-join (PR 4's planned-FFT, hoisted-scan kernel),
-// reached through the ComputeMatrixProfile dispatcher below. Takes an
-// already-resolved exclusion zone.
-Result<MatrixProfile> ComputeMatrixProfileStomp(
-    const std::vector<double>& series, std::size_t m, std::size_t exclusion,
-    std::size_t count) {
-  const WindowStats stats = ComputeWindowStats(series, m);
-
-  MatrixProfile mp;
-  mp.subsequence_length = m;
-  mp.distances.assign(count, std::numeric_limits<double>::infinity());
-  mp.indices.assign(count, kNoNeighbor);
-
-  // STOMP: row i holds qt[j] = dot(series[i, i+m), series[j, j+m)).
-  // The first row of each block comes from an FFT pass; each later row
-  // is an O(1)-per-entry update from the previous row. first_row (row
-  // 0) is retained to seed qt_row[0] of every subsequent row (by
-  // symmetry qt_i[0] = qt_0[i]). Rows scan their neighbors serially
-  // left to right with a strict '<', so the tie-break (lowest j wins)
-  // is independent of how rows are distributed over threads.
-  //
-  // Block seeds go through a SlidingDotPlan: the series' forward
-  // spectrum is computed once instead of once per block, and the
-  // twiddle tables once per padded size process-wide. Planned output
-  // is bit-identical to SlidingDotProduct (tested exactly), so the
-  // profile is unchanged.
-  const SlidingDotPlan plan(series, m);
-  const std::vector<double> first_row = plan.Query(Subsequence(series, 0, m));
-
-  const ScanSide side = BuildScanSide(stats);
-  const double dm = static_cast<double>(m);
-  const double two_m = 2.0 * dm;
-  const double sqrt_two_m = std::sqrt(2.0 * dm);
-  const double* series_data = series.data();
-  const StompFillFn fill = ActiveKernelVariant().stomp_fill;
-
-  const Status status = RunStompRowBlocks(
-      count, count,
-      [&](std::size_t i) {
-        return i == 0 ? first_row : plan.Query(Subsequence(series, i, m));
-      },
-      [&](std::size_t i, std::vector<double>& qt_row) {
-        // Update in place, right to left, reusing qt_row from row i-1.
-        // The row-constant factors series[i-1] / series[i+m-1] are
-        // hoisted into locals the aliasing rules would otherwise force
-        // the compiler to reload per entry.
-        double* qt = qt_row.data();
-        const double head = series_data[i - 1];
-        const double tail = series_data[i + m - 1];
-        for (std::size_t j = count - 1; j > 0; --j) {
-          qt[j] = qt[j - 1] - series_data[j - 1] * head +
-                  series_data[j + m - 1] * tail;
-        }
-        qt[0] = first_row[i];
-      },
-      [&](std::size_t i, const std::vector<double>& qt_row,
-          std::vector<double>& dist) {
-        const RowInvariants row{dm * stats.means[i], dm * stats.stds[i],
-                                side.flat[i] != 0};
-        double best = std::numeric_limits<double>::infinity();
-        std::size_t best_j = kNoNeighbor;
-        // The exclusion zone |i - j| <= exclusion splits the scan into
-        // two contiguous segments, visited left to right.
-        const std::size_t ex_begin = i > exclusion ? i - exclusion : 0;
-        const std::size_t ex_end = std::min(count, i + exclusion + 1);
-        FillRowDistances(qt_row.data(), side, row, two_m, sqrt_two_m, 0,
-                         ex_begin, dist.data(), fill);
-        ArgMinSegment(dist.data(), 0, ex_begin, best, best_j);
-        FillRowDistances(qt_row.data(), side, row, two_m, sqrt_two_m, ex_end,
-                         count, dist.data(), fill);
-        ArgMinSegment(dist.data(), ex_end, count, best, best_j);
-        mp.distances[i] = best;
-        mp.indices[i] = best_j;
-      });
-  if (!status.ok()) return status;
-  return mp;
-}
-
-}  // namespace
-
-// Process-wide kernel override (the --mp-kernel flag). Relaxed atomics
-// suffice: the flag is set once during CLI startup before any profile
-// runs, and a racing reader would only pick a stale-but-valid kernel.
-namespace {
-std::atomic<int> g_mp_kernel_override{static_cast<int>(MpKernel::kAuto)};
-}  // namespace
-
-void SetMpKernelOverride(MpKernel kernel) {
-  g_mp_kernel_override.store(static_cast<int>(kernel),
-                             std::memory_order_relaxed);
-}
-
-MpKernel GetMpKernelOverride() {
-  return static_cast<MpKernel>(
-      g_mp_kernel_override.load(std::memory_order_relaxed));
-}
-
-MpKernel ResolveMpKernel(MpKernel requested, std::size_t num_subsequences) {
-  if (requested != MpKernel::kAuto) return requested;
-  const MpKernel override = GetMpKernelOverride();
-  if (override != MpKernel::kAuto) return override;
-  return num_subsequences >= kMpxAutoMinSubsequences ? MpKernel::kMpx
-                                                     : MpKernel::kStomp;
-}
-
-const char* MpKernelName(MpKernel kernel) {
-  switch (kernel) {
-    case MpKernel::kAuto:
-      return "auto";
-    case MpKernel::kStomp:
-      return "stomp";
-    case MpKernel::kMpx:
-      return "mpx";
-  }
-  return "auto";
-}
-
-Result<MpKernel> ParseMpKernel(const std::string& name) {
-  static const std::vector<std::string> kNames = {"auto", "stomp", "mpx"};
-  if (name == "auto") return MpKernel::kAuto;
-  if (name == "stomp") return MpKernel::kStomp;
-  if (name == "mpx") return MpKernel::kMpx;
-  std::string message =
-      "unknown matrix-profile kernel '" + name + "'; known: auto stomp mpx";
-  const std::string suggestion = SuggestClosest(name, kNames);
-  if (!suggestion.empty()) {
-    message += "; did you mean '" + suggestion + "'?";
-  }
-  return Status::InvalidArgument(message);
-}
-
-// Process-wide precision override (the --mp-precision flag), with the
-// same lazy one-shot TSAD_MP_PRECISION application as the ISA-tier
-// override in common/cpu_features.cc: an explicit Set (even to kAuto)
-// marks the environment consumed, the lazy path aborts loudly on an
-// invalid value, and ApplyMpPrecisionEnv gives the CLI/benches a
-// recoverable error instead.
-namespace {
-std::atomic<int> g_mp_precision_override{static_cast<int>(MpPrecision::kAuto)};
-std::once_flag g_mp_precision_env_once;
-std::atomic<bool> g_mp_precision_env_consumed{false};
-
-Status ApplyMpPrecisionEnvLocked() {
-  g_mp_precision_env_consumed.store(true, std::memory_order_relaxed);
-  const char* env = std::getenv("TSAD_MP_PRECISION");
-  if (env == nullptr || *env == '\0') return Status::OK();
-  const Result<MpPrecision> parsed = ParseMpPrecision(env);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument("TSAD_MP_PRECISION: " +
-                                   parsed.status().message());
-  }
-  g_mp_precision_override.store(static_cast<int>(*parsed),
-                                std::memory_order_relaxed);
-  return Status::OK();
-}
-}  // namespace
-
-void SetMpPrecisionOverride(MpPrecision precision) {
-  g_mp_precision_env_consumed.store(true, std::memory_order_relaxed);
-  g_mp_precision_override.store(static_cast<int>(precision),
-                                std::memory_order_relaxed);
-}
-
-MpPrecision GetMpPrecisionOverride() {
-  if (!g_mp_precision_env_consumed.load(std::memory_order_relaxed)) {
-    std::call_once(g_mp_precision_env_once, [] {
-      if (g_mp_precision_env_consumed.load(std::memory_order_relaxed)) return;
-      const Status status = ApplyMpPrecisionEnvLocked();
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        std::abort();
-      }
-    });
-  }
-  return static_cast<MpPrecision>(
-      g_mp_precision_override.load(std::memory_order_relaxed));
-}
-
-MpPrecision ResolveMpPrecision(MpPrecision requested) {
-  if (requested != MpPrecision::kAuto) return requested;
-  const MpPrecision override = GetMpPrecisionOverride();
-  if (override != MpPrecision::kAuto) return override;
-  return MpPrecision::kExact;
-}
-
-Status ApplyMpPrecisionEnv() {
-  if (g_mp_precision_env_consumed.load(std::memory_order_relaxed)) {
-    return Status::OK();
-  }
-  Status status = Status::OK();
-  std::call_once(g_mp_precision_env_once, [&status] {
-    if (g_mp_precision_env_consumed.load(std::memory_order_relaxed)) return;
-    status = ApplyMpPrecisionEnvLocked();
-  });
-  return status;
-}
-
-Result<MpPrecision> ParseMpPrecision(const std::string& name) {
-  static const std::vector<std::string> kNames = {"auto", "exact", "float32"};
-  if (name == "auto") return MpPrecision::kAuto;
-  if (name == "exact") return MpPrecision::kExact;
-  if (name == "float32") return MpPrecision::kFloat32;
-  std::string message = "unknown matrix-profile precision '" + name +
-                        "'; known: auto exact float32";
-  const std::string suggestion = SuggestClosest(name, kNames);
-  if (!suggestion.empty()) {
-    message += "; did you mean '" + suggestion + "'?";
-  }
-  return Status::InvalidArgument(message);
-}
-
-const char* MpPrecisionName(MpPrecision precision) {
-  switch (precision) {
-    case MpPrecision::kAuto:
-      return "auto";
-    case MpPrecision::kExact:
-      return "exact";
-    case MpPrecision::kFloat32:
-      return "float32";
-  }
-  return "auto";
-}
-
-Result<MatrixProfile> ComputeMatrixProfile(
-    const std::vector<double>& series, std::size_t m,
-    const MatrixProfileOptions& options) {
-  std::size_t exclusion = options.exclusion;
-  std::size_t count = 0;
-  TSAD_RETURN_IF_ERROR(
-      profile_internal::ValidateSelfJoin(series.size(), m, &exclusion, &count));
-  const MpPrecision precision = ResolveMpPrecision(options.precision);
-  if (precision == MpPrecision::kFloat32) {
-    // Only MPX has a float tier. An EXPLICIT per-call STOMP request is
-    // a contradiction and fails loudly; kAuto (even with a process-
-    // wide stomp override) forces MPX — the precision tier names the
-    // numerics the caller wants, the kernel is the means.
-    if (options.kernel == MpKernel::kStomp) {
-      return Status::InvalidArgument(
-          "float32 precision requires the mpx kernel (STOMP has no float "
-          "tier); use --mp-kernel mpx or auto");
-    }
-    return ComputeMatrixProfileMpx(series, m, exclusion,
-                                   MpPrecision::kFloat32);
-  }
-  if (ResolveMpKernel(options.kernel, count) == MpKernel::kMpx) {
-    return ComputeMatrixProfileMpx(series, m, exclusion);
-  }
-  return ComputeMatrixProfileStomp(series, m, exclusion, count);
-}
-
 Result<MatrixProfile> ComputeMatrixProfile(const std::vector<double>& series,
                                            std::size_t m,
                                            std::size_t exclusion) {
-  MatrixProfileOptions options;
-  options.exclusion = exclusion;
-  return ComputeMatrixProfile(series, m, options);
-}
-
-Result<MatrixProfile> ComputeMatrixProfileReference(
-    const std::vector<double>& series, std::size_t m, std::size_t exclusion) {
   std::size_t count = 0;
   TSAD_RETURN_IF_ERROR(
       profile_internal::ValidateSelfJoin(series.size(), m, &exclusion, &count));
+  const MpxSide side = BuildMpxSide(series, m, count);
 
-  const WindowStats stats = ComputeWindowStats(series, m);
-  MatrixProfile mp;
-  mp.subsequence_length = m;
-  mp.distances.assign(count, std::numeric_limits<double>::infinity());
-  mp.indices.assign(count, kNoNeighbor);
-
-  const std::vector<double> first_row =
-      SlidingDotProduct(series, Subsequence(series, 0, m));
-
-  const Status status = RunStompRowBlocks(
-      count, 0,
-      [&](std::size_t i) {
-        return i == 0 ? first_row
-                      : SlidingDotProduct(series, Subsequence(series, i, m));
-      },
-      [&](std::size_t i, std::vector<double>& qt_row) {
-        for (std::size_t j = count - 1; j > 0; --j) {
-          qt_row[j] = qt_row[j - 1] - series[j - 1] * series[i - 1] +
-                      series[j + m - 1] * series[i + m - 1];
+  const std::size_t min_diag = exclusion + 1;  // validation: < count
+  const std::size_t num_tiles =
+      (count - min_diag + kMpxDiagTile - 1) / kMpxDiagTile;
+  // The ISA tier is resolved once per profile, so a concurrent override
+  // change cannot mix tiers within one profile.
+  const MpKernelVariant& variant = ActiveKernelVariant();
+  CorrProfile best;
+  TSAD_RETURN_IF_ERROR(RunTiles(
+      num_tiles, count, &best,
+      [&](std::size_t tile, double* local_corr,
+          std::size_t* local_index) -> Status {
+        MpxBlockArgs args;
+        args.series = series.data();
+        args.means = side.stats.means.data();
+        args.ddf = side.ddf.data();
+        args.ddg = side.ddg.data();
+        args.inv = side.inv.data();
+        args.m = m;
+        args.count = count;
+        args.d_begin = min_diag + tile * kMpxDiagTile;
+        args.d_end = std::min(count, args.d_begin + kMpxDiagTile);
+        args.local_corr = local_corr;
+        args.local_index = local_index;
+        // Cache-blocked traversal: offsets advance in row blocks, each
+        // diagonal freshly seeded at the block's first offset and
+        // advanced by the rank-2 recurrence within it.
+        const std::size_t max_len = count - args.d_begin;  // longest diagonal
+        for (std::size_t r0 = 0; r0 < max_len; r0 += kMpxRowBlock) {
+          TSAD_RETURN_IF_ERROR(CheckDeadline());
+          args.r0 = r0;
+          args.r1 = std::min(max_len, r0 + kMpxRowBlock);
+          variant.mpx_block(args);
         }
-        qt_row[0] = first_row[i];
-      },
-      [&](std::size_t i, const std::vector<double>& qt_row,
-          std::vector<double>&) {
-        double best = std::numeric_limits<double>::infinity();
-        std::size_t best_j = kNoNeighbor;
-        for (std::size_t j = 0; j < count; ++j) {
-          const std::size_t gap = i > j ? i - j : j - i;
-          if (gap <= exclusion) continue;
-          const double d =
-              PairDistance(qt_row[j], stats.means[i], stats.stds[i],
-                           stats.means[j], stats.stds[j], m);
-          if (d < best) {
-            best = d;
-            best_j = j;
-          }
-        }
-        mp.distances[i] = best;
-        mp.indices[i] = best_j;
-      });
-  if (!status.ok()) return status;
-  return mp;
+        return Status::OK();
+      }));
+
+  const std::vector<std::size_t>& flat = side.flat_indices;
+  return FinishProfile(best, side.inv, m, 0, [&](std::size_t i) {
+    // Lowest flat index outside i's exclusion zone: the overall-lowest
+    // if it clears the left side of the zone, else the first past the
+    // right side.
+    if (flat.empty()) return kNoNeighbor;
+    if (i > exclusion && flat.front() < i - exclusion) return flat.front();
+    const auto it = std::upper_bound(flat.begin(), flat.end(), i + exclusion);
+    return it == flat.end() ? kNoNeighbor : *it;
+  });
 }
-
-Result<MatrixProfile> ComputeMatrixProfileNaive(
-    const std::vector<double>& series, std::size_t m, std::size_t exclusion) {
-  std::size_t count = 0;
-  TSAD_RETURN_IF_ERROR(
-      profile_internal::ValidateSelfJoin(series.size(), m, &exclusion, &count));
-
-  MatrixProfile mp;
-  mp.subsequence_length = m;
-  mp.distances.assign(count, std::numeric_limits<double>::infinity());
-  mp.indices.assign(count, kNoNeighbor);
-
-  std::vector<std::vector<double>> subs(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    subs[i] = ZNormalize(Subsequence(series, i, m));
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i % kDeadlinePollRows == 0) TSAD_RETURN_IF_ERROR(CheckDeadline());
-    for (std::size_t j = 0; j < count; ++j) {
-      const std::size_t gap = i > j ? i - j : j - i;
-      if (gap <= exclusion) continue;
-      const double d = EuclideanDistance(subs[i], subs[j]);
-      if (d < mp.distances[i]) {
-        mp.distances[i] = d;
-        mp.indices[i] = j;
-      }
-    }
-  }
-  return mp;
-}
-
-namespace {
-
-// The STOMP left profile (frozen row-recurrence kernel), reached
-// through the ComputeLeftMatrixProfile dispatcher below. Takes an
-// already-resolved exclusion zone and count.
-Result<MatrixProfile> ComputeLeftMatrixProfileStomp(
-    const std::vector<double>& series, std::size_t m, std::size_t exclusion,
-    std::size_t count) {
-  const WindowStats stats = ComputeWindowStats(series, m);
-  MatrixProfile mp;
-  mp.subsequence_length = m;
-  mp.distances.assign(count, std::numeric_limits<double>::infinity());
-  mp.indices.assign(count, kNoNeighbor);
-
-  const SlidingDotPlan plan(series, m);
-  const std::vector<double> first_row = plan.Query(Subsequence(series, 0, m));
-
-  const ScanSide side = BuildScanSide(stats);
-  const double dm = static_cast<double>(m);
-  const double two_m = 2.0 * dm;
-  const double sqrt_two_m = std::sqrt(2.0 * dm);
-  const double* series_data = series.data();
-  const StompFillFn fill = ActiveKernelVariant().stomp_fill;
-
-  const Status status = RunStompRowBlocks(
-      count, count,
-      [&](std::size_t i) {
-        return i == 0 ? first_row : plan.Query(Subsequence(series, i, m));
-      },
-      [&](std::size_t i, std::vector<double>& qt_row) {
-        double* qt = qt_row.data();
-        const double head = series_data[i - 1];
-        const double tail = series_data[i + m - 1];
-        for (std::size_t j = count - 1; j > 0; --j) {
-          qt[j] = qt[j - 1] - series_data[j - 1] * head +
-                  series_data[j + m - 1] * tail;
-        }
-        qt[0] = first_row[i];
-      },
-      [&](std::size_t i, const std::vector<double>& qt_row,
-          std::vector<double>& dist) {
-        if (i < exclusion + 1) return;  // no eligible past neighbor
-        const RowInvariants row{dm * stats.means[i], dm * stats.stds[i],
-                                side.flat[i] != 0};
-        double best = std::numeric_limits<double>::infinity();
-        std::size_t best_j = kNoNeighbor;
-        // Eligible past neighbors: j + exclusion + 1 <= i.
-        const std::size_t end = i - exclusion;
-        FillRowDistances(qt_row.data(), side, row, two_m, sqrt_two_m, 0, end,
-                         dist.data(), fill);
-        ArgMinSegment(dist.data(), 0, end, best, best_j);
-        mp.distances[i] = best;
-        mp.indices[i] = best_j;
-      });
-  if (!status.ok()) return status;
-  return mp;
-}
-
-// The STOMP AB-join (frozen row-recurrence kernel), reached through
-// the ComputeAbJoin dispatcher below. Takes already-validated counts.
-Result<MatrixProfile> ComputeAbJoinStomp(
-    const std::vector<double>& query_series,
-    const std::vector<double>& reference_series, std::size_t m,
-    std::size_t nq, std::size_t nr) {
-  const WindowStats query_stats = ComputeWindowStats(query_series, m);
-  const WindowStats ref_stats = ComputeWindowStats(reference_series, m);
-
-  MatrixProfile mp;
-  mp.subsequence_length = m;
-  mp.distances.assign(nq, std::numeric_limits<double>::infinity());
-  mp.indices.assign(nq, kNoNeighbor);
-
-  // Row 0 (of each block): dot products of that query subsequence
-  // against every reference subsequence; first column: dot products of
-  // every query subsequence against the first reference subsequence
-  // (seeds qt_row[0] in the recurrence). The plan is over the
-  // reference series — the side every block seed slides against.
-  const SlidingDotPlan plan(reference_series, m);
-  const std::vector<double> first_row =
-      plan.Query(Subsequence(query_series, 0, m));
-  const std::vector<double> first_col =
-      SlidingDotProduct(query_series, Subsequence(reference_series, 0, m));
-
-  const ScanSide query_side = BuildScanSide(query_stats);
-  const ScanSide ref_side = BuildScanSide(ref_stats);
-  const double dm = static_cast<double>(m);
-  const double two_m = 2.0 * dm;
-  const double sqrt_two_m = std::sqrt(2.0 * dm);
-  const double* query_data = query_series.data();
-  const double* ref_data = reference_series.data();
-  const StompFillFn fill = ActiveKernelVariant().stomp_fill;
-
-  const Status status = RunStompRowBlocks(
-      nq, nr,
-      [&](std::size_t i) {
-        return i == 0 ? first_row : plan.Query(Subsequence(query_series, i, m));
-      },
-      [&](std::size_t i, std::vector<double>& qt_row) {
-        double* qt = qt_row.data();
-        const double head = query_data[i - 1];
-        const double tail = query_data[i + m - 1];
-        for (std::size_t j = nr - 1; j > 0; --j) {
-          qt[j] = qt[j - 1] - ref_data[j - 1] * head +
-                  ref_data[j + m - 1] * tail;
-        }
-        qt[0] = first_col[i];
-      },
-      [&](std::size_t i, const std::vector<double>& qt_row,
-          std::vector<double>& dist) {
-        const RowInvariants row{dm * query_stats.means[i],
-                                dm * query_stats.stds[i],
-                                query_side.flat[i] != 0};
-        double best = std::numeric_limits<double>::infinity();
-        std::size_t best_j = kNoNeighbor;
-        FillRowDistances(qt_row.data(), ref_side, row, two_m, sqrt_two_m, 0,
-                         nr, dist.data(), fill);
-        ArgMinSegment(dist.data(), 0, nr, best, best_j);
-        mp.distances[i] = best;
-        mp.indices[i] = best_j;
-      });
-  if (!status.ok()) return status;
-  return mp;
-}
-
-}  // namespace
 
 Result<MatrixProfile> ComputeLeftMatrixProfile(
-    const std::vector<double>& series, std::size_t m,
-    const MatrixProfileOptions& options) {
-  std::size_t exclusion = options.exclusion;
+    const std::vector<double>& series, std::size_t m, std::size_t exclusion) {
   std::size_t count = 0;
   TSAD_RETURN_IF_ERROR(profile_internal::ValidateLeftProfile(
       series.size(), m, &exclusion, &count));
-  const MpPrecision precision = ResolveMpPrecision(options.precision);
-  if (precision == MpPrecision::kFloat32) {
-    if (options.kernel == MpKernel::kStomp) {
-      return Status::InvalidArgument(
-          "float32 precision requires the mpx kernel (STOMP has no float "
-          "tier); use --mp-kernel mpx or auto");
-    }
-    return ComputeLeftMatrixProfileMpx(series, m, exclusion,
-                                       MpPrecision::kFloat32);
-  }
-  if (ResolveMpKernel(options.kernel, count) == MpKernel::kMpx) {
-    return ComputeLeftMatrixProfileMpx(series, m, exclusion);
-  }
-  return ComputeLeftMatrixProfileStomp(series, m, exclusion, count);
-}
+  const MpxSide side = BuildMpxSide(series, m, count);
 
-Result<MatrixProfile> ComputeLeftMatrixProfile(
-    const std::vector<double>& series, std::size_t m, std::size_t exclusion) {
-  MatrixProfileOptions options;
-  options.exclusion = exclusion;
-  return ComputeLeftMatrixProfile(series, m, options);
-}
+  // One b-side sweep of the series against itself over the causal
+  // diagonals d > exclusion: pair (o, o + d) updates entry o + d with
+  // past neighbor o. Entries below exclusion + 1 never appear as o + d
+  // and keep the +inf / kNoNeighbor contract.
+  const std::size_t min_diag = exclusion + 1;
+  std::vector<CrossSweep> sweeps;
+  if (min_diag < count) {
+    sweeps.push_back(
+        {&side, &series, count, &side, &series, count, min_diag, count,
+         false});
+  }
+  CorrProfile best;
+  TSAD_RETURN_IF_ERROR(RunCrossSweeps(sweeps, m, count, &best));
 
-Result<MatrixProfile> ComputeAbJoin(const std::vector<double>& query_series,
-                                    const std::vector<double>& reference_series,
-                                    std::size_t m,
-                                    const MatrixProfileOptions& options) {
-  std::size_t nq = 0, nr = 0;
-  TSAD_RETURN_IF_ERROR(profile_internal::ValidateAbJoin(
-      query_series.size(), reference_series.size(), m, &nq, &nr));
-  const MpPrecision precision = ResolveMpPrecision(options.precision);
-  if (precision == MpPrecision::kFloat32) {
-    if (options.kernel == MpKernel::kStomp) {
-      return Status::InvalidArgument(
-          "float32 precision requires the mpx kernel (STOMP has no float "
-          "tier); use --mp-kernel mpx or auto");
-    }
-    return ComputeAbJoinMpx(query_series, reference_series, m,
-                            MpPrecision::kFloat32);
-  }
-  // Size rule on the SMALLER side: the diagonal formulation only wins
-  // when both sides are long enough to amortize its seeds and merges.
-  if (ResolveMpKernel(options.kernel, std::min(nq, nr)) == MpKernel::kMpx) {
-    return ComputeAbJoinMpx(query_series, reference_series, m);
-  }
-  return ComputeAbJoinStomp(query_series, reference_series, m, nq, nr);
+  const std::vector<std::size_t>& flat = side.flat_indices;
+  return FinishProfile(best, side.inv, m, min_diag, [&](std::size_t i) {
+    // Lowest PAST flat: j + exclusion + 1 <= i.
+    return !flat.empty() && flat.front() + min_diag <= i ? flat.front()
+                                                         : kNoNeighbor;
+  });
 }
 
 Result<MatrixProfile> ComputeAbJoin(const std::vector<double>& query_series,
                                     const std::vector<double>& reference_series,
                                     std::size_t m) {
-  return ComputeAbJoin(query_series, reference_series, m,
-                       MatrixProfileOptions());
+  std::size_t nq = 0, nr = 0;
+  TSAD_RETURN_IF_ERROR(profile_internal::ValidateAbJoin(
+      query_series.size(), reference_series.size(), m, &nq, &nr));
+  const MpxSide qs = BuildMpxSide(query_series, m, nq);
+  const MpxSide rs = BuildMpxSide(reference_series, m, nr);
+
+  // The nq x nr rectangle as two diagonal half-spaces: sweep 1 covers
+  // reference index >= query index (d = j - i in [0, nr)) updating the
+  // query side as side A; sweep 2 covers the transposed strict half
+  // (d = i - j in [1, nq), A = reference) updating the query side as
+  // side B. Every (i, j) pair lands in exactly one sweep.
+  std::vector<CrossSweep> sweeps;
+  sweeps.push_back(
+      {&qs, &query_series, nq, &rs, &reference_series, nr, 0, nr, true});
+  if (nq > 1) {
+    sweeps.push_back(
+        {&rs, &reference_series, nr, &qs, &query_series, nq, 1, nq, false});
+  }
+  CorrProfile best;
+  TSAD_RETURN_IF_ERROR(RunCrossSweeps(sweeps, m, nq, &best));
+
+  // A flat query subsequence sits at distance 0 from the LOWEST flat
+  // reference index.
+  return FinishProfile(best, qs.inv, m, 0, [&](std::size_t) {
+    return rs.flat_indices.empty() ? kNoNeighbor : rs.flat_indices.front();
+  });
 }
 
 std::vector<Discord> TopDiscords(const MatrixProfile& profile, std::size_t k,

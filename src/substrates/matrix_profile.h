@@ -1,23 +1,56 @@
-// Matrix profile substrate: MASS distance profiles and a STOMP-style
-// O(n^2) self-join, the machinery behind the time series discord
-// detector the paper uses in Figs 8 and 13 (Yeh et al. ICDM'16,
-// Yankov/Keogh ICDM'07).
+// Matrix profile substrate: MASS distance profiles and the MPX
+// diagonal-traversal joins (self-join, AB-join, left profile), the
+// machinery behind the time series discord detector the paper uses in
+// Figs 8 and 13 (Yeh et al. ICDM'16, Yankov/Keogh ICDM'07, Zimmerman
+// et al. SoCC'19).
 //
 // All distances are z-normalized Euclidean distances between length-m
 // subsequences. Near-constant subsequences are handled with the SCAMP
 // convention: two flat subsequences are at distance 0; a flat vs. a
-// non-flat subsequence is maximally distant (2*sqrt(m) bound... we use
-// sqrt(2m), the maximum attainable z-normalized distance).
+// non-flat subsequence is at sqrt(2m), the distance at zero
+// correlation (the maximum attainable distance is 2*sqrt(m), at
+// correlation -1).
 //
-// The STOMP drivers run row-blocked over the common/parallel.h pool:
-// rows are processed in fixed-size blocks (each seeded by its own FFT
-// pass, then advanced by the O(1)-per-entry recurrence), so blocks are
-// independent and distribute across threads. Because the block size is
-// a constant — never derived from the thread count — and every row's
-// neighbor scan breaks ties serially (lowest index wins), profiles are
-// bit-identical at any --threads setting, including the serial
-// fallback. Cooperative DeadlineScope polling happens per worker; the
-// submitting thread's deadline is propagated to the pool.
+// MPX walks the distance matrix diagonal by diagonal and never touches
+// an FFT:
+//
+//  * muinvn precompute: rolling means (ComputeWindowStats, so every
+//    engine classifies the same subsequences as flat) and
+//    per-subsequence INVERSE centered norms 1 / (sigma * sqrt(m)),
+//    turning the per-pair normalization into two multiplies.
+//  * ddf/ddg difference tracks: ddf[i] = 0.5*(x[i+m-1] - x[i-1]),
+//    ddg[i] = (x[i+m-1] - mu[i]) + (x[i-1] - mu[i-1]). Along a
+//    diagonal the centered covariance obeys
+//      c(i, j) = c(i-1, j-1) + ddf[i]*ddg[j] + ddf[j]*ddg[i],
+//    so each pair costs two multiply-adds, and the Pearson correlation
+//    is c * inv[i] * inv[j]. Distances are recovered once per ENTRY at
+//    the end: d = sqrt(2m * (1 - corr)).
+//  * Cache-blocked tiling: diagonals are processed in fixed tiles, and
+//    within a tile the offset range is walked in fixed row blocks. Each
+//    diagonal re-seeds its covariance at every block boundary with a
+//    locally-centered O(m) dot, so recurrence drift is contained to one
+//    block.
+//  * Parallelism: tiles are independent ParallelFor work items
+//    accumulating into worker-local profiles that merge with the
+//    order-independent operator "higher correlation wins, ties to the
+//    LOWER neighbor index". Every diagonal lives in exactly one tile
+//    and tile/block boundaries are constants, so profiles are
+//    bit-identical at any --threads setting and, through the
+//    runtime-dispatched variants of substrates/mp_kernels.h, at every
+//    ISA tier.
+//
+// The AB-join and the left profile run the same machinery over the
+// CROSS covariance: diagonal d pairs offset o of side A with offset
+// o + d of side B, with one-sided profile updates. The AB-join covers
+// its nq x nr rectangle as two sweeps (reference index >= query index,
+// then the transposed strict half); the left profile is the single
+// sweep over d > exclusion of a series joined with itself.
+//
+// Feed sanitized inputs: NaNs propagate through the covariance chain
+// and poison whole diagonals. The certification against the naive
+// O(n^2 m) oracle (tests/substrates/profile_equivalence.h) pins the
+// numerics contract: squared distances within a documented absolute
+// tolerance, flat entries exactly, TopDiscords positions exactly.
 
 #ifndef TSAD_SUBSTRATES_MATRIX_PROFILE_H_
 #define TSAD_SUBSTRATES_MATRIX_PROFILE_H_
@@ -60,8 +93,9 @@ inline constexpr std::size_t kNoNeighbor =
 // Rounding: both use C++ integer division, i.e. floor. For even m the
 // self-join zone is exactly m/2 (m=64 -> 32: j = i+32 is ineligible,
 // j = i+33 is the first candidate); for odd m it floors (m=65 -> 32).
-// Every kernel (STOMP, MPX, the naive reference) and TopDiscords must
-// derive its default from these two functions — never from a literal —
+// Every engine (batch MPX, the pan and streaming engines, the test
+// oracle) and TopDiscords must derive its default from these two
+// functions — never from a literal —
 // so the semantics can only ever change in one place.
 // ---------------------------------------------------------------------------
 
@@ -71,135 +105,6 @@ inline std::size_t DefaultSelfJoinExclusion(std::size_t m) { return m / 2; }
 
 /// Default overlap-suppression zone of TopDiscords: m.
 inline std::size_t DefaultDiscordExclusion(std::size_t m) { return m; }
-
-// ---------------------------------------------------------------------------
-// Kernel selection. Two self-join kernels compute the same profile:
-//
-//  * kStomp — the FFT-seeded row recurrence (PR 4's planned-FFT,
-//    hoisted-scan kernel). Bit-identical to the frozen
-//    ComputeMatrixProfileReference, for self-joins, AB-joins and the
-//    left (causal) profile alike.
-//  * kMpx — the diagonal-traversal MPX kernels (substrates/mpx_kernel.h):
-//    no FFT anywhere, O(1) running-covariance updates along each
-//    diagonal, for all three join shapes (the AB-join and left profile
-//    run the cross-diagonal formulation). Several-fold faster on CPU,
-//    but it accumulates in a different order than FFT+STOMP, so values
-//    agree only to a tolerance (distances within kMpxCorrTolerance in
-//    squared-distance space; discord indices exactly — see
-//    tests/substrates/profile_equivalence.h for the contract).
-//
-// kAuto resolves per call: an explicit process-wide override (the
-// --mp-kernel CLI flag) wins, else size decides — MPX when the join has
-// at least kMpxAutoMinSubsequences subsequences (for AB-joins, on the
-// SMALLER side: the diagonal win needs both sides long), STOMP below
-// (small profiles stay bit-stable with the historical kernel and gain
-// nothing from diagonal traversal).
-// ---------------------------------------------------------------------------
-
-enum class MpKernel {
-  kAuto = 0,
-  kStomp = 1,
-  kMpx = 2,
-};
-
-/// Self-joins with at least this many subsequences auto-dispatch to
-/// MPX; smaller ones stay on STOMP (documented threshold — the dispatch
-/// tests pin it).
-inline constexpr std::size_t kMpxAutoMinSubsequences = 2048;
-
-// ---------------------------------------------------------------------------
-// Precision tier. The MPX diagonals can run their covariance
-// recurrence in float32 (the false.alarm.io observation: the whole UCR
-// kernel is viable in float on a microcontroller), roughly doubling
-// SIMD lane throughput:
-//
-//  * kExact — double recurrence; bit-identical across ISA tiers and
-//    thread counts, and the STOMP side stays bit-identical to the
-//    frozen reference.
-//  * kFloat32 — MPX-only float recurrence with double seeds re-taken
-//    every (shorter) row block, so rounding drift is contained per
-//    block. Certified by a TOLERANCE contract plus exact TopDiscords
-//    on the simulator families (tests/substrates/profile_equivalence.h)
-//    — NOT for adversarial inputs with extreme level shifts, where
-//    float's ~1e-7 relative error on a huge covariance dwarfs O(1)
-//    structure. Bit-identical across ISA tiers and thread counts
-//    WITHIN the tier.
-//
-// kAuto resolves to the process-wide override (the --mp-precision flag
-// / TSAD_MP_PRECISION env), else kExact. A float32 request with an
-// explicitly-requested STOMP kernel is InvalidArgument (STOMP has no
-// float tier); with kernel kAuto it forces MPX regardless of the size
-// rule or kernel override.
-// ---------------------------------------------------------------------------
-
-enum class MpPrecision {
-  kAuto = 0,
-  kExact = 1,
-  kFloat32 = 2,
-};
-
-/// Options for ComputeMatrixProfile. `exclusion` keeps the historical
-/// SIZE_MAX = "use DefaultSelfJoinExclusion(m)" convention.
-struct MatrixProfileOptions {
-  MpKernel kernel = MpKernel::kAuto;
-  MpPrecision precision = MpPrecision::kAuto;
-  std::size_t exclusion = std::numeric_limits<std::size_t>::max();
-};
-
-/// Process-wide kernel override for kAuto callers (the --mp-kernel
-/// flag lands here). kAuto clears the override and returns to the
-/// size-based rule. Explicit per-call options always beat the override.
-void SetMpKernelOverride(MpKernel kernel);
-MpKernel GetMpKernelOverride();
-
-/// The kernel a self-join with `num_subsequences` subsequences actually
-/// runs: `requested` if explicit, else the process override if set,
-/// else MPX at >= kMpxAutoMinSubsequences and STOMP below. Pure given
-/// the override state — the dispatch tests drive it directly.
-MpKernel ResolveMpKernel(MpKernel requested, std::size_t num_subsequences);
-
-/// Parses "auto" / "stomp" / "mpx" (the --mp-kernel values). Unknown
-/// names are InvalidArgument with the registry-style "did you mean"
-/// suggestion.
-Result<MpKernel> ParseMpKernel(const std::string& name);
-
-/// The canonical name of a kernel ("auto", "stomp", "mpx").
-const char* MpKernelName(MpKernel kernel);
-
-/// Process-wide precision override for kAuto callers (the
-/// --mp-precision flag lands here). kAuto clears the override.
-/// Explicit per-call options always beat the override. Setting any
-/// value (including kAuto) marks TSAD_MP_PRECISION as consumed, so an
-/// explicit flag beats the environment.
-void SetMpPrecisionOverride(MpPrecision precision);
-MpPrecision GetMpPrecisionOverride();
-
-/// The precision a profile actually runs: `requested` if explicit,
-/// else the process override (or TSAD_MP_PRECISION, applied lazily on
-/// first use; an invalid value aborts loudly — the CLI and benches
-/// call ApplyMpPrecisionEnv first for a clean error), else kExact.
-MpPrecision ResolveMpPrecision(MpPrecision requested);
-
-/// Eager TSAD_MP_PRECISION validation, mirroring ApplySimdTierEnv: OK
-/// and a no-op when unset or already consumed.
-Status ApplyMpPrecisionEnv();
-
-/// Parses "auto" / "exact" / "float32" (the --mp-precision values),
-/// with the registry-style "did you mean" rejection.
-Result<MpPrecision> ParseMpPrecision(const std::string& name);
-
-/// The canonical name of a precision tier ("auto", "exact", "float32").
-const char* MpPrecisionName(MpPrecision precision);
-
-/// Pairwise z-normalized distance between two length-m subsequences
-/// from their dot product `qt` and rolling means/stds (SCAMP flat-
-/// subsequence convention: flat-vs-flat is 0, flat-vs-dynamic is the
-/// maximum attainable distance sqrt(2m)). This is the exact per-pair
-/// formula every profile in this module uses; it is exported so the
-/// streaming (online) left-profile kernel produces bit-identical
-/// distances to the batch drivers.
-double ZNormPairDistance(double qt, double mean_a, double std_a, double mean_b,
-                         double std_b, std::size_t m);
 
 /// MASS: z-normalized distance profile of `query` against every
 /// subsequence of `series` in O(n log n). `stats` must be
@@ -212,41 +117,16 @@ std::vector<double> MassDistanceProfile(const std::vector<double>& series,
 std::vector<double> MassDistanceProfile(const std::vector<double>& series,
                                         const std::vector<double>& query);
 
-/// Self-join in O(n^2) time / O(n) memory per row, auto-dispatched
-/// between the STOMP and MPX kernels (see the kernel selection block
-/// above). The exclusion zone suppresses trivial matches: neighbor j of
-/// subsequence i is only considered when |i - j| > exclusion. The
-/// conventional zone DefaultSelfJoinExclusion(m) = m/2 is used when
-/// `exclusion` is SIZE_MAX.
+/// Self-join in O(n^2) time and O(n) memory. The exclusion zone
+/// suppresses trivial matches: neighbor j of subsequence i is only
+/// considered when |i - j| > exclusion. The conventional zone
+/// DefaultSelfJoinExclusion(m) = m/2 is used when `exclusion` is
+/// SIZE_MAX.
 ///
 /// Returns InvalidArgument if m < 2 or there are fewer than 2
 /// subsequences or the exclusion zone leaves some subsequence with no
 /// candidate neighbor at all.
 Result<MatrixProfile> ComputeMatrixProfile(
-    const std::vector<double>& series, std::size_t m,
-    std::size_t exclusion = std::numeric_limits<std::size_t>::max());
-
-/// Kernel-selecting overload: dispatches to STOMP or MPX per
-/// options.kernel (kAuto = override, then size rule — see the kernel
-/// selection block above). The exclusion-less overload above is
-/// equivalent to passing default MatrixProfileOptions, so every
-/// existing self-join call site participates in auto-dispatch.
-Result<MatrixProfile> ComputeMatrixProfile(const std::vector<double>& series,
-                                           std::size_t m,
-                                           const MatrixProfileOptions& options);
-
-/// Naive O(n^2 m) reference implementation, for tests.
-Result<MatrixProfile> ComputeMatrixProfileNaive(
-    const std::vector<double>& series, std::size_t m,
-    std::size_t exclusion = std::numeric_limits<std::size_t>::max());
-
-/// The pre-caching STOMP self-join, frozen verbatim: per-block
-/// SlidingDotProduct seeds (full series FFT every block) and the fused
-/// per-entry ZNormPairDistance scan. Kept so tests can assert the
-/// optimized ComputeMatrixProfile is BIT-IDENTICAL to it and so the
-/// perf bench can report the kernel speedup against the real baseline
-/// rather than the O(n^2 m) naive one.
-Result<MatrixProfile> ComputeMatrixProfileReference(
     const std::vector<double>& series, std::size_t m,
     std::size_t exclusion = std::numeric_limits<std::size_t>::max());
 
@@ -256,49 +136,21 @@ Result<MatrixProfile> ComputeMatrixProfileReference(
 /// unlike anything seen before scores high the moment it completes,
 /// which is the setting the Numenta benchmark targets. Entries with no
 /// eligible left neighbor (the first `exclusion + 1` subsequences) get
-/// +inf distance and kNoNeighbor.
+/// +inf distance and kNoNeighbor; an exclusion zone covering the whole
+/// series is therefore not an error.
 Result<MatrixProfile> ComputeLeftMatrixProfile(
     const std::vector<double>& series, std::size_t m,
     std::size_t exclusion = std::numeric_limits<std::size_t>::max());
 
-/// Kernel-selecting overload of the left profile: dispatches to the
-/// STOMP or MPX left kernel per options.kernel, exactly like the
-/// self-join dispatcher (kAuto = override, then the size rule on the
-/// subsequence count; float32 forces MPX, and float32 with an EXPLICIT
-/// kStomp is InvalidArgument). The exclusion-arg overload above
-/// forwards here, so every left-profile call site participates in
-/// --mp-kernel / --mp-isa / --mp-precision dispatch.
-Result<MatrixProfile> ComputeLeftMatrixProfile(
-    const std::vector<double>& series, std::size_t m,
-    const MatrixProfileOptions& options);
-
 /// AB-join: for every length-m subsequence of `query_series`, the
 /// z-normalized distance to (and index of) its nearest neighbor among
-/// the subsequences of `reference_series`. No exclusion zone applies —
-/// the two series are distinct by contract. This is the substrate for
-/// semi-supervised detection ("how far is each test subsequence from
-/// everything seen in training?").
-///
-/// Runs in O(|query| * |reference| log |reference| / m) via one MASS
-/// pass per query subsequence... implemented as a STOMP-style row
-/// recurrence in O(|query| * |reference|).
+/// the subsequences of `reference_series`, in O(|query| * |reference|).
+/// No exclusion zone applies — the two series are distinct by
+/// contract. This is the substrate for semi-supervised detection ("how
+/// far is each test subsequence from everything seen in training?").
 Result<MatrixProfile> ComputeAbJoin(const std::vector<double>& query_series,
                                     const std::vector<double>& reference_series,
                                     std::size_t m);
-
-/// Kernel-selecting overload of the AB-join: dispatches to the STOMP
-/// or MPX join kernel per options.kernel (kAuto = override, then the
-/// size rule on min(nq, nr); float32 forces MPX, and float32 with an
-/// EXPLICIT kStomp is InvalidArgument — STOMP has no float tier).
-/// options.exclusion is ignored: no exclusion zone exists for a join
-/// of two distinct series. The 3-argument overload above forwards
-/// here, so every join call site (semisup_discord, telemanom-style
-/// train/test joins, serving replay) participates in --mp-kernel /
-/// --mp-isa / --mp-precision dispatch.
-Result<MatrixProfile> ComputeAbJoin(const std::vector<double>& query_series,
-                                    const std::vector<double>& reference_series,
-                                    std::size_t m,
-                                    const MatrixProfileOptions& options);
 
 /// A discord: the subsequence whose nearest-neighbor distance is
 /// largest (i.e., the argmax of the matrix profile).

@@ -19,26 +19,6 @@ double MpxSeedCov(const double* series, const double* means, std::size_t a,
   return c;
 }
 
-void FillRowDistancesTail(const StompFillArgs& a, std::size_t begin) {
-  const double* qt = a.qt;
-  const double* means = a.means;
-  const double* stds = a.stds;
-  const double m_mean_i = a.m_mean_i;
-  const double m_std_i = a.m_std_i;
-  const double two_m = a.two_m;
-  double* dist = a.dist;
-  for (std::size_t j = begin; j < a.end; ++j) {
-    // Value ternaries, not std::clamp/std::max: identical semantics —
-    // including NaN pass-through on the clamps and NaN -> 0 on the
-    // floor — without the reference-returning forms.
-    double corr = (qt[j] - m_mean_i * means[j]) / (m_std_i * stds[j]);
-    corr = corr < -1.0 ? -1.0 : corr;
-    corr = corr > 1.0 ? 1.0 : corr;
-    const double v = two_m * (1.0 - corr);
-    dist[j] = std::sqrt(v > 0.0 ? v : 0.0);
-  }
-}
-
 void MpxBlockScalarRange(const MpxBlockArgs& a, std::size_t d_begin,
                          std::size_t d_end) {
   for (std::size_t d = d_begin; d < d_end; ++d) {
@@ -52,29 +32,6 @@ void MpxBlockScalarRange(const MpxBlockArgs& a, std::size_t d_begin,
     for (std::size_t o = a.r0 + 1; o < end; ++o) {
       c += a.ddf[o] * a.ddg[o + d] + a.ddf[o + d] * a.ddg[o];
       const double corr = c * a.inv[o] * a.inv[o + d];
-      MpxUpdateBest(a.local_corr, a.local_index, corr, o, o + d);
-      MpxUpdateBest(a.local_corr, a.local_index, corr, o + d, o);
-    }
-  }
-}
-
-void MpxBlockF32ScalarRange(const MpxBlockF32Args& a, std::size_t d_begin,
-                            std::size_t d_end) {
-  for (std::size_t d = d_begin; d < d_end; ++d) {
-    const std::size_t len = a.count - d;
-    if (a.r0 >= len) break;
-    const std::size_t end = a.r1 < len ? a.r1 : len;
-    // Double seed narrowed once per block; the recurrence runs in
-    // float and each correlation widens to double (exact) at update.
-    float c =
-        static_cast<float>(MpxSeedCov(a.series, a.means, a.r0, a.r0 + d, a.m));
-    const double seed_corr =
-        static_cast<double>(c * a.inv[a.r0] * a.inv[a.r0 + d]);
-    MpxUpdateBest(a.local_corr, a.local_index, seed_corr, a.r0, a.r0 + d);
-    MpxUpdateBest(a.local_corr, a.local_index, seed_corr, a.r0 + d, a.r0);
-    for (std::size_t o = a.r0 + 1; o < end; ++o) {
-      c += a.ddf[o] * a.ddg[o + d] + a.ddf[o + d] * a.ddg[o];
-      const double corr = static_cast<double>(c * a.inv[o] * a.inv[o + d]);
       MpxUpdateBest(a.local_corr, a.local_index, corr, o, o + d);
       MpxUpdateBest(a.local_corr, a.local_index, corr, o + d, o);
     }
@@ -127,36 +84,6 @@ void MpxCrossScalarRange(const MpxCrossBlockArgs& a, std::size_t d_begin,
   }
 }
 
-template <bool kUpdateA>
-void MpxCrossF32ScalarRange(const MpxCrossBlockF32Args& a, std::size_t d_begin,
-                            std::size_t d_end) {
-  for (std::size_t d = d_begin; d < d_end; ++d) {
-    const std::size_t len_b = a.count_b - d;
-    const std::size_t len = a.count_a < len_b ? a.count_a : len_b;
-    if (a.r0 >= len) break;
-    const std::size_t end = a.r1 < len ? a.r1 : len;
-    float c = static_cast<float>(MpxSeedCovCross(
-        a.series_a, a.means_a, a.series_b, a.means_b, a.r0, a.r0 + d, a.m));
-    const double seed_corr =
-        static_cast<double>(c * a.inv_a[a.r0] * a.inv_b[a.r0 + d]);
-    if (kUpdateA) {
-      MpxUpdateBest(a.local_corr, a.local_index, seed_corr, a.r0, a.r0 + d);
-    } else {
-      MpxUpdateBest(a.local_corr, a.local_index, seed_corr, a.r0 + d, a.r0);
-    }
-    for (std::size_t o = a.r0 + 1; o < end; ++o) {
-      c += a.ddf_a[o] * a.ddg_b[o + d] + a.ddf_b[o + d] * a.ddg_a[o];
-      const double corr =
-          static_cast<double>(c * a.inv_a[o] * a.inv_b[o + d]);
-      if (kUpdateA) {
-        MpxUpdateBest(a.local_corr, a.local_index, corr, o, o + d);
-      } else {
-        MpxUpdateBest(a.local_corr, a.local_index, corr, o + d, o);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void MpxCrossBlockScalarRangeA(const MpxCrossBlockArgs& args,
@@ -167,16 +94,6 @@ void MpxCrossBlockScalarRangeA(const MpxCrossBlockArgs& args,
 void MpxCrossBlockScalarRangeB(const MpxCrossBlockArgs& args,
                                std::size_t d_begin, std::size_t d_end) {
   MpxCrossScalarRange<false>(args, d_begin, d_end);
-}
-
-void MpxCrossBlockF32ScalarRangeA(const MpxCrossBlockF32Args& args,
-                                  std::size_t d_begin, std::size_t d_end) {
-  MpxCrossF32ScalarRange<true>(args, d_begin, d_end);
-}
-
-void MpxCrossBlockF32ScalarRangeB(const MpxCrossBlockF32Args& args,
-                                  std::size_t d_begin, std::size_t d_end) {
-  MpxCrossF32ScalarRange<false>(args, d_begin, d_end);
 }
 
 void PanSeedSlideBase(const PanBlockArgs& a) {

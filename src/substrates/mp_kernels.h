@@ -1,14 +1,14 @@
 // Kernel-variant registry for the matrix-profile engines.
 //
-// The hot inner loops of both batch kernels and the streaming MPX
-// substrate are compiled once per ISA tier (scalar/SSE2/AVX2/AVX-512)
+// The hot inner loops of the batch MPX joins, the pan-profile engine
+// and the streaming MPX substrate are compiled once per ISA tier (scalar/SSE2/AVX2/AVX-512)
 // in dedicated translation units carrying per-TU -msse2/-mavx2/
 // -mavx512f flags, and selected at runtime through this registry via
 // common/cpu_features.h. The default build stays portable: baseline
 // TUs never emit wide-SIMD instructions, and a variant only runs after
 // CPUID confirms the host supports its tier.
 //
-// Bit-identity contract (exact tier): every variant of the same
+// Bit-identity contract: every variant of the same
 // operation produces bit-identical results to the scalar baseline on
 // non-NaN inputs, at every thread count. This holds because
 //  * all packed ops used (add/sub/mul/div/sqrt/min/max, blends) are
@@ -23,10 +23,6 @@
 //    (higher correlation wins, ties to the lower neighbor index), so
 //    visiting candidates in vector-group order instead of scalar order
 //    cannot change the winner.
-// The float32 MPX tier is likewise bit-identical ACROSS tiers (same
-// float ops per lane, widened to double exactly at update time); it
-// differs from the exact tier by design and is certified by a
-// tolerance contract instead (tests/substrates/profile_equivalence.h).
 
 #ifndef TSAD_SUBSTRATES_MP_KERNELS_H_
 #define TSAD_SUBSTRATES_MP_KERNELS_H_
@@ -36,24 +32,6 @@
 #include "common/cpu_features.h"
 
 namespace tsad {
-
-/// Arguments of the hoisted STOMP row scan: fill dist[j] for j in
-/// [begin, end) with sqrt(max(0, 2m*(1 - clamp(corr)))) where
-/// corr = (qt[j] - m_mean_i*means[j]) / (m_std_i*stds[j]). The caller
-/// (matrix_profile.cc) owns the flat-row fast path and the flat-column
-/// patch; variants only run the branch-free arithmetic chain.
-struct StompFillArgs {
-  const double* qt = nullptr;
-  const double* means = nullptr;
-  const double* stds = nullptr;
-  double m_mean_i = 0.0;
-  double m_std_i = 0.0;
-  double two_m = 0.0;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  double* dist = nullptr;
-};
-using StompFillFn = void (*)(const StompFillArgs&);
 
 /// One (row block, diagonal range) cell of the batch MPX traversal:
 /// for every diagonal d in [d_begin, d_end), seed the covariance of
@@ -80,29 +58,6 @@ struct MpxBlockArgs {
   std::size_t* local_index = nullptr;
 };
 using MpxBlockFn = void (*)(const MpxBlockArgs&);
-
-/// Float32 fast-path version of MpxBlockArgs: the ddf/ddg/inv tracks
-/// are float, the covariance recurrence runs in float, and each
-/// correlation is widened to double (exact) at update time. Seeds are
-/// still the shared double MpxSeedCov, cast to float once per block —
-/// with the caller's shorter float row block, drift stays within the
-/// certified tolerance contract.
-struct MpxBlockF32Args {
-  const double* series = nullptr;
-  const double* means = nullptr;
-  const float* ddf = nullptr;
-  const float* ddg = nullptr;
-  const float* inv = nullptr;
-  std::size_t m = 0;
-  std::size_t count = 0;
-  std::size_t r0 = 0;
-  std::size_t r1 = 0;
-  std::size_t d_begin = 0;
-  std::size_t d_end = 0;
-  double* local_corr = nullptr;
-  std::size_t* local_index = nullptr;
-};
-using MpxBlockF32Fn = void (*)(const MpxBlockF32Args&);
 
 /// One (row block, diagonal range) cell of a CROSS-join MPX traversal
 /// (AB-join or left profile): diagonal d pairs offset o of side A with
@@ -139,35 +94,6 @@ struct MpxCrossBlockArgs {
   std::size_t* local_index = nullptr;
 };
 using MpxCrossBlockFn = void (*)(const MpxCrossBlockArgs&);
-
-/// Float32 cross-join block: float recurrence tracks on both sides,
-/// double series/means for the per-block seeds — the same containment
-/// scheme as MpxBlockF32Args. The cross float path intentionally has NO
-/// per-tier vector variants: it always runs the shared scalar ranges
-/// below (trivially bit-identical across ISA tiers), trading join-side
-/// float throughput for zero extra variant surface — joins are O(nq*nr)
-/// once per request, not the self-join's O(n^2) inner loop.
-struct MpxCrossBlockF32Args {
-  const double* series_a = nullptr;
-  const double* means_a = nullptr;
-  const float* ddf_a = nullptr;
-  const float* ddg_a = nullptr;
-  const float* inv_a = nullptr;
-  std::size_t count_a = 0;
-  const double* series_b = nullptr;
-  const double* means_b = nullptr;
-  const float* ddf_b = nullptr;
-  const float* ddg_b = nullptr;
-  const float* inv_b = nullptr;
-  std::size_t count_b = 0;
-  std::size_t m = 0;
-  std::size_t r0 = 0;
-  std::size_t r1 = 0;
-  std::size_t d_begin = 0;
-  std::size_t d_end = 0;
-  double* local_corr = nullptr;
-  std::size_t* local_index = nullptr;
-};
 
 /// The streaming MPX per-push lag advance (StreamingMpx::Push's hot
 /// loop): for every tracked lag k in [0, nlags), with lag =
@@ -254,9 +180,7 @@ using PanCovRowFn = void (*)(const PanCovRowArgs&);
 /// One ISA tier's implementations of the dispatched operations.
 struct MpKernelVariant {
   SimdTier tier = SimdTier::kScalar;
-  StompFillFn stomp_fill = nullptr;
   MpxBlockFn mpx_block = nullptr;
-  MpxBlockF32Fn mpx_block_f32 = nullptr;
   MpxCrossBlockFn mpx_cross_a = nullptr;  // update side A (entry o)
   MpxCrossBlockFn mpx_cross_b = nullptr;  // update side B (entry o + d)
   MpxAdvanceLagsFn mpx_advance_lags = nullptr;
@@ -282,8 +206,8 @@ const MpKernelVariant& ActiveKernelVariant();
 
 /// Locally-centered O(m) covariance of the subsequence pair (a, b):
 /// sum_k (series[a+k]-means[a]) * (series[b+k]-means[b]), accumulated
-/// left to right. The ONE seed every MPX path (batch exact, batch
-/// float32 before narrowing, streaming re-seed) uses.
+/// left to right. The ONE seed every MPX path (batch, streaming
+/// re-seed) uses.
 double MpxSeedCov(const double* series, const double* means, std::size_t a,
                   std::size_t b, std::size_t m);
 
@@ -295,19 +219,9 @@ double MpxSeedCovCross(const double* series_a, const double* means_a,
                        const double* series_b, const double* means_b,
                        std::size_t a, std::size_t b, std::size_t m);
 
-/// The scalar STOMP fill over [begin, args.end) — the shared tail of
-/// every vector variant and the whole body of the scalar one (the
-/// single home of what used to be duplicated after matrix_profile.cc's
-/// inline SSE2 block).
-void FillRowDistancesTail(const StompFillArgs& args, std::size_t begin);
-
 /// Scalar MpxBlock over diagonals [d_begin, d_end) of args' row block.
 void MpxBlockScalarRange(const MpxBlockArgs& args, std::size_t d_begin,
                          std::size_t d_end);
-
-/// Scalar float32 MpxBlock over diagonals [d_begin, d_end).
-void MpxBlockF32ScalarRange(const MpxBlockF32Args& args, std::size_t d_begin,
-                            std::size_t d_end);
 
 /// Scalar cross-join block over diagonals [d_begin, d_end), updating
 /// side A (entry o, neighbor o + d).
@@ -317,13 +231,6 @@ void MpxCrossBlockScalarRangeA(const MpxCrossBlockArgs& args,
 /// Scalar cross-join block updating side B (entry o + d, neighbor o).
 void MpxCrossBlockScalarRangeB(const MpxCrossBlockArgs& args,
                                std::size_t d_begin, std::size_t d_end);
-
-/// Scalar float32 cross-join blocks — the ONLY float cross
-/// implementations (every ISA tier runs these; see MpxCrossBlockF32Args).
-void MpxCrossBlockF32ScalarRangeA(const MpxCrossBlockF32Args& args,
-                                  std::size_t d_begin, std::size_t d_end);
-void MpxCrossBlockF32ScalarRangeB(const MpxCrossBlockF32Args& args,
-                                  std::size_t d_begin, std::size_t d_end);
 
 /// Scalar lag advance over lags [k_begin, k_end).
 void MpxAdvanceLagsScalarRange(MpxAdvanceLagsArgs& args, std::size_t k_begin,

@@ -1,4 +1,4 @@
-// AVX2 kernel variant (4 double / 8 float lanes). Compiled with
+// AVX2 kernel variant (4 double lanes). Compiled with
 // -mavx2 -ffp-contract=off; see mp_kernels_impl.inc.
 
 #define TSAD_SIMD_WIDTH 4

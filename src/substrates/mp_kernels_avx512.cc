@@ -1,4 +1,4 @@
-// AVX-512F kernel variant (8 double / 16 float lanes). Compiled with
+// AVX-512F kernel variant (8 double lanes). Compiled with
 // -mavx512f -ffp-contract=off — AVX-512F brings FMA with it, which is
 // exactly why the contract-off flag is load-bearing here; see
 // mp_kernels_impl.inc.

@@ -9,16 +9,8 @@
 namespace tsad {
 namespace {
 
-void StompFill(const StompFillArgs& args) {
-  FillRowDistancesTail(args, args.begin);
-}
-
 void MpxBlock(const MpxBlockArgs& args) {
   MpxBlockScalarRange(args, args.d_begin, args.d_end);
-}
-
-void MpxBlockF32(const MpxBlockF32Args& args) {
-  MpxBlockF32ScalarRange(args, args.d_begin, args.d_end);
 }
 
 void MpxCrossBlockA(const MpxCrossBlockArgs& args) {
@@ -46,9 +38,7 @@ namespace mp_kernels_internal {
 MpKernelVariant ScalarVariant() {
   MpKernelVariant v;
   v.tier = SimdTier::kScalar;
-  v.stomp_fill = StompFill;
   v.mpx_block = MpxBlock;
-  v.mpx_block_f32 = MpxBlockF32;
   v.mpx_cross_a = MpxCrossBlockA;
   v.mpx_cross_b = MpxCrossBlockB;
   v.mpx_advance_lags = MpxAdvanceLags;

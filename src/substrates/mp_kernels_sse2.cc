@@ -1,4 +1,4 @@
-// SSE2 kernel variant (2 double / 4 float lanes). Compiled with
+// SSE2 kernel variant (2 double lanes). Compiled with
 // -msse2 -ffp-contract=off; see mp_kernels_impl.inc.
 
 #define TSAD_SIMD_WIDTH 2

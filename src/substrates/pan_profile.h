@@ -32,8 +32,8 @@
 //    the lower neighbor index) — identical output at any thread count.
 //
 // Conditioning note: recovering the correlation from the UNCENTERED
-// dot cancels m * mu_i * mu_j, so (like the float32 MPX tier, and
-// unlike the centered MPX recurrence) the engine loses accuracy on
+// dot cancels m * mu_i * mu_j, so (unlike the centered MPX
+// recurrence) the engine loses accuracy on
 // adversarial inputs whose level dwarfs their local structure (a 1e6
 // offset with O(1) variation costs ~1e-4 of correlation). The certified
 // inputs are the simulator families and O(1)-scale walks; the discord

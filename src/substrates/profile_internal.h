@@ -1,9 +1,10 @@
-// Internal conventions shared by the matrix-profile kernel translation
-// units (matrix_profile.cc and mpx_kernel.cc). Both kernels MUST agree
-// on these definitions — the flat-subsequence classification decides
+// Internal conventions shared by the matrix-profile engines (the batch
+// MPX joins in matrix_profile.cc, the pan-profile engine and the
+// streaming kernel) and the naive test oracle. They MUST agree on
+// these definitions — the flat-subsequence classification decides
 // which entries take the SCAMP special-case distances (0 / sqrt(2m)),
 // and the argument validation decides which inputs are rejected — so
-// they live here instead of being duplicated per kernel. Not part of
+// they live here instead of being duplicated per engine. Not part of
 // the public API.
 
 #ifndef TSAD_SUBSTRATES_PROFILE_INTERNAL_H_

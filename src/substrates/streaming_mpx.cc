@@ -45,22 +45,24 @@ Status StreamingMpx::Validate(const StreamingMpxConfig& config) {
   if (config.m < 2) {
     return Status::InvalidArgument("subsequence length must be >= 2");
   }
-  if (config.buffer_cap < 4 * config.m) {
-    return Status::InvalidArgument(
-        "streaming buffer too small: need buffer_cap >= 4*m = " +
-        std::to_string(4 * config.m) + ", got " +
-        std::to_string(config.buffer_cap));
-  }
   const std::size_t exclusion = ResolvedExclusion(config);
-  // The post-prune window (3/4 of the buffer) must still admit at
-  // least one joinable pair.
-  const std::size_t min_points = config.buffer_cap - config.buffer_cap / 4;
-  const std::size_t min_subs = min_points - config.m + 1;
-  if (exclusion + 1 >= min_subs) {
-    return Status::InvalidArgument(
-        "exclusion zone " + std::to_string(exclusion) +
-        " leaves no candidate neighbors within the pruned buffer (" +
-        std::to_string(min_subs) + " subsequences)");
+  if (config.buffer_cap != 0) {
+    if (config.buffer_cap < 4 * config.m) {
+      return Status::InvalidArgument(
+          "streaming buffer too small: need buffer_cap >= 4*m = " +
+          std::to_string(4 * config.m) + ", got " +
+          std::to_string(config.buffer_cap));
+    }
+    // The post-prune window (3/4 of the buffer) must still admit at
+    // least one joinable pair.
+    const std::size_t min_points = config.buffer_cap - config.buffer_cap / 4;
+    const std::size_t min_subs = min_points - config.m + 1;
+    if (exclusion + 1 >= min_subs) {
+      return Status::InvalidArgument(
+          "exclusion zone " + std::to_string(exclusion) +
+          " leaves no candidate neighbors within the pruned buffer (" +
+          std::to_string(min_subs) + " subsequences)");
+    }
   }
   if (config.band != 0 && config.band <= exclusion) {
     return Status::InvalidArgument(
@@ -82,6 +84,7 @@ StreamingMpx::StreamingMpx(const StreamingMpxConfig& config)
 
 void StreamingMpx::ReserveAll() {
   const std::size_t cap = config_.buffer_cap;
+  if (cap == 0) return;  // no eviction: buffers grow with the stream
   const std::size_t max_subs = cap - config_.m + 1;
   std::size_t max_span = cap - config_.m;
   if (config_.band > 0) max_span = std::min(max_span, config_.band);
@@ -117,6 +120,7 @@ std::size_t StreamingMpx::MemoryBytes() const {
 
 std::size_t StreamingMpx::MemoryBytesBound(const StreamingMpxConfig& config) {
   const std::size_t cap = config.buffer_cap;
+  if (cap == 0) return std::numeric_limits<std::size_t>::max();  // unbounded
   const std::size_t exclusion = ResolvedExclusion(config);
   const std::size_t max_subs = cap - config.m + 1;
   std::size_t max_span = cap - config.m;
@@ -180,7 +184,7 @@ void StreamingMpx::Prune() {
 }
 
 void StreamingMpx::Push(double value) {
-  if (x_.size() == config_.buffer_cap) Prune();
+  if (config_.buffer_cap != 0 && x_.size() == config_.buffer_cap) Prune();
   const std::size_t m = config_.m;
   const std::size_t ring = m + 1;
   const std::size_t t = seen_;  // global index of this point
@@ -309,6 +313,37 @@ StreamingMpx::Entry StreamingMpx::Right(std::size_t local) const {
   return entry;
 }
 
+StreamingMpx::Entry StreamingMpx::Left(std::size_t local) const {
+  const double two_m = 2.0 * static_cast<double>(config_.m);
+  const std::size_t i = base_ + local;
+  Entry entry;
+  if (inv_[local] == 0.0) {
+    // SCAMP flat conventions, restricted to earlier neighbors: distance
+    // 0 to the lowest retained flat j <= i - exclusion - 1 (inside the
+    // band), else sqrt(2m) to whatever neighbor won the
+    // all-zero-correlation race.
+    const std::size_t lo =
+        config_.band > 0 && i > config_.band ? i - config_.band : 0;
+    const auto it = std::lower_bound(flat_.begin(), flat_.end(), lo);
+    if (it != flat_.end() && *it + config_.exclusion < i) {
+      entry.distance = 0.0;
+      entry.neighbor = *it;
+      return entry;
+    }
+    if (left_idx_[local] != kNoNeighbor) {
+      entry.distance = std::sqrt(two_m);
+      entry.neighbor = left_idx_[local];
+    }
+    return entry;
+  }
+  if (left_idx_[local] == kNoNeighbor) return entry;
+  const double corr = std::clamp(left_corr_[local], -1.0, 1.0);
+  const double v = two_m * (1.0 - corr);
+  entry.distance = std::sqrt(v > 0.0 ? v : 0.0);
+  entry.neighbor = left_idx_[local];
+  return entry;
+}
+
 StreamingMpx::Entry StreamingMpx::Merged(std::size_t local) const {
   const double two_m = 2.0 * static_cast<double>(config_.m);
   const std::size_t i = base_ + local;
@@ -393,11 +428,11 @@ void StreamingMpx::Serialize(ByteWriter* writer) const {
 }
 
 Status StreamingMpx::Deserialize(ByteReader* reader) {
+  // An unreadable tag is a foreign layout too (e.g. a blob whose first
+  // field is a length, not a string), not a truncated snapshot.
   std::string tag;
-  TSAD_RETURN_IF_ERROR(reader->GetString(&tag));
-  if (tag != kSnapshotTag) {
-    return Status::InvalidArgument("not a streaming-mpx snapshot (tag '" +
-                                   tag + "')");
+  if (!reader->GetString(&tag).ok() || tag != kSnapshotTag) {
+    return Status::InvalidArgument("not a streaming-mpx snapshot");
   }
   std::uint64_t m = 0, cap = 0, exclusion = 0, band = 0;
   TSAD_RETURN_IF_ERROR(reader->GetU64(&m));
@@ -437,7 +472,8 @@ Status StreamingMpx::Deserialize(ByteReader* reader) {
   TSAD_RETURN_IF_ERROR(GetIndexVector(reader, &right_idx));
   TSAD_RETURN_IF_ERROR(GetIndexVector(reader, &left_idx));
   TSAD_RETURN_IF_ERROR(GetIndexVector(reader, &flat));
-  if (x.size() > config_.buffer_cap || psum.size() != config_.m + 1 ||
+  if ((config_.buffer_cap != 0 && x.size() > config_.buffer_cap) ||
+      psum.size() != config_.m + 1 ||
       psq.size() != config_.m + 1 || base > seen ||
       x.size() != seen - base) {
     return Status::InvalidArgument("streaming-mpx snapshot corrupt: shape");

@@ -1,21 +1,19 @@
-// Bounded-memory streaming MPX: an online matrix-profile kernel over a
-// ring buffer with prune-style eviction.
-//
-// The causal STAMPI left profile (streaming_profile.h) is exact but
-// O(n) memory and O(t) per point — it cannot survive the
-// million-stream serving envelope. This kernel trades unbounded
-// history for a hard O(buffer) memory bound:
+// Streaming MPX: an online matrix-profile kernel over a ring buffer
+// with prune-style eviction, or over the whole stream.
 //
 //  * a ring buffer of the most recent `buffer_cap` points; when it
 //    fills, the oldest buffer_cap/4 points (and their subsequences)
-//    are pruned in one chunk, so appends stay amortized O(1);
+//    are pruned in one chunk, so appends stay amortized O(1). With
+//    buffer_cap = 0 nothing is ever evicted: the kernel keeps the whole
+//    stream (O(n) memory, O(t) time per point) and its left profile is
+//    the exact causal profile streaming discord scores from;
 //  * MPX's diagonal formulation run incrementally: per arriving point,
 //    every retained diagonal (lag) advances its running covariance by
 //    the O(1) rank-2 ddf/ddg update, one new diagonal is seeded with
 //    an O(m) locally-centered dot product, and rolling muinvn window
 //    statistics come from running long-double prefix totals — the same
 //    accumulation order as the batch ComputeWindowStats;
-//  * the same error containment as mpx_kernel.cc: each diagonal
+//  * the same error containment as the batch MPX joins: each diagonal
 //    re-seeds its covariance every kStreamingMpxReseed steps with the
 //    locally-centered dot, so recurrence drift is flushed on a fixed,
 //    restore-stable schedule;
@@ -37,16 +35,18 @@
 //  * Left profile (nearest EARLIER neighbor, as of arrival): finalized
 //    when the subsequence arrives, STAMPI-style. Its neighbor may
 //    later be evicted; the distance remains the historical truth but
-//    the index can point below first_subsequence(). Merged() combines
-//    both sides and equals the batch MPX self-join exactly when no
+//    the index can point below first_subsequence(). Without eviction
+//    it matches the batch ComputeLeftMatrixProfile within the
+//    recurrence tolerance (flat entries exactly). Merged() combines
+//    both sides and matches the batch self-join the same way when no
 //    eviction has occurred.
 //
-// Every buffer is reserved to its lifetime maximum at construction and
-// never reallocates (chunked pruning uses vector::erase, which keeps
-// capacity), so MemoryBytes() is CONSTANT from the first push to the
-// hundred-thousandth — the property the serving engine's per-stream
-// memory budget depends on. MemoryBytesBound() states the bound
-// without constructing a kernel.
+// With a bounded buffer every buffer is reserved to its lifetime
+// maximum at construction and never reallocates (chunked pruning uses
+// vector::erase, which keeps capacity), so MemoryBytes() is CONSTANT
+// from the first push to the hundred-thousandth — the property the
+// serving engine's per-stream memory budget depends on.
+// MemoryBytesBound() states the bound without constructing a kernel.
 
 #ifndef TSAD_SUBSTRATES_STREAMING_MPX_H_
 #define TSAD_SUBSTRATES_STREAMING_MPX_H_
@@ -63,7 +63,7 @@
 namespace tsad {
 
 /// Re-seed period of the incremental diagonal recurrence, in steps.
-/// Mirrors mpx_kernel.cc's kMpxRowBlock error containment; 512 keeps
+/// Mirrors the batch joins' kMpxRowBlock error containment; 512 keeps
 /// the O(m) seed cost under ~13% of the recurrence work at m = 64.
 constexpr std::size_t kStreamingMpxReseed = 512;
 
@@ -71,7 +71,8 @@ struct StreamingMpxConfig {
   /// Subsequence length; >= 2.
   std::size_t m = 64;
   /// Maximum retained points; >= 4 * m so the post-prune window always
-  /// keeps several subsequence lengths of context.
+  /// keeps several subsequence lengths of context. 0 = no eviction:
+  /// the kernel keeps the whole stream.
   std::size_t buffer_cap = 4096;
   /// Self-join exclusion zone; SIZE_MAX resolves to the batch
   /// convention DefaultSelfJoinExclusion(m) = m / 2.
@@ -92,15 +93,16 @@ class StreamingMpx {
     std::size_t neighbor = kNoNeighbor;
   };
 
-  /// Rejects invalid configurations (m < 2, buffer_cap < 4m, an
-  /// exclusion zone that leaves no joinable pair, band <= exclusion).
+  /// Rejects invalid configurations (m < 2, a nonzero buffer_cap < 4m,
+  /// an exclusion zone that leaves no joinable pair in the pruned
+  /// buffer, band <= exclusion).
   static Status Validate(const StreamingMpxConfig& config);
 
   /// Asserts Validate(config).ok().
   explicit StreamingMpx(const StreamingMpxConfig& config);
 
   /// Appends the next point, pruning the oldest buffer_cap/4 points
-  /// first when the buffer is full.
+  /// first when a bounded buffer is full.
   void Push(double value);
 
   // --- Shape. Subsequence/point indices are GLOBAL (0 = first point
@@ -119,6 +121,12 @@ class StreamingMpx {
   /// at sqrt(2m)).
   Entry Right(std::size_t local) const;
 
+  /// Left-profile entry for the local-th retained subsequence (nearest
+  /// EARLIER neighbor as of its arrival), with the same SCAMP flat
+  /// conventions restricted to earlier neighbors. Entries without an
+  /// eligible earlier neighbor are +inf / kNoNeighbor.
+  Entry Left(std::size_t local) const;
+
   /// Merged (both sides) entry; equals the batch MPX self-join when no
   /// eviction has occurred. After eviction the left component is the
   /// as-of-arrival value and its neighbor may be evicted.
@@ -134,12 +142,15 @@ class StreamingMpx {
   double StdAt(std::size_t local) const { return stds_[local]; }
 
   /// Bytes held by the kernel (object + every buffer at capacity).
-  /// CONSTANT over the kernel's lifetime: all buffers are reserved to
-  /// their maximum at construction and pruning never releases capacity.
+  /// With a bounded buffer, CONSTANT over the kernel's lifetime: all
+  /// buffers are reserved to their maximum at construction and pruning
+  /// never releases capacity. Without eviction it grows with the
+  /// stream.
   std::size_t MemoryBytes() const;
 
-  /// The value MemoryBytes() reports for any kernel built from
-  /// `config`, computable without constructing one.
+  /// The value MemoryBytes() reports for any bounded kernel built from
+  /// `config`, computable without constructing one; SIZE_MAX (no
+  /// bound) when buffer_cap = 0.
   static std::size_t MemoryBytesBound(const StreamingMpxConfig& config);
 
   /// Bit-exact state serialization (for serving snapshots). Restore
@@ -152,7 +163,7 @@ class StreamingMpx {
  private:
   void Prune();
   // Locally-centered O(m) covariance of subsequence pair (i, j),
-  // global indices — the same seed mpx_kernel.cc uses per row block.
+  // global indices — the same seed the batch joins use per row block.
   double CenteredDot(std::size_t i, std::size_t j) const;
   // Number of tracked diagonals when `newest` is the newest
   // subsequence: lags exclusion+1 .. min(newest - base_, band).

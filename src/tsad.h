@@ -22,7 +22,6 @@
 #include "substrates/motifs.h"             // IWYU pragma: export
 #include "substrates/pan_profile.h"        // IWYU pragma: export
 #include "substrates/sliding_window.h"     // IWYU pragma: export
-#include "substrates/streaming_profile.h"  // IWYU pragma: export
 
 #include "detectors/cusum.h"          // IWYU pragma: export
 #include "detectors/detector.h"       // IWYU pragma: export

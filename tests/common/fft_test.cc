@@ -1,7 +1,6 @@
 #include "common/fft.h"
 
 #include <cmath>
-#include <thread>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -164,213 +163,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::size_t, std::size_t>{100, 10},
                       std::pair<std::size_t, std::size_t>{1000, 100},
                       std::pair<std::size_t, std::size_t>{1023, 511}));
-
-// ---------------------------------------------------------------------------
-// FftPlan: the precomputed-table transform must be BIT-IDENTICAL to the
-// free function — its tables hold the very doubles the free function
-// generates on the fly, so exact equality (not EXPECT_NEAR) is the
-// contract the STOMP drivers depend on.
-
-TEST(FftPlanTest, ForwardBitIdenticalToFreeFunction) {
-  for (std::size_t n : {2u, 8u, 64u, 256u, 1024u}) {
-    Rng rng(n);
-    std::vector<std::complex<double>> reference(n);
-    for (auto& c : reference) c = {rng.Gaussian(), rng.Gaussian()};
-    std::vector<std::complex<double>> planned = reference;
-
-    Fft(reference, /*inverse=*/false);
-    const FftPlan plan(n);
-    plan.Forward(planned);
-
-    ASSERT_EQ(planned.size(), reference.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(planned[i].real(), reference[i].real()) << "n=" << n << " i=" << i;
-      EXPECT_EQ(planned[i].imag(), reference[i].imag()) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(FftPlanTest, InverseBitIdenticalToFreeFunction) {
-  const std::size_t n = 512;
-  Rng rng(77);
-  std::vector<std::complex<double>> reference(n);
-  for (auto& c : reference) c = {rng.Gaussian(), rng.Gaussian()};
-  std::vector<std::complex<double>> planned = reference;
-
-  Fft(reference, /*inverse=*/true);
-  GetFftPlan(n)->Inverse(planned);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(planned[i].real(), reference[i].real()) << "i=" << i;
-    EXPECT_EQ(planned[i].imag(), reference[i].imag()) << "i=" << i;
-  }
-}
-
-TEST(FftPlanTest, ShortInputIsZeroPaddedLikeFreeFunction) {
-  Rng rng(78);
-  std::vector<std::complex<double>> reference(100);  // pads to 128
-  for (auto& c : reference) c = {rng.Gaussian(), rng.Gaussian()};
-  std::vector<std::complex<double>> planned = reference;
-
-  Fft(reference, /*inverse=*/false);
-  FftPlan(100).Forward(planned);  // plan size rounds up to 128
-
-  ASSERT_EQ(planned.size(), reference.size());
-  for (std::size_t i = 0; i < planned.size(); ++i) {
-    EXPECT_EQ(planned[i].real(), reference[i].real()) << "i=" << i;
-    EXPECT_EQ(planned[i].imag(), reference[i].imag()) << "i=" << i;
-  }
-}
-
-TEST(FftPlanDeathTest, OversizedInputAbortsLoudly) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const FftPlan plan(64);
-  std::vector<std::complex<double>> too_long(65);
-  EXPECT_DEATH(plan.Forward(too_long), "exceeds plan size");
-}
-
-TEST(FftPlanTest, CacheReturnsSharedPlanAndCountsHits) {
-  ResetFftPlanCacheStats();
-  const auto a = GetFftPlan(300);  // rounds to 512
-  const auto b = GetFftPlan(512);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(a->size(), 512u);
-  const FftPlanCacheStats stats = GetFftPlanCacheStats();
-  EXPECT_GE(stats.hits, 1u);  // the second lookup
-  EXPECT_GE(stats.entries, 1u);
-}
-
-// Restores the process-wide plan-cache capacity on scope exit so
-// capacity-squeezing tests cannot leak a tiny cache into later tests.
-class FftPlanCacheCapacityGuard {
- public:
-  FftPlanCacheCapacityGuard() : saved_(FftPlanCacheCapacity()) {}
-  ~FftPlanCacheCapacityGuard() { SetFftPlanCacheCapacity(saved_); }
-
- private:
-  std::size_t saved_;
-};
-
-TEST(FftPlanTest, CacheEvictsLeastRecentlyUsedAtCapacity) {
-  FftPlanCacheCapacityGuard guard;
-  SetFftPlanCacheCapacity(2);  // evicts down immediately
-  ResetFftPlanCacheStats();
-  const auto a = GetFftPlan(64);
-  const auto b = GetFftPlan(128);
-  EXPECT_EQ(GetFftPlanCacheStats().entries, 2u);
-  GetFftPlan(64);                  // touch: 128 becomes the LRU victim
-  const auto c = GetFftPlan(256);  // over capacity -> evicts 128
-  const FftPlanCacheStats after = GetFftPlanCacheStats();
-  EXPECT_EQ(after.entries, 2u);
-  EXPECT_GE(after.evictions, 1u);
-
-  ResetFftPlanCacheStats();
-  EXPECT_EQ(GetFftPlan(64).get(), a.get());  // survivor: cache hit
-  EXPECT_EQ(GetFftPlanCacheStats().hits, 1u);
-  EXPECT_NE(GetFftPlan(128).get(), b.get());  // evicted: rebuilt fresh
-  EXPECT_GE(GetFftPlanCacheStats().misses, 1u);
-
-  // Eviction must never invalidate in-flight users: the old handle to
-  // the evicted plan still transforms correctly.
-  std::vector<std::complex<double>> x(128, {1.0, 0.0});
-  b->Forward(x);
-  EXPECT_NEAR(x[0].real(), 128.0, 1e-9);
-  (void)c;
-}
-
-TEST(FftPlanTest, ZeroCapacityMeansUnbounded) {
-  FftPlanCacheCapacityGuard guard;
-  SetFftPlanCacheCapacity(0);
-  ResetFftPlanCacheStats();
-  for (std::size_t size = 64; size <= 8192; size *= 2) GetFftPlan(size);
-  const FftPlanCacheStats stats = GetFftPlanCacheStats();
-  EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_GE(stats.entries, 8u);
-}
-
-// ---------------------------------------------------------------------------
-// SlidingDotPlan: Query must be BIT-IDENTICAL to the free
-// SlidingDotProduct for every shape — including n < 64, where both must
-// take the naive path, and degenerate shapes, where both return empty.
-
-TEST_P(SlidingDotShapes, PlannedQueryBitIdenticalToFreeFunction) {
-  const auto [n, m] = GetParam();
-  Rng rng(n * 2000 + m);
-  std::vector<double> t(n), q(m);
-  for (double& v : t) v = rng.Uniform(-10, 10);
-  for (double& v : q) v = rng.Uniform(-10, 10);
-
-  const SlidingDotPlan plan(t, m);
-  const auto planned = plan.Query(q);
-  const auto direct = SlidingDotProduct(t, q);
-
-  ASSERT_EQ(planned.size(), direct.size());
-  for (std::size_t i = 0; i < planned.size(); ++i) {
-    EXPECT_EQ(planned[i], direct[i]) << "n=" << n << " m=" << m << " i=" << i;
-  }
-}
-
-TEST(SlidingDotPlanTest, RepeatedQueriesStayBitIdentical) {
-  Rng rng(91);
-  std::vector<double> t(700);
-  for (double& v : t) v = rng.Gaussian();
-  const std::size_t m = 50;
-  const SlidingDotPlan plan(t, m);
-  for (int rep = 0; rep < 5; ++rep) {
-    std::vector<double> q(m);
-    for (double& v : q) v = rng.Gaussian();
-    const auto planned = plan.Query(q);
-    const auto direct = SlidingDotProduct(t, q);
-    ASSERT_EQ(planned, direct) << "rep=" << rep;
-  }
-}
-
-TEST(SlidingDotPlanTest, DegenerateShapesMatchFreeFunction) {
-  EXPECT_TRUE(SlidingDotPlan({1, 2}, 0).Query({}).empty());
-  EXPECT_TRUE(SlidingDotPlan({1}, 2).Query({1, 2}).empty());
-}
-
-TEST(SlidingDotPlanDeathTest, QueryLengthMismatchAbortsLoudly) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  std::vector<double> t(100, 1.0);
-  const SlidingDotPlan plan(t, 10);
-  EXPECT_DEATH(plan.Query(std::vector<double>(9, 1.0)),
-               "does not match the plan's");
-}
-
-// One plan serves concurrent queriers (the STOMP block seeds): Query is
-// const and allocates its own scratch, so parallel queries must agree
-// with the serial free function exactly. Run under TSan in check.sh.
-TEST(SlidingDotPlanTest, ConcurrentQueriesBitIdentical) {
-  Rng rng(92);
-  std::vector<double> t(1500);
-  for (double& v : t) v = rng.Gaussian();
-  const std::size_t m = 64;
-  const SlidingDotPlan plan(t, m);
-
-  constexpr std::size_t kQueries = 16;
-  std::vector<std::vector<double>> queries(kQueries);
-  std::vector<std::vector<double>> expected(kQueries);
-  for (std::size_t i = 0; i < kQueries; ++i) {
-    queries[i].resize(m);
-    for (double& v : queries[i]) v = rng.Gaussian();
-    expected[i] = SlidingDotProduct(t, queries[i]);
-  }
-
-  std::vector<std::vector<double>> got(kQueries);
-  std::vector<std::thread> workers;
-  for (std::size_t w = 0; w < 4; ++w) {
-    workers.emplace_back([&, w] {
-      for (std::size_t i = w; i < kQueries; i += 4) {
-        got[i] = plan.Query(queries[i]);
-      }
-    });
-  }
-  for (auto& th : workers) th.join();
-  for (std::size_t i = 0; i < kQueries; ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "query " << i;
-  }
-}
 
 }  // namespace
 }  // namespace tsad

@@ -71,6 +71,7 @@ TEST(FlossSpecTest, ParsesPositionalGrammar) {
 TEST(FlossSpecTest, RejectsDegenerateSpecs) {
   EXPECT_FALSE(ParseFlossSpec("floss:2").ok());      // window < 3
   EXPECT_FALSE(ParseFlossSpec("floss:24:50").ok());  // buffer < 4 * window
+  EXPECT_FALSE(ParseFlossSpec("floss:24:0").ok());   // no eviction: unbounded
   EXPECT_FALSE(ParseFlossSpec("floss:24:96:1").ok());
   EXPECT_FALSE(ParseFlossSpec("floss:abc").ok());
   EXPECT_FALSE(ParseFlossSpec("floss:").ok());

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/wire.h"
 #include "common/series.h"
 #include "detectors/registry.h"
 #include "robustness/sanitize.h"
@@ -174,6 +175,38 @@ TEST(OnlineAdapterTest, StreamingDiscordTooShortMatchesBatchError) {
   auto scores = (*batch)->Score(x, 0);
   ASSERT_FALSE(scores.ok());
   EXPECT_EQ(scores.status().code(), flush.code());
+}
+
+TEST(OnlineAdapterTest, StreamingDiscordRejectsPreStreamingMpxSnapshot) {
+  // A snapshot written before streaming discord moved onto StreamingMpx:
+  // the adapter header, then the old left-profile kernel layout (m,
+  // exclusion, history, prefix sums, rolling stats, the latest dot
+  // row). Restoring it must fail cleanly, never resume from garbage.
+  auto online = MakeOnlineDetector("streaming:m=16", 0);
+  ASSERT_TRUE(online.ok());
+  const Series x = SyntheticStream(100, 6);
+  const std::size_t m = 16;
+  const std::size_t subs = x.size() - m + 1;
+  std::vector<long double> sums(1, 0.0L), sq(1, 0.0L);
+  for (double v : x) {
+    sums.push_back(sums.back() + v);
+    sq.push_back(sq.back() + static_cast<long double>(v) * v);
+  }
+  ByteWriter writer;
+  writer.PutString((*online)->name());
+  writer.PutU64(x.size());  // observed
+  writer.PutU64(64);        // burn_in (4m)
+  writer.PutU64(m);
+  writer.PutU64(m / 2);     // exclusion
+  writer.PutDoubles(x);
+  writer.PutLongDoubles(sums);
+  writer.PutLongDoubles(sq);
+  writer.PutDoubles(std::vector<double>(subs, 0.0));  // means
+  writer.PutDoubles(std::vector<double>(subs, 1.0));  // stds
+  writer.PutDoubles(std::vector<double>(subs, 0.0));  // dot row
+  const Status restored = (*online)->Restore(writer.str());
+  EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument)
+      << restored.ToString();
 }
 
 TEST(OnlineAdapterTest, FactoryRejectsUncausalAndUnknownConfigs) {

@@ -4,30 +4,11 @@
 
 #include "common/rng.h"
 #include "common/series.h"
-#include "common/stats.h"
-#include "common/vector_ops.h"
+#include "profile_equivalence.h"
 #include "substrates/matrix_profile.h"
 
 namespace tsad {
 namespace {
-
-// Naive reference: full z-normalized NN search.
-std::vector<double> NaiveAbJoin(const Series& query, const Series& reference,
-                                std::size_t m) {
-  const std::size_t nq = NumSubsequences(query.size(), m);
-  const std::size_t nr = NumSubsequences(reference.size(), m);
-  std::vector<double> out(nq);
-  for (std::size_t i = 0; i < nq; ++i) {
-    const auto qi = ZNormalize(Subsequence(query, i, m));
-    double best = 1e300;
-    for (std::size_t j = 0; j < nr; ++j) {
-      const auto rj = ZNormalize(Subsequence(reference, j, m));
-      best = std::min(best, EuclideanDistance(qi, rj));
-    }
-    out[i] = best;
-  }
-  return out;
-}
 
 TEST(AbJoinTest, MatchesNaiveReference) {
   Rng rng(1);
@@ -37,10 +18,12 @@ TEST(AbJoinTest, MatchesNaiveReference) {
   const std::size_t m = 16;
   Result<MatrixProfile> join = ComputeAbJoin(query, reference, m);
   ASSERT_TRUE(join.ok()) << join.status().ToString();
-  const auto naive = NaiveAbJoin(query, reference, m);
-  ASSERT_EQ(join->size(), naive.size());
-  for (std::size_t i = 0; i < naive.size(); ++i) {
-    EXPECT_NEAR(join->distances[i], naive[i], 1e-6) << "i=" << i;
+  const Result<MatrixProfile> naive =
+      testing::ComputeAbJoinNaive(query, reference, m);
+  ASSERT_TRUE(naive.ok());
+  ASSERT_EQ(join->size(), naive->size());
+  for (std::size_t i = 0; i < naive->size(); ++i) {
+    EXPECT_NEAR(join->distances[i], naive->distances[i], 1e-6) << "i=" << i;
   }
 }
 

@@ -1,13 +1,12 @@
 // Certification of the MPX cross-join kernels (AB-join + left profile)
-// against the frozen STOMP kernels, via the shared profile-equivalence
-// harness: simulator families at every thread count, flat-region edge
-// cases, bit-identity across thread counts, float32 tier, dispatch and
-// rejection semantics. The cross-ISA-tier sweeps live in
-// simd_dispatch_test.cc with the rest of the SIMD certification.
+// against the naive oracle, via the shared profile-equivalence harness:
+// simulator families at every thread count, flat-region edge cases,
+// bit-identity across thread counts and rejection semantics. The
+// cross-ISA-tier sweeps live in simd_dispatch_test.cc with the rest of
+// the SIMD certification.
 
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <thread>
 #include <vector>
 
@@ -18,15 +17,26 @@
 #include "common/series.h"
 #include "profile_equivalence.h"
 #include "substrates/matrix_profile.h"
-#include "substrates/mpx_kernel.h"
 
 namespace tsad {
 namespace {
 
 using testing::ExpectAbJoinEquivalence;
-using testing::ExpectFloat32AbJoinEquivalence;
-using testing::ExpectFloat32LeftProfileEquivalence;
 using testing::ExpectLeftProfileEquivalence;
+
+MatrixProfile AbOracle(const Series& query, const Series& reference,
+                       std::size_t m) {
+  Result<MatrixProfile> oracle =
+      testing::ComputeAbJoinNaive(query, reference, m);
+  EXPECT_TRUE(oracle.ok()) << oracle.status().message();
+  return oracle.ok() ? *oracle : MatrixProfile{};
+}
+
+MatrixProfile LeftOracle(const Series& x, std::size_t m) {
+  Result<MatrixProfile> oracle = testing::ComputeLeftMatrixProfileNaive(x, m);
+  EXPECT_TRUE(oracle.ok()) << oracle.status().message();
+  return oracle.ok() ? *oracle : MatrixProfile{};
+}
 
 class ThreadCountGuard {
  public:
@@ -71,13 +81,16 @@ TEST(AbJoinMpxTest, EquivalenceOnEverySimulatorFamilyAtEveryThreadCount) {
        testing::SimulatorFamilies()) {
     std::vector<double> query, reference;
     SplitHalves(family.values, &query, &reference);
+    const MatrixProfile oracle = AbOracle(query, reference, family.m);
+    const MatrixProfile transposed = AbOracle(reference, query, family.m);
     for (const std::size_t threads : ThreadCountsToTest()) {
       SetParallelThreads(threads);
-      EXPECT_TRUE(ExpectAbJoinEquivalence(query, reference, family.m))
+      EXPECT_TRUE(ExpectAbJoinEquivalence(query, reference, family.m, oracle))
           << family.name << " threads=" << threads;
       // And the transposed pair, so both sweep orders (nq < nr and
       // nq > nr) see every family.
-      EXPECT_TRUE(ExpectAbJoinEquivalence(reference, query, family.m))
+      EXPECT_TRUE(
+          ExpectAbJoinEquivalence(reference, query, family.m, transposed))
           << family.name << " (transposed) threads=" << threads;
     }
   }
@@ -95,9 +108,10 @@ TEST(AbJoinMpxTest, EquivalenceOnFlatRegions) {
   for (std::size_t i = 400; i < 480; ++i) reference[i] = 3.25;
   for (std::size_t i = 700; i < 760; ++i) reference[i] = 1.0e6;
   for (const std::size_t m : {16u, 17u}) {
+    const MatrixProfile oracle = AbOracle(query, reference, m);
     for (const std::size_t threads : ThreadCountsToTest()) {
       SetParallelThreads(threads);
-      EXPECT_TRUE(ExpectAbJoinEquivalence(query, reference, m))
+      EXPECT_TRUE(ExpectAbJoinEquivalence(query, reference, m, oracle))
           << "m=" << m << " threads=" << threads;
     }
   }
@@ -110,8 +124,9 @@ TEST(AbJoinMpxTest, FlatQueryWithoutFlatReferenceGetsSqrtTwoM) {
   Series reference = RandomWalk(400, 54);
   const std::size_t m = 24;
   for (std::size_t i = 100; i < 140; ++i) query[i] = -2.0;
-  EXPECT_TRUE(ExpectAbJoinEquivalence(query, reference, m));
-  const Result<MatrixProfile> join = ComputeAbJoinMpx(query, reference, m);
+  EXPECT_TRUE(ExpectAbJoinEquivalence(query, reference, m,
+                                      AbOracle(query, reference, m)));
+  const Result<MatrixProfile> join = ComputeAbJoin(query, reference, m);
   ASSERT_TRUE(join.ok());
   EXPECT_EQ(join->distances[110], std::sqrt(2.0 * static_cast<double>(m)));
 }
@@ -123,11 +138,11 @@ TEST(AbJoinMpxTest, BitIdenticalAcrossThreadCounts) {
   const Series query = RandomWalk(1400, 55);
   const Series reference = RandomWalk(1700, 56);
   SetParallelThreads(1);
-  const Result<MatrixProfile> anchor = ComputeAbJoinMpx(query, reference, 32);
+  const Result<MatrixProfile> anchor = ComputeAbJoin(query, reference, 32);
   ASSERT_TRUE(anchor.ok());
   for (const std::size_t threads : ThreadCountsToTest()) {
     SetParallelThreads(threads);
-    const Result<MatrixProfile> join = ComputeAbJoinMpx(query, reference, 32);
+    const Result<MatrixProfile> join = ComputeAbJoin(query, reference, 32);
     ASSERT_TRUE(join.ok());
     for (std::size_t i = 0; i < anchor->size(); ++i) {
       EXPECT_EQ(join->distances[i], anchor->distances[i])
@@ -138,45 +153,27 @@ TEST(AbJoinMpxTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(AbJoinMpxTest, Float32OnEverySimulatorFamily) {
-  ThreadCountGuard guard;
-  for (const testing::ProfileTestFamily& family :
-       testing::SimulatorFamilies()) {
-    std::vector<double> query, reference;
-    SplitHalves(family.values, &query, &reference);
-    for (const std::size_t threads : ThreadCountsToTest()) {
-      SetParallelThreads(threads);
-      EXPECT_TRUE(ExpectFloat32AbJoinEquivalence(query, reference, family.m))
-          << family.name << " threads=" << threads;
-    }
-  }
-}
-
 TEST(AbJoinMpxTest, SelfPairWithoutExclusionIsZero) {
   // AB-join of a series with itself has no exclusion zone: every
   // subsequence finds itself at distance exactly 0 (the seed term of
   // its own diagonal), index i.
   const Series x = RandomWalk(600, 57);
-  const Result<MatrixProfile> join = ComputeAbJoinMpx(x, x, 20);
+  const Result<MatrixProfile> join = ComputeAbJoin(x, x, 20);
   ASSERT_TRUE(join.ok());
   for (std::size_t i = 0; i < join->size(); ++i) {
     ASSERT_NEAR(join->distances[i], 0.0, 1e-6) << "i=" << i;
   }
 }
 
-TEST(AbJoinMpxTest, RejectsDegenerateInputsLikeStomp) {
-  EXPECT_FALSE(ComputeAbJoinMpx({1, 2, 3}, {1, 2, 3}, 1).ok());
-  EXPECT_FALSE(ComputeAbJoinMpx({1, 2}, {1, 2, 3, 4}, 3).ok());
-  EXPECT_FALSE(ComputeAbJoinMpx({1, 2, 3, 4}, {1, 2}, 3).ok());
-}
-
 TEST(LeftProfileMpxTest, EquivalenceOnEverySimulatorFamilyAtEveryThreadCount) {
   ThreadCountGuard guard;
   for (const testing::ProfileTestFamily& family :
        testing::SimulatorFamilies()) {
+    const MatrixProfile oracle = LeftOracle(family.values, family.m);
     for (const std::size_t threads : ThreadCountsToTest()) {
       SetParallelThreads(threads);
-      EXPECT_TRUE(ExpectLeftProfileEquivalence(family.values, family.m))
+      EXPECT_TRUE(
+          ExpectLeftProfileEquivalence(family.values, family.m, oracle))
           << family.name << " threads=" << threads;
     }
   }
@@ -188,23 +185,11 @@ TEST(LeftProfileMpxTest, EquivalenceOnFlatRegions) {
   for (std::size_t i = 200; i < 280; ++i) x[i] = 7.5;
   for (std::size_t i = 900; i < 1000; ++i) x[i] = 1.0e6;
   for (const std::size_t m : {16u, 17u}) {
+    const MatrixProfile oracle = LeftOracle(x, m);
     for (const std::size_t threads : ThreadCountsToTest()) {
       SetParallelThreads(threads);
-      EXPECT_TRUE(ExpectLeftProfileEquivalence(x, m))
+      EXPECT_TRUE(ExpectLeftProfileEquivalence(x, m, oracle))
           << "m=" << m << " threads=" << threads;
-    }
-  }
-}
-
-TEST(LeftProfileMpxTest, Float32OnEverySimulatorFamily) {
-  ThreadCountGuard guard;
-  for (const testing::ProfileTestFamily& family :
-       testing::SimulatorFamilies()) {
-    for (const std::size_t threads : ThreadCountsToTest()) {
-      SetParallelThreads(threads);
-      EXPECT_TRUE(
-          ExpectFloat32LeftProfileEquivalence(family.values, family.m))
-          << family.name << " threads=" << threads;
     }
   }
 }
@@ -213,11 +198,11 @@ TEST(LeftProfileMpxTest, BitIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
   const Series x = RandomWalk(2500, 62);
   SetParallelThreads(1);
-  const Result<MatrixProfile> anchor = ComputeLeftMatrixProfileMpx(x, 32);
+  const Result<MatrixProfile> anchor = ComputeLeftMatrixProfile(x, 32);
   ASSERT_TRUE(anchor.ok());
   for (const std::size_t threads : ThreadCountsToTest()) {
     SetParallelThreads(threads);
-    const Result<MatrixProfile> left = ComputeLeftMatrixProfileMpx(x, 32);
+    const Result<MatrixProfile> left = ComputeLeftMatrixProfile(x, 32);
     ASSERT_TRUE(left.ok());
     for (std::size_t i = 0; i < anchor->size(); ++i) {
       EXPECT_EQ(left->distances[i], anchor->distances[i])
@@ -236,8 +221,8 @@ TEST(LeftProfileMpxTest, CausalityAndDominanceOverSelfJoin) {
   const Series x = RandomWalk(1200, 63);
   const std::size_t m = 24;
   const std::size_t exclusion = m / 2;
-  const Result<MatrixProfile> left = ComputeLeftMatrixProfileMpx(x, m);
-  const Result<MatrixProfile> self = ComputeMatrixProfileMpx(x, m);
+  const Result<MatrixProfile> left = ComputeLeftMatrixProfile(x, m);
+  const Result<MatrixProfile> self = ComputeMatrixProfile(x, m);
   ASSERT_TRUE(left.ok());
   ASSERT_TRUE(self.ok());
   for (std::size_t i = 0; i < left->size(); ++i) {
@@ -254,12 +239,11 @@ TEST(LeftProfileMpxTest, CausalityAndDominanceOverSelfJoin) {
 
 TEST(LeftProfileMpxTest, ExclusionCoveringEverythingYieldsAllInf) {
   // An exclusion wide enough that no entry has an admissible past
-  // neighbor is NOT an error (matching the STOMP kernel): the result is
-  // simply the all-inf profile.
+  // neighbor is NOT an error: the result is simply the all-inf profile.
   const Series x = RandomWalk(200, 64);
   const std::size_t m = 16;
   const Result<MatrixProfile> left =
-      ComputeLeftMatrixProfileMpx(x, m, /*exclusion=*/10000);
+      ComputeLeftMatrixProfile(x, m, /*exclusion=*/10000);
   ASSERT_TRUE(left.ok());
   for (std::size_t i = 0; i < left->size(); ++i) {
     EXPECT_TRUE(std::isinf(left->distances[i])) << "i=" << i;
@@ -267,77 +251,9 @@ TEST(LeftProfileMpxTest, ExclusionCoveringEverythingYieldsAllInf) {
   }
 }
 
-TEST(LeftProfileMpxTest, RejectsDegenerateInputsLikeStomp) {
-  EXPECT_FALSE(ComputeLeftMatrixProfileMpx({1, 2, 3}, 1).ok());
-  EXPECT_FALSE(ComputeLeftMatrixProfileMpx({1, 2}, 3).ok());
-}
-
-TEST(JoinDispatchTest, Float32WithExplicitStompIsRejectedOnJoins) {
-  // The same pointed refusal the self-join gives: STOMP has no float
-  // tier, so the contradictory pairing fails up front on BOTH join
-  // shapes instead of silently computing in double.
-  const Series x = RandomWalk(300, 65);
-  MatrixProfileOptions options;
-  options.kernel = MpKernel::kStomp;
-  options.precision = MpPrecision::kFloat32;
-  const Result<MatrixProfile> ab = ComputeAbJoin(x, x, 16, options);
-  ASSERT_FALSE(ab.ok());
-  EXPECT_NE(ab.status().message().find(
-                "float32 precision requires the mpx kernel"),
-            std::string::npos)
-      << ab.status().message();
-  const Result<MatrixProfile> left = ComputeLeftMatrixProfile(x, 16, options);
-  ASSERT_FALSE(left.ok());
-  EXPECT_NE(left.status().message().find(
-                "float32 precision requires the mpx kernel"),
-            std::string::npos)
-      << left.status().message();
-}
-
-TEST(JoinDispatchTest, Float32ForcesMpxOnJoinsEvenBelowSizeThreshold) {
-  // float32 + auto kernel must route to MPX (the only kernel with a
-  // float tier) even when the size rule alone would pick STOMP. The
-  // result still meets the float tolerance contract.
-  const Series query = RandomWalk(400, 66);
-  const Series reference = RandomWalk(500, 67);
-  MatrixProfileOptions options;
-  options.precision = MpPrecision::kFloat32;
-  const Result<MatrixProfile> ab = ComputeAbJoin(query, reference, 24, options);
-  ASSERT_TRUE(ab.ok()) << ab.status().message();
-  const Result<MatrixProfile> direct =
-      ComputeAbJoinMpx(query, reference, 24, MpPrecision::kFloat32);
-  ASSERT_TRUE(direct.ok());
-  for (std::size_t i = 0; i < ab->size(); ++i) {
-    ASSERT_EQ(ab->distances[i], direct->distances[i]) << "i=" << i;
-  }
-  const Result<MatrixProfile> left =
-      ComputeLeftMatrixProfile(query, 24, options);
-  ASSERT_TRUE(left.ok()) << left.status().message();
-  const Result<MatrixProfile> left_direct = ComputeLeftMatrixProfileMpx(
-      query, 24, std::numeric_limits<std::size_t>::max(),
-      MpPrecision::kFloat32);
-  ASSERT_TRUE(left_direct.ok());
-  for (std::size_t i = 0; i < left->size(); ++i) {
-    ASSERT_EQ(left->distances[i], left_direct->distances[i]) << "i=" << i;
-  }
-}
-
-TEST(JoinDispatchTest, AutoDispatchedJoinMatchesExplicitKernel) {
-  // Above the auto threshold the options-less entry points route to
-  // MPX; the dispatched result must be IDENTICAL to calling the MPX
-  // driver directly (dispatch selects, it must not perturb).
-  const Series x = RandomWalk(2200, 68);
-  MatrixProfileOptions mpx_options;
-  mpx_options.kernel = MpKernel::kMpx;
-  const Result<MatrixProfile> dispatched =
-      ComputeLeftMatrixProfile(x, 16, mpx_options);
-  const Result<MatrixProfile> direct = ComputeLeftMatrixProfileMpx(x, 16);
-  ASSERT_TRUE(dispatched.ok());
-  ASSERT_TRUE(direct.ok());
-  for (std::size_t i = 0; i < dispatched->size(); ++i) {
-    ASSERT_EQ(dispatched->distances[i], direct->distances[i]) << "i=" << i;
-    ASSERT_EQ(dispatched->indices[i], direct->indices[i]) << "i=" << i;
-  }
+TEST(LeftProfileMpxTest, RejectsDegenerateInputs) {
+  EXPECT_FALSE(ComputeLeftMatrixProfile({1, 2, 3}, 1).ok());
+  EXPECT_FALSE(ComputeLeftMatrixProfile({1, 2}, 3).ok());
 }
 
 }  // namespace

@@ -10,9 +10,13 @@
 #include "common/rng.h"
 #include "common/series.h"
 #include "common/vector_ops.h"
+#include "profile_equivalence.h"
+#include "substrates/profile_internal.h"
 
 namespace tsad {
 namespace {
+
+using testing::ComputeMatrixProfileNaive;
 
 Series SineWithSpike(std::size_t n, std::size_t spike_at) {
   Series x(n);
@@ -62,7 +66,7 @@ TEST(MassTest, FlatVsNonFlatConvention) {
   EXPECT_NEAR(profile[70], std::sqrt(2.0 * m), 1e-9);
 }
 
-TEST(MatrixProfileTest, StompMatchesNaive) {
+TEST(MatrixProfileTest, MatchesNaive) {
   Rng rng(7);
   Series x(256);
   for (double& v : x) v = rng.Gaussian();
@@ -140,10 +144,11 @@ TEST(TopDiscordsTest, KLargerThanAvailable) {
   EXPECT_GE(discords.size(), 1u);
 }
 
-// Property sweep: STOMP == naive across subsequence lengths.
+// Property sweep: the self-join matches the naive oracle across
+// subsequence lengths.
 class ProfileLengths : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(ProfileLengths, StompMatchesNaive) {
+TEST_P(ProfileLengths, MatchesNaive) {
   const std::size_t m = GetParam();
   Rng rng(m);
   Series x(200);
@@ -162,9 +167,7 @@ INSTANTIATE_TEST_SUITE_P(Lengths, ProfileLengths,
                          ::testing::Values(2, 3, 4, 8, 16, 33, 64, 99));
 
 // ---------------------------------------------------------------------------
-// Kernel-caching equivalence: the planned-FFT, hoisted-scan STOMP must
-// be BIT-IDENTICAL (EXPECT_EQ on doubles, not EXPECT_NEAR) to the
-// frozen pre-caching implementation, at every thread count.
+// Thread-count sweeps.
 
 // Restores the pool size on scope exit so thread-sweeping tests cannot
 // leak a setting into later tests.
@@ -184,31 +187,10 @@ std::vector<std::size_t> ThreadCountsToTest() {
   return counts;
 }
 
-TEST(MatrixProfileTest, OptimizedBitIdenticalToReferenceAtEveryThreadCount) {
-  ThreadCountGuard guard;
-  Rng rng(41);
-  Series x(600);
-  for (double& v : x) v = rng.Gaussian();
-  for (const std::size_t m : {8u, 21u, 64u}) {
-    SetParallelThreads(1);
-    Result<MatrixProfile> reference = ComputeMatrixProfileReference(x, m);
-    ASSERT_TRUE(reference.ok());
-    for (const std::size_t threads : ThreadCountsToTest()) {
-      SetParallelThreads(threads);
-      Result<MatrixProfile> optimized = ComputeMatrixProfile(x, m);
-      ASSERT_TRUE(optimized.ok());
-      EXPECT_EQ(optimized->distances, reference->distances)
-          << "m=" << m << " threads=" << threads;
-      EXPECT_EQ(optimized->indices, reference->indices)
-          << "m=" << m << " threads=" << threads;
-    }
-  }
-}
-
-TEST(MatrixProfileTest, StompMatchesNaiveAtEveryThreadCount) {
+TEST(MatrixProfileTest, MatchesNaiveAtEveryThreadCount) {
   // The naive O(n^2 m) profile is thread-count-free ground truth; the
-  // hoisted STOMP must stay within FFT rounding of it (EXPECT_NEAR — a
-  // different algorithm, so bit-equality is not expected) at 1, 2, and
+  // MPX join must stay within rounding of it (EXPECT_NEAR — a different
+  // algorithm, so bit-equality is not expected) at 1, 2, and
   // hardware_concurrency threads.
   ThreadCountGuard guard;
   Rng rng(44);
@@ -229,26 +211,55 @@ TEST(MatrixProfileTest, StompMatchesNaiveAtEveryThreadCount) {
   }
 }
 
-TEST(MatrixProfileTest, FlatRegionsBitIdenticalToReference) {
-  ThreadCountGuard guard;
-  Rng rng(42);
-  Series x(400);
-  for (double& v : x) v = rng.Gaussian();
-  // Exactly-constant runs exercise both flat-vs-flat (0) and
-  // flat-vs-dynamic (sqrt(2m)) rows, including the flat-row fast path
-  // and the flat-column patch pass.
-  for (std::size_t i = 100; i < 160; ++i) x[i] = 7.5;
-  for (std::size_t i = 300; i < 340; ++i) x[i] = 7.5;
-  const std::size_t m = 16;
-  Result<MatrixProfile> reference = ComputeMatrixProfileReference(x, m);
-  ASSERT_TRUE(reference.ok());
-  for (const std::size_t threads : ThreadCountsToTest()) {
-    SetParallelThreads(threads);
-    Result<MatrixProfile> optimized = ComputeMatrixProfile(x, m);
-    ASSERT_TRUE(optimized.ok());
-    EXPECT_EQ(optimized->distances, reference->distances);
-    EXPECT_EQ(optimized->indices, reference->indices);
+TEST(MatrixProfileTest, FlatRegionsMatchNaive) {
+  // A random walk with a long constant run: flat windows whose nearest
+  // flat neighbor is in the same run (distance 0), flat windows at the
+  // run's edges whose candidates are dynamic (sqrt(2m)), and dynamic
+  // windows next to the run for which a flat partner must score
+  // sqrt(2m), not sqrt(m) — the zero-vector convention of a naive
+  // z-normalization would make that partner their nearest neighbor.
+  const auto walk = [](std::size_t n, uint64_t seed) {
+    Rng rng(seed);
+    Series x(n);
+    double level = 0.0;
+    for (double& v : x) {
+      level += rng.Gaussian();
+      v = level;
+    }
+    return x;
+  };
+  Series x = walk(600, 1);
+  for (std::size_t i = 240; i < 360; ++i) x[i] = x[239];
+  const std::size_t m = 32;
+  const double sqrt_m = std::sqrt(static_cast<double>(m));
+
+  const Result<MatrixProfile> naive = ComputeMatrixProfileNaive(x, m);
+  ASSERT_TRUE(naive.ok());
+  // The series really exercises the rule: some dynamic window sits
+  // farther than sqrt(m) from every dynamic candidate.
+  const WindowStats stats = ComputeWindowStats(x, m);
+  std::size_t far_dynamic = 0;
+  for (std::size_t i = 0; i < naive->size(); ++i) {
+    if (!profile_internal::IsFlat(stats.means[i], stats.stds[i]) &&
+        naive->distances[i] > sqrt_m) {
+      ++far_dynamic;
+    }
   }
+  EXPECT_GT(far_dynamic, 0u);
+
+  EXPECT_TRUE(testing::ExpectProfileEquivalence(x, m, *naive));
+  const Result<MatrixProfile> left_naive =
+      testing::ComputeLeftMatrixProfileNaive(x, m);
+  ASSERT_TRUE(left_naive.ok());
+  EXPECT_TRUE(testing::ExpectLeftProfileEquivalence(x, m, *left_naive));
+  // A second walk with its own flat run: flat query windows meet the
+  // reference run at 0, dynamic ones meet it at sqrt(2m).
+  Series query = walk(300, 2);
+  for (std::size_t i = 100; i < 160; ++i) query[i] = query[99];
+  const Result<MatrixProfile> ab_naive =
+      testing::ComputeAbJoinNaive(query, x, m);
+  ASSERT_TRUE(ab_naive.ok());
+  EXPECT_TRUE(testing::ExpectAbJoinEquivalence(query, x, m, *ab_naive));
 }
 
 TEST(MatrixProfileTest, LeftProfileBitIdenticalAcrossThreadCounts) {

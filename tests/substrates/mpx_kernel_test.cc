@@ -1,5 +1,3 @@
-#include "substrates/mpx_kernel.h"
-
 #include <cmath>
 #include <cstddef>
 #include <thread>
@@ -17,7 +15,14 @@
 namespace tsad {
 namespace {
 
+using testing::ComputeMatrixProfileNaive;
 using testing::ExpectProfileEquivalence;
+
+MatrixProfile Oracle(const Series& x, std::size_t m) {
+  Result<MatrixProfile> oracle = ComputeMatrixProfileNaive(x, m);
+  EXPECT_TRUE(oracle.ok()) << oracle.status().message();
+  return oracle.ok() ? *oracle : MatrixProfile{};
+}
 
 // Restores the pool size on scope exit so thread-sweeping tests cannot
 // leak a setting into later tests.
@@ -28,17 +33,6 @@ class ThreadCountGuard {
 
  private:
   std::size_t saved_;
-};
-
-// Restores the process-wide kernel override on scope exit, for the
-// same reason.
-class KernelOverrideGuard {
- public:
-  KernelOverrideGuard() : saved_(GetMpKernelOverride()) {}
-  ~KernelOverrideGuard() { SetMpKernelOverride(saved_); }
-
- private:
-  MpKernel saved_;
 };
 
 std::vector<std::size_t> ThreadCountsToTest() {
@@ -63,9 +57,10 @@ TEST(MpxKernelTest, EquivalenceOnRandomWalkAtEveryThreadCount) {
   ThreadCountGuard guard;
   const Series x = RandomWalk(3000, 41);
   for (const std::size_t m : {8u, 21u, 64u}) {
+    const MatrixProfile oracle = Oracle(x, m);
     for (const std::size_t threads : ThreadCountsToTest()) {
       SetParallelThreads(threads);
-      EXPECT_TRUE(ExpectProfileEquivalence(x, m))
+      EXPECT_TRUE(ExpectProfileEquivalence(x, m, oracle))
           << "m=" << m << " threads=" << threads;
     }
   }
@@ -83,9 +78,10 @@ TEST(MpxKernelTest, EquivalenceOnFlatRegions) {
   for (std::size_t i = 200; i < 280; ++i) x[i] = 7.5;
   for (std::size_t i = 900; i < 1000; ++i) x[i] = 1.0e6;
   for (const std::size_t m : {16u, 17u}) {
+    const MatrixProfile oracle = Oracle(x, m);
     for (const std::size_t threads : ThreadCountsToTest()) {
       SetParallelThreads(threads);
-      EXPECT_TRUE(ExpectProfileEquivalence(x, m))
+      EXPECT_TRUE(ExpectProfileEquivalence(x, m, oracle))
           << "m=" << m << " threads=" << threads;
     }
   }
@@ -100,9 +96,10 @@ TEST(MpxKernelTest, EquivalenceOnNanSanitizedInput) {
   const Result<SanitizedSeries> repaired =
       SanitizeSeries(damaged, ImputationPolicy::kLinearInterpolate);
   ASSERT_TRUE(repaired.ok());
+  const MatrixProfile oracle = Oracle(repaired->values, 32);
   for (const std::size_t threads : ThreadCountsToTest()) {
     SetParallelThreads(threads);
-    EXPECT_TRUE(ExpectProfileEquivalence(repaired->values, 32))
+    EXPECT_TRUE(ExpectProfileEquivalence(repaired->values, 32, oracle))
         << "threads=" << threads;
   }
 }
@@ -110,14 +107,15 @@ TEST(MpxKernelTest, EquivalenceOnNanSanitizedInput) {
 TEST(MpxKernelTest, EquivalenceOnEverySimulatorFamily) {
   ThreadCountGuard guard;
   // The shared per-family builder (profile_equivalence.h) — the same
-  // set the float32 and SIMD-dispatch certifications sweep.
+  // set the join and SIMD-dispatch certifications sweep.
   const std::vector<testing::ProfileTestFamily> families =
       testing::SimulatorFamilies();
   ASSERT_EQ(families.size(), 7u);
   for (const testing::ProfileTestFamily& family : families) {
+    const MatrixProfile oracle = Oracle(family.values, family.m);
     for (const std::size_t threads : ThreadCountsToTest()) {
       SetParallelThreads(threads);
-      EXPECT_TRUE(ExpectProfileEquivalence(family.values, family.m))
+      EXPECT_TRUE(ExpectProfileEquivalence(family.values, family.m, oracle))
           << family.name << " threads=" << threads;
     }
   }
@@ -125,17 +123,17 @@ TEST(MpxKernelTest, EquivalenceOnEverySimulatorFamily) {
 
 TEST(MpxKernelTest, MpxBitIdenticalAcrossThreadCounts) {
   // The per-tile merge is a lexicographic max, so MPX itself (not just
-  // its agreement with STOMP) must be EXACTLY reproducible at any
+  // its agreement with the oracle) must be EXACTLY reproducible at any
   // thread count — EXPECT_EQ on doubles, not EXPECT_NEAR.
   ThreadCountGuard guard;
   const Series x = RandomWalk(3000, 44);
   const std::size_t m = 32;
   SetParallelThreads(1);
-  const Result<MatrixProfile> serial = ComputeMatrixProfileMpx(x, m);
+  const Result<MatrixProfile> serial = ComputeMatrixProfile(x, m);
   ASSERT_TRUE(serial.ok());
   for (const std::size_t threads : ThreadCountsToTest()) {
     SetParallelThreads(threads);
-    const Result<MatrixProfile> parallel = ComputeMatrixProfileMpx(x, m);
+    const Result<MatrixProfile> parallel = ComputeMatrixProfile(x, m);
     ASSERT_TRUE(parallel.ok());
     EXPECT_EQ(parallel->distances, serial->distances)
         << "threads=" << threads;
@@ -153,267 +151,31 @@ TEST(MpxKernelTest, ExclusionZoneConventionIsSharedAndDocumentedOnce) {
   EXPECT_EQ(DefaultSelfJoinExclusion(65), 32u);
   EXPECT_EQ(DefaultDiscordExclusion(64), 64u);
 
-  // Both kernels must enforce the zone: no reported neighbor may ever
-  // be a trivial match.
+  // The join must enforce the zone: no reported neighbor may ever be a
+  // trivial match.
   const Series x = RandomWalk(1200, 45);
   const std::size_t m = 64;
   const std::size_t exclusion = DefaultSelfJoinExclusion(m);
-  for (const MpKernel kernel : {MpKernel::kStomp, MpKernel::kMpx}) {
-    MatrixProfileOptions options;
-    options.kernel = kernel;
-    const Result<MatrixProfile> profile = ComputeMatrixProfile(x, m, options);
-    ASSERT_TRUE(profile.ok());
-    for (std::size_t i = 0; i < profile->size(); ++i) {
-      const std::size_t j = profile->indices[i];
-      ASSERT_NE(j, kNoNeighbor);
-      const std::size_t gap = i > j ? i - j : j - i;
-      EXPECT_GT(gap, exclusion)
-          << MpKernelName(kernel) << " i=" << i << " j=" << j;
-    }
+  const Result<MatrixProfile> profile = ComputeMatrixProfile(x, m);
+  ASSERT_TRUE(profile.ok());
+  for (std::size_t i = 0; i < profile->size(); ++i) {
+    const std::size_t j = profile->indices[i];
+    ASSERT_NE(j, kNoNeighbor);
+    const std::size_t gap = i > j ? i - j : j - i;
+    EXPECT_GT(gap, exclusion) << "i=" << i << " j=" << j;
   }
 }
 
-TEST(MpxKernelTest, RejectsDegenerateInputsLikeStomp) {
+TEST(MpxKernelTest, RejectsDegenerateInputsLikeNaive) {
   const Series x = RandomWalk(64, 46);
   // Same shared validation (profile_internal.h), same messages.
-  EXPECT_EQ(ComputeMatrixProfileMpx(x, 1).status().message(),
-            ComputeMatrixProfile(x, 1).status().message());
-  EXPECT_EQ(ComputeMatrixProfileMpx(Series{1.0, 2.0}, 8).status().message(),
-            ComputeMatrixProfile(Series{1.0, 2.0}, 8).status().message());
-  EXPECT_EQ(ComputeMatrixProfileMpx(x, 8, 60).status().message(),
-            ComputeMatrixProfile(x, 8, 60).status().message());
-  EXPECT_FALSE(ComputeMatrixProfileMpx(x, 8, 60).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Kernel dispatch.
-
-TEST(MpxKernelDispatchTest, AutoPicksKernelAtDocumentedSizeThreshold) {
-  KernelOverrideGuard guard;
-  SetMpKernelOverride(MpKernel::kAuto);
-  EXPECT_EQ(ResolveMpKernel(MpKernel::kAuto, kMpxAutoMinSubsequences - 1),
-            MpKernel::kStomp);
-  EXPECT_EQ(ResolveMpKernel(MpKernel::kAuto, kMpxAutoMinSubsequences),
-            MpKernel::kMpx);
-  // Explicit requests ignore the size rule entirely.
-  EXPECT_EQ(ResolveMpKernel(MpKernel::kStomp, 1u << 20), MpKernel::kStomp);
-  EXPECT_EQ(ResolveMpKernel(MpKernel::kMpx, 4), MpKernel::kMpx);
-}
-
-TEST(MpxKernelDispatchTest, ProcessOverrideBeatsSizeRuleButNotExplicit) {
-  KernelOverrideGuard guard;
-  SetMpKernelOverride(MpKernel::kStomp);
-  EXPECT_EQ(GetMpKernelOverride(), MpKernel::kStomp);
-  EXPECT_EQ(ResolveMpKernel(MpKernel::kAuto, 1u << 20), MpKernel::kStomp);
-  EXPECT_EQ(ResolveMpKernel(MpKernel::kMpx, 4), MpKernel::kMpx);
-  SetMpKernelOverride(MpKernel::kAuto);  // kAuto clears the override
-  EXPECT_EQ(ResolveMpKernel(MpKernel::kAuto, 1u << 20), MpKernel::kMpx);
-}
-
-TEST(MpxKernelDispatchTest, AutoDispatchedProfileMatchesExplicitKernel) {
-  // Above the threshold the default entry point must BE the MPX
-  // kernel (bit-for-bit), below it the STOMP kernel; an explicit
-  // kStomp request above the threshold must stay bit-identical to the
-  // frozen reference.
-  KernelOverrideGuard guard;
-  SetMpKernelOverride(MpKernel::kAuto);
-  const std::size_t m = 16;
-  const Series big = RandomWalk(kMpxAutoMinSubsequences + m - 1, 47);
-
-  const Result<MatrixProfile> dispatched = ComputeMatrixProfile(big, m);
-  const Result<MatrixProfile> mpx = ComputeMatrixProfileMpx(big, m);
-  ASSERT_TRUE(dispatched.ok());
-  ASSERT_TRUE(mpx.ok());
-  EXPECT_EQ(dispatched->distances, mpx->distances);
-  EXPECT_EQ(dispatched->indices, mpx->indices);
-
-  MatrixProfileOptions stomp;
-  stomp.kernel = MpKernel::kStomp;
-  const Result<MatrixProfile> explicit_stomp =
-      ComputeMatrixProfile(big, m, stomp);
-  const Result<MatrixProfile> reference =
-      ComputeMatrixProfileReference(big, m);
-  ASSERT_TRUE(explicit_stomp.ok());
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(explicit_stomp->distances, reference->distances);
-  EXPECT_EQ(explicit_stomp->indices, reference->indices);
-
-  const Series small = RandomWalk(600, 48);
-  const Result<MatrixProfile> small_dispatched =
-      ComputeMatrixProfile(small, m);
-  const Result<MatrixProfile> small_reference =
-      ComputeMatrixProfileReference(small, m);
-  ASSERT_TRUE(small_dispatched.ok());
-  ASSERT_TRUE(small_reference.ok());
-  EXPECT_EQ(small_dispatched->distances, small_reference->distances);
-  EXPECT_EQ(small_dispatched->indices, small_reference->indices);
-}
-
-TEST(MpxKernelDispatchTest, ParseAcceptsCanonicalNamesRoundTrip) {
-  for (const MpKernel kernel :
-       {MpKernel::kAuto, MpKernel::kStomp, MpKernel::kMpx}) {
-    const Result<MpKernel> parsed = ParseMpKernel(MpKernelName(kernel));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, kernel);
-  }
-}
-
-TEST(MpxKernelDispatchTest, ParseRejectsUnknownWithSuggestion) {
-  const Result<MpKernel> stmp = ParseMpKernel("stmp");
-  ASSERT_FALSE(stmp.ok());
-  EXPECT_NE(stmp.status().message().find("unknown matrix-profile kernel"),
-            std::string::npos)
-      << stmp.status().message();
-  EXPECT_NE(stmp.status().message().find("did you mean 'stomp'?"),
-            std::string::npos)
-      << stmp.status().message();
-
-  const Result<MpKernel> mpxx = ParseMpKernel("mpxx");
-  ASSERT_FALSE(mpxx.ok());
-  EXPECT_NE(mpxx.status().message().find("did you mean 'mpx'?"),
-            std::string::npos)
-      << mpxx.status().message();
-
-  // Gibberish far from every candidate gets the name list but no
-  // confident suggestion.
-  const Result<MpKernel> junk = ParseMpKernel("zzzzzzzz");
-  ASSERT_FALSE(junk.ok());
-  EXPECT_EQ(junk.status().message().find("did you mean"), std::string::npos)
-      << junk.status().message();
-}
-
-// ---------------------------------------------------------------------------
-// Precision tier.
-
-// Restores the process-wide precision override on scope exit.
-class PrecisionOverrideGuard {
- public:
-  PrecisionOverrideGuard() : saved_(GetMpPrecisionOverride()) {}
-  ~PrecisionOverrideGuard() { SetMpPrecisionOverride(saved_); }
-
- private:
-  MpPrecision saved_;
-};
-
-TEST(MpxPrecisionTest, ParseAcceptsCanonicalNamesRoundTrip) {
-  for (const MpPrecision precision :
-       {MpPrecision::kAuto, MpPrecision::kExact, MpPrecision::kFloat32}) {
-    const Result<MpPrecision> parsed =
-        ParseMpPrecision(MpPrecisionName(precision));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, precision);
-  }
-}
-
-TEST(MpxPrecisionTest, ParseRejectsUnknownWithSuggestion) {
-  const Result<MpPrecision> typo = ParseMpPrecision("float23");
-  ASSERT_FALSE(typo.ok());
-  EXPECT_NE(typo.status().message().find("unknown matrix-profile precision"),
-            std::string::npos)
-      << typo.status().message();
-  EXPECT_NE(typo.status().message().find("did you mean 'float32'?"),
-            std::string::npos)
-      << typo.status().message();
-
-  const Result<MpPrecision> junk = ParseMpPrecision("qqqqqqqq");
-  ASSERT_FALSE(junk.ok());
-  EXPECT_EQ(junk.status().message().find("did you mean"), std::string::npos)
-      << junk.status().message();
-}
-
-TEST(MpxPrecisionTest, ResolveHonorsOverrideForAutoCallersOnly) {
-  PrecisionOverrideGuard guard;
-  SetMpPrecisionOverride(MpPrecision::kAuto);
-  EXPECT_EQ(ResolveMpPrecision(MpPrecision::kAuto), MpPrecision::kExact);
-  SetMpPrecisionOverride(MpPrecision::kFloat32);
-  EXPECT_EQ(ResolveMpPrecision(MpPrecision::kAuto), MpPrecision::kFloat32);
-  // Explicit per-call requests beat the override in both directions.
-  EXPECT_EQ(ResolveMpPrecision(MpPrecision::kExact), MpPrecision::kExact);
-  SetMpPrecisionOverride(MpPrecision::kExact);
-  EXPECT_EQ(ResolveMpPrecision(MpPrecision::kFloat32), MpPrecision::kFloat32);
-}
-
-TEST(MpxPrecisionTest, Float32WithExplicitStompIsRejected) {
-  const Series x = RandomWalk(1200, 49);
-  MatrixProfileOptions options;
-  options.kernel = MpKernel::kStomp;
-  options.precision = MpPrecision::kFloat32;
-  const Result<MatrixProfile> profile = ComputeMatrixProfile(x, 64, options);
-  ASSERT_FALSE(profile.ok());
-  EXPECT_NE(profile.status().message().find("float32 precision requires"),
-            std::string::npos)
-      << profile.status().message();
-}
-
-TEST(MpxPrecisionTest, Float32ForcesMpxEvenBelowSizeThresholdOrOverride) {
-  // The float tier names the numerics; the kernel is the means. A
-  // small series (STOMP by the size rule) and even a process-wide
-  // stomp override must still route a float32 request to MPX.
-  KernelOverrideGuard guard;
-  const Series x = RandomWalk(900, 50);
-  const std::size_t m = 32;
-  const Result<MatrixProfile> direct = ComputeMatrixProfileMpx(
-      x, m, std::numeric_limits<std::size_t>::max(), MpPrecision::kFloat32);
-  ASSERT_TRUE(direct.ok());
-
-  MatrixProfileOptions options;
-  options.precision = MpPrecision::kFloat32;
-  for (const MpKernel forced : {MpKernel::kAuto, MpKernel::kStomp}) {
-    SetMpKernelOverride(forced);
-    const Result<MatrixProfile> dispatched =
-        ComputeMatrixProfile(x, m, options);
-    ASSERT_TRUE(dispatched.ok());
-    EXPECT_EQ(dispatched->distances, direct->distances);
-    EXPECT_EQ(dispatched->indices, direct->indices);
-  }
-}
-
-TEST(MpxPrecisionTest, Float32MeetsToleranceContractOnWalks) {
-  ThreadCountGuard guard;
-  const Series x = RandomWalk(3000, 51);
-  for (const std::size_t m : {8u, 21u, 64u}) {
-    for (const std::size_t threads : ThreadCountsToTest()) {
-      SetParallelThreads(threads);
-      EXPECT_TRUE(testing::ExpectFloat32ProfileEquivalence(x, m))
-          << "m=" << m << " threads=" << threads;
-    }
-  }
-}
-
-TEST(MpxPrecisionTest, Float32MeetsToleranceContractOnEverySimulatorFamily) {
-  ThreadCountGuard guard;
-  const std::vector<testing::ProfileTestFamily> families =
-      testing::SimulatorFamilies();
-  ASSERT_EQ(families.size(), 7u);
-  for (const testing::ProfileTestFamily& family : families) {
-    for (const std::size_t threads : ThreadCountsToTest()) {
-      SetParallelThreads(threads);
-      EXPECT_TRUE(
-          testing::ExpectFloat32ProfileEquivalence(family.values, family.m))
-          << family.name << " threads=" << threads;
-    }
-  }
-}
-
-TEST(MpxPrecisionTest, Float32BitIdenticalAcrossThreadCounts) {
-  // Within the tier the same reproducibility contract as exact: the
-  // merge is an order-independent lexicographic max, so thread count
-  // must not change a single bit.
-  ThreadCountGuard guard;
-  const Series x = RandomWalk(3000, 52);
-  const std::size_t m = 32;
-  SetParallelThreads(1);
-  const Result<MatrixProfile> serial = ComputeMatrixProfileMpx(
-      x, m, std::numeric_limits<std::size_t>::max(), MpPrecision::kFloat32);
-  ASSERT_TRUE(serial.ok());
-  for (const std::size_t threads : ThreadCountsToTest()) {
-    SetParallelThreads(threads);
-    const Result<MatrixProfile> parallel = ComputeMatrixProfileMpx(
-        x, m, std::numeric_limits<std::size_t>::max(), MpPrecision::kFloat32);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(parallel->distances, serial->distances) << "threads=" << threads;
-    EXPECT_EQ(parallel->indices, serial->indices) << "threads=" << threads;
-  }
+  EXPECT_EQ(ComputeMatrixProfile(x, 1).status().message(),
+            ComputeMatrixProfileNaive(x, 1).status().message());
+  EXPECT_EQ(ComputeMatrixProfile(Series{1.0, 2.0}, 8).status().message(),
+            ComputeMatrixProfileNaive(Series{1.0, 2.0}, 8).status().message());
+  EXPECT_EQ(ComputeMatrixProfile(x, 8, 60).status().message(),
+            ComputeMatrixProfileNaive(x, 8, 60).status().message());
+  EXPECT_FALSE(ComputeMatrixProfile(x, 8, 60).ok());
 }
 
 }  // namespace

@@ -3,18 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <vector>
 
+#include "common/parallel.h"
 #include "datasets/gait.h"
 #include "datasets/nasa.h"
 #include "datasets/numenta.h"
 #include "datasets/omni.h"
 #include "datasets/physio.h"
 #include "datasets/yahoo.h"
-#include "substrates/matrix_profile.h"
-#include "substrates/mpx_kernel.h"
 #include "substrates/pan_profile.h"
 #include "substrates/profile_internal.h"
 #include "substrates/sliding_window.h"
@@ -31,52 +31,140 @@ std::vector<double> TruncatedTo(const std::vector<double>& x, std::size_t n) {
                                                                   x.size())));
 }
 
-// The three-clause contract shared by the exact and float32 checks:
-// dynamic entries within 2m * corr_tol in squared-distance space, flat
-// entries exact, TopDiscords exact. `entry_series` is the series the
-// profile ENTRIES index into (the query side of an AB-join, the series
-// itself for self-joins and left profiles) — flat classification uses
-// its rolling moments. `label` names the candidate kernel in failure
-// messages.
+// One side of an oracle join: per-subsequence flat flags and every
+// dynamic subsequence z-normalized with the given moments, row-major
+// (count x m; flat rows stay zero and are never read).
+struct NaiveSide {
+  std::size_t m = 0;
+  std::size_t count = 0;
+  std::vector<std::uint8_t> flat;
+  std::vector<double> z;
+};
+
+NaiveSide MakeSide(const double* x, std::size_t count, std::size_t m,
+                   const double* means, const double* stds) {
+  NaiveSide side;
+  side.m = m;
+  side.count = count;
+  side.flat.assign(count, 0);
+  side.z.assign(count * m, 0.0);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (profile_internal::IsFlat(means[i], stds[i])) {
+      side.flat[i] = 1;
+      continue;
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+      side.z[i * m + k] = (x[i + k] - means[i]) / stds[i];
+    }
+  }
+  return side;
+}
+
+NaiveSide MakeSide(const std::vector<double>& x, std::size_t m) {
+  const WindowStats stats = ComputeWindowStats(x, m);
+  return MakeSide(x.data(), stats.size(), m, stats.means.data(),
+                  stats.stds.data());
+}
+
+// Euclidean distance of two length-m rows. Four partial sums only to
+// keep the O(n^2 m) oracle affordable at test sizes.
+double RowDistance(const double* a, const double* b, std::size_t m) {
+  double s[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t k = 0;
+  for (; k + 4 <= m; k += 4) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      const double d = a[k + l] - b[k + l];
+      s[l] += d * d;
+    }
+  }
+  for (; k < m; ++k) s[0] += (a[k] - b[k]) * (a[k] - b[k]);
+  return std::sqrt((s[0] + s[1]) + (s[2] + s[3]));
+}
+
+// The oracle: for every entry i of `a`, the nearest entry j of `b` that
+// `eligible(i, j)` admits, scanning j ascending with a strict '<' (the
+// lowest index wins ties, so a flat entry lands on its lowest eligible
+// flat neighbor). Rows are independent, so spreading them over the
+// pool cannot change a bit.
+template <typename Eligible>
+MatrixProfile NaiveJoin(const NaiveSide& a, const NaiveSide& b,
+                        const Eligible& eligible) {
+  const std::size_t m = a.m;
+  const double sqrt_two_m = std::sqrt(2.0 * static_cast<double>(m));
+  MatrixProfile profile;
+  profile.subsequence_length = m;
+  profile.distances.assign(a.count, std::numeric_limits<double>::infinity());
+  profile.indices.assign(a.count, kNoNeighbor);
+  const Status status = ParallelFor(0, a.count, [&](std::size_t i) -> Status {
+    for (std::size_t j = 0; j < b.count; ++j) {
+      if (!eligible(i, j)) continue;
+      double d;
+      if (a.flat[i] && b.flat[j]) {
+        d = 0.0;
+      } else if (a.flat[i] || b.flat[j]) {
+        d = sqrt_two_m;
+      } else {
+        d = RowDistance(&a.z[i * m], &b.z[j * m], m);
+      }
+      if (d < profile.distances[i]) {
+        profile.distances[i] = d;
+        profile.indices[i] = j;
+      }
+    }
+    return Status::OK();
+  });
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return profile;
+}
+
+std::vector<std::uint8_t> FlatFlags(const std::vector<double>& x,
+                                    std::size_t m) {
+  const WindowStats stats = ComputeWindowStats(x, m);
+  std::vector<std::uint8_t> flat(stats.size());
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    flat[i] = profile_internal::IsFlat(stats.means[i], stats.stds[i]);
+  }
+  return flat;
+}
+
+// The three-clause contract (plus the no-neighbor clause). `flat` holds
+// the flat classification of the entries' side. `label` names the
+// candidate in failure messages.
 ::testing::AssertionResult CheckProfileContract(
-    const MatrixProfile& reference, const MatrixProfile& candidate,
-    const std::vector<double>& entry_series, std::size_t m, double corr_tol,
-    std::size_t discords, const char* label) {
-  if (candidate.size() != reference.size() ||
-      candidate.subsequence_length != reference.subsequence_length) {
+    const MatrixProfile& oracle, const MatrixProfile& candidate,
+    const std::vector<std::uint8_t>& flat, std::size_t discords,
+    const char* label) {
+  if (candidate.size() != oracle.size() ||
+      candidate.subsequence_length != oracle.subsequence_length) {
     return ::testing::AssertionFailure()
            << "profile shapes differ: " << label << " " << candidate.size()
-           << "/m=" << candidate.subsequence_length << " vs reference "
-           << reference.size() << "/m=" << reference.subsequence_length;
+           << "/m=" << candidate.subsequence_length << " vs oracle "
+           << oracle.size() << "/m=" << oracle.subsequence_length;
   }
 
-  // Clause 1 + 2: per-entry distances. Flat entries (classified from
-  // the same rolling moments both kernels use) must match exactly,
-  // dynamic ones within the squared-distance tolerance.
-  const WindowStats stats = ComputeWindowStats(entry_series, m);
-  const double sq_tol = 2.0 * static_cast<double>(m) * corr_tol;
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    const double ref_d = reference.distances[i];
+  const double sq_tol =
+      2.0 * static_cast<double>(oracle.subsequence_length) * kMpxCorrTolerance;
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    const double ref_d = oracle.distances[i];
     const double cand_d = candidate.distances[i];
     if (std::isinf(ref_d) || std::isinf(cand_d)) {
-      // No-eligible-neighbor entries (left profiles before the first
-      // admissible diagonal) must be +inf/kNoNeighbor on BOTH sides —
-      // a kernel that invents or loses a neighbor is wrong regardless
-      // of tolerance.
-      if (cand_d != ref_d || candidate.indices[i] != reference.indices[i]) {
+      // No-eligible-neighbor entries must be +inf/kNoNeighbor on BOTH
+      // sides — a kernel that invents or loses a neighbor is wrong
+      // regardless of tolerance.
+      if (cand_d != ref_d || candidate.indices[i] != oracle.indices[i]) {
         return ::testing::AssertionFailure()
-               << "entry " << i << " neighbor eligibility differs: reference d="
-               << ref_d << " j=" << reference.indices[i] << ", " << label
+               << "entry " << i << " neighbor eligibility differs: oracle d="
+               << ref_d << " j=" << oracle.indices[i] << ", " << label
                << " d=" << cand_d << " j=" << candidate.indices[i];
       }
       continue;
     }
-    if (profile_internal::IsFlat(stats.means[i], stats.stds[i])) {
+    if (flat[i]) {
       if (cand_d != ref_d ||
-          (ref_d == 0.0 && candidate.indices[i] != reference.indices[i])) {
+          (ref_d == 0.0 && candidate.indices[i] != oracle.indices[i])) {
         return ::testing::AssertionFailure()
-               << "flat entry " << i << " must match exactly: reference d="
-               << ref_d << " j=" << reference.indices[i] << ", " << label
+               << "flat entry " << i << " must match exactly: oracle d="
+               << ref_d << " j=" << oracle.indices[i] << ", " << label
                << " d=" << cand_d << " j=" << candidate.indices[i];
       }
       continue;
@@ -84,14 +172,15 @@ std::vector<double> TruncatedTo(const std::vector<double>& x, std::size_t n) {
     const double err = std::fabs(ref_d * ref_d - cand_d * cand_d);
     if (!(err <= sq_tol)) {  // negated: catches NaN too
       return ::testing::AssertionFailure()
-             << "entry " << i << " out of tolerance: reference d=" << ref_d
+             << "entry " << i << " out of tolerance: oracle d=" << ref_d
              << " " << label << " d=" << cand_d << " squared-distance error "
-             << err << " > " << sq_tol << " (= 2m * " << corr_tol << ")";
+             << err << " > " << sq_tol << " (= 2m * " << kMpxCorrTolerance
+             << ")";
     }
   }
 
-  // Clause 3: discord positions and ordering, exactly.
-  const std::vector<Discord> ref_discords = TopDiscords(reference, discords);
+  // Discord positions and ordering, exactly.
+  const std::vector<Discord> ref_discords = TopDiscords(oracle, discords);
   const std::vector<Discord> cand_discords = TopDiscords(candidate, discords);
   const auto dump = [](const std::vector<Discord>& ds) {
     std::ostringstream out;
@@ -99,22 +188,65 @@ std::vector<double> TruncatedTo(const std::vector<double>& x, std::size_t n) {
                                     << ")";
     return out.str();
   };
-  if (ref_discords.size() != cand_discords.size()) {
-    return ::testing::AssertionFailure()
-           << "discord counts differ: reference" << dump(ref_discords)
-           << " vs " << label << dump(cand_discords);
+  bool same = ref_discords.size() == cand_discords.size();
+  for (std::size_t r = 0; same && r < ref_discords.size(); ++r) {
+    same = ref_discords[r].position == cand_discords[r].position;
   }
-  for (std::size_t r = 0; r < ref_discords.size(); ++r) {
-    if (ref_discords[r].position != cand_discords[r].position) {
-      return ::testing::AssertionFailure()
-             << "discord rank " << r << " differs: reference"
-             << dump(ref_discords) << " vs " << label << dump(cand_discords);
-    }
+  if (!same) {
+    return ::testing::AssertionFailure()
+           << "discords differ: oracle" << dump(ref_discords) << " vs "
+           << label << dump(cand_discords);
   }
   return ::testing::AssertionSuccess();
 }
 
+// Unwraps a candidate profile and runs the contract.
+::testing::AssertionResult CheckCandidate(const MatrixProfile& oracle,
+                                          const Result<MatrixProfile>& candidate,
+                                          const std::vector<std::uint8_t>& flat,
+                                          std::size_t discords,
+                                          const char* label) {
+  if (!candidate.ok()) {
+    return ::testing::AssertionFailure()
+           << label << " rejected an input the oracle accepted: "
+           << candidate.status().message();
+  }
+  return CheckProfileContract(oracle, *candidate, flat, discords, label);
+}
+
 }  // namespace
+
+Result<MatrixProfile> ComputeMatrixProfileNaive(
+    const std::vector<double>& series, std::size_t m, std::size_t exclusion) {
+  std::size_t count = 0;
+  TSAD_RETURN_IF_ERROR(
+      profile_internal::ValidateSelfJoin(series.size(), m, &exclusion, &count));
+  const NaiveSide side = MakeSide(series, m);
+  return NaiveJoin(side, side, [exclusion](std::size_t i, std::size_t j) {
+    return (i > j ? i - j : j - i) > exclusion;
+  });
+}
+
+Result<MatrixProfile> ComputeLeftMatrixProfileNaive(
+    const std::vector<double>& series, std::size_t m, std::size_t exclusion) {
+  std::size_t count = 0;
+  TSAD_RETURN_IF_ERROR(profile_internal::ValidateLeftProfile(
+      series.size(), m, &exclusion, &count));
+  const NaiveSide side = MakeSide(series, m);
+  return NaiveJoin(side, side, [exclusion](std::size_t i, std::size_t j) {
+    return j < i && i - j > exclusion;
+  });
+}
+
+Result<MatrixProfile> ComputeAbJoinNaive(
+    const std::vector<double>& query_series,
+    const std::vector<double>& reference_series, std::size_t m) {
+  std::size_t nq = 0, nr = 0;
+  TSAD_RETURN_IF_ERROR(profile_internal::ValidateAbJoin(
+      query_series.size(), reference_series.size(), m, &nq, &nr));
+  return NaiveJoin(MakeSide(query_series, m), MakeSide(reference_series, m),
+                   [](std::size_t, std::size_t) { return true; });
+}
 
 std::vector<ProfileTestFamily> SimulatorFamilies() {
   std::vector<ProfileTestFamily> families;
@@ -152,122 +284,26 @@ std::vector<ProfileTestFamily> SimulatorFamilies() {
 }
 
 ::testing::AssertionResult ExpectProfileEquivalence(
-    const std::vector<double>& series, std::size_t m, std::size_t discords) {
-  const Result<MatrixProfile> reference =
-      ComputeMatrixProfileReference(series, m);
-  const Result<MatrixProfile> mpx = ComputeMatrixProfileMpx(series, m);
-  if (reference.ok() != mpx.ok()) {
-    return ::testing::AssertionFailure()
-           << "kernels disagree on validity: reference="
-           << reference.status().message()
-           << " mpx=" << mpx.status().message();
-  }
-  if (!reference.ok()) return ::testing::AssertionSuccess();
-  return CheckProfileContract(*reference, *mpx, series, m, kMpxCorrTolerance,
-                              discords, "mpx");
+    const std::vector<double>& series, std::size_t m,
+    const MatrixProfile& oracle, std::size_t discords) {
+  return CheckCandidate(oracle, ComputeMatrixProfile(series, m),
+                        FlatFlags(series, m), discords, "mpx");
 }
-
-::testing::AssertionResult ExpectFloat32ProfileEquivalence(
-    const std::vector<double>& series, std::size_t m, std::size_t discords) {
-  const Result<MatrixProfile> reference =
-      ComputeMatrixProfileReference(series, m);
-  const Result<MatrixProfile> f32 =
-      ComputeMatrixProfileMpx(series, m, std::numeric_limits<std::size_t>::max(),
-                              MpPrecision::kFloat32);
-  if (reference.ok() != f32.ok()) {
-    return ::testing::AssertionFailure()
-           << "kernels disagree on validity: reference="
-           << reference.status().message()
-           << " mpx/float32=" << f32.status().message();
-  }
-  if (!reference.ok()) return ::testing::AssertionSuccess();
-  return CheckProfileContract(*reference, *f32, series, m,
-                              kMpxFloat32CorrTolerance, discords,
-                              "mpx/float32");
-}
-
-namespace {
-
-// Shared driver for the AB-join checks: the frozen STOMP join (forced
-// through the options dispatcher with kernel=kStomp) is the reference,
-// the MPX cross kernel at `precision` the candidate. Flat entries are
-// classified from the QUERY side — the side the profile indexes.
-::testing::AssertionResult CheckAbJoinAgainstStomp(
-    const std::vector<double>& query_series,
-    const std::vector<double>& reference_series, std::size_t m,
-    MpPrecision precision, double corr_tol, std::size_t discords,
-    const char* label) {
-  MatrixProfileOptions stomp_options;
-  stomp_options.kernel = MpKernel::kStomp;
-  const Result<MatrixProfile> stomp =
-      ComputeAbJoin(query_series, reference_series, m, stomp_options);
-  const Result<MatrixProfile> mpx =
-      ComputeAbJoinMpx(query_series, reference_series, m, precision);
-  if (stomp.ok() != mpx.ok()) {
-    return ::testing::AssertionFailure()
-           << "kernels disagree on validity: stomp="
-           << stomp.status().message() << " " << label << "="
-           << mpx.status().message();
-  }
-  if (!stomp.ok()) return ::testing::AssertionSuccess();
-  return CheckProfileContract(*stomp, *mpx, query_series, m, corr_tol,
-                              discords, label);
-}
-
-// Shared driver for the left-profile checks, against the frozen STOMP
-// left kernel at the default exclusion.
-::testing::AssertionResult CheckLeftProfileAgainstStomp(
-    const std::vector<double>& series, std::size_t m, MpPrecision precision,
-    double corr_tol, std::size_t discords, const char* label) {
-  MatrixProfileOptions stomp_options;
-  stomp_options.kernel = MpKernel::kStomp;
-  const Result<MatrixProfile> stomp =
-      ComputeLeftMatrixProfile(series, m, stomp_options);
-  const Result<MatrixProfile> mpx = ComputeLeftMatrixProfileMpx(
-      series, m, std::numeric_limits<std::size_t>::max(), precision);
-  if (stomp.ok() != mpx.ok()) {
-    return ::testing::AssertionFailure()
-           << "kernels disagree on validity: stomp="
-           << stomp.status().message() << " " << label << "="
-           << mpx.status().message();
-  }
-  if (!stomp.ok()) return ::testing::AssertionSuccess();
-  return CheckProfileContract(*stomp, *mpx, series, m, corr_tol, discords,
-                              label);
-}
-
-}  // namespace
 
 ::testing::AssertionResult ExpectAbJoinEquivalence(
     const std::vector<double>& query_series,
     const std::vector<double>& reference_series, std::size_t m,
-    std::size_t discords) {
-  return CheckAbJoinAgainstStomp(query_series, reference_series, m,
-                                 MpPrecision::kExact, kMpxCorrTolerance,
-                                 discords, "mpx/ab");
-}
-
-::testing::AssertionResult ExpectFloat32AbJoinEquivalence(
-    const std::vector<double>& query_series,
-    const std::vector<double>& reference_series, std::size_t m,
-    std::size_t discords) {
-  return CheckAbJoinAgainstStomp(query_series, reference_series, m,
-                                 MpPrecision::kFloat32,
-                                 kMpxFloat32CrossCorrTolerance, discords,
-                                 "mpx/ab/float32");
+    const MatrixProfile& oracle, std::size_t discords) {
+  return CheckCandidate(oracle,
+                        ComputeAbJoin(query_series, reference_series, m),
+                        FlatFlags(query_series, m), discords, "mpx/ab");
 }
 
 ::testing::AssertionResult ExpectLeftProfileEquivalence(
-    const std::vector<double>& series, std::size_t m, std::size_t discords) {
-  return CheckLeftProfileAgainstStomp(series, m, MpPrecision::kExact,
-                                      kMpxCorrTolerance, discords, "mpx/left");
-}
-
-::testing::AssertionResult ExpectFloat32LeftProfileEquivalence(
-    const std::vector<double>& series, std::size_t m, std::size_t discords) {
-  return CheckLeftProfileAgainstStomp(series, m, MpPrecision::kFloat32,
-                                      kMpxFloat32CrossCorrTolerance, discords,
-                                      "mpx/left/float32");
+    const std::vector<double>& series, std::size_t m,
+    const MatrixProfile& oracle, std::size_t discords) {
+  return CheckCandidate(oracle, ComputeLeftMatrixProfile(series, m),
+                        FlatFlags(series, m), discords, "mpx/left");
 }
 
 ::testing::AssertionResult ExpectPanProfileEquivalence(
@@ -284,16 +320,14 @@ namespace {
   }
   for (std::size_t l = 0; l < pan->num_lengths(); ++l) {
     const std::size_t m = pan->lengths[l];
-    const Result<MatrixProfile> reference =
-        ComputeMatrixProfileReference(series, m);
-    if (!reference.ok()) {
+    const Result<MatrixProfile> batch = ComputeMatrixProfile(series, m);
+    if (!batch.ok()) {
       return ::testing::AssertionFailure()
-             << "reference rejected m=" << m << " the pan engine accepted: "
-             << reference.status().message();
+             << "batch join rejected m=" << m << " the pan engine accepted: "
+             << batch.status().message();
     }
-    const ::testing::AssertionResult layer =
-        CheckProfileContract(*reference, pan->Layer(l), series, m,
-                             kMpxCorrTolerance, discords, "pan");
+    const ::testing::AssertionResult layer = CheckProfileContract(
+        *batch, pan->Layer(l), FlatFlags(series, m), discords, "pan");
     if (!layer) {
       return ::testing::AssertionFailure()
              << "pan layer m=" << m << ": " << layer.message();
@@ -317,142 +351,72 @@ namespace {
   for (const double v : series) kernel.Push(v);
 
   const std::size_t exclusion = kernel.config().exclusion;
-  const double two_m = 2.0 * static_cast<double>(m);
-  const double sq_tol = two_m * kMpxCorrTolerance;
   const std::size_t subs = kernel.num_subsequences();
   const std::size_t first = kernel.first_subsequence();
+  std::vector<std::uint8_t> flat(subs);
+  for (std::size_t i = 0; i < subs; ++i) flat[i] = kernel.IsFlatAt(i);
+  // The kernel's entries as a profile with LOCAL neighbor indices.
+  const auto collect = [&](auto entry_of) {
+    MatrixProfile profile;
+    profile.subsequence_length = m;
+    for (std::size_t i = 0; i < subs; ++i) {
+      const StreamingMpx::Entry entry = (kernel.*entry_of)(i);
+      profile.distances.push_back(entry.distance);
+      profile.indices.push_back(entry.neighbor == kNoNeighbor
+                                    ? kNoNeighbor
+                                    : entry.neighbor - first);
+    }
+    return profile;
+  };
 
   if (kernel.evictions() == 0) {
-    // Full-series ground truth: the batch MPX self-join.
-    const Result<MatrixProfile> batch = ComputeMatrixProfileMpx(series, m);
-    if (!batch.ok()) {
+    // Whole-series ground truth: the batch joins.
+    const Result<MatrixProfile> self = ComputeMatrixProfile(series, m);
+    const Result<MatrixProfile> left = ComputeLeftMatrixProfile(series, m);
+    if (!self.ok() || !left.ok()) {
       return ::testing::AssertionFailure()
-             << "batch kernel rejected the series: "
-             << batch.status().message();
+             << "batch kernels rejected the series: "
+             << (self.ok() ? left : self).status().message();
     }
-    if (subs != batch->size() || first != 0) {
-      return ::testing::AssertionFailure()
-             << "shape mismatch: streaming " << subs << " subsequences from "
-             << first << ", batch " << batch->size();
-    }
-    for (std::size_t i = 0; i < subs; ++i) {
-      const StreamingMpx::Entry entry = kernel.Merged(i);
-      const double ref_d = batch->distances[i];
-      if (kernel.IsFlatAt(i)) {
-        if (entry.distance != ref_d ||
-            (ref_d == 0.0 && entry.neighbor != batch->indices[i])) {
-          return ::testing::AssertionFailure()
-                 << "flat merged entry " << i << ": streaming d="
-                 << entry.distance << " j=" << entry.neighbor << ", batch d="
-                 << ref_d << " j=" << batch->indices[i];
-        }
-        continue;
-      }
-      const double err =
-          std::fabs(ref_d * ref_d - entry.distance * entry.distance);
-      if (!(err <= sq_tol)) {
-        return ::testing::AssertionFailure()
-               << "merged entry " << i << " out of tolerance: streaming d="
-               << entry.distance << " batch d=" << ref_d
-               << " squared-distance error " << err << " > " << sq_tol;
-      }
-    }
-    return ::testing::AssertionSuccess();
+    const ::testing::AssertionResult merged = CheckProfileContract(
+        *self, collect(&StreamingMpx::Merged), flat, 3, "streaming/merged");
+    if (!merged) return merged;
+    return CheckProfileContract(*left, collect(&StreamingMpx::Left), flat, 3,
+                                "streaming/left");
   }
 
   // Evicted: certify the right profile over the retained suffix against
-  // a naive reference. The kernel's own moments normalize both sides so
-  // flat classification is shared by construction; the reference
-  // correlation is a fresh centered dot per pair (no recurrence), which
-  // is exactly what the tolerance is budgeted for.
-  const std::size_t base_point = kernel.first_point();
-  std::vector<double> suffix(series.begin() + static_cast<std::ptrdiff_t>(
-                                                  base_point),
-                             series.end());
+  // the oracle's right self-join, normalized with the kernel's own
+  // moments so flat classification is shared by construction.
+  const std::vector<double> suffix(
+      series.begin() + static_cast<std::ptrdiff_t>(kernel.first_point()),
+      series.end());
   if (suffix.size() != kernel.retained_points()) {
     return ::testing::AssertionFailure()
            << "retained " << kernel.retained_points() << " points, expected "
            << suffix.size();
   }
+  std::vector<double> means(subs), stds(subs);
   for (std::size_t i = 0; i < subs; ++i) {
-    const StreamingMpx::Entry entry = kernel.Right(i);
-    if (kernel.IsFlatAt(i)) {
-      // Reference flat rule: lowest eligible later flat at distance 0,
-      // else sqrt(2m) against any eligible dynamic candidate.
-      std::size_t flat_nn = kNoNeighbor;
-      for (std::size_t j = i + exclusion + 1; j < subs; ++j) {
-        if (kernel.IsFlatAt(j)) {
-          flat_nn = first + j;
-          break;
-        }
-      }
-      if (flat_nn != kNoNeighbor) {
-        if (entry.distance != 0.0 || entry.neighbor != flat_nn) {
-          return ::testing::AssertionFailure()
-                 << "flat right entry " << i << ": streaming d="
-                 << entry.distance << " j=" << entry.neighbor
-                 << ", reference d=0 j=" << flat_nn;
-        }
-      } else if (i + exclusion + 1 < subs) {
-        if (entry.distance != std::sqrt(two_m)) {
-          return ::testing::AssertionFailure()
-                 << "flat right entry " << i << " without flat partner: d="
-                 << entry.distance << ", want sqrt(2m)=" << std::sqrt(two_m);
-        }
-      } else if (entry.neighbor != kNoNeighbor) {
-        return ::testing::AssertionFailure()
-               << "flat right entry " << i
-               << " has a neighbor but no candidate exists";
-      }
-      continue;
-    }
-    // Dynamic: best correlation over eligible later dynamic candidates
-    // (flat partners contribute corr 0, exactly as the kernel's
-    // inv == 0 arithmetic makes them).
-    double best = -std::numeric_limits<double>::infinity();
-    bool any = false;
-    for (std::size_t j = i + exclusion + 1; j < subs; ++j) {
-      any = true;
-      double corr = 0.0;
-      if (!kernel.IsFlatAt(j)) {
-        const double mu_a = kernel.MeanAt(i);
-        const double mu_b = kernel.MeanAt(j);
-        double c = 0.0;
-        for (std::size_t k = 0; k < m; ++k) {
-          c += (suffix[i + k] - mu_a) * (suffix[j + k] - mu_b);
-        }
-        const double dm = static_cast<double>(m);
-        corr = c / (kernel.StdAt(i) * std::sqrt(dm)) /
-               (kernel.StdAt(j) * std::sqrt(dm));
-      }
-      if (corr > best) best = corr;
-    }
-    if (!any) {
-      if (entry.neighbor != kNoNeighbor) {
-        return ::testing::AssertionFailure()
-               << "right entry " << i
-               << " has a neighbor but no candidate exists";
-      }
-      continue;
-    }
-    const double clamped = std::min(1.0, std::max(-1.0, best));
-    const double ref_sq = two_m * (1.0 - clamped);
-    const double err = std::fabs(ref_sq - entry.distance * entry.distance);
-    if (!(err <= sq_tol)) {
+    means[i] = kernel.MeanAt(i);
+    stds[i] = kernel.StdAt(i);
+  }
+  const NaiveSide side =
+      MakeSide(suffix.data(), subs, m, means.data(), stds.data());
+  const MatrixProfile oracle =
+      NaiveJoin(side, side, [exclusion](std::size_t i, std::size_t j) {
+        return j > i + exclusion;
+      });
+  const MatrixProfile right = collect(&StreamingMpx::Right);
+  for (std::size_t i = 0; i < subs; ++i) {
+    const std::size_t j = right.indices[i];
+    if (j != kNoNeighbor && (j <= i + exclusion || j >= subs)) {
       return ::testing::AssertionFailure()
-             << "right entry " << i << " out of tolerance: streaming d="
-             << entry.distance << " reference d^2=" << ref_sq
-             << " squared-distance error " << err << " > " << sq_tol;
-    }
-    if (entry.neighbor == kNoNeighbor ||
-        entry.neighbor - first <= i + exclusion ||
-        entry.neighbor - first >= subs) {
-      return ::testing::AssertionFailure()
-             << "right entry " << i << " neighbor " << entry.neighbor
+             << "right entry " << i << " neighbor " << first + j
              << " outside the eligible retained range";
     }
   }
-  return ::testing::AssertionSuccess();
+  return CheckProfileContract(oracle, right, flat, 3, "streaming/right");
 }
 
 }  // namespace testing

@@ -1,25 +1,30 @@
-// Profile equivalence harness: the executable statement of the MPX
-// numerics contract.
+// Profile equivalence harness: the naive O(n^2 m) matrix-profile
+// oracle and the executable statement of the MPX numerics contract.
+//
+// The oracle z-normalizes every subsequence with its ComputeWindowStats
+// moments and takes plain Euclidean distances, one O(m) loop per pair.
+// It classifies flatness exactly like the engines
+// (profile_internal::IsFlat on the same moments) and applies the SCAMP
+// rules: flat-vs-flat pairs are at distance 0 (the lowest eligible flat
+// neighbor wins), flat-vs-dynamic pairs at sqrt(2m).
 //
 // MPX accumulates each pair's centered covariance along a diagonal
-// (O(m) seed + O(1) rank-2 updates) while STOMP accumulates the raw
-// dot product along a row (FFT seed + O(1) head/tail updates), so the
-// two kernels CANNOT be bit-identical — but they must be
-// interchangeable for every consumer in this codebase. The contract,
-// checked by ExpectProfileEquivalence against the frozen
-// ComputeMatrixProfileReference:
+// (O(m) seed + O(1) rank-2 updates), so it CANNOT be bit-identical to
+// the oracle — but it must be interchangeable with it for every
+// consumer in this codebase. The contract, checked by
+// ExpectProfileEquivalence and its join/left/pan forms:
 //
 //  1. Dynamic entries agree in SQUARED-distance space within
 //     2m * kMpxCorrTolerance. Squared distance is the honest metric:
-//     d^2 = 2m(1 - corr) is linear in the correlation both kernels
-//     actually accumulate, whereas d itself amplifies a fixed corr
-//     error without bound as d -> 0 (d = sqrt(2m)*sqrt(1-corr), so
+//     d^2 = 2m(1 - corr) is linear in the correlation the kernel
+//     accumulates, whereas d itself amplifies a fixed corr error
+//     without bound as d -> 0 (d = sqrt(2m)*sqrt(1-corr), so
 //     |dd/dcorr| ~ 1/d), and a distance-space tolerance would have to
 //     be either too loose at the top or flaky at the bottom.
 //  2. Flat entries (the SCAMP special cases) agree EXACTLY: distance
-//     0.0 with the identical neighbor, or exactly sqrt(2m). Both
-//     kernels classify flatness from the same ComputeWindowStats
-//     moments, so there is no rounding to forgive.
+//     0.0 with the identical neighbor, or exactly sqrt(2m). Both sides
+//     classify flatness from the same ComputeWindowStats moments, so
+//     there is no rounding to forgive.
 //  3. TopDiscords(k) returns the SAME positions in the SAME order.
 //     Discords are what the detectors consume — a kernel that moves a
 //     discord is wrong no matter how small the numeric delta — and
@@ -31,58 +36,56 @@
 // a near-tie between two neighbors can resolve differently under the
 // two accumulation orders, which is invisible to every consumer
 // (detectors read distances and discord positions).
+//
+// The oracle is the slow side, so callers compute it once per input
+// and hand it to every thread-count and ISA-tier check.
 
 #ifndef TSAD_TESTS_SUBSTRATES_PROFILE_EQUIVALENCE_H_
 #define TSAD_TESTS_SUBSTRATES_PROFILE_EQUIVALENCE_H_
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
 
+#include "common/status.h"
+#include "substrates/matrix_profile.h"
+
 namespace tsad {
 namespace testing {
 
-/// Maximum tolerated correlation disagreement between MPX and STOMP.
-/// Observed worst cases: ~4e-9 on 16k-subsequence random walks, ~2e-6
-/// on the adversarial level-shift series (a 1e6-level flat run inside
-/// an O(1) walk — a diagonal crossing the shift briefly holds a ~1e12
-/// covariance whose absolute rounding error lingers for the remainder
-/// of its row block despite per-block re-seeding). 1e-5 covers the
-/// adversarial case with ~5x headroom while staying far below anything
-/// that could reorder a discord. The squared-distance bound quoted in
-/// failure messages is 2m * this.
+/// Maximum tolerated correlation disagreement between MPX and the
+/// oracle. Observed worst cases: ~4e-9 on 16k-subsequence random walks,
+/// ~2e-6 on the adversarial level-shift series (a 1e6-level flat run
+/// inside an O(1) walk — a diagonal crossing the shift briefly holds a
+/// ~1e12 covariance whose absolute rounding error lingers for the
+/// remainder of its row block despite per-block re-seeding). 1e-5
+/// covers the adversarial case with ~5x headroom while staying far
+/// below anything that could reorder a discord. The squared-distance
+/// bound quoted in failure messages is 2m * this.
 inline constexpr double kMpxCorrTolerance = 1e-5;
 
-/// Maximum tolerated correlation disagreement between the float32 MPX
-/// tier and the frozen double reference, on the WELL-CONDITIONED
-/// inputs the tier is certified for (the simulator families and
-/// O(1)-scale walks — NOT the adversarial level-shift series, where
-/// float's ~1e-7 relative error on a ~1e12 covariance dwarfs O(1)
-/// structure; matrix_profile.h documents the exclusion). Observed
-/// worst cases across the simulator families at m = 24..128 are a few
-/// 1e-6 — float eps ~1.2e-7 drifting over at most kMpxFloatRowBlock =
-/// 256 rank-2 updates between double re-seeds. 1e-4 gives ~50x
-/// headroom while still holding the squared-distance error an order
-/// of magnitude below anything that could move a discord.
-inline constexpr double kMpxFloat32CorrTolerance = 1e-4;
+/// Naive O(n^2 m) self-join oracle: same arguments, validation and
+/// exclusion semantics as ComputeMatrixProfile.
+Result<MatrixProfile> ComputeMatrixProfileNaive(
+    const std::vector<double>& series, std::size_t m,
+    std::size_t exclusion = std::numeric_limits<std::size_t>::max());
 
-/// Float32 bound for the CROSS kernels (AB-join, left profile). The
-/// per-pair drift is the same as the self-join tier (float rank-2
-/// recurrence, double re-seed every kMpxFloatRowBlock offsets), but the
-/// reported per-entry best sits in a harsher regime: a left profile
-/// maxes over only the admissible PAST candidates, so on spiky families
-/// (physio ECG) the winner can be a low-correlation pair carrying the
-/// full absolute drift of its block — unlike the self-join, where the
-/// max over thousands of near-1 candidates reports from the
-/// best-conditioned end of the distribution. Observed worst case across
-/// the families: ~1.3e-4 (physio_ecg left, m=64). 4e-4 gives ~3x
-/// headroom while the squared-distance slack stays an order of
-/// magnitude below anything that could move a discord.
-inline constexpr double kMpxFloat32CrossCorrTolerance = 4e-4;
+/// Naive left-profile oracle: same contract as ComputeLeftMatrixProfile
+/// (neighbors j <= i - exclusion - 1; entries without one stay +inf /
+/// kNoNeighbor).
+Result<MatrixProfile> ComputeLeftMatrixProfileNaive(
+    const std::vector<double>& series, std::size_t m,
+    std::size_t exclusion = std::numeric_limits<std::size_t>::max());
+
+/// Naive AB-join oracle: same contract as ComputeAbJoin.
+Result<MatrixProfile> ComputeAbJoinNaive(
+    const std::vector<double>& query_series,
+    const std::vector<double>& reference_series, std::size_t m);
 
 /// One representative series per simulator family (yahoo A1/A4, taxi,
-/// nasa, omni, physio ECG, gait), truncated so O(n^2) references stay
+/// nasa, omni, physio ECG, gait), truncated so O(n^2) oracles stay
 /// test-sized, with the window length the detectors actually use on
 /// that family. Shared by the kernel-equivalence and SIMD-dispatch
 /// suites so "certified across the simulator families" means the same
@@ -94,83 +97,59 @@ struct ProfileTestFamily {
 };
 std::vector<ProfileTestFamily> SimulatorFamilies();
 
-/// Runs ComputeMatrixProfileMpx at float32 precision and checks the
-/// same three-clause contract as ExpectProfileEquivalence against the
-/// frozen reference, with the wider kMpxFloat32CorrTolerance bound on
-/// dynamic entries. Flat entries and TopDiscords stay EXACT — the
-/// float tier narrows numerics, not semantics.
-::testing::AssertionResult ExpectFloat32ProfileEquivalence(
-    const std::vector<double>& series, std::size_t m,
-    std::size_t discords = 3);
-
-/// Runs ComputeMatrixProfileMpx(series, m) at the CURRENT thread count
-/// and checks the three-clause contract above against the frozen
-/// reference (computed at the same thread count — it is bit-stable
-/// across thread counts by construction). `discords` is the k handed
-/// to TopDiscords for clause 3.
+/// Runs ComputeMatrixProfile(series, m) at the CURRENT thread count and
+/// ISA tier and checks the three-clause contract above against
+/// `oracle` (ComputeMatrixProfileNaive(series, m)). `discords` is the k
+/// handed to TopDiscords for clause 3.
 ::testing::AssertionResult ExpectProfileEquivalence(
     const std::vector<double>& series, std::size_t m,
-    std::size_t discords = 3);
+    const MatrixProfile& oracle, std::size_t discords = 3);
 
-/// Runs ComputeAbJoinMpx(query, reference, m) and checks the same
-/// three-clause contract against the frozen STOMP AB-join (forced via
-/// MatrixProfileOptions{kernel=kStomp}): dynamic entries within
-/// 2m * kMpxCorrTolerance squared distance, flat QUERY entries exact
-/// (distance and, at 0, the identical lowest flat reference index),
-/// TopDiscords positions/order exact.
+/// Runs ComputeAbJoin(query, reference, m) and checks the contract
+/// against `oracle` (ComputeAbJoinNaive of the same pair). Flat entries
+/// are classified on the QUERY side — the side the profile indexes.
 ::testing::AssertionResult ExpectAbJoinEquivalence(
     const std::vector<double>& query_series,
     const std::vector<double>& reference_series, std::size_t m,
-    std::size_t discords = 3);
+    const MatrixProfile& oracle, std::size_t discords = 3);
 
-/// Float32 tier of the MPX AB-join against the same frozen STOMP
-/// reference, with the wider kMpxFloat32CrossCorrTolerance bound. Flat
-/// entries and TopDiscords stay EXACT.
-::testing::AssertionResult ExpectFloat32AbJoinEquivalence(
-    const std::vector<double>& query_series,
-    const std::vector<double>& reference_series, std::size_t m,
-    std::size_t discords = 3);
-
-/// Runs ComputeLeftMatrixProfileMpx(series, m) at the default exclusion
-/// and checks the contract against the frozen STOMP left kernel. Adds a
-/// fourth clause shared with the AB check: entries with NO eligible
-/// past neighbor (i <= exclusion) must be +inf/kNoNeighbor on both
-/// sides exactly.
+/// Runs ComputeLeftMatrixProfile(series, m) at the default exclusion and
+/// checks the contract against `oracle`
+/// (ComputeLeftMatrixProfileNaive(series, m)), plus a fourth clause:
+/// entries with NO eligible past neighbor must be +inf/kNoNeighbor on
+/// both sides exactly.
 ::testing::AssertionResult ExpectLeftProfileEquivalence(
     const std::vector<double>& series, std::size_t m,
-    std::size_t discords = 3);
-
-/// Float32 tier of the MPX left profile against the frozen STOMP left
-/// kernel, with the wider kMpxFloat32CrossCorrTolerance bound.
-::testing::AssertionResult ExpectFloat32LeftProfileEquivalence(
-    const std::vector<double>& series, std::size_t m,
-    std::size_t discords = 3);
+    const MatrixProfile& oracle, std::size_t discords = 3);
 
 /// Runs ComputePanProfile over [min_length, max_length] x step and
-/// checks EVERY layer against the frozen per-length reference under the
-/// standard three-clause contract (kMpxCorrTolerance — the pan engine's
+/// checks EVERY layer against the batch ComputeMatrixProfile at that
+/// length (itself certified against the oracle) under the standard
+/// three-clause contract (kMpxCorrTolerance — the pan engine's
 /// uncentered-dot recovery is certified to per-length accuracy on the
 /// well-conditioned inputs this harness feeds it; pan_profile.h
-/// documents the adversarial-level exclusion).
+/// documents the adversarial-level exclusion). The batch side is cheap,
+/// so multi-length sweeps over every family stay test-sized.
 ::testing::AssertionResult ExpectPanProfileEquivalence(
     const std::vector<double>& series, std::size_t min_length,
     std::size_t max_length, std::size_t step, std::size_t discords = 3);
 
-/// Certifies the bounded-memory streaming kernel (StreamingMpx) fed
-/// the series point by point with ring capacity `buffer_cap`:
+/// Certifies the streaming kernel (StreamingMpx) fed the series point
+/// by point with ring capacity `buffer_cap`:
 ///
-///  * No eviction (series fits the buffer): Merged() must agree with
-///    ComputeMatrixProfileMpx over the whole series — dynamic entries
-///    within the 2m * kMpxCorrTolerance squared-distance bound, flat
-///    entries (0 / sqrt(2m), same neighbor when 0) EXACTLY, since the
-///    streaming prefix-total ring replays ComputeWindowStats's
-///    accumulation order bit for bit.
+///  * No eviction (series fits the buffer, or buffer_cap = 0): Merged()
+///    must agree with the batch ComputeMatrixProfile and Left() with
+///    the batch ComputeLeftMatrixProfile over the whole series —
+///    dynamic entries within the 2m * kMpxCorrTolerance squared-distance
+///    bound, flat entries (0 / sqrt(2m), same neighbor when 0) EXACTLY,
+///    since the streaming prefix-total ring replays
+///    ComputeWindowStats's accumulation order bit for bit.
 ///  * After eviction: the eviction-invariant side is the RIGHT profile
 ///    (arcs point forward; pruning drops the past), so Right() over
-///    the retained suffix must agree with a naive O(w^2 m) right
-///    self-join reference built from the kernel's own rolling moments
-///    — dynamic entries within tolerance, flat entries exactly
-///    (distance AND neighbor for flat-flat pairs).
+///    the retained suffix must agree with a naive right self-join built
+///    from the kernel's own rolling moments — dynamic entries within
+///    tolerance, flat entries exactly (distance AND neighbor for
+///    flat-flat pairs).
 ::testing::AssertionResult ExpectStreamingMpxEquivalence(
     const std::vector<double>& series, std::size_t m,
     std::size_t buffer_cap);

@@ -1,14 +1,10 @@
 // SIMD-dispatch certification (`ctest -L simd`): every ISA tier the
 // host supports must produce, at every thread count,
 //
-//  * EXACT tier: bit-identical profiles across tiers — the variant TUs
-//    compile with -ffp-contract=off and keep each lane's operation
+//  * batch MPX joins: bit-identical profiles across tiers — the variant
+//    TUs compile with -ffp-contract=off and keep each lane's operation
 //    chain in the scalar order, so vectorization changes WHICH lanes
 //    run together, never what any lane computes;
-//  * FLOAT32 tier: bit-identical profiles across tiers WITHIN the
-//    tier, plus the tolerance contract against the double reference;
-//  * STOMP: bit-identical to the frozen reference under every tier
-//    (the hoisted row scan is pure elementwise arithmetic);
 //  * streaming MPX: bit-identical ring state and profiles across
 //    tiers, before and after eviction.
 //
@@ -18,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <thread>
 #include <vector>
 
@@ -30,14 +25,12 @@
 #include "common/series.h"
 #include "profile_equivalence.h"
 #include "substrates/matrix_profile.h"
-#include "substrates/mpx_kernel.h"
 #include "substrates/pan_profile.h"
 #include "substrates/streaming_mpx.h"
 
 namespace tsad {
 namespace {
 
-using testing::ExpectFloat32ProfileEquivalence;
 using testing::ExpectProfileEquivalence;
 
 // Restores auto-detection and the entry thread count on scope exit so
@@ -94,17 +87,19 @@ TEST(SimdDispatchTest, EveryTierMeetsTheEquivalenceContract) {
   DispatchGuard guard;
   // The kernel suite's certified adversarial construction (level-shift
   // flats inside an O(1) walk, m = 16) — the tolerance budget is for
-  // the ACCUMULATION-ORDER gap between MPX and STOMP, and cross-tier
-  // bit-identity (below) guarantees the forced tiers add nothing to
-  // it, so the contract must hold tier for tier.
+  // the ACCUMULATION-ORDER gap between MPX and the oracle, and
+  // cross-tier bit-identity (below) guarantees the forced tiers add
+  // nothing to it, so the contract must hold tier for tier.
   Series x = RandomWalk(1500, 42);
   for (std::size_t i = 200; i < 280; ++i) x[i] = 7.5;
   for (std::size_t i = 900; i < 1000; ++i) x[i] = 1.0e6;
+  const Result<MatrixProfile> oracle = testing::ComputeMatrixProfileNaive(x, 16);
+  ASSERT_TRUE(oracle.ok());
   for (const SimdTier tier : SupportedTiers()) {
     ASSERT_TRUE(SetSimdTierOverride(tier).ok()) << SimdTierName(tier);
     for (const std::size_t threads : ThreadCountsToTest()) {
       SetParallelThreads(threads);
-      EXPECT_TRUE(ExpectProfileEquivalence(x, 16))
+      EXPECT_TRUE(ExpectProfileEquivalence(x, 16, *oracle))
           << SimdTierName(tier) << " threads=" << threads;
     }
   }
@@ -116,75 +111,18 @@ TEST(SimdDispatchTest, ExactTierIsBitIdenticalAcrossIsaTiers) {
   const std::size_t m = 32;
   ASSERT_TRUE(SetSimdTierOverride(SimdTier::kScalar).ok());
   SetParallelThreads(1);
-  const Result<MatrixProfile> anchor = ComputeMatrixProfileMpx(x, m);
+  const Result<MatrixProfile> anchor = ComputeMatrixProfile(x, m);
   ASSERT_TRUE(anchor.ok());
   for (const SimdTier tier : SupportedTiers()) {
     ASSERT_TRUE(SetSimdTierOverride(tier).ok()) << SimdTierName(tier);
     for (const std::size_t threads : ThreadCountsToTest()) {
       SetParallelThreads(threads);
-      const Result<MatrixProfile> forced = ComputeMatrixProfileMpx(x, m);
+      const Result<MatrixProfile> forced = ComputeMatrixProfile(x, m);
       ASSERT_TRUE(forced.ok());
       EXPECT_EQ(forced->distances, anchor->distances)
           << SimdTierName(tier) << " threads=" << threads;
       EXPECT_EQ(forced->indices, anchor->indices)
           << SimdTierName(tier) << " threads=" << threads;
-    }
-  }
-}
-
-TEST(SimdDispatchTest, StompStaysBitIdenticalToReferenceUnderEveryTier) {
-  DispatchGuard guard;
-  const Series x = WalkWithFlats(1800, 62);
-  const std::size_t m = 48;
-  const Result<MatrixProfile> reference = ComputeMatrixProfileReference(x, m);
-  ASSERT_TRUE(reference.ok());
-  MatrixProfileOptions options;
-  options.kernel = MpKernel::kStomp;
-  for (const SimdTier tier : SupportedTiers()) {
-    ASSERT_TRUE(SetSimdTierOverride(tier).ok()) << SimdTierName(tier);
-    const Result<MatrixProfile> stomp = ComputeMatrixProfile(x, m, options);
-    ASSERT_TRUE(stomp.ok());
-    EXPECT_EQ(stomp->distances, reference->distances) << SimdTierName(tier);
-    EXPECT_EQ(stomp->indices, reference->indices) << SimdTierName(tier);
-  }
-}
-
-TEST(SimdDispatchTest, Float32TierIsBitIdenticalAcrossIsaTiers) {
-  DispatchGuard guard;
-  const Series x = RandomWalk(3000, 63);
-  const std::size_t m = 32;
-  const auto float_profile = [&] {
-    return ComputeMatrixProfileMpx(
-        x, m, std::numeric_limits<std::size_t>::max(), MpPrecision::kFloat32);
-  };
-  ASSERT_TRUE(SetSimdTierOverride(SimdTier::kScalar).ok());
-  SetParallelThreads(1);
-  const Result<MatrixProfile> anchor = float_profile();
-  ASSERT_TRUE(anchor.ok());
-  for (const SimdTier tier : SupportedTiers()) {
-    ASSERT_TRUE(SetSimdTierOverride(tier).ok()) << SimdTierName(tier);
-    for (const std::size_t threads : ThreadCountsToTest()) {
-      SetParallelThreads(threads);
-      const Result<MatrixProfile> forced = float_profile();
-      ASSERT_TRUE(forced.ok());
-      EXPECT_EQ(forced->distances, anchor->distances)
-          << SimdTierName(tier) << " threads=" << threads;
-      EXPECT_EQ(forced->indices, anchor->indices)
-          << SimdTierName(tier) << " threads=" << threads;
-    }
-  }
-}
-
-TEST(SimdDispatchTest, Float32ContractHoldsOnFamiliesUnderEveryTier) {
-  DispatchGuard guard;
-  const std::vector<testing::ProfileTestFamily> families =
-      testing::SimulatorFamilies();
-  ASSERT_EQ(families.size(), 7u);
-  for (const SimdTier tier : SupportedTiers()) {
-    ASSERT_TRUE(SetSimdTierOverride(tier).ok()) << SimdTierName(tier);
-    for (const testing::ProfileTestFamily& family : families) {
-      EXPECT_TRUE(ExpectFloat32ProfileEquivalence(family.values, family.m))
-          << family.name << " tier=" << SimdTierName(tier);
     }
   }
 }
@@ -198,13 +136,13 @@ TEST(SimdDispatchTest, AbJoinIsBitIdenticalAcrossIsaTiers) {
   const std::size_t m = 32;
   ASSERT_TRUE(SetSimdTierOverride(SimdTier::kScalar).ok());
   SetParallelThreads(1);
-  const Result<MatrixProfile> anchor = ComputeAbJoinMpx(query, reference, m);
+  const Result<MatrixProfile> anchor = ComputeAbJoin(query, reference, m);
   ASSERT_TRUE(anchor.ok());
   for (const SimdTier tier : SupportedTiers()) {
     ASSERT_TRUE(SetSimdTierOverride(tier).ok()) << SimdTierName(tier);
     for (const std::size_t threads : ThreadCountsToTest()) {
       SetParallelThreads(threads);
-      const Result<MatrixProfile> forced = ComputeAbJoinMpx(query, reference,
+      const Result<MatrixProfile> forced = ComputeAbJoin(query, reference,
                                                             m);
       ASSERT_TRUE(forced.ok());
       EXPECT_EQ(forced->distances, anchor->distances)
@@ -221,57 +159,17 @@ TEST(SimdDispatchTest, LeftProfileIsBitIdenticalAcrossIsaTiers) {
   const std::size_t m = 32;
   ASSERT_TRUE(SetSimdTierOverride(SimdTier::kScalar).ok());
   SetParallelThreads(1);
-  const Result<MatrixProfile> anchor = ComputeLeftMatrixProfileMpx(x, m);
+  const Result<MatrixProfile> anchor = ComputeLeftMatrixProfile(x, m);
   ASSERT_TRUE(anchor.ok());
   for (const SimdTier tier : SupportedTiers()) {
     ASSERT_TRUE(SetSimdTierOverride(tier).ok()) << SimdTierName(tier);
     for (const std::size_t threads : ThreadCountsToTest()) {
       SetParallelThreads(threads);
-      const Result<MatrixProfile> forced = ComputeLeftMatrixProfileMpx(x, m);
+      const Result<MatrixProfile> forced = ComputeLeftMatrixProfile(x, m);
       ASSERT_TRUE(forced.ok());
       EXPECT_EQ(forced->distances, anchor->distances)
           << SimdTierName(tier) << " threads=" << threads;
       EXPECT_EQ(forced->indices, anchor->indices)
-          << SimdTierName(tier) << " threads=" << threads;
-    }
-  }
-}
-
-TEST(SimdDispatchTest, Float32CrossKernelsAreBitIdenticalAcrossIsaTiers) {
-  DispatchGuard guard;
-  // The float32 cross path runs the SHARED scalar ranges at every tier
-  // (no per-tier vector variants — see MpxCrossBlockF32Args), so
-  // cross-tier identity is trivially exact; this pins the promise.
-  const Series query = RandomWalk(1200, 68);
-  const Series reference = RandomWalk(1500, 69);
-  const std::size_t m = 32;
-  ASSERT_TRUE(SetSimdTierOverride(SimdTier::kScalar).ok());
-  SetParallelThreads(1);
-  const Result<MatrixProfile> ab_anchor =
-      ComputeAbJoinMpx(query, reference, m, MpPrecision::kFloat32);
-  const Result<MatrixProfile> left_anchor = ComputeLeftMatrixProfileMpx(
-      query, m, std::numeric_limits<std::size_t>::max(),
-      MpPrecision::kFloat32);
-  ASSERT_TRUE(ab_anchor.ok());
-  ASSERT_TRUE(left_anchor.ok());
-  for (const SimdTier tier : SupportedTiers()) {
-    ASSERT_TRUE(SetSimdTierOverride(tier).ok()) << SimdTierName(tier);
-    for (const std::size_t threads : ThreadCountsToTest()) {
-      SetParallelThreads(threads);
-      const Result<MatrixProfile> ab =
-          ComputeAbJoinMpx(query, reference, m, MpPrecision::kFloat32);
-      const Result<MatrixProfile> left = ComputeLeftMatrixProfileMpx(
-          query, m, std::numeric_limits<std::size_t>::max(),
-          MpPrecision::kFloat32);
-      ASSERT_TRUE(ab.ok());
-      ASSERT_TRUE(left.ok());
-      EXPECT_EQ(ab->distances, ab_anchor->distances)
-          << SimdTierName(tier) << " threads=" << threads;
-      EXPECT_EQ(ab->indices, ab_anchor->indices)
-          << SimdTierName(tier) << " threads=" << threads;
-      EXPECT_EQ(left->distances, left_anchor->distances)
-          << SimdTierName(tier) << " threads=" << threads;
-      EXPECT_EQ(left->indices, left_anchor->indices)
           << SimdTierName(tier) << " threads=" << threads;
     }
   }
@@ -288,8 +186,8 @@ TEST(SimdDispatchTest, StreamingMpxIsBitIdenticalAcrossIsaTiers) {
   ASSERT_TRUE(StreamingMpx::Validate(config).ok());
 
   struct Snapshot {
-    std::vector<double> merged_d, right_d;
-    std::vector<std::size_t> merged_j, right_j;
+    std::vector<double> merged_d, right_d, left_d;
+    std::vector<std::size_t> merged_j, right_j, left_j;
     std::size_t evictions = 0;
   };
   const auto run = [&] {
@@ -300,10 +198,13 @@ TEST(SimdDispatchTest, StreamingMpxIsBitIdenticalAcrossIsaTiers) {
     for (std::size_t i = 0; i < kernel.num_subsequences(); ++i) {
       const StreamingMpx::Entry merged = kernel.Merged(i);
       const StreamingMpx::Entry right = kernel.Right(i);
+      const StreamingMpx::Entry left = kernel.Left(i);
       snap.merged_d.push_back(merged.distance);
       snap.merged_j.push_back(merged.neighbor);
       snap.right_d.push_back(right.distance);
       snap.right_j.push_back(right.neighbor);
+      snap.left_d.push_back(left.distance);
+      snap.left_j.push_back(left.neighbor);
     }
     return snap;
   };
@@ -319,6 +220,8 @@ TEST(SimdDispatchTest, StreamingMpxIsBitIdenticalAcrossIsaTiers) {
     EXPECT_EQ(forced.merged_j, anchor.merged_j) << SimdTierName(tier);
     EXPECT_EQ(forced.right_d, anchor.right_d) << SimdTierName(tier);
     EXPECT_EQ(forced.right_j, anchor.right_j) << SimdTierName(tier);
+    EXPECT_EQ(forced.left_d, anchor.left_d) << SimdTierName(tier);
+    EXPECT_EQ(forced.left_j, anchor.left_j) << SimdTierName(tier);
   }
 }
 

@@ -82,6 +82,21 @@ TEST(StreamingMpxTest, ValidateRejectsDegenerateConfigs) {
   config.m = 16;
   config.buffer_cap = 64;
   EXPECT_TRUE(StreamingMpx::Validate(config).ok());
+
+  // buffer_cap = 0 is the no-eviction mode: any exclusion is fine (the
+  // first entries simply have no neighbor yet), the other rules hold.
+  config = {};
+  config.m = 16;
+  config.buffer_cap = 0;
+  EXPECT_TRUE(StreamingMpx::Validate(config).ok());
+  config.exclusion = 40;
+  EXPECT_TRUE(StreamingMpx::Validate(config).ok());
+  config.band = 8;
+  EXPECT_FALSE(StreamingMpx::Validate(config).ok());
+  config = {};
+  config.m = 1;
+  config.buffer_cap = 0;
+  EXPECT_FALSE(StreamingMpx::Validate(config).ok());
 }
 
 // The acceptance bound of the subsystem: a 4096-point ring buffer must
@@ -280,6 +295,158 @@ TEST(StreamingMpxTest, DeserializeRejectsMismatchedConfig) {
   const Status status = wrong.Deserialize(&reader);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("mismatch"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The left side without eviction (buffer_cap = 0): the causal profile
+// streaming discord scores from.
+
+StreamingMpxConfig Unbounded(std::size_t m) {
+  StreamingMpxConfig config;
+  config.m = m;
+  config.buffer_cap = 0;
+  return config;
+}
+
+TEST(StreamingMpxLeftTest, EmitsNothingUntilFirstWindowCompletes) {
+  StreamingMpx kernel(Unbounded(8));
+  for (std::size_t i = 0; i < 7; ++i) {
+    kernel.Push(static_cast<double>(i));
+    EXPECT_EQ(kernel.num_subsequences(), 0u);
+  }
+  kernel.Push(7.0);
+  ASSERT_EQ(kernel.num_subsequences(), 1u);
+  const StreamingMpx::Entry entry = kernel.Left(0);
+  EXPECT_FALSE(std::isfinite(entry.distance));  // no past neighbor yet
+  EXPECT_EQ(entry.neighbor, kNoNeighbor);
+}
+
+TEST(StreamingMpxLeftTest, FirstExclusionPlusOneEntriesHaveNoNeighbor) {
+  const Series x = RandomWalk(300, 11);
+  StreamingMpx kernel(Unbounded(20));
+  for (const double v : x) kernel.Push(v);
+  const std::size_t exclusion = kernel.config().exclusion;
+  ASSERT_EQ(exclusion, 10u);
+  for (std::size_t i = 0; i <= exclusion; ++i) {
+    EXPECT_FALSE(std::isfinite(kernel.Left(i).distance)) << "i=" << i;
+    EXPECT_EQ(kernel.Left(i).neighbor, kNoNeighbor) << "i=" << i;
+  }
+  EXPECT_TRUE(std::isfinite(kernel.Left(exclusion + 1).distance));
+  EXPECT_EQ(kernel.Left(exclusion + 1).neighbor, 0u);
+}
+
+TEST(StreamingMpxLeftTest, FlatRegionsUseScampConvention) {
+  // A dynamic prelude, then a flat run: the run's first window has only
+  // dynamic history (sqrt(2m)); once a flat window is past the
+  // exclusion zone, later flat windows sit at 0 from the LOWEST one.
+  Series x;
+  for (int i = 0; i < 40; ++i) x.push_back(std::sin(0.7 * i));
+  for (int i = 0; i < 40; ++i) x.push_back(1.0);
+  const std::size_t m = 8;
+  StreamingMpx kernel(Unbounded(m));
+  for (const double v : x) kernel.Push(v);
+  const std::size_t exclusion = kernel.config().exclusion;
+  const std::size_t first_flat = 40;
+  ASSERT_TRUE(kernel.IsFlatAt(first_flat));
+  EXPECT_EQ(kernel.Left(first_flat).distance,
+            std::sqrt(2.0 * static_cast<double>(m)));
+  for (std::size_t i = first_flat + exclusion + 1; i < kernel.num_subsequences();
+       ++i) {
+    EXPECT_EQ(kernel.Left(i).distance, 0.0) << "i=" << i;
+    EXPECT_EQ(kernel.Left(i).neighbor, first_flat) << "i=" << i;
+  }
+  // A dynamic window is scored against its dynamic neighbors: positive
+  // and finite.
+  const std::size_t dynamic = first_flat - m;
+  ASSERT_FALSE(kernel.IsFlatAt(dynamic));
+  EXPECT_TRUE(std::isfinite(kernel.Left(dynamic).distance));
+  EXPECT_GT(kernel.Left(dynamic).distance, 0.0);
+}
+
+TEST(StreamingMpxLeftTest, AgreesWithBatchLeftProfile) {
+  // The harness checks Left() against ComputeLeftMatrixProfile (and
+  // Merged() against ComputeMatrixProfile) under the tolerance
+  // contract; flat runs cover the SCAMP entries exactly.
+  Series x = RandomWalk(1500, 12);
+  for (std::size_t i = 200; i < 280; ++i) x[i] = 7.5;
+  for (std::size_t i = 900; i < 1000; ++i) x[i] = 1.0e6;
+  for (const std::size_t m : {16u, 24u}) {
+    EXPECT_TRUE(ExpectStreamingMpxEquivalence(x, m, 0)) << "m=" << m;
+  }
+}
+
+TEST(StreamingMpxLeftTest, LeftIsDeterministicGivenPrefix) {
+  // Causal by construction: the left entry finalized at time t cannot
+  // depend on later pushes. Feed two kernels different suffixes and
+  // compare their common prefix bitwise.
+  const Series x = RandomWalk(300, 13);
+  StreamingMpx a(Unbounded(16)), b(Unbounded(16));
+  for (std::size_t i = 0; i < 200; ++i) {
+    a.Push(x[i]);
+    b.Push(x[i]);
+  }
+  const std::size_t prefix = a.num_subsequences();
+  for (std::size_t i = 200; i < 300; ++i) {
+    a.Push(x[i]);
+    b.Push(-x[i]);  // divergent future
+  }
+  for (std::size_t i = 0; i < prefix; ++i) {
+    EXPECT_EQ(a.Left(i).distance, b.Left(i).distance) << "i=" << i;
+    EXPECT_EQ(a.Left(i).neighbor, b.Left(i).neighbor) << "i=" << i;
+  }
+}
+
+TEST(StreamingMpxLeftTest, SerializeRestoreContinuesBitIdentically) {
+  const Series x = RandomWalk(400, 14);
+  const StreamingMpxConfig config = Unbounded(20);
+  StreamingMpx uninterrupted(config);
+  for (const double v : x) uninterrupted.Push(v);
+
+  // Cut before the first window completes, right at it, and mid-stream.
+  for (const std::size_t cut : {5u, 20u, 200u, 399u}) {
+    StreamingMpx first(config);
+    for (std::size_t t = 0; t < cut; ++t) first.Push(x[t]);
+    ByteWriter writer;
+    first.Serialize(&writer);
+    StreamingMpx second(config);
+    ByteReader reader(writer.str());
+    ASSERT_TRUE(second.Deserialize(&reader).ok()) << "cut=" << cut;
+    ASSERT_TRUE(reader.ExpectDone().ok()) << "cut=" << cut;
+    for (std::size_t t = cut; t < x.size(); ++t) second.Push(x[t]);
+
+    ASSERT_EQ(second.num_subsequences(), uninterrupted.num_subsequences());
+    for (std::size_t i = 0; i < second.num_subsequences(); ++i) {
+      const StreamingMpx::Entry a = second.Left(i);
+      const StreamingMpx::Entry b = uninterrupted.Left(i);
+      ASSERT_EQ(a.distance, b.distance) << "cut=" << cut << " entry " << i;
+      ASSERT_EQ(a.neighbor, b.neighbor) << "cut=" << cut << " entry " << i;
+    }
+  }
+}
+
+TEST(StreamingMpxLeftTest, DeserializeRejectsMismatchedGeometry) {
+  StreamingMpx kernel(Unbounded(16));
+  for (int i = 0; i < 50; ++i) kernel.Push(static_cast<double>(i % 7));
+  ByteWriter writer;
+  kernel.Serialize(&writer);
+
+  StreamingMpx wrong_m(Unbounded(32));
+  ByteReader reader(writer.str());
+  EXPECT_EQ(wrong_m.Deserialize(&reader).code(), StatusCode::kInvalidArgument);
+
+  StreamingMpxConfig exclusion3 = Unbounded(16);
+  exclusion3.exclusion = 3;
+  StreamingMpx wrong_exclusion(exclusion3);
+  ByteReader reader2(writer.str());
+  EXPECT_EQ(wrong_exclusion.Deserialize(&reader2).code(),
+            StatusCode::kInvalidArgument);
+
+  StreamingMpxConfig bounded = Unbounded(16);
+  bounded.buffer_cap = 64;
+  StreamingMpx wrong_buffer(bounded);
+  ByteReader reader3(writer.str());
+  EXPECT_EQ(wrong_buffer.Deserialize(&reader3).code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -63,8 +63,8 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   (cd "${repo_root}/build-sanitize" && ctest --output-on-failure -L floss)
 
   # SIMD dispatch suite under ASan+UBSan: every supported ISA tier's
-  # strip buffers, partial-group tails and unaligned track loads, plus
-  # the float32 tier, forced one tier at a time on the same build.
+  # strip buffers, partial-group tails and unaligned track loads,
+  # forced one tier at a time on the same build.
   echo "==> SIMD dispatch suite under ASan+UBSan (ctest -L simd)"
   (cd "${repo_root}/build-sanitize" && ctest --output-on-failure -L simd)
 
@@ -74,33 +74,31 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   echo "==> pan-profile suite under ASan+UBSan (ctest -L panprofile)"
   (cd "${repo_root}/build-sanitize" && ctest --output-on-failure -L panprofile)
 
-  # TSan pass: the parallel layer, the serving engine, and the kernel
-  # caches (the shared FFT plan cache plus SlidingDotPlan handed to
-  # concurrent STOMP block workers) are the thread-touching subsystems,
-  # so build just their test binaries (examples/tools off; benches stay
-  # configured for the chaos harness below) and run the corresponding
-  # suites — determinism, error containment, deadline propagation,
-  # concurrent producers, concurrent planned queries — under the race
-  # detector. (The ASan+UBSan pass above already runs the planned-FFT
-  # tests and the chaos smoke via the full suite.)
+  # TSan pass: the parallel layer, the serving engine and the MPX tile
+  # workers are the thread-touching subsystems, so build just their
+  # test binaries (examples/tools off; benches stay configured for the
+  # chaos harness below) and run the corresponding suites —
+  # determinism, error containment, deadline propagation, concurrent
+  # producers — under the race detector. (The ASan+UBSan pass above
+  # already runs the chaos smoke via the full suite.)
   tsan_dir="${repo_root}/build-tsan"
   echo "==> configuring ${tsan_dir} (TSAD_SANITIZE=thread)"
   cmake -B "${tsan_dir}" -S "${repo_root}" \
     -DTSAD_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTSAD_BUILD_EXAMPLES=OFF -DTSAD_BUILD_TOOLS=OFF
   echo "==> building ${tsan_dir} (parallel_test serving_engine_test" \
-       "fft_test matrix_profile_test mpx_kernel_test streaming_mpx_test" \
+       "matrix_profile_test mpx_kernel_test streaming_mpx_test" \
        "floss_test bench_chaos_serving)"
   cmake --build "${tsan_dir}" -j "${jobs}" \
-    --target parallel_test serving_engine_test fft_test \
+    --target parallel_test serving_engine_test \
              matrix_profile_test mpx_kernel_test streaming_mpx_test \
              simd_dispatch_test cpu_features_test \
              pan_profile_test join_kernels_test \
              floss_test bench_chaos_serving
-  echo "==> testing ${tsan_dir} (Parallel* + ShardedEngine* + kernel caches" \
-       "+ MPX diagonal kernel)"
+  echo "==> testing ${tsan_dir} (Parallel* + ShardedEngine* + MPX" \
+       "diagonal kernel)"
   (cd "${tsan_dir}" && ctest --output-on-failure \
-    -R 'Parallel|ShardedEngine|FftPlan|SlidingDotPlan|MatrixProfileTest|MpxKernel')
+    -R 'Parallel|ShardedEngine|MatrixProfileTest|MpxKernel')
   # The floss serving tests drive the engine's quarantine/recovery and
   # per-type memory rollup from floss streams; run the whole label so
   # the equivalence harness's thread sweep also executes under TSan.

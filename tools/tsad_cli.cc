@@ -80,9 +80,7 @@ struct Args {
   std::string detectors;  // robustness: comma-separated spec list
   std::string report;     // audit: optional markdown report path
   std::size_t threads = 0;  // parallel pool size; 0 = env/hardware
-  std::string mp_kernel;    // matrix-profile kernel: auto|stomp|mpx
   std::string mp_isa;       // forced SIMD tier: auto|scalar|sse2|avx2|avx512
-  std::string mp_precision;  // MPX precision tier: auto|exact|float32
   std::size_t floss_buffer = 0;  // floss ring-buffer default; 0 = keep 4096
   // panprofile:
   std::size_t min_length = 48;  // smallest swept subsequence length
@@ -128,12 +126,8 @@ Result<Args> ParseArgs(int argc, char** argv) {
       args.report = argv[++i];
     } else if (arg == "--threads" && has_value) {
       args.threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--mp-kernel" && has_value) {
-      args.mp_kernel = argv[++i];
     } else if (arg == "--mp-isa" && has_value) {
       args.mp_isa = argv[++i];
-    } else if (arg == "--mp-precision" && has_value) {
-      args.mp_precision = argv[++i];
     } else if (arg == "--floss-buffer" && has_value) {
       args.floss_buffer = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--min-length" && has_value) {
@@ -206,17 +200,10 @@ int Usage() {
       "global flags:\n"
       "  --threads N   parallel pool size (default: TSAD_THREADS env,\n"
       "                then hardware concurrency; 1 = serial)\n"
-      "  --mp-kernel K matrix-profile self-join kernel: auto (default,\n"
-      "                size-dispatched), stomp, or mpx\n"
       "  --mp-isa T    force the matrix-profile SIMD tier: auto (default,\n"
       "                detected via CPUID), scalar, sse2, avx2, or avx512;\n"
       "                a tier the host cannot run is an error, never a\n"
       "                silent downgrade (TSAD_MP_ISA env equivalent)\n"
-      "  --mp-precision P\n"
-      "                MPX numerics tier: auto (default), exact (double,\n"
-      "                bit-identical across ISA tiers), or float32 (MPX\n"
-      "                only; tolerance-certified, rejects --mp-kernel\n"
-      "                stomp) (TSAD_MP_PRECISION env equivalent)\n"
       "  --floss-buffer N\n"
       "                default ring-buffer capacity (points) for floss\n"
       "                specs without an explicit :<buffer> (default 4096)\n");
@@ -705,22 +692,12 @@ int main(int argc, char** argv) {
     return Usage();
   }
   if (args->threads > 0) SetParallelThreads(args->threads);
-  // Consume the TSAD_MP_ISA / TSAD_MP_PRECISION environment eagerly so
-  // an invalid value is a clean error here instead of an abort inside
-  // the first profile call. Explicit flags below still beat the env.
-  for (const Status& env : {ApplySimdTierEnv(), ApplyMpPrecisionEnv()}) {
-    if (!env.ok()) {
-      std::printf("%s\n", env.ToString().c_str());
-      return 1;
-    }
-  }
-  if (!args->mp_kernel.empty()) {
-    const Result<MpKernel> kernel = ParseMpKernel(args->mp_kernel);
-    if (!kernel.ok()) {
-      std::printf("%s\n", kernel.status().ToString().c_str());
-      return Usage();
-    }
-    SetMpKernelOverride(*kernel);
+  // Consume the TSAD_MP_ISA environment eagerly so an invalid value is
+  // a clean error here instead of an abort inside the first profile
+  // call. The explicit flag below still beats the env.
+  if (const Status env = ApplySimdTierEnv(); !env.ok()) {
+    std::printf("%s\n", env.ToString().c_str());
+    return 1;
   }
   if (!args->mp_isa.empty()) {
     const Result<SimdTierRequest> request = ParseSimdTier(args->mp_isa);
@@ -737,24 +714,6 @@ int main(int argc, char** argv) {
     } else {
       ClearSimdTierOverride();
     }
-  }
-  if (!args->mp_precision.empty()) {
-    const Result<MpPrecision> precision = ParseMpPrecision(args->mp_precision);
-    if (!precision.ok()) {
-      std::printf("%s\n", precision.status().ToString().c_str());
-      return Usage();
-    }
-    // The contradictory pairing is rejected up front with the same
-    // message the library would raise per profile call.
-    if (*precision == MpPrecision::kFloat32 && !args->mp_kernel.empty() &&
-        ParseMpKernel(args->mp_kernel).value_or(MpKernel::kAuto) ==
-            MpKernel::kStomp) {
-      std::printf(
-          "float32 precision requires the mpx kernel (STOMP has no float "
-          "tier); use --mp-kernel mpx or auto\n");
-      return 1;
-    }
-    SetMpPrecisionOverride(*precision);
   }
   if (args->floss_buffer > 0) SetDefaultFlossBufferCap(args->floss_buffer);
   if (command == "generate") return CmdGenerate(*args);
