@@ -1,6 +1,7 @@
 #include "datasets/domains.h"
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,10 @@ struct DomainCase {
   const char* name;
   DomainGenerator make;
 };
+
+// Without this gtest prints the raw bytes of the two pointers, so the
+// registered ctest names would change with every build's load address.
+void PrintTo(const DomainCase& c, std::ostream* os) { *os << c.name; }
 
 class DomainSignalTest : public ::testing::TestWithParam<DomainCase> {};
 
