@@ -1,9 +1,12 @@
 // Performance benchmark for the multi-stream serving engine: fans a
 // synthetic series out to many streams running the streaming-discord
 // adapter (the heaviest online detector) and measures replay throughput
-// at 1 thread versus the resolved thread count. Writes the pair plus
-// the p99 pump latency to BENCH_perf_serving.json — the machine-readable
-// record CI archives to track the sharded engine's scaling.
+// at 1 thread versus the resolved thread count, then runs a bounded-
+// memory FLOSS fleet at 5k, 20k and 50k streams (the fleet envelope:
+// points/s, bytes per stream, peak bytes and microseconds per
+// FinishStream at each size). Writes both to BENCH_perf_serving.json —
+// the machine-readable record CI archives to track the sharded engine's
+// scaling.
 //
 // The one-thread and N-thread runs verify byte-identity against the
 // batch detector first (the serving contract), then the timed runs skip
@@ -65,18 +68,44 @@ std::size_t ProbeFootprint(const std::string& spec, std::size_t points) {
   return (*probe)->MemoryFootprint();
 }
 
+bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+std::vector<double> BatchScores(const std::string& spec,
+                                const tsad::Series& series) {
+  tsad::Result<std::unique_ptr<tsad::AnomalyDetector>> batch =
+      tsad::MakeDetector(spec);
+  tsad::Result<std::vector<double>> scores =
+      batch.ok() ? (*batch)->Score(series, 0)
+                 : tsad::Result<std::vector<double>>(batch.status());
+  if (!scores.ok()) {
+    std::printf("FAILED: batch %s: %s\n", spec.c_str(),
+                scores.status().ToString().c_str());
+    std::exit(1);
+  }
+  return *scores;
+}
+
 // Mixed fleet under a fixed memory budget: `floss_streams` bounded-ring
 // FLOSS streams plus a z-score control group, with the budget sized
 // from the probed per-stream footprints. Because the floss footprint is
 // CONSTANT (the ring is reserved at construction), the projection is
 // exact and the fleet must finish with zero cold evictions — a fleet of
 // unbounded left-profile streams at this scale would blow any fixed
-// budget and churn. Returns points/sec over push + pump.
+// budget and churn. Every stream is then finished and checked against
+// the batch detector; FinishStream is timed per call, so the envelope
+// shows whether finishing one stream costs more in a bigger fleet.
 struct FleetResult {
-  double points_per_sec = 0.0;
-  std::size_t floss_bytes_per_stream = 0;
+  std::size_t floss_streams = 0;
+  std::size_t control_streams = 0;
+  double points_per_sec = 0.0;             // over push + pump
+  std::size_t floss_bytes_per_stream = 0;  // the engine's floss rollup
   std::size_t budget_bytes = 0;
   std::size_t peak_bytes = 0;
+  double finish_us = 0.0;                  // mean wall time per FinishStream
 };
 
 FleetResult RunFlossFleet(std::size_t floss_streams, std::size_t points,
@@ -95,18 +124,16 @@ FleetResult RunFlossFleet(std::size_t floss_streams, std::size_t points,
   config.memory_budget_bytes =
       (floss_fp * floss_streams + control_fp * control_streams) * 51 / 50;
 
-  tsad::ShardedEngine engine(config);
+  std::vector<std::pair<std::string, const std::string*>> fleet;
   for (std::size_t s = 0; s < floss_streams; ++s) {
-    const tsad::Status added =
-        engine.AddStream("floss-" + std::to_string(s), floss_spec, 0);
-    if (!added.ok()) {
-      std::printf("AddStream: %s\n", added.ToString().c_str());
-      std::exit(1);
-    }
+    fleet.emplace_back("floss-" + std::to_string(s), &floss_spec);
   }
   for (std::size_t s = 0; s < control_streams; ++s) {
-    const tsad::Status added =
-        engine.AddStream("control-" + std::to_string(s), control_spec, 0);
+    fleet.emplace_back("control-" + std::to_string(s), &control_spec);
+  }
+  tsad::ShardedEngine engine(config);
+  for (const auto& [id, spec] : fleet) {
+    const tsad::Status added = engine.AddStream(id, *spec, 0);
     if (!added.ok()) {
       std::printf("AddStream: %s\n", added.ToString().c_str());
       std::exit(1);
@@ -117,20 +144,10 @@ FleetResult RunFlossFleet(std::size_t floss_streams, std::size_t points,
   std::size_t peak = 0;
   for (std::size_t t0 = 0; t0 < points; t0 += 128) {
     const std::size_t t1 = std::min(points, t0 + 128);
-    for (std::size_t s = 0; s < floss_streams; ++s) {
-      const std::string id = "floss-" + std::to_string(s);
+    for (const auto& [id, spec] : fleet) {
       for (std::size_t t = t0; t < t1; ++t) {
         if (!engine.Push(id, series[t]).ok()) {
-          std::printf("FAILED: floss fleet push rejected\n");
-          std::exit(1);
-        }
-      }
-    }
-    for (std::size_t s = 0; s < control_streams; ++s) {
-      const std::string id = "control-" + std::to_string(s);
-      for (std::size_t t = t0; t < t1; ++t) {
-        if (!engine.Push(id, series[t]).ok()) {
-          std::printf("FAILED: control fleet push rejected\n");
+          std::printf("FAILED: fleet push rejected for %s\n", id.c_str());
           std::exit(1);
         }
       }
@@ -164,29 +181,39 @@ FleetResult RunFlossFleet(std::size_t floss_streams, std::size_t points,
     std::exit(1);
   }
 
-  // Spot-check the serving contract on one fleet member.
-  tsad::Result<std::vector<double>> online = engine.FinishStream("floss-0");
-  tsad::Result<std::unique_ptr<tsad::AnomalyDetector>> batch =
-      tsad::MakeDetector(floss_spec);
+  // Finish every stream. All of them saw the same series, so each
+  // spec's batch Score is the reference for every stream of that spec.
   const tsad::Series head(series.begin(),
                           series.begin() + static_cast<std::ptrdiff_t>(points));
-  tsad::Result<std::vector<double>> expected =
-      batch.ok() ? (*batch)->Score(head, 0)
-                 : tsad::Result<std::vector<double>>(batch.status());
-  if (!online.ok() || !expected.ok() || online->size() != expected->size() ||
-      std::memcmp(online->data(), expected->data(),
-                  online->size() * sizeof(double)) != 0) {
-    std::printf("FAILED: fleet floss stream diverged from batch\n");
-    std::exit(1);
+  const std::vector<double> floss_expected = BatchScores(floss_spec, head);
+  const std::vector<double> control_expected =
+      BatchScores(control_spec, head);
+  double finish_seconds = 0.0;
+  for (const auto& [id, spec] : fleet) {
+    const auto call = std::chrono::steady_clock::now();
+    tsad::Result<std::vector<double>> online = engine.FinishStream(id);
+    finish_seconds += std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - call)
+                          .count();
+    if (!online.ok() ||
+        !BitEqual(*online,
+                  spec == &floss_spec ? floss_expected : control_expected)) {
+      std::printf("FAILED: fleet stream %s diverged from batch\n",
+                  id.c_str());
+      std::exit(1);
+    }
   }
 
   FleetResult result;
-  const std::size_t total = (floss_streams + control_streams) * points;
+  result.floss_streams = floss_streams;
+  result.control_streams = control_streams;
   result.points_per_sec =
-      seconds > 0.0 ? static_cast<double>(total) / seconds : 0.0;
-  result.floss_bytes_per_stream = floss_fp;
+      seconds > 0.0 ? static_cast<double>(fleet.size() * points) / seconds
+                    : 0.0;
+  result.floss_bytes_per_stream = floss_it->second.bytes / floss_streams;
   result.budget_bytes = config.memory_budget_bytes;
   result.peak_bytes = peak;
+  result.finish_us = finish_seconds * 1e6 / static_cast<double>(fleet.size());
   return result;
 }
 
@@ -259,17 +286,27 @@ int main(int argc, char** argv) {
               parallel.p99_pump_seconds * 1e3);
   std::printf("  speedup  : %.2fx\n", speedup);
 
-  // Bounded-memory floss fleet: the scale the ring buffer exists for.
-  const std::size_t fleet_streams = smoke ? 200 : 5000;
+  // Bounded-memory floss fleet: the scale the ring buffer exists for,
+  // at three sizes spanning 10x (the envelope), or one miniature.
+  const std::vector<std::size_t> fleet_sizes =
+      smoke ? std::vector<std::size_t>{200}
+            : std::vector<std::size_t>{5000, 20000, 50000};
   const std::size_t fleet_points = smoke ? 96 : 384;
   const tsad::Series fleet_series = SyntheticTelemetry(fleet_points, 3);
-  const FleetResult fleet =
-      RunFlossFleet(fleet_streams, fleet_points, fleet_series);
-  std::printf("floss fleet: %zu streams x %zu points under %zu B budget\n",
-              fleet_streams, fleet_points, fleet.budget_bytes);
-  std::printf("  %9.0f points/s, %zu B/stream (peak %zu B, 0 evictions)\n",
-              fleet.points_per_sec, fleet.floss_bytes_per_stream,
-              fleet.peak_bytes);
+  std::printf("floss fleet envelope: floss:32:256 + zscore:w=64 controls, "
+              "%zu points/stream, budget all-hot + 2%%, 0 evictions\n",
+              fleet_points);
+  std::printf("  %7s %8s %10s %9s %11s %11s\n", "streams", "controls",
+              "points/s", "B/stream", "peak B", "us/finish");
+  std::vector<FleetResult> fleets;
+  for (std::size_t streams : fleet_sizes) {
+    fleets.push_back(RunFlossFleet(streams, fleet_points, fleet_series));
+    const FleetResult& fleet = fleets.back();
+    std::printf("  %7zu %8zu %10.0f %9zu %11zu %11.2f\n",
+                fleet.floss_streams, fleet.control_streams,
+                fleet.points_per_sec, fleet.floss_bytes_per_stream,
+                fleet.peak_bytes, fleet.finish_us);
+  }
   // Contrast with the unbounded streaming-discord kernel the fleet
   // replaces: it keeps the whole stream, so its footprint grows with
   // every point.
@@ -282,24 +319,32 @@ int main(int argc, char** argv) {
               streaming_bytes_per_point, streaming_points);
 
   if (smoke) return 0;
+  std::vector<std::pair<std::string, double>> fields = {
+      {"streams", static_cast<double>(options.num_streams)},
+      {"points", static_cast<double>(serial.points)},
+      {"points_per_sec_1t", serial.points_per_sec},
+      {"points_per_sec_nt", parallel.points_per_sec},
+      {"p99_pump_ms_1t", serial.p99_pump_seconds * 1e3},
+      {"p99_pump_ms_nt", parallel.p99_pump_seconds * 1e3},
+      {"speedup", speedup},
+      {"threads", static_cast<double>(threads)},
+      {"streaming_bytes_per_point", streaming_bytes_per_point}};
+  for (const FleetResult& fleet : fleets) {
+    const std::string key =
+        "floss_fleet_" + std::to_string(fleet.floss_streams) + "_";
+    fields.emplace_back(key + "control_streams",
+                        static_cast<double>(fleet.control_streams));
+    fields.emplace_back(key + "points_per_sec", fleet.points_per_sec);
+    fields.emplace_back(key + "bytes_per_stream",
+                        static_cast<double>(fleet.floss_bytes_per_stream));
+    fields.emplace_back(key + "budget_bytes",
+                        static_cast<double>(fleet.budget_bytes));
+    fields.emplace_back(key + "peak_bytes",
+                        static_cast<double>(fleet.peak_bytes));
+    fields.emplace_back(key + "finish_us", fleet.finish_us);
+  }
   tsad::bench::WriteBenchJson(
-      "perf_serving",
-      {{"streams", static_cast<double>(options.num_streams)},
-       {"points", static_cast<double>(serial.points)},
-       {"points_per_sec_1t", serial.points_per_sec},
-       {"points_per_sec_nt", parallel.points_per_sec},
-       {"p99_pump_ms_1t", serial.p99_pump_seconds * 1e3},
-       {"p99_pump_ms_nt", parallel.p99_pump_seconds * 1e3},
-       {"speedup", speedup},
-       {"threads", static_cast<double>(threads)},
-       {"floss_fleet_streams", static_cast<double>(fleet_streams)},
-       {"floss_fleet_points_per_sec", fleet.points_per_sec},
-       {"floss_bytes_per_stream",
-        static_cast<double>(fleet.floss_bytes_per_stream)},
-       {"floss_fleet_budget_bytes",
-        static_cast<double>(fleet.budget_bytes)},
-       {"floss_fleet_peak_bytes", static_cast<double>(fleet.peak_bytes)},
-       {"streaming_bytes_per_point", streaming_bytes_per_point}},
+      "perf_serving", fields,
       {{"mp_isa", tsad::SimdTierName(tsad::ActiveSimdTier())},
        {"mp_isa_detected", tsad::SimdTierName(tsad::DetectSimdTier())}});
   return 0;

@@ -87,12 +87,20 @@ Status ByteReader::GetString(std::string* s) {
   return Status::OK();
 }
 
+Status ByteReader::GetCount(std::size_t entry_bytes, std::uint64_t* n) {
+  TSAD_RETURN_IF_ERROR(GetU64(n));
+  if (*n > remaining() / entry_bytes) {  // overflow-safe capacity check
+    return Status::OutOfRange(
+        "snapshot truncated (" + std::to_string(*n) + " entries of " +
+        std::to_string(entry_bytes) + " bytes, " +
+        std::to_string(remaining()) + " bytes left)");
+  }
+  return Status::OK();
+}
+
 Status ByteReader::GetDoubles(std::vector<double>* v) {
   std::uint64_t n;
-  TSAD_RETURN_IF_ERROR(GetU64(&n));
-  if (n > remaining() / 8) {  // overflow-safe capacity check
-    return Status::OutOfRange("snapshot truncated (double array)");
-  }
+  TSAD_RETURN_IF_ERROR(GetCount(8, &n));
   v->clear();
   v->reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -105,10 +113,7 @@ Status ByteReader::GetDoubles(std::vector<double>* v) {
 
 Status ByteReader::GetLongDoubles(std::vector<long double>* v) {
   std::uint64_t n;
-  TSAD_RETURN_IF_ERROR(GetU64(&n));
-  if (n > remaining() / 16) {  // overflow-safe capacity check
-    return Status::OutOfRange("snapshot truncated (long double array)");
-  }
+  TSAD_RETURN_IF_ERROR(GetCount(16, &n));
   v->clear();
   v->reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {

@@ -59,6 +59,12 @@ class ByteReader {
   Status GetDoubles(std::vector<double>* v);
   Status GetLongDoubles(std::vector<long double>* v);
 
+  /// Reads the element count of an array whose entries take
+  /// `entry_bytes` each, and returns OutOfRange when the unread bytes
+  /// cannot hold that many — so a corrupted count fails here instead
+  /// of reserving an absurd allocation. Use before every reserve().
+  Status GetCount(std::size_t entry_bytes, std::uint64_t* n);
+
   /// Bytes not yet consumed.
   std::size_t remaining() const { return buf_.size() - pos_; }
 

@@ -74,8 +74,13 @@ struct ShardedEngine::StreamState {
   std::string cold_blob;
 
   // Approximate live detector bytes; 0 while cold/failed. Written in
-  // the pump-lock domain, read lock-free by the budget enforcer.
+  // the pump-lock domain through SetFootprint once registered, read
+  // lock-free by stats().
   std::atomic<std::size_t> footprint{0};
+  // True while the stream is in streams_ and its footprint counts
+  // toward live_bytes_. Set before the stream is published, cleared by
+  // FinishStream; read and cleared under the pump lock.
+  bool registered = false;
   // Pump epoch of the last drained point (eviction recency order).
   std::atomic<std::uint64_t> last_active_pump{0};
   // Points currently queued (guarded by the shard's queue_mu; atomic so
@@ -186,9 +191,15 @@ Status ShardedEngine::AddStream(const std::string& id,
 
   std::lock_guard<std::mutex> lock(registry_mu_);
   state->tenant_in_flight = TenantCounter(state->tenant);
-  if (!streams_.emplace(id, std::move(state)).second) {
+  const auto [it, inserted] = streams_.try_emplace(id, std::move(state));
+  if (!inserted) {
     return Status::InvalidArgument("stream '" + id + "' already exists");
   }
+  // Nobody can find the stream before registry_mu_ is released, so it
+  // joins the running total without its shard's pump lock.
+  it->second->registered = true;
+  live_bytes_.fetch_add(it->second->footprint.load(std::memory_order_relaxed),
+                        std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -244,6 +255,16 @@ Status ShardedEngine::Push(const std::string& id, double value) {
   }
 }
 
+void ShardedEngine::SetFootprint(StreamState* state, std::size_t bytes) {
+  // Pump lock held. Unsigned wraparound makes the delta signed-correct.
+  const std::size_t old =
+      state->footprint.exchange(bytes, std::memory_order_relaxed);
+  if (state->registered) {
+    live_bytes_.fetch_add(static_cast<std::uint64_t>(bytes) - old,
+                          std::memory_order_relaxed);
+  }
+}
+
 Status ShardedEngine::ThawStream(StreamState* state) {
   // Pump lock held; health is kCold. On error the cold blob is left in
   // place — the caller decides whether to quarantine or fail.
@@ -256,8 +277,7 @@ Status ShardedEngine::ThawStream(StreamState* state) {
   state->checkpoint_blob = std::move(state->cold_blob);
   state->checkpoint_out = state->out.size();
   state->cold_blob.clear();
-  state->footprint.store(state->detector->MemoryFootprint(),
-                         std::memory_order_relaxed);
+  SetFootprint(state, state->detector->MemoryFootprint());
   state->Set(StreamState::Health::kHealthy, Status::OK(), Status::OK());
   thaws_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
@@ -273,7 +293,7 @@ void ShardedEngine::FailStream(StreamState* state, const Status& cause) {
   cold_bytes_.fetch_sub(state->cold_blob.size(), std::memory_order_relaxed);
   state->cold_blob.clear();
   state->detector.reset();
-  state->footprint.store(0, std::memory_order_relaxed);
+  SetFootprint(state, 0);
   const Status sticky(cause.code(),
                       "stream '" + state->id + "': " + cause.message());
   state->Set(StreamState::Health::kFailed, sticky, sticky);
@@ -289,7 +309,7 @@ void ShardedEngine::EnterQuarantine(StreamState* state, const Status& cause,
   state->out.resize(state->checkpoint_out);
   state->pending.insert(state->pending.end(), values.begin(), values.end());
   state->detector.reset();
-  state->footprint.store(0, std::memory_order_relaxed);
+  SetFootprint(state, 0);
   state->retries.store(0, std::memory_order_relaxed);
   state->next_retry_pump = pump_epoch_.load(std::memory_order_relaxed) +
                            config_.recovery.backoff_pumps;
@@ -364,8 +384,7 @@ void ShardedEngine::AttemptRecovery(StreamState* state, bool force) {
   state->checkpoint_blob = std::move(checkpoint).value();
   state->checkpoint_out = state->out.size();
   state->retries.store(0, std::memory_order_relaxed);
-  state->footprint.store(state->detector->MemoryFootprint(),
-                         std::memory_order_relaxed);
+  SetFootprint(state, state->detector->MemoryFootprint());
   state->Set(StreamState::Health::kHealthy, Status::OK(), Status::OK());
   recoveries_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -403,8 +422,7 @@ void ShardedEngine::ProcessGroup(StreamState* state,
     return;
   }
 
-  state->footprint.store(state->detector->MemoryFootprint(),
-                         std::memory_order_relaxed);
+  SetFootprint(state, state->detector->MemoryFootprint());
   if (recoverable) {
     Result<std::string> checkpoint = state->detector->Snapshot();
     if (!checkpoint.ok()) {
@@ -534,25 +552,25 @@ Status ShardedEngine::Pump() {
 }
 
 void ShardedEngine::EnforceMemoryBudget() {
+  // The common case is one atomic load: live_bytes_ is kept current by
+  // SetFootprint, so an under-budget fleet is never walked.
+  const std::size_t budget = config_.memory_budget_bytes;
+  const std::uint64_t total = live_bytes_.load(std::memory_order_relaxed);
+  if (budget == 0 || total <= budget) {
+    memory_bytes_.store(total, std::memory_order_relaxed);
+    return;
+  }
+
+  // Over budget: cold-evict, lowest priority class first, then least
+  // recently active (ties in id order: stable sort over the std::map).
+  // kCritical streams, streams with queued points and streams that are
+  // not plain-healthy are never candidates.
   std::vector<std::shared_ptr<StreamState>> live;
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
     live.reserve(streams_.size());
     for (const auto& [id, state] : streams_) live.push_back(state);
   }
-  std::size_t total = 0;
-  for (const auto& state : live) {
-    total += state->footprint.load(std::memory_order_relaxed);
-  }
-  if (config_.memory_budget_bytes == 0 ||
-      total <= config_.memory_budget_bytes) {
-    memory_bytes_.store(total, std::memory_order_relaxed);
-    return;
-  }
-
-  // Over budget: cold-evict, lowest priority class first, then least
-  // recently active. kCritical streams, streams with queued points and
-  // streams that are not plain-healthy are never candidates.
   std::vector<StreamState*> candidates;
   for (const auto& state : live) {
     if (state->priority == StreamPriority::kCritical) continue;
@@ -573,27 +591,27 @@ void ShardedEngine::EnforceMemoryBudget() {
                    });
 
   for (StreamState* state : candidates) {
-    if (total <= config_.memory_budget_bytes) break;
+    if (live_bytes_.load(std::memory_order_relaxed) <= budget) break;
     std::lock_guard<std::mutex> pump_lock(shards_[state->shard]->pump_mu);
     // Re-check under the pump lock: a racing drain (kBlock producer)
-    // may have failed or quarantined the stream meanwhile.
+    // may have failed or quarantined the stream meanwhile, or a racing
+    // FinishStream removed it.
+    if (!state->registered) continue;
     if (state->GetHealth() != StreamState::Health::kHealthy) continue;
     if (state->queued.load(std::memory_order_relaxed) != 0) continue;
     Result<std::string> blob = state->detector->Snapshot();
     if (!blob.ok()) continue;  // unserializable: skip, evict the next one
-    const std::size_t freed =
-        state->footprint.load(std::memory_order_relaxed);
     state->cold_blob = std::move(blob).value();
     cold_bytes_.fetch_add(state->cold_blob.size(),
                           std::memory_order_relaxed);
     state->detector.reset();
     state->checkpoint_blob.clear();
-    state->footprint.store(0, std::memory_order_relaxed);
+    SetFootprint(state, 0);
     state->Set(StreamState::Health::kCold, Status::OK(), Status::OK());
     cold_evictions_.fetch_add(1, std::memory_order_relaxed);
-    total -= std::min(total, freed);
   }
-  memory_bytes_.store(total, std::memory_order_relaxed);
+  memory_bytes_.store(live_bytes_.load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
 }
 
 Result<std::vector<double>> ShardedEngine::FinishStream(const std::string& id) {
@@ -610,6 +628,10 @@ Result<std::vector<double>> ShardedEngine::FinishStream(const std::string& id) {
   }
 
   std::lock_guard<std::mutex> pump_lock(shards_[state->shard]->pump_mu);
+  // Out of the budget from here on: the thaw or recovery below, and any
+  // drain of points that raced the removal, no longer move live_bytes_.
+  SetFootprint(state.get(), 0);
+  state->registered = false;
   switch (state->GetHealth()) {
     case StreamState::Health::kQuarantined:
       // The stream is ending: recover now, backoff notwithstanding. A
@@ -754,7 +776,7 @@ Status ShardedEngine::Restore(std::string_view blob) {
     TSAD_RETURN_IF_ERROR(reader.GetU64(&code));
     std::string message;
     TSAD_RETURN_IF_ERROR(reader.GetString(&message));
-    TSAD_RETURN_IF_ERROR(reader.GetU64(&out_count));
+    TSAD_RETURN_IF_ERROR(reader.GetCount(16, &out_count));  // index + score
     if (priority >= static_cast<std::uint64_t>(kNumStreamPriorities)) {
       return Status::InvalidArgument("snapshot has invalid priority class");
     }
@@ -800,7 +822,7 @@ Status ShardedEngine::Restore(std::string_view blob) {
         std::uint64_t checkpoint_out, pending_count, retries, remaining,
             cause_code;
         TSAD_RETURN_IF_ERROR(reader.GetU64(&checkpoint_out));
-        TSAD_RETURN_IF_ERROR(reader.GetU64(&pending_count));
+        TSAD_RETURN_IF_ERROR(reader.GetCount(8, &pending_count));
         state->checkpoint_out = static_cast<std::size_t>(checkpoint_out);
         state->pending.reserve(static_cast<std::size_t>(pending_count));
         for (std::uint64_t i = 0; i < pending_count; ++i) {
@@ -833,10 +855,14 @@ Status ShardedEngine::Restore(std::string_view blob) {
   if (!streams_.empty()) {
     return Status::FailedPrecondition("streams added during Restore");
   }
+  std::uint64_t restored_live_bytes = 0;
   for (auto& [id, state] : restored) {
     state->tenant_in_flight = TenantCounter(state->tenant);
+    state->registered = true;
+    restored_live_bytes += state->footprint.load(std::memory_order_relaxed);
   }
   streams_ = std::move(restored);
+  live_bytes_.fetch_add(restored_live_bytes, std::memory_order_relaxed);
   cold_bytes_.fetch_add(restored_cold_bytes, std::memory_order_relaxed);
   return Status::OK();
 }

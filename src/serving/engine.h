@@ -102,6 +102,13 @@ struct ServingConfig {
   /// end of every Pump by cold-evicting streams, lowest priority and
   /// longest-idle first (never kCritical, never quarantined/failed
   /// streams, never streams with queued points).
+  ///
+  /// Accounting: the engine keeps the sum of every registered stream's
+  /// footprint as a running total, moved by each change of a stream's
+  /// footprint (drain, thaw, eviction, quarantine, recovery, failure)
+  /// and by AddStream, Restore and FinishStream. Checking the budget is
+  /// therefore O(1) per Pump; only an over-budget Pump walks and sorts
+  /// the stream registry to pick eviction victims.
   std::size_t memory_budget_bytes = 0;
 
   /// Quarantine-and-recover behavior for detector errors.
@@ -259,6 +266,9 @@ class ShardedEngine {
   Status ThawStream(StreamState* state);
 
   void FailStream(StreamState* state, const Status& cause);
+  // Pump lock held: sets the stream's footprint and moves live_bytes_
+  // by the difference while the stream is registered.
+  void SetFootprint(StreamState* state, std::size_t bytes);
   void EnforceMemoryBudget();
   std::shared_ptr<std::atomic<std::uint64_t>> TenantCounter(
       const std::string& tenant);
@@ -285,6 +295,9 @@ class ShardedEngine {
   std::atomic<std::uint64_t> thaws_{0};
   std::atomic<std::uint64_t> memory_bytes_{0};
   std::atomic<std::uint64_t> cold_bytes_{0};
+  // Running sum of footprint over registered streams (see SetFootprint);
+  // memory_bytes_ is its value after the last budget enforcement.
+  std::atomic<std::uint64_t> live_bytes_{0};
 
   mutable std::mutex stats_mu_;
   std::uint64_t pumps_ = 0;

@@ -22,7 +22,7 @@ void PutIndexVector(ByteWriter* writer, const std::vector<std::size_t>& v) {
 
 Status GetIndexVector(ByteReader* reader, std::vector<std::size_t>* v) {
   std::uint64_t size = 0;
-  TSAD_RETURN_IF_ERROR(reader->GetU64(&size));
+  TSAD_RETURN_IF_ERROR(reader->GetCount(8, &size));
   v->clear();
   v->reserve(size);
   for (std::uint64_t i = 0; i < size; ++i) {

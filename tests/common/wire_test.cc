@@ -114,5 +114,24 @@ TEST(WireTest, BogusLengthPrefixIsRejectedWithoutAllocating) {
   EXPECT_EQ(reader2.GetString(&s).code(), StatusCode::kOutOfRange);
 }
 
+TEST(WireTest, GetCountRejectsCountsTheRestCannotHold) {
+  ByteWriter writer;
+  writer.PutU64(2);
+  writer.PutDouble(1.0);
+  writer.PutDouble(2.0);
+  std::uint64_t n = 0;
+  ByteReader fits(writer.str());
+  ASSERT_TRUE(fits.GetCount(8, &n).ok());
+  EXPECT_EQ(n, 2u);
+  // Two 16-byte entries do not fit in the 16 bytes that follow.
+  ByteReader too_wide(writer.str());
+  EXPECT_EQ(too_wide.GetCount(16, &n).code(), StatusCode::kOutOfRange);
+  // A count whose byte size overflows u64 is still caught.
+  ByteWriter huge;
+  huge.PutU64(std::numeric_limits<std::uint64_t>::max());
+  ByteReader inflated(huge.str());
+  EXPECT_EQ(inflated.GetCount(16, &n).code(), StatusCode::kOutOfRange);
+}
+
 }  // namespace
 }  // namespace tsad

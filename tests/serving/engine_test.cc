@@ -16,6 +16,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/series.h"
+#include "common/wire.h"
 #include "detectors/registry.h"
 
 namespace tsad {
@@ -91,6 +92,18 @@ std::map<std::string, Series> TestStreams(std::size_t count, std::size_t n) {
     streams["stream-" + std::to_string(s)] = MakeStream(n, 1000 + s);
   }
   return streams;
+}
+
+// Pumps, then checks the engine's live-memory total against the
+// per-type rollup stats() sums from every registered stream.
+void PumpAndExpectMemoryMatchesRollup(ShardedEngine& engine) {
+  ASSERT_TRUE(engine.Pump().ok());
+  const ServingStats stats = engine.stats();
+  std::uint64_t rollup = 0;
+  for (const auto& [type, memory] : stats.detector_memory) {
+    rollup += memory.bytes;
+  }
+  EXPECT_EQ(stats.memory_bytes, rollup) << "after pump " << stats.pumps;
 }
 
 TEST(ShardedEngineTest, ReplayIsByteIdenticalToBatchAtOneAndEightThreads) {
@@ -289,6 +302,7 @@ TEST(ShardedEngineTest, ConcurrentProducersKeepStreamsIndependent) {
     });
   }
   for (auto& t : producers) t.join();
+  PumpAndExpectMemoryMatchesRollup(engine);
 
   for (std::size_t s = 0; s < kStreams; ++s) {
     auto scores = engine.FinishStream("worker-" + std::to_string(s));
@@ -699,6 +713,157 @@ TEST(ShardedEngineTest, ColdStreamsSurviveSnapshotRestore) {
   ASSERT_TRUE(scores.ok()) << scores.status().message();
   EXPECT_GT(second.stats().thaws, 0u);
   EXPECT_TRUE(BitEqual(*scores, BatchScores(spec, x, 0)));
+}
+
+TEST(ShardedEngineTest, MemoryTotalMatchesRollupThroughEveryLadderRung) {
+  // Every footprint change — registration, eviction, thaw, quarantine,
+  // recovery, sticky failure, finish and restore — must leave the
+  // engine's total equal to the per-stream rollup after each Pump.
+  auto flaky_fired = std::make_shared<std::atomic<bool>>(false);
+  auto late_fired = std::make_shared<std::atomic<bool>>(false);
+  ServingConfig config;
+  config.num_shards = 2;
+  config.memory_budget_bytes = 1;  // every idle non-critical stream goes cold
+  config.recovery.max_retries = 3;
+  config.recovery.backoff_pumps = 1;
+  config.detector_decorator =
+      [flaky_fired, late_fired](std::unique_ptr<OnlineDetector> inner,
+                                const std::string& id)
+      -> Result<std::unique_ptr<OnlineDetector>> {
+    if (id == "flaky") {
+      return std::unique_ptr<OnlineDetector>(
+          std::make_unique<FailOnceDetector>(std::move(inner), 40,
+                                             flaky_fired));
+    }
+    if (id == "late") {
+      return std::unique_ptr<OnlineDetector>(
+          std::make_unique<FailOnceDetector>(std::move(inner), 90,
+                                             late_fired));
+    }
+    if (id == "doomed") {
+      // A fresh flag per build: every recovery replay fails again.
+      return std::unique_ptr<OnlineDetector>(
+          std::make_unique<FailOnceDetector>(
+              std::move(inner), 20, std::make_shared<std::atomic<bool>>()));
+    }
+    return std::unique_ptr<OnlineDetector>(std::move(inner));
+  };
+  const std::string spec = "zscore:w=16";
+  const std::vector<std::string> ids = {"pager", "pager2", "bulk",
+                                        "flaky", "doomed", "late"};
+  std::map<std::string, Series> data;
+  ShardedEngine engine(config);
+  for (std::size_t s = 0; s < ids.size(); ++s) {
+    StreamOptions options;
+    if (ids[s].rfind("pager", 0) == 0) {
+      options.priority = StreamPriority::kCritical;  // stays live
+    }
+    ASSERT_TRUE(engine.AddStream(ids[s], spec, options).ok());
+    data[ids[s]] = MakeStream(100, 60 + s);
+  }
+  EXPECT_EQ(engine.AddStream("bulk", spec).code(),
+            StatusCode::kInvalidArgument);
+  PumpAndExpectMemoryMatchesRollup(engine);
+
+  for (std::size_t t0 = 0; t0 < 80; t0 += 5) {
+    for (const std::string& id : ids) {
+      for (std::size_t t = t0; t < t0 + 5; ++t) {
+        const Status pushed = engine.Push(id, data[id][t]);
+        if (id != "doomed") {  // rejected once its failure sticks
+          ASSERT_TRUE(pushed.ok()) << id;
+        }
+      }
+    }
+    PumpAndExpectMemoryMatchesRollup(engine);
+  }
+  const ServingStats stats = engine.stats();
+  EXPECT_GT(stats.cold_evictions, 0u);
+  EXPECT_GT(stats.thaws, 0u);
+  EXPECT_EQ(stats.streams_cold, 3u);  // bulk, flaky, late
+  EXPECT_EQ(stats.quarantines, 2u);   // flaky, doomed
+  EXPECT_EQ(stats.recoveries, 1u);    // flaky
+  EXPECT_TRUE(engine.StreamStatus("flaky").ok());
+  EXPECT_EQ(engine.StreamStatus("doomed").code(), StatusCode::kInternal);
+
+  auto head = [&data](const std::string& id, std::size_t n) {
+    return Series(data[id].begin(),
+                  data[id].begin() + static_cast<std::ptrdiff_t>(n));
+  };
+  auto pager = engine.FinishStream("pager");  // healthy
+  ASSERT_TRUE(pager.ok()) << pager.status().message();
+  EXPECT_TRUE(BitEqual(*pager, BatchScores(spec, head("pager", 80), 0)));
+  PumpAndExpectMemoryMatchesRollup(engine);
+  auto bulk = engine.FinishStream("bulk");  // cold
+  ASSERT_TRUE(bulk.ok()) << bulk.status().message();
+  EXPECT_TRUE(BitEqual(*bulk, BatchScores(spec, head("bulk", 80), 0)));
+  PumpAndExpectMemoryMatchesRollup(engine);
+  // The fault at point 90 fires in FinishStream's own Pump, so the
+  // stream is quarantined when FinishStream force-recovers it.
+  for (std::size_t t = 80; t < 100; ++t) {
+    ASSERT_TRUE(engine.Push("late", data["late"][t]).ok());
+  }
+  auto late = engine.FinishStream("late");
+  ASSERT_TRUE(late.ok()) << late.status().message();
+  EXPECT_TRUE(late_fired->load());
+  EXPECT_EQ(engine.stats().recoveries, 2u);
+  EXPECT_TRUE(BitEqual(*late, BatchScores(spec, data["late"], 0)));
+  PumpAndExpectMemoryMatchesRollup(engine);
+
+  auto blob = engine.Snapshot();  // pager2 live, flaky cold, doomed failed
+  ASSERT_TRUE(blob.ok()) << blob.status().message();
+  ShardedEngine restored(config);
+  ASSERT_TRUE(restored.Restore(*blob).ok());
+  PumpAndExpectMemoryMatchesRollup(restored);
+  EXPECT_GT(restored.stats().memory_bytes, 0u);
+  for (const std::string id : {"pager2", "flaky"}) {
+    auto scores = restored.FinishStream(id);
+    ASSERT_TRUE(scores.ok()) << id << ": " << scores.status().message();
+    EXPECT_TRUE(BitEqual(*scores, BatchScores(spec, head(id, 80), 0))) << id;
+    PumpAndExpectMemoryMatchesRollup(restored);
+  }
+  EXPECT_EQ(restored.FinishStream("doomed").status().code(),
+            StatusCode::kInternal);
+  PumpAndExpectMemoryMatchesRollup(restored);
+  EXPECT_EQ(restored.num_streams(), 0u);
+  EXPECT_EQ(restored.stats().memory_bytes, 0u);
+}
+
+// A one-stream engine snapshot up to and including the stream's
+// scored-point count; `health` is the wire value (0 healthy, 1 cold,
+// 2 quarantined, 3 failed).
+ByteWriter EngineBlobPrefix(std::uint64_t health, std::uint64_t out_count) {
+  ByteWriter writer;
+  writer.PutString("tsad-serving-engine-v2");
+  writer.PutU64(1);  // streams
+  writer.PutString("s");
+  writer.PutString("zscore:w=16");
+  writer.PutU64(0);  // train_length
+  writer.PutU64(static_cast<std::uint64_t>(StreamPriority::kNormal));
+  writer.PutString("");  // tenant
+  writer.PutU64(0);      // accepted
+  writer.PutU64(health);
+  writer.PutU64(0);      // status code
+  writer.PutString("");  // status message
+  writer.PutU64(out_count);
+  return writer;
+}
+
+TEST(ShardedEngineTest, RestoreRejectsInflatedCountsWithoutThrowing) {
+  // Counts no blob could back: reserving them would throw
+  // length_error; Restore must return an error and stay empty instead.
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
+  ByteWriter out_blob = EngineBlobPrefix(0, kHuge);
+  ByteWriter pending_blob = EngineBlobPrefix(2, 0);
+  pending_blob.PutString("");  // checkpoint blob
+  pending_blob.PutU64(0);      // checkpoint_out
+  pending_blob.PutU64(kHuge);  // pending points
+  for (const std::string& blob : {out_blob.Take(), pending_blob.Take()}) {
+    ShardedEngine engine;
+    Status restored = Status::OK();
+    EXPECT_NO_THROW(restored = engine.Restore(blob));
+    EXPECT_EQ(restored.code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(engine.num_streams(), 0u);
+  }
 }
 
 }  // namespace

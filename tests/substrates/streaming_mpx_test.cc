@@ -297,6 +297,31 @@ TEST(StreamingMpxTest, DeserializeRejectsMismatchedConfig) {
   EXPECT_NE(status.message().find("mismatch"), std::string::npos);
 }
 
+TEST(StreamingMpxTest, DeserializeRejectsInflatedIndexCountWithoutThrowing) {
+  StreamingMpxConfig config;
+  config.m = 16;
+  config.buffer_cap = 64;
+  StreamingMpx kernel(config);
+  for (std::size_t t = 0; t < 10; ++t) {  // fewer than m: no subsequences
+    kernel.Push(static_cast<double>(t));
+  }
+  ByteWriter writer;
+  kernel.Serialize(&writer);
+  // The blob ends with the counts of its three (empty) index vectors;
+  // inflate the first past anything the blob could hold.
+  std::string blob = writer.str();
+  ASSERT_EQ(blob.substr(blob.size() - 24), std::string(24, '\0'));
+  ByteWriter huge;
+  huge.PutU64(std::uint64_t{1} << 62);
+  blob.replace(blob.size() - 24, 8, huge.str());
+
+  StreamingMpx restored(config);
+  ByteReader reader(blob);
+  Status status = Status::OK();
+  EXPECT_NO_THROW(status = restored.Deserialize(&reader));
+  EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
+}
+
 // ---------------------------------------------------------------------------
 // The left side without eviction (buffer_cap = 0): the causal profile
 // streaming discord scores from.

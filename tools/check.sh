@@ -80,7 +80,7 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   # chaos harness below) and run the corresponding suites —
   # determinism, error containment, deadline propagation, concurrent
   # producers — under the race detector. (The ASan+UBSan pass above
-  # already runs the chaos smoke via the full suite.)
+  # already runs both chaos sizes via the full suite.)
   tsan_dir="${repo_root}/build-tsan"
   echo "==> configuring ${tsan_dir} (TSAD_SANITIZE=thread)"
   cmake -B "${tsan_dir}" -S "${repo_root}" \
@@ -116,8 +116,9 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   echo "==> pan-profile suite under TSan (ctest -L panprofile)"
   (cd "${tsan_dir}" && ctest --output-on-failure -L panprofile)
   # Chaos harness under the race detector: every survival path —
-  # admission, shed, eviction/thaw, quarantine/recovery, failover — in
-  # one multi-threaded run (ctest -L chaos = the same --smoke binary).
+  # admission, shed, eviction/thaw, quarantine/recovery, failover —
+  # multi-threaded (ctest -L chaos = the --smoke run and the full
+  # 5000-stream run of the same binary).
   echo "==> chaos harness under TSan (ctest -L chaos)"
   (cd "${tsan_dir}" && ctest --output-on-failure -L chaos)
 fi
