@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "common/parallel.h"
 #include "common/suggest.h"
@@ -16,6 +17,7 @@
 #include "datasets/yahoo.h"
 #include "detectors/detector.h"
 #include "detectors/registry.h"
+#include "robustness/resilient.h"
 #include "scoring/affiliation.h"
 #include "scoring/confusion.h"
 #include "scoring/delay.h"
@@ -129,13 +131,13 @@ struct SeriesEval {
   std::vector<double> values;
 };
 
-SeriesEval ScoreOneSeries(const std::string& spec, const LabeledSeries& series,
+// The metric row of one detector's score track (or its refusal) on
+// `series`.
+SeriesEval EvaluateScores(Result<std::vector<double>> scored,
+                          const LabeledSeries& series,
                           const std::vector<LeaderboardMetric>& metrics,
                           std::size_t delay_tolerance) {
   SeriesEval eval;
-  Result<std::unique_ptr<AnomalyDetector>> detector = MakeDetector(spec);
-  if (!detector.ok()) return eval;
-  Result<std::vector<double>> scored = (*detector)->Score(series);
   if (!scored.ok()) return eval;
 
   // Defensive: a NaN in a score track would poison the threshold sort.
@@ -444,32 +446,76 @@ Result<LeaderboardReport> RunLeaderboard(const LeaderboardConfig& config) {
         BuildLeaderboardFamily(f, config.seed, config.max_series_per_family));
   }
 
-  // Flatten to (detector, family, series) triples — the one sweep.
-  struct Triple {
-    std::size_t detector, family, series;
-  };
-  std::vector<Triple> triples;
-  for (std::size_t d = 0; d < report.detectors.size(); ++d) {
-    for (std::size_t f = 0; f < families.size(); ++f) {
-      for (std::size_t s = 0; s < family_series[f].size(); ++s) {
-        triples.push_back({d, f, s});
-      }
+  // A resilient:X row rides on the row of X when X is an unprefixed
+  // spec on the board: one job scores X on a series and hands that
+  // result to each wrapper, which reuses it wherever its primary stage
+  // would make the same call (ResilientDetector::ScoreReusing). Every
+  // other row hosts its own jobs.
+  const std::size_t num_detectors = report.detectors.size();
+  std::vector<std::vector<std::size_t>> riders(num_detectors);
+  std::vector<std::size_t> hosts;
+  for (std::size_t d = 0; d < num_detectors; ++d) {
+    const std::optional<std::string> inner =
+        ResilientInnerSpec(report.detectors[d]);
+    const auto host =
+        inner ? std::find(report.detectors.begin(), report.detectors.end(),
+                          *inner)
+              : report.detectors.end();
+    if (host != report.detectors.end() && !ResilientInnerSpec(*host)) {
+      riders[host - report.detectors.begin()].push_back(d);
+    } else {
+      hosts.push_back(d);
     }
   }
 
-  TSAD_ASSIGN_OR_RETURN(
-      const std::vector<SeriesEval> evals,
-      ParallelMap<SeriesEval>(triples.size(), [&](std::size_t i) -> Result<SeriesEval> {
-        const Triple& t = triples[i];
-        return ScoreOneSeries(report.detectors[t.detector],
-                              family_series[t.family][t.series],
-                              report.metrics, config.delay_tolerance);
-      }));
+  // evals holds the (detector, family, series) triples detector-major;
+  // the sweep is one ParallelFor over (host, family, series) jobs, each
+  // writing its host's slot and its riders' slots.
+  std::vector<std::size_t> series_offset(families.size() + 1, 0);
+  for (std::size_t f = 0; f < families.size(); ++f) {
+    series_offset[f + 1] = series_offset[f] + family_series[f].size();
+  }
+  const std::size_t num_series = series_offset.back();
+  struct Job {
+    std::size_t host, family, series;
+  };
+  std::vector<Job> jobs;
+  for (std::size_t host : hosts) {
+    for (std::size_t f = 0; f < families.size(); ++f) {
+      for (std::size_t s = 0; s < family_series[f].size(); ++s) {
+        jobs.push_back({host, f, s});
+      }
+    }
+  }
+  std::vector<SeriesEval> evals(num_detectors * num_series);
+  TSAD_RETURN_IF_ERROR(ParallelFor(0, jobs.size(), [&](std::size_t j) {
+    const Job& job = jobs[j];
+    const LabeledSeries& series = family_series[job.family][job.series];
+    const std::size_t slot = series_offset[job.family] + job.series;
+    // Each job builds its own instances: a ResilientDetector keeps
+    // per-call telemetry, so it is not concurrent_score_safe.
+    Result<std::unique_ptr<AnomalyDetector>> host =
+        MakeDetector(report.detectors[job.host]);
+    const Result<std::vector<double>> scored =
+        host.ok() ? (*host)->Score(series) : host.status();
+    evals[job.host * num_series + slot] = EvaluateScores(
+        scored, series, report.metrics, config.delay_tolerance);
+    for (std::size_t rider : riders[job.host]) {
+      Result<std::unique_ptr<AnomalyDetector>> wrapper =
+          MakeDetector(report.detectors[rider]);
+      if (!wrapper.ok()) continue;  // the slot stays a detector error
+      evals[rider * num_series + slot] = EvaluateScores(
+          dynamic_cast<const ResilientDetector&>(**wrapper).ScoreReusing(
+              series.values(), series.train_length(), scored),
+          series, report.metrics, config.delay_tolerance);
+    }
+    return Status::OK();
+  }));
 
-  // Aggregate into (detector, family) cells in triple order — index-
+  // Aggregate into (detector, family) cells in slot order — index-
   // deterministic, so the report is identical at any thread count.
   const std::size_t num_families = families.size();
-  report.cells.resize(report.detectors.size() * num_families);
+  report.cells.resize(num_detectors * num_families);
   std::vector<std::vector<double>> sums(report.cells.size());
   for (std::size_t c = 0; c < report.cells.size(); ++c) {
     LeaderboardCell& cell = report.cells[c];
@@ -477,16 +523,20 @@ Result<LeaderboardReport> RunLeaderboard(const LeaderboardConfig& config) {
     cell.family = report.families[c % num_families];
     sums[c].assign(report.metrics.size(), 0.0);
   }
-  for (std::size_t i = 0; i < triples.size(); ++i) {
-    const Triple& t = triples[i];
-    const std::size_t c = t.detector * num_families + t.family;
-    if (!evals[i].ok) {
-      ++report.cells[c].detector_errors;
-      continue;
-    }
-    ++report.cells[c].series_scored;
-    for (std::size_t m = 0; m < report.metrics.size(); ++m) {
-      sums[c][m] += evals[i].values[m];
+  for (std::size_t d = 0; d < num_detectors; ++d) {
+    for (std::size_t f = 0; f < num_families; ++f) {
+      const std::size_t c = d * num_families + f;
+      for (std::size_t i = series_offset[f]; i < series_offset[f + 1]; ++i) {
+        const SeriesEval& eval = evals[d * num_series + i];
+        if (!eval.ok) {
+          ++report.cells[c].detector_errors;
+          continue;
+        }
+        ++report.cells[c].series_scored;
+        for (std::size_t m = 0; m < report.metrics.size(); ++m) {
+          sums[c][m] += eval.values[m];
+        }
+      }
     }
   }
   for (std::size_t c = 0; c < report.cells.size(); ++c) {

@@ -10,9 +10,15 @@
 // each such pair is a place where the popular protocol manufactures
 // progress that the fair protocols do not see.
 //
-// The sweep is one ParallelFor over (detector, family, series)
-// triples; each worker builds its own detector instance from the spec,
-// so the report is bit-identical at any thread count.
+// The sweep is one ParallelFor over (inner spec, family, series) jobs.
+// A job scores its spec once and fills that row's (family, series)
+// slot, then the slot of every `resilient:<spec>` row on the board,
+// whose wrapper reuses the same result wherever its primary stage
+// would make that same call (ResilientDetector::ScoreReusing). A
+// resilient: row whose inner spec is not on the board runs its own
+// jobs. Each job builds its own detector instances and the cells are
+// aggregated in slot order, so the report is bit-identical at any
+// thread count.
 
 #ifndef TSAD_CORE_LEADERBOARD_H_
 #define TSAD_CORE_LEADERBOARD_H_
@@ -86,7 +92,7 @@ struct LeaderboardConfig {
   std::vector<LeaderboardMetric> metrics;
   uint64_t seed = 42;
   /// Cap on series per family (0 = no cap). The default keeps a full
-  /// 30-detector board tractable on one core.
+  /// 32-detector board tractable on one core.
   std::size_t max_series_per_family = 4;
   /// Tolerance k of the delay metric, in points.
   std::size_t delay_tolerance = 64;

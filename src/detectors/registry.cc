@@ -50,7 +50,9 @@ Status ParseSpec(const std::string& spec, std::string* name, Params* params) {
     const std::string_view value = pair.substr(eq + 1);
     double v = 0.0;
     auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), v);
-    if (ec != std::errc() || ptr != value.data() + value.size()) {
+    // from_chars also takes "nan" and "inf", which no parameter means.
+    if (ec != std::errc() || ptr != value.data() + value.size() ||
+        !std::isfinite(v)) {
       return Status::InvalidArgument("bad numeric value '" +
                                      std::string(value) + "' for key '" + key +
                                      "'");
@@ -62,8 +64,8 @@ Status ParseSpec(const std::string& spec, std::string* name, Params* params) {
   return Status::OK();
 }
 
-// Pops a parameter (with default); leftover keys are reported as errors
-// by Finish().
+// Pops a parameter (with default); leftover keys and the first value
+// GetSize() refused are reported as errors by Finish().
 class ParamReader {
  public:
   explicit ParamReader(Params params) : params_(std::move(params)) {}
@@ -75,12 +77,26 @@ class ParamReader {
     params_.erase(it);
     return v;
   }
+  // A size (window, order, count) must be a non-negative integer below
+  // 2^digits: casting anything else to std::size_t is undefined.
   std::size_t GetSize(const std::string& key, std::size_t fallback) {
-    return static_cast<std::size_t>(
-        Get(key, static_cast<double>(fallback)));
+    const double v = Get(key, static_cast<double>(fallback));
+    if (v >= 0.0 && v == std::floor(v) &&
+        v < std::ldexp(1.0, std::numeric_limits<std::size_t>::digits)) {
+      return static_cast<std::size_t>(v);
+    }
+    if (error_.ok()) {
+      char text[32];
+      char* end = std::to_chars(text, text + sizeof(text), v).ptr;
+      error_ = Status::InvalidArgument(
+          "bad value '" + std::string(text, end) + "' for key '" + key +
+          "' (want a non-negative integer)");
+    }
+    return fallback;
   }
 
   Status Finish(const std::string& detector) const {
+    if (!error_.ok()) return error_;
     if (params_.empty()) return Status::OK();
     return Status::InvalidArgument("unknown parameter '" +
                                    params_.begin()->first + "' for detector '" +
@@ -89,6 +105,7 @@ class ParamReader {
 
  private:
   Params params_;
+  Status error_;
 };
 
 // The registered name closest to `name`, via the shared "did you mean"
@@ -104,10 +121,10 @@ std::string SuggestDetectorName(std::string_view name) {
 // Shared unknown-name error: the flat names, the prefix grammars, and
 // the did-you-mean hint.
 Status UnknownDetectorError(const std::string& name) {
-  std::string message = "unknown detector '" + name +
-                        "'; known: discord semisup streaming merlin "
-                        "telemanom zscore cusum ewma pagehinkley maxdiff "
-                        "constantrun lastpoint oneliner sesd sr floss";
+  std::string message = "unknown detector '" + name + "'; known:";
+  for (const std::string& known : RegisteredDetectorNames()) {
+    message += ' ' + known;
+  }
   message += "; prefixes:";
   for (const std::string& prefix : RegisteredDetectorPrefixes()) {
     message += ' ' + prefix;
@@ -211,8 +228,8 @@ Result<std::unique_ptr<AnomalyDetector>> MakeResilient(
 
 Result<std::unique_ptr<AnomalyDetector>> MakeDetector(
     const std::string& spec) {
-  if (spec.rfind(kResilientPrefix, 0) == 0) {
-    return MakeResilient(spec.substr(kResilientPrefix.size()));
+  if (const std::optional<std::string> inner = ResilientInnerSpec(spec)) {
+    return MakeResilient(*inner);
   }
   // floss uses a positional grammar (floss:<window>[:<buffer>]), so it
   // is dispatched before the key=value spec parser.
@@ -311,10 +328,14 @@ std::vector<std::string> RegisteredDetectorPrefixes() {
           "merlin:<min>:<max>"};
 }
 
+std::optional<std::string> ResilientInnerSpec(std::string_view spec) {
+  if (spec.rfind(kResilientPrefix, 0) != 0) return std::nullopt;
+  return std::string(spec.substr(kResilientPrefix.size()));
+}
+
 std::string SimplifyDetectorSpec(const std::string& spec) {
-  if (spec.rfind(kResilientPrefix, 0) == 0) {
-    return std::string(kResilientPrefix) +
-           SimplifyDetectorSpec(spec.substr(kResilientPrefix.size()));
+  if (const std::optional<std::string> inner = ResilientInnerSpec(spec)) {
+    return std::string(kResilientPrefix) + SimplifyDetectorSpec(*inner);
   }
   // floss's positional grammar: halve the window (floor 16), keep any
   // explicit buffer component. The halved spec stays valid because the

@@ -3,7 +3,9 @@
 // Used by the CLI tool and handy for experiment configs.
 //
 // Spec grammar:  <name>[:key=value[,key=value]...]
-// Unknown keys are InvalidArgument; an unknown name is NotFound and the
+// Unknown keys and non-finite values are InvalidArgument, as are size
+// parameters (windows, orders, counts) that are negative, fractional or
+// too large for std::size_t. An unknown name is NotFound and the
 // message suggests the nearest registered name by edit distance when
 // the typo is plausible ("did you mean 'zscore'?"). Every parameter has
 // the detector's documented default.
@@ -48,7 +50,9 @@
 #define TSAD_DETECTORS_REGISTRY_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -67,6 +71,10 @@ std::vector<std::string> RegisteredDetectorNames();
 /// listed by `tsad list` and in unknown-detector errors so prefixed
 /// specs are discoverable too.
 std::vector<std::string> RegisteredDetectorPrefixes();
+
+/// The spec wrapped by a `resilient:<spec>` spec, or nullopt when
+/// `spec` does not carry the prefix.
+std::optional<std::string> ResilientInnerSpec(std::string_view spec);
 
 /// A cheaper configuration of the same detector, used as the
 /// retry-once stage of the resilient wrapper: window-like parameters

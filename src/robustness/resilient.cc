@@ -33,8 +33,10 @@ ResilientDetector::ResilientDetector(std::unique_ptr<AnomalyDetector> inner,
 
 Result<std::vector<double>> ResilientDetector::RunStage(
     const AnomalyDetector& detector, const SanitizedSeries& input,
-    std::size_t original_length, std::size_t train_length) const {
+    std::size_t original_length, std::size_t train_length,
+    const Result<std::vector<double>>* supplied) const {
   Result<std::vector<double>> scores = [&] {
+    if (supplied != nullptr) return *supplied;
     if (config_.deadline.count() > 0) {
       DeadlineScope scope(config_.deadline);
       return detector.Score(input.values, input.MapTrainLength(train_length));
@@ -68,6 +70,18 @@ Result<std::vector<double>> ResilientDetector::RunStage(
 
 Result<std::vector<double>> ResilientDetector::Score(
     const Series& series, std::size_t train_length) const {
+  return Run(series, train_length, nullptr);
+}
+
+Result<std::vector<double>> ResilientDetector::ScoreReusing(
+    const Series& series, std::size_t train_length,
+    const Result<std::vector<double>>& inner_scores) const {
+  return Run(series, train_length, &inner_scores);
+}
+
+Result<std::vector<double>> ResilientDetector::Run(
+    const Series& series, std::size_t train_length,
+    const Result<std::vector<double>>* inner_scores) const {
   last_served_by_ = ServedBy::kNone;
   last_primary_status_ = Status::OK();
   last_scores_patched_ = 0;
@@ -81,8 +95,15 @@ Result<std::vector<double>> ResilientDetector::Score(
   }
   last_scan_ = sanitized->scan;
 
-  Result<std::vector<double>> primary =
-      RunStage(*inner_, *sanitized, series.size(), train_length);
+  // The caller's inner result is only the primary stage's own call when
+  // nothing was imputed (same values), MapTrainLength did not clamp
+  // (same prefix) and there is no watchdog for that call to honour.
+  if (sanitized->scan.num_missing() != 0 || config_.deadline.count() > 0 ||
+      train_length > series.size()) {
+    inner_scores = nullptr;
+  }
+  Result<std::vector<double>> primary = RunStage(
+      *inner_, *sanitized, series.size(), train_length, inner_scores);
   if (primary.ok()) {
     last_served_by_ = ServedBy::kPrimary;
     return primary;

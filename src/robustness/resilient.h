@@ -73,6 +73,18 @@ class ResilientDetector : public AnomalyDetector {
   Result<std::vector<double>> Score(const Series& series,
                                     std::size_t train_length) const override;
 
+  /// Score() for a caller that has already run inner(), or a detector
+  /// built from the same spec, on the same (series, train_length):
+  /// `inner_scores` is that call's result, ok or not. It stands in for
+  /// the primary stage only where that stage would make the very same
+  /// call: the sanitizer left the input unchanged, no deadline is set
+  /// and train_length <= series.size(). Elsewhere it is ignored and
+  /// this is Score(). Every later step (score checks and patching,
+  /// simplified retry, fallback, telemetry) runs as in Score().
+  Result<std::vector<double>> ScoreReusing(
+      const Series& series, std::size_t train_length,
+      const Result<std::vector<double>>& inner_scores) const;
+
   const AnomalyDetector& inner() const { return *inner_; }
   const ResilientConfig& config() const { return config_; }
 
@@ -80,17 +92,25 @@ class ResilientDetector : public AnomalyDetector {
   /// threads must not Score() the same instance concurrently.
   bool concurrent_score_safe() const override { return false; }
 
-  // Telemetry from the most recent Score() call (single-threaded use).
+  // Telemetry from the most recent Score() or ScoreReusing() call
+  // (single-threaded use).
   ServedBy last_served_by() const { return last_served_by_; }
   const Status& last_primary_status() const { return last_primary_status_; }
   const MissingScan& last_scan() const { return last_scan_; }
   std::size_t last_scores_patched() const { return last_scores_patched_; }
 
  private:
-  Result<std::vector<double>> RunStage(const AnomalyDetector& detector,
-                                       const SanitizedSeries& input,
-                                       std::size_t original_length,
-                                       std::size_t train_length) const;
+  // The one pipeline behind Score() (inner_scores == nullptr) and
+  // ScoreReusing().
+  Result<std::vector<double>> Run(
+      const Series& series, std::size_t train_length,
+      const Result<std::vector<double>>* inner_scores) const;
+  // One stage: `detector` scores `input`, unless `supplied` already
+  // holds that call's result. Then the checks and patching run.
+  Result<std::vector<double>> RunStage(
+      const AnomalyDetector& detector, const SanitizedSeries& input,
+      std::size_t original_length, std::size_t train_length,
+      const Result<std::vector<double>>* supplied = nullptr) const;
 
   std::unique_ptr<AnomalyDetector> inner_;
   std::unique_ptr<AnomalyDetector> simplified_;

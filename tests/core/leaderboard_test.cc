@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "common/parallel.h"
 #include "detectors/registry.h"
@@ -150,6 +152,64 @@ TEST(LeaderboardTest, TableRendersEveryDetector) {
     EXPECT_NE(table.find(d), std::string::npos) << d;
   }
   EXPECT_NE(table.find("rank inversions"), std::string::npos);
+}
+
+// A resilient: row reuses its inner row's scores only when that row is
+// on the board, so its cells must not depend on whether it is. The
+// board includes a spec that fails on nab and yahoo (semisup:m=2048
+// needs a 4096-point training prefix), so the wrapper's retry and
+// fallback run from a reused failure as well.
+TEST(LeaderboardTest, ResilientCellsIndependentOfInnerRowOnBoard) {
+  LeaderboardConfig with_inner;
+  with_inner.detectors = {"semisup:m=2048", "resilient:semisup:m=2048",
+                          "zscore", "resilient:zscore"};
+  with_inner.families = {LeaderboardFamily::kGait, LeaderboardFamily::kNab,
+                         LeaderboardFamily::kYahoo};
+  with_inner.max_series_per_family = 2;
+  LeaderboardConfig wrappers_only = with_inner;
+  wrappers_only.detectors = {"resilient:semisup:m=2048", "resilient:zscore"};
+
+  const auto cell = [](const LeaderboardReport& report,
+                       const std::string& detector,
+                       const std::string& family) -> const LeaderboardCell& {
+    for (const LeaderboardCell& c : report.cells) {
+      if (c.detector == detector && c.family == family) return c;
+    }
+    ADD_FAILURE() << "no cell " << detector << " x " << family;
+    return report.cells.front();
+  };
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SetParallelThreads(threads);
+    const Result<LeaderboardReport> full = RunLeaderboard(with_inner);
+    const Result<LeaderboardReport> alone = RunLeaderboard(wrappers_only);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+    ASSERT_EQ(alone->cells.size(), 6u);
+    for (const LeaderboardCell& mine : alone->cells) {
+      SCOPED_TRACE(mine.detector + " x " + mine.family);
+      const LeaderboardCell& theirs = cell(*full, mine.detector, mine.family);
+      EXPECT_EQ(mine.series_scored, theirs.series_scored);
+      EXPECT_EQ(mine.detector_errors, theirs.detector_errors);
+      ASSERT_EQ(mine.values.size(), theirs.values.size());
+      for (std::size_t m = 0; m < mine.values.size(); ++m) {
+        EXPECT_EQ(std::memcmp(&mine.values[m], &theirs.values[m],
+                              sizeof(double)),
+                  0)
+            << "metric " << m;
+      }
+    }
+    // The failing path really runs: plain semisup refuses both series
+    // on nab and yahoo, and its wrapper still scores them.
+    for (const char* family : {"nab", "yahoo"}) {
+      SCOPED_TRACE(family);
+      EXPECT_EQ(cell(*full, "semisup:m=2048", family).series_scored, 0u);
+      EXPECT_EQ(cell(*full, "semisup:m=2048", family).detector_errors, 2u);
+      EXPECT_EQ(cell(*full, "resilient:semisup:m=2048", family).series_scored,
+                2u);
+    }
+  }
+  SetParallelThreads(0);
 }
 
 // Hand-built cell grid: detector A beats B on point-adjust but loses

@@ -74,6 +74,12 @@ TEST(RegistryTest, UnknownNameIsNotFound) {
   Result<std::unique_ptr<AnomalyDetector>> d = MakeDetector("lstm");
   ASSERT_FALSE(d.ok());
   EXPECT_EQ(d.status().code(), StatusCode::kNotFound);
+  // The message lists the registry itself, so a newly registered
+  // detector shows up without anyone editing the error text.
+  for (const std::string& name : RegisteredDetectorNames()) {
+    EXPECT_NE(d.status().message().find(" " + name), std::string::npos)
+        << name << " missing from: " << d.status().message();
+  }
 }
 
 TEST(RegistryTest, UnknownNameSuggestsNearestRegisteredName) {
@@ -111,6 +117,23 @@ TEST(RegistryTest, MalformedSpecsRejected) {
   EXPECT_FALSE(MakeDetector("discord:m").ok());
   EXPECT_FALSE(MakeDetector("discord:m=abc").ok());
   EXPECT_FALSE(MakeDetector("discord:=5").ok());
+  // Negative, out-of-range and fractional sizes and non-finite values
+  // are refused, naming the key, rather than cast into a window.
+  const struct {
+    const char* spec;
+    const char* key;
+  } kBadValues[] = {
+      {"zscore:w=-3", "'w'"},       {"zscore:w=1e30", "'w'"},
+      {"discord:m=2.7", "'m'"},     {"ewma:lambda=nan", "'lambda'"},
+      {"zscore:w=nan", "'w'"},      {"resilient:zscore:w=-3", "'w'"},
+  };
+  for (const auto& bad : kBadValues) {
+    const Status status = MakeDetector(bad.spec).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << bad.spec << ": " << status.ToString();
+    EXPECT_NE(status.message().find(bad.key), std::string::npos)
+        << bad.spec << ": " << status.ToString();
+  }
 }
 
 TEST(RegistryTest, ConstructedDetectorActuallyDetects) {

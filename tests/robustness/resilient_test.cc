@@ -2,8 +2,11 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -249,6 +252,122 @@ TEST(ResilientDetectorTest, DropAndReindexKeepsOriginalLength) {
 TEST(ResilientDetectorTest, NameWrapsInnerName) {
   ResilientDetector resilient(ZScoreFallback());
   EXPECT_EQ(std::string(resilient.name()), "resilient(MovingZScore[w=64])");
+}
+
+// ---------------------------------------------------------------------
+// ScoreReusing: the inner detector's own result stands in for the
+// primary stage, and nothing observable changes.
+
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Score() and then ScoreReusing(supplied) on the same instance must
+// agree on the status or the bytes, and on the telemetry.
+void ExpectReuseMatchesScore(const ResilientDetector& resilient,
+                             const Series& x, std::size_t train,
+                             const Result<std::vector<double>>& supplied) {
+  const Result<std::vector<double>> scored = resilient.Score(x, train);
+  const ServedBy served = resilient.last_served_by();
+  const std::size_t patched = resilient.last_scores_patched();
+  const StatusCode primary = resilient.last_primary_status().code();
+
+  const Result<std::vector<double>> reused =
+      resilient.ScoreReusing(x, train, supplied);
+  ASSERT_EQ(reused.ok(), scored.ok()) << reused.status().ToString();
+  if (scored.ok()) {
+    EXPECT_TRUE(SameBytes(*reused, *scored));
+  } else {
+    EXPECT_EQ(reused.status().code(), scored.status().code());
+    EXPECT_EQ(reused.status().message(), scored.status().message());
+  }
+  EXPECT_EQ(resilient.last_served_by(), served);
+  EXPECT_EQ(resilient.last_scores_patched(), patched);
+  EXPECT_EQ(resilient.last_primary_status().code(), primary);
+}
+
+TEST(ResilientReuseTest, InnerResultGivesScoreOutputOnCleanInput) {
+  Rng rng(9);
+  Series x = GaussianNoise(400, 1.0, rng);
+  InjectSpike(x, 300, 8.0);
+  const std::size_t train = 100;
+
+  using Factory = std::function<std::unique_ptr<AnomalyDetector>()>;
+  const std::vector<std::pair<const char*, Factory>> inners = {
+      {"clean", [] { return ZScoreFallback(); }},
+      {"5 NaN scores",
+       [] { return std::make_unique<PartiallyNanDetector>(5); }},
+      {"90 NaN scores",
+       [] { return std::make_unique<PartiallyNanDetector>(90); }},
+      {"always fails", [] { return std::make_unique<AlwaysFailsDetector>(); }},
+  };
+  for (const auto& [label, make_inner] : inners) {
+    for (const bool with_simplified : {false, true}) {
+      SCOPED_TRACE(std::string(label) +
+                   (with_simplified ? ", simplified" : ", no simplified"));
+      std::unique_ptr<AnomalyDetector> inner = make_inner();
+      const Result<std::vector<double>> supplied = inner->Score(x, train);
+      ResilientDetector resilient(
+          std::move(inner), {},
+          with_simplified ? std::make_unique<PartiallyNanDetector>(0) : nullptr,
+          ZScoreFallback());
+      ExpectReuseMatchesScore(resilient, x, train, supplied);
+    }
+  }
+}
+
+TEST(ResilientReuseTest, SuppliedResultReallyServesThePrimaryStage) {
+  Rng rng(10);
+  const Series x = GaussianNoise(200, 1.0, rng);
+  ResilientDetector resilient(ZScoreFallback());
+  const std::vector<double> supplied(x.size(), 42.0);
+  const Result<std::vector<double>> reused =
+      resilient.ScoreReusing(x, 50, supplied);
+  ASSERT_TRUE(reused.ok());
+  EXPECT_EQ(*reused, supplied);
+  EXPECT_EQ(resilient.last_served_by(), ServedBy::kPrimary);
+}
+
+// Wherever the primary stage would not make the inner detector's plain
+// call, a supplied result (here a wrong one) must be ignored.
+TEST(ResilientReuseTest, SuppliedResultIgnoredWhereTheCallWouldDiffer) {
+  Rng rng(11);
+  Series clean = GaussianNoise(400, 1.0, rng);
+  InjectSpike(clean, 300, 8.0);
+  Series nan_gapped = clean;
+  Series sentinel_gapped = clean;
+  for (std::size_t i = 40; i < 60; ++i) {
+    nan_gapped[i] = kNan;
+    sentinel_gapped[i] = kDefaultSentinel;
+  }
+  ResilientConfig drop;
+  drop.imputation = ImputationPolicy::kDropAndReindex;
+  ResilientConfig watched;
+  watched.deadline = std::chrono::milliseconds(60000);
+
+  const struct {
+    const char* label;
+    const Series& x;
+    std::size_t train;
+    ResilientConfig config;
+  } cases[] = {
+      {"NaN gap", nan_gapped, 100, {}},
+      {"sentinel gap", sentinel_gapped, 100, {}},
+      {"drop and reindex", nan_gapped, 100, drop},
+      {"deadline", clean, 100, watched},
+      {"train past the end", clean, clean.size() + 10, {}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.label);
+    ResilientDetector resilient(ZScoreFallback(), c.config,
+                                /*simplified=*/nullptr, ZScoreFallback());
+    ExpectReuseMatchesScore(resilient, c.x, c.train,
+                            std::vector<double>(c.x.size(), 42.0));
+    ExpectReuseMatchesScore(resilient, c.x, c.train,
+                            Status::Internal("stale inner result"));
+  }
 }
 
 TEST(ServedByNameTest, AllStagesNamed) {

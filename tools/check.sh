@@ -52,7 +52,8 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
 
   # Multi-metric leaderboard smoke under ASan+UBSan: the full detector
   # construction / scoring / JSON path at CI size (ctest -L leaderboard
-  # = the CLI and bench --smoke boards).
+  # = the CLI and bench --smoke boards, including the board whose
+  # resilient: rows reuse their inner rows' scores).
   echo "==> leaderboard smoke under ASan+UBSan (ctest -L leaderboard)"
   (cd "${repo_root}/build-sanitize" && ctest --output-on-failure -L leaderboard)
 
@@ -74,13 +75,15 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   echo "==> pan-profile suite under ASan+UBSan (ctest -L panprofile)"
   (cd "${repo_root}/build-sanitize" && ctest --output-on-failure -L panprofile)
 
-  # TSan pass: the parallel layer, the serving engine and the MPX tile
-  # workers are the thread-touching subsystems, so build just their
-  # test binaries (examples/tools off; benches stay configured for the
-  # chaos harness below) and run the corresponding suites —
-  # determinism, error containment, deadline propagation, concurrent
-  # producers — under the race detector. (The ASan+UBSan pass above
-  # already runs both chaos sizes via the full suite.)
+  # TSan pass: the parallel layer, the serving engine, the MPX tile
+  # workers and the leaderboard sweep (one job writes the result slots
+  # of a row and of every resilient: row riding on it) are the
+  # thread-touching subsystems, so build just their test binaries
+  # (examples/tools off; benches stay configured for the chaos harness
+  # below) and run the corresponding suites — determinism, error
+  # containment, deadline propagation, concurrent producers — under
+  # the race detector. (The ASan+UBSan pass above already runs both
+  # chaos sizes via the full suite.)
   tsan_dir="${repo_root}/build-tsan"
   echo "==> configuring ${tsan_dir} (TSAD_SANITIZE=thread)"
   cmake -B "${tsan_dir}" -S "${repo_root}" \
@@ -88,17 +91,17 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
     -DTSAD_BUILD_EXAMPLES=OFF -DTSAD_BUILD_TOOLS=OFF
   echo "==> building ${tsan_dir} (parallel_test serving_engine_test" \
        "matrix_profile_test mpx_kernel_test streaming_mpx_test" \
-       "floss_test bench_chaos_serving)"
+       "leaderboard_test floss_test bench_chaos_serving)"
   cmake --build "${tsan_dir}" -j "${jobs}" \
     --target parallel_test serving_engine_test \
              matrix_profile_test mpx_kernel_test streaming_mpx_test \
              simd_dispatch_test cpu_features_test \
-             pan_profile_test join_kernels_test \
+             pan_profile_test join_kernels_test leaderboard_test \
              floss_test bench_chaos_serving
   echo "==> testing ${tsan_dir} (Parallel* + ShardedEngine* + MPX" \
-       "diagonal kernel)"
+       "diagonal kernel + Leaderboard*)"
   (cd "${tsan_dir}" && ctest --output-on-failure \
-    -R 'Parallel|ShardedEngine|MatrixProfileTest|MpxKernel')
+    -R 'Parallel|ShardedEngine|MatrixProfileTest|MpxKernel|Leaderboard')
   # The floss serving tests drive the engine's quarantine/recovery and
   # per-type memory rollup from floss streams; run the whole label so
   # the equivalence harness's thread sweep also executes under TSan.
