@@ -3,15 +3,21 @@
 // every subsequence length in a range, so the user does not have to
 // guess the window size.
 //
-// MerlinSweep runs on the pan-matrix-profile engine
-// (substrates/pan_profile.h): ONE multi-length diagonal sweep shares
-// the sliding dot products across every length of the range, and a
-// pruned refinement re-measures only the top candidates exactly —
-// instead of a full profile recompute per length. The classic DRAG
+// MerlinSweep is an exact bound-and-refine search on the one MPX
+// engine. Every subsequence carries a nearest-neighbour candidate from
+// length to length: one ComputeMatrixProfile call seeds the candidates
+// at min_length, and at each later length every subsequence
+// re-measures its candidate exactly and tries the diagonal
+// continuations of its neighbours' candidates. The re-measured
+// distances are upper bounds on the true nearest-neighbour distances,
+// so refining subsequences in bound order with exact rows finds the
+// top discord after a handful of rows; a length whose refinement runs
+// past a budget worth about one self-join refreshes every candidate
+// from ComputeMatrixProfile instead. The classic DRAG
 // candidate-selection algorithm (Yankov, Keogh & Rebbapragada, ICDM
 // 2007 [20]) stays exported below as the standalone fixed-radius
 // discord search, and MerlinSweepPerLength keeps the per-length
-// recompute as the oracle/baseline the pan sweep is certified (and
+// recompute as the oracle/baseline the search is certified (and
 // benchmarked) against.
 
 #ifndef TSAD_DETECTORS_MERLIN_H_
@@ -42,21 +48,45 @@ struct DragResult {
 };
 DragResult DragTopDiscord(const Series& series, std::size_t m, double r);
 
+/// Correlation-units epsilon under which two discord candidates count
+/// as exactly tied (squared distances within 2*m*eps), resolving to the
+/// LOWER position. Mutual nearest neighbors share ONE pair distance —
+/// an exact tie in real arithmetic — but every backend rounds the two
+/// directions slightly differently (the kernel recurrence by the path
+/// it took along each diagonal, the refinement row by its own dot
+/// order), so a strict argmax would make the reported position an
+/// artifact of which backend computed the profile. MerlinSweep and
+/// MerlinSweepPerLength both resolve such ties with this epsilon: far
+/// above ~1e-13 directional rounding, far below any genuine gap
+/// between distinct discords.
+inline constexpr double kPanTieCorrEps = 1e-8;
+
+/// The length-range half of MERLIN's validation: min_length >= 4 and
+/// min_length <= max_length, else InvalidArgument("bad MERLIN length
+/// range [min, max]"). The registry checks it when a merlin spec is
+/// built; MerlinSweep adds the series-length check, which needs n.
+Status ValidateMerlinLengths(std::size_t min_length, std::size_t max_length);
+
 /// MERLIN sweep: top discord for every m in [min_length, max_length]
-/// (ties to the lowest position, m/2 trivial-match exclusion), computed
-/// by the shared-dot pan-profile engine in one pass. Returns
-/// InvalidArgument on a bad range or a series too short for max_length.
+/// (ties to the lowest position under kPanTieCorrEps, m/2
+/// trivial-match exclusion) — exactly TopDiscords(ComputeMatrixProfile(
+/// series, m), 1) per length, found by the bound-and-refine search
+/// described above. Every reported distance comes from an exact
+/// locally-centered refinement row, and the output is bit-identical at
+/// every thread count and SIMD tier. Returns InvalidArgument on a bad
+/// range or a series too short for max_length, and Internal("no
+/// discord found at length <m>") if a length has no refinable entry.
 Result<std::vector<LengthDiscord>> MerlinSweep(const Series& series,
                                                std::size_t min_length,
                                                std::size_t max_length);
 
-/// The pre-pan baseline: one full matrix profile + TopDiscords(mp, 1)
-/// per length, with mutual-NN rounding-level ties resolved to the
-/// lowest position by the shared kPanTieCorrEps contract (see
-/// substrates/pan_profile.h). Same validation, same output contract as
-/// MerlinSweep — the oracle its equivalence tests check against and
-/// the "before" leg of the MERLIN bench. Runs ComputeMatrixProfile,
-/// so it benefits from --mp-isa.
+/// The per-length baseline: one full matrix profile + TopDiscords(mp,
+/// 1) per length, with mutual-NN rounding-level ties resolved to the
+/// lowest position by the shared kPanTieCorrEps contract. Same
+/// validation, same output contract as MerlinSweep — the oracle its
+/// equivalence tests check against, the "before" leg of the MERLIN
+/// bench and the strided-grid path of `tsad panprofile`. Runs
+/// ComputeMatrixProfile, so it benefits from --mp-isa.
 Result<std::vector<LengthDiscord>> MerlinSweepPerLength(
     const Series& series, std::size_t min_length, std::size_t max_length);
 

@@ -243,6 +243,7 @@ Result<std::unique_ptr<AnomalyDetector>> MakeDetector(
   // the generic parser below.
   if (IsPositionalMerlinSpec(spec)) {
     TSAD_ASSIGN_OR_RETURN(const MerlinRange range, ParseMerlinSpec(spec));
+    TSAD_RETURN_IF_ERROR(ValidateMerlinLengths(range.min, range.max));
     return std::unique_ptr<AnomalyDetector>(
         std::make_unique<MerlinDetector>(range.min, range.max));
   }
@@ -274,6 +275,8 @@ Result<std::unique_ptr<AnomalyDetector>> MakeDetector(
   } else if (name == "merlin") {
     const std::size_t min = reader.GetSize("min", 48);
     const std::size_t max = reader.GetSize("max", 96);
+    TSAD_RETURN_IF_ERROR(reader.Finish(name));
+    TSAD_RETURN_IF_ERROR(ValidateMerlinLengths(min, max));
     detector = std::make_unique<MerlinDetector>(min, max);
   } else if (name == "telemanom") {
     TelemanomConfig config;

@@ -262,9 +262,9 @@ class OnlineFloss : public OnlineDetector {
 /// MERLIN multi-length discord scoring as a servable stream. MERLIN is
 /// acausal — every length's top discord needs the whole series — so
 /// this adapter buffers the stream and emits EVERYTHING at Flush():
-/// one pan-profile sweep (the same pan-backed MerlinSweep the batch
-/// detector runs) over the buffered points, byte-identical to batch by
-/// construction. The cost model is explicit: MemoryFootprint() grows
+/// one MerlinSweep (the same search the batch detector runs) over the
+/// buffered points, byte-identical to batch by construction. The cost
+/// model is explicit: MemoryFootprint() grows
 /// linearly with the stream (the buffer is the state), so merlin
 /// streams are first in line for the engine's memory-budget eviction —
 /// which is fine, because a cold-evicted buffer thaws byte-exactly.

@@ -334,15 +334,9 @@ Result<MatrixProfile> ComputeMatrixProfile(const std::vector<double>& series,
         return Status::OK();
       }));
 
-  const std::vector<std::size_t>& flat = side.flat_indices;
   return FinishProfile(best, side.inv, m, 0, [&](std::size_t i) {
-    // Lowest flat index outside i's exclusion zone: the overall-lowest
-    // if it clears the left side of the zone, else the first past the
-    // right side.
-    if (flat.empty()) return kNoNeighbor;
-    if (i > exclusion && flat.front() < i - exclusion) return flat.front();
-    const auto it = std::upper_bound(flat.begin(), flat.end(), i + exclusion);
-    return it == flat.end() ? kNoNeighbor : *it;
+    return profile_internal::LowestFlatOutsideExclusion(side.flat_indices, i,
+                                                        exclusion);
   });
 }
 

@@ -93,8 +93,8 @@ inline constexpr std::size_t kNoNeighbor =
 // Rounding: both use C++ integer division, i.e. floor. For even m the
 // self-join zone is exactly m/2 (m=64 -> 32: j = i+32 is ineligible,
 // j = i+33 is the first candidate); for odd m it floors (m=65 -> 32).
-// Every engine (batch MPX, the pan and streaming engines, the test
-// oracle) and TopDiscords must derive its default from these two
+// Every engine (batch MPX, MERLIN's search, the streaming engine, the
+// test oracle) and TopDiscords must derive its default from these two
 // functions — never from a literal —
 // so the semantics can only ever change in one place.
 // ---------------------------------------------------------------------------

@@ -96,83 +96,6 @@ void MpxCrossBlockScalarRangeB(const MpxCrossBlockArgs& args,
   MpxCrossScalarRange<false>(args, d_begin, d_end);
 }
 
-void PanSeedSlideBase(const PanBlockArgs& a) {
-  const double* x = a.x;
-  const std::size_t m = a.layers[0].m;
-  const std::size_t d = a.d;
-  double qt = 0.0;
-  for (std::size_t k = 0; k < m; ++k) {
-    qt += x[a.r0 + k] * x[a.r0 + d + k];
-  }
-  a.qt_buf[0] = qt;
-  for (std::size_t o = a.r0 + 1; o < a.r1; ++o) {
-    qt += x[o - 1 + m] * x[o - 1 + d + m] - x[o - 1] * x[o - 1 + d];
-    a.qt_buf[o - a.r0] = qt;
-  }
-}
-
-void PanUpdateTrackRange(const PanLayerArgs& layer, const double* corr_buf,
-                         std::size_t r0, std::size_t end, std::size_t d) {
-  double* lc = layer.local_corr;
-  std::size_t* li = layer.local_index;
-  for (std::size_t o = r0; o < end; ++o) {
-    const double c = corr_buf[o - r0];
-    if (c > lc[o] || (c == lc[o] && o + d < li[o])) {
-      lc[o] = c;
-      li[o] = o + d;
-    }
-    if (c > lc[o + d] || (c == lc[o + d] && o < li[o + d])) {
-      lc[o + d] = c;
-      li[o + d] = o;
-    }
-  }
-}
-
-void PanBlockScalar(const PanBlockArgs& a) {
-  PanSeedSlideBase(a);
-  const double* x = a.x;
-  const std::size_t d = a.d;
-  const std::size_t r0 = a.r0;
-  std::size_t prev_m = a.layers[0].m;
-  for (std::size_t l = 0; l < a.num_layers; ++l) {
-    const PanLayerArgs& layer = a.layers[l];
-    // Counts shrink and exclusions grow with the length, so the first
-    // inadmissible layer ends the chunk.
-    if (layer.exclusion >= d || layer.count <= d + r0) break;
-    const std::size_t cap = layer.count - d;
-    const std::size_t end = a.r1 < cap ? a.r1 : cap;
-    // Advance the dots through the length recurrence qt_{m+1} = qt_m +
-    // x[o+m] * x[o+d+m], only over offsets still valid at this length.
-    for (std::size_t k = prev_m; k < layer.m; ++k) {
-      for (std::size_t o = r0; o < end; ++o) {
-        a.qt_buf[o - r0] += x[o + k] * x[o + d + k];
-      }
-    }
-    prev_m = layer.m;
-    const double dm = static_cast<double>(layer.m);
-    const double* mu = layer.means;
-    const double* inv = layer.inv;
-    for (std::size_t o = r0; o < end; ++o) {
-      a.corr_buf[o - r0] =
-          (a.qt_buf[o - r0] - dm * mu[o] * mu[o + d]) * inv[o] * inv[o + d];
-    }
-    if (layer.local_index != nullptr) {
-      PanUpdateTrackRange(layer, a.corr_buf, r0, end, d);
-    } else {
-      // Bound mode: plain per-entry maxima, no index race. Fused row +
-      // column updates per offset — max merges of one candidate set,
-      // so the final profile is interleaving-independent; the vector
-      // variants use the same per-offset order.
-      double* lc = layer.local_corr;
-      for (std::size_t o = r0; o < end; ++o) {
-        const double c = a.corr_buf[o - r0];
-        if (c > lc[o]) lc[o] = c;
-        if (c > lc[o + d]) lc[o + d] = c;
-      }
-    }
-  }
-}
-
 void PanCovRowScalarRange(const PanCovRowArgs& a, std::size_t j_begin,
                           std::size_t j_end) {
   for (std::size_t j = j_begin; j < j_end; ++j) {

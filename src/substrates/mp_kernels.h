@@ -1,12 +1,12 @@
 // Kernel-variant registry for the matrix-profile engines.
 //
-// The hot inner loops of the batch MPX joins, the pan-profile engine
-// and the streaming MPX substrate are compiled once per ISA tier (scalar/SSE2/AVX2/AVX-512)
-// in dedicated translation units carrying per-TU -msse2/-mavx2/
-// -mavx512f flags, and selected at runtime through this registry via
-// common/cpu_features.h. The default build stays portable: baseline
-// TUs never emit wide-SIMD instructions, and a variant only runs after
-// CPUID confirms the host supports its tier.
+// The hot inner loops of the batch MPX joins, MERLIN's refinement rows
+// and the streaming MPX substrate are compiled once per ISA tier
+// (scalar/SSE2/AVX2/AVX-512) in dedicated translation units carrying
+// per-TU -msse2/-mavx2/-mavx512f flags, and selected at runtime through
+// this registry via common/cpu_features.h. The default build stays
+// portable: baseline TUs never emit wide-SIMD instructions, and a
+// variant only runs after CPUID confirms the host supports its tier.
 //
 // Bit-identity contract: every variant of the same
 // operation produces bit-identical results to the scalar baseline on
@@ -125,48 +125,12 @@ struct MpxAdvanceLagsArgs {
 };
 using MpxAdvanceLagsFn = void (*)(MpxAdvanceLagsArgs&);
 
-/// One length layer of a pan-profile block cell (PanBlockArgs): the
-/// per-length stat tracks plus this worker's local profile.
-/// `local_index` is nullptr in bound mode (plain per-entry max, no
-/// neighbor race).
-struct PanLayerArgs {
-  const double* means = nullptr;
-  const double* inv = nullptr;  // muinvn inverse norms, 0 = flat
-  double* local_corr = nullptr;
-  std::size_t* local_index = nullptr;  // nullptr: bound mode
-  std::size_t m = 0;
-  std::size_t count = 0;
-  std::size_t exclusion = 0;
-};
-
-/// One (diagonal, offset block, length chunk) cell of the pan-profile
-/// sweep (substrates/pan_profile.h): seed the chunk-base sliding dot at
-/// offset r0 and slide it across the block (PanSeedSlideBase — the ONE
-/// shared scalar chain), then per layer (m strictly ascending) advance
-/// every offset's dot through the length recurrence qt_{m+1} = qt_m +
-/// x[o+m] * x[o+d+m], recover the centered correlations into corr_buf,
-/// and race them into the layer's local profile — lexicographic in
-/// track mode, plain max in bound mode. Layers stop at the first
-/// inadmissible one (counts shrink and exclusions grow with m). The
-/// caller owns the tile/chunk/diagonal/block loops and deadline polls.
-struct PanBlockArgs {
-  const double* x = nullptr;  // raw series
-  const PanLayerArgs* layers = nullptr;  // one chunk, m strictly ascending
-  std::size_t num_layers = 0;
-  std::size_t d = 0;   // diagonal
-  std::size_t r0 = 0;  // block start offset
-  std::size_t r1 = 0;  // block end bound (exclusive)
-  double* qt_buf = nullptr;    // caller scratch, >= r1 - r0
-  double* corr_buf = nullptr;  // caller scratch, >= r1 - r0
-};
-using PanBlockFn = void (*)(const PanBlockArgs&);
-
-/// One exact refinement row of the pan discord sweep: locally-centered
-/// covariances of the query subsequence at `pos` against EVERY
-/// subsequence — out[j] = MpxSeedCov(series, means, pos, j, m), the
-/// O(n*m) direct form of a MASS row. Fully accurate (no uncentered
-/// cancellation, no FFT rounding) and vectorized across adjacent
-/// columns exactly like the kernels' group seeds.
+/// One exact refinement row of MerlinSweep (detectors/merlin.h):
+/// locally-centered covariances of the query subsequence at `pos`
+/// against EVERY subsequence — out[j] = MpxSeedCov(series, means, pos,
+/// j, m), the O(n*m) direct form of a MASS row. Fully accurate (no
+/// uncentered cancellation, no FFT rounding) and vectorized across
+/// adjacent columns exactly like the kernels' group seeds.
 struct PanCovRowArgs {
   const double* series = nullptr;
   const double* means = nullptr;  // per-subsequence means at length m
@@ -184,7 +148,6 @@ struct MpKernelVariant {
   MpxCrossBlockFn mpx_cross_a = nullptr;  // update side A (entry o)
   MpxCrossBlockFn mpx_cross_b = nullptr;  // update side B (entry o + d)
   MpxAdvanceLagsFn mpx_advance_lags = nullptr;
-  PanBlockFn pan_block = nullptr;
   PanCovRowFn pan_cov_row = nullptr;
 };
 
@@ -235,26 +198,6 @@ void MpxCrossBlockScalarRangeB(const MpxCrossBlockArgs& args,
 /// Scalar lag advance over lags [k_begin, k_end).
 void MpxAdvanceLagsScalarRange(MpxAdvanceLagsArgs& args, std::size_t k_begin,
                                std::size_t k_end);
-
-/// Seed args' chunk-base sliding dot at offset r0 (O(m) left-to-right
-/// uncentered product at m = layers[0].m) and slide it across the
-/// block: on return qt_buf[o - r0] = dot(x[o..o+m), x[o+d..o+d+m)) for
-/// every o in [r0, r1). Compiled once here and called by EVERY pan
-/// variant — the serial slide chain is the pan engine's bit-identity
-/// anchor, the role MpxSeedCov plays for the MPX kernels.
-void PanSeedSlideBase(const PanBlockArgs& args);
-
-/// The track-mode profile race from buffered correlations: for each
-/// offset o in [r0, end), lexicographic max on the row side (entry o,
-/// neighbor o + d) then the column side (entry o + d, neighbor o).
-/// Shared by the scalar variant and every vector variant — the race is
-/// branchy and rarely wins, so it stays scalar at every tier.
-void PanUpdateTrackRange(const PanLayerArgs& layer, const double* corr_buf,
-                         std::size_t r0, std::size_t end, std::size_t d);
-
-/// The whole scalar pan block cell: PanSeedSlideBase plus per-layer
-/// scalar advance / correlation-recovery / update loops.
-void PanBlockScalar(const PanBlockArgs& args);
 
 /// Scalar cov row over columns [j_begin, j_end) — a loop of MpxSeedCov.
 void PanCovRowScalarRange(const PanCovRowArgs& args, std::size_t j_begin,

@@ -25,8 +25,6 @@ void MpxAdvanceLags(MpxAdvanceLagsArgs& args) {
   MpxAdvanceLagsScalarRange(args, 0, args.nlags);
 }
 
-void PanBlock(const PanBlockArgs& args) { PanBlockScalar(args); }
-
 void PanCovRow(const PanCovRowArgs& args) {
   PanCovRowScalarRange(args, 0, args.count);
 }
@@ -42,7 +40,6 @@ MpKernelVariant ScalarVariant() {
   v.mpx_cross_a = MpxCrossBlockA;
   v.mpx_cross_b = MpxCrossBlockB;
   v.mpx_advance_lags = MpxAdvanceLags;
-  v.pan_block = PanBlock;
   v.pan_cov_row = PanCovRow;
   return v;
 }

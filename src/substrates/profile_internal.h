@@ -1,5 +1,5 @@
 // Internal conventions shared by the matrix-profile engines (the batch
-// MPX joins in matrix_profile.cc, the pan-profile engine and the
+// MPX joins in matrix_profile.cc, MERLIN's refinement search and the
 // streaming kernel) and the naive test oracle. They MUST agree on
 // these definitions — the flat-subsequence classification decides
 // which entries take the SCAMP special-case distances (0 / sqrt(2m)),
@@ -10,10 +10,12 @@
 #ifndef TSAD_SUBSTRATES_PROFILE_INTERNAL_H_
 #define TSAD_SUBSTRATES_PROFILE_INTERNAL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "substrates/matrix_profile.h"
@@ -30,6 +32,17 @@ constexpr double kFlatSigmaRel = 1e-7;
 
 inline bool IsFlat(double mean, double std) {
   return std < kFlatSigmaRel * (1.0 + std::fabs(mean));
+}
+
+// The SCAMP flat-flat tie-break: the lowest index in `flat` (ascending
+// flat subsequence indices) outside i's exclusion zone, or kNoNeighbor.
+inline std::size_t LowestFlatOutsideExclusion(
+    const std::vector<std::size_t>& flat, std::size_t i,
+    std::size_t exclusion) {
+  if (flat.empty()) return kNoNeighbor;
+  if (i > exclusion && flat.front() < i - exclusion) return flat.front();
+  const auto it = std::upper_bound(flat.begin(), flat.end(), i + exclusion);
+  return it == flat.end() ? kNoNeighbor : *it;
 }
 
 // Shared self-join argument validation: resolves the SIZE_MAX

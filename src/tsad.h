@@ -20,7 +20,6 @@
 
 #include "substrates/matrix_profile.h"     // IWYU pragma: export
 #include "substrates/motifs.h"             // IWYU pragma: export
-#include "substrates/pan_profile.h"        // IWYU pragma: export
 #include "substrates/sliding_window.h"     // IWYU pragma: export
 
 #include "detectors/cusum.h"          // IWYU pragma: export

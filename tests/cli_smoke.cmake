@@ -75,8 +75,8 @@ if(found EQUAL -1)
   message(FATAL_ERROR "floss serve missing per-type memory line: ${out}")
 endif()
 
-# panprofile: dense range goes through MERLIN's pruned pan discord
-# sweep; must print the per-length table and the peak line.
+# panprofile: dense range goes through MerlinSweep's bound-and-refine
+# search; must print the per-length table and the peak line.
 execute_process(COMMAND ${TSAD_CLI} panprofile ${WORK_DIR}/nyc_taxi.csv
                         --min-length 48 --max-length 64
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out)
@@ -92,8 +92,9 @@ if(found EQUAL -1)
   message(FATAL_ERROR "panprofile output missing peak line: ${out}")
 endif()
 
-# panprofile strided grid: takes the full pan-profile path instead of
-# the pruned sweep; same output contract.
+# panprofile strided grid: one self-join plus TopDiscords per grid
+# length (MerlinSweepPerLength) instead of the search; same output
+# contract.
 execute_process(COMMAND ${TSAD_CLI} panprofile ${WORK_DIR}/nyc_taxi.csv
                         --min-length 32 --max-length 64 --step 8
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out)

@@ -134,6 +134,19 @@ TEST(RegistryTest, MalformedSpecsRejected) {
     EXPECT_NE(status.message().find(bad.key), std::string::npos)
         << bad.spec << ": " << status.ToString();
   }
+  // A merlin range that no series could satisfy is refused when the
+  // spec is built, in both grammars and under resilient:, instead of
+  // failing every Score() (or, wrapped, serving the fallback).
+  for (const char* spec :
+       {"merlin:60:40", "merlin:2:10", "merlin:0:0", "merlin:min=60,max=40",
+        "merlin:min=2", "resilient:merlin:60:40"}) {
+    const Status status = MakeDetector(spec).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << spec << ": " << status.ToString();
+    EXPECT_NE(status.message().find("bad MERLIN length range"),
+              std::string::npos)
+        << spec << ": " << status.ToString();
+  }
 }
 
 TEST(RegistryTest, ConstructedDetectorActuallyDetects) {

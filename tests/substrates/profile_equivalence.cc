@@ -15,7 +15,6 @@
 #include "datasets/omni.h"
 #include "datasets/physio.h"
 #include "datasets/yahoo.h"
-#include "substrates/pan_profile.h"
 #include "substrates/profile_internal.h"
 #include "substrates/sliding_window.h"
 #include "substrates/streaming_mpx.h"
@@ -304,36 +303,6 @@ std::vector<ProfileTestFamily> SimulatorFamilies() {
     const MatrixProfile& oracle, std::size_t discords) {
   return CheckCandidate(oracle, ComputeLeftMatrixProfile(series, m),
                         FlatFlags(series, m), discords, "mpx/left");
-}
-
-::testing::AssertionResult ExpectPanProfileEquivalence(
-    const std::vector<double>& series, std::size_t min_length,
-    std::size_t max_length, std::size_t step, std::size_t discords) {
-  PanProfileConfig config;
-  config.min_length = min_length;
-  config.max_length = max_length;
-  config.step = step;
-  const Result<PanProfile> pan = ComputePanProfile(series, config);
-  if (!pan.ok()) {
-    return ::testing::AssertionFailure()
-           << "pan engine rejected the series: " << pan.status().message();
-  }
-  for (std::size_t l = 0; l < pan->num_lengths(); ++l) {
-    const std::size_t m = pan->lengths[l];
-    const Result<MatrixProfile> batch = ComputeMatrixProfile(series, m);
-    if (!batch.ok()) {
-      return ::testing::AssertionFailure()
-             << "batch join rejected m=" << m << " the pan engine accepted: "
-             << batch.status().message();
-    }
-    const ::testing::AssertionResult layer = CheckProfileContract(
-        *batch, pan->Layer(l), FlatFlags(series, m), discords, "pan");
-    if (!layer) {
-      return ::testing::AssertionFailure()
-             << "pan layer m=" << m << ": " << layer.message();
-    }
-  }
-  return ::testing::AssertionSuccess();
 }
 
 ::testing::AssertionResult ExpectStreamingMpxEquivalence(

@@ -12,7 +12,7 @@
 // (O(m) seed + O(1) rank-2 updates), so it CANNOT be bit-identical to
 // the oracle — but it must be interchangeable with it for every
 // consumer in this codebase. The contract, checked by
-// ExpectProfileEquivalence and its join/left/pan forms:
+// ExpectProfileEquivalence and its join/left/streaming forms:
 //
 //  1. Dynamic entries agree in SQUARED-distance space within
 //     2m * kMpxCorrTolerance. Squared distance is the honest metric:
@@ -121,18 +121,6 @@ std::vector<ProfileTestFamily> SimulatorFamilies();
 ::testing::AssertionResult ExpectLeftProfileEquivalence(
     const std::vector<double>& series, std::size_t m,
     const MatrixProfile& oracle, std::size_t discords = 3);
-
-/// Runs ComputePanProfile over [min_length, max_length] x step and
-/// checks EVERY layer against the batch ComputeMatrixProfile at that
-/// length (itself certified against the oracle) under the standard
-/// three-clause contract (kMpxCorrTolerance — the pan engine's
-/// uncentered-dot recovery is certified to per-length accuracy on the
-/// well-conditioned inputs this harness feeds it; pan_profile.h
-/// documents the adversarial-level exclusion). The batch side is cheap,
-/// so multi-length sweeps over every family stay test-sized.
-::testing::AssertionResult ExpectPanProfileEquivalence(
-    const std::vector<double>& series, std::size_t min_length,
-    std::size_t max_length, std::size_t step, std::size_t discords = 3);
 
 /// Certifies the streaming kernel (StreamingMpx) fed the series point
 /// by point with ring capacity `buffer_cap`:

@@ -6,7 +6,8 @@
 //    chain in the scalar order, so vectorization changes WHICH lanes
 //    run together, never what any lane computes;
 //  * streaming MPX: bit-identical ring state and profiles across
-//    tiers, before and after eviction.
+//    tiers, before and after eviction;
+//  * MerlinSweep: bit-identical discords across tiers.
 //
 // The scalar tier is the anchor: it runs on every host, so CI machines
 // without AVX still execute every assertion here (the per-tier loops
@@ -23,9 +24,9 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/series.h"
+#include "detectors/merlin.h"
 #include "profile_equivalence.h"
 #include "substrates/matrix_profile.h"
-#include "substrates/pan_profile.h"
 #include "substrates/streaming_mpx.h"
 
 namespace tsad {
@@ -80,6 +81,13 @@ Series WalkWithFlats(std::size_t n, uint64_t seed) {
   Series x = RandomWalk(n, seed);
   for (std::size_t i = n / 4; i < n / 4 + 60; ++i) x[i] = 7.5;
   for (std::size_t i = n / 2; i < n / 2 + 80; ++i) x[i] = 1.0e6;
+  return x;
+}
+
+Series WhiteNoise(std::size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Series x(n);
+  for (double& v : x) v = rng.Gaussian();
   return x;
 }
 
@@ -225,60 +233,38 @@ TEST(SimdDispatchTest, StreamingMpxIsBitIdenticalAcrossIsaTiers) {
   }
 }
 
-TEST(SimdDispatchTest, PanProfileIsBitIdenticalAcrossIsaTiers) {
-  DispatchGuard guard;
-  // Flats at two levels so the forced tiers cross the inv == 0 lanes of
-  // the pan corr fill and the bound maxima at every layer.
-  const Series x = WalkWithFlats(2200, 70);
-  PanProfileConfig config;
-  config.min_length = 24;
-  config.max_length = 48;
-  config.step = 4;
-  ASSERT_TRUE(SetSimdTierOverride(SimdTier::kScalar).ok());
-  SetParallelThreads(1);
-  const Result<PanProfile> anchor = ComputePanProfile(x, config);
-  ASSERT_TRUE(anchor.ok());
-  for (const SimdTier tier : SupportedTiers()) {
-    ASSERT_TRUE(SetSimdTierOverride(tier).ok()) << SimdTierName(tier);
-    for (const std::size_t threads : ThreadCountsToTest()) {
-      SetParallelThreads(threads);
-      const Result<PanProfile> forced = ComputePanProfile(x, config);
-      ASSERT_TRUE(forced.ok());
-      EXPECT_EQ(forced->distances, anchor->distances)
-          << SimdTierName(tier) << " threads=" << threads;
-      EXPECT_EQ(forced->indices, anchor->indices)
-          << SimdTierName(tier) << " threads=" << threads;
-    }
-  }
-}
-
 TEST(SimdDispatchTest, PanDiscordSweepIsBitIdenticalAcrossIsaTiers) {
   DispatchGuard guard;
-  // Exercises both dispatched pan kernels: the strided bound sweep
-  // (pan_block, bound mode) and the centered-covariance refinement rows
-  // (pan_cov_row).
-  const Series x = WalkWithFlats(2200, 71);
-  const auto run = [&] { return PanLengthDiscords(x, 24, 48); };
-  ASSERT_TRUE(SetSimdTierOverride(SimdTier::kScalar).ok());
-  SetParallelThreads(1);
-  const Result<std::vector<PanLengthDiscord>> anchor = run();
-  ASSERT_TRUE(anchor.ok());
-  for (const SimdTier tier : SupportedTiers()) {
-    ASSERT_TRUE(SetSimdTierOverride(tier).ok()) << SimdTierName(tier);
-    for (const std::size_t threads : ThreadCountsToTest()) {
-      SetParallelThreads(threads);
-      const Result<std::vector<PanLengthDiscord>> forced = run();
-      ASSERT_TRUE(forced.ok());
-      ASSERT_EQ(forced->size(), anchor->size())
-          << SimdTierName(tier) << " threads=" << threads;
-      for (std::size_t i = 0; i < anchor->size(); ++i) {
-        EXPECT_EQ((*forced)[i].length, (*anchor)[i].length);
-        EXPECT_EQ((*forced)[i].position, (*anchor)[i].position)
-            << SimdTierName(tier) << " threads=" << threads
-            << " length=" << (*anchor)[i].length;
-        EXPECT_EQ((*forced)[i].distance, (*anchor)[i].distance)
-            << SimdTierName(tier) << " threads=" << threads
-            << " length=" << (*anchor)[i].length;
+  // Exercises both dispatched kernels MerlinSweep runs: the MPX
+  // self-join that seeds (and refreshes) the nearest-neighbour
+  // candidates and the centered-covariance refinement rows
+  // (pan_cov_row). White noise defeats the carried candidates, so its
+  // refinement runs many batches and takes the refresh path.
+  const Series walk = WalkWithFlats(2200, 71);
+  const Series noise = WhiteNoise(2048, 72);
+  for (const Series* x : {&walk, &noise}) {
+    const auto run = [&] { return MerlinSweep(*x, 24, 48); };
+    ASSERT_TRUE(SetSimdTierOverride(SimdTier::kScalar).ok());
+    SetParallelThreads(1);
+    const Result<std::vector<LengthDiscord>> anchor = run();
+    ASSERT_TRUE(anchor.ok());
+    for (const SimdTier tier : SupportedTiers()) {
+      ASSERT_TRUE(SetSimdTierOverride(tier).ok()) << SimdTierName(tier);
+      for (const std::size_t threads : ThreadCountsToTest()) {
+        SetParallelThreads(threads);
+        const Result<std::vector<LengthDiscord>> forced = run();
+        ASSERT_TRUE(forced.ok());
+        ASSERT_EQ(forced->size(), anchor->size())
+            << SimdTierName(tier) << " threads=" << threads;
+        for (std::size_t i = 0; i < anchor->size(); ++i) {
+          EXPECT_EQ((*forced)[i].length, (*anchor)[i].length);
+          EXPECT_EQ((*forced)[i].position, (*anchor)[i].position)
+              << SimdTierName(tier) << " threads=" << threads
+              << " length=" << (*anchor)[i].length;
+          EXPECT_EQ((*forced)[i].distance, (*anchor)[i].distance)
+              << SimdTierName(tier) << " threads=" << threads
+              << " length=" << (*anchor)[i].length;
+        }
       }
     }
   }

@@ -69,10 +69,10 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   echo "==> SIMD dispatch suite under ASan+UBSan (ctest -L simd)"
   (cd "${repo_root}/build-sanitize" && ctest --output-on-failure -L simd)
 
-  # Pan-profile / join-kernel suite under ASan+UBSan: the shared-stats
-  # layer views, per-worker qt/corr scratch and strided bound sweeps
-  # are all raw-pointer windows over caller buffers.
-  echo "==> pan-profile suite under ASan+UBSan (ctest -L panprofile)"
+  # MERLIN / join-kernel suite under ASan+UBSan: the search's carried
+  # neighbour indices, per-batch refinement scratch rows and the
+  # cross-join blocks are all raw-pointer windows over caller buffers.
+  echo "==> MERLIN / join-kernel suite under ASan+UBSan (ctest -L panprofile)"
   (cd "${repo_root}/build-sanitize" && ctest --output-on-failure -L panprofile)
 
   # TSan pass: the parallel layer, the serving engine, the MPX tile
@@ -96,7 +96,7 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
     --target parallel_test serving_engine_test \
              matrix_profile_test mpx_kernel_test streaming_mpx_test \
              simd_dispatch_test cpu_features_test \
-             pan_profile_test join_kernels_test leaderboard_test \
+             merlin_test join_kernels_test leaderboard_test \
              floss_test bench_chaos_serving
   echo "==> testing ${tsan_dir} (Parallel* + ShardedEngine* + MPX" \
        "diagonal kernel + Leaderboard*)"
@@ -113,10 +113,11 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   # simd tests are skipped here: tools are off in this tree.)
   echo "==> SIMD dispatch suite under TSan (ctest -L simd)"
   (cd "${tsan_dir}" && ctest --output-on-failure -L simd)
-  # Pan-profile suite under TSan: the bound sweep's tile workers merge
-  # per-worker layer maxima under one mutex while the refinement reuses
-  # a per-call scratch row — the thread sweeps re-run both at 1/2/hw.
-  echo "==> pan-profile suite under TSan (ctest -L panprofile)"
+  # MERLIN suite under TSan: the re-measure pass writes disjoint chunks
+  # of the carried neighbours from pool workers, and each refinement
+  # batch fills one scratch row per worker — the thread sweeps re-run
+  # both at 1/2/hw.
+  echo "==> MERLIN / join-kernel suite under TSan (ctest -L panprofile)"
   (cd "${tsan_dir}" && ctest --output-on-failure -L panprofile)
   # Chaos harness under the race detector: every survival path —
   # admission, shed, eviction/thaw, quarantine/recovery, failover —

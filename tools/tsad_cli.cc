@@ -11,11 +11,10 @@
 //       Score a series and report the predicted anomaly location
 //       (default detector: discord:m=128).
 //   tsad panprofile <file.csv> [--min-length N] [--max-length N] [--step S]
-//       MERLIN-style pan-matrix-profile sweep: the top discord at every
-//       subsequence length of [min, max] (default 48..96) in one
-//       shared-dot pass, plus the length whose normalized discord
-//       distance peaks. --step > 1 sweeps a strided length grid via the
-//       full pan profile instead of the pruned discord path.
+//       MERLIN-style sweep: the top discord at every subsequence length
+//       of [min, max] (default 48..96), plus the length whose
+//       normalized discord distance peaks. --step > 1 sweeps a strided
+//       length grid with one self-join per grid length.
 //   tsad robustness [file.csv] [--detectors SPEC,SPEC,...] [--seed N]
 //       Run the fault x severity robustness matrix (NaN / -9999 missing
 //       markers, dropouts, stuck-at, spikes, clipping, quantization,
@@ -55,7 +54,6 @@
 //
 // CSV format: the library's own (see common/csv.h).
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -373,9 +371,14 @@ int CmdPanProfile(const Args& args) {
     return 1;
   }
 
+  if (args.step == 0) {
+    const Status bad_step = Status::InvalidArgument("--step must be >= 1");
+    std::printf("%s\n", bad_step.ToString().c_str());
+    return 1;
+  }
   std::vector<LengthDiscord> rows;
   if (args.step == 1) {
-    // The dense range goes through MERLIN's pruned pan discord sweep.
+    // The dense range goes through MERLIN's bound-and-refine search.
     Result<std::vector<LengthDiscord>> sweep =
         MerlinSweep(series->values(), args.min_length, args.max_length);
     if (!sweep.ok()) {
@@ -384,30 +387,24 @@ int CmdPanProfile(const Args& args) {
     }
     rows = std::move(sweep.value());
   } else {
-    // A strided grid has no pruned path; compute the full pan profile
-    // and read each layer's top discord off it.
-    PanProfileConfig config;
-    config.min_length = args.min_length;
-    config.max_length = args.max_length;
-    config.step = args.step;
-    Result<PanProfile> pan = ComputePanProfile(series->values(), config);
-    if (!pan.ok()) {
-      std::printf("%s\n", pan.status().ToString().c_str());
+    // A strided grid shares nothing between its lengths: one self-join
+    // and TopDiscords per grid length, with MERLIN's tie rule.
+    const Status range =
+        ValidateMerlinLengths(args.min_length, args.max_length);
+    if (!range.ok()) {
+      std::printf("%s\n", range.ToString().c_str());
       return 1;
     }
-    for (std::size_t l = 0; l < pan->num_lengths(); ++l) {
-      const std::vector<Discord> top = TopDiscords(pan->Layer(l), 1);
-      if (top.empty()) {
-        std::printf("no discord found at length %zu\n", pan->lengths[l]);
+    const std::size_t last = (args.max_length - args.min_length) / args.step;
+    for (std::size_t k = 0; k <= last; ++k) {
+      const std::size_t m = args.min_length + k * args.step;
+      Result<std::vector<LengthDiscord>> one =
+          MerlinSweepPerLength(series->values(), m, m);
+      if (!one.ok()) {
+        std::printf("%s\n", one.status().ToString().c_str());
         return 1;
       }
-      LengthDiscord row;
-      row.length = pan->lengths[l];
-      row.position = top.front().position;
-      row.distance = top.front().distance;
-      row.normalized =
-          top.front().distance / std::sqrt(static_cast<double>(row.length));
-      rows.push_back(row);
+      rows.push_back(one->front());
     }
   }
 
