@@ -2,7 +2,7 @@
 // synthetic series out to many streams running the streaming-discord
 // adapter (the heaviest online detector) and measures replay throughput
 // at 1 thread versus the resolved thread count, then runs a bounded-
-// memory FLOSS fleet at 5k, 20k and 50k streams (the fleet envelope:
+// memory FLOSS fleet at 5k, 20k, 50k and 100k streams (the fleet envelope:
 // points/s, bytes per stream, peak bytes and microseconds per
 // FinishStream at each size). Writes both to BENCH_perf_serving.json —
 // the machine-readable record CI archives to track the sharded engine's
@@ -287,10 +287,10 @@ int main(int argc, char** argv) {
   std::printf("  speedup  : %.2fx\n", speedup);
 
   // Bounded-memory floss fleet: the scale the ring buffer exists for,
-  // at three sizes spanning 10x (the envelope), or one miniature.
+  // at four sizes spanning 20x (the envelope), or one miniature.
   const std::vector<std::size_t> fleet_sizes =
       smoke ? std::vector<std::size_t>{200}
-            : std::vector<std::size_t>{5000, 20000, 50000};
+            : std::vector<std::size_t>{5000, 20000, 50000, 100000};
   const std::size_t fleet_points = smoke ? 96 : 384;
   const tsad::Series fleet_series = SyntheticTelemetry(fleet_points, 3);
   std::printf("floss fleet envelope: floss:32:256 + zscore:w=64 controls, "

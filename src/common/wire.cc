@@ -1,10 +1,29 @@
 #include "common/wire.h"
 
+#include <bit>
 #include <cstring>
+#include <limits>
 
 namespace tsad {
 
 namespace {
+
+// x86's 80-bit extended long double: a 64-bit significand (explicit
+// integer bit) followed by 16 bits of sign and exponent, little-endian.
+constexpr bool kX87LongDouble =
+    std::numeric_limits<long double>::digits == 64 &&
+    std::endian::native == std::endian::little;
+
+// The tagged long-double form's first word: a quiet NaN whose payload
+// carries this marker above the 16 sign-and-exponent bits.
+constexpr std::uint64_t kTaggedMask = 0xFFFF'FFFF'FFFF'0000ULL;
+constexpr std::uint64_t kTaggedHi = 0x7FFA'5D1E'7A60'0000ULL;
+
+// Bitwise equality over the 10 bytes an x87 long double uses (the rest
+// of its storage is padding).
+bool SameX87(long double a, long double b) {
+  return std::memcmp(&a, &b, 10) == 0;
+}
 
 std::uint64_t DoubleBits(double v) {
   std::uint64_t bits;
@@ -32,6 +51,21 @@ void ByteWriter::PutDouble(double v) { PutU64(DoubleBits(v)); }
 void ByteWriter::PutLongDouble(long double v) {
   const double hi = static_cast<double>(v);
   const double lo = static_cast<double>(v - static_cast<long double>(hi));
+  if constexpr (kX87LongDouble) {
+    // Values the (hi, lo) pair cannot carry: beyond or below the double
+    // range, infinities, -0. A hi that looks tagged must be tagged too.
+    const long double back =
+        static_cast<long double>(hi) + static_cast<long double>(lo);
+    if (!SameX87(back, v) || (DoubleBits(hi) & kTaggedMask) == kTaggedHi) {
+      std::uint64_t significand = 0;
+      std::uint16_t sign_exponent = 0;
+      std::memcpy(&significand, &v, 8);
+      std::memcpy(&sign_exponent, reinterpret_cast<const char*>(&v) + 8, 2);
+      PutU64(kTaggedHi | sign_exponent);
+      PutU64(significand);
+      return;
+    }
+  }
   PutDouble(hi);
   PutDouble(lo);
 }
@@ -71,10 +105,21 @@ Status ByteReader::GetDouble(double* v) {
 }
 
 Status ByteReader::GetLongDouble(long double* v) {
-  double hi, lo;
-  TSAD_RETURN_IF_ERROR(GetDouble(&hi));
-  TSAD_RETURN_IF_ERROR(GetDouble(&lo));
-  *v = static_cast<long double>(hi) + static_cast<long double>(lo);
+  std::uint64_t hi, lo;
+  TSAD_RETURN_IF_ERROR(GetU64(&hi));
+  TSAD_RETURN_IF_ERROR(GetU64(&lo));
+  if constexpr (kX87LongDouble) {
+    if ((hi & kTaggedMask) == kTaggedHi) {
+      const std::uint16_t sign_exponent = static_cast<std::uint16_t>(hi);
+      long double out = 0.0L;
+      std::memcpy(&out, &lo, 8);
+      std::memcpy(reinterpret_cast<char*>(&out) + 8, &sign_exponent, 2);
+      *v = out;
+      return Status::OK();
+    }
+  }
+  *v = static_cast<long double>(DoubleFromBits(hi)) +
+       static_cast<long double>(DoubleFromBits(lo));
   return Status::OK();
 }
 

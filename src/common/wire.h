@@ -8,10 +8,15 @@
 //  * u64      — 8 bytes, little-endian (explicit shifts, not memcpy, so
 //               the blob is identical on any host).
 //  * double   — IEEE-754 bit pattern as u64.
-//  * long double — stored as a double-double pair (hi = round(v),
-//               lo = v - hi). On x86-64's 80-bit extended format the
-//               residual fits a double exactly, so the round trip is
-//               lossless without serializing padding bytes.
+//  * long double — 16 bytes, exact for every value. Usually a
+//               double-double pair (hi = round(v), lo = v - hi): on
+//               x86-64's 80-bit extended format the residual fits a
+//               double exactly inside the double range. Values the pair
+//               cannot carry (beyond or below the double range, ±inf,
+//               -0) take a tagged form: hi is a quiet NaN whose payload
+//               holds a marker and the 16 sign and exponent bits, and
+//               the next word is the 64-bit significand. Where long
+//               double is a double, the pair is (v, 0) and always exact.
 //  * string   — u64 length + raw bytes.
 //
 // ByteReader returns OutOfRange on truncation instead of reading past

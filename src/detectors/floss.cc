@@ -1,8 +1,10 @@
 #include "detectors/floss.h"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <string_view>
 
 namespace tsad {
@@ -41,7 +43,7 @@ Status ValidateKernelConfig(const FlossParams& params) {
   if (params.buffer_cap == 0) {
     return Status::InvalidArgument(
         "floss needs a bounded buffer: need buffer >= 4*window = " +
-        std::to_string(4 * params.m) + ", got 0");
+        MinStreamingBufferText(params.m) + ", got 0");
   }
   return StreamingMpx::Validate(KernelConfig(params));
 }
@@ -94,29 +96,65 @@ Result<FlossParams> ParseFlossSpec(const std::string& spec) {
 }
 
 FlossCore::FlossCore(const FlossParams& params)
-    : mpx_(KernelConfig(params)), lag_(params.m) {}
+    : mpx_(KernelConfig(params)), lag_(params.m), ends_(params.m + 1, 0) {}
+
+std::size_t FlossCore::MemoryBytes() const {
+  return mpx_.MemoryBytes() + ends_.capacity() * sizeof(std::size_t);
+}
+
+Status FlossCore::Deserialize(ByteReader* reader) {
+  counted_ = false;
+  return mpx_.Deserialize(reader);
+}
+
+void FlossCore::Recount(std::size_t p) {
+  std::fill(ends_.begin(), ends_.end(), 0);
+  arcs_ = mpx_.CountRightArcs(p, ends_.data(), ends_.size());
+  counted_ = true;
+}
 
 double FlossCore::Step(double value) {
-  mpx_.Push(value);
+  RightChangeLog changes;
+  const std::uint64_t evictions = mpx_.evictions();
+  mpx_.Push(value, &changes);
   const std::size_t num_subs = mpx_.num_subsequences();
   // Arc-curve edge correction: within `lag` subsequences of either
   // window edge the CAC is pinned to 1 (score 0). The evaluation
   // position sits `lag` behind the newest subsequence, so this reduces
   // to requiring a window of at least 2*lag + 1 subsequences.
+  // Once reached, the window never shrinks below this again: a prune
+  // keeps at least 3/4 of a buffer of >= 4m points.
   if (num_subs < 2 * lag_ + 1) return 0.0;
   const std::size_t p = num_subs - 1 - lag_;  // local evaluation position
-  const std::size_t first = mpx_.first_subsequence();
-  std::size_t arcs = 0;
-  for (std::size_t i = 0; i < p; ++i) {
-    const StreamingMpx::Entry entry = mpx_.Right(i);
-    if (entry.neighbor == kNoNeighbor) continue;
-    if (entry.neighbor - first > p) ++arcs;  // arc (i, nn) crosses p
+  if (!counted_ || mpx_.evictions() != evictions || changes.overflowed()) {
+    Recount(p);
+  } else {
+    // Global positions: the count moves from P - 1 to P, and every
+    // change set some neighbour from `previous` (never j) to j.
+    const std::size_t first = mpx_.first_subsequence();
+    const std::size_t pos = first + p;
+    const std::size_t j = pos + lag_;
+    const std::size_t ring = ends_.size();
+    for (std::size_t c = 0; c < changes.size; ++c) {
+      const RightChangeLog::Change change = changes.entries[c];
+      if (change.previous != kNoNeighbor && change.previous > pos - 1) {
+        --ends_[change.previous % ring];  // an arc over P - 1 moves to j
+      } else if (first + change.local < pos - 1) {
+        ++arcs_;  // a new arc over P - 1
+      }
+      ++ends_[j % ring];
+    }
+    // Entry P - 1's arc, if any, crosses P (the exclusion zone is at
+    // least 1); the arcs ending at P stop crossing.
+    if (mpx_.RightNeighbor(p - 1) != kNoNeighbor) ++arcs_;
+    arcs_ -= ends_[pos % ring];
+    ends_[pos % ring] = 0;
   }
   const double last = static_cast<double>(num_subs - 1);
   const double pd = static_cast<double>(p);
   const double iac = (last - pd) * std::log(last / (last - pd));
   if (!(iac > 0.0)) return 0.0;
-  const double cac = std::min(1.0, static_cast<double>(arcs) / iac);
+  const double cac = std::min(1.0, static_cast<double>(arcs_) / iac);
   return 1.0 - cac;
 }
 

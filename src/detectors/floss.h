@@ -32,6 +32,22 @@
 // lagged evaluation position, and after an eviction the window simply
 // shrinks (arcs from pruned subsequences drop out of both AC and IAC).
 //
+// The arc count is a running total, so a point costs O(changes), not
+// O(buffer). Every change a push makes to the right profile sets some
+// subsequence's neighbour to the newest subsequence j, which lies
+// beyond the evaluation position P = j - lag: a change can add an arc
+// over P but never remove one. FlossCore keeps the count at P and a
+// ring of how many neighbours end at each g in (P, j]. StreamingMpx::
+// Push reports the changes in a log on Step's stack: strict
+// improvements in the lag advance, the newly opened lag, and a newly
+// listed flat window. Moving P forward by one adds entry P-1's arc and
+// drops the arcs that end at P. The count is rebuilt from the
+// neighbour indices (StreamingMpx::CountRightArcs) at the first
+// evaluation, after each eviction (every buffer/4 points), after
+// Deserialize, and when one push's changes overflow the log. The count
+// is an integer, so the running total gives the recount's scores
+// exactly.
+//
 // Scores are in [0, 1]; higher = more evidence of a regime change —
 // a genuinely different workload class (segmentation) from the discord
 // family, but served through the same detector interface so it joins
@@ -46,6 +62,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "detectors/detector.h"
 #include "substrates/streaming_mpx.h"
@@ -84,12 +101,28 @@ class FlossCore {
 
   const StreamingMpx& kernel() const { return mpx_; }
 
+  /// The kernel's MemoryBytes() plus the arc ring. Constant over the
+  /// core's lifetime.
+  std::size_t MemoryBytes() const;
+
+  /// The running arc count is derived state: it is not serialized, and
+  /// the first Step after Deserialize recounts it.
   void Serialize(ByteWriter* writer) const { mpx_.Serialize(writer); }
-  Status Deserialize(ByteReader* reader) { return mpx_.Deserialize(reader); }
+  Status Deserialize(ByteReader* reader);
 
  private:
+  // Rebuilds arcs_ and ends_ at local evaluation position p from the
+  // kernel's neighbour indices.
+  void Recount(std::size_t p);
+
   StreamingMpx mpx_;
   std::size_t lag_;  // evaluation delay in subsequences (= m)
+  // Running arc count at the evaluation position P, valid while
+  // counted_. ends_[g % (lag + 1)] holds the number of retained
+  // subsequences whose right neighbour is g, for g in (P, P + lag].
+  bool counted_ = false;
+  std::size_t arcs_ = 0;
+  std::vector<std::size_t> ends_;
 };
 
 /// Batch detector for the registry: `floss:<window>[:<buffer>]`.

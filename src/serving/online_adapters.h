@@ -250,7 +250,7 @@ class OnlineFloss : public OnlineDetector {
   Result<std::string> Snapshot() const override;
   Status Restore(std::string_view blob) override;
   std::size_t MemoryFootprint() const override {
-    return sizeof(*this) + name_.capacity() + core_.kernel().MemoryBytes();
+    return sizeof(*this) + name_.capacity() + core_.MemoryBytes();
   }
 
  private:

@@ -118,6 +118,7 @@ void MpxAdvanceLagsScalarRange(MpxAdvanceLagsArgs& a, std::size_t k_begin,
     a.diag_cov[k] = c;
     const double corr = c * a.inv[il] * a.inv_j;
     if (corr > a.right_corr[il]) {
+      if (a.changes != nullptr) a.changes->Record(il, a.right_idx[il]);
       a.right_corr[il] = corr;
       a.right_idx[il] = a.j;
     }

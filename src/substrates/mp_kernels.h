@@ -95,14 +95,40 @@ struct MpxCrossBlockArgs {
 };
 using MpxCrossBlockFn = void (*)(const MpxCrossBlockArgs&);
 
+/// A bounded log of right-profile neighbour changes: one (local index,
+/// previous neighbour) pair per change, in no particular order. `size`
+/// counts every change recorded, including those past kCapacity, so a
+/// reader can tell a complete log from an overflowed one. Meant for the
+/// caller's stack: the pair arrays are left uninitialized.
+struct RightChangeLog {
+  /// 128 pairs (2 KB): on the default leaderboard a FLOSS push (m = 64,
+  /// buffer 4096) changes 27 neighbours on average and at most 113,
+  /// where a 64-pair log overflowed on 2.3% of pushes.
+  static constexpr std::size_t kCapacity = 128;
+  struct Change {
+    std::size_t local;
+    std::size_t previous;
+  };
+
+  void Record(std::size_t local, std::size_t previous) {
+    if (size < kCapacity) entries[size] = {local, previous};
+    ++size;
+  }
+  bool overflowed() const { return size > kCapacity; }
+
+  std::size_t size = 0;
+  Change entries[kCapacity];
+};
+
 /// The streaming MPX per-push lag advance (StreamingMpx::Push's hot
 /// loop): for every tracked lag k in [0, nlags), with lag =
 /// exclusion+1+k, i = j-lag, il = i-base, advance diag_cov[k] by the
 /// rank-2 recurrence (or re-seed with MpxSeedCov when (j+lag) % reseed
 /// == 0), update the right profile of il on strict improvement, and
 /// race the pair for the new subsequence's left best (ties to the
-/// lower i). best/best_i are in/out. Opening the newly joinable lag
-/// stays with the caller.
+/// lower i). best/best_i are in/out. Each strict improvement is
+/// recorded in `changes` as (il, the right_idx it replaced) when a log
+/// is given. Opening the newly joinable lag stays with the caller.
 struct MpxAdvanceLagsArgs {
   const double* x = nullptr;      // retained points, local-indexed
   const double* means = nullptr;  // per retained subsequence
@@ -122,6 +148,7 @@ struct MpxAdvanceLagsArgs {
   double inv_j = 0.0;
   double best = 0.0;          // in/out: left-best correlation
   std::size_t best_i = 0;     // in/out: left-best global index
+  RightChangeLog* changes = nullptr;  // optional right-profile change log
 };
 using MpxAdvanceLagsFn = void (*)(MpxAdvanceLagsArgs&);
 

@@ -41,16 +41,29 @@ std::size_t ResolvedExclusion(const StreamingMpxConfig& config) {
 
 }  // namespace
 
+std::string MinStreamingBufferText(std::size_t m) {
+  // Decimal long multiplication by 4, so no product can wrap.
+  std::string digits = std::to_string(m);
+  int carry = 0;
+  for (auto it = digits.rbegin(); it != digits.rend(); ++it) {
+    const int d = (*it - '0') * 4 + carry;
+    *it = static_cast<char>('0' + d % 10);
+    carry = d / 10;
+  }
+  if (carry > 0) digits.insert(digits.begin(), static_cast<char>('0' + carry));
+  return digits;
+}
+
 Status StreamingMpx::Validate(const StreamingMpxConfig& config) {
   if (config.m < 2) {
     return Status::InvalidArgument("subsequence length must be >= 2");
   }
   const std::size_t exclusion = ResolvedExclusion(config);
   if (config.buffer_cap != 0) {
-    if (config.buffer_cap < 4 * config.m) {
+    if (config.m > config.buffer_cap / 4) {  // buffer_cap < 4m, unwrapped
       return Status::InvalidArgument(
           "streaming buffer too small: need buffer_cap >= 4*m = " +
-          std::to_string(4 * config.m) + ", got " +
+          MinStreamingBufferText(config.m) + ", got " +
           std::to_string(config.buffer_cap));
     }
     // The post-prune window (3/4 of the buffer) must still admit at
@@ -183,7 +196,7 @@ void StreamingMpx::Prune() {
   ++evictions_;
 }
 
-void StreamingMpx::Push(double value) {
+void StreamingMpx::Push(double value, RightChangeLog* changes) {
   if (config_.buffer_cap != 0 && x_.size() == config_.buffer_cap) Prune();
   const std::size_t m = config_.m;
   const std::size_t ring = m + 1;
@@ -214,6 +227,7 @@ void StreamingMpx::Push(double value) {
   stds_.push_back(std_d);
   if (profile_internal::IsFlat(mean_d, std_d)) {
     inv_.push_back(0.0);
+    if (changes != nullptr) LogNewFlat(j, changes);
     flat_.push_back(j);
   } else {
     inv_.push_back(1.0 / (std_d * std::sqrt(static_cast<double>(m))));
@@ -260,6 +274,10 @@ void StreamingMpx::Push(double value) {
   args.inv_j = inv_j;
   args.best = kNegInf;
   args.best_i = kNoNeighbor;
+  args.changes = changes;
+  // Records before this index come from the flat listing above and
+  // already hold their pre-push neighbours.
+  const std::size_t listed = changes != nullptr ? changes->size : 0;
   ActiveKernelVariant().mpx_advance_lags(args);
   const std::size_t target = LagCount(j);
   assert(target <= nlags + 1);
@@ -271,6 +289,7 @@ void StreamingMpx::Push(double value) {
     diag_cov_.push_back(c);
     const double corr = c * inv_[il] * inv_j;
     if (corr > right_corr_[il]) {
+      if (changes != nullptr) changes->Record(il, right_idx_[il]);
       right_corr_[il] = corr;
       right_idx_[il] = j;
     }
@@ -281,6 +300,70 @@ void StreamingMpx::Push(double value) {
   }
   left_corr_.push_back(args.best);
   left_idx_.push_back(args.best_i);
+
+  // A new right_idx at an inv == 0 entry changes nothing when the flat
+  // rule already gives that entry a listed flat: drop those records.
+  if (changes != nullptr && !changes->overflowed()) {
+    std::size_t kept = listed;
+    for (std::size_t c = listed; c < changes->size; ++c) {
+      const RightChangeLog::Change change = changes->entries[c];
+      if (inv_[change.local] == 0.0 &&
+          RightFlat(base_ + change.local) != kNoNeighbor) {
+        continue;
+      }
+      changes->entries[kept++] = change;
+    }
+    changes->size = kept;
+  }
+}
+
+void StreamingMpx::LogNewFlat(std::size_t j, RightChangeLog* changes) const {
+  // Entries i < j - exclusion are eligible. Those at or beyond
+  // (last listed flat) - exclusion had no listed flat beyond their
+  // exclusion zone; with a band, j must also lie within i's band.
+  if (j <= config_.exclusion) return;
+  const std::size_t end = j - config_.exclusion;
+  std::size_t begin = base_;
+  if (!flat_.empty() && flat_.back() > config_.exclusion) {
+    begin = std::max(begin, flat_.back() - config_.exclusion);
+  }
+  if (config_.band > 0 && j > config_.band) {
+    begin = std::max(begin, j - config_.band);
+  }
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t local = i - base_;
+    if (inv_[local] == 0.0) changes->Record(local, right_idx_[local]);
+  }
+}
+
+std::size_t StreamingMpx::RightFlat(std::size_t i) const {
+  const auto it =
+      std::upper_bound(flat_.begin(), flat_.end(), i + config_.exclusion);
+  if (it != flat_.end() && (config_.band == 0 || *it - i <= config_.band)) {
+    return *it;
+  }
+  return kNoNeighbor;
+}
+
+std::size_t StreamingMpx::RightNeighbor(std::size_t local) const {
+  if (inv_[local] == 0.0) {
+    const std::size_t flat = RightFlat(base_ + local);
+    if (flat != kNoNeighbor) return flat;
+  }
+  return right_idx_[local];
+}
+
+std::size_t StreamingMpx::CountRightArcs(std::size_t p, std::size_t* ends,
+                                         std::size_t ring) const {
+  const std::size_t pos = base_ + p;
+  std::size_t arcs = 0;
+  for (std::size_t local = 0; local < right_idx_.size(); ++local) {
+    const std::size_t nn = RightNeighbor(local);
+    if (nn == kNoNeighbor || nn <= pos) continue;
+    if (local < p) ++arcs;
+    ++ends[nn % ring];
+  }
+  return arcs;
 }
 
 StreamingMpx::Entry StreamingMpx::Right(std::size_t local) const {
@@ -291,12 +374,10 @@ StreamingMpx::Entry StreamingMpx::Right(std::size_t local) const {
     // SCAMP flat conventions, restricted to later neighbors: distance
     // 0 to the lowest eligible flat, else sqrt(2m) to whatever dynamic
     // neighbor won the all-zero-correlation race.
-    const auto it =
-        std::upper_bound(flat_.begin(), flat_.end(), i + config_.exclusion);
-    if (it != flat_.end() &&
-        (config_.band == 0 || *it - i <= config_.band)) {
+    const std::size_t flat = RightFlat(i);
+    if (flat != kNoNeighbor) {
       entry.distance = 0.0;
-      entry.neighbor = *it;
+      entry.neighbor = flat;
       return entry;
     }
     if (right_idx_[local] != kNoNeighbor) {
@@ -375,12 +456,7 @@ StreamingMpx::Entry StreamingMpx::Merged(std::size_t local) const {
           *left < i - config_.exclusion) {
         nn = *left;
       } else {
-        const auto right = std::upper_bound(flat_.begin(), flat_.end(),
-                                            i + config_.exclusion);
-        if (right != flat_.end() &&
-            (config_.band == 0 || *right - i <= config_.band)) {
-          nn = *right;
-        }
+        nn = RightFlat(i);
       }
     }
     if (nn != kNoNeighbor) {

@@ -54,11 +54,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "common/wire.h"
 #include "substrates/matrix_profile.h"
+#include "substrates/mp_kernels.h"
 
 namespace tsad {
 
@@ -83,6 +85,10 @@ struct StreamingMpxConfig {
   std::size_t band = 0;
 };
 
+/// The smallest bounded buffer_cap for subsequence length m, 4 * m, as
+/// decimal text: exact even where the product overflows a size_t.
+std::string MinStreamingBufferText(std::size_t m);
+
 class StreamingMpx {
  public:
   /// One profile entry. `neighbor` is a GLOBAL subsequence index (may
@@ -103,7 +109,17 @@ class StreamingMpx {
 
   /// Appends the next point, pruning the oldest buffer_cap/4 points
   /// first when a bounded buffer is full.
-  void Push(double value);
+  ///
+  /// With a `changes` log, also reports every retained subsequence
+  /// whose RightNeighbor() this push changed, as (local index after
+  /// the push, previous neighbour). Every such change sets the
+  /// neighbour to the new subsequence. The changes come from three
+  /// places: strict improvements in the lag advance, the newly opened
+  /// lag, and a newly listed flat subsequence, which becomes the
+  /// neighbour of every inv == 0 entry that had no listed flat beyond
+  /// its exclusion zone. Pruned subsequences are not reported; a
+  /// reader sees the prune through evictions().
+  void Push(double value, RightChangeLog* changes = nullptr);
 
   // --- Shape. Subsequence/point indices are GLOBAL (0 = first point
   // ever pushed); local array positions are global - first_*().
@@ -120,6 +136,18 @@ class StreamingMpx {
   /// distance 0 with the lowest eligible flat neighbor, flat-vs-dynamic
   /// at sqrt(2m)).
   Entry Right(std::size_t local) const;
+
+  /// Right(local).neighbor without building the distance: the
+  /// right-profile index with the flat rule applied.
+  std::size_t RightNeighbor(std::size_t local) const;
+
+  /// FLOSS's arc count straight from the neighbour indices: returns how
+  /// many retained subsequences before local position `p` have a
+  /// RightNeighbor() beyond p, and adds one to ends[g % ring] for every
+  /// retained subsequence whose neighbour g lies beyond p.
+  /// O(retained subsequences).
+  std::size_t CountRightArcs(std::size_t p, std::size_t* ends,
+                             std::size_t ring) const;
 
   /// Left-profile entry for the local-th retained subsequence (nearest
   /// EARLIER neighbor as of its arrival), with the same SCAMP flat
@@ -169,6 +197,13 @@ class StreamingMpx {
   // subsequence: lags exclusion+1 .. min(newest - base_, band).
   std::size_t LagCount(std::size_t newest) const;
   void ReserveAll();
+  // The lowest listed flat subsequence that global subsequence i may
+  // take as its right neighbour (beyond the exclusion zone, inside the
+  // band), or kNoNeighbor.
+  std::size_t RightFlat(std::size_t i) const;
+  // Logs the inv == 0 entries that global flat subsequence j, about to
+  // be listed, becomes the right neighbour of.
+  void LogNewFlat(std::size_t j, RightChangeLog* changes) const;
 
   StreamingMpxConfig config_;  // exclusion resolved at construction
   std::size_t chunk_ = 0;      // points pruned per eviction

@@ -1,6 +1,7 @@
 #include "common/wire.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -76,6 +77,59 @@ TEST(WireTest, RoundTripsLongDoubleAccumulatorState) {
   EXPECT_EQ(out[0], acc);
   EXPECT_EQ(out[1], -acc);
   EXPECT_EQ(out[2], 0.0L);
+}
+
+// Bitwise equality over a long double's value bytes: an x87 long
+// double uses 10 of its bytes, the rest is padding.
+bool SameLongDouble(long double a, long double b) {
+  const std::size_t bytes =
+      std::numeric_limits<long double>::digits == 64 ? 10 : sizeof(a);
+  return std::memcmp(&a, &b, bytes) == 0;
+}
+
+TEST(WireTest, RoundTripsEveryLongDoubleBitExactly) {
+  using Limits = std::numeric_limits<long double>;
+  const long double values[] = {
+      Limits::max(),       -Limits::max(),      1e400L,
+      -1e400L,             1e-400L,             -1e-400L,
+      Limits::denorm_min(), -Limits::denorm_min(), Limits::infinity(),
+      -Limits::infinity(), Limits::quiet_NaN(), -0.0L,
+      // Just outside the double range on either side.
+      2.0L * std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::denorm_min() / 3.0L,
+  };
+  for (const long double v : values) {
+    ByteWriter writer;
+    writer.PutLongDouble(v);
+    EXPECT_EQ(writer.str().size(), 16u);
+    ByteReader reader(writer.str());
+    long double out = 0.0L;
+    ASSERT_TRUE(reader.GetLongDouble(&out).ok());
+    EXPECT_TRUE(SameLongDouble(out, v)) << static_cast<double>(v);
+    EXPECT_TRUE(reader.ExpectDone().ok());
+  }
+}
+
+TEST(WireTest, OrdinaryLongDoublesKeepTheDoubleDoubleBytes) {
+  // Blobs written before the tagged form existed must decode unchanged,
+  // so every value the (hi, lo) pair carries keeps exactly those bytes.
+  long double acc = 0.0L;
+  for (int i = 0; i < 1000; ++i) acc += 0.1 * i;
+  const long double values[] = {
+      0.0L, 1.0L, -12345.678L, acc, -acc,
+      1.0L + std::numeric_limits<long double>::epsilon(), 1e300L, 1e-300L,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::denorm_min()};
+  for (const long double v : values) {
+    const double hi = static_cast<double>(v);
+    const double lo = static_cast<double>(v - static_cast<long double>(hi));
+    ByteWriter want;
+    want.PutDouble(hi);
+    want.PutDouble(lo);
+    ByteWriter got;
+    got.PutLongDouble(v);
+    EXPECT_EQ(got.str(), want.str()) << static_cast<double>(v);
+  }
 }
 
 TEST(WireTest, TruncatedBufferIsOutOfRangeNotUb) {

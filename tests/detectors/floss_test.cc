@@ -2,16 +2,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 
+#include "common/cpu_features.h"
 #include "common/rng.h"
 #include "common/series.h"
+#include "common/wire.h"
 #include "detectors/registry.h"
 #include "serving/engine.h"
 #include "serving/online_adapters.h"
@@ -51,6 +57,256 @@ Series TwoRegimeSeries() {
   return x;
 }
 
+// The arc count FlossCore::Step once recomputed at every point, kept
+// here as the oracle for its running total: every retained
+// subsequence's Right() neighbour, recounted from scratch, turned into
+// the score by the same formula.
+double OracleScore(const FlossCore& core, std::size_t lag) {
+  const StreamingMpx& mpx = core.kernel();
+  const std::size_t num_subs = mpx.num_subsequences();
+  if (num_subs < 2 * lag + 1) return 0.0;
+  const std::size_t p = num_subs - 1 - lag;
+  const std::size_t first = mpx.first_subsequence();
+  std::size_t arcs = 0;
+  for (std::size_t i = 0; i < p; ++i) {
+    const StreamingMpx::Entry entry = mpx.Right(i);
+    if (entry.neighbor == kNoNeighbor) continue;
+    if (entry.neighbor - first > p) ++arcs;  // arc (i, nn) crosses p
+  }
+  const double last = static_cast<double>(num_subs - 1);
+  const double pd = static_cast<double>(p);
+  const double iac = (last - pd) * std::log(last / (last - pd));
+  if (!(iac > 0.0)) return 0.0;
+  const double cac = std::min(1.0, static_cast<double>(arcs) / iac);
+  return 1.0 - cac;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Blocks of `block` points cycling through `levels`: each point of a
+// {scale, offset} block is offset + scale * N(0, 1), so a zero scale
+// makes the block constant.
+struct Level {
+  double scale;
+  double offset;
+};
+
+Series Blocks(std::size_t n, std::size_t block,
+              const std::vector<Level>& levels, std::uint64_t seed) {
+  Rng rng(seed);
+  Series x(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    const Level& level = levels[(t / block) % levels.size()];
+    x[t] = level.offset + level.scale * rng.Gaussian();
+  }
+  return x;
+}
+
+struct ArcFamily {
+  std::string name;
+  Series (*make)(std::size_t n);
+};
+
+// The adversarial inputs for the running arc count: flat windows,
+// windows whose variance overflows a double (inv == 0 without being
+// listed flat), exact ties, NaN and infinities. The first NaN or
+// infinity poisons the kernel's running window totals for the rest of
+// the stream, so those two families cover that regime too.
+const std::vector<ArcFamily>& ArcFamilies() {
+  static const std::vector<ArcFamily> families = {
+      {"noise", [](std::size_t n) { return Blocks(n, n, {{1.0, 0.0}}, 1); }},
+      {"flat_runs",
+       [](std::size_t n) { return Blocks(n, 150, {{1.0, 0.0}, {1.0, 0.0}, {1.0, 0.0}, {0.0, 2.5}}, 2); }},
+      {"flat_bursts",
+       [](std::size_t n) { return Blocks(n, 8, {{1.0, 0.0}, {1.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}}, 3); }},
+      {"periodic_ties",
+       [](std::size_t n) {
+         Series x(n);
+         for (std::size_t t = 0; t < n; ++t) {
+           x[t] = static_cast<double>((t * 7) % 20);
+         }
+         return x;
+       }},
+      {"nan",
+       [](std::size_t n) {
+         Series x = Blocks(n, n, {{1.0, 0.0}}, 4);
+         Rng rng(5);
+         for (double& v : x) {
+           if (rng.NextDouble() < 0.01) v = std::nan("");
+         }
+         return x;
+       }},
+      {"all_flat", [](std::size_t n) { return Series(n, 3.0); }},
+      {"zero_blocks",
+       [](std::size_t n) { return Blocks(n, 100, {{1.0, 0.0}, {1.0, 0.0}, {1.0, 0.0}, {0.0, 0.0}}, 6); }},
+      {"level_jumps",
+       [](std::size_t n) {
+         Series x = Blocks(n, n, {{1.0, 0.0}}, 7);
+         for (std::size_t t = 0; t < n; ++t) {
+           x[t] += 1e3 * static_cast<double>((t / 500) % 3);
+         }
+         return x;
+       }},
+      {"infinities",
+       [](std::size_t n) {
+         Series x = Blocks(n, n, {{1.0, 0.0}}, 8);
+         Rng rng(9);
+         for (double& v : x) {
+           const double u = rng.NextDouble();
+           if (u < 0.003) v = std::numeric_limits<double>::infinity();
+           if (u > 0.997) v = -std::numeric_limits<double>::infinity();
+         }
+         return x;
+       }},
+      {"huge_noise", [](std::size_t n) { return Blocks(n, n, {{1e200, 0.0}}, 10); }},
+      {"flat_huge_mix",
+       [](std::size_t n) { return Blocks(n, 50, {{0.0, 5.0}, {1e200, 0.0}}, 11); }},
+      {"tiny_huge_mix",
+       [](std::size_t n) {
+         return Blocks(n, 30, {{0.0, 1e-200}, {1e170, 0.0}, {1.0, 0.0}}, 12);
+       }},
+  };
+  return families;
+}
+
+struct ArcCase {
+  std::size_t m;
+  std::size_t buffer;
+  std::size_t n;
+};
+
+// m = 3 and m = 64 at buffer 4m (an eviction every m pushes) and 4096
+// (the default, evicting once 4096 points are in).
+constexpr ArcCase kArcCases[] = {
+    {3, 12, 600}, {3, 4096, 4400}, {64, 256, 1500}, {64, 4096, 4400}};
+
+// Restores the forced tier on scope exit, so it cannot leak into later
+// tests.
+class TierGuard {
+ public:
+  ~TierGuard() { ClearSimdTierOverride(); }
+};
+
+struct ArcParam {
+  std::string family;
+  SimdTier tier;
+};
+
+void PrintTo(const ArcParam& param, std::ostream* os) {
+  *os << param.family << "/" << SimdTierName(param.tier);
+}
+
+class FlossArcOracleTest : public ::testing::TestWithParam<ArcParam> {};
+
+// After every Step, the score equals the one the recounted arcs give,
+// bit for bit. Along the way a fresh core is restored from a snapshot
+// every 37 points and right after each eviction, and the restored run
+// must stay on the uninterrupted run's scores.
+TEST_P(FlossArcOracleTest, RunningCountMatchesTheRecount) {
+  const ArcParam& param = GetParam();
+  if (param.tier > DetectSimdTier()) {
+    GTEST_SKIP() << SimdTierName(param.tier) << " not supported here";
+  }
+  TierGuard guard;
+  ASSERT_TRUE(SetSimdTierOverride(param.tier).ok());
+  const ArcFamily* family = nullptr;
+  for (const ArcFamily& f : ArcFamilies()) {
+    if (f.name == param.family) family = &f;
+  }
+  ASSERT_NE(family, nullptr);
+
+  std::size_t restores_in_flat = 0;
+  for (const ArcCase& c : kArcCases) {
+    FlossParams params;
+    params.m = c.m;
+    params.buffer_cap = c.buffer;
+    const Series x = family->make(c.n);
+    FlossCore reference(params);
+    auto core = std::make_unique<FlossCore>(params);
+    std::size_t restores_after_eviction = 0;
+    for (std::size_t t = 0; t < x.size(); ++t) {
+      const std::uint64_t evictions = core->kernel().evictions();
+      const double want = reference.Step(x[t]);
+      const double got = core->Step(x[t]);
+      ASSERT_TRUE(SameBits(got, OracleScore(*core, c.m)))
+          << "m=" << c.m << " buffer=" << c.buffer << " t=" << t;
+      ASSERT_TRUE(SameBits(got, want))
+          << "m=" << c.m << " buffer=" << c.buffer << " t=" << t;
+      const bool evicted = core->kernel().evictions() != evictions;
+      if (t % 37 == 36 || evicted) {
+        ByteWriter writer;
+        core->Serialize(&writer);
+        auto restored = std::make_unique<FlossCore>(params);
+        ByteReader reader(writer.str());
+        ASSERT_TRUE(restored->Deserialize(&reader).ok()) << "t=" << t;
+        ASSERT_TRUE(reader.ExpectDone().ok()) << "t=" << t;
+        core = std::move(restored);
+        if (evicted) ++restores_after_eviction;
+        const StreamingMpx& mpx = core->kernel();
+        if (mpx.num_subsequences() > 1 &&
+            mpx.IsFlatAt(mpx.num_subsequences() - 1) &&
+            mpx.IsFlatAt(mpx.num_subsequences() - 2)) {
+          ++restores_in_flat;
+        }
+      }
+    }
+    EXPECT_GT(restores_after_eviction, 0u)
+        << "m=" << c.m << " buffer=" << c.buffer;
+  }
+  if (param.family == "flat_runs" || param.family == "all_flat") {
+    EXPECT_GT(restores_in_flat, 0u);
+  }
+}
+
+std::vector<ArcParam> ArcParams() {
+  std::vector<ArcParam> params;
+  for (const ArcFamily& family : ArcFamilies()) {
+    for (int tier = 0; tier < kNumSimdTiers; ++tier) {
+      params.push_back({family.name, static_cast<SimdTier>(tier)});
+    }
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FamiliesAndTiers, FlossArcOracleTest, ::testing::ValuesIn(ArcParams()),
+    [](const ::testing::TestParamInfo<ArcParam>& info) {
+      return info.param.family + "_" + SimdTierName(info.param.tier);
+    });
+
+// One push that changes more neighbours than the change log holds: a
+// long run of 1e200-scale noise (windows whose variance overflows, so
+// inv == 0 without a listed flat) ends in a flat run, and the first
+// listed flat becomes the neighbour of every one of them. The running
+// count must fall back to the recount and stay on the oracle.
+TEST(FlossArcOracleTest, LogOverflowFallsBackToTheRecount) {
+  FlossParams params;
+  params.m = 16;
+  params.buffer_cap = 4096;
+  Series x = Blocks(1200, 600, {{1e200, 0.0}, {0.0, 4.0}}, 21);
+  FlossCore core(params);
+  std::size_t most_changed = 0;
+  std::vector<std::size_t> before;
+  for (std::size_t t = 0; t < x.size(); ++t) {
+    const StreamingMpx& mpx = core.kernel();
+    before.clear();
+    for (std::size_t i = 0; i < mpx.num_subsequences(); ++i) {
+      before.push_back(mpx.Right(i).neighbor);
+    }
+    const double got = core.Step(x[t]);
+    ASSERT_EQ(mpx.evictions(), 0u);
+    std::size_t changed = 0;
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      if (mpx.Right(i).neighbor != before[i]) ++changed;
+    }
+    most_changed = std::max(most_changed, changed);
+    ASSERT_TRUE(SameBits(got, OracleScore(core, params.m))) << "t=" << t;
+  }
+  EXPECT_GT(most_changed, RightChangeLog::kCapacity);
+}
+
 TEST(FlossSpecTest, ParsesPositionalGrammar) {
   const Result<FlossParams> bare = ParseFlossSpec("floss");
   ASSERT_TRUE(bare.ok());
@@ -72,6 +328,14 @@ TEST(FlossSpecTest, RejectsDegenerateSpecs) {
   EXPECT_FALSE(ParseFlossSpec("floss:2").ok());      // window < 3
   EXPECT_FALSE(ParseFlossSpec("floss:24:50").ok());  // buffer < 4 * window
   EXPECT_FALSE(ParseFlossSpec("floss:24:0").ok());   // no eviction: unbounded
+  // 4 * window wraps to 0 in a size_t: still too small, not accepted.
+  const Result<FlossParams> huge =
+      ParseFlossSpec("floss:4611686018427387904:64");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(huge.status().message().find("18446744073709551616"),
+            std::string::npos)
+      << huge.status().message();
   EXPECT_FALSE(ParseFlossSpec("floss:24:96:1").ok());
   EXPECT_FALSE(ParseFlossSpec("floss:abc").ok());
   EXPECT_FALSE(ParseFlossSpec("floss:").ok());

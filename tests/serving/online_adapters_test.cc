@@ -10,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -135,6 +136,69 @@ TEST(OnlineAdapterEquivalenceTest, SnapshotRestoreMidStreamStaysBitExact) {
       auto assembled = AssembleScores(emitted, x.size(), c.spec);
       ASSERT_TRUE(assembled.ok()) << assembled.status().message();
       EXPECT_TRUE(BitEqual(*assembled, batch));
+    }
+  }
+}
+
+// Replays `x` through `spec`, handing the stream to a freshly restored
+// instance after every point t with (t + 1) % every == 0.
+std::vector<double> ReplayWithRestores(const SpecCase& c, const Series& x,
+                                       std::size_t every) {
+  auto online = MakeOnlineDetector(c.spec, c.train_length);
+  EXPECT_TRUE(online.ok()) << c.spec;
+  std::vector<ScoredPoint> emitted;
+  for (std::size_t t = 0; t < x.size(); ++t) {
+    EXPECT_TRUE((*online)->Observe(x[t], &emitted).ok()) << "t=" << t;
+    if ((t + 1) % every != 0) continue;
+    auto blob = (*online)->Snapshot();
+    EXPECT_TRUE(blob.ok()) << "t=" << t;
+    auto restored = MakeOnlineDetector(c.spec, c.train_length);
+    EXPECT_TRUE(restored.ok());
+    EXPECT_TRUE((*restored)->Restore(*blob).ok()) << "t=" << t;
+    online = std::move(restored);
+  }
+  EXPECT_TRUE((*online)->Flush(&emitted).ok());
+  auto assembled = AssembleScores(emitted, x.size(), c.spec);
+  EXPECT_TRUE(assembled.ok()) << assembled.status().message();
+  return assembled.ok() ? *assembled : std::vector<double>{};
+}
+
+// Blocks of `block` points cycling through {scale, offset} levels:
+// offset + scale * N(0, 1), so a zero scale makes a block constant.
+Series ScaledBlocks(std::size_t n, std::size_t block,
+                    const std::vector<std::pair<double, double>>& levels,
+                    uint64_t seed) {
+  Rng rng(seed);
+  Series x(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    const auto& [scale, offset] = levels[(t / block) % levels.size()];
+    x[t] = offset + scale * rng.Gaussian();
+  }
+  return x;
+}
+
+TEST(OnlineAdapterEquivalenceTest, RestoreStaysBitExactBeyondTheDoubleRange) {
+  // The z-score's running sum of squares and streaming MPX's prefix
+  // totals are long doubles; at these scales they leave the double
+  // range, and a restored stream must still match batch bit for bit.
+  for (const double scale : {1e160, 1e200}) {
+    const Series x = ScaledBlocks(2000, 2000, {{scale, 0.0}}, 31);
+    const SpecCase c{"zscore:w=64", 200};
+    EXPECT_TRUE(BitEqual(ReplayWithRestores(c, x, 1000), BatchScores(c, x)))
+        << "scale=" << scale;
+  }
+  const Series flat_huge = ScaledBlocks(600, 50, {{0.0, 5.0}, {1e200, 0.0}}, 32);
+  const Series tiny_huge = ScaledBlocks(
+      600, 30, {{0.0, 1e-200}, {1e170, 0.0}, {1.0, 0.0}}, 33);
+  for (const std::size_t m : {3, 4, 8, 16, 32}) {
+    for (const std::size_t buffer : {4 * m, 5 * m, 9 * m}) {
+      const SpecCase c{
+          "floss:" + std::to_string(m) + ":" + std::to_string(buffer), 0};
+      for (const Series* x : {&flat_huge, &tiny_huge}) {
+        EXPECT_TRUE(
+            BitEqual(ReplayWithRestores(c, *x, 37), BatchScores(c, *x)))
+            << c.spec << (x == &flat_huge ? " flat/1e200" : " 1e-200/1e170");
+      }
     }
   }
 }

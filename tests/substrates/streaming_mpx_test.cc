@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -65,6 +66,16 @@ TEST(StreamingMpxTest, ValidateRejectsDegenerateConfigs) {
   config.m = 64;
   config.buffer_cap = 255;  // < 4m
   EXPECT_FALSE(StreamingMpx::Validate(config).ok());
+
+  // 4m = 2^64 wraps to 0 in a size_t; the check must not.
+  config = {};
+  config.m = std::size_t{1} << 62;
+  config.buffer_cap = 64;
+  const Status wrapped = StreamingMpx::Validate(config);
+  EXPECT_EQ(wrapped.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wrapped.message().find("4*m = 18446744073709551616"),
+            std::string::npos)
+      << wrapped.message();
 
   config = {};
   config.m = 16;
@@ -238,6 +249,105 @@ TEST(StreamingMpxTest, BandConstrainsNeighborsToTheBand) {
     ++checked;
   }
   EXPECT_GT(checked, 0u);
+}
+
+TEST(StreamingMpxTest, ChangeLogReportsEveryRightNeighbourChange) {
+  // Noise with flat runs, blocks of 1e200-scale noise (windows whose
+  // variance overflows a double: inv == 0 without a listed flat), with
+  // and without a band, across evictions. A NaN poisons the running
+  // window totals for good, so it comes last. After every push the log must hold
+  // exactly the entries whose Right() neighbour changed, each with its
+  // previous neighbour, and every new neighbour is the newest
+  // subsequence.
+  Rng rng(17);
+  Series x(3000);
+  for (std::size_t t = 0; t < x.size(); ++t) {
+    const std::size_t phase = (t / 90) % 5;
+    x[t] = phase == 1 ? 1e200 * rng.Gaussian()
+                      : phase == 2 ? 2.5 : rng.Gaussian();
+    if (t == 2900) x[t] = std::nan("");
+  }
+  for (const std::size_t band : {std::size_t{0}, std::size_t{40}}) {
+    StreamingMpxConfig config;
+    config.m = 8;
+    config.buffer_cap = 256;
+    config.band = band;
+    StreamingMpx kernel(config);
+    std::vector<std::size_t> before;
+    std::size_t changes = 0;
+    std::size_t overflowed_variance_changes = 0;
+    for (std::size_t t = 0; t < x.size(); ++t) {
+      const std::size_t old_first = kernel.first_subsequence();
+      before.clear();
+      for (std::size_t i = 0; i < kernel.num_subsequences(); ++i) {
+        before.push_back(kernel.Right(i).neighbor);
+      }
+      RightChangeLog log;
+      kernel.Push(x[t], &log);
+      ASSERT_FALSE(log.overflowed()) << "t=" << t;
+      const std::size_t first = kernel.first_subsequence();
+      const std::size_t newest = first + kernel.num_subsequences() - 1;
+      std::vector<std::size_t> want(kernel.num_subsequences(), kNoNeighbor);
+      std::vector<bool> changed(kernel.num_subsequences(), false);
+      for (std::size_t i = 0; i < kernel.num_subsequences(); ++i) {
+        const std::size_t nn = kernel.Right(i).neighbor;
+        ASSERT_EQ(kernel.RightNeighbor(i), nn) << "t=" << t << " i=" << i;
+        const std::size_t global = first + i;
+        if (global - old_first >= before.size()) continue;  // new entry
+        const std::size_t previous = before[global - old_first];
+        if (nn != previous) {
+          ASSERT_EQ(nn, newest) << "t=" << t << " i=" << i;
+          changed[i] = true;
+          want[i] = previous;
+        }
+      }
+      for (std::size_t c = 0; c < log.size; ++c) {
+        const RightChangeLog::Change change = log.entries[c];
+        ASSERT_LT(change.local, changed.size()) << "t=" << t;
+        ASSERT_TRUE(changed[change.local])
+            << "t=" << t << " logged an unchanged entry " << change.local;
+        EXPECT_EQ(change.previous, want[change.local]) << "t=" << t;
+        changed[change.local] = false;  // a second record would fail above
+        ++changes;
+        if (std::isinf(kernel.StdAt(change.local))) {
+          ++overflowed_variance_changes;
+        }
+      }
+      for (std::size_t i = 0; i < changed.size(); ++i) {
+        ASSERT_FALSE(changed[i]) << "t=" << t << " missed entry " << i;
+      }
+    }
+    EXPECT_GT(kernel.evictions(), 0u);
+    EXPECT_GT(changes, x.size() / 2) << "band=" << band;
+    EXPECT_GT(overflowed_variance_changes, 0u) << "band=" << band;
+  }
+}
+
+TEST(StreamingMpxTest, CountRightArcsMatchesRight) {
+  Series x = RandomWalk(900, 5);
+  for (std::size_t t = 300; t < 420; ++t) x[t] = 1.0;
+  StreamingMpxConfig config;
+  config.m = 12;
+  config.buffer_cap = 512;
+  StreamingMpx kernel(config);
+  for (const double v : x) kernel.Push(v);
+  ASSERT_GT(kernel.evictions(), 0u);
+  const std::size_t first = kernel.first_subsequence();
+  const std::size_t ring = config.m + 1;
+  for (const std::size_t p : {std::size_t{1}, std::size_t{100},
+                              kernel.num_subsequences() - 1 - config.m}) {
+    std::size_t want = 0;
+    std::vector<std::size_t> want_ends(ring, 0);
+    for (std::size_t i = 0; i < kernel.num_subsequences(); ++i) {
+      const std::size_t nn = kernel.Right(i).neighbor;
+      if (nn == kNoNeighbor || nn - first <= p) continue;
+      if (i < p) ++want;
+      ++want_ends[nn % ring];
+    }
+    std::vector<std::size_t> ends(ring, 0);
+    EXPECT_EQ(kernel.CountRightArcs(p, ends.data(), ring), want) << "p=" << p;
+    EXPECT_EQ(ends, want_ends) << "p=" << p;
+  }
 }
 
 TEST(StreamingMpxTest, SerializeRestoreContinuesBitIdentically) {

@@ -45,6 +45,12 @@ trap 'rm -rf "${serve_work}"' EXIT
 "${repo_root}/build/tools/tsad" serve \
   --replay "${serve_work}/nyc_taxi.csv" \
   --streams 4 --detector floss:16 --floss-buffer 128 --threads 4
+# NASA channel G-1 holds a 120-point frozen segment, so this replay runs
+# FLOSS's flat-run path and its evictions through the engine.
+"${repo_root}/build/tools/tsad" generate nasa --out "${serve_work}"
+"${repo_root}/build/tools/tsad" serve \
+  --replay "${serve_work}/G-1.csv" \
+  --streams 4 --detector floss:16 --floss-buffer 128 --threads 4
 
 if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   run_pass "${repo_root}/build-sanitize" \
