@@ -6,34 +6,62 @@
 
 namespace tsad {
 
+void AppendPrefixSums(const double* x, std::size_t n,
+                      std::vector<long double>* sums,
+                      std::vector<long double>* sq) {
+  long double s = sums->back();
+  for (std::size_t i = 0; i < n; ++i) sums->push_back(s += x[i]);
+  if (sq == nullptr) return;
+  long double ss = sq->back();
+  for (std::size_t i = 0; i < n; ++i) {
+    sq->push_back(ss += static_cast<long double>(x[i]) * x[i]);
+  }
+}
+
 namespace {
 
-// Prefix sums with long-double accumulation: sums[i] = x[0]+...+x[i-1].
-std::vector<long double> PrefixSums(const std::vector<double>& x) {
-  std::vector<long double> sums(x.size() + 1, 0.0L);
-  for (std::size_t i = 0; i < x.size(); ++i) sums[i + 1] = sums[i] + x[i];
+// Prefix sums of the whole of x, and of its squares into `*sq` when
+// `sq` is non-null.
+std::vector<long double> PrefixSums(const std::vector<double>& x,
+                                    std::vector<long double>* sq) {
+  std::vector<long double> sums{0.0L};
+  sums.reserve(x.size() + 1);
+  if (sq != nullptr) {
+    sq->assign(1, 0.0L);
+    sq->reserve(x.size() + 1);
+  }
+  AppendPrefixSums(x.data(), x.size(), &sums, sq);
   return sums;
 }
 
-std::vector<long double> PrefixSquareSums(const std::vector<double>& x) {
-  std::vector<long double> sums(x.size() + 1, 0.0L);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    sums[i + 1] = sums[i] + static_cast<long double>(x[i]) * x[i];
-  return sums;
-}
+}  // namespace
 
-// MATLAB-compatible centered window around i for window length k:
-// `before` elements into the past, `after` into the future, truncated
-// to [0, n). Returns [lo, hi) bounds.
-inline void CenteredWindow(std::size_t i, std::size_t n, std::size_t k,
-                           std::size_t* lo, std::size_t* hi) {
+void CenteredWindow(std::size_t i, std::size_t n, std::size_t k,
+                    std::size_t* lo, std::size_t* hi) {
   const std::size_t before = k / 2;
   const std::size_t after = (k - 1) / 2;
   *lo = i >= before ? i - before : 0;
   *hi = std::min(n, i + after + 1);
 }
 
-}  // namespace
+double WindowMean(const std::vector<long double>& sums, std::size_t lo,
+                  std::size_t hi) {
+  return static_cast<double>((sums[hi] - sums[lo]) /
+                             static_cast<long double>(hi - lo));
+}
+
+double WindowStd(const std::vector<long double>& sums,
+                 const std::vector<long double>& sq, std::size_t lo,
+                 std::size_t hi) {
+  const std::size_t m = hi - lo;
+  if (m < 2) return 0.0;
+  const long double s = sums[hi] - sums[lo];
+  const long double ss = sq[hi] - sq[lo];
+  long double var = (ss - s * s / static_cast<long double>(m)) /
+                    static_cast<long double>(m - 1);
+  if (var < 0.0L) var = 0.0L;  // guard against catastrophic cancellation
+  return static_cast<double>(std::sqrt(static_cast<double>(var)));
+}
 
 std::vector<double> Diff(const std::vector<double>& x) {
   if (x.size() < 2) return {};
@@ -41,8 +69,6 @@ std::vector<double> Diff(const std::vector<double>& x) {
   for (std::size_t i = 0; i + 1 < x.size(); ++i) out[i] = x[i + 1] - x[i];
   return out;
 }
-
-std::vector<double> Diff2(const std::vector<double>& x) { return Diff(Diff(x)); }
 
 std::vector<double> Abs(std::vector<double> x) {
   for (double& v : x) v = std::fabs(v);
@@ -52,13 +78,12 @@ std::vector<double> Abs(std::vector<double> x) {
 std::vector<double> MovMean(const std::vector<double>& x, std::size_t k) {
   assert(k >= 1);
   const std::size_t n = x.size();
+  const std::vector<long double> sums = PrefixSums(x, nullptr);
   std::vector<double> out(n);
-  const auto sums = PrefixSums(x);
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t lo, hi;
     CenteredWindow(i, n, k, &lo, &hi);
-    out[i] = static_cast<double>((sums[hi] - sums[lo]) /
-                                 static_cast<long double>(hi - lo));
+    out[i] = WindowMean(sums, lo, hi);
   }
   return out;
 }
@@ -66,23 +91,13 @@ std::vector<double> MovMean(const std::vector<double>& x, std::size_t k) {
 std::vector<double> MovStd(const std::vector<double>& x, std::size_t k) {
   assert(k >= 1);
   const std::size_t n = x.size();
+  std::vector<long double> sq;
+  const std::vector<long double> sums = PrefixSums(x, &sq);
   std::vector<double> out(n);
-  const auto sums = PrefixSums(x);
-  const auto sq = PrefixSquareSums(x);
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t lo, hi;
     CenteredWindow(i, n, k, &lo, &hi);
-    const std::size_t m = hi - lo;
-    if (m < 2) {
-      out[i] = 0.0;
-      continue;
-    }
-    const long double s = sums[hi] - sums[lo];
-    const long double ss = sq[hi] - sq[lo];
-    long double var = (ss - s * s / static_cast<long double>(m)) /
-                      static_cast<long double>(m - 1);
-    if (var < 0.0L) var = 0.0L;  // guard against catastrophic cancellation
-    out[i] = static_cast<double>(std::sqrt(static_cast<double>(var)));
+    out[i] = WindowStd(sums, sq, lo, hi);
   }
   return out;
 }
@@ -90,45 +105,10 @@ std::vector<double> MovStd(const std::vector<double>& x, std::size_t k) {
 std::vector<double> TrailingMean(const std::vector<double>& x, std::size_t k) {
   assert(k >= 1);
   const std::size_t n = x.size();
+  const std::vector<long double> sums = PrefixSums(x, nullptr);
   std::vector<double> out(n);
-  const auto sums = PrefixSums(x);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lo = i + 1 >= k ? i + 1 - k : 0;
-    out[i] = static_cast<double>((sums[i + 1] - sums[lo]) /
-                                 static_cast<long double>(i + 1 - lo));
-  }
-  return out;
-}
-
-std::vector<double> TrailingStd(const std::vector<double>& x, std::size_t k) {
-  assert(k >= 1);
-  const std::size_t n = x.size();
-  std::vector<double> out(n);
-  const auto sums = PrefixSums(x);
-  const auto sq = PrefixSquareSums(x);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lo = i + 1 >= k ? i + 1 - k : 0;
-    const std::size_t m = i + 1 - lo;
-    if (m < 2) {
-      out[i] = 0.0;
-      continue;
-    }
-    const long double s = sums[i + 1] - sums[lo];
-    const long double ss = sq[i + 1] - sq[lo];
-    long double var = (ss - s * s / static_cast<long double>(m)) /
-                      static_cast<long double>(m - 1);
-    if (var < 0.0L) var = 0.0L;
-    out[i] = static_cast<double>(std::sqrt(static_cast<double>(var)));
-  }
-  return out;
-}
-
-std::vector<double> CumSum(const std::vector<double>& x) {
-  std::vector<double> out(x.size());
-  long double acc = 0.0L;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    acc += x[i];
-    out[i] = static_cast<double>(acc);
+    out[i] = WindowMean(sums, i + 1 >= k ? i + 1 - k : 0, i + 1);
   }
   return out;
 }
@@ -154,19 +134,6 @@ void ZNormalizeInPlace(std::vector<double>& x) {
 
 std::vector<double> ZNormalize(std::vector<double> x) {
   ZNormalizeInPlace(x);
-  return x;
-}
-
-std::vector<double> MinMaxScale(std::vector<double> x, double lo, double hi) {
-  if (x.empty()) return x;
-  const auto [mn_it, mx_it] = std::minmax_element(x.begin(), x.end());
-  const double mn = *mn_it, mx = *mx_it;
-  const double range = mx - mn;
-  if (range < 1e-300) {
-    for (double& v : x) v = lo;
-    return x;
-  }
-  for (double& v : x) v = lo + (v - mn) / range * (hi - lo);
   return x;
 }
 
@@ -198,11 +165,6 @@ std::vector<double> Subtract(const std::vector<double>& a,
   return out;
 }
 
-std::vector<double> Scale(std::vector<double> x, double factor) {
-  for (double& v : x) v *= factor;
-  return x;
-}
-
 std::vector<double> PadLeft(const std::vector<double>& x, std::size_t pad,
                             double value) {
   std::vector<double> out;
@@ -210,15 +172,6 @@ std::vector<double> PadLeft(const std::vector<double>& x, std::size_t pad,
   out.assign(pad, value);
   out.insert(out.end(), x.begin(), x.end());
   return out;
-}
-
-std::vector<std::size_t> IndicesAbove(const std::vector<double>& x,
-                                      double threshold) {
-  std::vector<std::size_t> idx;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] > threshold) idx.push_back(i);
-  }
-  return idx;
 }
 
 std::vector<double> Ewma(const std::vector<double>& x, double alpha) {

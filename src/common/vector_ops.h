@@ -1,7 +1,7 @@
 // Vectorized primitive operations mirroring the MATLAB built-ins the
 // paper's "one-liner" detectors are made of: diff, abs, movmean,
-// movstd, plus the usual supporting cast (cumsum, z-normalization,
-// argmax, ...).
+// movstd, plus the usual supporting cast (z-normalization, argmax,
+// ...).
 //
 // Semantics deliberately follow MATLAB where the paper depends on them:
 //  * Diff(x) has length n-1, Diff(x)[i] = x[i+1] - x[i].
@@ -21,11 +21,34 @@ namespace tsad {
 /// First difference: out[i] = x[i+1] - x[i]; length n-1 (empty if n<2).
 std::vector<double> Diff(const std::vector<double>& x);
 
-/// Second difference: Diff(Diff(x)); length n-2 (empty if n<3).
-std::vector<double> Diff2(const std::vector<double>& x);
-
 /// Element-wise absolute value.
 std::vector<double> Abs(std::vector<double> x);
+
+/// Extends long-double prefix sums by x[0, n): entry i of `*sums` is
+/// the sum of the first i values appended and, when `sq` is non-null,
+/// entry i of `*sq` the sum of their squares. Both start as {0}. Every
+/// moving-window moment below is the difference of two entries, so a
+/// stream appending one value at a time reads the same moments as a
+/// batch pass.
+void AppendPrefixSums(const double* x, std::size_t n,
+                      std::vector<long double>* sums,
+                      std::vector<long double>* sq);
+
+/// MATLAB's centered window of length k (k >= 1) around index i of an
+/// n-value track: k/2 values back and (k-1)/2 ahead, truncated to
+/// [0, n). Returns the bounds as [*lo, *hi).
+void CenteredWindow(std::size_t i, std::size_t n, std::size_t k,
+                    std::size_t* lo, std::size_t* hi);
+
+/// Mean of the values in [lo, hi) (lo < hi), from their prefix sums.
+double WindowMean(const std::vector<long double>& sums, std::size_t lo,
+                  std::size_t hi);
+
+/// Unbiased (N-1) standard deviation of the values in [lo, hi), from
+/// their prefix sums and square sums; 0 for fewer than two values.
+double WindowStd(const std::vector<long double>& sums,
+                 const std::vector<long double>& sq, std::size_t lo,
+                 std::size_t hi);
 
 /// Centered moving mean with window length k (k >= 1), truncated
 /// windows at the boundaries. MATLAB-compatible: for even k the window
@@ -41,22 +64,12 @@ std::vector<double> MovStd(const std::vector<double>& x, std::size_t k);
 /// start). Used by streaming-style detectors.
 std::vector<double> TrailingMean(const std::vector<double>& x, std::size_t k);
 
-/// Trailing (causal) moving standard deviation (unbiased) over the last
-/// k samples.
-std::vector<double> TrailingStd(const std::vector<double>& x, std::size_t k);
-
-/// Cumulative sum; out[i] = x[0] + ... + x[i].
-std::vector<double> CumSum(const std::vector<double>& x);
-
 /// Z-normalizes x in place to zero mean, unit (population) standard
 /// deviation. If the std is ~0 the series is centered only.
 void ZNormalizeInPlace(std::vector<double>& x);
 
 /// Returns a z-normalized copy of x.
 std::vector<double> ZNormalize(std::vector<double> x);
-
-/// Min-max scales x into [lo, hi]. Constant series map to lo.
-std::vector<double> MinMaxScale(std::vector<double> x, double lo, double hi);
 
 /// Index of the maximum element. Precondition: x non-empty (asserts).
 std::size_t ArgMax(const std::vector<double>& x);
@@ -72,17 +85,10 @@ std::vector<double> Add(const std::vector<double>& a,
 std::vector<double> Subtract(const std::vector<double>& a,
                              const std::vector<double>& b);
 
-/// Element-wise scalar multiply.
-std::vector<double> Scale(std::vector<double> x, double factor);
-
 /// Pads `x` on the left with `pad` copies of `value` (used to restore
 /// alignment after Diff so scores line up with the original series).
 std::vector<double> PadLeft(const std::vector<double>& x, std::size_t pad,
                             double value);
-
-/// Indices i where x[i] > threshold.
-std::vector<std::size_t> IndicesAbove(const std::vector<double>& x,
-                                      double threshold);
 
 /// Exponentially weighted moving average with smoothing factor alpha in
 /// (0, 1]; out[0] = x[0].

@@ -1,33 +1,36 @@
 #include "detectors/control_chart.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
-
-#include "common/stats.h"
 
 namespace tsad {
 
-namespace {
-
-// Reference mean/std: training prefix when present, robust estimates
-// otherwise (so the anomaly cannot contaminate the baseline).
-void ReferenceStats(const Series& series, std::size_t train_length,
-                    double* mu, double* sigma) {
-  if (train_length >= 8 && train_length <= series.size()) {
-    const Series train(series.begin(),
-                       series.begin() +
-                           static_cast<std::ptrdiff_t>(train_length));
-    *mu = Mean(train);
-    *sigma = StdDev(train);
-  } else {
-    *mu = Median(Series(series));
-    *sigma = 1.4826 * Mad(series);
-  }
-  if (*sigma < 1e-9) *sigma = 1e-9;
+void EwmaChartCore::PutState(ByteWriter* writer) const {
+  writer->PutDouble(ewma_);
+  writer->PutDouble(decay_);
+  // The layout's "started" word: set once a point has been stepped,
+  // which is exactly when the decay has left 1.
+  writer->PutU64(decay_ < 1.0 ? 1 : 0);
 }
 
-}  // namespace
+Status EwmaChartCore::GetState(ByteReader* reader) {
+  TSAD_RETURN_IF_ERROR(reader->GetDouble(&ewma_));
+  TSAD_RETURN_IF_ERROR(reader->GetDouble(&decay_));
+  std::uint64_t started;
+  return reader->GetU64(&started);
+}
+
+void PageHinkleyCore::PutState(ByteWriter* writer) const {
+  writer->PutDouble(cum_);
+  writer->PutDouble(cum_min_);
+  writer->PutDouble(cum_max_);
+}
+
+Status PageHinkleyCore::GetState(ByteReader* reader) {
+  TSAD_RETURN_IF_ERROR(reader->GetDouble(&cum_));
+  TSAD_RETURN_IF_ERROR(reader->GetDouble(&cum_min_));
+  return reader->GetDouble(&cum_max_);
+}
 
 EwmaChartDetector::EwmaChartDetector(double lambda) : lambda_(lambda) {
   lambda_ = std::clamp(lambda_, 1e-3, 1.0);
@@ -38,21 +41,11 @@ EwmaChartDetector::EwmaChartDetector(double lambda) : lambda_(lambda) {
 
 Result<std::vector<double>> EwmaChartDetector::Score(
     const Series& series, std::size_t train_length) const {
-  const std::size_t n = series.size();
-  std::vector<double> scores(n, 0.0);
-  if (n == 0) return scores;
-  double mu, sigma;
-  ReferenceStats(series, train_length, &mu, &sigma);
-
-  const double var_factor = lambda_ / (2.0 - lambda_);
-  double ewma = mu;
-  double decay = 1.0;  // (1 - lambda)^(2i)
-  const double decay_step = (1.0 - lambda_) * (1.0 - lambda_);
-  for (std::size_t i = 0; i < n; ++i) {
-    ewma = lambda_ * series[i] + (1.0 - lambda_) * ewma;
-    decay *= decay_step;
-    const double se = sigma * std::sqrt(var_factor * (1.0 - decay));
-    scores[i] = std::fabs(ewma - mu) / std::max(1e-12, se);
+  std::vector<double> scores(series.size());
+  if (series.empty()) return scores;
+  EwmaChartCore core(lambda_, FitReferenceStats(series, train_length));
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    scores[i] = core.Step(series[i]);
   }
   return scores;
 }
@@ -65,21 +58,11 @@ PageHinkleyDetector::PageHinkleyDetector(double delta) : delta_(delta) {
 
 Result<std::vector<double>> PageHinkleyDetector::Score(
     const Series& series, std::size_t train_length) const {
-  const std::size_t n = series.size();
-  std::vector<double> scores(n, 0.0);
-  if (n == 0) return scores;
-  double mu, sigma;
-  ReferenceStats(series, train_length, &mu, &sigma);
-
-  double cum = 0.0, cum_min = 0.0, cum_max = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double z = (series[i] - mu) / sigma;
-    cum += z - delta_;
-    cum_min = std::min(cum_min, cum);
-    cum_max = std::max(cum_max, cum);
-    // Upward drift pushes cum above its running minimum; downward drift
-    // pulls it below its running maximum.
-    scores[i] = std::max(cum - cum_min, cum_max - cum);
+  std::vector<double> scores(series.size());
+  if (series.empty()) return scores;
+  PageHinkleyCore core(delta_, FitReferenceStats(series, train_length));
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    scores[i] = core.Step(series[i]);
   }
   return scores;
 }

@@ -7,15 +7,92 @@
 //    training/robust reference.
 //  * Page-Hinkley test (Page, 1954): a one-sided cumulative deviation
 //    statistic with a built-in minimum, the classic drift detector.
+//
+// Both standardize against FitReferenceStats, and each runs one step
+// core that its batch Score and its online adapter share.
 
 #ifndef TSAD_DETECTORS_CONTROL_CHART_H_
 #define TSAD_DETECTORS_CONTROL_CHART_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 
+#include "common/wire.h"
 #include "detectors/detector.h"
+#include "detectors/reference_stats.h"
 
 namespace tsad {
+
+/// The EWMA chart recursion on reference statistics (mu, sigma): the
+/// average starts at mu, and the (1-lambda)^(2i) decay of the standard
+/// error is carried as a running product.
+class EwmaChartCore {
+ public:
+  explicit EwmaChartCore(double lambda, const ReferenceStats& ref = {})
+      : ref_(ref), lambda_(lambda), ewma_(ref.mu) {}
+
+  /// This lambda on `ref`, with the recursion at its start.
+  EwmaChartCore WithReference(const ReferenceStats& ref) const {
+    return EwmaChartCore(lambda_, ref);
+  }
+  const ReferenceStats& reference() const { return ref_; }
+
+  /// Folds x into the average and returns |ewma - mu| / standard error.
+  double Step(double x) {
+    ewma_ = lambda_ * x + (1.0 - lambda_) * ewma_;
+    decay_ *= (1.0 - lambda_) * (1.0 - lambda_);
+    const double var_factor = lambda_ / (2.0 - lambda_);
+    const double se = ref_.sigma * std::sqrt(var_factor * (1.0 - decay_));
+    return std::fabs(ewma_ - ref_.mu) / std::max(1e-12, se);
+  }
+
+  /// Snapshot codec for the recursion state (average, decay).
+  void PutState(ByteWriter* writer) const;
+  Status GetState(ByteReader* reader);
+
+ private:
+  ReferenceStats ref_;
+  double lambda_;
+  double ewma_;
+  double decay_ = 1.0;  // (1 - lambda)^(2i) after i steps
+};
+
+/// The Page-Hinkley recursion on reference statistics (mu, sigma):
+/// the running cumulative deviation with its minimum and maximum.
+class PageHinkleyCore {
+ public:
+  explicit PageHinkleyCore(double delta, const ReferenceStats& ref = {})
+      : ref_(ref), delta_(delta) {}
+
+  /// This delta on `ref`, with the recursion at its start.
+  PageHinkleyCore WithReference(const ReferenceStats& ref) const {
+    return PageHinkleyCore(delta_, ref);
+  }
+  const ReferenceStats& reference() const { return ref_; }
+
+  /// Adds x's standardized deviation and returns the larger one-sided
+  /// statistic: upward drift pushes cum above its running minimum,
+  /// downward drift pulls it below its running maximum.
+  double Step(double x) {
+    const double z = (x - ref_.mu) / ref_.sigma;
+    cum_ += z - delta_;
+    cum_min_ = std::min(cum_min_, cum_);
+    cum_max_ = std::max(cum_max_, cum_);
+    return std::max(cum_ - cum_min_, cum_max_ - cum_);
+  }
+
+  /// Snapshot codec for the recursion state (cum, min, max).
+  void PutState(ByteWriter* writer) const;
+  Status GetState(ByteReader* reader);
+
+ private:
+  ReferenceStats ref_;
+  double delta_;
+  double cum_ = 0.0;
+  double cum_min_ = 0.0;
+  double cum_max_ = 0.0;
+};
 
 /// EWMA chart: score[i] = |ewma[i] - mu| / (sigma * limit[i]) where
 /// limit is the exact time-dependent EWMA standard error

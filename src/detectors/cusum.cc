@@ -1,12 +1,18 @@
 #include "detectors/cusum.h"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 
-#include "common/stats.h"
-
 namespace tsad {
+
+void CusumCore::PutState(ByteWriter* writer) const {
+  writer->PutDouble(s_pos_);
+  writer->PutDouble(s_neg_);
+}
+
+Status CusumCore::GetState(ByteReader* reader) {
+  TSAD_RETURN_IF_ERROR(reader->GetDouble(&s_pos_));
+  return reader->GetDouble(&s_neg_);
+}
 
 CusumDetector::CusumDetector(double drift, double reset_threshold)
     : drift_(drift), reset_threshold_(reset_threshold) {
@@ -19,35 +25,12 @@ CusumDetector::CusumDetector(double drift, double reset_threshold)
 
 Result<std::vector<double>> CusumDetector::Score(
     const Series& series, std::size_t train_length) const {
-  const std::size_t n = series.size();
-  std::vector<double> scores(n, 0.0);
-  if (n == 0) return scores;
-
-  // Reference statistics: training prefix if provided, else robust
-  // whole-series estimates (median / scaled MAD) so that the anomaly
-  // itself does not contaminate the reference.
-  double mu, sigma;
-  if (train_length >= 8 && train_length <= n) {
-    const Series train(series.begin(),
-                       series.begin() + static_cast<std::ptrdiff_t>(train_length));
-    mu = Mean(train);
-    sigma = StdDev(train);
-  } else {
-    mu = Median(Series(series));
-    sigma = 1.4826 * Mad(series);  // MAD -> sigma under normality
-  }
-  if (sigma < 1e-9) sigma = 1e-9;
-
-  double s_pos = 0.0, s_neg = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double z = (series[i] - mu) / sigma;
-    s_pos = std::max(0.0, s_pos + z - drift_);
-    s_neg = std::max(0.0, s_neg - z - drift_);
-    scores[i] = std::max(s_pos, s_neg);
-    if (reset_threshold_ > 0.0 && scores[i] > reset_threshold_) {
-      s_pos = 0.0;
-      s_neg = 0.0;
-    }
+  std::vector<double> scores(series.size());
+  if (series.empty()) return scores;
+  CusumCore core(drift_, reset_threshold_,
+                 FitReferenceStats(series, train_length));
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    scores[i] = core.Step(series[i]);
   }
   return scores;
 }

@@ -7,95 +7,12 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "common/stats.h"
-#include "common/vector_ops.h"
 #include "detectors/discord.h"
 #include "robustness/deadline.h"
 #include "substrates/mp_kernels.h"
 #include "substrates/profile_internal.h"
 
 namespace tsad {
-
-namespace {
-
-// True nearest-neighbor distance of the subsequence at `pos` using a
-// MASS distance profile with an exclusion zone of m/2 around pos.
-double TrueNnDistance(const Series& series, std::size_t pos, std::size_t m,
-                      const WindowStats& stats, std::size_t* nn_out) {
-  const std::vector<double> profile =
-      MassDistanceProfile(series, Subsequence(series, pos, m), stats);
-  const std::size_t exclusion = m / 2;
-  double best = std::numeric_limits<double>::infinity();
-  std::size_t best_j = kNoNeighbor;
-  for (std::size_t j = 0; j < profile.size(); ++j) {
-    const std::size_t gap = pos > j ? pos - j : j - pos;
-    if (gap <= exclusion) continue;
-    if (profile[j] < best) {
-      best = profile[j];
-      best_j = j;
-    }
-  }
-  if (nn_out != nullptr) *nn_out = best_j;
-  return best;
-}
-
-}  // namespace
-
-DragResult DragTopDiscord(const Series& series, std::size_t m, double r) {
-  DragResult result;
-  const std::size_t count = NumSubsequences(series.size(), m);
-  if (m < 2 || count < 2) return result;
-  const std::size_t exclusion = m / 2;
-
-  // Phase 1: candidate selection. A candidate is a subsequence that
-  // might have NN distance >= r. When a new subsequence comes within r
-  // of a candidate, both are disqualified as discords at radius r (the
-  // candidate is removed; the newcomer is not added).
-  std::vector<std::size_t> candidates;
-  std::vector<std::vector<double>> cand_znorm;  // cached z-normed copies
-  for (std::size_t i = 0; i < count; ++i) {
-    std::vector<double> zi = ZNormalize(Subsequence(series, i, m));
-    bool is_candidate = true;
-    for (std::size_t c = 0; c < candidates.size();) {
-      const std::size_t j = candidates[c];
-      const std::size_t gap = i > j ? i - j : j - i;
-      if (gap <= exclusion) {
-        ++c;  // trivial match: ignore, keep candidate
-        continue;
-      }
-      if (EuclideanDistance(zi, cand_znorm[c]) < r) {
-        // Mutual disqualification.
-        candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(c));
-        cand_znorm.erase(cand_znorm.begin() + static_cast<std::ptrdiff_t>(c));
-        is_candidate = false;
-        // Keep scanning: the newcomer may eliminate more candidates.
-        continue;
-      }
-      ++c;
-    }
-    if (is_candidate) {
-      candidates.push_back(i);
-      cand_znorm.push_back(std::move(zi));
-    }
-  }
-  if (candidates.empty()) return result;  // r too large
-
-  // Phase 2: refinement — exact NN distance for each survivor.
-  const WindowStats stats = ComputeWindowStats(series, m);
-  double best = -1.0;
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    std::size_t nn = kNoNeighbor;
-    const double d = TrueNnDistance(series, candidates[c], m, stats, &nn);
-    if (d >= r && d > best) {
-      best = d;
-      result.discord.position = candidates[c];
-      result.discord.distance = d;
-      result.discord.nearest_neighbor = nn;
-      result.found = true;
-    }
-  }
-  return result;
-}
 
 Status ValidateMerlinLengths(std::size_t min_length, std::size_t max_length) {
   if (min_length < 4 || min_length > max_length) {

@@ -13,12 +13,9 @@
 // so refining subsequences in bound order with exact rows finds the
 // top discord after a handful of rows; a length whose refinement runs
 // past a budget worth about one self-join refreshes every candidate
-// from ComputeMatrixProfile instead. The classic DRAG
-// candidate-selection algorithm (Yankov, Keogh & Rebbapragada, ICDM
-// 2007 [20]) stays exported below as the standalone fixed-radius
-// discord search, and MerlinSweepPerLength keeps the per-length
-// recompute as the oracle/baseline the search is certified (and
-// benchmarked) against.
+// from ComputeMatrixProfile instead. MerlinSweepPerLength keeps the
+// per-length recompute as the oracle/baseline the search is certified
+// (and benchmarked) against.
 
 #ifndef TSAD_DETECTORS_MERLIN_H_
 #define TSAD_DETECTORS_MERLIN_H_
@@ -38,15 +35,6 @@ struct LengthDiscord {
   double distance = 0.0;        // z-normalized NN distance
   double normalized = 0.0;      // distance / sqrt(m), comparable across m
 };
-
-/// DRAG: the top-1 discord of `series` at length m, given the guess r.
-/// Succeeds iff the true top discord's NN distance is >= r; on success
-/// `found` is true and the discord fields are filled.
-struct DragResult {
-  bool found = false;
-  Discord discord;
-};
-DragResult DragTopDiscord(const Series& series, std::size_t m, double r);
 
 /// Correlation-units epsilon under which two discord candidates count
 /// as exactly tied (squared distances within 2*m*eps), resolving to the

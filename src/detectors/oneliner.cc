@@ -44,46 +44,45 @@ std::string OneLinerParams::ToMatlab() const {
 
 namespace {
 
-// The margin composition shared by the direct path and the memoized
-// cache: given the (possibly abs'd) diff track and the moving windows
-// the predicate references, returns lhs - rhs in the diff domain.
-// `mm` / `ms` may be null exactly when the predicate does not use them.
-// This single function being the only place the rhs is assembled is
-// what makes cached and direct margins bit-identical by construction:
-// both feed it the same doubles (MovMean/MovStd are deterministic, so a
-// memoized window IS the recomputed window), and the summation order —
-// b, then movmean, then c*movstd — never varies.
-std::vector<double> ComposeMargin(const std::vector<double>& d,
-                                  const double* mm, const double* ms,
-                                  const OneLinerParams& params) {
-  std::vector<double> rhs(d.size(), params.b);
-  if (mm != nullptr) {
-    for (std::size_t i = 0; i < d.size(); ++i) rhs[i] += mm[i];
-  }
-  if (ms != nullptr) {
-    for (std::size_t i = 0; i < d.size(); ++i) rhs[i] += params.c * ms[i];
-  }
+// The one place the right-hand side is assembled: b, then movmean,
+// then c * movstd, each a double addition. Direct, memoized and online
+// margins are bit-identical because they all end here with the same
+// window moments.
+double ComposeMargin(double d, double movmean, double movstd,
+                     const OneLinerParams& params) {
+  double rhs = params.b;
+  if (params.use_movmean) rhs += movmean;
+  if (params.c != 0.0) rhs += params.c * movstd;
+  return d - rhs;
+}
+
+// Margins over precomputed MovMean / MovStd tracks; `mm` / `ms` may be
+// null exactly when the predicate does not use them.
+std::vector<double> ComposeMargins(const std::vector<double>& d,
+                                   const double* mm, const double* ms,
+                                   const OneLinerParams& params) {
+  const OneLinerParams p = params;  // a local copy stays in registers
   std::vector<double> margin(d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) margin[i] = d[i] - rhs[i];
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    margin[i] = ComposeMargin(d[i], mm != nullptr ? mm[i] : 0.0,
+                              ms != nullptr ? ms[i] : 0.0, p);
+  }
   return margin;
 }
 
-// Shared evaluation: returns the margin (lhs - rhs) in the diff domain,
-// length n-1. Recomputes every track per call; the triviality sweep
-// uses OneLinerMarginCache instead.
+// The margin (lhs - rhs) in the diff domain, length n-1. Recomputes
+// every track per call; the triviality sweep uses OneLinerMarginCache
+// instead.
 std::vector<double> DiffDomainMargin(const Series& series,
                                      const OneLinerParams& params) {
   std::vector<double> d = Diff(series);
   if (params.use_abs) d = Abs(std::move(d));
+  const std::size_t k = std::max<std::size_t>(1, params.k);
   std::vector<double> mm, ms;
-  if (params.use_movmean) {
-    mm = MovMean(d, std::max<std::size_t>(1, params.k));
-  }
-  if (params.c != 0.0) {
-    ms = MovStd(d, std::max<std::size_t>(1, params.k));
-  }
-  return ComposeMargin(d, params.use_movmean ? mm.data() : nullptr,
-                       params.c != 0.0 ? ms.data() : nullptr, params);
+  if (params.use_movmean) mm = MovMean(d, k);
+  if (params.c != 0.0) ms = MovStd(d, k);
+  return ComposeMargins(d, params.use_movmean ? mm.data() : nullptr,
+                        params.c != 0.0 ? ms.data() : nullptr, params);
 }
 
 // Aligns a diff-domain margin to the original series: index 0 (no diff
@@ -95,6 +94,20 @@ std::vector<double> AlignMarginToSeries(const std::vector<double>& margin) {
 }
 
 }  // namespace
+
+double OneLinerMarginAt(const std::vector<double>& d,
+                        const std::vector<long double>& sums,
+                        const std::vector<long double>& sq, std::size_t j,
+                        const OneLinerParams& params) {
+  double movmean = 0.0, movstd = 0.0;
+  if (params.uses_window()) {
+    std::size_t lo, hi;
+    CenteredWindow(j, d.size(), std::max<std::size_t>(1, params.k), &lo, &hi);
+    if (params.use_movmean) movmean = WindowMean(sums, lo, hi);
+    if (params.c != 0.0) movstd = WindowStd(sums, sq, lo, hi);
+  }
+  return ComposeMargin(d[j], movmean, movstd, params);
+}
 
 std::vector<uint8_t> EvaluateOneLiner(const Series& series,
                                       const OneLinerParams& params) {
@@ -168,7 +181,7 @@ std::vector<double> OneLinerMarginCache::Margin(const OneLinerParams& params) {
       params.use_movmean ? MovMeanFor(params.use_abs, k).data() : nullptr;
   const double* ms =
       params.c != 0.0 ? MovStdFor(params.use_abs, k).data() : nullptr;
-  return AlignMarginToSeries(ComposeMargin(d, mm, ms, params));
+  return AlignMarginToSeries(ComposeMargins(d, mm, ms, params));
 }
 
 std::vector<uint8_t> OneLinerMarginCache::Flags(const OneLinerParams& params) {
@@ -180,7 +193,7 @@ std::vector<uint8_t> OneLinerMarginCache::Flags(const OneLinerParams& params) {
       params.use_movmean ? MovMeanFor(params.use_abs, k).data() : nullptr;
   const double* ms =
       params.c != 0.0 ? MovStdFor(params.use_abs, k).data() : nullptr;
-  const std::vector<double> margin = ComposeMargin(d, mm, ms, params);
+  const std::vector<double> margin = ComposeMargins(d, mm, ms, params);
   for (std::size_t i = 0; i < margin.size(); ++i) {
     if (margin[i] > 0.0) flags[i + 1] = 1;
   }

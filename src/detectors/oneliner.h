@@ -49,12 +49,15 @@ struct OneLinerParams {
   double c = 0.0;           // coefficient on movstd
   double b = 0.0;           // offset
 
+  /// Whether the predicate reads a moving window (movmean or movstd).
+  bool uses_window() const { return use_movmean || c != 0.0; }
+
   /// Classifies these parameters into the simplified form taxonomy.
   OneLinerForm form() const {
-    if (use_abs) return (!use_movmean && c == 0.0) ? OneLinerForm::kEq3
-                                                   : OneLinerForm::kEq4;
-    return (!use_movmean && c == 0.0) ? OneLinerForm::kEq5
-                                      : OneLinerForm::kEq6;
+    if (use_abs) {
+      return uses_window() ? OneLinerForm::kEq4 : OneLinerForm::kEq3;
+    }
+    return uses_window() ? OneLinerForm::kEq6 : OneLinerForm::kEq5;
   }
 
   /// Renders the parameter setting as the MATLAB one-liner it encodes,
@@ -73,6 +76,20 @@ std::vector<uint8_t> EvaluateOneLiner(const Series& series,
 /// the predicate fires; usable as a generic anomaly score.
 std::vector<double> OneLinerMargin(const Series& series,
                                    const OneLinerParams& params);
+
+/// The margin at diff index j of the lhs track `d` (diff or abs(diff)
+/// of the series): d[j] - (b + movmean + c*movstd), the right-hand
+/// side summed in that order, with the centered window moments of
+/// d[0, d.size()) read from its prefix sums (AppendPrefixSums). `sums`
+/// is read only when the predicate uses a window, `sq` only when
+/// c != 0.
+/// The online adapter calls it per index; the batch paths run the same
+/// pieces a track at a time (MovMean, MovStd, then the one composition
+/// of the right-hand side), so every margin agrees bit for bit.
+double OneLinerMarginAt(const std::vector<double>& d,
+                        const std::vector<long double>& sums,
+                        const std::vector<long double>& sq, std::size_t j,
+                        const OneLinerParams& params);
 
 /// Memoized margin evaluation for one fixed series, built for the
 /// triviality analyzer's (form, k, c) grid: every margin in the grid

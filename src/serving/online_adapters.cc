@@ -4,14 +4,14 @@
 #include <cmath>
 #include <limits>
 
-#include "common/stats.h"
+#include "common/vector_ops.h"
 #include "detectors/control_chart.h"
-#include "robustness/sanitize.h"
 #include "detectors/cusum.h"
-#include "detectors/moving_zscore.h"
 #include "detectors/merlin.h"
+#include "detectors/reference_stats.h"
 #include "detectors/registry.h"
 #include "detectors/streaming_discord.h"
+#include "robustness/sanitize.h"
 
 namespace tsad {
 
@@ -34,37 +34,12 @@ Status CheckBlobName(ByteReader* reader, std::string_view expected) {
 // ---------------------------------------------------------------------------
 // OnlineMovingZScore
 
-OnlineMovingZScore::OnlineMovingZScore(std::string name, std::size_t window,
-                                       double min_std)
-    : window_(window), min_std_(min_std), name_(std::move(name)),
-      ring_(window, 0.0) {}
+OnlineMovingZScore::OnlineMovingZScore(std::string name, std::size_t window)
+    : name_(std::move(name)), core_(window) {}
 
 Status OnlineMovingZScore::Observe(double value,
                                    std::vector<ScoredPoint>* out) {
-  const std::size_t t = observed_;
-  if (t < window_) {
-    // Inside the first window the batch path scores 0 and accumulates
-    // with plain `sum += x` — no slide yet.
-    out->push_back({t, 0.0});
-    sum_ += value;
-    sq_ += static_cast<long double>(value) * value;
-    ring_[t] = value;
-  } else {
-    const long double w = static_cast<long double>(window_);
-    const long double mean = sum_ / w;
-    long double var = sq_ / w - mean * mean;
-    if (var < 0.0L) var = 0.0L;
-    const double sd =
-        std::max(min_std_, std::sqrt(static_cast<double>(var)));
-    out->push_back({t, std::fabs(value - static_cast<double>(mean)) / sd});
-    // Slide exactly as the batch loop does: the delta `x_new - x_old`
-    // is formed in double before widening to the long double sum.
-    const double old = ring_[t % window_];
-    sum_ += value - old;
-    sq_ += static_cast<long double>(value) * value -
-           static_cast<long double>(old) * old;
-    ring_[t % window_] = value;
-  }
+  out->push_back({observed_, core_.Step(value)});
   ++observed_;
   return Status::OK();
 }
@@ -77,9 +52,7 @@ Result<std::string> OnlineMovingZScore::Snapshot() const {
   ByteWriter writer;
   writer.PutString(name_);
   writer.PutU64(observed_);
-  writer.PutLongDouble(sum_);
-  writer.PutLongDouble(sq_);
-  writer.PutDoubles(ring_);
+  core_.Serialize(&writer);
   return writer.Take();
 }
 
@@ -88,13 +61,12 @@ Status OnlineMovingZScore::Restore(std::string_view blob) {
   TSAD_RETURN_IF_ERROR(CheckBlobName(&reader, name_));
   std::uint64_t observed;
   TSAD_RETURN_IF_ERROR(reader.GetU64(&observed));
-  TSAD_RETURN_IF_ERROR(reader.GetLongDouble(&sum_));
-  TSAD_RETURN_IF_ERROR(reader.GetLongDouble(&sq_));
-  TSAD_RETURN_IF_ERROR(reader.GetDoubles(&ring_));
+  // Deserialize into a scratch core so a corrupt blob cannot leave the
+  // live one half-overwritten.
+  MovingZScoreCore core = core_;
+  TSAD_RETURN_IF_ERROR(core.Deserialize(&reader, observed));
   TSAD_RETURN_IF_ERROR(reader.ExpectDone());
-  if (ring_.size() != window_) {
-    return Status::InvalidArgument("snapshot window mismatch for " + name_);
-  }
+  core_ = std::move(core);
   observed_ = observed;
   return Status::OK();
 }
@@ -102,63 +74,54 @@ Status OnlineMovingZScore::Restore(std::string_view blob) {
 // ---------------------------------------------------------------------------
 // ReferenceStatsOnline
 
-ReferenceStatsOnline::ReferenceStatsOnline(std::string name,
-                                           std::size_t train_length)
-    : name_(std::move(name)), train_length_(train_length) {}
-
-Status ReferenceStatsOnline::Observe(double value,
-                                     std::vector<ScoredPoint>* out) {
+template <typename Core>
+Status ReferenceStatsOnline<Core>::Observe(double value,
+                                           std::vector<ScoredPoint>* out) {
   if (trained_) {
-    out->push_back({observed_, Step(value)});
+    out->push_back({observed_, core_.Step(value)});
     ++observed_;
     return Status::OK();
   }
   buffer_.push_back(value);
   ++observed_;
-  if (buffer_.size() == train_length_) Drain(/*causal=*/true, out);
+  if (buffer_.size() == train_length_) Drain(out);
   return Status::OK();
 }
 
-Status ReferenceStatsOnline::Flush(std::vector<ScoredPoint>* out) {
-  // Stream ended before the training prefix completed: the batch path
-  // (train_length > n) falls back to whole-series robust statistics,
-  // and "whole series" is exactly our buffer now.
-  if (!trained_ && !buffer_.empty()) Drain(/*causal=*/false, out);
+template <typename Core>
+Status ReferenceStatsOnline<Core>::Flush(std::vector<ScoredPoint>* out) {
+  if (!trained_ && !buffer_.empty()) Drain(out);
   return Status::OK();
 }
 
-void ReferenceStatsOnline::Drain(bool causal, std::vector<ScoredPoint>* out) {
-  if (causal) {
-    mu_ = Mean(buffer_);
-    sigma_ = StdDev(buffer_);
-  } else {
-    mu_ = Median(Series(buffer_));
-    sigma_ = 1.4826 * Mad(buffer_);
-  }
-  if (sigma_ < 1e-9) sigma_ = 1e-9;
+template <typename Core>
+void ReferenceStatsOnline<Core>::Drain(std::vector<ScoredPoint>* out) {
+  core_ = core_.WithReference(FitReferenceStats(buffer_, train_length_));
   trained_ = true;
   const std::size_t base = observed_ - buffer_.size();
   for (std::size_t i = 0; i < buffer_.size(); ++i) {
-    out->push_back({base + i, Step(buffer_[i])});
+    out->push_back({base + i, core_.Step(buffer_[i])});
   }
   buffer_.clear();
   buffer_.shrink_to_fit();
 }
 
-Result<std::string> ReferenceStatsOnline::Snapshot() const {
+template <typename Core>
+Result<std::string> ReferenceStatsOnline<Core>::Snapshot() const {
   ByteWriter writer;
   writer.PutString(name_);
   writer.PutU64(observed_);
   writer.PutU64(train_length_);
   writer.PutU64(trained_ ? 1 : 0);
-  writer.PutDouble(mu_);
-  writer.PutDouble(sigma_);
+  writer.PutDouble(core_.reference().mu);
+  writer.PutDouble(core_.reference().sigma);
   writer.PutDoubles(buffer_);
-  PutState(&writer);
+  core_.PutState(&writer);
   return writer.Take();
 }
 
-Status ReferenceStatsOnline::Restore(std::string_view blob) {
+template <typename Core>
+Status ReferenceStatsOnline<Core>::Restore(std::string_view blob) {
   ByteReader reader(blob);
   TSAD_RETURN_IF_ERROR(CheckBlobName(&reader, name_));
   std::uint64_t observed, train_length, trained;
@@ -171,107 +134,24 @@ Status ReferenceStatsOnline::Restore(std::string_view blob) {
         std::to_string(train_length_));
   }
   TSAD_RETURN_IF_ERROR(reader.GetU64(&trained));
-  TSAD_RETURN_IF_ERROR(reader.GetDouble(&mu_));
-  TSAD_RETURN_IF_ERROR(reader.GetDouble(&sigma_));
-  TSAD_RETURN_IF_ERROR(reader.GetDoubles(&buffer_));
-  TSAD_RETURN_IF_ERROR(GetState(&reader));
+  ReferenceStats ref;
+  TSAD_RETURN_IF_ERROR(reader.GetDouble(&ref.mu));
+  TSAD_RETURN_IF_ERROR(reader.GetDouble(&ref.sigma));
+  std::vector<double> buffer;
+  TSAD_RETURN_IF_ERROR(reader.GetDoubles(&buffer));
+  Core core = core_.WithReference(ref);
+  TSAD_RETURN_IF_ERROR(core.GetState(&reader));
   TSAD_RETURN_IF_ERROR(reader.ExpectDone());
+  core_ = core;
+  buffer_ = std::move(buffer);
   observed_ = observed;
   trained_ = trained != 0;
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// OnlineCusum
-
-OnlineCusum::OnlineCusum(std::string name, double drift,
-                         double reset_threshold, std::size_t train_length)
-    : ReferenceStatsOnline(std::move(name), train_length),
-      drift_(drift),
-      reset_threshold_(reset_threshold) {}
-
-double OnlineCusum::Step(double value) {
-  const double z = (value - mu_) / sigma_;
-  s_pos_ = std::max(0.0, s_pos_ + z - drift_);
-  s_neg_ = std::max(0.0, s_neg_ - z - drift_);
-  const double score = std::max(s_pos_, s_neg_);
-  if (reset_threshold_ > 0.0 && score > reset_threshold_) {
-    s_pos_ = 0.0;
-    s_neg_ = 0.0;
-  }
-  return score;
-}
-
-void OnlineCusum::PutState(ByteWriter* writer) const {
-  writer->PutDouble(s_pos_);
-  writer->PutDouble(s_neg_);
-}
-
-Status OnlineCusum::GetState(ByteReader* reader) {
-  TSAD_RETURN_IF_ERROR(reader->GetDouble(&s_pos_));
-  return reader->GetDouble(&s_neg_);
-}
-
-// ---------------------------------------------------------------------------
-// OnlineEwmaChart
-
-OnlineEwmaChart::OnlineEwmaChart(std::string name, double lambda,
-                                 std::size_t train_length)
-    : ReferenceStatsOnline(std::move(name), train_length), lambda_(lambda) {}
-
-double OnlineEwmaChart::Step(double value) {
-  if (!started_) {
-    ewma_ = mu_;  // the batch loop initializes ewma = mu
-    started_ = true;
-  }
-  ewma_ = lambda_ * value + (1.0 - lambda_) * ewma_;
-  decay_ *= (1.0 - lambda_) * (1.0 - lambda_);
-  const double var_factor = lambda_ / (2.0 - lambda_);
-  const double se = sigma_ * std::sqrt(var_factor * (1.0 - decay_));
-  return std::fabs(ewma_ - mu_) / std::max(1e-12, se);
-}
-
-void OnlineEwmaChart::PutState(ByteWriter* writer) const {
-  writer->PutDouble(ewma_);
-  writer->PutDouble(decay_);
-  writer->PutU64(started_ ? 1 : 0);
-}
-
-Status OnlineEwmaChart::GetState(ByteReader* reader) {
-  TSAD_RETURN_IF_ERROR(reader->GetDouble(&ewma_));
-  TSAD_RETURN_IF_ERROR(reader->GetDouble(&decay_));
-  std::uint64_t started;
-  TSAD_RETURN_IF_ERROR(reader->GetU64(&started));
-  started_ = started != 0;
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// OnlinePageHinkley
-
-OnlinePageHinkley::OnlinePageHinkley(std::string name, double delta,
-                                     std::size_t train_length)
-    : ReferenceStatsOnline(std::move(name), train_length), delta_(delta) {}
-
-double OnlinePageHinkley::Step(double value) {
-  const double z = (value - mu_) / sigma_;
-  cum_ += z - delta_;
-  cum_min_ = std::min(cum_min_, cum_);
-  cum_max_ = std::max(cum_max_, cum_);
-  return std::max(cum_ - cum_min_, cum_max_ - cum_);
-}
-
-void OnlinePageHinkley::PutState(ByteWriter* writer) const {
-  writer->PutDouble(cum_);
-  writer->PutDouble(cum_min_);
-  writer->PutDouble(cum_max_);
-}
-
-Status OnlinePageHinkley::GetState(ByteReader* reader) {
-  TSAD_RETURN_IF_ERROR(reader->GetDouble(&cum_));
-  TSAD_RETURN_IF_ERROR(reader->GetDouble(&cum_min_));
-  return reader->GetDouble(&cum_max_);
-}
+template class ReferenceStatsOnline<CusumCore>;
+template class ReferenceStatsOnline<EwmaChartCore>;
+template class ReferenceStatsOnline<PageHinkleyCore>;
 
 // ---------------------------------------------------------------------------
 // OnlineOneLiner
@@ -280,49 +160,19 @@ OnlineOneLiner::OnlineOneLiner(std::string name, const OneLinerParams& params)
     : name_(std::move(name)),
       params_(params),
       after_((std::max<std::size_t>(1, params.k) - 1) / 2),
-      need_window_(params.use_movmean || params.c != 0.0),
-      run_min_(std::numeric_limits<double>::infinity()) {
-  sums_.push_back(0.0L);
-  sq_.push_back(0.0L);
-}
+      sums_(1, 0.0L),
+      sq_(1, 0.0L),
+      run_min_(std::numeric_limits<double>::infinity()) {}
 
-double OnlineOneLiner::MarginAt(std::size_t j, std::size_t nd) const {
-  // Accumulate the right-hand side in the batch order: b, then the
-  // moving mean, then c * moving std — each a double addition.
-  double rhs = params_.b;
-  if (need_window_) {
-    const std::size_t keff = std::max<std::size_t>(1, params_.k);
-    const std::size_t before = keff / 2;
-    const std::size_t lo = j >= before ? j - before : 0;
-    const std::size_t hi = std::min(nd, j + after_ + 1);
-    if (params_.use_movmean) {
-      rhs += static_cast<double>((sums_[hi] - sums_[lo]) /
-                                 static_cast<long double>(hi - lo));
-    }
-    if (params_.c != 0.0) {
-      const std::size_t mwin = hi - lo;
-      double ms = 0.0;
-      if (mwin >= 2) {
-        const long double s = sums_[hi] - sums_[lo];
-        const long double ss = sq_[hi] - sq_[lo];
-        long double var = (ss - s * s / static_cast<long double>(mwin)) /
-                          static_cast<long double>(mwin - 1);
-        if (var < 0.0L) var = 0.0L;
-        ms = static_cast<double>(std::sqrt(static_cast<double>(var)));
-      }
-      rhs += params_.c * ms;
-    }
-  }
-  return d_[j] - rhs;
-}
-
-void OnlineOneLiner::EmitReady(std::vector<ScoredPoint>* out) {
+void OnlineOneLiner::Emit(bool ended, std::vector<ScoredPoint>* out) {
   // The centered window for diff index j extends `after_` points into
-  // the future, so the margin is final once d_ reaches j + after_ + 1
-  // entries (immediately, for the pure-threshold forms).
+  // the future, so its margin is final once d_ reaches j + after_ + 1
+  // entries (at once, for the pure-threshold forms); at the end of the
+  // stream the tail windows truncate, as the batch windows do.
   while (emitted_ < d_.size() &&
-         (!need_window_ || d_.size() >= emitted_ + after_ + 1)) {
-    const double margin = MarginAt(emitted_, d_.size());
+         (ended || !params_.uses_window() ||
+          d_.size() >= emitted_ + after_ + 1)) {
+    const double margin = OneLinerMarginAt(d_, sums_, sq_, emitted_, params_);
     run_min_ = std::min(run_min_, margin);
     out->push_back({emitted_ + 1, margin});
     ++emitted_;
@@ -334,12 +184,11 @@ Status OnlineOneLiner::Observe(double value, std::vector<ScoredPoint>* out) {
     double d = value - prev_;
     if (params_.use_abs) d = std::fabs(d);
     d_.push_back(d);
-    sums_.push_back(sums_.back() + d);
-    sq_.push_back(sq_.back() + static_cast<long double>(d) * d);
+    AppendPrefixSums(&d, 1, &sums_, &sq_);
   }
   prev_ = value;
   ++observed_;
-  EmitReady(out);
+  Emit(/*ended=*/false, out);
   return Status::OK();
 }
 
@@ -349,15 +198,7 @@ Status OnlineOneLiner::Flush(std::vector<ScoredPoint>* out) {
     out->push_back({0, 0.0});  // batch: series shorter than 2 scores all-0
     return Status::OK();
   }
-  // Tail margins: their centered windows truncate at the series end,
-  // exactly like the batch MovMean/MovStd boundary handling.
-  const std::size_t nd = d_.size();
-  while (emitted_ < nd) {
-    const double margin = MarginAt(emitted_, nd);
-    run_min_ = std::min(run_min_, margin);
-    out->push_back({emitted_ + 1, margin});
-    ++emitted_;
-  }
+  Emit(/*ended=*/true, out);
   // Index 0 is PadLeft's floor: the global minimum margin.
   out->push_back({0, run_min_});
   return Status::OK();
@@ -386,14 +227,11 @@ Status OnlineOneLiner::Restore(std::string_view blob) {
   TSAD_RETURN_IF_ERROR(reader.ExpectDone());
   observed_ = observed;
   emitted_ = emitted;
-  // Rebuild the prefix sums by re-accumulating d_ in append order —
-  // the identical operation sequence, hence identical rounding.
+  // Rebuild the prefix sums by re-appending d_ in order — the
+  // identical operation sequence, hence identical rounding.
   sums_.assign(1, 0.0L);
   sq_.assign(1, 0.0L);
-  for (double d : d_) {
-    sums_.push_back(sums_.back() + d);
-    sq_.push_back(sq_.back() + static_cast<long double>(d) * d);
-  }
+  AppendPrefixSums(d_.data(), d_.size(), &sums_, &sq_);
   return Status::OK();
 }
 
@@ -654,23 +492,28 @@ Result<std::unique_ptr<OnlineDetector>> MakeOnlineDetector(
 
   if (auto* z = dynamic_cast<const MovingZScoreDetector*>(batch.get())) {
     return std::unique_ptr<OnlineDetector>(std::make_unique<OnlineMovingZScore>(
-        std::move(online_name), z->window(), z->min_std()));
+        std::move(online_name), z->window()));
   }
   if (auto* c = dynamic_cast<const CusumDetector*>(batch.get())) {
     TSAD_RETURN_IF_ERROR(TrainPrefixRequired("cusum", train_length));
-    return std::unique_ptr<OnlineDetector>(std::make_unique<OnlineCusum>(
-        std::move(online_name), c->drift(), c->reset_threshold(),
-        train_length));
+    return std::unique_ptr<OnlineDetector>(
+        std::make_unique<ReferenceStatsOnline<CusumCore>>(
+            std::move(online_name),
+            CusumCore(c->drift(), c->reset_threshold()), train_length));
   }
   if (auto* e = dynamic_cast<const EwmaChartDetector*>(batch.get())) {
     TSAD_RETURN_IF_ERROR(TrainPrefixRequired("ewma", train_length));
-    return std::unique_ptr<OnlineDetector>(std::make_unique<OnlineEwmaChart>(
-        std::move(online_name), e->lambda(), train_length));
+    return std::unique_ptr<OnlineDetector>(
+        std::make_unique<ReferenceStatsOnline<EwmaChartCore>>(
+            std::move(online_name), EwmaChartCore(e->lambda()),
+            train_length));
   }
   if (auto* p = dynamic_cast<const PageHinkleyDetector*>(batch.get())) {
     TSAD_RETURN_IF_ERROR(TrainPrefixRequired("pagehinkley", train_length));
-    return std::unique_ptr<OnlineDetector>(std::make_unique<OnlinePageHinkley>(
-        std::move(online_name), p->delta(), train_length));
+    return std::unique_ptr<OnlineDetector>(
+        std::make_unique<ReferenceStatsOnline<PageHinkleyCore>>(
+            std::move(online_name), PageHinkleyCore(p->delta()),
+            train_length));
   }
   if (auto* o = dynamic_cast<const OneLinerDetector*>(batch.get())) {
     return std::unique_ptr<OnlineDetector>(std::make_unique<OnlineOneLiner>(

@@ -1,9 +1,14 @@
 // Online adapters: one OnlineDetector per batch detector whose math is
-// causal enough to stream. Each adapter replicates its batch Score()
-// loop operation for operation — same accumulator widths (long double
-// rolling sums), same cast points, same clamps, in the same order — so
-// replay is bit-identical, not merely close. See each class comment for
-// the specific trick.
+// causal enough to stream. Each causal detector has one scoring core
+// that its batch Score() runs as a loop and its adapter steps point by
+// point — MovingZScoreCore, CusumCore, EwmaChartCore, PageHinkleyCore,
+// StreamingMpx with StreamingDiscordScore, FlossCore, and the
+// one-liner's window moments and margin composition (per index in
+// OneLinerMarginAt, a track at a time in batch) — so replay is
+// bit-identical by construction, not merely close. An adapter only
+// buffers what its core cannot score yet, orders the emissions, frames
+// snapshots and accounts memory. MERLIN is acausal: its adapter runs
+// the batch detector at Flush().
 //
 // Build adapters through MakeOnlineDetector(), which parses the same
 // spec grammar as the batch registry and rejects configurations whose
@@ -20,6 +25,7 @@
 
 #include "common/wire.h"
 #include "detectors/floss.h"
+#include "detectors/moving_zscore.h"
 #include "detectors/oneliner.h"
 #include "serving/online_detector.h"
 #include "substrates/streaming_mpx.h"
@@ -46,13 +52,11 @@ Result<std::unique_ptr<OnlineDetector>> MakeOnlineDetector(
 /// Spec names MakeOnlineDetector accepts.
 std::vector<std::string> OnlineCapableDetectorNames();
 
-/// Trailing moving z-score over a ring buffer of the last `window`
-/// points; the rolling long-double sum/square-sum updates mirror the
-/// batch slide (`sum += x_new - x_old` with the subtraction in double)
-/// exactly. Emits one score per point, 0 for the first `window`.
+/// Trailing moving z-score: steps the shared MovingZScoreCore. Emits
+/// one score per point, 0 for the first `window`.
 class OnlineMovingZScore : public OnlineDetector {
  public:
-  OnlineMovingZScore(std::string name, std::size_t window, double min_std);
+  OnlineMovingZScore(std::string name, std::size_t window);
 
   std::string_view name() const override { return name_; }
   Status Observe(double value, std::vector<ScoredPoint>* out) override;
@@ -60,28 +64,30 @@ class OnlineMovingZScore : public OnlineDetector {
   Result<std::string> Snapshot() const override;
   Status Restore(std::string_view blob) override;
   std::size_t MemoryFootprint() const override {
-    return sizeof(*this) + name_.capacity() +
-           ring_.capacity() * sizeof(double);
+    return sizeof(*this) + name_.capacity() + core_.MemoryBytes();
   }
 
  private:
-  std::size_t window_;
-  double min_std_;
   std::string name_;
-  std::vector<double> ring_;
-  long double sum_ = 0.0L;
-  long double sq_ = 0.0L;
+  MovingZScoreCore core_;
 };
 
-/// Base for the reference-statistics family (CUSUM / EWMA chart /
-/// Page-Hinkley): buffers the training prefix, then computes mu/sigma
-/// exactly as the batch path does and drains the buffer through the
-/// recursion, emitting the whole prefix at once. If the stream ends
-/// before the prefix completes, Flush() reproduces the batch fallback
-/// (median / scaled MAD over what was seen) — the batch path does the
-/// same when train_length > n, so equivalence holds there too.
+/// The reference-statistics family, for Core = CusumCore,
+/// EwmaChartCore or PageHinkleyCore: buffers the training prefix, fits
+/// it with FitReferenceStats and drains the buffer through a core on
+/// those statistics, emitting the whole prefix at once. If the stream
+/// ends before the prefix completes, Flush() fits what was seen — the
+/// batch path's own fallback (median / scaled MAD) when
+/// train_length > n — so equivalence holds there too.
+template <typename Core>
 class ReferenceStatsOnline : public OnlineDetector {
  public:
+  /// `core` carries the detector's parameters; its reference statistics
+  /// are replaced once the prefix is fitted.
+  ReferenceStatsOnline(std::string name, const Core& core,
+                       std::size_t train_length)
+      : name_(std::move(name)), train_length_(train_length), core_(core) {}
+
   std::string_view name() const override { return name_; }
   Status Observe(double value, std::vector<ScoredPoint>* out) override;
   Status Flush(std::vector<ScoredPoint>* out) override;
@@ -92,90 +98,24 @@ class ReferenceStatsOnline : public OnlineDetector {
            buffer_.capacity() * sizeof(double);
   }
 
- protected:
-  ReferenceStatsOnline(std::string name, std::size_t train_length);
-
-  /// Advances the recursion by one point and returns its score.
-  virtual double Step(double value) = 0;
-  /// Recursion-state codec (reference stats and buffer are handled by
-  /// the base).
-  virtual void PutState(ByteWriter* writer) const = 0;
-  virtual Status GetState(ByteReader* reader) = 0;
-
-  double mu_ = 0.0;
-  double sigma_ = 1e-9;
-
  private:
-  void Drain(bool causal, std::vector<ScoredPoint>* out);
+  void Drain(std::vector<ScoredPoint>* out);
 
   std::string name_;
   std::size_t train_length_;
   bool trained_ = false;
   std::vector<double> buffer_;  // the not-yet-scored prefix
+  Core core_;
 };
 
-/// Two-sided CUSUM (batch recursion: S+/S- with drift and optional
-/// reset), reference stats from the training prefix.
-class OnlineCusum : public ReferenceStatsOnline {
- public:
-  OnlineCusum(std::string name, double drift, double reset_threshold,
-              std::size_t train_length);
-
- protected:
-  double Step(double value) override;
-  void PutState(ByteWriter* writer) const override;
-  Status GetState(ByteReader* reader) override;
-
- private:
-  double drift_;
-  double reset_threshold_;
-  double s_pos_ = 0.0;
-  double s_neg_ = 0.0;
-};
-
-/// EWMA control chart with the exact time-dependent standard error
-/// (the (1-lambda)^(2i) decay is carried as a running product, exactly
-/// like the batch loop).
-class OnlineEwmaChart : public ReferenceStatsOnline {
- public:
-  OnlineEwmaChart(std::string name, double lambda, std::size_t train_length);
-
- protected:
-  double Step(double value) override;
-  void PutState(ByteWriter* writer) const override;
-  Status GetState(ByteReader* reader) override;
-
- private:
-  double lambda_;
-  double ewma_ = 0.0;
-  double decay_ = 1.0;
-  bool started_ = false;  // ewma_/decay_ seeded from mu_ on first Step
-};
-
-/// Page-Hinkley drift statistic (running cum/min/max).
-class OnlinePageHinkley : public ReferenceStatsOnline {
- public:
-  OnlinePageHinkley(std::string name, double delta, std::size_t train_length);
-
- protected:
-  double Step(double value) override;
-  void PutState(ByteWriter* writer) const override;
-  Status GetState(ByteReader* reader) override;
-
- private:
-  double delta_;
-  double cum_ = 0.0;
-  double cum_min_ = 0.0;
-  double cum_max_ = 0.0;
-};
-
-/// One-liner margin scores. Margins live in the diff domain with
-/// MATLAB-centered moving windows, so the margin at diff index j is
-/// final once `(k-1)/2` future points have arrived (emitted with lag),
-/// and index 0 of the original series — padded with the GLOBAL minimum
-/// margin by the batch path — is emitted at Flush(). The long-double
-/// prefix sums over the diff series grow in append order, matching
-/// MovMean/MovStd bit for bit.
+/// One-liner margin scores through the shared OneLinerMarginAt.
+/// Margins live in the diff domain with MATLAB-centered moving
+/// windows, so the margin at diff index j is final once `(k-1)/2`
+/// future points have arrived (emitted with lag), and index 0 of the
+/// original series — padded with the GLOBAL minimum margin by the
+/// batch path — is emitted at Flush(). The prefix sums over the diff
+/// track grow by AppendPrefixSums, in append order, as the batch pass
+/// builds them.
 class OnlineOneLiner : public OnlineDetector {
  public:
   OnlineOneLiner(std::string name, const OneLinerParams& params);
@@ -192,13 +132,13 @@ class OnlineOneLiner : public OnlineDetector {
   }
 
  private:
-  double MarginAt(std::size_t j, std::size_t nd) const;
-  void EmitReady(std::vector<ScoredPoint>* out);
+  // Emits every margin whose window is complete, or all of them when
+  // the stream has ended.
+  void Emit(bool ended, std::vector<ScoredPoint>* out);
 
   std::string name_;
   OneLinerParams params_;
   std::size_t after_;      // future points a centered window needs
-  bool need_window_;       // movmean/movstd actually used?
   double prev_ = 0.0;      // last raw value (diff source)
   std::vector<double> d_;  // diff series (after abs, when enabled)
   std::vector<long double> sums_;  // prefix sums over d_, size |d_|+1

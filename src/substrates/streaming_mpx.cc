@@ -90,8 +90,8 @@ StreamingMpx::StreamingMpx(const StreamingMpxConfig& config)
   assert(Validate(config).ok());
   config_.exclusion = ResolvedExclusion(config);
   chunk_ = config_.buffer_cap / 4;
-  psum_ring_.assign(config_.m + 1, 0.0L);
-  psq_ring_.assign(config_.m + 1, 0.0L);
+  psum_ring_.assign(1, 0.0L);
+  psq_ring_.assign(1, 0.0L);
   ReserveAll();
 }
 
@@ -204,8 +204,13 @@ void StreamingMpx::Push(double value, RightChangeLog* changes) {
   x_.push_back(value);
   tot_sum_ += value;
   tot_sq_ += static_cast<long double>(value) * value;
-  psum_ring_[(t + 1) % ring] = tot_sum_;
-  psq_ring_[(t + 1) % ring] = tot_sq_;
+  if (psum_ring_.size() < ring) {  // the ring grows to m + 1 slots
+    psum_ring_.push_back(tot_sum_);
+    psq_ring_.push_back(tot_sq_);
+  } else {
+    psum_ring_[(t + 1) % ring] = tot_sum_;
+    psq_ring_[(t + 1) % ring] = tot_sq_;
+  }
   seen_ = t + 1;
   if (seen_ < m) return;  // first window still filling
 
@@ -548,9 +553,9 @@ Status StreamingMpx::Deserialize(ByteReader* reader) {
   TSAD_RETURN_IF_ERROR(GetIndexVector(reader, &right_idx));
   TSAD_RETURN_IF_ERROR(GetIndexVector(reader, &left_idx));
   TSAD_RETURN_IF_ERROR(GetIndexVector(reader, &flat));
+  const std::uint64_t ring = std::min<std::uint64_t>(seen, config_.m) + 1;
   if ((config_.buffer_cap != 0 && x.size() > config_.buffer_cap) ||
-      psum.size() != config_.m + 1 ||
-      psq.size() != config_.m + 1 || base > seen ||
+      psum.size() != ring || psq.size() != ring || base > seen ||
       x.size() != seen - base) {
     return Status::InvalidArgument("streaming-mpx snapshot corrupt: shape");
   }

@@ -216,10 +216,12 @@ class StreamingMpx {
   // Rolling window statistics: running prefix totals over the WHOLE
   // stream (long double, same accumulation order as the batch
   // ComputeWindowStats) plus a ring of the last m+1 prefix values so
-  // the newest window's sums come from one subtraction.
+  // the newest window's sums come from one subtraction. The ring grows
+  // with the stream to m + 1 slots (reserved up front when bounded),
+  // so a huge m costs nothing before its points arrive.
   long double tot_sum_ = 0.0L;
   long double tot_sq_ = 0.0L;
-  std::vector<long double> psum_ring_;  // m + 1 slots, indexed seen % (m+1)
+  std::vector<long double> psum_ring_;  // indexed seen % (m+1)
   std::vector<long double> psq_ring_;
 
   // Per retained subsequence (local index aligned with x_).

@@ -19,7 +19,6 @@
 #include "common/wire.h"         // IWYU pragma: export
 
 #include "substrates/matrix_profile.h"     // IWYU pragma: export
-#include "substrates/motifs.h"             // IWYU pragma: export
 #include "substrates/sliding_window.h"     // IWYU pragma: export
 
 #include "detectors/cusum.h"          // IWYU pragma: export
@@ -32,6 +31,7 @@
 #include "detectors/naive.h"          // IWYU pragma: export
 #include "detectors/semisup_discord.h"  // IWYU pragma: export
 #include "detectors/oneliner.h"       // IWYU pragma: export
+#include "detectors/reference_stats.h"  // IWYU pragma: export
 #include "detectors/registry.h"       // IWYU pragma: export
 #include "detectors/seasonal_esd.h"   // IWYU pragma: export
 #include "detectors/spectral_residual.h"  // IWYU pragma: export

@@ -75,6 +75,54 @@ if(found EQUAL -1)
   message(FATAL_ERROR "floss serve missing per-type memory line: ${out}")
 endif()
 
+# Window sizes of 2^62 points: serve must give the batch answer without
+# sizing anything to the window up front. zscore scores all zeros
+# (exit 0); streaming refuses the short series like batch Score (exit 1).
+execute_process(COMMAND ${TSAD_CLI} serve --replay ${WORK_DIR}/nyc_taxi.csv
+                        --streams 2 --detector zscore:w=4611686018427387904
+                        --threads 2
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "huge-window zscore serve exited ${rc}: ${out}${err}")
+endif()
+string(FIND "${out}" "byte-identical" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR "huge-window zscore serve missing verification: ${out}")
+endif()
+execute_process(COMMAND ${TSAD_CLI} serve --replay ${WORK_DIR}/nyc_taxi.csv
+                        --streams 2 --detector streaming:m=4611686018427387904
+                        --threads 2
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR
+          "huge-window streaming serve exited ${rc}, want 1: ${out}${err}")
+endif()
+string(FIND "${out}${err}" "series too short" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR "huge-window streaming serve missing error: ${out}${err}")
+endif()
+
+# Serve each reference-statistics detector and the one-liner through
+# the engine. NASA channel G-1 carries a 1500-point training prefix,
+# which cusum, ewma and pagehinkley need to run online.
+execute_process(COMMAND ${TSAD_CLI} generate nasa --out ${WORK_DIR}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "generate nasa failed: ${out}")
+endif()
+foreach(spec cusum ewma pagehinkley oneliner:u=1,k=7,c=2)
+  execute_process(COMMAND ${TSAD_CLI} serve --replay ${WORK_DIR}/G-1.csv
+                          --streams 4 --detector ${spec} --threads 4
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${spec} serve failed with ${rc}: ${out}")
+  endif()
+  string(FIND "${out}" "byte-identical" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "${spec} serve missing verification line: ${out}")
+  endif()
+endforeach()
+
 # panprofile: dense range goes through MerlinSweep's bound-and-refine
 # search; must print the per-length table and the peak line.
 execute_process(COMMAND ${TSAD_CLI} panprofile ${WORK_DIR}/nyc_taxi.csv

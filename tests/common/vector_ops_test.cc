@@ -16,11 +16,6 @@ TEST(DiffTest, MatlabSemantics) {
   EXPECT_TRUE(Diff({}).empty());
 }
 
-TEST(Diff2Test, SecondDifference) {
-  EXPECT_EQ(Diff2({1, 2, 4, 7, 11}), (std::vector<double>{1, 1, 1}));
-  EXPECT_TRUE(Diff2({1, 2}).empty());
-}
-
 TEST(AbsTest, ElementWise) {
   EXPECT_EQ(Abs({-1, 2, -3}), (std::vector<double>{1, 2, 3}));
 }
@@ -74,16 +69,6 @@ TEST(TrailingMeanTest, UsesOnlyHistory) {
   EXPECT_NEAR(out[3], 7.0, 1e-12);
 }
 
-TEST(TrailingStdTest, SingletonWindowIsZero) {
-  const auto out = TrailingStd({5, 7, 9}, 3);
-  EXPECT_NEAR(out[0], 0.0, 1e-12);
-  EXPECT_NEAR(out[1], std::sqrt(2.0), 1e-9);
-}
-
-TEST(CumSumTest, RunningTotals) {
-  EXPECT_EQ(CumSum({1, 2, 3}), (std::vector<double>{1, 3, 6}));
-}
-
 TEST(ZNormalizeTest, ZeroMeanUnitStd) {
   Rng rng(1);
   std::vector<double> x(500);
@@ -98,13 +83,6 @@ TEST(ZNormalizeTest, ConstantSeriesCenteredOnly) {
   for (double v : z) EXPECT_NEAR(v, 0.0, 1e-12);
 }
 
-TEST(MinMaxScaleTest, MapsToRange) {
-  const auto out = MinMaxScale({0, 5, 10}, -1, 1);
-  EXPECT_NEAR(out[0], -1.0, 1e-12);
-  EXPECT_NEAR(out[1], 0.0, 1e-12);
-  EXPECT_NEAR(out[2], 1.0, 1e-12);
-}
-
 TEST(ArgMaxMinTest, FindsExtremes) {
   EXPECT_EQ(ArgMax({1, 9, 3}), 1u);
   EXPECT_EQ(ArgMin({1, 9, -3}), 2u);
@@ -113,18 +91,11 @@ TEST(ArgMaxMinTest, FindsExtremes) {
 TEST(AddSubtractScaleTest, ElementWiseArithmetic) {
   EXPECT_EQ(Add({1, 2}, {3, 4}), (std::vector<double>{4, 6}));
   EXPECT_EQ(Subtract({3, 4}, {1, 1}), (std::vector<double>{2, 3}));
-  EXPECT_EQ(Scale({1, 2}, 2.5), (std::vector<double>{2.5, 5}));
 }
 
 TEST(PadLeftTest, PrependsValue) {
   EXPECT_EQ(PadLeft({1, 2}, 2, -7),
             (std::vector<double>{-7, -7, 1, 2}));
-}
-
-TEST(IndicesAboveTest, StrictThreshold) {
-  EXPECT_EQ(IndicesAbove({1, 5, 2, 5}, 2.0),
-            (std::vector<std::size_t>{1, 3}));
-  EXPECT_TRUE(IndicesAbove({1, 2}, 2.0).empty());
 }
 
 TEST(EwmaTest, SmoothsTowardSignal) {

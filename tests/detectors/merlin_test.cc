@@ -109,37 +109,6 @@ Series PeriodicWithDistortedCycle(std::size_t n, std::size_t weird_at,
   return x;
 }
 
-TEST(DragTest, FindsDiscordWhenRIsFeasible) {
-  const Series x = PeriodicWithDistortedCycle(1500, 900, 50, 1);
-  const DragResult drag = DragTopDiscord(x, 50, /*r=*/1.0);
-  ASSERT_TRUE(drag.found);
-  EXPECT_GE(drag.discord.position + 60, 900u);
-  EXPECT_LE(drag.discord.position, 960u);
-  EXPECT_GE(drag.discord.distance, 1.0);
-}
-
-TEST(DragTest, FailsWhenRIsTooLarge) {
-  const Series x = PeriodicWithDistortedCycle(1500, 900, 50, 2);
-  // No subsequence is 2*sqrt(2m) from everything (beyond the max
-  // possible z-normalized distance), so DRAG must report failure.
-  const DragResult drag =
-      DragTopDiscord(x, 50, 3.0 * std::sqrt(2.0 * 50.0));
-  EXPECT_FALSE(drag.found);
-}
-
-TEST(DragTest, AgreesWithMatrixProfileDiscord) {
-  const Series x = PeriodicWithDistortedCycle(1200, 600, 50, 3);
-  const std::size_t m = 50;
-  Result<MatrixProfile> mp = ComputeMatrixProfile(x, m);
-  ASSERT_TRUE(mp.ok());
-  const auto exact = TopDiscords(*mp, 1);
-  ASSERT_EQ(exact.size(), 1u);
-  const DragResult drag = DragTopDiscord(x, m, exact[0].distance * 0.9);
-  ASSERT_TRUE(drag.found);
-  EXPECT_EQ(drag.discord.position, exact[0].position);
-  EXPECT_NEAR(drag.discord.distance, exact[0].distance, 1e-6);
-}
-
 TEST(MerlinSweepTest, EveryLengthReportsTheAnomalyRegion) {
   const Series x = PeriodicWithDistortedCycle(1500, 800, 50, 4);
   Result<std::vector<LengthDiscord>> sweep = MerlinSweep(x, 40, 60);

@@ -52,15 +52,34 @@ struct SpecCase {
   std::size_t train_length;
 };
 
+// The stream with its first 100 points and points 300-399 held at one
+// level: the training prefix of every reference-statistics case is
+// constant, so its sigma sits on the 1e-9 floor, and the z-score
+// windows slide through a constant run longer than they are.
+Series FlatRunStream(std::size_t n, uint64_t seed) {
+  Series x = SyntheticStream(n, seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i < 100 || (i >= 300 && i < 400)) x[i] = 7.5;
+  }
+  return x;
+}
+
 std::vector<SpecCase> EquivalenceCases() {
   return {
       {"zscore:w=32", 0},
       {"zscore:w=16", 0},
+      // Longer than every stream here: the ring never fills.
+      {"zscore:w=1000", 0},
       {"cusum:drift=0.5", 100},
       {"cusum:drift=0.25,reset=8", 64},
       {"ewma:lambda=0.2", 100},
       {"ewma:lambda=0.05", 8},
       {"pagehinkley:delta=0.05", 100},
+      // train_length == n on the 700-point replay, so the prefix
+      // completes on the last point; longer than the other streams.
+      {"cusum:drift=0.5", 700},
+      {"ewma:lambda=0.2", 700},
+      {"pagehinkley:delta=0.05", 700},
       {"oneliner:u=1,k=7,c=2", 0},
       {"oneliner:abs=0,k=5,b=1", 0},
       {"oneliner:u=1", 0},
@@ -90,52 +109,63 @@ std::vector<double> BatchScores(const SpecCase& c, const Series& x) {
 }
 
 TEST(OnlineAdapterEquivalenceTest, ReplayMatchesBatchBitForBit) {
-  const Series x = SyntheticStream(700, 42);
-  for (const SpecCase& c : EquivalenceCases()) {
-    SCOPED_TRACE(c.spec);
-    const std::vector<double> batch = BatchScores(c, x);
+  const std::pair<std::string, Series> inputs[] = {
+      {"synthetic", SyntheticStream(700, 42)},
+      {"flat-run", FlatRunStream(700, 42)}};
+  for (const auto& [input, x] : inputs) {
+    for (const SpecCase& c : EquivalenceCases()) {
+      SCOPED_TRACE(input + " " + c.spec +
+                   " train=" + std::to_string(c.train_length));
+      const std::vector<double> batch = BatchScores(c, x);
 
-    auto online = MakeOnlineDetector(c.spec, c.train_length);
-    ASSERT_TRUE(online.ok()) << online.status().message();
-    auto replayed = ReplayScore(**online, x);
-    ASSERT_TRUE(replayed.ok()) << replayed.status().message();
-    EXPECT_TRUE(BitEqual(*replayed, batch));
+      auto online = MakeOnlineDetector(c.spec, c.train_length);
+      ASSERT_TRUE(online.ok()) << online.status().message();
+      auto replayed = ReplayScore(**online, x);
+      ASSERT_TRUE(replayed.ok()) << replayed.status().message();
+      EXPECT_TRUE(BitEqual(*replayed, batch));
+    }
   }
 }
 
 TEST(OnlineAdapterEquivalenceTest, SnapshotRestoreMidStreamStaysBitExact) {
-  const Series x = SyntheticStream(600, 7);
   // Cut points chosen to land in every interesting regime: inside the
   // training prefix / first window, right at its boundary, and deep in
   // the steady state.
   const std::size_t cuts[] = {0, 1, 31, 32, 99, 100, 101, 300, 599};
-  for (const SpecCase& c : EquivalenceCases()) {
-    const std::vector<double> batch = BatchScores(c, x);
-    for (std::size_t cut : cuts) {
-      SCOPED_TRACE(c.spec + " cut=" + std::to_string(cut));
+  const std::pair<std::string, Series> inputs[] = {
+      {"synthetic", SyntheticStream(600, 7)},
+      {"flat-run", FlatRunStream(600, 7)}};
+  for (const auto& [input, x] : inputs) {
+    for (const SpecCase& c : EquivalenceCases()) {
+      const std::vector<double> batch = BatchScores(c, x);
+      for (std::size_t cut : cuts) {
+        SCOPED_TRACE(input + " " + c.spec +
+                     " train=" + std::to_string(c.train_length) +
+                     " cut=" + std::to_string(cut));
 
-      auto first = MakeOnlineDetector(c.spec, c.train_length);
-      ASSERT_TRUE(first.ok());
-      std::vector<ScoredPoint> emitted;
-      for (std::size_t i = 0; i < cut; ++i) {
-        ASSERT_TRUE((*first)->Observe(x[i], &emitted).ok());
+        auto first = MakeOnlineDetector(c.spec, c.train_length);
+        ASSERT_TRUE(first.ok());
+        std::vector<ScoredPoint> emitted;
+        for (std::size_t i = 0; i < cut; ++i) {
+          ASSERT_TRUE((*first)->Observe(x[i], &emitted).ok());
+        }
+        auto blob = (*first)->Snapshot();
+        ASSERT_TRUE(blob.ok()) << blob.status().message();
+
+        // Continue in a FRESH instance restored from the blob.
+        auto second = MakeOnlineDetector(c.spec, c.train_length);
+        ASSERT_TRUE(second.ok());
+        ASSERT_TRUE((*second)->Restore(*blob).ok());
+        EXPECT_EQ((*second)->observed(), cut);
+        for (std::size_t i = cut; i < x.size(); ++i) {
+          ASSERT_TRUE((*second)->Observe(x[i], &emitted).ok());
+        }
+        ASSERT_TRUE((*second)->Flush(&emitted).ok());
+
+        auto assembled = AssembleScores(emitted, x.size(), c.spec);
+        ASSERT_TRUE(assembled.ok()) << assembled.status().message();
+        EXPECT_TRUE(BitEqual(*assembled, batch));
       }
-      auto blob = (*first)->Snapshot();
-      ASSERT_TRUE(blob.ok()) << blob.status().message();
-
-      // Continue in a FRESH instance restored from the blob.
-      auto second = MakeOnlineDetector(c.spec, c.train_length);
-      ASSERT_TRUE(second.ok());
-      ASSERT_TRUE((*second)->Restore(*blob).ok());
-      EXPECT_EQ((*second)->observed(), cut);
-      for (std::size_t i = cut; i < x.size(); ++i) {
-        ASSERT_TRUE((*second)->Observe(x[i], &emitted).ok());
-      }
-      ASSERT_TRUE((*second)->Flush(&emitted).ok());
-
-      auto assembled = AssembleScores(emitted, x.size(), c.spec);
-      ASSERT_TRUE(assembled.ok()) << assembled.status().message();
-      EXPECT_TRUE(BitEqual(*assembled, batch));
     }
   }
 }
@@ -271,6 +301,59 @@ TEST(OnlineAdapterTest, StreamingDiscordRejectsPreStreamingMpxSnapshot) {
   const Status restored = (*online)->Restore(writer.str());
   EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument)
       << restored.ToString();
+}
+
+TEST(OnlineAdapterTest, ZScoreRejectsZeroPaddedRingSnapshot) {
+  // A snapshot taken inside the first window by a build whose ring was
+  // sized to the whole window up front: 10 points seen, the ring
+  // zero-padded to w = 32. The ring now holds only the points seen, so
+  // this layout must be refused, not resumed with 22 phantom zeros.
+  auto online = MakeOnlineDetector("zscore:w=32", 0);
+  ASSERT_TRUE(online.ok());
+  const Series x = SyntheticStream(10, 8);
+  std::vector<double> ring(32, 0.0);
+  long double sum = 0.0L, sq = 0.0L;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ring[i] = x[i];
+    sum += x[i];
+    sq += static_cast<long double>(x[i]) * x[i];
+  }
+  ByteWriter writer;
+  writer.PutString((*online)->name());
+  writer.PutU64(x.size());  // observed
+  writer.PutLongDouble(sum);
+  writer.PutLongDouble(sq);
+  writer.PutDoubles(ring);
+  const Status restored = (*online)->Restore(writer.str());
+  EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument)
+      << restored.ToString();
+}
+
+TEST(OnlineAdapterTest, HugeWindowsMatchBatchWithoutAllocatingThem) {
+  // Windows of 2^62 points: nothing may be sized to the window before
+  // its points arrive. A 100-point stream gets the batch answer.
+  const Series x = SyntheticStream(100, 9);
+  const std::string zscore = "zscore:w=4611686018427387904";
+  auto z = MakeOnlineDetector(zscore, 0);
+  ASSERT_TRUE(z.ok()) << z.status().message();
+  auto z_scores = ReplayScore(**z, x);
+  ASSERT_TRUE(z_scores.ok()) << z_scores.status().message();
+  EXPECT_EQ(*z_scores, std::vector<double>(x.size(), 0.0));
+  EXPECT_TRUE(BitEqual(*z_scores, BatchScores({zscore, 0}, x)));
+
+  const std::string streaming = "streaming:m=4611686018427387904";
+  auto s = MakeOnlineDetector(streaming, 0);
+  ASSERT_TRUE(s.ok()) << s.status().message();
+  auto s_scores = ReplayScore(**s, x);
+  ASSERT_FALSE(s_scores.ok());
+  EXPECT_EQ(s_scores.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s_scores.status().message().find("series too short"),
+            std::string::npos);
+  auto batch = MakeDetector(streaming);
+  ASSERT_TRUE(batch.ok());
+  auto batch_scores = (*batch)->Score(x, 0);
+  ASSERT_FALSE(batch_scores.ok());
+  EXPECT_EQ(batch_scores.status().message(), s_scores.status().message());
 }
 
 TEST(OnlineAdapterTest, FactoryRejectsUncausalAndUnknownConfigs) {

@@ -51,6 +51,13 @@ trap 'rm -rf "${serve_work}"' EXIT
 "${repo_root}/build/tools/tsad" serve \
   --replay "${serve_work}/G-1.csv" \
   --streams 4 --detector floss:16 --floss-buffer 128 --threads 4
+# G-1 carries a 1500-point training prefix, so the reference-statistics
+# detectors (which refuse to serve without one) run here too.
+for spec in cusum ewma pagehinkley oneliner:u=1,k=7,c=2; do
+  "${repo_root}/build/tools/tsad" serve \
+    --replay "${serve_work}/G-1.csv" \
+    --streams 4 --detector "${spec}" --threads 4
+done
 
 if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   run_pass "${repo_root}/build-sanitize" \
