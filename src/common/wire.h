@@ -44,6 +44,11 @@ class ByteWriter {
   void PutDoubles(const std::vector<double>& v);          // length + values
   void PutLongDoubles(const std::vector<long double>& v); // length + values
 
+  /// Makes room for `bytes` more bytes, so a writer that knows (an
+  /// upper estimate of) its final size fills one buffer instead of
+  /// regrowing and copying it as it doubles.
+  void Reserve(std::size_t bytes) { buf_.reserve(buf_.size() + bytes); }
+
   const std::string& str() const { return buf_; }
   std::string Take() { return std::move(buf_); }
 

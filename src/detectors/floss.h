@@ -83,7 +83,10 @@ std::size_t GetDefaultFlossBufferCap();
 
 /// Parses a full `floss[:<window>[:<buffer>]]` spec (positional, unlike
 /// the key=value detector grammar) and validates it: window >= 3,
-/// buffer >= 4 * window. A missing buffer resolves to
+/// buffer >= 4 * window, and the buffer's reserved kernel memory
+/// (StreamingMpx::MemoryBytesBound) within kMaxStreamingMpxBytes, 1 GiB
+/// or about eleven million points: a FLOSS stream reserves its whole
+/// buffer when it is built. A missing buffer resolves to
 /// GetDefaultFlossBufferCap().
 Result<FlossParams> ParseFlossSpec(const std::string& spec);
 

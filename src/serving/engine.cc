@@ -28,6 +28,9 @@ std::uint64_t Fnv1a(std::string_view s) {
   return h;
 }
 
+// clear() keeps a string's buffer; a dropped blob must give it back.
+void Release(std::string* blob) { std::string().swap(*blob); }
+
 }  // namespace
 
 struct ShardedEngine::StreamState {
@@ -47,6 +50,8 @@ struct ShardedEngine::StreamState {
   std::size_t shard = 0;
   StreamPriority priority = StreamPriority::kNormal;
   std::string tenant;
+  // Queued points of the stream's tenant, which only an admission
+  // policy reads; null without one.
   std::shared_ptr<std::atomic<std::uint64_t>> tenant_in_flight;
 
   // Null while cold, quarantined or failed.
@@ -83,12 +88,15 @@ struct ShardedEngine::StreamState {
   bool registered = false;
   // Pump epoch of the last drained point (eviction recency order).
   std::atomic<std::uint64_t> last_active_pump{0};
-  // Points currently queued (guarded by the shard's queue_mu; atomic so
-  // the budget enforcer can read it lock-free).
-  std::atomic<std::size_t> queued{0};
 
-  // Guarded by the owning shard's queue_mu.
+  // Guarded by the owning shard's queue_mu: every point ever accepted,
+  // and the ones accepted since the last drain, in arrival order. A
+  // non-empty inbox puts the stream on its shard's ready list.
   std::size_t accepted = 0;
+  std::vector<double> inbox;
+  // The inbox a drain took, scored in the pump-lock domain. A drain
+  // swaps it with the inbox, so both keep their capacity.
+  std::vector<double> batch;
 
   // Health + sticky failure + quarantine cause; guarded by mu (read by
   // producers and stats(), written in the pump-lock domain).
@@ -96,6 +104,8 @@ struct ShardedEngine::StreamState {
   Health health = Health::kHealthy;
   Status status = Status::OK();  // non-OK only when kFailed
   Status cause = Status::OK();   // the error that caused quarantine
+  // health == kFailed, readable without mu: Push's one check per point.
+  std::atomic<bool> failed{false};
 
   Status GetStatus() const {
     std::lock_guard<std::mutex> lock(mu);
@@ -110,12 +120,18 @@ struct ShardedEngine::StreamState {
     health = h;
     status = std::move(s);
     cause = std::move(c);
+    failed.store(h == Health::kFailed, std::memory_order_release);
   }
 };
 
 struct ShardedEngine::Shard {
   std::mutex queue_mu;
-  std::deque<std::pair<std::shared_ptr<StreamState>, double>> queue;
+  // Guarded by queue_mu: the streams whose inbox is non-empty, in
+  // first-push order, the points across those inboxes (the depth
+  // queue_capacity bounds), and every point the shard ever accepted.
+  std::vector<std::shared_ptr<StreamState>> ready;
+  std::size_t depth = 0;
+  std::uint64_t points_in = 0;
   // Serializes drains of this shard (Pump workers, kBlock producers and
   // the budget enforcer may race).
   std::mutex pump_mu;
@@ -190,7 +206,9 @@ Status ShardedEngine::AddStream(const std::string& id,
   state->detector = std::move(detector);
 
   std::lock_guard<std::mutex> lock(registry_mu_);
-  state->tenant_in_flight = TenantCounter(state->tenant);
+  if (config_.admission != nullptr) {
+    state->tenant_in_flight = TenantCounter(state->tenant);
+  }
   const auto [it, inserted] = streams_.try_emplace(id, std::move(state));
   if (!inserted) {
     return Status::InvalidArgument("stream '" + id + "' already exists");
@@ -205,7 +223,7 @@ Status ShardedEngine::AddStream(const std::string& id,
 
 Status ShardedEngine::Push(const std::string& id, double value) {
   TSAD_ASSIGN_OR_RETURN(std::shared_ptr<StreamState> state, FindStream(id));
-  TSAD_RETURN_IF_ERROR(state->GetStatus());
+  if (state->failed.load(std::memory_order_acquire)) return state->GetStatus();
   Shard& shard = *shards_[state->shard];
 
   if (config_.admission != nullptr) {
@@ -216,7 +234,7 @@ Status ShardedEngine::Push(const std::string& id, double value) {
     request.queue_capacity = config_.queue_capacity;
     {
       std::lock_guard<std::mutex> lock(shard.queue_mu);
-      request.queue_depth = shard.queue.size();
+      request.queue_depth = shard.depth;
     }
     request.tenant_in_flight =
         state->tenant_in_flight->load(std::memory_order_relaxed);
@@ -234,12 +252,15 @@ Status ShardedEngine::Push(const std::string& id, double value) {
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(shard.queue_mu);
-      if (shard.queue.size() < config_.queue_capacity) {
-        shard.queue.emplace_back(state, value);
+      if (shard.depth < config_.queue_capacity) {
+        if (state->inbox.empty()) shard.ready.push_back(state);
+        state->inbox.push_back(value);
+        ++shard.depth;
+        ++shard.points_in;
         ++state->accepted;
-        state->queued.fetch_add(1, std::memory_order_relaxed);
-        state->tenant_in_flight->fetch_add(1, std::memory_order_relaxed);
-        points_in_.fetch_add(1, std::memory_order_relaxed);
+        if (state->tenant_in_flight != nullptr) {
+          state->tenant_in_flight->fetch_add(1, std::memory_order_relaxed);
+        }
         return Status::OK();
       }
     }
@@ -248,7 +269,7 @@ Status ShardedEngine::Push(const std::string& id, double value) {
       return Status::ResourceExhausted(
           "shard " + std::to_string(state->shard) + " queue full (" +
           std::to_string(config_.queue_capacity) +
-          " items); point shed for stream '" + id + "'");
+          " points); point shed for stream '" + id + "'");
     }
     // kBlock: make room by draining on the producer's own thread.
     DrainShard(state->shard);
@@ -274,9 +295,13 @@ Status ShardedEngine::ThawStream(StreamState* state) {
   TSAD_RETURN_IF_ERROR(detector->Restore(state->cold_blob));
   state->detector = std::move(detector);
   cold_bytes_.fetch_sub(state->cold_blob.size(), std::memory_order_relaxed);
-  state->checkpoint_blob = std::move(state->cold_blob);
-  state->checkpoint_out = state->out.size();
-  state->cold_blob.clear();
+  // The thawed state is the recovery point when recovery is enabled;
+  // otherwise nothing reads the blob again.
+  if (config_.recovery.max_retries > 0) {
+    state->checkpoint_blob = std::move(state->cold_blob);
+    state->checkpoint_out = state->out.size();
+  }
+  Release(&state->cold_blob);
   SetFootprint(state, state->detector->MemoryFootprint());
   state->Set(StreamState::Health::kHealthy, Status::OK(), Status::OK());
   thaws_.fetch_add(1, std::memory_order_relaxed);
@@ -289,9 +314,9 @@ void ShardedEngine::FailStream(StreamState* state, const Status& cause) {
   points_dropped_.fetch_add(state->pending.size(), std::memory_order_relaxed);
   state->pending.clear();
   state->pending.shrink_to_fit();
-  state->checkpoint_blob.clear();
+  Release(&state->checkpoint_blob);
   cold_bytes_.fetch_sub(state->cold_blob.size(), std::memory_order_relaxed);
-  state->cold_blob.clear();
+  Release(&state->cold_blob);
   state->detector.reset();
   SetFootprint(state, 0);
   const Status sticky(cause.code(),
@@ -391,8 +416,46 @@ void ShardedEngine::AttemptRecovery(StreamState* state, bool force) {
 
 void ShardedEngine::ProcessGroup(StreamState* state,
                                  const std::vector<double>& values) {
-  // Pump lock held; health is kHealthy and the detector is live.
+  // Pump lock held: one drained inbox, in arrival order.
   const bool recoverable = config_.recovery.max_retries > 0;
+  switch (state->GetHealth()) {
+    case StreamState::Health::kFailed:
+      points_dropped_.fetch_add(values.size(), std::memory_order_relaxed);
+      return;
+    case StreamState::Health::kQuarantined:
+      // Buffer behind the recovery point; Pump's recovery sweep (or
+      // FinishStream) replays these once the detector is back.
+      state->pending.insert(state->pending.end(), values.begin(),
+                            values.end());
+      return;
+    case StreamState::Health::kCold: {
+      Status thawed = ThawStream(state);
+      if (!thawed.ok()) {
+        // A bad cold snapshot is a detector failure. Promote the cold
+        // blob to the recovery checkpoint first so the quarantined
+        // state stays self-consistent (recovery retries the restore;
+        // if the blob really is corrupt, retries exhaust and the
+        // stream fails sticky).
+        cold_bytes_.fetch_sub(state->cold_blob.size(),
+                              std::memory_order_relaxed);
+        state->checkpoint_blob = std::move(state->cold_blob);
+        Release(&state->cold_blob);
+        state->checkpoint_out = state->out.size();
+        if (recoverable) {
+          EnterQuarantine(state, thawed, values);
+        } else {
+          points_dropped_.fetch_add(values.size(),
+                                    std::memory_order_relaxed);
+          FailStream(state, thawed);
+        }
+        return;
+      }
+      break;
+    }
+    case StreamState::Health::kHealthy:
+      break;
+  }
+
   std::optional<DeadlineScope> deadline;
   if (config_.stream_deadline.count() > 0) {
     deadline.emplace(config_.stream_deadline);
@@ -440,72 +503,38 @@ void ShardedEngine::DrainShard(std::size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   std::lock_guard<std::mutex> pump_lock(shard.pump_mu);
 
-  std::deque<std::pair<std::shared_ptr<StreamState>, double>> items;
+  // Take the ready list and every listed inbox in one short critical
+  // section; producers fill the emptied inboxes meanwhile. Streams are
+  // independent, so only each stream's own arrival order matters.
+  std::vector<std::shared_ptr<StreamState>> ready;
   {
     std::lock_guard<std::mutex> lock(shard.queue_mu);
-    items.swap(shard.queue);
+    ready.swap(shard.ready);
+    for (const auto& state : ready) state->batch.swap(state->inbox);
+    shard.depth = 0;
   }
-  if (items.empty()) return;
-
-  // Regroup FIFO items per stream (first-appearance order). Streams are
-  // independent, so only the per-stream order matters for scores.
-  std::vector<std::pair<StreamState*, std::vector<double>>> groups;
-  std::map<StreamState*, std::size_t> group_of;
-  for (auto& [state, value] : items) {
-    state->queued.fetch_sub(1, std::memory_order_relaxed);
-    state->tenant_in_flight->fetch_sub(1, std::memory_order_relaxed);
-    auto [it, inserted] = group_of.emplace(state.get(), groups.size());
-    if (inserted) groups.emplace_back(state.get(), std::vector<double>());
-    groups[it->second].second.push_back(value);
-  }
-
-  for (auto& [state, values] : groups) {
-    switch (state->GetHealth()) {
-      case StreamState::Health::kFailed:
-        points_dropped_.fetch_add(values.size(), std::memory_order_relaxed);
-        continue;
-      case StreamState::Health::kQuarantined:
-        // Buffer behind the recovery point; Pump's recovery sweep (or
-        // FinishStream) replays these once the detector is back.
-        state->pending.insert(state->pending.end(), values.begin(),
-                              values.end());
-        continue;
-      case StreamState::Health::kCold: {
-        Status thawed = ThawStream(state);
-        if (!thawed.ok()) {
-          // A bad cold snapshot is a detector failure. Promote the cold
-          // blob to the recovery checkpoint first so the quarantined
-          // state stays self-consistent (recovery retries the restore;
-          // if the blob really is corrupt, retries exhaust and the
-          // stream fails sticky).
-          cold_bytes_.fetch_sub(state->cold_blob.size(),
-                                std::memory_order_relaxed);
-          state->checkpoint_blob = std::move(state->cold_blob);
-          state->cold_blob.clear();
-          state->checkpoint_out = state->out.size();
-          if (config_.recovery.max_retries > 0) {
-            EnterQuarantine(state, thawed, values);
-          } else {
-            points_dropped_.fetch_add(values.size(),
-                                      std::memory_order_relaxed);
-            FailStream(state, thawed);
-          }
-          continue;
-        }
-        break;
-      }
-      case StreamState::Health::kHealthy:
-        break;
+  for (const auto& state : ready) {
+    if (state->tenant_in_flight != nullptr) {
+      state->tenant_in_flight->fetch_sub(state->batch.size(),
+                                         std::memory_order_relaxed);
     }
-    ProcessGroup(state, values);
+    ProcessGroup(state.get(), state->batch);
+    state->batch.clear();
   }
 }
 
 Status ShardedEngine::Pump() {
   const auto start = std::chrono::steady_clock::now();
   pump_epoch_.fetch_add(1, std::memory_order_relaxed);
-  Status status = ParallelFor(0, shards_.size(), [&](std::size_t i) -> Status {
-    DrainShard(i);
+  // Only shards with queued points are dispatched: a pump over an idle
+  // engine (FinishStream's, say) never wakes the pool.
+  std::vector<std::size_t> busy;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    std::lock_guard<std::mutex> lock(shards_[i]->queue_mu);
+    if (shards_[i]->depth != 0) busy.push_back(i);
+  }
+  Status status = ParallelFor(0, busy.size(), [&](std::size_t k) -> Status {
+    DrainShard(busy[k]);
     return Status::OK();
   });
 
@@ -562,50 +591,58 @@ void ShardedEngine::EnforceMemoryBudget() {
   }
 
   // Over budget: cold-evict, lowest priority class first, then least
-  // recently active (ties in id order: stable sort over the std::map).
-  // kCritical streams, streams with queued points and streams that are
-  // not plain-healthy are never candidates.
-  std::vector<std::shared_ptr<StreamState>> live;
+  // recently active, then lowest id (the registry is unordered, so the
+  // last key makes the order total). kCritical streams, streams with
+  // queued points and streams that are not plain-healthy are never
+  // victims. The keys are read once, before sorting, so a racing drain
+  // cannot change them under the sort.
+  struct Victim {
+    int priority;
+    std::uint64_t last_active;
+    std::shared_ptr<StreamState> state;
+  };
+  std::vector<Victim> victims;
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
-    live.reserve(streams_.size());
-    for (const auto& [id, state] : streams_) live.push_back(state);
+    victims.reserve(streams_.size());
+    for (const auto& [id, state] : streams_) {
+      if (state->priority == StreamPriority::kCritical) continue;
+      if (state->GetHealth() != StreamState::Health::kHealthy) continue;
+      victims.push_back(
+          {static_cast<int>(state->priority),
+           state->last_active_pump.load(std::memory_order_relaxed), state});
+    }
   }
-  std::vector<StreamState*> candidates;
-  for (const auto& state : live) {
-    if (state->priority == StreamPriority::kCritical) continue;
-    if (state->queued.load(std::memory_order_relaxed) != 0) continue;
-    if (state->GetHealth() != StreamState::Health::kHealthy) continue;
-    candidates.push_back(state.get());
-  }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const StreamState* a, const StreamState* b) {
-                     if (a->priority != b->priority) {
-                       return static_cast<int>(a->priority) >
-                              static_cast<int>(b->priority);
-                     }
-                     return a->last_active_pump.load(
-                                std::memory_order_relaxed) <
-                            b->last_active_pump.load(
-                                std::memory_order_relaxed);
-                   });
+  std::sort(victims.begin(), victims.end(),
+            [](const Victim& a, const Victim& b) {
+              if (a.priority != b.priority) return a.priority > b.priority;
+              if (a.last_active != b.last_active) {
+                return a.last_active < b.last_active;
+              }
+              return a.state->id < b.state->id;
+            });
 
-  for (StreamState* state : candidates) {
+  for (const Victim& victim : victims) {
     if (live_bytes_.load(std::memory_order_relaxed) <= budget) break;
-    std::lock_guard<std::mutex> pump_lock(shards_[state->shard]->pump_mu);
-    // Re-check under the pump lock: a racing drain (kBlock producer)
-    // may have failed or quarantined the stream meanwhile, or a racing
-    // FinishStream removed it.
+    StreamState* state = victim.state.get();
+    Shard& shard = *shards_[state->shard];
+    std::lock_guard<std::mutex> pump_lock(shard.pump_mu);
+    // Checked under the pump lock: a racing drain (kBlock producer) may
+    // have failed or quarantined the stream, a racing FinishStream
+    // removed it, or a producer queued a point its next drain scores.
     if (!state->registered) continue;
     if (state->GetHealth() != StreamState::Health::kHealthy) continue;
-    if (state->queued.load(std::memory_order_relaxed) != 0) continue;
+    {
+      std::lock_guard<std::mutex> lock(shard.queue_mu);
+      if (!state->inbox.empty()) continue;
+    }
     Result<std::string> blob = state->detector->Snapshot();
     if (!blob.ok()) continue;  // unserializable: skip, evict the next one
     state->cold_blob = std::move(blob).value();
     cold_bytes_.fetch_add(state->cold_blob.size(),
                           std::memory_order_relaxed);
     state->detector.reset();
-    state->checkpoint_blob.clear();
+    Release(&state->checkpoint_blob);
     SetFootprint(state, 0);
     state->Set(StreamState::Health::kCold, Status::OK(), Status::OK());
     cold_evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -677,13 +714,49 @@ Status ShardedEngine::StreamStatus(const std::string& id) const {
 Result<std::string> ShardedEngine::Snapshot() {
   TSAD_RETURN_IF_ERROR(Pump());
   std::lock_guard<std::mutex> lock(registry_mu_);
+  // Every drain waits until the blob is written: it is one cut.
+  std::vector<std::unique_lock<std::mutex>> drains;
+  drains.reserve(shards_.size());
+  for (const auto& shard : shards_) drains.emplace_back(shard->pump_mu);
+
+  // An upper estimate of the bytes written for one stream: every field
+  // at its exact size, except a live detector's blob, for which its
+  // MemoryFootprint() stands in (each adapter serializes at most the
+  // buffers it holds).
+  auto bytes_bound = [](const StreamState& state) {
+    // u64 fields and length prefixes: 10 for every stream, and at most
+    // 7 more (for a quarantined one).
+    constexpr std::size_t kWords = 17;
+    std::size_t bytes = kWords * 8 + state.id.size() + state.spec.size() +
+                        state.tenant.size() + 16 * state.out.size() +
+                        state.checkpoint_blob.size() + state.cold_blob.size() +
+                        8 * state.pending.size();
+    if (state.detector != nullptr) bytes += state.detector->MemoryFootprint();
+    std::lock_guard<std::mutex> lock(state.mu);
+    return bytes + state.status.message().size() +
+           state.cause.message().size();
+  };
+  // Streams in id order, so engines holding the same streams write the
+  // same bytes whatever order the hashed registry iterates in. The
+  // blob is sized once from the estimate instead of regrown.
+  std::vector<const StreamState*> ordered;
+  ordered.reserve(streams_.size());
+  std::size_t bound = 16 + kSnapshotMagic.size();
+  for (const auto& [id, state] : streams_) {
+    ordered.push_back(state.get());
+    bound += bytes_bound(*state);
+  }
+  std::sort(ordered.begin(), ordered.end(),
+            [](const StreamState* a, const StreamState* b) {
+              return a->id < b->id;
+            });
   ByteWriter writer;
+  writer.Reserve(bound);
   writer.PutString(kSnapshotMagic);
-  writer.PutU64(streams_.size());
+  writer.PutU64(ordered.size());
   const std::uint64_t epoch = pump_epoch_.load(std::memory_order_relaxed);
-  for (const auto& [id, state] : streams_) {  // std::map: sorted, stable
-    std::lock_guard<std::mutex> pump_lock(shards_[state->shard]->pump_mu);
-    writer.PutString(id);
+  for (const StreamState* state : ordered) {
+    writer.PutString(state->id);
     writer.PutString(state->spec);
     writer.PutU64(state->train_length);
     writer.PutU64(static_cast<std::uint64_t>(state->priority));
@@ -760,7 +833,7 @@ Status ShardedEngine::Restore(std::string_view blob) {
   std::uint64_t count;
   TSAD_RETURN_IF_ERROR(reader.GetU64(&count));
   const std::uint64_t epoch = pump_epoch_.load(std::memory_order_relaxed);
-  std::map<std::string, std::shared_ptr<StreamState>> restored;
+  std::unordered_map<std::string, std::shared_ptr<StreamState>> restored;
   std::uint64_t restored_cold_bytes = 0;
   for (std::uint64_t s = 0; s < count; ++s) {
     auto state = std::make_shared<StreamState>();
@@ -790,6 +863,8 @@ Status ShardedEngine::Restore(std::string_view blob) {
     const auto health = static_cast<StreamState::Health>(health_raw);
     state->health = health;
     state->status = Status(static_cast<StatusCode>(code), std::move(message));
+    state->failed.store(health == StreamState::Health::kFailed,
+                        std::memory_order_relaxed);
     state->out.reserve(static_cast<std::size_t>(out_count));
     for (std::uint64_t i = 0; i < out_count; ++i) {
       ScoredPoint p;
@@ -807,8 +882,10 @@ Status ShardedEngine::Restore(std::string_view blob) {
             state->detector,
             BuildDetector(state->spec, state->train_length, state->id));
         TSAD_RETURN_IF_ERROR(state->detector->Restore(detector_blob));
-        state->checkpoint_blob = std::move(detector_blob);
-        state->checkpoint_out = state->out.size();
+        if (config_.recovery.max_retries > 0) {  // the first recovery point
+          state->checkpoint_blob = std::move(detector_blob);
+          state->checkpoint_out = state->out.size();
+        }
         state->footprint.store(state->detector->MemoryFootprint(),
                                std::memory_order_relaxed);
         break;
@@ -857,7 +934,9 @@ Status ShardedEngine::Restore(std::string_view blob) {
   }
   std::uint64_t restored_live_bytes = 0;
   for (auto& [id, state] : restored) {
-    state->tenant_in_flight = TenantCounter(state->tenant);
+    if (config_.admission != nullptr) {
+      state->tenant_in_flight = TenantCounter(state->tenant);
+    }
     state->registered = true;
     restored_live_bytes += state->footprint.load(std::memory_order_relaxed);
   }
@@ -879,7 +958,10 @@ std::string DetectorTypeKey(const std::string& spec) {
 
 ServingStats ShardedEngine::stats() const {
   ServingStats out;
-  out.points_in = points_in_.load(std::memory_order_relaxed);
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->queue_mu);
+    out.points_in += shard->points_in;
+  }
   out.points_scored = points_scored_.load(std::memory_order_relaxed);
   out.points_shed = points_shed_.load(std::memory_order_relaxed);
   out.points_denied = points_denied_.load(std::memory_order_relaxed);

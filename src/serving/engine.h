@@ -1,14 +1,19 @@
 // Multi-stream serving engine: hash-sharded online scoring on top of
 // the common/parallel.h pool.
 //
-// Topology. Every stream id is FNV-1a-hashed onto one of N shards; a
-// shard owns a bounded FIFO queue of (stream, value) items and a drain
-// lock. Producers enqueue under the queue lock only (cheap); Pump()
-// runs one drain per shard across the thread pool. Because a stream
-// lives on exactly one shard and a shard is drained by at most one
-// thread at a time, detector state needs no locking of its own, and
-// per-stream score order is FIFO regardless of thread count — which is
-// what makes engine replay bit-identical at --threads 1 and 8.
+// Topology. Every stream id is FNV-1a-hashed onto one of N shards. A
+// stream keeps an inbox of the points accepted since its last drain;
+// its shard keeps a ready list of the streams whose inbox is non-empty,
+// in first-push order, the total of points across those inboxes (the
+// depth that queue_capacity bounds), and a drain lock. Producers append
+// to the inbox under the shard's queue lock only (cheap); Pump() drains
+// only the shards with queued points, one drain per shard across the
+// thread pool, and a drain hands each ready stream its whole inbox at
+// once. Because a stream lives on exactly one shard and a shard is
+// drained by at most one thread at a time, detector state needs no
+// locking of its own, and per-stream score order is arrival order
+// regardless of thread count — which is what makes engine replay
+// bit-identical at --threads 1 and 8.
 //
 // Survival: the degradation ladder. Overload and faults walk the
 // engine down a policy-driven ladder instead of a binary shed/fail
@@ -18,8 +23,8 @@
 //      Push before it queues: per-stream priority classes keep queue
 //      headroom for important streams, per-tenant quotas contain noisy
 //      tenants. Denial is kResourceExhausted; the stream stays healthy.
-//   2. SHED   — a full queue either sheds the point (kShed) or drains
-//      the shard inline on the producer (kBlock), exactly as before.
+//   2. SHED   — a full shard either sheds the point (kShed) or drains
+//      the shard inline on the producer (kBlock).
 //   3. EVICT  — when the rolled-up OnlineDetector::MemoryFootprint()
 //      exceeds memory_budget_bytes, the least-recently-active streams
 //      of the lowest priority class are cold-evicted: detector state is
@@ -39,7 +44,7 @@
 // Failure containment (recovery disabled, the default). A stream whose
 // detector errors — including a per-stream deadline expiring mid-drain
 // (kDeadlineExceeded) — gets a STICKY error status: its remaining
-// queued items are dropped, later Push()es are rejected with the same
+// queued points are dropped, later Push()es are rejected with the same
 // status, and FinishStream() surfaces it. Other streams, including
 // those on the same shard, are untouched.
 
@@ -49,12 +54,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -63,7 +68,7 @@
 
 namespace tsad {
 
-/// What Push() does when the target shard's queue is full.
+/// What Push() does when the target shard holds queue_capacity points.
 enum class OverflowPolicy {
   kShed,   // reject the point with kResourceExhausted
   kBlock,  // drain the shard on the calling thread, then enqueue
@@ -83,7 +88,8 @@ struct RecoveryConfig {
 struct ServingConfig {
   /// Number of shards; 0 means "use ParallelThreads()".
   std::size_t num_shards = 0;
-  /// Per-shard queue capacity (items).
+  /// Per-shard queue capacity: points queued across the shard's
+  /// stream inboxes between drains.
   std::size_t queue_capacity = 1024;
   OverflowPolicy overflow = OverflowPolicy::kShed;
   /// Per-stream time budget for one drain pass; 0 disables. Installed
@@ -100,8 +106,8 @@ struct ServingConfig {
   /// Engine-wide budget for live detector memory (rolled up from
   /// OnlineDetector::MemoryFootprint()); 0 = unlimited. Enforced at the
   /// end of every Pump by cold-evicting streams, lowest priority and
-  /// longest-idle first (never kCritical, never quarantined/failed
-  /// streams, never streams with queued points).
+  /// longest-idle first, ties by stream id (never kCritical, never
+  /// quarantined/failed streams, never streams with queued points).
   ///
   /// Accounting: the engine keeps the sum of every registered stream's
   /// footprint as a running total, moved by each change of a stream's
@@ -111,7 +117,9 @@ struct ServingConfig {
   /// the stream registry to pick eviction victims.
   std::size_t memory_budget_bytes = 0;
 
-  /// Quarantine-and-recover behavior for detector errors.
+  /// Quarantine-and-recover behavior for detector errors. Recovery
+  /// checkpoints (a detector snapshot per stream, refreshed after every
+  /// drain) are kept only while recovery is enabled.
   RecoveryConfig recovery;
 
   /// Test seam: wraps every detector the engine builds (at AddStream,
@@ -164,7 +172,7 @@ std::string DetectorTypeKey(const std::string& spec);
 
 /// Engine-wide counters; obtained via stats() (a consistent copy).
 struct ServingStats {
-  std::uint64_t points_in = 0;      // accepted into a queue
+  std::uint64_t points_in = 0;      // accepted into an inbox
   std::uint64_t points_scored = 0;  // ScoredPoints emitted by detectors
   std::uint64_t points_shed = 0;    // rejected by kShed backpressure
   std::uint64_t points_denied = 0;  // rejected by the admission policy
@@ -215,9 +223,9 @@ class ShardedEngine {
   /// permanently failed stream rejects with its sticky status.
   Status Push(const std::string& id, double value);
 
-  /// Drains every shard queue once, in parallel across the pool, then
-  /// enforces the memory budget. Stream-level failures do not fail the
-  /// pump; they quarantine or stick to their stream.
+  /// Drains every shard with queued points once, in parallel across
+  /// the pool, then enforces the memory budget. Stream-level failures
+  /// do not fail the pump; they quarantine or stick to their stream.
   Status Pump();
 
   /// Pumps, forces any pending recovery (ignoring backoff — the stream
@@ -231,10 +239,11 @@ class ShardedEngine {
   /// quarantined stream reports its pending failure, annotated).
   Status StreamStatus(const std::string& id) const;
 
-  /// Serializes every stream (after a Pump) for engine-wide failover.
-  /// Cold streams serialize their cold snapshot without thawing;
-  /// quarantined streams carry their checkpoint and buffered points so
-  /// the restored engine continues the recovery.
+  /// Serializes every stream (after a Pump) for engine-wide failover,
+  /// in stream-id order: engines holding the same streams write the
+  /// same bytes. Cold streams serialize their cold snapshot without
+  /// thawing; quarantined streams carry their checkpoint and buffered
+  /// points so the restored engine continues the recovery.
   Result<std::string> Snapshot();
 
   /// Rebuilds streams from a Snapshot() blob. The engine must have no
@@ -277,13 +286,14 @@ class ShardedEngine {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex registry_mu_;
-  std::map<std::string, std::shared_ptr<StreamState>> streams_;
+  // Unordered: every order a caller can observe (Snapshot bytes,
+  // eviction victims) is made explicit by stream id where it is used.
+  std::unordered_map<std::string, std::shared_ptr<StreamState>> streams_;
   std::map<std::string, std::shared_ptr<std::atomic<std::uint64_t>>>
       tenants_;  // in-flight points per tenant
 
   std::atomic<std::uint64_t> pump_epoch_{0};  // completed Pump() calls
 
-  std::atomic<std::uint64_t> points_in_{0};
   std::atomic<std::uint64_t> points_scored_{0};
   std::atomic<std::uint64_t> points_shed_{0};
   std::atomic<std::uint64_t> points_denied_{0};

@@ -79,6 +79,8 @@ class OnlineDetector {
   /// against its engine-wide memory budget and cold-evicts streams when
   /// the total exceeds it; an adapter that under-reports starves the
   /// budget silently, so adapters account for every growable buffer.
+  /// It also bounds Snapshot().size(), which is how the engine sizes
+  /// its failover blob up front.
   virtual std::size_t MemoryFootprint() const { return sizeof(*this); }
 
   /// Points consumed so far.

@@ -33,6 +33,16 @@ Status GetIndexVector(ByteReader* reader, std::vector<std::size_t>* v) {
   return Status::OK();
 }
 
+// Size arithmetic that saturates at SIZE_MAX instead of wrapping, so a
+// huge buffer's bound reads as huge.
+constexpr std::size_t kSizeMax = std::numeric_limits<std::size_t>::max();
+std::size_t SaturatingAdd(std::size_t a, std::size_t b) {
+  return a > kSizeMax - b ? kSizeMax : a + b;
+}
+std::size_t SaturatingMul(std::size_t a, std::size_t b) {
+  return b != 0 && a > kSizeMax / b ? kSizeMax : a * b;
+}
+
 std::size_t ResolvedExclusion(const StreamingMpxConfig& config) {
   return config.exclusion == std::numeric_limits<std::size_t>::max()
              ? DefaultSelfJoinExclusion(config.m)
@@ -65,6 +75,15 @@ Status StreamingMpx::Validate(const StreamingMpxConfig& config) {
           "streaming buffer too small: need buffer_cap >= 4*m = " +
           MinStreamingBufferText(config.m) + ", got " +
           std::to_string(config.buffer_cap));
+    }
+    const std::size_t bytes = MemoryBytesBound(config);
+    if (bytes > kMaxStreamingMpxBytes) {
+      return Status::InvalidArgument(
+          "streaming buffer of " + std::to_string(config.buffer_cap) +
+          " points would reserve " +
+          (bytes == kSizeMax ? "more than " : "") + std::to_string(bytes) +
+          " bytes, over the kMaxStreamingMpxBytes limit of " +
+          std::to_string(kMaxStreamingMpxBytes) + " bytes (1 GiB)");
     }
     // The post-prune window (3/4 of the buffer) must still admit at
     // least one joinable pair.
@@ -139,12 +158,17 @@ std::size_t StreamingMpx::MemoryBytesBound(const StreamingMpxConfig& config) {
   std::size_t max_span = cap - config.m;
   if (config.band > 0) max_span = std::min(max_span, config.band);
   const std::size_t max_lags = max_span > exclusion ? max_span - exclusion : 0;
-  // Per retained subsequence: means, stds, inv, ddf, ddg, right_corr,
-  // left_corr — seven double tracks (the three index tracks are counted
-  // below at sizeof(size_t)).
-  return sizeof(StreamingMpx) + (cap + 7 * max_subs + max_lags) * sizeof(double) +
-         3 * max_subs * sizeof(std::size_t) +
-         2 * (config.m + 1) * sizeof(long double);
+  // Per retained point: x. Per retained subsequence: means, stds, inv,
+  // ddf, ddg, right_corr and left_corr (seven double tracks) and
+  // right_idx, left_idx and flat (three index tracks). Per lag: the
+  // diagonal covariance. Plus the two m + 1 prefix rings.
+  const std::size_t per_sub = 7 * sizeof(double) + 3 * sizeof(std::size_t);
+  std::size_t bytes = sizeof(StreamingMpx);
+  bytes = SaturatingAdd(bytes, SaturatingMul(cap, sizeof(double)));
+  bytes = SaturatingAdd(bytes, SaturatingMul(max_subs, per_sub));
+  bytes = SaturatingAdd(bytes, SaturatingMul(max_lags, sizeof(double)));
+  return SaturatingAdd(
+      bytes, SaturatingMul(config.m + 1, 2 * sizeof(long double)));
 }
 
 std::size_t StreamingMpx::LagCount(std::size_t newest) const {

@@ -64,6 +64,12 @@
 
 namespace tsad {
 
+/// The most a bounded kernel may reserve: Validate() rejects any
+/// buffer_cap whose MemoryBytesBound() exceeds 1 GiB (about eleven
+/// million retained points), because the whole bound is reserved at
+/// construction, before the first point arrives.
+constexpr std::size_t kMaxStreamingMpxBytes = std::size_t{1} << 30;
+
 /// Re-seed period of the incremental diagonal recurrence, in steps.
 /// Mirrors the batch joins' kMpxRowBlock error containment; 512 keeps
 /// the O(m) seed cost under ~13% of the recurrence work at m = 64.
@@ -100,8 +106,9 @@ class StreamingMpx {
   };
 
   /// Rejects invalid configurations (m < 2, a nonzero buffer_cap < 4m,
-  /// an exclusion zone that leaves no joinable pair in the pruned
-  /// buffer, band <= exclusion).
+  /// a bounded buffer over kMaxStreamingMpxBytes, an exclusion zone
+  /// that leaves no joinable pair in the pruned buffer,
+  /// band <= exclusion).
   static Status Validate(const StreamingMpxConfig& config);
 
   /// Asserts Validate(config).ok().
@@ -177,8 +184,9 @@ class StreamingMpx {
   std::size_t MemoryBytes() const;
 
   /// The value MemoryBytes() reports for any bounded kernel built from
-  /// `config`, computable without constructing one; SIZE_MAX (no
-  /// bound) when buffer_cap = 0.
+  /// `config` (requires buffer_cap >= m), computable without
+  /// constructing one; SIZE_MAX (no bound) when buffer_cap = 0. Sums
+  /// saturate at SIZE_MAX instead of wrapping.
   static std::size_t MemoryBytesBound(const StreamingMpxConfig& config);
 
   /// Bit-exact state serialization (for serving snapshots). Restore

@@ -75,6 +75,35 @@ if(found EQUAL -1)
   message(FATAL_ERROR "floss serve missing per-type memory line: ${out}")
 endif()
 
+# A memory budget of one byte cold-evicts every idle stream after each
+# pump and thaws it on its next point, so this replay crosses the
+# engine's evict/thaw path on every batch and must still verify.
+execute_process(COMMAND ${TSAD_CLI} serve --replay ${WORK_DIR}/nyc_taxi.csv
+                        --streams 4 --detector zscore:w=96 --mem-budget 1
+                        --threads 4
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "mem-budget zscore serve failed with ${rc}: ${out}")
+endif()
+string(FIND "${out}" "byte-identical" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR "mem-budget zscore serve missing verification: ${out}")
+endif()
+
+# A FLOSS buffer too large to reserve is refused when the spec is built
+# (exit 1, naming the limit), not by std::bad_alloc.
+execute_process(COMMAND ${TSAD_CLI} serve --replay ${WORK_DIR}/nyc_taxi.csv
+                        --streams 2 --detector floss:16:1099511627776
+                        --threads 2
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "huge-buffer floss serve exited ${rc}, want 1: ${out}${err}")
+endif()
+string(FIND "${out}${err}" "kMaxStreamingMpxBytes" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR "huge-buffer floss serve missing limit: ${out}${err}")
+endif()
+
 # Window sizes of 2^62 points: serve must give the batch answer without
 # sizing anything to the window up front. zscore scores all zeros
 # (exit 0); streaming refuses the short series like batch Score (exit 1).
@@ -110,6 +139,19 @@ execute_process(COMMAND ${TSAD_CLI} generate nasa --out ${WORK_DIR}
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "generate nasa failed: ${out}")
 endif()
+# FLOSS through evict/thaw: every idle stream goes cold after each pump.
+execute_process(COMMAND ${TSAD_CLI} serve --replay ${WORK_DIR}/G-1.csv
+                        --streams 4 --detector floss:16 --floss-buffer 128
+                        --mem-budget 1 --threads 4
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "mem-budget floss serve failed with ${rc}: ${out}")
+endif()
+string(FIND "${out}" "byte-identical" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR "mem-budget floss serve missing verification: ${out}")
+endif()
+
 foreach(spec cusum ewma pagehinkley oneliner:u=1,k=7,c=2)
   execute_process(COMMAND ${TSAD_CLI} serve --replay ${WORK_DIR}/G-1.csv
                           --streams 4 --detector ${spec} --threads 4

@@ -35,6 +35,22 @@ TEST(WireTest, RoundTripsScalars) {
   EXPECT_EQ(s, "hello");
 }
 
+TEST(WireTest, U64IsLittleEndianOnEveryHost) {
+  // The golden bytes pin the byte order itself, not only the round
+  // trip: snapshots move between hosts.
+  ByteWriter writer;
+  writer.PutU64(0x0102030405060708ULL);
+  const std::string expected = {'\x08', '\x07', '\x06', '\x05',
+                                '\x04', '\x03', '\x02', '\x01'};
+  EXPECT_EQ(writer.str(), expected);
+
+  ByteReader reader(writer.str());
+  std::uint64_t v = 0;
+  ASSERT_TRUE(reader.GetU64(&v).ok());
+  EXPECT_EQ(v, 0x0102030405060708ULL);
+  EXPECT_TRUE(reader.ExpectDone().ok());
+}
+
 TEST(WireTest, RoundTripsNonFiniteDoublesBitExactly) {
   ByteWriter writer;
   writer.PutDouble(std::numeric_limits<double>::infinity());

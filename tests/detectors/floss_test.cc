@@ -336,6 +336,15 @@ TEST(FlossSpecTest, RejectsDegenerateSpecs) {
   EXPECT_NE(huge.status().message().find("18446744073709551616"),
             std::string::npos)
       << huge.status().message();
+  // A buffer whose up-front reservation passes the kernel's limit is
+  // refused when the spec is built, not when the reservation fails.
+  const Result<FlossParams> huge_buffer =
+      ParseFlossSpec("floss:16:1099511627776");
+  ASSERT_FALSE(huge_buffer.ok());
+  EXPECT_EQ(huge_buffer.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(huge_buffer.status().message().find("kMaxStreamingMpxBytes"),
+            std::string::npos)
+      << huge_buffer.status().message();
   EXPECT_FALSE(ParseFlossSpec("floss:24:96:1").ok());
   EXPECT_FALSE(ParseFlossSpec("floss:abc").ok());
   EXPECT_FALSE(ParseFlossSpec("floss:").ok());

@@ -1,5 +1,6 @@
 #include "serving/engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -18,6 +19,7 @@
 #include "common/series.h"
 #include "common/wire.h"
 #include "detectors/registry.h"
+#include "serving/online_adapters.h"
 
 namespace tsad {
 namespace {
@@ -826,6 +828,186 @@ TEST(ShardedEngineTest, MemoryTotalMatchesRollupThroughEveryLadderRung) {
   PumpAndExpectMemoryMatchesRollup(restored);
   EXPECT_EQ(restored.num_streams(), 0u);
   EXPECT_EQ(restored.stats().memory_bytes, 0u);
+}
+
+// Records the order in which the engine snapshots its detectors: the
+// budget enforcer snapshots each victim as it evicts it.
+class SnapshotLogDetector : public OnlineDetector {
+ public:
+  SnapshotLogDetector(std::unique_ptr<OnlineDetector> inner, std::string id,
+                      std::shared_ptr<std::vector<std::string>> log)
+      : inner_(std::move(inner)), id_(std::move(id)), log_(std::move(log)) {}
+  std::string_view name() const override { return inner_->name(); }
+  Status Observe(double value, std::vector<ScoredPoint>* out) override {
+    return inner_->Observe(value, out);
+  }
+  Status Flush(std::vector<ScoredPoint>* out) override {
+    return inner_->Flush(out);
+  }
+  Result<std::string> Snapshot() const override {
+    log_->push_back(id_);
+    return inner_->Snapshot();
+  }
+  Status Restore(std::string_view blob) override {
+    return inner_->Restore(blob);
+  }
+  std::size_t MemoryFootprint() const override {
+    return inner_->MemoryFootprint();
+  }
+
+ private:
+  std::unique_ptr<OnlineDetector> inner_;
+  std::string id_;
+  std::shared_ptr<std::vector<std::string>> log_;
+};
+
+TEST(ShardedEngineTest, SnapshotBytesDoNotDependOnInsertionOrder) {
+  // The registry is hashed; the blob must still list streams in id
+  // order, so two engines holding the same streams write the same bytes.
+  std::vector<std::string> ids;
+  for (int s = 0; s < 24; ++s) ids.push_back("stream-" + std::to_string(s));
+  auto snapshot = [&ids](bool reversed) {
+    ServingConfig config;
+    config.num_shards = 3;
+    ShardedEngine engine(config);
+    std::vector<std::string> order = ids;
+    if (reversed) std::reverse(order.begin(), order.end());
+    for (const std::string& id : order) {
+      EXPECT_TRUE(engine.AddStream(id, "zscore:w=16").ok());
+    }
+    for (std::size_t s = 0; s < ids.size(); ++s) {
+      for (double v : MakeStream(40 + s, 300 + s)) {
+        EXPECT_TRUE(engine.Push(ids[s], v).ok());
+      }
+    }
+    Result<std::string> blob = engine.Snapshot();
+    EXPECT_TRUE(blob.ok()) << blob.status().message();
+    return blob.ok() ? *blob : std::string();
+  };
+  const std::string forward = snapshot(false);
+  const std::string backward = snapshot(true);
+  ASSERT_FALSE(forward.empty());
+  EXPECT_EQ(forward.size(), backward.size());
+  EXPECT_TRUE(forward == backward);
+}
+
+TEST(ShardedEngineTest, EvictionBreaksTiesByLowestId) {
+  // Four streams of one priority class, all last active in the same
+  // pump, and a budget that forces exactly two evictions: the two
+  // lowest ids go, whatever order the streams were added in.
+  const Series x = MakeStream(20, 77);
+  Result<std::unique_ptr<OnlineDetector>> probe =
+      MakeOnlineDetector("zscore:w=16", 0);
+  ASSERT_TRUE(probe.ok());
+  std::vector<ScoredPoint> sink;
+  for (double v : x) ASSERT_TRUE((*probe)->Observe(v, &sink).ok());
+  const std::size_t footprint = (*probe)->MemoryFootprint();
+
+  for (const std::vector<std::string>& order :
+       {std::vector<std::string>{"d", "b", "a", "c"},
+        std::vector<std::string>{"c", "a", "b", "d"}}) {
+    auto log = std::make_shared<std::vector<std::string>>();
+    ServingConfig config;
+    config.num_shards = 2;
+    config.memory_budget_bytes = 2 * footprint + footprint / 2;
+    config.detector_decorator =
+        [log](std::unique_ptr<OnlineDetector> inner, const std::string& id)
+        -> Result<std::unique_ptr<OnlineDetector>> {
+      return std::unique_ptr<OnlineDetector>(
+          std::make_unique<SnapshotLogDetector>(std::move(inner), id, log));
+    };
+    ShardedEngine engine(config);
+    for (const std::string& id : order) {
+      ASSERT_TRUE(engine.AddStream(id, "zscore:w=16").ok());
+    }
+    for (const std::string& id : order) {
+      for (double v : x) ASSERT_TRUE(engine.Push(id, v).ok());
+    }
+    ASSERT_TRUE(engine.Pump().ok());
+    EXPECT_EQ(*log, (std::vector<std::string>{"a", "b"})) << order[0];
+    EXPECT_EQ(engine.stats().streams_cold, 2u);
+  }
+}
+
+TEST(ShardedEngineTest, CheckpointsFollowTheRecoverySetting) {
+  // Recovery checkpoints exist only while recovery is enabled. Without
+  // one, a restored stream and a thawed stream that later hit a
+  // detector error still fail sticky; with recovery on, a stream that
+  // fails after a thaw (or right after a restore) rolls back to the
+  // thawed (or restored) state and recovers byte-identically.
+  const std::string spec = "zscore:w=16";
+  const Series x = MakeStream(120, 91);
+  auto fail_at = [](std::size_t at, std::shared_ptr<std::atomic<bool>> fired) {
+    return [at, fired](std::unique_ptr<OnlineDetector> inner,
+                       const std::string&)
+               -> Result<std::unique_ptr<OnlineDetector>> {
+      return std::unique_ptr<OnlineDetector>(
+          std::make_unique<FailOnceDetector>(std::move(inner), at, fired));
+    };
+  };
+  for (const bool recover : {false, true}) {
+    SCOPED_TRACE(recover ? "recovery on" : "recovery off");
+    ServingConfig config;
+    config.num_shards = 1;
+    if (recover) config.recovery.max_retries = 3;
+
+    // Restored: the first drain after Restore fails.
+    ShardedEngine first(config);
+    ASSERT_TRUE(first.AddStream("restored", spec).ok());
+    for (std::size_t t = 0; t < 60; ++t) {
+      ASSERT_TRUE(first.Push("restored", x[t]).ok());
+    }
+    Result<std::string> blob = first.Snapshot();
+    ASSERT_TRUE(blob.ok()) << blob.status().message();
+    auto restored_fired = std::make_shared<std::atomic<bool>>(false);
+    ServingConfig faulty = config;
+    faulty.detector_decorator = fail_at(70, restored_fired);
+    ShardedEngine second(faulty);
+    ASSERT_TRUE(second.Restore(*blob).ok());
+    for (std::size_t t = 60; t < x.size(); ++t) {
+      ASSERT_TRUE(second.Push("restored", x[t]).ok());
+    }
+    Result<std::vector<double>> restored = second.FinishStream("restored");
+    EXPECT_TRUE(restored_fired->load());
+
+    // Thawed: every idle stream goes cold after each pump, so each
+    // pump below thaws the stream before scoring; the fault fires in
+    // the fourth.
+    auto thawed_fired = std::make_shared<std::atomic<bool>>(false);
+    ServingConfig cold = config;
+    cold.memory_budget_bytes = 1;
+    cold.detector_decorator = fail_at(70, thawed_fired);
+    ShardedEngine engine(cold);
+    ASSERT_TRUE(engine.AddStream("thawed", spec).ok());
+    for (std::size_t t = 0; t < x.size(); ++t) {
+      const Status pushed = engine.Push("thawed", x[t]);
+      if (recover || t < 80) {
+        ASSERT_TRUE(pushed.ok()) << t;
+      } else {  // the failure stuck in the pump after point 79
+        EXPECT_EQ(pushed.code(), StatusCode::kInternal) << t;
+      }
+      if (t % 20 == 19) {
+        ASSERT_TRUE(engine.Pump().ok());
+      }
+    }
+    Result<std::vector<double>> thawed = engine.FinishStream("thawed");
+    EXPECT_TRUE(thawed_fired->load());
+    EXPECT_GT(engine.stats().thaws, 2u);
+
+    if (recover) {
+      ASSERT_TRUE(restored.ok()) << restored.status().message();
+      EXPECT_TRUE(BitEqual(*restored, BatchScores(spec, x, 0)));
+      ASSERT_TRUE(thawed.ok()) << thawed.status().message();
+      EXPECT_TRUE(BitEqual(*thawed, BatchScores(spec, x, 0)));
+      EXPECT_EQ(engine.stats().recoveries, 1u);
+    } else {
+      EXPECT_EQ(restored.status().code(), StatusCode::kInternal);
+      EXPECT_EQ(second.stats().quarantines, 0u);
+      EXPECT_EQ(thawed.status().code(), StatusCode::kInternal);
+      EXPECT_EQ(engine.stats().quarantines, 0u);
+      EXPECT_GT(engine.stats().points_dropped, 0u);
+    }
+  }
 }
 
 // A one-stream engine snapshot up to and including the stream's

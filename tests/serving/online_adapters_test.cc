@@ -432,16 +432,27 @@ TEST(OnlineAdapterTest, OnlineCapableNamesMatchesFactoryBehavior) {
 TEST(OnlineAdapterTest, MemoryFootprintCoversHeapBuffers) {
   // The engine's memory budget is only as honest as these numbers: each
   // adapter must charge at least its object plus every growable buffer,
-  // and the footprint must not shrink as buffers fill.
+  // and the footprint must not shrink as buffers fill. It also bounds
+  // the adapter's snapshot blob at every point, which is what the
+  // engine's failover Snapshot sizes its buffer from.
   const Series x = SyntheticStream(500, 13);
-  for (const SpecCase& c : EquivalenceCases()) {
+  std::vector<SpecCase> cases = EquivalenceCases();
+  cases.push_back({"resilient:zscore:w=32", 0});
+  for (const SpecCase& c : cases) {
     SCOPED_TRACE(c.spec);
     auto r = MakeOnlineDetector(c.spec, c.train_length);
     ASSERT_TRUE(r.ok());
     const std::size_t empty = (*r)->MemoryFootprint();
     EXPECT_GE(empty, sizeof(OnlineDetector));
     std::vector<ScoredPoint> sink;
-    for (double v : x) ASSERT_TRUE((*r)->Observe(v, &sink).ok());
+    for (std::size_t t = 0; t <= x.size(); ++t) {
+      const Result<std::string> blob = (*r)->Snapshot();
+      ASSERT_TRUE(blob.ok());
+      ASSERT_LE(blob->size(), (*r)->MemoryFootprint()) << "after " << t;
+      if (t < x.size()) {
+        ASSERT_TRUE((*r)->Observe(x[t], &sink).ok());
+      }
+    }
     EXPECT_GE((*r)->MemoryFootprint(), empty);
   }
   // A warmed-up windowed adapter must charge for its ring.

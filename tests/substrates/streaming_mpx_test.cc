@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,6 +94,34 @@ TEST(StreamingMpxTest, ValidateRejectsDegenerateConfigs) {
   config.m = 16;
   config.buffer_cap = 64;
   EXPECT_TRUE(StreamingMpx::Validate(config).ok());
+
+  // A bounded buffer is reserved whole at construction, so one whose
+  // reservation would pass kMaxStreamingMpxBytes is refused up front:
+  // 2^40 points would reserve about 96 TiB.
+  config = {};
+  config.m = 16;
+  config.buffer_cap = std::size_t{1} << 40;
+  const Status huge = StreamingMpx::Validate(config);
+  EXPECT_EQ(huge.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(huge.message().find("kMaxStreamingMpxBytes limit of 1073741824"),
+            std::string::npos)
+      << huge.message();
+  // The bound saturates instead of wrapping to a small number.
+  config.buffer_cap = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(StreamingMpx::MemoryBytesBound(config),
+            std::numeric_limits<std::size_t>::max());
+  const Status saturated = StreamingMpx::Validate(config);
+  EXPECT_EQ(saturated.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(saturated.message().find("more than"), std::string::npos)
+      << saturated.message();
+  // A million points (about 96 MiB) is within the limit; sixteen
+  // million (about 1.5 GiB) is not.
+  config.buffer_cap = std::size_t{1} << 20;
+  EXPECT_LE(StreamingMpx::MemoryBytesBound(config), kMaxStreamingMpxBytes);
+  EXPECT_TRUE(StreamingMpx::Validate(config).ok());
+  config.buffer_cap = std::size_t{1} << 24;
+  EXPECT_GT(StreamingMpx::MemoryBytesBound(config), kMaxStreamingMpxBytes);
+  EXPECT_FALSE(StreamingMpx::Validate(config).ok());
 
   // buffer_cap = 0 is the no-eviction mode: any exclusion is fine (the
   // first entries simply have no neighbor yet), the other rules hold.

@@ -42,6 +42,12 @@ trap 'rm -rf "${serve_work}"' EXIT
 "${repo_root}/build/tools/tsad" serve \
   --replay "${serve_work}/nyc_taxi.csv" \
   --streams 2 --detector streaming:m=64 --threads 2
+# A one-byte memory budget cold-evicts every idle stream after each
+# pump and thaws it on its next point: the evict/thaw path, end to end.
+"${repo_root}/build/tools/tsad" serve \
+  --replay "${serve_work}/nyc_taxi.csv" \
+  --streams 4 --detector zscore:w=96 --mem-budget 1 --threads 4 |
+  grep 'byte-identical'
 "${repo_root}/build/tools/tsad" serve \
   --replay "${serve_work}/nyc_taxi.csv" \
   --streams 4 --detector floss:16 --floss-buffer 128 --threads 4
@@ -51,6 +57,10 @@ trap 'rm -rf "${serve_work}"' EXIT
 "${repo_root}/build/tools/tsad" serve \
   --replay "${serve_work}/G-1.csv" \
   --streams 4 --detector floss:16 --floss-buffer 128 --threads 4
+"${repo_root}/build/tools/tsad" serve \
+  --replay "${serve_work}/G-1.csv" \
+  --streams 4 --detector floss:16 --floss-buffer 128 --mem-budget 1 \
+  --threads 4 | grep 'byte-identical'
 # G-1 carries a 1500-point training prefix, so the reference-statistics
 # detectors (which refuse to serve without one) run here too.
 for spec in cusum ewma pagehinkley oneliner:u=1,k=7,c=2; do
