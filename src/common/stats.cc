@@ -80,19 +80,22 @@ double Quantile(std::vector<double> x, double q) {
   return x[lo] * (1.0 - frac) + x[hi] * frac;
 }
 
+long double AutocovarianceSum(const std::vector<double>& x, double mean,
+                              std::size_t lag) {
+  long double sum = 0.0L;
+  for (std::size_t i = 0; i + lag < x.size(); ++i) {
+    sum += static_cast<long double>(x[i] - mean) * (x[i + lag] - mean);
+  }
+  return sum;
+}
+
 double Autocorrelation(const std::vector<double>& x, std::size_t lag) {
   const std::size_t n = x.size();
   if (lag >= n || n < 2) return 0.0;
   const double m = Mean(x);
-  long double num = 0.0L, den = 0.0L;
-  for (std::size_t i = 0; i < n; ++i) {
-    den += static_cast<long double>(x[i] - m) * (x[i] - m);
-  }
+  const long double den = AutocovarianceSum(x, m, 0);
   if (den <= 0.0L) return 0.0;
-  for (std::size_t i = 0; i + lag < n; ++i) {
-    num += static_cast<long double>(x[i] - m) * (x[i + lag] - m);
-  }
-  return static_cast<double>(num / den);
+  return static_cast<double>(AutocovarianceSum(x, m, lag) / den);
 }
 
 double ComplexityEstimate(const std::vector<double>& x) {

@@ -40,7 +40,14 @@ double Mad(const std::vector<double>& x);
 /// Linear-interpolated quantile, q in [0, 1]; 0 for empty input.
 double Quantile(std::vector<double> x, double q);
 
-/// Lag-l sample autocorrelation in [-1, 1]; 0 if undefined (constant
+/// Sum over i of (x[i] - mean) * (x[i + lag] - mean): each difference
+/// in double, the products summed in long double; 0 when lag >= n. At
+/// lag 0 it is the sum of squares that normalizes Autocorrelation.
+long double AutocovarianceSum(const std::vector<double>& x, double mean,
+                              std::size_t lag);
+
+/// Lag-l sample autocorrelation in [-1, 1]: AutocovarianceSum about
+/// Mean(x) at lag l over the same at lag 0; 0 if undefined (constant
 /// series or l >= n).
 double Autocorrelation(const std::vector<double>& x, std::size_t lag);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -224,6 +225,14 @@ SeriesEval EvaluateScores(Result<std::vector<double>> scored,
   }
   eval.ok = true;
   return eval;
+}
+
+// True when both results are score tracks with the same bytes.
+bool SameScoreBytes(const Result<std::vector<double>>& a,
+                    const Result<std::vector<double>>& b) {
+  return a.ok() && b.ok() && a->size() == b->size() &&
+         (a->empty() ||
+          std::memcmp(a->data(), b->data(), a->size() * sizeof(double)) == 0);
 }
 
 std::string FormatDouble(double v) {
@@ -498,16 +507,22 @@ Result<LeaderboardReport> RunLeaderboard(const LeaderboardConfig& config) {
         MakeDetector(report.detectors[job.host]);
     const Result<std::vector<double>> scored =
         host.ok() ? (*host)->Score(series) : host.status();
-    evals[job.host * num_series + slot] = EvaluateScores(
-        scored, series, report.metrics, config.delay_tolerance);
+    const SeriesEval& host_eval = evals[job.host * num_series + slot] =
+        EvaluateScores(scored, series, report.metrics, config.delay_tolerance);
     for (std::size_t rider : riders[job.host]) {
       Result<std::unique_ptr<AnomalyDetector>> wrapper =
           MakeDetector(report.detectors[rider]);
       if (!wrapper.ok()) continue;  // the slot stays a detector error
-      evals[rider * num_series + slot] = EvaluateScores(
+      Result<std::vector<double>> wrapped =
           dynamic_cast<const ResilientDetector&>(**wrapper).ScoreReusing(
-              series.values(), series.train_length(), scored),
-          series, report.metrics, config.delay_tolerance);
+              series.values(), series.train_length(), scored);
+      // A metric row depends only on the score bytes, the series and the
+      // config, so a track identical to the host's shares its row.
+      evals[rider * num_series + slot] =
+          SameScoreBytes(wrapped, scored)
+              ? host_eval
+              : EvaluateScores(std::move(wrapped), series, report.metrics,
+                               config.delay_tolerance);
     }
     return Status::OK();
   }));

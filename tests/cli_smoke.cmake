@@ -24,6 +24,15 @@ if(found EQUAL -1)
   message(FATAL_ERROR "detect output missing peak: ${out}")
 endif()
 
+# A seasonal period of 2^63 points wraps to 0 when doubled; sesd must
+# still see it as longer than the series and detrend only.
+execute_process(COMMAND ${TSAD_CLI} detect ${WORK_DIR}/nyc_taxi.csv
+                        --detector sesd:p=9223372036854775808
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "huge-period sesd detect exited ${rc}: ${out}${err}")
+endif()
+
 # audit exits 2 on a flawed dataset by design; accept 0 or 2.
 execute_process(COMMAND ${TSAD_CLI} audit ${WORK_DIR}/nyc_taxi.csv
                         --report ${WORK_DIR}/report.md

@@ -80,6 +80,12 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   echo "==> leaderboard smoke under ASan+UBSan (ctest -L leaderboard)"
   (cd "${repo_root}/build-sanitize" && ctest --output-on-failure -L leaderboard)
 
+  # Reproduction gate under ASan+UBSan: the default-seed board's JSON
+  # must match tests/golden/leaderboard.json byte for byte, serial and
+  # at 4 threads.
+  echo "==> leaderboard reproduction gate under ASan+UBSan (ctest -L repro)"
+  (cd "${repo_root}/build-sanitize" && ctest --output-on-failure -L repro)
+
   # Streaming-MPX + FLOSS suite under ASan+UBSan: the ring-buffer
   # eviction, serialization and arc-curve paths are all pointer/index
   # arithmetic over reused buffers — exactly what ASan is for.
