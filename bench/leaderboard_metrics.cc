@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintHeader("LEADERBOARD -- every detector x family x metric");
-  std::printf("threads: %zu\n", ParallelThreads());
 
   LeaderboardConfig config;
   if (smoke) {

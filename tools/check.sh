@@ -81,9 +81,10 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   (cd "${repo_root}/build-sanitize" && ctest --output-on-failure -L leaderboard)
 
   # Reproduction gate under ASan+UBSan: the default-seed board's JSON
-  # must match tests/golden/leaderboard.json byte for byte, serial and
-  # at 4 threads.
-  echo "==> leaderboard reproduction gate under ASan+UBSan (ctest -L repro)"
+  # and the stdout of the 20 paper and ablation benches must match
+  # their files under tests/golden/ byte for byte, serial and at 4
+  # threads.
+  echo "==> reproduction gate under ASan+UBSan (ctest -L repro)"
   (cd "${repo_root}/build-sanitize" && ctest --output-on-failure -L repro)
 
   # Streaming-MPX + FLOSS suite under ASan+UBSan: the ring-buffer
