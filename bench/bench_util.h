@@ -17,12 +17,17 @@ namespace tsad::bench {
 
 /// Applies a `--threads N` argument (if present) to the parallel layer
 /// and strips it from argv. TSAD_THREADS in the environment still works
-/// without the flag — this only adds the explicit override.
+/// without the flag — this only adds the explicit override. Exits on a
+/// value ParseThreadCount refuses.
 inline void InitThreadsFromArgs(int* argc, char** argv) {
   for (int i = 1; i < *argc; ++i) {
     if (std::string(argv[i]) == "--threads" && i + 1 < *argc) {
-      SetParallelThreads(
-          static_cast<std::size_t>(std::strtoull(argv[i + 1], nullptr, 10)));
+      const Result<std::size_t> threads = ParseThreadCount(argv[i + 1]);
+      if (!threads.ok()) {
+        std::fprintf(stderr, "%s\n", threads.status().ToString().c_str());
+        std::exit(1);
+      }
+      SetParallelThreads(*threads);
       for (int j = i; j + 2 < *argc; ++j) argv[j] = argv[j + 2];
       *argc -= 2;
       return;

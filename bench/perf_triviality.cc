@@ -39,19 +39,6 @@ void BM_FindOneLiner(benchmark::State& state) {
 }
 BENCHMARK(BM_FindOneLiner)->Range(1 << 10, 1 << 15)->Complexity();
 
-void BM_FindOneLinerDirect(benchmark::State& state) {
-  // The frozen pre-memoization sweep: every (k, c) candidate recomputes
-  // its diff track and moving windows. The gap to BM_FindOneLiner is
-  // the memoization win.
-  const tsad::LabeledSeries series =
-      SpikySeries(static_cast<std::size_t>(state.range(0)), 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tsad::FindOneLinerDirect(series));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_FindOneLinerDirect)->Range(1 << 10, 1 << 15)->Complexity();
-
 void BM_FindOneLinerUnsolvable(benchmark::State& state) {
   // Worst case: nothing solves, the full grid is searched.
   tsad::Rng rng(2);
@@ -92,26 +79,6 @@ double TimeFullArchiveMs(const tsad::YahooArchive& archive) {
   return best;
 }
 
-// Best-of-2 wall time of running `solve` over every series of the
-// archive, in milliseconds. Used to compare the memoized (k, c) sweep
-// against the frozen direct one on identical, single-threaded work.
-template <typename Fn>
-double TimeSweepMs(const tsad::YahooArchive& archive, Fn&& solve) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 2; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const tsad::BenchmarkDataset* dataset : archive.all()) {
-      for (const tsad::LabeledSeries& s : dataset->series) {
-        benchmark::DoNotOptimize(solve(s));
-      }
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -130,27 +97,11 @@ int main(int argc, char** argv) {
   const tsad::YahooArchive archive = tsad::GenerateYahooArchive(config);
 
   tsad::SetParallelThreads(1);
-  // Memoization win: the frozen per-call sweep vs. the cached one, both
-  // single-threaded over the identical archive.
-  const double direct_ms = TimeSweepMs(archive, [](const tsad::LabeledSeries& s) {
-    return tsad::FindOneLinerDirect(s);
-  });
-  const double memoized_ms =
-      TimeSweepMs(archive, [](const tsad::LabeledSeries& s) {
-        return tsad::FindOneLiner(s);
-      });
   const double serial_ms = TimeFullArchiveMs(archive);
-
-  std::printf("table1 full archive: serial %.1f ms; sweep direct %.1f ms, "
-              "memoized %.1f ms (kernel speedup %.2fx)\n",
-              serial_ms, direct_ms, memoized_ms, direct_ms / memoized_ms);
+  std::printf("table1 full archive: serial %.1f ms\n", serial_ms);
 
   std::vector<std::pair<std::string, double>> fields = {
-      {"serial_ms", serial_ms},
-      {"threads", static_cast<double>(threads)},
-      {"sweep_direct_ms", direct_ms},
-      {"sweep_memoized_ms", memoized_ms},
-      {"kernel_speedup", direct_ms / memoized_ms}};
+      {"serial_ms", serial_ms}, {"threads", static_cast<double>(threads)}};
 
   // Skip (and mark) the parallel leg when the pool resolves to a
   // single thread — re-timing the serial path would report noise as

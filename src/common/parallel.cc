@@ -1,6 +1,7 @@
 #include "common/parallel.h"
 
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
@@ -29,14 +30,12 @@ std::size_t HardwareThreads() {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
+// TSAD_THREADS, read once; a value ParseThreadCount refuses is ignored.
 std::size_t EnvThreads() {
   static const std::size_t cached = [] {
     const char* env = std::getenv("TSAD_THREADS");
-    if (env == nullptr || *env == '\0') return std::size_t{0};
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0') return std::size_t{0};  // not a number
-    return static_cast<std::size_t>(v);
+    if (env == nullptr) return std::size_t{0};
+    return ParseThreadCount(env).value_or(0);
   }();
   return cached;
 }
@@ -281,6 +280,23 @@ std::size_t ParallelThreads() {
 
 void SetParallelThreads(std::size_t n) {
   g_thread_override.store(n, std::memory_order_relaxed);
+}
+
+Result<std::size_t> ParseThreadCount(std::string_view text) {
+  std::size_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec == std::errc::invalid_argument || ptr != end) {
+    return Status::InvalidArgument("bad thread count '" + std::string(text) +
+                                   "' (want digits only)");
+  }
+  if (ec == std::errc::result_out_of_range || n > kMaxParallelThreads) {
+    return Status::InvalidArgument(
+        "thread count '" + std::string(text) +
+        "' exceeds kMaxParallelThreads = " +
+        std::to_string(kMaxParallelThreads));
+  }
+  return n;
 }
 
 Status ParallelFor(std::size_t begin, std::size_t end,

@@ -33,6 +33,7 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,6 +52,17 @@ std::size_t ParallelThreads();
 /// pool is resized lazily on the next parallel call; a resize request
 /// made while loops are in flight takes effect once they drain.
 void SetParallelThreads(std::size_t n);
+
+/// Largest thread count ParseThreadCount accepts: far above any host
+/// this runs on, yet small enough that a typo cannot ask the pool for
+/// billions of workers.
+inline constexpr std::size_t kMaxParallelThreads = 1024;
+
+/// Parses a thread count as given to `--threads` or in TSAD_THREADS:
+/// decimal digits only (no sign, space or trailing junk), at most
+/// kMaxParallelThreads. 0 keeps its meaning of "no override"
+/// (TSAD_THREADS, then hardware). Anything else is InvalidArgument.
+Result<std::size_t> ParseThreadCount(std::string_view text);
 
 /// Runs fn(i) for every i in [begin, end), distributing chunks of
 /// `grain` consecutive indices across the pool. Blocks until all work

@@ -55,17 +55,6 @@ class Rng {
   /// ways.
   Rng Fork(uint64_t stream);
 
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      const std::size_t j = static_cast<std::size_t>(
-          UniformInt(0, static_cast<int64_t>(i) - 1));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
-
  private:
   uint64_t state_[4];
   uint64_t seed_;  // retained for Fork()

@@ -68,12 +68,6 @@ std::size_t LabeledSeries::NumAnomalousPoints() const {
   return total;
 }
 
-double LabeledSeries::AnomalyDensity() const {
-  if (values_.empty()) return 0.0;
-  return static_cast<double>(NumAnomalousPoints()) /
-         static_cast<double>(values_.size());
-}
-
 Status LabeledSeries::Validate() const {
   for (const AnomalyRegion& r : anomalies_) {
     if (r.end > values_.size()) {

@@ -93,10 +93,6 @@ class LabeledSeries {
   /// Total number of points labeled anomalous.
   std::size_t NumAnomalousPoints() const;
 
-  /// Fraction of points labeled anomalous, in [0, 1]. Returns 0 for an
-  /// empty series.
-  double AnomalyDensity() const;
-
   /// The test portion (everything after the training prefix), as a copy.
   Series TestValues() const {
     return Series(values_.begin() +

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/vector_ops.h"
-
 namespace tsad {
 
 double Mean(const std::vector<double>& x) {
@@ -24,19 +22,7 @@ double Variance(const std::vector<double>& x) {
   return static_cast<double>(acc / static_cast<long double>(x.size()));
 }
 
-double SampleVariance(const std::vector<double>& x) {
-  if (x.size() < 2) return 0.0;
-  const double m = Mean(x);
-  long double acc = 0.0L;
-  for (double v : x) acc += static_cast<long double>(v - m) * (v - m);
-  return static_cast<double>(acc / static_cast<long double>(x.size() - 1));
-}
-
 double StdDev(const std::vector<double>& x) { return std::sqrt(Variance(x)); }
-
-double SampleStdDev(const std::vector<double>& x) {
-  return std::sqrt(SampleVariance(x));
-}
 
 double Min(const std::vector<double>& x) {
   if (x.empty()) return std::numeric_limits<double>::infinity();
@@ -124,23 +110,6 @@ double PearsonCorrelation(const std::vector<double>& a,
                                              static_cast<double>(db)));
 }
 
-double EuclideanDistance(const std::vector<double>& a,
-                         const std::vector<double>& b) {
-  assert(a.size() == b.size());
-  long double acc = 0.0L;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const long double d = static_cast<long double>(a[i]) - b[i];
-    acc += d * d;
-  }
-  return std::sqrt(static_cast<double>(acc));
-}
-
-double ZNormalizedDistance(std::vector<double> a, std::vector<double> b) {
-  ZNormalizeInPlace(a);
-  ZNormalizeInPlace(b);
-  return EuclideanDistance(a, b);
-}
-
 RegionProfile ProfileRegion(const std::vector<double>& x, std::size_t begin,
                             std::size_t end) {
   begin = std::min(begin, x.size());
@@ -156,21 +125,6 @@ RegionProfile ProfileRegion(const std::vector<double>& x, std::size_t begin,
   p.autocorr_lag1 = Autocorrelation(region, 1);
   p.complexity = ComplexityEstimate(region);
   return p;
-}
-
-double ProfileDistance(const RegionProfile& a, const RegionProfile& b,
-                       double scale) {
-  if (scale <= 0.0) scale = 1.0;
-  const double scale2 = scale * scale;
-  double worst = 0.0;
-  worst = std::max(worst, std::fabs(a.mean - b.mean) / scale);
-  worst = std::max(worst, std::fabs(a.min - b.min) / scale);
-  worst = std::max(worst, std::fabs(a.max - b.max) / scale);
-  worst = std::max(worst, std::fabs(a.variance - b.variance) / scale2);
-  worst = std::max(worst, std::fabs(a.autocorr_lag1 - b.autocorr_lag1));
-  // Complexity scales with amplitude, normalize by scale.
-  worst = std::max(worst, std::fabs(a.complexity - b.complexity) / scale);
-  return worst;
 }
 
 }  // namespace tsad

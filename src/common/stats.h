@@ -16,14 +16,8 @@ double Mean(const std::vector<double>& x);
 /// Population variance (N normalization); 0 if size < 1.
 double Variance(const std::vector<double>& x);
 
-/// Sample variance (N-1 normalization); 0 if size < 2.
-double SampleVariance(const std::vector<double>& x);
-
 /// Population standard deviation.
 double StdDev(const std::vector<double>& x);
-
-/// Sample standard deviation.
-double SampleStdDev(const std::vector<double>& x);
 
 /// Minimum; +inf for empty input.
 double Min(const std::vector<double>& x);
@@ -59,14 +53,6 @@ double ComplexityEstimate(const std::vector<double>& x);
 double PearsonCorrelation(const std::vector<double>& a,
                           const std::vector<double>& b);
 
-/// Euclidean distance between equal-length vectors (asserts on size
-/// mismatch).
-double EuclideanDistance(const std::vector<double>& a,
-                         const std::vector<double>& b);
-
-/// Euclidean distance between z-normalized copies of a and b.
-double ZNormalizedDistance(std::vector<double> a, std::vector<double> b);
-
 /// A small bundle of descriptive statistics for a region of a series —
 /// exactly the checklist Fig 6 of the paper runs over the "rounded
 /// bottom" regions ("mean, min, max, variance, autocorrelation,
@@ -83,13 +69,6 @@ struct RegionProfile {
 /// Profiles x[begin, end). Out-of-range indices are clipped.
 RegionProfile ProfileRegion(const std::vector<double>& x, std::size_t begin,
                             std::size_t end);
-
-/// A normalized dissimilarity between two profiles (max relative
-/// difference across the fields, using scale `scale` to normalize the
-/// location-dependent fields). Used to decide whether two regions are
-/// statistically indistinguishable.
-double ProfileDistance(const RegionProfile& a, const RegionProfile& b,
-                       double scale);
 
 }  // namespace tsad
 

@@ -137,18 +137,6 @@ std::vector<double> ZNormalize(std::vector<double> x) {
   return x;
 }
 
-std::size_t ArgMax(const std::vector<double>& x) {
-  assert(!x.empty());
-  return static_cast<std::size_t>(
-      std::max_element(x.begin(), x.end()) - x.begin());
-}
-
-std::size_t ArgMin(const std::vector<double>& x) {
-  assert(!x.empty());
-  return static_cast<std::size_t>(
-      std::min_element(x.begin(), x.end()) - x.begin());
-}
-
 std::vector<double> Add(const std::vector<double>& a,
                         const std::vector<double>& b) {
   assert(a.size() == b.size());

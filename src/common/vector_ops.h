@@ -71,12 +71,6 @@ void ZNormalizeInPlace(std::vector<double>& x);
 /// Returns a z-normalized copy of x.
 std::vector<double> ZNormalize(std::vector<double> x);
 
-/// Index of the maximum element. Precondition: x non-empty (asserts).
-std::size_t ArgMax(const std::vector<double>& x);
-
-/// Index of the minimum element. Precondition: x non-empty (asserts).
-std::size_t ArgMin(const std::vector<double>& x);
-
 /// Element-wise a + b. Precondition: equal sizes (asserts).
 std::vector<double> Add(const std::vector<double>& a,
                         const std::vector<double>& b);

@@ -49,11 +49,6 @@ struct DensityFlags {
   /// The paper's ideal: exactly one anomaly (§2.3, "the ideal number of
   /// anomalies in a single testing time series is exactly one").
   bool ideal_single_anomaly = false;
-
-  bool any_flaw() const {
-    return over_half_contiguous || over_third_contiguous || many_regions ||
-           adjacent_regions;
-  }
 };
 
 DensityFlags ClassifyDensity(const DensityStats& stats,

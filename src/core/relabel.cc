@@ -51,16 +51,4 @@ LabeledSeries ApplyFindings(const LabeledSeries& series,
   return out;
 }
 
-BenchmarkDataset ApplyFindingsToDataset(
-    const BenchmarkDataset& dataset,
-    const std::vector<MislabelFinding>& findings, RelabelSummary* summary) {
-  BenchmarkDataset out;
-  out.name = dataset.name + " (relabeled)";
-  out.series.reserve(dataset.series.size());
-  for (const LabeledSeries& s : dataset.series) {
-    out.series.push_back(ApplyFindings(s, findings, summary));
-  }
-  return out;
-}
-
 }  // namespace tsad

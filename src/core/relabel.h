@@ -37,12 +37,6 @@ LabeledSeries ApplyFindings(const LabeledSeries& series,
                             const std::vector<MislabelFinding>& findings,
                             RelabelSummary* summary = nullptr);
 
-/// Applies findings across a whole dataset (matching by series name).
-BenchmarkDataset ApplyFindingsToDataset(
-    const BenchmarkDataset& dataset,
-    const std::vector<MislabelFinding>& findings,
-    RelabelSummary* summary = nullptr);
-
 }  // namespace tsad
 
 #endif  // TSAD_CORE_RELABEL_H_

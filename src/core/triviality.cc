@@ -1,11 +1,9 @@
 #include "core/triviality.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/parallel.h"
-#include "common/vector_ops.h"
 
 namespace tsad {
 
@@ -24,81 +22,13 @@ std::vector<uint8_t> AllowedMask(const LabeledSeries& series,
   return allowed;
 }
 
-// Given the margin track aligned to the original series, decides
-// solvability with an exact b sweep; fills `params_b` and `headroom`
-// when solvable.
-bool ExactBSweep(const LabeledSeries& series, const std::vector<double>& margin,
-                 std::size_t slop, double* b_out, double* headroom_out) {
-  if (series.anomalies().empty()) return false;
-  const std::vector<uint8_t> allowed = AllowedMask(series, slop);
-
-  // Largest margin among points that must not fire. (With b above this
-  // value no forbidden point fires; margin > b means strictly above.)
-  bool has_forbidden = false;
-  double forbidden_max = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 1; i < margin.size(); ++i) {  // index 0 is padding
-    if (!allowed[i]) {
-      has_forbidden = true;
-      forbidden_max = std::max(forbidden_max, margin[i]);
-    }
-  }
-  // Degenerate case: the labeled regions plus slop cover every index,
-  // so nothing is forbidden, forbidden_max stays -inf and ANY threshold
-  // would "solve" the series with b = -inf and infinite headroom. A
-  // one-liner that may flag everywhere is not a meaningful solution —
-  // reject instead of reporting a fake solve.
-  if (!has_forbidden) return false;
-
-  // Smallest per-region best margin. Every region must contain (within
-  // slop) at least one point whose margin strictly exceeds b.
-  double weakest_region = std::numeric_limits<double>::infinity();
-  for (const AnomalyRegion& r : series.anomalies()) {
-    const std::size_t lo = std::max<std::size_t>(1, r.begin > slop
-                                                        ? r.begin - slop
-                                                        : 0);
-    const std::size_t hi = std::min(margin.size(), r.end + slop);
-    double region_best = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = lo; i < hi; ++i) {
-      region_best = std::max(region_best, margin[i]);
-    }
-    weakest_region = std::min(weakest_region, region_best);
-  }
-
-  if (!(weakest_region > forbidden_max)) return false;
-  // The margin arrays were computed with b = 0, so margin > b is the
-  // original predicate with offset b. Place b in the middle of the gap.
-  const double b = 0.5 * (weakest_region + forbidden_max);
-  if (b_out != nullptr) *b_out = b;
-  if (headroom_out != nullptr) {
-    // Headroom: the separating gap as a fraction of the full margin
-    // dynamic range. A decisive spike solution separates by a large
-    // fraction of the range; a lucky noise maximum separates by a
-    // sliver.
-    double margin_min = std::numeric_limits<double>::infinity();
-    double margin_max = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 1; i < margin.size(); ++i) {
-      margin_min = std::min(margin_min, margin[i]);
-      margin_max = std::max(margin_max, margin[i]);
-    }
-    const double range = std::max(1e-12, margin_max - margin_min);
-    *headroom_out = (weakest_region - forbidden_max) / range;
-  }
-  return true;
-}
-
-// Margin track for a parameter setting with b = 0.
-std::vector<double> MarginWithZeroB(const LabeledSeries& series,
-                                    OneLinerParams params) {
-  params.b = 0.0;
-  return OneLinerMargin(series.values(), params);
-}
-
-// Everything ExactBSweep derives from (series, slop) alone, hoisted out
-// of the (k, c) grid: the b sweep runs once per candidate margin, but
+// Everything the b sweep derives from (series, slop) alone, hoisted
+// out of the (k, c) grid: the sweep runs once per candidate margin, but
 // the forbidden-index list and per-region index bounds are identical
 // for all of them. The stored indices are exactly the indices the
-// per-call scans visited, in the same order, so the sweep below folds
-// the same doubles through the same max/min chain — bit-identical
+// per-candidate scans of the frozen oracle (tests/core/
+// triviality_oracle.cc) visit, in the same order, so the sweep below
+// folds the same doubles through the same max/min chain — bit-identical
 // solvability, b, and headroom.
 struct ExactSweepContext {
   std::size_t margin_length = 0;  // == series.length(), the padded margin size
@@ -124,19 +54,27 @@ ExactSweepContext BuildSweepContext(const LabeledSeries& series,
   return ctx;
 }
 
-// ExactBSweep over the precomputed context; see ExactBSweep for the
-// semantics of each step.
+// Decides solvability with an exact b sweep over a margin track
+// computed with b = 0 (so margin > b is the one-liner's predicate with
+// offset b); fills `b_out` and `headroom_out` when solvable.
 bool ExactBSweepWithContext(const ExactSweepContext& ctx,
                             const std::vector<double>& margin, double* b_out,
                             double* headroom_out) {
   if (ctx.region_bounds.empty()) return false;  // no labeled anomalies
-  if (ctx.forbidden.empty()) return false;      // degenerate full coverage
+  // Degenerate case: the labeled regions plus slop cover every index,
+  // so nothing is forbidden and ANY threshold would "solve" the series
+  // with b = -inf and infinite headroom. A one-liner that may flag
+  // everywhere is not a meaningful solution.
+  if (ctx.forbidden.empty()) return false;
 
+  // Largest margin among points that must not fire.
   double forbidden_max = -std::numeric_limits<double>::infinity();
   for (std::size_t i : ctx.forbidden) {
     forbidden_max = std::max(forbidden_max, margin[i]);
   }
 
+  // Smallest per-region best margin: every region must contain (within
+  // slop) at least one point whose margin strictly exceeds b.
   double weakest_region = std::numeric_limits<double>::infinity();
   for (const auto& [lo, hi] : ctx.region_bounds) {
     double region_best = -std::numeric_limits<double>::infinity();
@@ -147,9 +85,13 @@ bool ExactBSweepWithContext(const ExactSweepContext& ctx,
   }
 
   if (!(weakest_region > forbidden_max)) return false;
+  // Place b in the middle of the gap.
   const double b = 0.5 * (weakest_region + forbidden_max);
   if (b_out != nullptr) *b_out = b;
   if (headroom_out != nullptr) {
+    // Headroom: the separating gap as a fraction of the full margin
+    // dynamic range. A decisive spike solution separates by a large
+    // fraction of the range; a lucky noise maximum by a sliver.
     double margin_min = std::numeric_limits<double>::infinity();
     double margin_max = -std::numeric_limits<double>::infinity();
     for (std::size_t i = 1; i < margin.size(); ++i) {
@@ -165,7 +107,7 @@ bool ExactBSweepWithContext(const ExactSweepContext& ctx,
 // The memoized grid search for one form: margins come from the shared
 // OneLinerMarginCache (diff tracks and per-k windows computed once for
 // the whole grid) and the b sweep from the shared context. Candidate
-// order, early exit, and best-selection are exactly SolveWithFormDirect.
+// order, early exit, and best-selection are exactly the frozen oracle's.
 TrivialitySolution SolveWithFormCached(const LabeledSeries& series,
                                        const ExactSweepContext& ctx,
                                        OneLinerMarginCache& cache,
@@ -220,30 +162,6 @@ TrivialitySolution SolveWithFormCached(const LabeledSeries& series,
 
 }  // namespace
 
-bool FlagsSolve(const LabeledSeries& series, const std::vector<uint8_t>& flags,
-                const SolveCriteria& criteria) {
-  if (flags.size() != series.length()) return false;
-  if (series.anomalies().empty()) return false;
-  const std::vector<uint8_t> allowed = AllowedMask(series, criteria.slop);
-  for (std::size_t i = 0; i < flags.size(); ++i) {
-    if (flags[i] && !allowed[i]) return false;  // stray false positive
-  }
-  for (const AnomalyRegion& r : series.anomalies()) {
-    const std::size_t lo = r.begin > criteria.slop ? r.begin - criteria.slop
-                                                   : 0;
-    const std::size_t hi = std::min(flags.size(), r.end + criteria.slop);
-    bool hit = false;
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (flags[i]) {
-        hit = true;
-        break;
-      }
-    }
-    if (!hit) return false;  // region missed
-  }
-  return true;
-}
-
 TrivialitySolution SolveWithForm(const LabeledSeries& series,
                                  OneLinerForm form,
                                  const OneLinerSearchSpace& space,
@@ -270,69 +188,6 @@ TrivialitySolution FindOneLiner(const LabeledSeries& series,
   for (OneLinerForm form : kOrder) {
     TrivialitySolution s =
         SolveWithFormCached(series, ctx, cache, form, space, criteria);
-    if (s.solved) return s;
-  }
-  return {};
-}
-
-TrivialitySolution SolveWithFormDirect(const LabeledSeries& series,
-                                       OneLinerForm form,
-                                       const OneLinerSearchSpace& space,
-                                       const SolveCriteria& criteria) {
-  TrivialitySolution best;
-  if (series.length() < 3) return best;
-
-  const bool use_abs =
-      form == OneLinerForm::kEq3 || form == OneLinerForm::kEq4;
-  const bool adaptive =
-      form == OneLinerForm::kEq4 || form == OneLinerForm::kEq6;
-
-  auto consider = [&](const OneLinerParams& base) {
-    const std::vector<double> margin = MarginWithZeroB(series, base);
-    double b = 0.0, headroom = 0.0;
-    if (!ExactBSweep(series, margin, criteria.slop, &b, &headroom)) return;
-    if (headroom < criteria.min_headroom) return;
-    if (!best.solved || headroom > best.headroom) {
-      best.solved = true;
-      best.params = base;
-      best.params.b = b;
-      best.headroom = headroom;
-    }
-  };
-
-  if (!adaptive) {
-    OneLinerParams p;
-    p.use_abs = use_abs;
-    p.use_movmean = false;
-    p.c = 0.0;
-    consider(p);
-    return best;
-  }
-
-  for (std::size_t k : space.ks) {
-    for (double c : space.cs) {
-      OneLinerParams p;
-      p.use_abs = use_abs;
-      p.use_movmean = true;
-      p.k = k;
-      p.c = c;
-      consider(p);
-      if (best.solved && best.headroom > 0.8) return best;  // good enough
-    }
-  }
-  return best;
-}
-
-TrivialitySolution FindOneLinerDirect(const LabeledSeries& series,
-                                      const OneLinerSearchSpace& space,
-                                      const SolveCriteria& criteria) {
-  // The paper's numbering order: simplified thresholds first within
-  // each lhs family.
-  static constexpr OneLinerForm kOrder[] = {
-      OneLinerForm::kEq3, OneLinerForm::kEq4, OneLinerForm::kEq5,
-      OneLinerForm::kEq6};
-  for (OneLinerForm form : kOrder) {
-    TrivialitySolution s = SolveWithFormDirect(series, form, space, criteria);
     if (s.solved) return s;
   }
   return {};

@@ -52,10 +52,6 @@ struct TrivialitySolution {
   double headroom = 0.0;
 };
 
-/// Checks the solve criterion for an explicit flag vector.
-bool FlagsSolve(const LabeledSeries& series, const std::vector<uint8_t>& flags,
-                const SolveCriteria& criteria = {});
-
 /// Searches only the given form's parameter grid. Forms (3)/(5) ignore
 /// the k/c grids.
 TrivialitySolution SolveWithForm(const LabeledSeries& series,
@@ -68,21 +64,6 @@ TrivialitySolution SolveWithForm(const LabeledSeries& series,
 TrivialitySolution FindOneLiner(const LabeledSeries& series,
                                 const OneLinerSearchSpace& space = {},
                                 const SolveCriteria& criteria = {});
-
-/// The pre-memoization implementations, frozen verbatim: every (k, c)
-/// candidate recomputes its diff track and moving windows from scratch
-/// via OneLinerMargin, and every b sweep rebuilds the allowed mask and
-/// region bounds. Kept so tests can assert the memoized search returns
-/// IDENTICAL solutions (same solved flag, params, and headroom bits)
-/// and so the perf bench reports the sweep speedup against the real
-/// baseline.
-TrivialitySolution SolveWithFormDirect(const LabeledSeries& series,
-                                       OneLinerForm form,
-                                       const OneLinerSearchSpace& space = {},
-                                       const SolveCriteria& criteria = {});
-TrivialitySolution FindOneLinerDirect(const LabeledSeries& series,
-                                      const OneLinerSearchSpace& space = {},
-                                      const SolveCriteria& criteria = {});
 
 /// Per-dataset Table 1 row.
 struct DatasetTriviality {

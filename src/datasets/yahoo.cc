@@ -482,20 +482,6 @@ LabeledSeries MakeTogglingLabels(const std::string& name, std::size_t n,
 
 }  // namespace
 
-std::string_view YahooSeriesKindName(YahooSeriesKind kind) {
-  switch (kind) {
-    case YahooSeriesKind::kGlobalSpikes:
-      return "global-spikes";
-    case YahooSeriesKind::kAdaptiveSpikes:
-      return "adaptive-spikes";
-    case YahooSeriesKind::kHard:
-      return "hard";
-    case YahooSeriesKind::kMislabelSpecial:
-      return "mislabel-special";
-  }
-  return "?";
-}
-
 YahooArchive GenerateYahooArchive(const YahooConfig& config) {
   YahooArchive archive;
   archive.a1.name = "Yahoo A1";

@@ -58,8 +58,6 @@ enum class YahooSeriesKind {
   kMislabelSpecial,  // one of the planted-defect series
 };
 
-std::string_view YahooSeriesKindName(YahooSeriesKind kind);
-
 /// A deliberately planted ground-truth defect (for auditing tests).
 struct PlantedDefect {
   std::string series_name;
@@ -76,9 +74,6 @@ struct YahooArchive {
   /// All four sub-benchmarks in order (A1, A2, A3, A4).
   std::vector<const BenchmarkDataset*> all() const {
     return {&a1, &a2, &a3, &a4};
-  }
-  std::size_t total_series() const {
-    return a1.size() + a2.size() + a3.size() + a4.size();
   }
 };
 

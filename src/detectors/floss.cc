@@ -1,7 +1,6 @@
 #include "detectors/floss.h"
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -10,8 +9,6 @@
 namespace tsad {
 
 namespace {
-
-std::atomic<std::size_t> g_default_floss_buffer_cap{4096};
 
 constexpr std::string_view kGrammar = "floss:<window>[:<buffer>]";
 
@@ -50,17 +47,8 @@ Status ValidateKernelConfig(const FlossParams& params) {
 
 }  // namespace
 
-void SetDefaultFlossBufferCap(std::size_t cap) {
-  g_default_floss_buffer_cap.store(cap, std::memory_order_relaxed);
-}
-
-std::size_t GetDefaultFlossBufferCap() {
-  return g_default_floss_buffer_cap.load(std::memory_order_relaxed);
-}
-
 Result<FlossParams> ParseFlossSpec(const std::string& spec) {
   FlossParams params;
-  params.buffer_cap = GetDefaultFlossBufferCap();
   std::string_view rest(spec);
   if (rest.substr(0, 5) != "floss") {
     return Status::InvalidArgument("not a floss spec: '" + spec + "'");

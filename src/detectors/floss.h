@@ -69,25 +69,22 @@
 
 namespace tsad {
 
+/// Ring-buffer capacity (points) of a floss spec that omits the
+/// `:<buffer>` component.
+inline constexpr std::size_t kDefaultFlossBufferCap = 4096;
+
 /// Parameters of a `floss:<window>[:<buffer>]` spec.
 struct FlossParams {
-  std::size_t m = 64;            // subsequence length, >= 3
-  std::size_t buffer_cap = 0;    // retained points; 0 = process default
+  std::size_t m = 64;                               // subsequence length, >= 3
+  std::size_t buffer_cap = kDefaultFlossBufferCap;  // retained points, >= 4*m
 };
-
-/// Process-wide default for the ring-buffer capacity used when a floss
-/// spec omits the `:<buffer>` component (the `tsad --floss-buffer`
-/// flag). Initially 4096.
-void SetDefaultFlossBufferCap(std::size_t cap);
-std::size_t GetDefaultFlossBufferCap();
 
 /// Parses a full `floss[:<window>[:<buffer>]]` spec (positional, unlike
 /// the key=value detector grammar) and validates it: window >= 3,
 /// buffer >= 4 * window, and the buffer's reserved kernel memory
 /// (StreamingMpx::MemoryBytesBound) within kMaxStreamingMpxBytes, 1 GiB
 /// or about eleven million points: a FLOSS stream reserves its whole
-/// buffer when it is built. A missing buffer resolves to
-/// GetDefaultFlossBufferCap().
+/// buffer when it is built. A missing buffer is kDefaultFlossBufferCap.
 Result<FlossParams> ParseFlossSpec(const std::string& spec);
 
 /// The shared streaming scorer: one Step() per arriving point, used by

@@ -2,20 +2,9 @@
 
 #include <algorithm>
 
-#include "common/stats.h"
 #include "common/vector_ops.h"
 
 namespace tsad {
-
-std::string_view ScoreAggregationName(ScoreAggregation aggregation) {
-  switch (aggregation) {
-    case ScoreAggregation::kMax:
-      return "max";
-    case ScoreAggregation::kMean:
-      return "mean";
-  }
-  return "?";
-}
 
 Result<std::vector<double>> ScoreMultivariate(const AnomalyDetector& detector,
                                               const MultivariateSeries& machine,
@@ -57,24 +46,6 @@ Result<std::vector<double>> ScoreMultivariate(const AnomalyDetector& detector,
     for (double& v : aggregated) v /= static_cast<double>(used);
   }
   return aggregated;
-}
-
-Result<std::vector<AnomalyRegion>> DetectMultivariateRegions(
-    const AnomalyDetector& detector, const MultivariateSeries& machine,
-    double z_threshold, ScoreAggregation aggregation) {
-  TSAD_ASSIGN_OR_RETURN(const std::vector<double> scores,
-                        ScoreMultivariate(detector, machine, aggregation));
-  // Threshold over the test span only.
-  const std::size_t start = std::min(machine.train_length(), scores.size());
-  const std::vector<double> test(scores.begin() +
-                                     static_cast<std::ptrdiff_t>(start),
-                                 scores.end());
-  const double threshold = Mean(test) + z_threshold * StdDev(test);
-  std::vector<uint8_t> flags(scores.size(), 0);
-  for (std::size_t i = start; i < scores.size(); ++i) {
-    flags[i] = scores[i] > threshold ? 1 : 0;
-  }
-  return RegionsFromBinary(flags);
 }
 
 }  // namespace tsad

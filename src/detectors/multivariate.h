@@ -24,8 +24,6 @@ enum class ScoreAggregation {
   kMean,  // consensus across dimensions
 };
 
-std::string_view ScoreAggregationName(ScoreAggregation aggregation);
-
 /// Runs `detector` on every dimension and aggregates. Each dimension's
 /// score track is z-scaled first (per-dimension scores are not
 /// commensurable across heterogeneous telemetry channels).
@@ -34,13 +32,6 @@ std::string_view ScoreAggregationName(ScoreAggregation aggregation);
 /// dimension errors the first error is returned.
 Result<std::vector<double>> ScoreMultivariate(
     const AnomalyDetector& detector, const MultivariateSeries& machine,
-    ScoreAggregation aggregation = ScoreAggregation::kMax);
-
-/// Convenience: scores the machine and thresholds into predicted
-/// regions at mean + z_threshold * std of the aggregated track.
-Result<std::vector<AnomalyRegion>> DetectMultivariateRegions(
-    const AnomalyDetector& detector, const MultivariateSeries& machine,
-    double z_threshold = 3.0,
     ScoreAggregation aggregation = ScoreAggregation::kMax);
 
 }  // namespace tsad

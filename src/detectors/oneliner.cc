@@ -184,22 +184,6 @@ std::vector<double> OneLinerMarginCache::Margin(const OneLinerParams& params) {
   return AlignMarginToSeries(ComposeMargins(d, mm, ms, params));
 }
 
-std::vector<uint8_t> OneLinerMarginCache::Flags(const OneLinerParams& params) {
-  std::vector<uint8_t> flags(length_, 0);
-  if (length_ < 2) return flags;
-  const std::vector<double>& d = Track(params.use_abs);
-  const std::size_t k = std::max<std::size_t>(1, params.k);
-  const double* mm =
-      params.use_movmean ? MovMeanFor(params.use_abs, k).data() : nullptr;
-  const double* ms =
-      params.c != 0.0 ? MovStdFor(params.use_abs, k).data() : nullptr;
-  const std::vector<double> margin = ComposeMargins(d, mm, ms, params);
-  for (std::size_t i = 0; i < margin.size(); ++i) {
-    if (margin[i] > 0.0) flags[i + 1] = 1;
-  }
-  return flags;
-}
-
 Result<std::vector<double>> OneLinerDetector::Score(
     const Series& series, std::size_t /*train_length*/) const {
   return OneLinerMargin(series, params_);

@@ -107,7 +107,8 @@ double OneLinerMarginAt(const std::vector<double>& d,
 /// own cache; that is the intended usage.
 class OneLinerMarginCache {
  public:
-  /// Per-instance memoization counters, reported by the perf bench.
+  /// Per-instance memoization counters: how often a window was served
+  /// from the memo.
   struct Stats {
     std::size_t window_hits = 0;    // MovMean/MovStd served from memo
     std::size_t window_misses = 0;  // ... computed and stored
@@ -117,9 +118,6 @@ class OneLinerMarginCache {
 
   /// Bit-identical to OneLinerMargin(series_, params).
   std::vector<double> Margin(const OneLinerParams& params);
-
-  /// Bit-identical to EvaluateOneLiner(series_, params).
-  std::vector<uint8_t> Flags(const OneLinerParams& params);
 
   const Stats& stats() const { return stats_; }
 

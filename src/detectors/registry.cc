@@ -141,68 +141,6 @@ bool IsRegisteredDetectorName(const std::string& name) {
   return std::find(names.begin(), names.end(), name) != names.end();
 }
 
-constexpr std::string_view kMerlinGrammar = "merlin:<min>:<max>";
-
-// True for specs in merlin's positional grammar ("merlin",
-// "merlin:24:48") as opposed to the legacy key=value form
-// ("merlin:min=24,max=48"), which the generic spec parser handles.
-bool IsPositionalMerlinSpec(const std::string& spec) {
-  return spec == "merlin" || (spec.rfind("merlin:", 0) == 0 &&
-                              spec.find('=') == std::string::npos);
-}
-
-Status ParseMerlinSizeToken(std::string_view token, std::string_view what,
-                            const std::string& spec, std::size_t* out) {
-  std::size_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), v);
-  if (ec != std::errc() || ptr != token.data() + token.size() ||
-      token.empty()) {
-    return Status::InvalidArgument("bad " + std::string(what) + " '" +
-                                   std::string(token) + "' in '" + spec +
-                                   "' (want " + std::string(kMerlinGrammar) +
-                                   ")");
-  }
-  *out = v;
-  return Status::OK();
-}
-
-struct MerlinRange {
-  std::size_t min = 48;
-  std::size_t max = 96;
-};
-
-// Parses the positional grammar merlin[:<min>:<max>]. Unlike floss's
-// optional second component, a lone "merlin:48" is ambiguous (min or
-// max?), so the colon form requires BOTH components and the error
-// spells out the grammar.
-Result<MerlinRange> ParseMerlinSpec(const std::string& spec) {
-  MerlinRange range;
-  if (spec == "merlin") return range;
-  std::string_view rest = std::string_view(spec).substr(7);  // "merlin:"
-  const std::size_t colon = rest.find(':');
-  if (colon == std::string_view::npos) {
-    return Status::InvalidArgument("missing max length in '" + spec +
-                                   "' (want " + std::string(kMerlinGrammar) +
-                                   ")");
-  }
-  const std::string_view tail = rest.substr(colon + 1);
-  if (tail.find(':') != std::string_view::npos) {
-    return Status::InvalidArgument("too many ':' components in '" + spec +
-                                   "' (want " + std::string(kMerlinGrammar) +
-                                   ")");
-  }
-  TSAD_RETURN_IF_ERROR(ParseMerlinSizeToken(rest.substr(0, colon),
-                                            "min length", spec, &range.min));
-  TSAD_RETURN_IF_ERROR(
-      ParseMerlinSizeToken(tail, "max length", spec, &range.max));
-  return range;
-}
-
-}  // namespace
-
-namespace {
-
 constexpr std::string_view kResilientPrefix = "resilient:";
 
 // Builds the full hardened pipeline around `inner_spec`: the primary
@@ -237,15 +175,6 @@ Result<std::unique_ptr<AnomalyDetector>> MakeDetector(
     TSAD_ASSIGN_OR_RETURN(FlossParams floss_params, ParseFlossSpec(spec));
     return std::unique_ptr<AnomalyDetector>(
         std::make_unique<FlossDetector>(floss_params));
-  }
-  // merlin's preferred grammar is positional (merlin:<min>:<max>, same
-  // convention as floss:); the legacy key=value form falls through to
-  // the generic parser below.
-  if (IsPositionalMerlinSpec(spec)) {
-    TSAD_ASSIGN_OR_RETURN(const MerlinRange range, ParseMerlinSpec(spec));
-    TSAD_RETURN_IF_ERROR(ValidateMerlinLengths(range.min, range.max));
-    return std::unique_ptr<AnomalyDetector>(
-        std::make_unique<MerlinDetector>(range.min, range.max));
   }
   std::string name;
   Params params;
@@ -327,8 +256,7 @@ std::vector<std::string> RegisteredDetectorNames() {
 }
 
 std::vector<std::string> RegisteredDetectorPrefixes() {
-  return {"resilient:<spec>", "floss:<window>[:<buffer>]",
-          "merlin:<min>:<max>"};
+  return {"resilient:<spec>", "floss:<window>[:<buffer>]"};
 }
 
 std::optional<std::string> ResilientInnerSpec(std::string_view spec) {
@@ -355,19 +283,6 @@ std::string SimplifyDetectorSpec(const std::string& spec) {
                                    : spec.find(':', first + 1);
     if (second != std::string::npos) out += spec.substr(second);
     return out;
-  }
-  // merlin's positional grammar: halve both ends of the length range
-  // with the same floors as the key=value path (min 8, max 16),
-  // re-emitting positional form.
-  if (IsPositionalMerlinSpec(spec)) {
-    const Result<MerlinRange> parsed = ParseMerlinSpec(spec);
-    if (!parsed.ok()) return spec;
-    const std::size_t min =
-        std::min(parsed->min, std::max<std::size_t>(8, parsed->min / 2));
-    const std::size_t max =
-        std::min(parsed->max, std::max<std::size_t>(16, parsed->max / 2));
-    if (min == parsed->min && max == parsed->max) return spec;
-    return "merlin:" + std::to_string(min) + ":" + std::to_string(max);
   }
   std::string name;
   Params params;

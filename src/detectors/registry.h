@@ -15,8 +15,8 @@
 //   streaming      m (default 128, must be >= 3),
 //                  burnin (default 0, which means "4*m" — see
 //                  StreamingDiscordDetector)
-//   merlin         min (default 48), max (default 96) — also accepts
-//                  the positional grammar below
+//   merlin         min (default 48), max (default 96) — MERLIN
+//                  multi-length discord sweep over [min, max]
 //   telemanom      ar (default 32), alpha (default 0.05), ridge (1e-3)
 //   zscore         w (default 64)
 //   cusum          drift (default 0.5), reset (default 0 = off)
@@ -28,17 +28,13 @@
 //   oneliner       abs (0/1, default 1), u (0/1, default 0),
 //                  k (default 5), c (default 0), b (default 0)
 //
-// Two registered names use a POSITIONAL grammar instead of key=value:
+// One registered name uses a POSITIONAL grammar instead of key=value:
 //
 //   floss          floss[:<window>[:<buffer>]] — FLOSS regime-change
 //                  scoring over the bounded-memory streaming MPX
 //                  kernel (window default 64, >= 3; buffer default
-//                  from the process-wide --floss-buffer setting,
-//                  must be >= 4*window). See detectors/floss.h.
-//   merlin         merlin[:<min>:<max>] — MERLIN multi-length discord
-//                  sweep over [min, max] (defaults 48..96). Both
-//                  components are required when the colon form is
-//                  used; the key=value form above keeps working.
+//                  kDefaultFlossBufferCap = 4096, must be >= 4*window).
+//                  See detectors/floss.h.
 //
 // Any spec may be wrapped as `resilient:<spec>` (e.g.
 // `resilient:discord:m=128`) to get the hardened pipeline of

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "common/stats.h"
 #include "common/vector_ops.h"
 
 namespace tsad {
@@ -101,51 +100,6 @@ std::vector<double> ArPredictor::Predict(const Series& series) const {
   return pred;
 }
 
-NdtThreshold SelectNdtThreshold(const std::vector<double>& errors,
-                                double z_min, double z_max, double z_step) {
-  NdtThreshold best;
-  const double mu = Mean(errors);
-  const double sigma = StdDev(errors);
-  best.epsilon = mu + 3.0 * sigma;  // fallback
-  best.z = 3.0;
-  best.objective = -1.0;
-  if (errors.empty() || sigma < 1e-15) return best;
-
-  for (double z = z_min; z <= z_max + 1e-9; z += z_step) {
-    const double eps = mu + z * sigma;
-    // Partition errors by the candidate threshold.
-    std::vector<double> below;
-    below.reserve(errors.size());
-    std::size_t num_above = 0, num_sequences = 0;
-    bool in_run = false;
-    for (double e : errors) {
-      if (e > eps) {
-        ++num_above;
-        if (!in_run) {
-          ++num_sequences;
-          in_run = true;
-        }
-      } else {
-        below.push_back(e);
-        in_run = false;
-      }
-    }
-    if (num_above == 0 || below.empty()) continue;
-    const double delta_mean = mu - Mean(below);
-    const double delta_std = sigma - StdDev(below);
-    const double objective =
-        (delta_mean / mu + delta_std / sigma) /
-        (static_cast<double>(num_above) +
-         static_cast<double>(num_sequences) * static_cast<double>(num_sequences));
-    if (objective > best.objective) {
-      best.objective = objective;
-      best.epsilon = eps;
-      best.z = z;
-    }
-  }
-  return best;
-}
-
 TelemanomDetector::TelemanomDetector(TelemanomConfig config)
     : config_(config) {
   std::ostringstream n;
@@ -177,53 +131,6 @@ Result<std::vector<double>> TelemanomDetector::Score(
     errors[i] = std::fabs(series[i] - pred[i]);
   }
   return Ewma(errors, config_.ewma_alpha);
-}
-
-Result<std::vector<AnomalyRegion>> TelemanomDetector::DetectRegions(
-    const Series& series, std::size_t train_length) const {
-  Result<std::vector<double>> scores = Score(series, train_length);
-  if (!scores.ok()) return scores.status();
-
-  // Threshold selection runs on the test-span errors only (the training
-  // prefix is anomaly-free by contract).
-  const std::vector<double> test_errors(
-      scores->begin() + static_cast<std::ptrdiff_t>(train_length),
-      scores->end());
-  const NdtThreshold threshold = SelectNdtThreshold(
-      test_errors, config_.z_min, config_.z_max, config_.z_step);
-
-  std::vector<uint8_t> flags(series.size(), 0);
-  for (std::size_t i = train_length; i < series.size(); ++i) {
-    if ((*scores)[i] > threshold.epsilon) flags[i] = 1;
-  }
-  std::vector<AnomalyRegion> regions = RegionsFromBinary(flags);
-
-  // Pruning (Hundman et al. §3.2): rank candidate regions by their peak
-  // error; drop a region when its peak is within prune_ratio of the
-  // next-lower maximum (i.e., it does not stand out).
-  if (config_.prune_ratio > 0.0 && !regions.empty()) {
-    std::vector<double> peaks(regions.size());
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      double peak = 0.0;
-      for (std::size_t i = regions[r].begin; i < regions[r].end; ++i) {
-        peak = std::max(peak, (*scores)[i]);
-      }
-      peaks[r] = peak;
-    }
-    // Highest non-anomalous smoothed error in the test span.
-    double floor_error = 0.0;
-    for (std::size_t i = train_length; i < series.size(); ++i) {
-      if (!flags[i]) floor_error = std::max(floor_error, (*scores)[i]);
-    }
-    std::vector<AnomalyRegion> kept;
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      if (peaks[r] > floor_error * (1.0 + config_.prune_ratio)) {
-        kept.push_back(regions[r]);
-      }
-    }
-    regions = std::move(kept);
-  }
-  return regions;
 }
 
 }  // namespace tsad

@@ -1,15 +1,16 @@
 // Telemanom-style detector (Hundman et al., KDD 2018): a one-step-ahead
-// predictor, smoothed prediction errors, and nonparametric dynamic
-// thresholding (NDT).
+// predictor and its smoothed prediction errors as the score track.
 //
 // SUBSTITUTION (documented in DESIGN.md): the original uses a 2-layer
 // LSTM as the predictor; we use a ridge-regularized autoregressive
-// linear predictor fit on the training prefix. Everything downstream —
-// error smoothing, the NDT threshold selection, anomaly pruning — is
-// implemented per the paper. For the behaviours this repository studies
-// (Fig 13: peak placement and noise sensitivity of a prediction-error
-// detector), the predictor class matters (prediction-error vs.
-// distance-based), not the predictor's parameter count.
+// linear predictor fit on the training prefix, and the error smoothing
+// follows the paper. The paper's nonparametric dynamic thresholding and
+// anomaly pruning are not implemented: every consumer here (the
+// leaderboard, the benches, Fig 13) scores the track itself. For the
+// behaviours this repository studies (Fig 13: peak placement and noise
+// sensitivity of a prediction-error detector), the predictor class
+// matters (prediction-error vs. distance-based), not the predictor's
+// parameter count.
 
 #ifndef TSAD_DETECTORS_TELEMANOM_H_
 #define TSAD_DETECTORS_TELEMANOM_H_
@@ -35,10 +36,6 @@ class ArPredictor {
   /// `order` entries repeat the observed values (zero error).
   std::vector<double> Predict(const Series& series) const;
 
-  std::size_t order() const { return order_; }
-  const std::vector<double>& coefficients() const { return weights_; }
-  double intercept() const { return intercept_; }
-
  private:
   ArPredictor(std::size_t order, std::vector<double> weights, double intercept)
       : order_(order), weights_(std::move(weights)), intercept_(intercept) {}
@@ -48,32 +45,11 @@ class ArPredictor {
   double intercept_;
 };
 
-/// Result of nonparametric dynamic threshold selection over an error
-/// window.
-struct NdtThreshold {
-  double epsilon = 0.0;  // selected threshold
-  double z = 0.0;        // the z that produced it (eps = mu + z*sigma)
-  double objective = 0.0;
-};
-
-/// Hundman et al.'s threshold selection: over z in [z_min, z_max] step
-/// z_step, pick eps = mean(e) + z*std(e) maximizing
-///   (delta_mean/mean + delta_std/std) / (|E_a| + |seq|^2)
-/// where E_a are the errors above eps and seq their contiguous runs.
-/// Returns mean+3*std when no z produces any exceedance.
-NdtThreshold SelectNdtThreshold(const std::vector<double>& errors,
-                                double z_min = 2.0, double z_max = 10.0,
-                                double z_step = 0.5);
-
 /// Full detector configuration.
 struct TelemanomConfig {
   std::size_t ar_order = 32;       // predictor history length
   double ridge = 1e-3;             // ridge penalty
   double ewma_alpha = 0.05;        // error smoothing factor
-  double z_min = 2.0, z_max = 10.0, z_step = 0.5;  // NDT grid
-  double prune_ratio = 0.1;        // prune anomalies whose peak error is
-                                   // within this relative margin of the
-                                   // highest non-anomalous error
 };
 
 class TelemanomDetector : public AnomalyDetector {
@@ -88,11 +64,6 @@ class TelemanomDetector : public AnomalyDetector {
   using AnomalyDetector::Score;
   Result<std::vector<double>> Score(const Series& series,
                                     std::size_t train_length) const override;
-
-  /// The full pipeline: score, NDT threshold, prune; returns predicted
-  /// anomaly regions over the test span.
-  Result<std::vector<AnomalyRegion>> DetectRegions(
-      const Series& series, std::size_t train_length) const;
 
   const TelemanomConfig& config() const { return config_; }
 

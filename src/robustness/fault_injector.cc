@@ -180,30 +180,6 @@ std::uint64_t Fnv1aHash(std::string_view s) {
 
 }  // namespace
 
-const std::vector<ServingFaultType>& AllServingFaultTypes() {
-  static const std::vector<ServingFaultType> kAll = {
-      ServingFaultType::kDetectorError,
-      ServingFaultType::kDeadlineStorm,
-      ServingFaultType::kQueueFullBurst,
-      ServingFaultType::kSnapshotCorruption,
-  };
-  return kAll;
-}
-
-std::string_view ServingFaultTypeName(ServingFaultType type) {
-  switch (type) {
-    case ServingFaultType::kDetectorError:
-      return "detector-error";
-    case ServingFaultType::kDeadlineStorm:
-      return "deadline-storm";
-    case ServingFaultType::kQueueFullBurst:
-      return "queue-full-burst";
-    case ServingFaultType::kSnapshotCorruption:
-      return "snapshot-corruption";
-  }
-  return "?";
-}
-
 ServingFaultState::ServingFaultState(uint64_t seed,
                                      std::string_view stream_id,
                                      const ServingFaultPlan& plan) {

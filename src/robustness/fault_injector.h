@@ -108,11 +108,6 @@ enum class ServingFaultType {
   kSnapshotCorruption, // a failover blob arrives with flipped bytes
 };
 
-/// All four serving fault types, in enum order.
-const std::vector<ServingFaultType>& AllServingFaultTypes();
-
-std::string_view ServingFaultTypeName(ServingFaultType type);
-
 /// Per-stream incidence rates for the decorator-injected faults. Each
 /// rate is the probability that a stream gets ONE such fault scheduled,
 /// at a point index drawn uniformly from [0, horizon).

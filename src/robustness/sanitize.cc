@@ -14,18 +14,6 @@ bool IsMissing(double v, double sentinel) {
 
 }  // namespace
 
-std::string_view ImputationPolicyName(ImputationPolicy policy) {
-  switch (policy) {
-    case ImputationPolicy::kLinearInterpolate:
-      return "linear-interpolate";
-    case ImputationPolicy::kLocf:
-      return "locf";
-    case ImputationPolicy::kDropAndReindex:
-      return "drop-and-reindex";
-  }
-  return "?";
-}
-
 MissingScan ScanForMissing(const Series& x, double sentinel) {
   MissingScan scan;
   scan.n = x.size();

@@ -30,8 +30,6 @@ enum class ImputationPolicy {
   kDropAndReindex,     // remove missing points; scores map back via index
 };
 
-std::string_view ImputationPolicyName(ImputationPolicy policy);
-
 /// Damage summary for one series.
 struct MissingScan {
   std::size_t n = 0;             // series length

@@ -4,29 +4,6 @@
 
 namespace tsad {
 
-Result<Confusion> ComputeConfusion(const std::vector<uint8_t>& truth,
-                                   const std::vector<uint8_t>& predictions) {
-  if (truth.size() != predictions.size()) {
-    return Status::InvalidArgument(
-        "truth/prediction length mismatch: " + std::to_string(truth.size()) +
-        " vs " + std::to_string(predictions.size()));
-  }
-  Confusion c;
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    const bool t = truth[i] != 0, p = predictions[i] != 0;
-    if (t && p) {
-      ++c.tp;
-    } else if (!t && p) {
-      ++c.fp;
-    } else if (t && !p) {
-      ++c.fn;
-    } else {
-      ++c.tn;
-    }
-  }
-  return c;
-}
-
 Result<BestF1> BestF1OverThresholds(const std::vector<uint8_t>& truth,
                                     const std::vector<double>& scores) {
   if (truth.size() != scores.size()) {

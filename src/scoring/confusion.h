@@ -40,11 +40,6 @@ struct Confusion {
   }
 };
 
-/// Point-wise confusion of binary predictions against binary truth.
-/// Returns InvalidArgument on length mismatch.
-Result<Confusion> ComputeConfusion(const std::vector<uint8_t>& truth,
-                                   const std::vector<uint8_t>& predictions);
-
 /// Best achievable point-wise F1 over all score thresholds (the
 /// "omniscient threshold" protocol common in the TSAD literature —
 /// itself a flattering choice, which is part of the paper's point).

@@ -4,39 +4,6 @@
 
 namespace tsad {
 
-std::vector<uint8_t> PointAdjustPredictions(
-    const std::vector<uint8_t>& truth,
-    const std::vector<uint8_t>& predictions) {
-  std::vector<uint8_t> adjusted = predictions;
-  const std::size_t n = std::min(truth.size(), predictions.size());
-  const std::vector<AnomalyRegion> regions =
-      RegionsFromBinary(std::vector<uint8_t>(truth.begin(),
-                                             truth.begin() +
-                                                 static_cast<std::ptrdiff_t>(n)));
-  for (const AnomalyRegion& r : regions) {
-    bool hit = false;
-    for (std::size_t i = r.begin; i < r.end && i < n; ++i) {
-      if (predictions[i]) {
-        hit = true;
-        break;
-      }
-    }
-    if (hit) {
-      for (std::size_t i = r.begin; i < r.end && i < n; ++i) adjusted[i] = 1;
-    }
-  }
-  return adjusted;
-}
-
-Result<Confusion> ComputePointAdjustedConfusion(
-    const std::vector<uint8_t>& truth,
-    const std::vector<uint8_t>& predictions) {
-  if (truth.size() != predictions.size()) {
-    return Status::InvalidArgument("truth/prediction length mismatch");
-  }
-  return ComputeConfusion(truth, PointAdjustPredictions(truth, predictions));
-}
-
 Result<BestF1> BestPointAdjustedF1(const std::vector<uint8_t>& truth,
                                    const std::vector<double>& scores) {
   if (truth.size() != scores.size()) {
@@ -90,33 +57,6 @@ Result<BestF1> BestPointAdjustedF1(const std::vector<uint8_t>& truth,
     if (f1 > best.f1) {
       best.f1 = f1;
       best.threshold = value;  // predictions are score >= value
-      best.confusion = c;
-    }
-  }
-  return best;
-}
-
-Result<BestF1> BestPointAdjustedF1Direct(const std::vector<uint8_t>& truth,
-                                         const std::vector<double>& scores) {
-  if (truth.size() != scores.size()) {
-    return Status::InvalidArgument("truth/score length mismatch");
-  }
-  // Distinct score values as candidate thresholds (predict score >= t).
-  std::vector<double> thresholds = scores;
-  std::sort(thresholds.begin(), thresholds.end(), std::greater<>());
-  thresholds.erase(std::unique(thresholds.begin(), thresholds.end()),
-                   thresholds.end());
-
-  BestF1 best;
-  for (double t : thresholds) {
-    std::vector<uint8_t> pred(scores.size());
-    for (std::size_t i = 0; i < scores.size(); ++i) pred[i] = scores[i] >= t;
-    TSAD_ASSIGN_OR_RETURN(const Confusion c,
-                          ComputePointAdjustedConfusion(truth, pred));
-    const double f1 = c.f1();
-    if (f1 > best.f1) {
-      best.f1 = f1;
-      best.threshold = t;
       best.confusion = c;
     }
   }

@@ -16,29 +16,13 @@
 
 namespace tsad {
 
-/// Expands predictions under the point-adjust rule: any true region
-/// touched by a positive prediction becomes fully predicted.
-std::vector<uint8_t> PointAdjustPredictions(
-    const std::vector<uint8_t>& truth, const std::vector<uint8_t>& predictions);
-
-/// Point-adjusted confusion (ComputeConfusion after adjustment).
-Result<Confusion> ComputePointAdjustedConfusion(
-    const std::vector<uint8_t>& truth, const std::vector<uint8_t>& predictions);
-
 /// Best point-adjusted F1 over all thresholds — the headline number in
 /// most deep-TSAD papers. Computed as a single descending-score sweep
 /// with incremental region-hit counting: O(n log n) over the score
-/// track, bit-identical in (f1, threshold, confusion) to the direct
-/// recompute-per-threshold protocol below.
+/// track, bit-identical in (f1, threshold, confusion) to recomputing
+/// the adjusted confusion at every threshold.
 Result<BestF1> BestPointAdjustedF1(const std::vector<uint8_t>& truth,
                                    const std::vector<double>& scores);
-
-/// The direct O(n * thresholds) evaluation (a full point-adjusted
-/// confusion per distinct score value), kept as the test oracle for
-/// the sweep above. Quadratic on continuous score tracks — do not use
-/// in sweeps; call BestPointAdjustedF1.
-Result<BestF1> BestPointAdjustedF1Direct(const std::vector<uint8_t>& truth,
-                                         const std::vector<double>& scores);
 
 }  // namespace tsad
 

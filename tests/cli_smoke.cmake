@@ -64,13 +64,11 @@ if(found EQUAL -1)
   message(FATAL_ERROR "serve output missing verification line: ${out}")
 endif()
 
-# serve a bounded-memory floss fleet: --floss-buffer sets the default
-# ring capacity for specs that omit it, replay must still verify
-# byte-identical, and the stats block must break memory out by
-# detector type.
+# serve a bounded-memory floss fleet (the spec's second component is
+# the ring capacity): replay must still verify byte-identical, and the
+# stats block must break memory out by detector type.
 execute_process(COMMAND ${TSAD_CLI} serve --replay ${WORK_DIR}/nyc_taxi.csv
-                        --streams 4 --detector floss:16 --floss-buffer 128
-                        --threads 4
+                        --streams 4 --detector floss:16:128 --threads 4
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "floss serve failed with ${rc}: ${out}")
@@ -150,8 +148,8 @@ if(NOT rc EQUAL 0)
 endif()
 # FLOSS through evict/thaw: every idle stream goes cold after each pump.
 execute_process(COMMAND ${TSAD_CLI} serve --replay ${WORK_DIR}/G-1.csv
-                        --streams 4 --detector floss:16 --floss-buffer 128
-                        --mem-budget 1 --threads 4
+                        --streams 4 --detector floss:16:128 --mem-budget 1
+                        --threads 4
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "mem-budget floss serve failed with ${rc}: ${out}")
@@ -217,6 +215,26 @@ string(FIND "${out}" "unknown flag '--min-len'" found)
 if(found EQUAL -1)
   message(FATAL_ERROR "panprofile rejection missing flag name: ${out}")
 endif()
+
+# Numeric flags take decimal digits only, up to what their setting can
+# hold: a sign, trailing junk, overflow, kMaxParallelThreads + 1 or a
+# retry count beyond int each exit 1 before any work starts.
+foreach(bad "table1;--threads;-1" "table1;--threads;4x"
+            "table1;--threads;1025" "table1;--threads;18446744073709551616"
+            "table1;--seed;-7"
+            "serve;--replay;${WORK_DIR}/nyc_taxi.csv;--streams;-1"
+            "serve;--replay;${WORK_DIR}/nyc_taxi.csv;--recover;4294967296"
+            "leaderboard;--smoke;--max-series;1e3")
+  execute_process(COMMAND ${TSAD_CLI} ${bad}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "'${bad}' exited ${rc}, want 1: ${out}${err}")
+  endif()
+  string(FIND "${out}" "InvalidArgument" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "'${bad}' missing InvalidArgument: ${out}${err}")
+  endif()
+endforeach()
 
 # leaderboard: the CI-sized board must emit the JSON report with the
 # rank-inversion section.

@@ -205,6 +205,33 @@ TEST(ParallelThreadsTest, OverrideWinsAndClearRestoresDefault) {
   EXPECT_EQ(ParallelThreads(), resolved);
 }
 
+TEST(ParseThreadCountTest, AcceptsDigitsUpToTheLimit) {
+  EXPECT_EQ(ParseThreadCount("0").value_or(99), 0u);
+  EXPECT_EQ(ParseThreadCount("4").value_or(99), 4u);
+  EXPECT_EQ(ParseThreadCount("0004").value_or(99), 4u);
+  EXPECT_EQ(ParseThreadCount(std::to_string(kMaxParallelThreads)).value_or(0),
+            kMaxParallelThreads);
+}
+
+TEST(ParseThreadCountTest, RefusesSignsJunkOverflowAndTheLimitPlusOne) {
+  for (const std::string& text : std::vector<std::string>{
+           "-1", "+4", " 4", "4 ", "4x", "x4", "", "1e3", "0x10",
+           "18446744073709551616", std::to_string(kMaxParallelThreads + 1)}) {
+    const Result<std::size_t> n = ParseThreadCount(text);
+    ASSERT_FALSE(n.ok()) << "'" << text << "'";
+    EXPECT_EQ(n.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  // Past the limit, the message names it.
+  const Status over =
+      ParseThreadCount(std::to_string(kMaxParallelThreads + 1)).status();
+  EXPECT_NE(over.message().find("kMaxParallelThreads = 1024"),
+            std::string::npos)
+      << over.message();
+  const Status overflow = ParseThreadCount("18446744073709551616").status();
+  EXPECT_NE(overflow.message().find("kMaxParallelThreads"), std::string::npos)
+      << overflow.message();
+}
+
 // ---------------------------------------------------------------------
 // End-to-end determinism: the two heaviest adopters of the parallel
 // layer must produce identical output at every thread count.

@@ -1,7 +1,6 @@
 #include "common/rng.h"
 
 #include <cmath>
-#include <set>
 
 #include <gtest/gtest.h>
 
@@ -111,15 +110,6 @@ TEST(RngTest, ForkStreamsAreDistinct) {
     if (c1.NextUint64() != c2.NextUint64()) differ = true;
   }
   EXPECT_TRUE(differ);
-}
-
-TEST(RngTest, ShuffleIsAPermutation) {
-  Rng rng(31);
-  std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};
-  std::vector<int> shuffled = v;
-  rng.Shuffle(shuffled);
-  std::multiset<int> a(v.begin(), v.end()), b(shuffled.begin(), shuffled.end());
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace

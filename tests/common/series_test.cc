@@ -57,7 +57,6 @@ TEST(LabeledSeriesTest, IsAnomalousUsesBinarySearch) {
 TEST(LabeledSeriesTest, DensityAndCounts) {
   LabeledSeries s("t", Series(100, 0.0), {{0, 10}, {90, 100}});
   EXPECT_EQ(s.NumAnomalousPoints(), 20u);
-  EXPECT_DOUBLE_EQ(s.AnomalyDensity(), 0.2);
 }
 
 TEST(LabeledSeriesTest, BinaryLabelsMatchesRegions) {

@@ -14,13 +14,11 @@ TEST(MeanVarianceTest, KnownValues) {
   EXPECT_DOUBLE_EQ(Mean(x), 5.0);
   EXPECT_DOUBLE_EQ(Variance(x), 4.0);
   EXPECT_DOUBLE_EQ(StdDev(x), 2.0);
-  EXPECT_NEAR(SampleVariance(x), 32.0 / 7.0, 1e-12);
 }
 
 TEST(MeanTest, EmptyInputsAreZero) {
   EXPECT_DOUBLE_EQ(Mean({}), 0.0);
   EXPECT_DOUBLE_EQ(Variance({}), 0.0);
-  EXPECT_DOUBLE_EQ(SampleVariance({5}), 0.0);
 }
 
 TEST(MinMaxTest, Extremes) {
@@ -90,18 +88,6 @@ TEST(PearsonTest, UndefinedIsZero) {
   EXPECT_DOUBLE_EQ(PearsonCorrelation({1}, {2}), 0.0);
 }
 
-TEST(EuclideanTest, KnownDistance) {
-  EXPECT_DOUBLE_EQ(EuclideanDistance({0, 0}, {3, 4}), 5.0);
-  EXPECT_DOUBLE_EQ(EuclideanDistance({}, {}), 0.0);
-}
-
-TEST(ZNormalizedDistanceTest, ScaleAndOffsetInvariant) {
-  const std::vector<double> a = {1, 2, 3, 4, 3, 2};
-  std::vector<double> b;
-  for (double v : a) b.push_back(v * 10.0 + 100.0);  // affine copy
-  EXPECT_NEAR(ZNormalizedDistance(a, b), 0.0, 1e-9);
-}
-
 TEST(ProfileRegionTest, ComputesTheFig6Checklist) {
   std::vector<double> x(100);
   for (std::size_t i = 0; i < 100; ++i) x[i] = static_cast<double>(i % 10);
@@ -115,20 +101,6 @@ TEST(ProfileRegionTest, ComputesTheFig6Checklist) {
 TEST(ProfileRegionTest, ClipsOutOfRange) {
   const RegionProfile p = ProfileRegion({1, 2, 3}, 2, 99);
   EXPECT_DOUBLE_EQ(p.mean, 3.0);
-}
-
-TEST(ProfileDistanceTest, IdenticalProfilesAreZero) {
-  const RegionProfile p = ProfileRegion({1, 2, 3, 2, 1}, 0, 5);
-  EXPECT_DOUBLE_EQ(ProfileDistance(p, p, 1.0), 0.0);
-}
-
-TEST(ProfileDistanceTest, DissimilarProfilesAreLarge) {
-  Rng rng(3);
-  std::vector<double> flat(50, 1.0), noisy(50);
-  for (double& v : noisy) v = rng.Gaussian(0.0, 5.0);
-  const RegionProfile a = ProfileRegion(flat, 0, 50);
-  const RegionProfile b = ProfileRegion(noisy, 0, 50);
-  EXPECT_GT(ProfileDistance(a, b, 1.0), 1.0);
 }
 
 }  // namespace

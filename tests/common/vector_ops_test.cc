@@ -83,11 +83,6 @@ TEST(ZNormalizeTest, ConstantSeriesCenteredOnly) {
   for (double v : z) EXPECT_NEAR(v, 0.0, 1e-12);
 }
 
-TEST(ArgMaxMinTest, FindsExtremes) {
-  EXPECT_EQ(ArgMax({1, 9, 3}), 1u);
-  EXPECT_EQ(ArgMin({1, 9, -3}), 2u);
-}
-
 TEST(AddSubtractScaleTest, ElementWiseArithmetic) {
   EXPECT_EQ(Add({1, 2}, {3, 4}), (std::vector<double>{4, 6}));
   EXPECT_EQ(Subtract({3, 4}, {1, 1}), (std::vector<double>{2, 3}));
@@ -104,6 +99,17 @@ TEST(EwmaTest, SmoothsTowardSignal) {
   EXPECT_NEAR(out[1], 5.0, 1e-12);
   EXPECT_NEAR(out[2], 7.5, 1e-12);
   EXPECT_NEAR(out[3], 8.75, 1e-12);
+}
+
+// Sample (N-1) standard deviation of a window: the direct oracle for
+// MovStd.
+double SampleStdDev(const std::vector<double>& x) {
+  if (x.size() < 2) return 0.0;
+  const double m = Mean(x);
+  long double acc = 0.0L;
+  for (double v : x) acc += static_cast<long double>(v - m) * (v - m);
+  return std::sqrt(
+      static_cast<double>(acc / static_cast<long double>(x.size() - 1)));
 }
 
 // Property sweep: movmean/movstd agree with direct window computation

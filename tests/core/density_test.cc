@@ -28,7 +28,6 @@ TEST(ClassifyDensityTest, OverHalfContiguous) {
   const DensityFlags flags = ClassifyDensity(AnalyzeDensity(s));
   EXPECT_TRUE(flags.over_half_contiguous);
   EXPECT_TRUE(flags.over_third_contiguous);
-  EXPECT_TRUE(flags.any_flaw());
   EXPECT_TRUE(flags.ideal_single_anomaly);  // still exactly one region
 }
 
@@ -53,7 +52,8 @@ TEST(ClassifyDensityTest, AdjacentRegionsSandwich) {
 TEST(ClassifyDensityTest, CleanSingleAnomalyHasNoFlaw) {
   LabeledSeries s("t", Series(1000, 0.0), {{500, 520}});
   const DensityFlags flags = ClassifyDensity(AnalyzeDensity(s));
-  EXPECT_FALSE(flags.any_flaw());
+  EXPECT_FALSE(flags.over_half_contiguous || flags.over_third_contiguous ||
+               flags.many_regions || flags.adjacent_regions);
   EXPECT_TRUE(flags.ideal_single_anomaly);
 }
 

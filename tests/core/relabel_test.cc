@@ -99,15 +99,5 @@ TEST(RelabelTest, EndToEndNasaG1ReevaluationFlipsTheVerdict) {
   EXPECT_GT(after->f1, 0.9);          // vindicated by audited labels
 }
 
-TEST(RelabelTest, DatasetApplyRenames) {
-  BenchmarkDataset d;
-  d.name = "archive";
-  d.series.emplace_back("a", Series(100, 0.0),
-                        std::vector<AnomalyRegion>{{10, 12}});
-  const BenchmarkDataset fixed = ApplyFindingsToDataset(d, {});
-  EXPECT_EQ(fixed.name, "archive (relabeled)");
-  EXPECT_EQ(fixed.size(), 1u);
-}
-
 }  // namespace
 }  // namespace tsad

@@ -8,9 +8,14 @@
 #include "datasets/generators.h"
 #include "datasets/numenta.h"
 #include "datasets/yahoo.h"
+#include "triviality_oracle.h"
 
 namespace tsad {
 namespace {
+
+using testing::FindOneLinerDirect;
+using testing::FlagsSolve;
+using testing::SolveWithFormDirect;
 
 LabeledSeries SpikeSeries(uint64_t seed, double spike) {
   Rng rng(seed);

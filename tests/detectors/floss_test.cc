@@ -311,12 +311,12 @@ TEST(FlossSpecTest, ParsesPositionalGrammar) {
   const Result<FlossParams> bare = ParseFlossSpec("floss");
   ASSERT_TRUE(bare.ok());
   EXPECT_EQ(bare->m, 64u);
-  EXPECT_EQ(bare->buffer_cap, GetDefaultFlossBufferCap());
+  EXPECT_EQ(bare->buffer_cap, kDefaultFlossBufferCap);
 
   const Result<FlossParams> windowed = ParseFlossSpec("floss:24");
   ASSERT_TRUE(windowed.ok());
   EXPECT_EQ(windowed->m, 24u);
-  EXPECT_EQ(windowed->buffer_cap, GetDefaultFlossBufferCap());
+  EXPECT_EQ(windowed->buffer_cap, kDefaultFlossBufferCap);
 
   const Result<FlossParams> full = ParseFlossSpec("floss:24:96");
   ASSERT_TRUE(full.ok());

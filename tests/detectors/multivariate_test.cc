@@ -52,19 +52,6 @@ TEST(MultivariateTest, MeanAggregationDilutesSingleDimIncident) {
             Discrimination(*mean_scores));
 }
 
-TEST(MultivariateTest, DetectRegionsCoversIncident) {
-  const MultivariateSeries machine = MakeMachine(3, 2);
-  MovingZScoreDetector detector(50);
-  Result<std::vector<AnomalyRegion>> regions =
-      DetectMultivariateRegions(detector, machine, 3.0);
-  ASSERT_TRUE(regions.ok());
-  bool covered = false;
-  for (const AnomalyRegion& r : *regions) {
-    if (r.begin < 1065 && r.end + 10 > 1000) covered = true;
-  }
-  EXPECT_TRUE(covered);
-}
-
 TEST(MultivariateTest, EmptyMachineRejected) {
   MultivariateSeries empty;
   MovingZScoreDetector detector(50);
@@ -99,11 +86,6 @@ TEST(MultivariateTest, FindsOmniEasyIncidents) {
     }
   }
   EXPECT_EQ(hits, easy_total);  // easy machines are easy
-}
-
-TEST(AggregationNameTest, AllNamed) {
-  EXPECT_EQ(ScoreAggregationName(ScoreAggregation::kMax), "max");
-  EXPECT_EQ(ScoreAggregationName(ScoreAggregation::kMean), "mean");
 }
 
 }  // namespace

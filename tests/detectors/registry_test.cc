@@ -33,12 +33,11 @@ TEST(RegistryTest, ParametersAreApplied) {
   EXPECT_EQ(std::string((*m)->name()), "MERLIN[32..48]");
 }
 
-TEST(RegistryTest, MerlinPositionalSpecParses) {
-  // The positional grammar (merlin:<min>:<max>) mirrors floss's
-  // convention and is what the unknown-detector prefix list advertises.
-  Result<std::unique_ptr<AnomalyDetector>> m = MakeDetector("merlin:32:48");
-  ASSERT_TRUE(m.ok()) << m.status().ToString();
-  EXPECT_EQ(std::string((*m)->name()), "MERLIN[32..48]");
+TEST(RegistryTest, MerlinPositionalSpecIsRefused) {
+  // merlin has one grammar, key=value: the positional form is a
+  // malformed parameter list.
+  const Status s = MakeDetector("merlin:64:192").status();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
 
   // Bare name keeps the registry defaults.
   Result<std::unique_ptr<AnomalyDetector>> bare = MakeDetector("merlin");
@@ -47,27 +46,29 @@ TEST(RegistryTest, MerlinPositionalSpecParses) {
 }
 
 TEST(RegistryTest, MerlinPositionalSpecErrorsEnumerateGrammar) {
-  // Every malformed positional spec names the grammar it wanted.
+  // Every positional spec, well-formed or not, is refused with the
+  // key=value grammar named.
   for (const char* spec :
-       {"merlin:48", "merlin:48:96:128", "merlin:abc:96", "merlin:48:xyz",
-        "merlin::96", "merlin:"}) {
+       {"merlin:32:48", "merlin:48", "merlin:48:96:128", "merlin:abc:96",
+        "merlin:48:xyz", "merlin::96"}) {
     const Status s = MakeDetector(spec).status();
     ASSERT_FALSE(s.ok()) << spec;
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << spec;
-    EXPECT_NE(s.message().find("merlin:<min>:<max>"), std::string::npos)
+    EXPECT_NE(s.message().find("want key=value"), std::string::npos)
         << spec << ": " << s.message();
   }
 }
 
 TEST(RegistryTest, MerlinTypoGetsDidYouMean) {
-  const Status s = MakeDetector("merlon:32:48").status();
+  const Status s = MakeDetector("merlon:min=32,max=48").status();
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
   EXPECT_NE(s.message().find("did you mean 'merlin'?"), std::string::npos)
       << s.message();
-  // The prefix grammar is advertised alongside the flat names.
-  EXPECT_NE(s.message().find("merlin:<min>:<max>"), std::string::npos)
+  // Only floss advertises a positional grammar beside the flat names.
+  EXPECT_NE(s.message().find("floss:<window>[:<buffer>]"), std::string::npos)
       << s.message();
+  EXPECT_EQ(s.message().find("merlin:<"), std::string::npos) << s.message();
 }
 
 TEST(RegistryTest, UnknownNameIsNotFound) {
@@ -135,11 +136,11 @@ TEST(RegistryTest, MalformedSpecsRejected) {
         << bad.spec << ": " << status.ToString();
   }
   // A merlin range that no series could satisfy is refused when the
-  // spec is built, in both grammars and under resilient:, instead of
-  // failing every Score() (or, wrapped, serving the fallback).
+  // spec is built, also under resilient:, instead of failing every
+  // Score() (or, wrapped, serving the fallback).
   for (const char* spec :
-       {"merlin:60:40", "merlin:2:10", "merlin:0:0", "merlin:min=60,max=40",
-        "merlin:min=2", "resilient:merlin:60:40"}) {
+       {"merlin:min=2,max=10", "merlin:min=0,max=0", "merlin:min=60,max=40",
+        "merlin:min=2", "resilient:merlin:min=60,max=40"}) {
     const Status status = MakeDetector(spec).status();
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
         << spec << ": " << status.ToString();
@@ -211,15 +212,16 @@ TEST(SimplifyDetectorSpecTest, RecursesThroughResilientPrefix) {
             "resilient:discord:m=64");
 }
 
-TEST(SimplifyDetectorSpecTest, MerlinPositionalHalvesBothEnds) {
-  // Same halving and floors as the key=value path, re-emitted in
-  // positional form; bare "merlin" simplifies from the defaults.
-  EXPECT_EQ(SimplifyDetectorSpec("merlin:64:128"), "merlin:32:64");
-  EXPECT_EQ(SimplifyDetectorSpec("merlin"), "merlin:24:48");
-  EXPECT_EQ(SimplifyDetectorSpec("merlin:8:16"), "merlin:8:16");
+TEST(SimplifyDetectorSpecTest, MerlinHalvesBothEnds) {
+  // Both ends of the length range halve, with floors min 8 and max 16;
+  // bare "merlin" simplifies from the defaults.
+  EXPECT_EQ(SimplifyDetectorSpec("merlin:min=64,max=128"),
+            "merlin:max=64,min=32");
+  EXPECT_EQ(SimplifyDetectorSpec("merlin"), "merlin:max=48,min=24");
+  EXPECT_EQ(SimplifyDetectorSpec("merlin:min=8,max=16"), "merlin:min=8,max=16");
   // Malformed specs pass through untouched (the resilient wrapper only
   // simplifies specs that already constructed).
-  EXPECT_EQ(SimplifyDetectorSpec("merlin:48"), "merlin:48");
+  EXPECT_EQ(SimplifyDetectorSpec("merlin:48:96"), "merlin:48:96");
 }
 
 TEST(RegistryTest, OnelinerSpecBuildsConfiguredPredicate) {

@@ -14,6 +14,16 @@
 namespace tsad {
 namespace {
 
+double EuclideanDistance(const std::vector<double>& a,
+                         const std::vector<double>& b) {
+  long double acc = 0.0L;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const long double d = static_cast<long double>(a[i]) - b[i];
+    acc += d * d;
+  }
+  return std::sqrt(static_cast<double>(acc));
+}
+
 Series PeriodicWithDistortion(std::size_t n, std::size_t weird_at,
                               uint64_t seed) {
   Rng rng(seed);

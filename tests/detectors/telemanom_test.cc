@@ -58,27 +58,6 @@ TEST(ArPredictorTest, PredictsSinusoidWell) {
   EXPECT_LT(worst, 0.01);
 }
 
-TEST(NdtThresholdTest, SeparatesInjectedErrorBurst) {
-  Rng rng(3);
-  std::vector<double> errors(1000);
-  for (double& e : errors) e = std::fabs(rng.Gaussian(0.0, 0.1));
-  for (std::size_t i = 400; i < 420; ++i) errors[i] = 2.0;
-  const NdtThreshold t = SelectNdtThreshold(errors);
-  EXPECT_GT(t.epsilon, 0.5);   // above the noise
-  EXPECT_LT(t.epsilon, 2.0);   // below the burst
-  EXPECT_GT(t.objective, 0.0);
-}
-
-TEST(NdtThresholdTest, FallsBackOnFlatErrors) {
-  const NdtThreshold t = SelectNdtThreshold(std::vector<double>(100, 0.5));
-  EXPECT_NEAR(t.epsilon, 0.5, 1e-9);  // mean + 3*0
-}
-
-TEST(NdtThresholdTest, EmptyInputDoesNotCrash) {
-  const NdtThreshold t = SelectNdtThreshold({});
-  EXPECT_DOUBLE_EQ(t.epsilon, 0.0);
-}
-
 TEST(TelemanomDetectorTest, RequiresTrainingPrefix) {
   TelemanomDetector detector;
   Result<std::vector<double>> scores =
@@ -95,31 +74,6 @@ TEST(TelemanomDetectorTest, ScoresPeakAtAnomaly) {
   const std::size_t peak = PredictLocation(*scores, 1000);
   EXPECT_GE(peak + 50, 2500u);
   EXPECT_LE(peak, 2580u);
-}
-
-TEST(TelemanomDetectorTest, DetectRegionsCoversTheAnomaly) {
-  const Series x = PredictableSignalWithAnomaly(4000, 3000, 11);
-  TelemanomDetector detector;
-  Result<std::vector<AnomalyRegion>> regions = detector.DetectRegions(x, 1000);
-  ASSERT_TRUE(regions.ok()) << regions.status().ToString();
-  ASSERT_GE(regions->size(), 1u);
-  bool covered = false;
-  for (const AnomalyRegion& r : *regions) {
-    if (r.begin < 3040 && r.end + 15 > 3000) covered = true;
-  }
-  EXPECT_TRUE(covered);
-}
-
-TEST(TelemanomDetectorTest, QuietSeriesYieldsFewRegions) {
-  Rng rng(13);
-  Series x(4000);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = std::sin(static_cast<double>(i) / 20.0) + rng.Gaussian(0.0, 0.02);
-  }
-  TelemanomDetector detector;
-  Result<std::vector<AnomalyRegion>> regions = detector.DetectRegions(x, 1000);
-  ASSERT_TRUE(regions.ok());
-  EXPECT_LE(regions->size(), 3u);  // pruning keeps false alarms rare
 }
 
 }  // namespace

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include "../core/triviality_oracle.h"
 #include "tsad.h"
 
 namespace tsad {
 namespace {
+
+using testing::FlagsSolve;
 
 void ExpectFiniteScores(const Result<std::vector<double>>& scores,
                         std::size_t expected_size, const char* what) {

@@ -223,15 +223,6 @@ TEST(FaultInjectorTest, EmptyAndTinySeriesDoNotCrash) {
 // ---------------------------------------------------------------------
 // Serving-path faults.
 
-TEST(ServingFaultTest, NamesCoverEveryType) {
-  EXPECT_EQ(AllServingFaultTypes().size(), 4u);
-  for (ServingFaultType type : AllServingFaultTypes()) {
-    EXPECT_FALSE(ServingFaultTypeName(type).empty());
-  }
-  EXPECT_EQ(ServingFaultTypeName(ServingFaultType::kDetectorError),
-            "detector-error");
-}
-
 TEST(ServingFaultTest, ScheduleIsDeterministicPerSeedAndStream) {
   ServingFaultPlan plan;
   plan.detector_error_rate = 0.5;

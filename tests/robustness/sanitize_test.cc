@@ -62,9 +62,9 @@ TEST(SanitizeSeriesTest, EdgeGapsUseNearestObservation) {
   for (ImputationPolicy policy : {ImputationPolicy::kLinearInterpolate,
                                   ImputationPolicy::kLocf}) {
     const Result<SanitizedSeries> s = SanitizeSeries(x, policy);
-    ASSERT_TRUE(s.ok()) << ImputationPolicyName(policy);
+    ASSERT_TRUE(s.ok()) << static_cast<int>(policy);
     EXPECT_EQ(s->values, (Series{4.0, 4.0, 4.0, 4.0}))
-        << ImputationPolicyName(policy);
+        << static_cast<int>(policy);
   }
 }
 
@@ -130,7 +130,7 @@ TEST(SanitizeSeriesTest, AllMissingIsResourceExhausted) {
        {ImputationPolicy::kLinearInterpolate, ImputationPolicy::kLocf,
         ImputationPolicy::kDropAndReindex}) {
     const Result<SanitizedSeries> s = SanitizeSeries(x, policy);
-    ASSERT_FALSE(s.ok()) << ImputationPolicyName(policy);
+    ASSERT_FALSE(s.ok()) << static_cast<int>(policy);
     EXPECT_EQ(s.status().code(), StatusCode::kResourceExhausted);
   }
 }

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "confusion_oracle.h"
+
 namespace tsad {
 namespace {
+
+using testing::ComputeConfusion;
 
 TEST(ConfusionTest, CountsAllFourCells) {
   Result<Confusion> c = ComputeConfusion({1, 1, 0, 0, 1}, {1, 0, 1, 0, 1});

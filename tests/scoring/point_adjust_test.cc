@@ -4,8 +4,15 @@
 
 #include <random>
 
+#include "confusion_oracle.h"
+
 namespace tsad {
 namespace {
+
+using testing::BestPointAdjustedF1Direct;
+using testing::ComputeConfusion;
+using testing::ComputePointAdjustedConfusion;
+using testing::PointAdjustPredictions;
 
 TEST(PointAdjustTest, OneHitExpandsToWholeRegion) {
   const std::vector<uint8_t> truth = {0, 1, 1, 1, 1, 0};

@@ -14,9 +14,12 @@
 #include "scoring/point_adjust.h"
 #include "scoring/range_pr.h"
 #include "scoring/ucr_score.h"
+#include "confusion_oracle.h"
 
 namespace tsad {
 namespace {
+
+using testing::ComputeConfusion;
 
 struct Fixture {
   std::vector<uint8_t> truth;

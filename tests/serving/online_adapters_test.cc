@@ -94,8 +94,7 @@ std::vector<SpecCase> EquivalenceCases() {
       // MERLIN buffers the whole stream and scores at Flush; bit
       // equality with the batch detector is by construction, but the
       // snapshot sweep still has to prove the buffer thaws exactly.
-      // One case per spec grammar (positional and key=value).
-      {"merlin:24:40", 0},
+      {"merlin:min=24,max=40", 0},
       {"merlin:min=16,max=24", 0},
   };
 }

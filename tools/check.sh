@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure, build and run the full test suite — first in
-# the normal configuration, then (unless SKIP_SANITIZERS=1) again under
+# the normal configuration (followed by the serving replays and one
+# short run of each perfbench workload), then (unless
+# SKIP_SANITIZERS=1) again under
 # ASan+UBSan, and finally the parallel-layer tests under TSan (the
 # thread mode of the TSAD_SANITIZE cmake option; TSan cannot coexist
 # with ASan, so it gets its own pass and build tree). Run from anywhere:
@@ -50,23 +52,38 @@ trap 'rm -rf "${serve_work}"' EXIT
   grep 'byte-identical'
 "${repo_root}/build/tools/tsad" serve \
   --replay "${serve_work}/nyc_taxi.csv" \
-  --streams 4 --detector floss:16 --floss-buffer 128 --threads 4
+  --streams 4 --detector floss:16:128 --threads 4
 # NASA channel G-1 holds a 120-point frozen segment, so this replay runs
 # FLOSS's flat-run path and its evictions through the engine.
 "${repo_root}/build/tools/tsad" generate nasa --out "${serve_work}"
 "${repo_root}/build/tools/tsad" serve \
   --replay "${serve_work}/G-1.csv" \
-  --streams 4 --detector floss:16 --floss-buffer 128 --threads 4
+  --streams 4 --detector floss:16:128 --threads 4
 "${repo_root}/build/tools/tsad" serve \
   --replay "${serve_work}/G-1.csv" \
-  --streams 4 --detector floss:16 --floss-buffer 128 --mem-budget 1 \
-  --threads 4 | grep 'byte-identical'
+  --streams 4 --detector floss:16:128 --mem-budget 1 --threads 4 |
+  grep 'byte-identical'
 # G-1 carries a 1500-point training prefix, so the reference-statistics
 # detectors (which refuse to serve without one) run here too.
 for spec in cusum ewma pagehinkley oneliner:u=1,k=7,c=2; do
   "${repo_root}/build/tools/tsad" serve \
     --replay "${serve_work}/G-1.csv" \
     --streams 4 --detector "${spec}" --threads 4
+done
+
+# perfbench, the repository benchmark, builds the library from this
+# checkout and checks each workload's results in-run, but no ctest
+# compiles it: build it and run every workload once, briefly, so a
+# deleted symbol it links or a result its gates reject fails here.
+perf_dir="${repo_root}/build-perfbench"
+echo "==> configuring ${perf_dir} (perfbench)"
+cmake -S "${repo_root}/perfbench" -B "${perf_dir}"
+echo "==> building ${perf_dir}"
+cmake --build "${perf_dir}" -j "${jobs}" --target perfbench
+for workload in leaderboard table1 serve discovery; do
+  echo "==> perfbench --workload ${workload}"
+  "${perf_dir}/perfbench" --workload "${workload}" --seed 1 --seconds 1 \
+    --trace 0 --out "${serve_work}/perfbench"
 done
 
 if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then

@@ -50,20 +50,27 @@
 //
 // Every command accepts --threads N to size the parallel execution
 // pool (default: TSAD_THREADS env var, then hardware concurrency;
-// 1 = serial). Reports are bit-identical at any thread count.
+// 1 = serial; at most kMaxParallelThreads = 1024). Reports are
+// bit-identical at any thread count. Every numeric flag takes decimal
+// digits only; a sign, trailing junk or a value too large for its
+// setting exits 1.
 //
 // CSV format: the library's own (see common/csv.h).
 
+#include <charconv>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tsad.h"
 #include "common/cpu_features.h"
 #include "common/parallel.h"
-#include "detectors/floss.h"
 #include "detectors/registry.h"
 
 namespace {
@@ -79,7 +86,6 @@ struct Args {
   std::string report;     // audit: optional markdown report path
   std::size_t threads = 0;  // parallel pool size; 0 = env/hardware
   std::string mp_isa;       // forced SIMD tier: auto|scalar|sse2|avx2|avx512
-  std::size_t floss_buffer = 0;  // floss ring-buffer default; 0 = keep 4096
   // panprofile:
   std::size_t min_length = 48;  // smallest swept subsequence length
   std::size_t max_length = 96;  // largest swept subsequence length
@@ -94,7 +100,7 @@ struct Args {
   bool no_verify = false;
   std::string priority = "normal";  // stream priority class
   std::size_t mem_budget = 0;       // detector memory budget, bytes; 0 = off
-  std::size_t recover = 0;          // quarantine recovery retries; 0 = off
+  int recover = 0;                  // quarantine recovery retries; 0 = off
   // leaderboard:
   bool out_set = false;          // --out given explicitly (JSON only then)
   std::string metrics;           // comma-separated metric list; "" = all
@@ -104,6 +110,29 @@ struct Args {
   bool smoke = false;            // tiny 2-detector x 2-family board
 };
 
+// The engine keeps the drain deadline in nanoseconds.
+constexpr std::size_t kMaxDeadlineMs =
+    std::chrono::nanoseconds::max().count() / 1'000'000;
+
+// Reads a numeric flag's value: decimal digits only (no sign, space or
+// trailing junk) and no larger than `max`, the most the field it lands
+// in can hold — so `--streams -1` is an error, not 2^64 - 1 streams.
+template <typename T>
+Status ParseFlagValue(const std::string& flag, std::string_view text, T* out,
+                      T max = std::numeric_limits<T>::max()) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end ||
+      v > static_cast<std::uint64_t>(max)) {
+    return Status::InvalidArgument("bad value '" + std::string(text) +
+                                   "' for " + flag + " (want an integer in 0.." +
+                                   std::to_string(max) + ")");
+  }
+  *out = static_cast<T>(v);
+  return Status::OK();
+}
+
 // Strict: unknown --flags (and flags missing their value) are errors,
 // not positional arguments.
 Result<Args> ParseArgs(int argc, char** argv) {
@@ -112,7 +141,7 @@ Result<Args> ParseArgs(int argc, char** argv) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
     if (arg == "--seed" && has_value) {
-      args.seed = std::strtoull(argv[++i], nullptr, 10);
+      TSAD_RETURN_IF_ERROR(ParseFlagValue(arg, argv[++i], &args.seed));
     } else if (arg == "--out" && has_value) {
       args.out = argv[++i];
       args.out_set = true;
@@ -123,45 +152,44 @@ Result<Args> ParseArgs(int argc, char** argv) {
     } else if (arg == "--report" && has_value) {
       args.report = argv[++i];
     } else if (arg == "--threads" && has_value) {
-      args.threads = std::strtoull(argv[++i], nullptr, 10);
+      TSAD_ASSIGN_OR_RETURN(args.threads, ParseThreadCount(argv[++i]));
     } else if (arg == "--mp-isa" && has_value) {
       args.mp_isa = argv[++i];
-    } else if (arg == "--floss-buffer" && has_value) {
-      args.floss_buffer = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--min-length" && has_value) {
-      args.min_length = std::strtoull(argv[++i], nullptr, 10);
+      TSAD_RETURN_IF_ERROR(ParseFlagValue(arg, argv[++i], &args.min_length));
     } else if (arg == "--max-length" && has_value) {
-      args.max_length = std::strtoull(argv[++i], nullptr, 10);
+      TSAD_RETURN_IF_ERROR(ParseFlagValue(arg, argv[++i], &args.max_length));
     } else if (arg == "--step" && has_value) {
-      args.step = std::strtoull(argv[++i], nullptr, 10);
+      TSAD_RETURN_IF_ERROR(ParseFlagValue(arg, argv[++i], &args.step));
     } else if (arg == "--replay" && has_value) {
       args.replay = argv[++i];
     } else if (arg == "--streams" && has_value) {
-      args.streams = std::strtoull(argv[++i], nullptr, 10);
+      TSAD_RETURN_IF_ERROR(ParseFlagValue(arg, argv[++i], &args.streams));
     } else if (arg == "--batch" && has_value) {
-      args.batch = std::strtoull(argv[++i], nullptr, 10);
+      TSAD_RETURN_IF_ERROR(ParseFlagValue(arg, argv[++i], &args.batch));
     } else if (arg == "--queue" && has_value) {
-      args.queue = std::strtoull(argv[++i], nullptr, 10);
+      TSAD_RETURN_IF_ERROR(ParseFlagValue(arg, argv[++i], &args.queue));
     } else if (arg == "--policy" && has_value) {
       args.policy = argv[++i];
     } else if (arg == "--deadline-ms" && has_value) {
-      args.deadline_ms = std::strtoull(argv[++i], nullptr, 10);
+      TSAD_RETURN_IF_ERROR(
+          ParseFlagValue(arg, argv[++i], &args.deadline_ms, kMaxDeadlineMs));
     } else if (arg == "--no-verify") {
       args.no_verify = true;
     } else if (arg == "--priority" && has_value) {
       args.priority = argv[++i];
     } else if (arg == "--mem-budget" && has_value) {
-      args.mem_budget = std::strtoull(argv[++i], nullptr, 10);
+      TSAD_RETURN_IF_ERROR(ParseFlagValue(arg, argv[++i], &args.mem_budget));
     } else if (arg == "--recover" && has_value) {
-      args.recover = std::strtoull(argv[++i], nullptr, 10);
+      TSAD_RETURN_IF_ERROR(ParseFlagValue(arg, argv[++i], &args.recover));
     } else if (arg == "--metrics" && has_value) {
       args.metrics = argv[++i];
     } else if (arg == "--families" && has_value) {
       args.families = argv[++i];
     } else if (arg == "--max-series" && has_value) {
-      args.max_series = std::strtoull(argv[++i], nullptr, 10);
+      TSAD_RETURN_IF_ERROR(ParseFlagValue(arg, argv[++i], &args.max_series));
     } else if (arg == "--delay-k" && has_value) {
-      args.delay_k = std::strtoull(argv[++i], nullptr, 10);
+      TSAD_RETURN_IF_ERROR(ParseFlagValue(arg, argv[++i], &args.delay_k));
     } else if (arg == "--smoke") {
       args.smoke = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -196,15 +224,13 @@ int Usage() {
       "             [--seed N] [--out FILE.json] [--smoke]\n"
       "  tsad list-detectors\n"
       "global flags:\n"
-      "  --threads N   parallel pool size (default: TSAD_THREADS env,\n"
-      "                then hardware concurrency; 1 = serial)\n"
+      "  --threads N   parallel pool size, 0..%zu (default 0: TSAD_THREADS\n"
+      "                env, then hardware concurrency; 1 = serial)\n"
       "  --mp-isa T    force the matrix-profile SIMD tier: auto (default,\n"
       "                detected via CPUID), scalar, sse2, avx2, or avx512;\n"
       "                a tier the host cannot run is an error, never a\n"
-      "                silent downgrade (TSAD_MP_ISA env equivalent)\n"
-      "  --floss-buffer N\n"
-      "                default ring-buffer capacity (points) for floss\n"
-      "                specs without an explicit :<buffer> (default 4096)\n");
+      "                silent downgrade (TSAD_MP_ISA env equivalent)\n",
+      kMaxParallelThreads);
   return 1;
 }
 
@@ -565,7 +591,7 @@ int CmdServe(const Args& args) {
   }
   options.priority = priority.value();
   options.engine.memory_budget_bytes = args.mem_budget;
-  options.engine.recovery.max_retries = static_cast<int>(args.recover);
+  options.engine.recovery.max_retries = args.recover;
 
   const Result<ReplayReport> report =
       ReplayThroughEngine(series->values(), options);
@@ -712,7 +738,6 @@ int main(int argc, char** argv) {
       ClearSimdTierOverride();
     }
   }
-  if (args->floss_buffer > 0) SetDefaultFlossBufferCap(args->floss_buffer);
   if (command == "generate") return CmdGenerate(*args);
   if (command == "audit") return CmdAudit(*args);
   if (command == "triviality") return CmdTriviality(*args);
