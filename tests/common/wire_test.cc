@@ -203,5 +203,33 @@ TEST(WireTest, GetCountRejectsCountsTheRestCannotHold) {
   EXPECT_EQ(inflated.GetCount(16, &n).code(), StatusCode::kOutOfRange);
 }
 
+// The lengths every bulk path is checked at: empty, one value, and a
+// run longer than any single buffer page.
+constexpr std::size_t kBulkLengths[] = {0, 1, 4097};
+
+TEST(WireTest, DoublesRoundTripAndMatchTheWordByWordBytes) {
+  for (const std::size_t n : kBulkLengths) {
+    std::vector<double> values(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      values[i] = i % 3 == 0 ? -0.0 : 1.0 / static_cast<double>(i + 1) - 7.5;
+    }
+    ByteWriter bulk;
+    bulk.PutDoubles(values);
+    ByteWriter words;
+    words.PutU64(n);
+    for (double v : values) words.PutDouble(v);
+    EXPECT_EQ(bulk.str(), words.str()) << n;
+
+    ByteReader reader(bulk.str());
+    std::vector<double> out = {42.0};  // replaced, not appended to
+    ASSERT_TRUE(reader.GetDoubles(&out).ok()) << n;
+    EXPECT_TRUE(reader.ExpectDone().ok());
+    ASSERT_EQ(out.size(), n);
+    EXPECT_TRUE(n == 0 ||
+                std::memcmp(out.data(), values.data(), n * sizeof(double)) == 0)
+        << n;
+  }
+}
+
 }  // namespace
 }  // namespace tsad

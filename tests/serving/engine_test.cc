@@ -9,7 +9,9 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +25,12 @@
 
 namespace tsad {
 namespace {
+
+// The pinned engine snapshot (PinnedEngine below): its size and FNV-1a
+// hash, and the hash of the Status list its truncations restore to.
+constexpr std::size_t kPinnedSnapshotBytes = 76113;
+constexpr std::uint64_t kPinnedSnapshotFnv1a = 493796325457407259ull;
+constexpr std::uint64_t kPinnedTruncationStatusesFnv1a = 10743862165762380386ull;
 
 Series MakeStream(std::size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -1046,6 +1054,261 @@ TEST(ShardedEngineTest, RestoreRejectsInflatedCountsWithoutThrowing) {
     EXPECT_EQ(restored.code(), StatusCode::kOutOfRange);
     EXPECT_EQ(engine.num_streams(), 0u);
   }
+}
+
+// FNV-1a 64 over a blob, to pin its bytes with one constant.
+std::uint64_t Fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// An engine holding one stream of every online adapter, one cold, one
+// quarantined and one failed stream (plus `extra` small streams, half
+// of them cold), built the same way at any thread count. Every stream
+// but the kBatch ones is kCritical, so a one-byte budget evicts exactly
+// those. Returns the engine after the pushes; Snapshot() pumps once
+// more, which quarantines "quarantined".
+std::unique_ptr<ShardedEngine> PinnedEngine(std::size_t extra = 0) {
+  auto fired = std::make_shared<std::atomic<bool>>(false);
+  ServingConfig config;
+  config.num_shards = 3;
+  config.queue_capacity = std::size_t{1} << 20;
+  config.memory_budget_bytes = 1;
+  config.recovery.max_retries = 1;
+  config.recovery.backoff_pumps = 1;
+  config.detector_decorator =
+      [fired](std::unique_ptr<OnlineDetector> inner, const std::string& id)
+      -> Result<std::unique_ptr<OnlineDetector>> {
+    if (id == "failed") {  // a fresh flag per build: every rebuild fails
+      return std::unique_ptr<OnlineDetector>(std::make_unique<FailOnceDetector>(
+          std::move(inner), 20, std::make_shared<std::atomic<bool>>(false)));
+    }
+    if (id == "quarantined") {
+      return std::unique_ptr<OnlineDetector>(
+          std::make_unique<FailOnceDetector>(std::move(inner), 40, fired));
+    }
+    return std::unique_ptr<OnlineDetector>(std::move(inner));
+  };
+  auto engine = std::make_unique<ShardedEngine>(config);
+
+  const std::vector<std::pair<std::string, std::string>> hot = {
+      {"zscore", "zscore"},           {"cusum", "cusum"},
+      {"ewma", "ewma"},               {"pagehinkley", "pagehinkley"},
+      {"oneliner", "oneliner"},       {"floss", "floss:16:128"},
+      {"streaming", "streaming"},     {"resilient", "resilient:zscore"}};
+  auto add = [&engine](const std::string& id, const std::string& spec,
+                       StreamPriority priority) {
+    StreamOptions options;
+    options.priority = priority;
+    options.train_length = 64;
+    EXPECT_TRUE(engine->AddStream(id, spec, options).ok()) << id;
+  };
+  for (const auto& [id, spec] : hot) add(id, spec, StreamPriority::kCritical);
+  add("cold", "zscore:w=24", StreamPriority::kBatch);
+  add("quarantined", "zscore:w=16", StreamPriority::kCritical);
+  add("failed", "zscore:w=16", StreamPriority::kCritical);
+  for (std::size_t e = 0; e < extra; ++e) {
+    add("extra-" + std::to_string(e), "zscore:w=8",
+        e % 2 == 0 ? StreamPriority::kCritical : StreamPriority::kBatch);
+  }
+
+  auto push = [&engine](const std::string& id, const Series& x,
+                        std::size_t begin, std::size_t end) {
+    for (std::size_t t = begin; t < end; ++t) {
+      EXPECT_TRUE(engine->Push(id, x[t]).ok()) << id << " " << t;
+    }
+  };
+  // Pump 1 drains the first half, quarantines "failed" (its detector
+  // fails at point 20) and evicts every kBatch stream; pump 2 retries
+  // "failed", which fails again and sticks.
+  std::uint64_t seed = 500;
+  for (const auto& [id, spec] : hot) push(id, MakeStream(300, ++seed), 0, 150);
+  push("cold", MakeStream(300, 600), 0, 150);
+  push("failed", MakeStream(40, 601), 0, 40);
+  for (std::size_t e = 0; e < extra; ++e) {
+    push("extra-" + std::to_string(e), MakeStream(30, 700 + e), 0, 30);
+  }
+  EXPECT_TRUE(engine->Pump().ok());
+  EXPECT_TRUE(engine->Pump().ok());
+  // The second half reaches the hot streams only; "quarantined" fails
+  // at its point 40 in Snapshot's own pump, one pump before its retry.
+  seed = 500;
+  for (const auto& [id, spec] : hot) {
+    push(id, MakeStream(300, ++seed), 150, 300);
+  }
+  push("quarantined", MakeStream(60, 602), 0, 60);
+  return engine;
+}
+
+TEST(ShardedEngineTest, SnapshotFormatIsPinned) {
+  // The blob's bytes, pinned: a codec or engine change that moves one
+  // byte of the serving snapshot format fails here.
+  std::unique_ptr<ShardedEngine> engine = PinnedEngine();
+  Result<std::string> blob = engine->Snapshot();
+  ASSERT_TRUE(blob.ok()) << blob.status().message();
+  const ServingStats stats = engine->stats();
+  EXPECT_EQ(stats.streams_cold, 1u);
+  EXPECT_EQ(stats.streams_quarantined, 1u);
+  EXPECT_EQ(engine->StreamStatus("failed").code(), StatusCode::kInternal);
+  EXPECT_EQ(blob->size(), kPinnedSnapshotBytes);
+  EXPECT_EQ(Fnv1a64(*blob), kPinnedSnapshotFnv1a);
+
+  // And it restores: every stream comes back in its state.
+  ShardedEngine second;
+  ASSERT_TRUE(second.Restore(*blob).ok());
+  EXPECT_EQ(second.num_streams(), 11u);
+  EXPECT_EQ(second.stats().streams_cold, 1u);
+  EXPECT_EQ(second.stats().streams_quarantined, 1u);
+  EXPECT_EQ(second.StreamStatus("failed").code(), StatusCode::kInternal);
+}
+
+TEST(ShardedEngineTest, SnapshotBytesDoNotDependOnThreadCount) {
+  // 700 extra streams span several of Snapshot's internal encode
+  // batches.
+  std::string serial, parallel;
+  {
+    ThreadCountGuard threads(1);
+    Result<std::string> blob = PinnedEngine(700)->Snapshot();
+    ASSERT_TRUE(blob.ok()) << blob.status().message();
+    serial = std::move(*blob);
+  }
+  {
+    ThreadCountGuard threads(4);
+    Result<std::string> blob = PinnedEngine(700)->Snapshot();
+    ASSERT_TRUE(blob.ok()) << blob.status().message();
+    parallel = std::move(*blob);
+  }
+  EXPECT_EQ(serial.size(), parallel.size());
+  EXPECT_TRUE(serial == parallel);
+}
+
+TEST(ShardedEngineTest, RestoreOfTruncatedBlobsFailsCleanly) {
+  // Every cut of the pinned blob fails, leaves the engine empty, and
+  // reports the same Status at 1 thread and at 4. The digest pins the
+  // statuses themselves, so the error a truncated blob reports stays
+  // the one of the first damaged field in blob order.
+  Result<std::string> blob = PinnedEngine()->Snapshot();
+  ASSERT_TRUE(blob.ok()) << blob.status().message();
+  std::vector<std::size_t> cuts;
+  for (std::size_t cut = 0; cut < blob->size(); cut += 61) cuts.push_back(cut);
+  for (std::size_t back = 64; back >= 1; --back) {
+    if (back <= blob->size()) cuts.push_back(blob->size() - back);
+  }
+  std::string statuses;
+  for (const std::size_t cut : cuts) {
+    const std::string_view truncated = std::string_view(*blob).substr(0, cut);
+    Status at[2];
+    const std::size_t thread_counts[2] = {1, 4};
+    for (int k = 0; k < 2; ++k) {
+      ThreadCountGuard threads(thread_counts[k]);
+      ShardedEngine engine;
+      Status restored = Status::OK();
+      EXPECT_NO_THROW(restored = engine.Restore(truncated));
+      EXPECT_FALSE(restored.ok()) << "cut " << cut;
+      EXPECT_EQ(engine.num_streams(), 0u) << "cut " << cut;
+      at[k] = restored;
+    }
+    EXPECT_EQ(at[0].code(), at[1].code()) << "cut " << cut;
+    EXPECT_EQ(at[0].message(), at[1].message()) << "cut " << cut;
+    statuses += at[0].ToString() + "\n";
+  }
+  EXPECT_EQ(Fnv1a64(statuses), kPinnedTruncationStatusesFnv1a);
+}
+
+// Appends one healthy zscore:w=16 stream record with no scores and the
+// given detector blob.
+void PutHealthyStream(ByteWriter* writer, const std::string& id,
+                      const std::string& detector_blob) {
+  writer->PutString(id);
+  writer->PutString("zscore:w=16");
+  writer->PutU64(0);  // train_length
+  writer->PutU64(static_cast<std::uint64_t>(StreamPriority::kNormal));
+  writer->PutString("");  // tenant
+  writer->PutU64(0);      // accepted
+  writer->PutU64(0);      // health: healthy
+  writer->PutU64(0);      // status code
+  writer->PutString("");  // status message
+  writer->PutU64(0);      // scored points
+  writer->PutString(detector_blob);
+}
+
+// Restores `blob` at 1 thread and at 4, expects the same failure at
+// both with the engine left empty, and returns it.
+Status RestoreFailureAtOneAndFourThreads(std::string_view blob) {
+  Status at[2];
+  const std::size_t thread_counts[2] = {1, 4};
+  for (int k = 0; k < 2; ++k) {
+    ThreadCountGuard threads(thread_counts[k]);
+    ShardedEngine engine;
+    at[k] = engine.Restore(blob);
+    EXPECT_FALSE(at[k].ok());
+    EXPECT_EQ(engine.num_streams(), 0u);
+  }
+  EXPECT_EQ(at[0].ToString(), at[1].ToString());
+  return at[0];
+}
+
+TEST(ShardedEngineTest, RestoreReportsTheFirstDamagedStreamInBlobOrder) {
+  // Each stream is checked in full (its fields, its detector, its id
+  // against the ones before it) before the next one counts: the error
+  // Restore reports belongs to the first damaged stream in blob order,
+  // at any thread count.
+  Result<std::unique_ptr<OnlineDetector>> detector =
+      MakeOnlineDetector("zscore:w=16", 0);
+  ASSERT_TRUE(detector.ok());
+  Result<std::string> good = (*detector)->Snapshot();
+  ASSERT_TRUE(good.ok());
+  ByteWriter wrong_tag;
+  wrong_tag.PutString("online:nope");
+  const std::string bad = wrong_tag.Take();
+  auto blob_of = [](const std::vector<std::pair<std::string, std::string>>&
+                        streams) {
+    ByteWriter writer;
+    writer.PutString("tsad-serving-engine-v2");
+    writer.PutU64(streams.size());
+    for (const auto& [id, detector_blob] : streams) {
+      PutHealthyStream(&writer, id, detector_blob);
+    }
+    return writer.Take();
+  };
+
+  // A repeated id whose detector also fails: the detector error wins.
+  Status s = RestoreFailureAtOneAndFourThreads(
+      blob_of({{"a", *good}, {"b", *good}, {"a", bad}}));
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find("online:nope"), std::string::npos);
+  // A repeated id with a good detector, before a broken stream.
+  s = RestoreFailureAtOneAndFourThreads(
+      blob_of({{"a", *good}, {"a", *good}, {"c", bad}}));
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find("duplicate stream id"), std::string::npos);
+  // A broken detector early and a truncation at the very end.
+  std::string truncated = blob_of({{"a", *good}, {"b", bad}, {"c", *good}});
+  truncated.pop_back();
+  s = RestoreFailureAtOneAndFourThreads(truncated);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find("online:nope"), std::string::npos);
+
+  // The pinned fleet with its "cusum" and last ("zscore") detectors
+  // renamed and its last byte cut: cusum's detector error is reported.
+  Result<std::string> pinned = PinnedEngine()->Snapshot();
+  ASSERT_TRUE(pinned.ok()) << pinned.status().message();
+  std::string damaged = *pinned;
+  const std::size_t cusum = damaged.find("online:", damaged.find("cusum"));
+  const std::size_t last = damaged.rfind("online:");
+  ASSERT_NE(cusum, std::string::npos);
+  ASSERT_LT(cusum, last);
+  damaged[cusum + 1] = 'X';
+  damaged[last + 1] = 'X';
+  damaged.pop_back();
+  s = RestoreFailureAtOneAndFourThreads(damaged);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find("oXline:CUSUM"), std::string::npos)
+      << s.ToString();
 }
 
 }  // namespace
