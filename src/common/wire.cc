@@ -8,11 +8,14 @@ namespace tsad {
 
 namespace {
 
+// The wire's byte order: here a word's bytes are copied as they lie in
+// memory; elsewhere they are assembled with shifts.
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+
 // x86's 80-bit extended long double: a 64-bit significand (explicit
 // integer bit) followed by 16 bits of sign and exponent, little-endian.
 constexpr bool kX87LongDouble =
-    std::numeric_limits<long double>::digits == 64 &&
-    std::endian::native == std::endian::little;
+    std::numeric_limits<long double>::digits == 64 && kLittleEndian;
 
 // The tagged long-double form's first word: a quiet NaN whose payload
 // carries this marker above the 16 sign-and-exponent bits.
@@ -41,8 +44,25 @@ double DoubleFromBits(std::uint64_t bits) {
 }  // namespace
 
 void ByteWriter::PutU64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    buf_.push_back(static_cast<char>((v >> shift) & 0xff));
+  if constexpr (kLittleEndian) {
+    buf_.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  } else {
+    for (int shift = 0; shift < 64; shift += 8) {
+      buf_.push_back(static_cast<char>((v >> shift) & 0xff));
+    }
+  }
+}
+
+void ByteWriter::PutWords(const void* words, std::size_t n) {
+  const char* bytes = static_cast<const char*>(words);
+  if constexpr (kLittleEndian) {
+    buf_.append(bytes, 8 * n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t word;
+      std::memcpy(&word, bytes + 8 * i, sizeof(word));
+      PutU64(word);
+    }
   }
 }
 
@@ -77,7 +97,16 @@ void ByteWriter::PutString(std::string_view s) {
 
 void ByteWriter::PutDoubles(const std::vector<double>& v) {
   PutU64(v.size());
-  for (double x : v) PutDouble(x);
+  PutWords(v.data(), v.size());
+}
+
+void ByteWriter::PutSizes(const std::vector<std::size_t>& v) {
+  PutU64(v.size());
+  if constexpr (sizeof(std::size_t) == sizeof(std::uint64_t)) {
+    PutWords(v.data(), v.size());
+  } else {
+    for (std::size_t x : v) PutU64(x);
+  }
 }
 
 void ByteWriter::PutLongDoubles(const std::vector<long double>& v) {
@@ -87,13 +116,45 @@ void ByteWriter::PutLongDoubles(const std::vector<long double>& v) {
 
 Status ByteReader::GetU64(std::uint64_t* v) {
   if (remaining() < 8) return Status::OutOfRange("snapshot truncated (u64)");
-  std::uint64_t out = 0;
-  for (int shift = 0; shift < 64; shift += 8) {
-    out |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(buf_[pos_++]))
-           << shift;
+  if constexpr (kLittleEndian) {
+    std::memcpy(v, buf_.data() + pos_, sizeof(*v));
+    pos_ += sizeof(*v);
+  } else {
+    std::uint64_t out = 0;
+    for (int shift = 0; shift < 64; shift += 8) {
+      out |= static_cast<std::uint64_t>(
+                 static_cast<unsigned char>(buf_[pos_++]))
+             << shift;
+    }
+    *v = out;
   }
-  *v = out;
+  return Status::OK();
+}
+
+Status ByteReader::GetWords(void* words, std::size_t n) {
+  if (n > remaining() / 8) {
+    return Status::OutOfRange("snapshot truncated (" + std::to_string(n) +
+                              " words, " + std::to_string(remaining()) +
+                              " bytes left)");
+  }
+  char* bytes = static_cast<char*>(words);
+  if constexpr (kLittleEndian) {
+    if (n != 0) std::memcpy(bytes, buf_.data() + pos_, 8 * n);
+    pos_ += 8 * n;
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t word;
+      TSAD_RETURN_IF_ERROR(GetU64(&word));
+      std::memcpy(bytes + 8 * i, &word, sizeof(word));
+    }
+  }
+  return Status::OK();
+}
+
+Status ByteReader::GetBytes(std::size_t n, std::string_view* bytes) {
+  if (remaining() < n) return Status::OutOfRange("snapshot truncated (bytes)");
+  *bytes = buf_.substr(pos_, n);
+  pos_ += n;
   return Status::OK();
 }
 
@@ -124,10 +185,17 @@ Status ByteReader::GetLongDouble(long double* v) {
 }
 
 Status ByteReader::GetString(std::string* s) {
+  std::string_view view;
+  TSAD_RETURN_IF_ERROR(GetStringView(&view));
+  s->assign(view);
+  return Status::OK();
+}
+
+Status ByteReader::GetStringView(std::string_view* s) {
   std::uint64_t n;
   TSAD_RETURN_IF_ERROR(GetU64(&n));
   if (remaining() < n) return Status::OutOfRange("snapshot truncated (string)");
-  s->assign(buf_.data() + pos_, static_cast<std::size_t>(n));
+  *s = buf_.substr(pos_, static_cast<std::size_t>(n));
   pos_ += static_cast<std::size_t>(n);
   return Status::OK();
 }
@@ -146,14 +214,24 @@ Status ByteReader::GetCount(std::size_t entry_bytes, std::uint64_t* n) {
 Status ByteReader::GetDoubles(std::vector<double>* v) {
   std::uint64_t n;
   TSAD_RETURN_IF_ERROR(GetCount(8, &n));
-  v->clear();
-  v->reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    double x;
-    TSAD_RETURN_IF_ERROR(GetDouble(&x));
-    v->push_back(x);
+  v->resize(static_cast<std::size_t>(n));
+  return GetWords(v->data(), v->size());
+}
+
+Status ByteReader::GetSizes(std::vector<std::size_t>* v) {
+  std::uint64_t n;
+  TSAD_RETURN_IF_ERROR(GetCount(8, &n));
+  v->resize(static_cast<std::size_t>(n));
+  if constexpr (sizeof(std::size_t) == sizeof(std::uint64_t)) {
+    return GetWords(v->data(), v->size());
+  } else {
+    for (std::size_t& x : *v) {
+      std::uint64_t value;
+      TSAD_RETURN_IF_ERROR(GetU64(&value));
+      x = static_cast<std::size_t>(value);
+    }
+    return Status::OK();
   }
-  return Status::OK();
 }
 
 Status ByteReader::GetLongDoubles(std::vector<long double>* v) {

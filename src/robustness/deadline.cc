@@ -13,10 +13,18 @@ using Clock = std::chrono::steady_clock;
 thread_local bool g_deadline_active = false;
 thread_local Clock::time_point g_deadline;
 
+// now + budget, saturated at the clock's last time point: a budget past
+// it never expires instead of wrapping into the past.
+Clock::time_point DeadlineAfter(std::chrono::nanoseconds budget) {
+  const Clock::time_point now = Clock::now();
+  if (budget > Clock::time_point::max() - now) return Clock::time_point::max();
+  return now + budget;
+}
+
 }  // namespace
 
 DeadlineScope::DeadlineScope(std::chrono::nanoseconds budget)
-    : DeadlineScope(Clock::now() + budget) {}
+    : DeadlineScope(DeadlineAfter(budget)) {}
 
 DeadlineScope::DeadlineScope(std::chrono::steady_clock::time_point deadline)
     : previous_(g_deadline), had_previous_(g_deadline_active) {

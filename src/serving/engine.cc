@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <optional>
 #include <utility>
 
@@ -30,6 +31,47 @@ std::uint64_t Fnv1a(std::string_view s) {
 
 // clear() keeps a string's buffer; a dropped blob must give it back.
 void Release(std::string* blob) { std::string().swap(*blob); }
+
+// Stream records Snapshot encodes per pass over the pool before
+// appending them to the blob: enough to keep every worker busy, few
+// enough that the staged copies stay small next to the blob (64 floss
+// records of the serve fleet stage about 1.6 MB).
+constexpr std::size_t kSnapshotBatch = 64;
+
+// On 64-bit hosts a ScoredPoint lies in memory as the wire's (index,
+// score) word pair, so a stream's scores move as one bulk copy.
+constexpr bool kScoredPointIsTwoWords =
+    sizeof(std::size_t) == 8 && sizeof(ScoredPoint) == 16 &&
+    offsetof(ScoredPoint, score) == 8;
+
+void PutScores(ByteWriter* writer, const std::vector<ScoredPoint>& out) {
+  writer->PutU64(out.size());
+  if constexpr (kScoredPointIsTwoWords) {
+    writer->PutWords(out.data(), 2 * out.size());
+  } else {
+    for (const ScoredPoint& p : out) {
+      writer->PutU64(p.index);
+      writer->PutDouble(p.score);
+    }
+  }
+}
+
+// Decodes the scores Restore framed: `bytes` holds exactly their pairs.
+Status GetScores(std::string_view bytes, std::vector<ScoredPoint>* out) {
+  ByteReader reader(bytes);
+  out->resize(bytes.size() / 16);
+  if constexpr (kScoredPointIsTwoWords) {
+    return reader.GetWords(out->data(), 2 * out->size());
+  } else {
+    for (ScoredPoint& p : *out) {
+      std::uint64_t index;
+      TSAD_RETURN_IF_ERROR(reader.GetU64(&index));
+      TSAD_RETURN_IF_ERROR(reader.GetDouble(&p.score));
+      p.index = static_cast<std::size_t>(index);
+    }
+    return Status::OK();
+  }
+}
 
 }  // namespace
 
@@ -755,15 +797,15 @@ Result<std::string> ShardedEngine::Snapshot() {
   writer.PutString(kSnapshotMagic);
   writer.PutU64(ordered.size());
   const std::uint64_t epoch = pump_epoch_.load(std::memory_order_relaxed);
-  for (const StreamState* state : ordered) {
-    writer.PutString(state->id);
-    writer.PutString(state->spec);
-    writer.PutU64(state->train_length);
-    writer.PutU64(static_cast<std::uint64_t>(state->priority));
-    writer.PutString(state->tenant);
+  auto encode = [&](const StreamState* state, ByteWriter* record) -> Status {
+    record->PutString(state->id);
+    record->PutString(state->spec);
+    record->PutU64(state->train_length);
+    record->PutU64(static_cast<std::uint64_t>(state->priority));
+    record->PutString(state->tenant);
     {
       std::lock_guard<std::mutex> queue_lock(shards_[state->shard]->queue_mu);
-      writer.PutU64(state->accepted);
+      record->PutU64(state->accepted);
     }
     StreamState::Health health;
     Status status, cause;
@@ -773,44 +815,54 @@ Result<std::string> ShardedEngine::Snapshot() {
       status = state->status;
       cause = state->cause;
     }
-    writer.PutU64(static_cast<std::uint64_t>(health));
-    writer.PutU64(static_cast<std::uint64_t>(status.code()));
-    writer.PutString(status.message());
-    writer.PutU64(state->out.size());
-    for (const ScoredPoint& p : state->out) {
-      writer.PutU64(p.index);
-      writer.PutDouble(p.score);
-    }
+    record->PutU64(static_cast<std::uint64_t>(health));
+    record->PutU64(static_cast<std::uint64_t>(status.code()));
+    record->PutString(status.message());
+    PutScores(record, state->out);
     switch (health) {
       case StreamState::Health::kHealthy: {
         TSAD_ASSIGN_OR_RETURN(std::string blob, state->detector->Snapshot());
-        writer.PutString(blob);
+        record->PutString(blob);
         break;
       }
       case StreamState::Health::kCold:
         // Serialized without thawing: the cold blob IS the state.
-        writer.PutString(state->cold_blob);
+        record->PutString(state->cold_blob);
         break;
       case StreamState::Health::kQuarantined: {
-        writer.PutString(state->checkpoint_blob);
-        writer.PutU64(state->checkpoint_out);
-        writer.PutU64(state->pending.size());
-        for (double v : state->pending) writer.PutDouble(v);
-        writer.PutU64(static_cast<std::uint64_t>(
+        record->PutString(state->checkpoint_blob);
+        record->PutU64(state->checkpoint_out);
+        record->PutDoubles(state->pending);
+        record->PutU64(static_cast<std::uint64_t>(
             state->retries.load(std::memory_order_relaxed)));
         // Backoff survives as "pumps still to wait", since the restored
         // engine's pump epoch restarts from zero.
         const std::uint64_t remaining =
             state->next_retry_pump > epoch ? state->next_retry_pump - epoch
                                            : 0;
-        writer.PutU64(remaining);
-        writer.PutU64(static_cast<std::uint64_t>(cause.code()));
-        writer.PutString(cause.message());
+        record->PutU64(remaining);
+        record->PutU64(static_cast<std::uint64_t>(cause.code()));
+        record->PutString(cause.message());
         break;
       }
       case StreamState::Health::kFailed:
         break;  // sticky status above is the whole state
     }
+    return Status::OK();
+  };
+  // The records are encoded on the pool, a fixed batch at a time, each
+  // into its own staging writer, and appended in id order: the bytes do
+  // not depend on the thread count, and the error returned is the
+  // first failing stream's in id order.
+  std::vector<ByteWriter> staged(std::min(kSnapshotBatch, ordered.size()));
+  for (std::size_t first = 0; first < ordered.size();
+       first += kSnapshotBatch) {
+    const std::size_t n = std::min(kSnapshotBatch, ordered.size() - first);
+    TSAD_RETURN_IF_ERROR(ParallelFor(0, n, [&](std::size_t k) {
+      staged[k].Clear();
+      return encode(ordered[first + k], &staged[k]);
+    }));
+    for (std::size_t k = 0; k < n; ++k) writer.PutBytes(staged[k].str());
   }
   return writer.Take();
 }
@@ -833,9 +885,17 @@ Status ShardedEngine::Restore(std::string_view blob) {
   std::uint64_t count;
   TSAD_RETURN_IF_ERROR(reader.GetU64(&count));
   const std::uint64_t epoch = pump_epoch_.load(std::memory_order_relaxed);
-  std::unordered_map<std::string, std::shared_ptr<StreamState>> restored;
-  std::uint64_t restored_cold_bytes = 0;
-  for (std::uint64_t s = 0; s < count; ++s) {
+
+  // One stream record as the serial pass frames it: its fixed fields
+  // already in `state`, its bulk parts still views into `blob`.
+  struct Frame {
+    std::shared_ptr<StreamState> state;
+    StreamState::Health health = StreamState::Health::kHealthy;
+    std::string_view scores;      // the (index, score) pairs
+    std::string_view state_blob;  // detector, cold or checkpoint blob
+    std::string_view pending;     // a quarantined stream's points
+  };
+  auto frame_stream = [&](Frame* frame) -> Status {
     auto state = std::make_shared<StreamState>();
     TSAD_RETURN_IF_ERROR(reader.GetString(&state->id));
     TSAD_RETURN_IF_ERROR(reader.GetString(&state->spec));
@@ -857,6 +917,8 @@ Status ShardedEngine::Restore(std::string_view blob) {
                          StreamState::Health::kFailed)) {
       return Status::InvalidArgument("snapshot has invalid stream health");
     }
+    TSAD_RETURN_IF_ERROR(reader.GetBytes(
+        16 * static_cast<std::size_t>(out_count), &frame->scores));
     state->train_length = static_cast<std::size_t>(train_length);
     state->priority = static_cast<StreamPriority>(priority);
     state->accepted = static_cast<std::size_t>(accepted);
@@ -865,53 +927,25 @@ Status ShardedEngine::Restore(std::string_view blob) {
     state->status = Status(static_cast<StatusCode>(code), std::move(message));
     state->failed.store(health == StreamState::Health::kFailed,
                         std::memory_order_relaxed);
-    state->out.reserve(static_cast<std::size_t>(out_count));
-    for (std::uint64_t i = 0; i < out_count; ++i) {
-      ScoredPoint p;
-      std::uint64_t index;
-      TSAD_RETURN_IF_ERROR(reader.GetU64(&index));
-      TSAD_RETURN_IF_ERROR(reader.GetDouble(&p.score));
-      p.index = static_cast<std::size_t>(index);
-      state->out.push_back(p);
-    }
     switch (health) {
-      case StreamState::Health::kHealthy: {
-        std::string detector_blob;
-        TSAD_RETURN_IF_ERROR(reader.GetString(&detector_blob));
-        TSAD_ASSIGN_OR_RETURN(
-            state->detector,
-            BuildDetector(state->spec, state->train_length, state->id));
-        TSAD_RETURN_IF_ERROR(state->detector->Restore(detector_blob));
-        if (config_.recovery.max_retries > 0) {  // the first recovery point
-          state->checkpoint_blob = std::move(detector_blob);
-          state->checkpoint_out = state->out.size();
-        }
-        state->footprint.store(state->detector->MemoryFootprint(),
-                               std::memory_order_relaxed);
-        break;
-      }
+      case StreamState::Health::kHealthy:
       case StreamState::Health::kCold:
-        TSAD_RETURN_IF_ERROR(reader.GetString(&state->cold_blob));
-        restored_cold_bytes += state->cold_blob.size();
+        TSAD_RETURN_IF_ERROR(reader.GetStringView(&frame->state_blob));
         break;
       case StreamState::Health::kQuarantined: {
-        TSAD_RETURN_IF_ERROR(reader.GetString(&state->checkpoint_blob));
+        TSAD_RETURN_IF_ERROR(reader.GetStringView(&frame->state_blob));
         std::uint64_t checkpoint_out, pending_count, retries, remaining,
             cause_code;
         TSAD_RETURN_IF_ERROR(reader.GetU64(&checkpoint_out));
         TSAD_RETURN_IF_ERROR(reader.GetCount(8, &pending_count));
-        state->checkpoint_out = static_cast<std::size_t>(checkpoint_out);
-        state->pending.reserve(static_cast<std::size_t>(pending_count));
-        for (std::uint64_t i = 0; i < pending_count; ++i) {
-          double v;
-          TSAD_RETURN_IF_ERROR(reader.GetDouble(&v));
-          state->pending.push_back(v);
-        }
+        TSAD_RETURN_IF_ERROR(reader.GetBytes(
+            8 * static_cast<std::size_t>(pending_count), &frame->pending));
         TSAD_RETURN_IF_ERROR(reader.GetU64(&retries));
         TSAD_RETURN_IF_ERROR(reader.GetU64(&remaining));
         TSAD_RETURN_IF_ERROR(reader.GetU64(&cause_code));
         std::string cause_message;
         TSAD_RETURN_IF_ERROR(reader.GetString(&cause_message));
+        state->checkpoint_out = static_cast<std::size_t>(checkpoint_out);
         state->retries.store(static_cast<int>(retries),
                              std::memory_order_relaxed);
         state->next_retry_pump = epoch + remaining;
@@ -923,22 +957,85 @@ Status ShardedEngine::Restore(std::string_view blob) {
         break;
     }
     state->shard = ShardOf(state->id);  // re-placed under the new config
-    if (!restored.emplace(state->id, std::move(state)).second) {
-      return Status::InvalidArgument("snapshot contains duplicate stream id");
+    frame->state = std::move(state);
+    frame->health = health;
+    return Status::OK();
+  };
+  // Decodes what framing left as views and rebuilds the detector.
+  auto build_stream = [&](const Frame& frame) -> Status {
+    StreamState& state = *frame.state;
+    TSAD_RETURN_IF_ERROR(GetScores(frame.scores, &state.out));
+    switch (frame.health) {
+      case StreamState::Health::kHealthy: {
+        TSAD_ASSIGN_OR_RETURN(
+            state.detector,
+            BuildDetector(state.spec, state.train_length, state.id));
+        TSAD_RETURN_IF_ERROR(state.detector->Restore(frame.state_blob));
+        if (config_.recovery.max_retries > 0) {  // the first recovery point
+          state.checkpoint_blob.assign(frame.state_blob);
+          state.checkpoint_out = state.out.size();
+        }
+        state.footprint.store(state.detector->MemoryFootprint(),
+                              std::memory_order_relaxed);
+        break;
+      }
+      case StreamState::Health::kCold:
+        state.cold_blob.assign(frame.state_blob);
+        break;
+      case StreamState::Health::kQuarantined: {
+        state.checkpoint_blob.assign(frame.state_blob);
+        state.pending.resize(frame.pending.size() / 8);
+        ByteReader pending(frame.pending);
+        TSAD_RETURN_IF_ERROR(
+            pending.GetWords(state.pending.data(), state.pending.size()));
+        break;
+      }
+      case StreamState::Health::kFailed:
+        break;
+    }
+    return Status::OK();
+  };
+
+  // Frame every record in one serial pass, stopping at the first
+  // damaged one (a record that does not frame, or an id seen before).
+  std::vector<Frame> frames;
+  std::unordered_map<std::string, std::shared_ptr<StreamState>> restored;
+  Status framed = Status::OK();
+  for (std::uint64_t s = 0; s < count; ++s) {
+    Frame frame;
+    framed = frame_stream(&frame);
+    if (!framed.ok()) break;
+    frames.push_back(frame);
+    if (!restored.emplace(frame.state->id, frame.state).second) {
+      framed = Status::InvalidArgument("snapshot contains duplicate stream id");
+      break;
     }
   }
-  TSAD_RETURN_IF_ERROR(reader.ExpectDone());
+  if (framed.ok()) framed = reader.ExpectDone();
+  // Then rebuild the framed streams on the pool. A stream's checks run
+  // in field order (its framing, its detector, its id against earlier
+  // ones) and ParallelFor reports the lowest failing index, so the
+  // error returned is the first damaged stream's in blob order at any
+  // thread count, as a one-stream-at-a-time restore would report it.
+  TSAD_RETURN_IF_ERROR(ParallelFor(0, frames.size(), [&](std::size_t i) {
+    return build_stream(frames[i]);
+  }));
+  TSAD_RETURN_IF_ERROR(framed);
+
   std::lock_guard<std::mutex> lock(registry_mu_);
   if (!streams_.empty()) {
     return Status::FailedPrecondition("streams added during Restore");
   }
   std::uint64_t restored_live_bytes = 0;
-  for (auto& [id, state] : restored) {
+  std::uint64_t restored_cold_bytes = 0;
+  for (const Frame& frame : frames) {  // in blob order
+    StreamState& state = *frame.state;
     if (config_.admission != nullptr) {
-      state->tenant_in_flight = TenantCounter(state->tenant);
+      state.tenant_in_flight = TenantCounter(state.tenant);
     }
-    state->registered = true;
-    restored_live_bytes += state->footprint.load(std::memory_order_relaxed);
+    state.registered = true;
+    restored_live_bytes += state.footprint.load(std::memory_order_relaxed);
+    restored_cold_bytes += state.cold_blob.size();
   }
   streams_ = std::move(restored);
   live_bytes_.fetch_add(restored_live_bytes, std::memory_order_relaxed);

@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/saturating.h"
 #include "detectors/registry.h"
 
 namespace tsad {
@@ -40,9 +41,9 @@ Result<ReplayReport> ReplayThroughEngine(const Series& series,
 
   ServingConfig config = options.engine;
   // One micro-batch from every stream must fit, or replay would shed
-  // its own input.
-  config.queue_capacity =
-      std::max(config.queue_capacity, options.num_streams * batch);
+  // its own input; a batch too large to count asks for no limit at all.
+  config.queue_capacity = std::max(config.queue_capacity,
+                                   SaturatingMul(options.num_streams, batch));
   ShardedEngine engine(config);
   for (std::size_t s = 0; s < options.num_streams; ++s) {
     StreamOptions stream;
@@ -82,7 +83,7 @@ Result<ReplayReport> ReplayThroughEngine(const Series& series,
 
   ReplayReport report;
   report.streams = options.num_streams;
-  report.points = options.num_streams * series.size();
+  report.points = SaturatingMul(options.num_streams, series.size());
   report.seconds = seconds;
   report.points_per_sec =
       seconds > 0.0 ? static_cast<double>(report.points) / seconds : 0.0;

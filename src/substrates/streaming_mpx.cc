@@ -5,6 +5,7 @@
 #include <cmath>
 #include <string>
 
+#include "common/saturating.h"
 #include "substrates/mp_kernels.h"
 #include "substrates/profile_internal.h"
 
@@ -14,34 +15,6 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr std::string_view kSnapshotTag = "streaming-mpx";
-
-void PutIndexVector(ByteWriter* writer, const std::vector<std::size_t>& v) {
-  writer->PutU64(v.size());
-  for (std::size_t value : v) writer->PutU64(value);
-}
-
-Status GetIndexVector(ByteReader* reader, std::vector<std::size_t>* v) {
-  std::uint64_t size = 0;
-  TSAD_RETURN_IF_ERROR(reader->GetCount(8, &size));
-  v->clear();
-  v->reserve(size);
-  for (std::uint64_t i = 0; i < size; ++i) {
-    std::uint64_t value = 0;
-    TSAD_RETURN_IF_ERROR(reader->GetU64(&value));
-    v->push_back(static_cast<std::size_t>(value));
-  }
-  return Status::OK();
-}
-
-// Size arithmetic that saturates at SIZE_MAX instead of wrapping, so a
-// huge buffer's bound reads as huge.
-constexpr std::size_t kSizeMax = std::numeric_limits<std::size_t>::max();
-std::size_t SaturatingAdd(std::size_t a, std::size_t b) {
-  return a > kSizeMax - b ? kSizeMax : a + b;
-}
-std::size_t SaturatingMul(std::size_t a, std::size_t b) {
-  return b != 0 && a > kSizeMax / b ? kSizeMax : a * b;
-}
 
 std::size_t ResolvedExclusion(const StreamingMpxConfig& config) {
   return config.exclusion == std::numeric_limits<std::size_t>::max()
@@ -527,9 +500,9 @@ void StreamingMpx::Serialize(ByteWriter* writer) const {
   writer->PutDoubles(right_corr_);
   writer->PutDoubles(left_corr_);
   writer->PutDoubles(diag_cov_);
-  PutIndexVector(writer, right_idx_);
-  PutIndexVector(writer, left_idx_);
-  PutIndexVector(writer, flat_);
+  writer->PutSizes(right_idx_);
+  writer->PutSizes(left_idx_);
+  writer->PutSizes(flat_);
 }
 
 Status StreamingMpx::Deserialize(ByteReader* reader) {
@@ -574,9 +547,9 @@ Status StreamingMpx::Deserialize(ByteReader* reader) {
   TSAD_RETURN_IF_ERROR(reader->GetDoubles(&left_corr));
   TSAD_RETURN_IF_ERROR(reader->GetDoubles(&diag_cov));
   std::vector<std::size_t> right_idx, left_idx, flat;
-  TSAD_RETURN_IF_ERROR(GetIndexVector(reader, &right_idx));
-  TSAD_RETURN_IF_ERROR(GetIndexVector(reader, &left_idx));
-  TSAD_RETURN_IF_ERROR(GetIndexVector(reader, &flat));
+  TSAD_RETURN_IF_ERROR(reader->GetSizes(&right_idx));
+  TSAD_RETURN_IF_ERROR(reader->GetSizes(&left_idx));
+  TSAD_RETURN_IF_ERROR(reader->GetSizes(&flat));
   const std::uint64_t ring = std::min<std::uint64_t>(seen, config_.m) + 1;
   if ((config_.buffer_cap != 0 && x.size() > config_.buffer_cap) ||
       psum.size() != ring || psq.size() != ring || base > seen ||

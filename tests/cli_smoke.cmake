@@ -97,6 +97,35 @@ if(found EQUAL -1)
   message(FATAL_ERROR "mem-budget zscore serve missing verification: ${out}")
 endif()
 
+# The largest --deadline-ms the CLI accepts is a budget past the end of
+# the clock: it must never expire (it used to wrap into the past and
+# fail every stream with DeadlineExceeded).
+execute_process(COMMAND ${TSAD_CLI} serve --replay ${WORK_DIR}/nyc_taxi.csv
+                        --streams 2 --detector zscore:w=96
+                        --deadline-ms 9223372036854 --threads 2
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "huge-deadline serve exited ${rc}: ${out}${err}")
+endif()
+string(FIND "${out}" "byte-identical" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR "huge-deadline serve missing verification: ${out}")
+endif()
+
+# 4 streams x 2^62 points per batch: the queue floor saturates instead
+# of wrapping to 0, so the shed policy never sheds replay's own input.
+execute_process(COMMAND ${TSAD_CLI} serve --replay ${WORK_DIR}/nyc_taxi.csv
+                        --streams 4 --batch 4611686018427387904
+                        --policy shed --detector zscore:w=96 --threads 2
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "huge-batch shed serve exited ${rc}: ${out}${err}")
+endif()
+string(FIND "${out}" "byte-identical" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR "huge-batch shed serve missing verification: ${out}")
+endif()
+
 # A FLOSS buffer too large to reserve is refused when the spec is built
 # (exit 1, naming the limit), not by std::bad_alloc.
 execute_process(COMMAND ${TSAD_CLI} serve --replay ${WORK_DIR}/nyc_taxi.csv

@@ -231,5 +231,101 @@ TEST(WireTest, DoublesRoundTripAndMatchTheWordByWordBytes) {
   }
 }
 
+TEST(WireTest, SizesRoundTripAndMatchTheWordByWordBytes) {
+  for (const std::size_t n : kBulkLengths) {
+    std::vector<std::size_t> values(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      values[i] = i % 5 == 0 ? std::numeric_limits<std::size_t>::max()
+                             : i * 2654435761u;
+    }
+    ByteWriter bulk;
+    bulk.PutSizes(values);
+    ByteWriter words;
+    words.PutU64(n);
+    for (std::size_t v : values) words.PutU64(v);
+    EXPECT_EQ(bulk.str(), words.str()) << n;
+
+    ByteReader reader(bulk.str());
+    std::vector<std::size_t> out = {7, 8};  // replaced, not appended to
+    ASSERT_TRUE(reader.GetSizes(&out).ok()) << n;
+    EXPECT_TRUE(reader.ExpectDone().ok());
+    EXPECT_EQ(out, values) << n;
+  }
+}
+
+TEST(WireTest, WordsRoundTripAndMatchTheWordByWordBytes) {
+  // A struct of two 8-byte words, laid out like the serving engine's
+  // scored points.
+  struct Pair {
+    std::uint64_t index;
+    double score;
+  };
+  static_assert(sizeof(Pair) == 16);
+  for (const std::size_t n : kBulkLengths) {
+    std::vector<Pair> values(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      values[i] = {i * 0x9E3779B97F4A7C15ULL, std::sqrt(static_cast<double>(i))};
+    }
+    ByteWriter bulk;
+    bulk.PutWords(values.data(), 2 * n);
+    ByteWriter words;
+    for (const Pair& p : values) {
+      words.PutU64(p.index);
+      words.PutDouble(p.score);
+    }
+    EXPECT_EQ(bulk.str(), words.str()) << n;
+
+    ByteReader reader(bulk.str());
+    std::vector<Pair> out(n);
+    ASSERT_TRUE(reader.GetWords(out.data(), 2 * n).ok()) << n;
+    EXPECT_TRUE(reader.ExpectDone().ok());
+    EXPECT_TRUE(n == 0 ||
+                std::memcmp(out.data(), values.data(), n * sizeof(Pair)) == 0)
+        << n;
+
+    // One byte short: OutOfRange, and nothing is consumed.
+    if (n > 0) {
+      ByteReader short_reader(
+          std::string_view(bulk.str()).substr(0, bulk.str().size() - 1));
+      EXPECT_EQ(short_reader.GetWords(out.data(), 2 * n).code(),
+                StatusCode::kOutOfRange);
+      EXPECT_EQ(short_reader.remaining(), bulk.str().size() - 1);
+    }
+  }
+}
+
+TEST(WireTest, ViewsReadWithoutCopying) {
+  for (const std::size_t n : kBulkLengths) {
+    const std::string payload(n, 'x');
+    ByteWriter writer;
+    writer.PutString(payload);
+    writer.PutBytes(payload);
+    const std::string blob = writer.str();
+    ByteReader reader(blob);
+    std::string_view as_string, as_bytes;
+    ASSERT_TRUE(reader.GetStringView(&as_string).ok()) << n;
+    ASSERT_TRUE(reader.GetBytes(n, &as_bytes).ok()) << n;
+    EXPECT_TRUE(reader.ExpectDone().ok());
+    EXPECT_EQ(as_string, payload);
+    EXPECT_EQ(as_bytes, payload);
+    // Views into the reader's buffer, not copies.
+    EXPECT_EQ(as_string.data(), blob.data() + 8);
+    EXPECT_EQ(as_bytes.data(), blob.data() + 8 + n);
+    EXPECT_EQ(reader.GetBytes(1, &as_bytes).code(), StatusCode::kOutOfRange);
+  }
+}
+
+TEST(WireTest, TruncatedSizesAreOutOfRange) {
+  ByteWriter writer;
+  writer.PutSizes({1, 2, 3});
+  const std::string blob = writer.str();
+  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+    ByteReader reader(std::string_view(blob).substr(0, cut));
+    std::vector<std::size_t> out;
+    EXPECT_EQ(reader.GetSizes(&out).code(), StatusCode::kOutOfRange)
+        << "cut=" << cut;
+  }
+}
+
 }  // namespace
 }  // namespace tsad

@@ -26,6 +26,16 @@ TEST(DeadlineTest, GenerousBudgetPasses) {
   EXPECT_LT(DeadlineRemaining(), nanoseconds::max());
 }
 
+TEST(DeadlineTest, HugeBudgetNeverExpires) {
+  // now + nanoseconds::max() overflows the clock's range: the deadline
+  // saturates at the last time point instead of wrapping into the past.
+  DeadlineScope scope(nanoseconds::max());
+  EXPECT_TRUE(DeadlineActive());
+  EXPECT_TRUE(CheckDeadline().ok());
+  EXPECT_EQ(DeadlineTimePoint(), std::chrono::steady_clock::time_point::max());
+  EXPECT_GT(DeadlineRemaining(), hours(24 * 365 * 100));
+}
+
 TEST(DeadlineTest, ZeroBudgetExpiresImmediately) {
   DeadlineScope scope(nanoseconds(0));
   const Status s = CheckDeadline();

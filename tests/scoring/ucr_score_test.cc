@@ -20,6 +20,16 @@ TEST(UcrCorrectTest, SlopExtendsTheRegion) {
   EXPECT_FALSE(UcrCorrect(anomaly, 5200));
 }
 
+TEST(UcrCorrectTest, SlopFloorHoldsForShortRegions) {
+  // A region shorter than the floor: max(floor, length) is the floor
+  // itself, so these four points pin it at exactly 100.
+  const AnomalyRegion anomaly{5000, 5010};  // length 10 < slop floor
+  EXPECT_TRUE(UcrCorrect(anomaly, 4900));   // begin - 100
+  EXPECT_TRUE(UcrCorrect(anomaly, 5109));   // end + 100 - 1
+  EXPECT_FALSE(UcrCorrect(anomaly, 4899));
+  EXPECT_FALSE(UcrCorrect(anomaly, 5110));
+}
+
 TEST(UcrCorrectTest, SlopScalesWithLongRegions) {
   const AnomalyRegion anomaly{10000, 10500};  // length 500 > floor
   EXPECT_TRUE(UcrCorrect(anomaly, 9500));     // begin - 500

@@ -22,6 +22,7 @@
 #include "common/wire.h"
 #include "detectors/registry.h"
 #include "serving/online_adapters.h"
+#include "serving/replay.h"
 
 namespace tsad {
 namespace {
@@ -1309,6 +1310,23 @@ TEST(ShardedEngineTest, RestoreReportsTheFirstDamagedStreamInBlobOrder) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
   EXPECT_NE(s.message().find("oXline:CUSUM"), std::string::npos)
       << s.ToString();
+}
+
+TEST(ReplayTest, HugeBatchSaturatesTheQueueFloor) {
+  // 4 streams x 2^62 points per batch wraps a size_t to 0. The queue
+  // floor must saturate instead, or the default 1024-point capacity
+  // stays and the shed policy sheds replay's own input.
+  const Series x = MakeStream(2000, 5);
+  ReplayOptions options;
+  options.num_streams = 4;
+  options.batch = std::size_t{1} << 62;
+  options.detector_spec = "zscore:w=16";
+  options.engine.overflow = OverflowPolicy::kShed;
+  Result<ReplayReport> report = ReplayThroughEngine(x, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->verified);
+  EXPECT_EQ(report->shed, 0u);
+  EXPECT_EQ(report->points, 4 * x.size());
 }
 
 }  // namespace

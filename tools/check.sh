@@ -53,6 +53,17 @@ trap 'rm -rf "${serve_work}"' EXIT
 "${repo_root}/build/tools/tsad" serve \
   --replay "${serve_work}/nyc_taxi.csv" \
   --streams 4 --detector floss:16:128 --threads 4
+# The largest --deadline-ms the CLI accepts never expires, and a batch
+# whose queue floor overflows a size_t saturates it instead of shedding
+# replay's own input.
+"${repo_root}/build/tools/tsad" serve \
+  --replay "${serve_work}/nyc_taxi.csv" \
+  --streams 2 --detector zscore:w=96 --deadline-ms 9223372036854 \
+  --threads 2 | grep 'byte-identical'
+"${repo_root}/build/tools/tsad" serve \
+  --replay "${serve_work}/nyc_taxi.csv" \
+  --streams 4 --batch 4611686018427387904 --policy shed \
+  --detector zscore:w=96 --threads 2 | grep 'byte-identical'
 # NASA channel G-1 holds a 120-point frozen segment, so this replay runs
 # FLOSS's flat-run path and its evictions through the engine.
 "${repo_root}/build/tools/tsad" generate nasa --out "${serve_work}"
