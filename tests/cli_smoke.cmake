@@ -98,8 +98,7 @@ if(found EQUAL -1)
 endif()
 
 # The largest --deadline-ms the CLI accepts is a budget past the end of
-# the clock: it must never expire (it used to wrap into the past and
-# fail every stream with DeadlineExceeded).
+# the clock: it must saturate and never expire, not wrap into the past.
 execute_process(COMMAND ${TSAD_CLI} serve --replay ${WORK_DIR}/nyc_taxi.csv
                         --streams 2 --detector zscore:w=96
                         --deadline-ms 9223372036854 --threads 2

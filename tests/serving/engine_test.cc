@@ -1019,23 +1019,30 @@ TEST(ShardedEngineTest, CheckpointsFollowTheRecoverySetting) {
   }
 }
 
+// A zscore:w=16 stream record up to and including its scored-point
+// count; `health` is the wire value (0 healthy, 1 cold, 2 quarantined,
+// 3 failed).
+void PutStreamPrefix(ByteWriter* writer, const std::string& id,
+                     std::uint64_t health, std::uint64_t out_count) {
+  writer->PutString(id);
+  writer->PutString("zscore:w=16");
+  writer->PutU64(0);  // train_length
+  writer->PutU64(static_cast<std::uint64_t>(StreamPriority::kNormal));
+  writer->PutString("");  // tenant
+  writer->PutU64(0);      // accepted
+  writer->PutU64(health);
+  writer->PutU64(0);      // status code
+  writer->PutString("");  // status message
+  writer->PutU64(out_count);
+}
+
 // A one-stream engine snapshot up to and including the stream's
-// scored-point count; `health` is the wire value (0 healthy, 1 cold,
-// 2 quarantined, 3 failed).
+// scored-point count.
 ByteWriter EngineBlobPrefix(std::uint64_t health, std::uint64_t out_count) {
   ByteWriter writer;
   writer.PutString("tsad-serving-engine-v2");
   writer.PutU64(1);  // streams
-  writer.PutString("s");
-  writer.PutString("zscore:w=16");
-  writer.PutU64(0);  // train_length
-  writer.PutU64(static_cast<std::uint64_t>(StreamPriority::kNormal));
-  writer.PutString("");  // tenant
-  writer.PutU64(0);      // accepted
-  writer.PutU64(health);
-  writer.PutU64(0);      // status code
-  writer.PutString("");  // status message
-  writer.PutU64(out_count);
+  PutStreamPrefix(&writer, "s", health, out_count);
   return writer;
 }
 
@@ -1220,23 +1227,6 @@ TEST(ShardedEngineTest, RestoreOfTruncatedBlobsFailsCleanly) {
   EXPECT_EQ(Fnv1a64(statuses), kPinnedTruncationStatusesFnv1a);
 }
 
-// Appends one healthy zscore:w=16 stream record with no scores and the
-// given detector blob.
-void PutHealthyStream(ByteWriter* writer, const std::string& id,
-                      const std::string& detector_blob) {
-  writer->PutString(id);
-  writer->PutString("zscore:w=16");
-  writer->PutU64(0);  // train_length
-  writer->PutU64(static_cast<std::uint64_t>(StreamPriority::kNormal));
-  writer->PutString("");  // tenant
-  writer->PutU64(0);      // accepted
-  writer->PutU64(0);      // health: healthy
-  writer->PutU64(0);      // status code
-  writer->PutString("");  // status message
-  writer->PutU64(0);      // scored points
-  writer->PutString(detector_blob);
-}
-
 // Restores `blob` at 1 thread and at 4, expects the same failure at
 // both with the engine left empty, and returns it.
 Status RestoreFailureAtOneAndFourThreads(std::string_view blob) {
@@ -1272,7 +1262,8 @@ TEST(ShardedEngineTest, RestoreReportsTheFirstDamagedStreamInBlobOrder) {
     writer.PutString("tsad-serving-engine-v2");
     writer.PutU64(streams.size());
     for (const auto& [id, detector_blob] : streams) {
-      PutHealthyStream(&writer, id, detector_blob);
+      PutStreamPrefix(&writer, id, /*health=*/0, /*out_count=*/0);
+      writer.PutString(detector_blob);
     }
     return writer.Take();
   };
