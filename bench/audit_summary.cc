@@ -23,7 +23,7 @@ int main() {
   AuditConfig config;
   // Twin search is quadratic-ish in anomaly count; keep the summary
   // bench snappy, the dedicated fig4-7 bench runs the full version.
-  config.mislabel.run_twin_search = false;
+  config.run_twin_search = false;
 
   const YahooArchive yahoo = GenerateYahooArchive();
   for (const BenchmarkDataset* d : yahoo.all()) {

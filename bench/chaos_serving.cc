@@ -91,7 +91,6 @@ class CriticalBypassPolicy : public AdmissionPolicy {
  public:
   explicit CriticalBypassPolicy(PriorityQuotaConfig config)
       : inner_(std::move(config)) {}
-  std::string_view name() const override { return "critical-bypass"; }
   AdmissionDecision Admit(const AdmissionRequest& request) const override {
     if (request.priority == StreamPriority::kCritical) {
       return AdmissionDecision::kAdmit;

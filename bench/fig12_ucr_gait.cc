@@ -23,17 +23,17 @@ int main() {
   std::printf("  swapped cycle: #%zu at [%zu, %zu)\n", gait.anomaly_cycle,
               r.begin, r.end);
   std::printf("  turnaround (speed change) every %zu cycles -- present in "
-              "train AND test\n", config.turnaround_every);
+              "train AND test\n", kGaitTurnaroundEvery);
   std::printf("\n%s\n", bench::Sparkline(gait.series.values()).c_str());
 
   std::printf("UCR contract validation: %s\n",
               ValidateUcrDataset(gait.series).ToString().c_str());
   std::printf("Difficulty rating: %s\n",
               std::string(UcrDifficultyName(
-                              RateDifficulty(gait.series, config.cycle_length)))
+                              RateDifficulty(gait.series, kGaitCycleLength)))
                   .c_str());
 
-  DiscordDetector discord(config.cycle_length);
+  DiscordDetector discord(kGaitCycleLength);
   Result<std::vector<double>> scores = discord.Score(gait.series);
   if (!scores.ok()) {
     std::printf("%s\n", scores.status().ToString().c_str());
@@ -56,7 +56,7 @@ int main() {
     std::printf("\nTop discords:\n");
     for (const Discord& d : *top) {
       const bool is_anomaly = d.position < r.end + 100 &&
-                              r.begin < d.position + config.cycle_length + 100;
+                              r.begin < d.position + kGaitCycleLength + 100;
       std::printf("  position %6zu  distance %7.3f  %s\n", d.position,
                   d.distance,
                   is_anomaly ? "<- the swapped cycle" : "");

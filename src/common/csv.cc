@@ -1,9 +1,7 @@
 #include "common/csv.h"
 
-#include <cerrno>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -85,8 +83,15 @@ Result<LabeledSeries> SeriesFromCsv(const std::string& text) {
                                                     : end - (name_pos + 5));
       }
       if (train_pos != std::string::npos) {
-        train_length = static_cast<std::size_t>(
-            std::strtoull(line.c_str() + train_pos + 13, nullptr, 10));
+        // Digits only: a sign, junk or overflow is refused, not wrapped.
+        const char* begin = line.c_str() + train_pos + 13;
+        const char* end = begin + std::strcspn(begin, " \t");
+        const auto [ptr, ec] = std::from_chars(begin, end, train_length);
+        if (begin == end || ec != std::errc() || ptr != end) {
+          return Status::InvalidArgument(
+              "line " + std::to_string(lineno) + ": bad train_length '" +
+              std::string(begin, end) + "' (want decimal digits)");
+        }
       }
       continue;
     }
@@ -108,6 +113,11 @@ Result<LabeledSeries> SeriesFromCsv(const std::string& text) {
     }
     values.push_back(v);
     labels.push_back(lab != 0.0 ? 1 : 0);
+  }
+  if (train_length > values.size()) {
+    return Status::InvalidArgument(
+        "train_length " + std::to_string(train_length) +
+        " exceeds the " + std::to_string(values.size()) + " rows read");
   }
   LabeledSeries series(std::move(name), std::move(values),
                        RegionsFromBinary(labels), train_length);

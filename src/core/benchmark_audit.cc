@@ -6,14 +6,16 @@ namespace tsad {
 
 BenchmarkAudit AuditBenchmark(const BenchmarkDataset& dataset,
                               const AuditConfig& config) {
+  // Fractions above which triviality and run-to-failure placement each
+  // contribute to the verdict.
+  constexpr double kTrivialityVerdictThreshold = 0.5;
+  constexpr double kRunToFailureQuintileThreshold = 0.4;
   BenchmarkAudit audit;
   audit.dataset_name = dataset.name;
-  audit.triviality = AnalyzeTriviality({&dataset}, config.search_space,
-                                       config.solve_criteria);
-  audit.density = CensusDensity(dataset, config.density_thresholds);
-  audit.mislabels = AuditDatasetLabels(dataset, config.mislabel);
-  audit.run_to_failure =
-      AnalyzeRunToFailure(dataset, config.run_to_failure);
+  audit.triviality = AnalyzeTriviality({&dataset});
+  audit.density = CensusDensity(dataset);
+  audit.mislabels = AuditDatasetLabels(dataset, config.run_twin_search);
+  audit.run_to_failure = AnalyzeRunToFailure(dataset);
 
   // Verdict assembly.
   const double trivial_fraction =
@@ -21,7 +23,7 @@ BenchmarkAudit AuditBenchmark(const BenchmarkDataset& dataset,
           ? 0.0
           : static_cast<double>(audit.triviality.solved) /
                 static_cast<double>(audit.triviality.total);
-  if (trivial_fraction > config.triviality_verdict_threshold) {
+  if (trivial_fraction > kTrivialityVerdictThreshold) {
     std::ostringstream r;
     r << "triviality: " << audit.triviality.solved << "/"
       << audit.triviality.total
@@ -42,7 +44,7 @@ BenchmarkAudit AuditBenchmark(const BenchmarkDataset& dataset,
         " series with density flaw(s)");
   }
   if (audit.run_to_failure.fraction_in_last_quintile >
-      config.run_to_failure_quintile_threshold) {
+      kRunToFailureQuintileThreshold) {
     std::ostringstream r;
     r << "run-to-failure bias: "
       << static_cast<int>(100.0 *

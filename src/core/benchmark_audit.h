@@ -17,14 +17,8 @@
 namespace tsad {
 
 struct AuditConfig {
-  OneLinerSearchSpace search_space;
-  SolveCriteria solve_criteria;
-  DensityThresholds density_thresholds;
-  MislabelAuditConfig mislabel;
-  RunToFailureConfig run_to_failure;
-  /// Fractions above which each flaw contributes to the verdict.
-  double triviality_verdict_threshold = 0.5;
-  double run_to_failure_quintile_threshold = 0.4;
+  /// The unlabeled-twin search, the audit's expensive step.
+  bool run_twin_search = true;
 };
 
 struct BenchmarkAudit {

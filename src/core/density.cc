@@ -32,14 +32,20 @@ DensityStats AnalyzeDensity(const LabeledSeries& series) {
 
 DensityFlags ClassifyDensity(const DensityStats& stats,
                              const DensityThresholds& thresholds) {
+  // A region longer than these fractions of the test span is §2.3's
+  // "huge contiguous" flaw; regions at most kAdjacentGap normal points
+  // apart are "adjacent".
+  constexpr double kContiguousHalf = 0.5;
+  constexpr double kContiguousThird = 1.0 / 3.0;
+  constexpr std::size_t kAdjacentGap = 2;
   DensityFlags flags;
   flags.over_half_contiguous =
-      stats.max_contiguous_fraction > thresholds.contiguous_half;
+      stats.max_contiguous_fraction > kContiguousHalf;
   flags.over_third_contiguous =
-      stats.max_contiguous_fraction > thresholds.contiguous_third;
+      stats.max_contiguous_fraction > kContiguousThird;
   flags.many_regions = stats.num_regions >= thresholds.many_regions;
   flags.adjacent_regions =
-      stats.num_regions >= 2 && stats.min_gap <= thresholds.adjacent_gap;
+      stats.num_regions >= 2 && stats.min_gap <= kAdjacentGap;
   flags.ideal_single_anomaly = stats.num_regions == 1;
   return flags;
 }

@@ -34,10 +34,7 @@ struct DensityStats {
 DensityStats AnalyzeDensity(const LabeledSeries& series);
 
 struct DensityThresholds {
-  double contiguous_half = 0.5;
-  double contiguous_third = 1.0 / 3.0;
   std::size_t many_regions = 10;
-  std::size_t adjacent_gap = 2;  // regions this close are "adjacent"
 };
 
 /// Which density flaws a series exhibits.

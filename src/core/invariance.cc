@@ -57,10 +57,11 @@ std::vector<InvarianceRow> RunInvarianceStudy(
     const LabeledSeries& series,
     const std::vector<const AnomalyDetector*>& detectors,
     const InvarianceConfig& config) {
+  constexpr uint64_t kPerturbationSeed = 1234;  // one noise realization
   std::vector<InvarianceRow> rows;
   for (double level : config.levels) {
     const LabeledSeries perturbed =
-        Perturb(series, config.perturbation, level, config.seed);
+        Perturb(series, config.perturbation, level, kPerturbationSeed);
     for (const AnomalyDetector* detector : detectors) {
       InvarianceRow row;
       row.detector_name = std::string(detector->name());

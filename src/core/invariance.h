@@ -44,16 +44,16 @@ struct InvarianceConfig {
   std::vector<double> levels = {0.0, 0.25, 0.5, 1.0, 2.0};
   Perturbation perturbation = Perturbation::kGaussianNoise;
   std::size_t slop = 100;  // §4.4's positional "play"
-  uint64_t seed = 1234;    // noise realizations are deterministic
 };
 
 /// Applies one perturbation to a copy of the series (labels unchanged).
 LabeledSeries Perturb(const LabeledSeries& series, Perturbation perturbation,
                       double level, uint64_t seed);
 
-/// Runs every detector at every perturbation level. Detectors that
-/// error at some level contribute a row with peak_correct = false and
-/// discrimination = 0.
+/// Runs every detector at every perturbation level, with one fixed
+/// perturbation seed so noise realizations are deterministic. Detectors
+/// that error at some level contribute a row with peak_correct = false
+/// and discrimination = 0.
 std::vector<InvarianceRow> RunInvarianceStudy(
     const LabeledSeries& series,
     const std::vector<const AnomalyDetector*>& detectors,

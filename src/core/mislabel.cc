@@ -12,6 +12,39 @@ namespace tsad {
 
 namespace {
 
+// Twin search. The comparison window is max(kTwinMinWindow, region
+// length) points.
+constexpr std::size_t kTwinMinWindow = 16;
+// A candidate is a twin when its z-normalized distance to the labeled
+// exemplar is below kTwinRatio x the median distance-profile value
+// (i.e., it matches the anomaly far better than typical data does)...
+constexpr double kTwinRatio = 0.25;
+// ...AND below kTwinIdentityCap x sqrt(2m), the z-normalized distance
+// at zero correlation (the maximum, at correlation -1, is 2*sqrt(m)).
+// This near-identity requirement keeps phase-aligned seasonal windows
+// (distance ~0.25-0.35 of max) from masquerading as twins; genuine
+// twins (identical dropout, repeated freeze) sit within noise of zero.
+constexpr double kTwinIdentityCap = 0.18;
+// Margin (points) around labeled regions excluded from twin search.
+constexpr std::size_t kTwinExclusionMargin = 8;
+// At most this many twin findings are emitted per labeled region; the
+// last finding's detail records how many more matches exist. (A label
+// on a statistically unremarkable region — the paper's Fig 6 —
+// legitimately matches dozens of places.)
+constexpr std::size_t kTwinMaxPerRegion = 4;
+
+// Constant runs: at least this long, with values within the tolerance.
+constexpr std::size_t kConstantRunMinRun = 12;
+constexpr double kConstantRunTolerance = 1e-9;
+
+// Label toggling: kToggleMinRegions or more regions separated by gaps
+// of at most kToggleMaxGap points make a finding.
+constexpr std::size_t kToggleMaxGap = 8;
+constexpr std::size_t kToggleMinRegions = 4;
+
+// Series whose |r| reaches this are near-duplicates.
+constexpr double kDuplicateCorrelation = 0.995;
+
 // True if subsequence [pos, pos+m) stays clear of every labeled region
 // by at least `margin` points.
 bool ClearOfLabels(const LabeledSeries& series, std::size_t pos,
@@ -40,13 +73,12 @@ std::string_view MislabelKindName(MislabelKind kind) {
   return "?";
 }
 
-std::vector<MislabelFinding> FindUnlabeledTwins(
-    const LabeledSeries& series, const TwinSearchConfig& config) {
+std::vector<MislabelFinding> FindUnlabeledTwins(const LabeledSeries& series) {
   std::vector<MislabelFinding> findings;
   const Series& x = series.values();
 
   for (const AnomalyRegion& r : series.anomalies()) {
-    const std::size_t m = std::max(config.min_window, r.length());
+    const std::size_t m = std::max(kTwinMinWindow, r.length());
     if (m < 4 || m * 2 > x.size()) continue;
     // Center the window on the labeled region.
     std::size_t start = r.begin;
@@ -62,8 +94,8 @@ std::vector<MislabelFinding> FindUnlabeledTwins(
     const double median_dist = Median(std::vector<double>(profile));
     if (median_dist <= 1e-12) continue;  // degenerate (constant series)
     const double max_distance = std::sqrt(2.0 * static_cast<double>(m));
-    const double threshold = std::min(config.ratio * median_dist,
-                                      config.identity_cap * max_distance);
+    const double threshold = std::min(kTwinRatio * median_dist,
+                                      kTwinIdentityCap * max_distance);
 
     // Scan for matches clear of all labels; keep local minima and
     // suppress neighbors within m points.
@@ -75,13 +107,13 @@ std::vector<MislabelFinding> FindUnlabeledTwins(
     std::size_t i = 0;
     while (i < profile.size()) {
       if (profile[i] < threshold &&
-          ClearOfLabels(series, i, m, config.exclusion_margin)) {
+          ClearOfLabels(series, i, m, kTwinExclusionMargin)) {
         // Refine to the local minimum of this match.
         std::size_t best = i;
         std::size_t j = i;
         while (j < profile.size() && j < i + m) {
           if (profile[j] < profile[best] &&
-              ClearOfLabels(series, j, m, config.exclusion_margin)) {
+              ClearOfLabels(series, j, m, kTwinExclusionMargin)) {
             best = j;
           }
           ++j;
@@ -92,12 +124,13 @@ std::vector<MislabelFinding> FindUnlabeledTwins(
         ++i;
       }
     }
-    // Emit the closest max_per_region matches; note how many more exist.
+    // Emit the closest kTwinMaxPerRegion matches; note how many more
+    // exist.
     std::sort(matches.begin(), matches.end(),
               [](const Match& a, const Match& b) {
                 return a.distance < b.distance;
               });
-    const std::size_t emit = std::min(matches.size(), config.max_per_region);
+    const std::size_t emit = std::min(matches.size(), kTwinMaxPerRegion);
     for (std::size_t k = 0; k < emit; ++k) {
       MislabelFinding f;
       f.kind = MislabelKind::kUnlabeledTwin;
@@ -121,11 +154,10 @@ std::vector<MislabelFinding> FindUnlabeledTwins(
   return findings;
 }
 
-std::vector<MislabelFinding> AuditConstantRuns(
-    const LabeledSeries& series, const ConstantRunAuditConfig& config) {
+std::vector<MislabelFinding> AuditConstantRuns(const LabeledSeries& series) {
   std::vector<MislabelFinding> findings;
-  const auto runs =
-      FindConstantRuns(series.values(), config.min_run, config.tolerance);
+  const auto runs = FindConstantRuns(series.values(), kConstantRunMinRun,
+                                     kConstantRunTolerance);
   for (const auto& [begin, end] : runs) {
     std::size_t labeled = 0;
     for (std::size_t i = begin; i < end; ++i) {
@@ -153,20 +185,19 @@ std::vector<MislabelFinding> AuditConstantRuns(
   return findings;
 }
 
-std::vector<MislabelFinding> AuditLabelToggling(
-    const LabeledSeries& series, const TogglingAuditConfig& config) {
+std::vector<MislabelFinding> AuditLabelToggling(const LabeledSeries& series) {
   std::vector<MislabelFinding> findings;
   const auto& regions = series.anomalies();
   std::size_t i = 0;
   while (i < regions.size()) {
-    // Grow a chain of regions separated by gaps <= max_gap.
+    // Grow a chain of regions separated by gaps <= kToggleMaxGap.
     std::size_t j = i;
     while (j + 1 < regions.size() &&
-           regions[j + 1].begin - regions[j].end <= config.max_gap) {
+           regions[j + 1].begin - regions[j].end <= kToggleMaxGap) {
       ++j;
     }
     const std::size_t chain = j - i + 1;
-    if (chain >= config.min_regions) {
+    if (chain >= kToggleMinRegions) {
       MislabelFinding f;
       f.kind = MislabelKind::kLabelToggling;
       f.series_name = series.name();
@@ -174,7 +205,7 @@ std::vector<MislabelFinding> AuditLabelToggling(
       f.proposed = {regions[i].begin, regions[j].end};
       f.detail = std::to_string(chain) +
                  " labeled regions toggle with gaps <= " +
-                 std::to_string(config.max_gap) +
+                 std::to_string(kToggleMaxGap) +
                  "; propose the single region [" +
                  std::to_string(f.proposed.begin) + ", " +
                  std::to_string(f.proposed.end) + ")";
@@ -186,7 +217,7 @@ std::vector<MislabelFinding> AuditLabelToggling(
 }
 
 std::vector<MislabelFinding> FindDuplicateSeries(
-    const BenchmarkDataset& dataset, double correlation_threshold) {
+    const BenchmarkDataset& dataset) {
   std::vector<MislabelFinding> findings;
   for (std::size_t a = 0; a < dataset.series.size(); ++a) {
     for (std::size_t b = a + 1; b < dataset.series.size(); ++b) {
@@ -197,7 +228,7 @@ std::vector<MislabelFinding> FindDuplicateSeries(
       const Series ta(xa.begin(), xa.begin() + static_cast<std::ptrdiff_t>(n));
       const Series tb(xb.begin(), xb.begin() + static_cast<std::ptrdiff_t>(n));
       const double r = PearsonCorrelation(ta, tb);
-      if (std::fabs(r) >= correlation_threshold) {
+      if (std::fabs(r) >= kDuplicateCorrelation) {
         MislabelFinding f;
         f.kind = MislabelKind::kDuplicateSeries;
         f.series_name = dataset.series[a].name();
@@ -213,20 +244,19 @@ std::vector<MislabelFinding> FindDuplicateSeries(
 }
 
 std::vector<MislabelFinding> AuditDatasetLabels(
-    const BenchmarkDataset& dataset, const MislabelAuditConfig& config) {
+    const BenchmarkDataset& dataset, bool run_twin_search) {
   std::vector<MislabelFinding> findings;
   for (const LabeledSeries& s : dataset.series) {
-    if (config.run_twin_search) {
-      auto twins = FindUnlabeledTwins(s, config.twins);
+    if (run_twin_search) {
+      auto twins = FindUnlabeledTwins(s);
       findings.insert(findings.end(), twins.begin(), twins.end());
     }
-    auto constant = AuditConstantRuns(s, config.constant_runs);
+    auto constant = AuditConstantRuns(s);
     findings.insert(findings.end(), constant.begin(), constant.end());
-    auto toggling = AuditLabelToggling(s, config.toggling);
+    auto toggling = AuditLabelToggling(s);
     findings.insert(findings.end(), toggling.begin(), toggling.end());
   }
-  auto duplicates =
-      FindDuplicateSeries(dataset, config.duplicate_correlation);
+  auto duplicates = FindDuplicateSeries(dataset);
   findings.insert(findings.end(), duplicates.begin(), duplicates.end());
   return findings;
 }

@@ -49,69 +49,29 @@ struct MislabelFinding {
   std::string detail;
 };
 
-struct TwinSearchConfig {
-  /// Subsequence length floor for the comparison window (the window is
-  /// max(min_window, region length)).
-  std::size_t min_window = 16;
-  /// A candidate is a twin when its z-normalized distance to the
-  /// labeled exemplar is below `ratio` x the median distance-profile
-  /// value (i.e., it matches the anomaly far better than typical data
-  /// does)...
-  double ratio = 0.25;
-  /// ...AND below `identity_cap` x sqrt(2m), the z-normalized distance
-  /// at zero correlation (the maximum, at correlation -1, is 2*sqrt(m)).
-  /// This near-identity requirement keeps
-  /// phase-aligned seasonal windows (distance ~0.25-0.35 of max) from
-  /// masquerading as twins; genuine twins (identical dropout, repeated
-  /// freeze) sit within noise of zero.
-  double identity_cap = 0.18;
-  /// Margin (points) around labeled regions excluded from twin search.
-  std::size_t exclusion_margin = 8;
-  /// At most this many twin findings are emitted per labeled region;
-  /// the last finding's detail records how many more matches exist.
-  /// (A label on a statistically unremarkable region — the paper's
-  /// Fig 6 — legitimately matches dozens of places.)
-  std::size_t max_per_region = 4;
-};
+/// Finds unlabeled twins of each labeled anomaly via MASS profiles: a
+/// window clear of every label whose z-normalized distance to the
+/// labeled exemplar is both far below the series' median and near
+/// identity (the thresholds and their rationale are in mislabel.cc).
+std::vector<MislabelFinding> FindUnlabeledTwins(const LabeledSeries& series);
 
-/// Finds unlabeled twins of each labeled anomaly via MASS profiles.
-std::vector<MislabelFinding> FindUnlabeledTwins(
-    const LabeledSeries& series, const TwinSearchConfig& config = {});
+/// Finds constant runs (at least 12 points within 1e-9) that are
+/// partially (but not fully) labeled.
+std::vector<MislabelFinding> AuditConstantRuns(const LabeledSeries& series);
 
-struct ConstantRunAuditConfig {
-  std::size_t min_run = 12;
-  double tolerance = 1e-9;
-};
-
-/// Finds constant runs that are partially (but not fully) labeled.
-std::vector<MislabelFinding> AuditConstantRuns(
-    const LabeledSeries& series, const ConstantRunAuditConfig& config = {});
-
-struct TogglingAuditConfig {
-  std::size_t max_gap = 8;      // gaps this small are "toggling"
-  std::size_t min_regions = 4;  // this many close regions = a finding
-};
-
-/// Finds rapid label toggling and proposes the merged region.
-std::vector<MislabelFinding> AuditLabelToggling(
-    const LabeledSeries& series, const TogglingAuditConfig& config = {});
+/// Finds rapid label toggling (4 or more regions separated by gaps of
+/// at most 8 points) and proposes the merged region.
+std::vector<MislabelFinding> AuditLabelToggling(const LabeledSeries& series);
 
 /// Finds near-duplicate series pairs by Pearson correlation of
-/// length-truncated values (threshold on |r|).
+/// length-truncated values (|r| >= 0.995).
 std::vector<MislabelFinding> FindDuplicateSeries(
-    const BenchmarkDataset& dataset, double correlation_threshold = 0.995);
+    const BenchmarkDataset& dataset);
 
-/// Runs all four audits over a dataset.
-struct MislabelAuditConfig {
-  TwinSearchConfig twins;
-  ConstantRunAuditConfig constant_runs;
-  TogglingAuditConfig toggling;
-  double duplicate_correlation = 0.995;
-  bool run_twin_search = true;  // the expensive audit; can be disabled
-};
-
+/// Runs all four audits over a dataset; `run_twin_search` = false skips
+/// the expensive twin search.
 std::vector<MislabelFinding> AuditDatasetLabels(
-    const BenchmarkDataset& dataset, const MislabelAuditConfig& config = {});
+    const BenchmarkDataset& dataset, bool run_twin_search = true);
 
 }  // namespace tsad
 

@@ -39,8 +39,11 @@ std::string AsciiSparkline(const Series& values, std::size_t width) {
 }
 
 std::string RenderAuditReport(const BenchmarkAudit& audit,
-                              const BenchmarkDataset& dataset,
-                              const ReportConfig& config) {
+                              const BenchmarkDataset& dataset) {
+  // Sparkline panels: how many flagged series get one, and its width
+  // in characters.
+  constexpr std::size_t kMaxPanels = 6;
+  constexpr std::size_t kSparklineWidth = 72;
   std::ostringstream md;
   md << "# Benchmark audit: " << audit.dataset_name << "\n\n";
   md << "**Verdict: "
@@ -123,13 +126,13 @@ std::string RenderAuditReport(const BenchmarkAudit& audit,
     for (const LabeledSeries& s : dataset.series) {
       if (flagged.count(s.name()) == 0) continue;
       md << "\n### " << s.name() << "\n\n```\n"
-         << AsciiSparkline(s.values(), config.sparkline_width) << "\n";
+         << AsciiSparkline(s.values(), kSparklineWidth) << "\n";
       // Label track beneath.
       const auto labels = s.BinaryLabels();
       Series label_track(labels.begin(), labels.end());
-      md << AsciiSparkline(label_track, config.sparkline_width)
+      md << AsciiSparkline(label_track, kSparklineWidth)
          << "  <- labels\n```\n";
-      if (++panels >= config.max_panels) break;
+      if (++panels >= kMaxPanels) break;
     }
   }
   return md.str();
@@ -137,10 +140,10 @@ std::string RenderAuditReport(const BenchmarkAudit& audit,
 
 Status WriteAuditReport(const BenchmarkAudit& audit,
                         const BenchmarkDataset& dataset,
-                        const std::string& path, const ReportConfig& config) {
+                        const std::string& path) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return Status::IOError("cannot open '" + path + "' for writing");
-  out << RenderAuditReport(audit, dataset, config);
+  out << RenderAuditReport(audit, dataset);
   out.flush();
   if (!out) return Status::IOError("error writing '" + path + "'");
   return Status::OK();

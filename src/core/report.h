@@ -14,27 +14,19 @@
 
 namespace tsad {
 
-struct ReportConfig {
-  /// How many of the flagged series get a sparkline panel.
-  std::size_t max_panels = 6;
-  /// Sparkline width in characters.
-  std::size_t sparkline_width = 72;
-};
-
 /// Renders a full Markdown report of the audit. `dataset` must be the
-/// dataset the audit was computed from (for the sparkline panels).
+/// dataset the audit was computed from (for the sparkline panels of the
+/// first six flagged series).
 std::string RenderAuditReport(const BenchmarkAudit& audit,
-                              const BenchmarkDataset& dataset,
-                              const ReportConfig& config = {});
+                              const BenchmarkDataset& dataset);
 
 /// Renders and writes the report to `path`.
 Status WriteAuditReport(const BenchmarkAudit& audit,
                         const BenchmarkDataset& dataset,
-                        const std::string& path,
-                        const ReportConfig& config = {});
+                        const std::string& path);
 
-/// A one-line ASCII sparkline of a series (shared with the benches).
-std::string AsciiSparkline(const Series& values, std::size_t width = 72);
+/// A one-line ASCII sparkline of a series, at most `width` characters.
+std::string AsciiSparkline(const Series& values, std::size_t width);
 
 }  // namespace tsad
 

@@ -7,8 +7,10 @@
 
 namespace tsad {
 
-RunToFailureReport AnalyzeRunToFailure(const BenchmarkDataset& dataset,
-                                       const RunToFailureConfig& config) {
+RunToFailureReport AnalyzeRunToFailure(const BenchmarkDataset& dataset) {
+  // How far, in points, the last-point detector may land from the last
+  // anomaly and still count as a hit.
+  constexpr std::size_t kLastPointSlop = 100;
   RunToFailureReport report;
   report.dataset_name = dataset.name;
 
@@ -26,10 +28,9 @@ RunToFailureReport AnalyzeRunToFailure(const BenchmarkDataset& dataset,
 
     // Would flagging the very last point count as a detection?
     const std::size_t final_index = s.length() - 1;
-    const std::size_t hi = last.end + config.last_point_slop;
-    const std::size_t lo = last.begin > config.last_point_slop
-                               ? last.begin - config.last_point_slop
-                               : 0;
+    const std::size_t hi = last.end + kLastPointSlop;
+    const std::size_t lo =
+        last.begin > kLastPointSlop ? last.begin - kLastPointSlop : 0;
     if (final_index >= lo && final_index < hi) ++last_point_hits;
   }
   report.num_series = scored;

@@ -29,16 +29,11 @@ struct RunToFailureReport {
   /// large values mean the placement is far from random.
   double ks_statistic = 0.0;
   /// Fraction of series where the naive last-point detector scores a
-  /// hit: the final point lies within `slop` of the last anomaly.
+  /// hit: the final point lies within 100 points of the last anomaly.
   double last_point_hit_rate = 0.0;
 };
 
-struct RunToFailureConfig {
-  std::size_t last_point_slop = 100;
-};
-
-RunToFailureReport AnalyzeRunToFailure(const BenchmarkDataset& dataset,
-                                       const RunToFailureConfig& config = {});
+RunToFailureReport AnalyzeRunToFailure(const BenchmarkDataset& dataset);
 
 }  // namespace tsad
 

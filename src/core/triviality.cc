@@ -147,7 +147,7 @@ TrivialitySolution SolveWithFormCached(const LabeledSeries& series,
   }
 
   for (std::size_t k : space.ks) {
-    for (double c : space.cs) {
+    for (double c : kOneLinerCs) {
       OneLinerParams p;
       p.use_abs = use_abs;
       p.use_movmean = true;
@@ -194,8 +194,7 @@ TrivialitySolution FindOneLiner(const LabeledSeries& series,
 }
 
 TrivialityReport AnalyzeTriviality(
-    const std::vector<const BenchmarkDataset*>& datasets,
-    const OneLinerSearchSpace& space, const SolveCriteria& criteria) {
+    const std::vector<const BenchmarkDataset*>& datasets) {
   // The brute force is embarrassingly parallel per series: flatten the
   // (dataset, series) pairs, search them across the pool, then fold the
   // per-series solutions into the report serially and in order — the
@@ -208,7 +207,7 @@ TrivialityReport AnalyzeTriviality(
   Result<std::vector<TrivialitySolution>> solutions =
       ParallelMap<TrivialitySolution>(
           flat.size(), [&](std::size_t i) -> Result<TrivialitySolution> {
-            return FindOneLiner(*flat[i], space, criteria);
+            return FindOneLiner(*flat[i]);
           });
   std::vector<TrivialitySolution> solved;
   if (solutions.ok()) {
@@ -218,7 +217,7 @@ TrivialityReport AnalyzeTriviality(
     // bad_alloc) lands here. Recompute inline rather than report junk.
     solved.reserve(flat.size());
     for (const LabeledSeries* s : flat) {
-      solved.push_back(FindOneLiner(*s, space, criteria));
+      solved.push_back(FindOneLiner(*s));
     }
   }
 

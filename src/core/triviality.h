@@ -37,9 +37,13 @@ struct SolveCriteria {
   double min_headroom = 0.0;
 };
 
+/// The c grid of the adaptive forms (4)/(6): every k is tried with
+/// each of these movstd multipliers.
+inline constexpr std::array<double, 7> kOneLinerCs = {0.0, 0.5, 1.0, 2.0,
+                                                      3.0, 4.0, 6.0};
+
 struct OneLinerSearchSpace {
   std::vector<std::size_t> ks = {5, 11, 21, 51, 101, 151};
-  std::vector<double> cs = {0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0};
 };
 
 /// Outcome of the search on one series.
@@ -99,10 +103,10 @@ struct TrivialityReport {
   }
 };
 
-/// Runs the brute force over whole datasets — the Table 1 engine.
+/// Runs the brute force over whole datasets at the default search space
+/// and criteria — the Table 1 engine.
 TrivialityReport AnalyzeTriviality(
-    const std::vector<const BenchmarkDataset*>& datasets,
-    const OneLinerSearchSpace& space = {}, const SolveCriteria& criteria = {});
+    const std::vector<const BenchmarkDataset*>& datasets);
 
 }  // namespace tsad
 

@@ -225,7 +225,8 @@ UcrDifficulty RateDifficulty(const LabeledSeries& series,
 Result<LabeledSeries> MakeCalibratedUcrDataset(
     const std::string& base_name, const Series& base_values,
     std::size_t train_length, UcrInjection kind, uint64_t seed,
-    UcrDifficulty target, std::size_t max_iterations) {
+    UcrDifficulty target) {
+  constexpr std::size_t kMaxIterations = 10;
   // Every attempt replays the identical RNG stream, so the anomaly's
   // position and flavor stay fixed while only the magnitude moves.
   auto attempt = [&](double scale) -> Result<LabeledSeries> {
@@ -235,7 +236,7 @@ Result<LabeledSeries> MakeCalibratedUcrDataset(
   };
 
   double lo = 0.02, hi = 8.0, scale = 1.0;
-  for (std::size_t iter = 0; iter < max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
     TSAD_ASSIGN_OR_RETURN(LabeledSeries made, attempt(scale));
     const UcrDifficulty rated = RateDifficulty(made);
     if (rated == target) return made;
@@ -347,8 +348,7 @@ UcrArchive BuildFullArchive(uint64_t seed) {
 }
 
 UcrAccuracy EvaluateOnArchive(const AnomalyDetector& detector,
-                              const UcrArchive& archive,
-                              const UcrScoreConfig& config) {
+                              const UcrArchive& archive) {
   // Each dataset is scored independently; the per-series loop fans out
   // over the pool when the detector allows concurrent Score() calls on
   // one instance. Outcomes land in archive order either way.
@@ -365,8 +365,7 @@ UcrAccuracy EvaluateOnArchive(const AnomalyDetector& detector,
           PredictLocation(*scores, series.train_length());
       if (peak != kNoPrediction && series.anomalies().size() == 1) {
         outcome.predicted = peak;
-        outcome.correct =
-            UcrCorrect(series.anomalies().front(), peak, config);
+        outcome.correct = UcrCorrect(series.anomalies().front(), peak);
       }
     } else {
       outcome.series_name += " [detector error: " +

@@ -88,12 +88,12 @@ UcrDifficulty RateDifficulty(const LabeledSeries& series,
 /// enough to defeat the one-liners, easy enough that a discord finds
 /// it). The anomaly position and flavor are held fixed across the
 /// search (every attempt replays the same RNG stream). Returns
-/// NotFound if no magnitude in [0.02x, 8x] hits the target.
+/// NotFound if no magnitude in [0.02x, 8x] hits the target within 10
+/// bisection steps.
 Result<LabeledSeries> MakeCalibratedUcrDataset(
     const std::string& base_name, const Series& base_values,
     std::size_t train_length, UcrInjection kind, uint64_t seed,
-    UcrDifficulty target = UcrDifficulty::kModerate,
-    std::size_t max_iterations = 10);
+    UcrDifficulty target = UcrDifficulty::kModerate);
 
 
 /// A demo archive built entirely from this repository's simulators —
@@ -113,14 +113,14 @@ UcrArchive BuildFullArchive(uint64_t seed = 99);
 
 /// Runs a detector over an archive under the UCR protocol: score the
 /// series, take the argmax over the test span, check it against the
-/// labeled region (with slop). Series the detector errors on count as
-/// incorrect (with the error recorded in the outcome's name field).
+/// labeled region (with the default UCR slop). Series the detector
+/// errors on count as incorrect (with the error recorded in the
+/// outcome's name field).
 /// When detector.concurrent_score_safe() holds, series are scored in
 /// parallel over the common/parallel.h pool; outcomes are placed in
 /// archive order regardless of thread count.
 UcrAccuracy EvaluateOnArchive(const AnomalyDetector& detector,
-                              const UcrArchive& archive,
-                              const UcrScoreConfig& config = {});
+                              const UcrArchive& archive);
 
 }  // namespace tsad
 

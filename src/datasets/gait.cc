@@ -54,6 +54,11 @@ void AppendCycle(Series& out, std::size_t length, double amplitude, bool left,
   }
 }
 
+// The weak left foot's force amplitude, against the right foot's 1.0.
+constexpr double kLeftAmplitude = 0.55;
+// Cycle slowdown at the plate ends, where the walker turns around.
+constexpr double kTurnaroundStretch = 1.35;
+
 }  // namespace
 
 GaitData GenerateGaitData(const GaitConfig& config) {
@@ -67,29 +72,29 @@ GaitData GenerateGaitData(const GaitConfig& config) {
     anomaly_cycle = static_cast<std::size_t>(rng.UniformInt(
         static_cast<int64_t>(config.train_cycles + 2),
         static_cast<int64_t>(config.num_cycles - 3)));
-    if (anomaly_cycle % config.turnaround_every >= 2) break;
+    if (anomaly_cycle % kGaitTurnaroundEvery >= 2) break;
   }
   data.anomaly_cycle = anomaly_cycle;
 
   Series x;
-  x.reserve(config.num_cycles * config.cycle_length * 3 / 2);
+  x.reserve(config.num_cycles * kGaitCycleLength * 3 / 2);
   std::size_t anomaly_begin = 0, anomaly_end = 0, train_length = 0;
 
   for (std::size_t c = 0; c < config.num_cycles; ++c) {
     if (c == config.train_cycles) train_length = x.size();
     const bool turnaround =
-        c > 0 && c % config.turnaround_every == 0;  // speed change cycles
+        c > 0 && c % kGaitTurnaroundEvery == 0;  // speed change cycles
     const std::size_t len =
         turnaround ? static_cast<std::size_t>(
-                         static_cast<double>(config.cycle_length) *
-                         config.turnaround_stretch)
-                   : config.cycle_length;
+                         static_cast<double>(kGaitCycleLength) *
+                         kTurnaroundStretch)
+                   : kGaitCycleLength;
     const double amp_jitter = rng.Uniform(0.97, 1.03);
     if (c == anomaly_cycle) {
       anomaly_begin = x.size();
       // The left-foot cycle swapped in, shifted by half a cycle length
       // exactly as the paper describes.
-      AppendCycle(x, len, config.left_amplitude * amp_jitter, /*left=*/true,
+      AppendCycle(x, len, kLeftAmplitude * amp_jitter, /*left=*/true,
                   /*phase_shift=*/0.5, rng);
       anomaly_end = x.size();
     } else {

@@ -10,22 +10,23 @@
 #ifndef TSAD_DATASETS_GAIT_H_
 #define TSAD_DATASETS_GAIT_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/series.h"
 
 namespace tsad {
 
+/// Samples per gait cycle.
+inline constexpr std::size_t kGaitCycleLength = 230;
+/// The walker turns around (a speed change) every this many cycles,
+/// so at least one turnaround falls in train and one in test.
+inline constexpr std::size_t kGaitTurnaroundEvery = 12;
+
 struct GaitConfig {
   uint64_t seed = 17;
-  std::size_t cycle_length = 230;   // samples per gait cycle
   std::size_t num_cycles = 52;      // total cycles (~12k points)
   std::size_t train_cycles = 26;    // training prefix, in cycles
-  double left_amplitude = 0.55;     // weak left foot vs right foot 1.0
-  double turnaround_stretch = 1.35; // slowdown factor at plate ends
-  /// Cycles at which the walker turns around (speed change). Must
-  /// include at least one in train and one in test.
-  std::size_t turnaround_every = 12;
 };
 
 struct GaitData {

@@ -30,8 +30,6 @@ namespace tsad {
 
 struct NasaConfig {
   uint64_t seed = 11;
-  std::size_t channel_length = 5000;
-  std::size_t train_length = 1500;
 };
 
 struct NasaArchive {

@@ -107,8 +107,8 @@ TaxiData GenerateTaxiData(const NumentaConfig& config) {
   return data;
 }
 
-LabeledSeries GenerateArtSpikeDensity(const NumentaConfig& config,
-                                      std::size_t n) {
+LabeledSeries GenerateArtSpikeDensity(const NumentaConfig& config) {
+  constexpr std::size_t n = 4000;
   Rng rng(config.seed + 1);
   Series x = GaussianNoise(n, 0.05, rng);
   // Baseline spikes every ~25 points; tripled rate in the anomaly.
@@ -126,7 +126,8 @@ LabeledSeries GenerateArtSpikeDensity(const NumentaConfig& config,
                        {{anomaly_begin, anomaly_end}}, 0);
 }
 
-LabeledSeries GenerateAdExchange(const NumentaConfig& config, std::size_t n) {
+LabeledSeries GenerateAdExchange(const NumentaConfig& config) {
+  constexpr std::size_t n = 1600;
   Rng rng(config.seed + 2);
   Series x = Mix({MeanRevertingWalk(n, 80.0, 1.2, 0.05, rng),
                   Sinusoid(n, 288.0, 8.0, 0.3),

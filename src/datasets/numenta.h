@@ -51,14 +51,14 @@ struct NumentaConfig {
 /// NYC taxi demand, 215 days x 48 half-hour buckets.
 TaxiData GenerateTaxiData(const NumentaConfig& config = {});
 
-/// "Art Increase Spike Density": baseline noise with spikes every ~25
-/// points; inside the labeled region the spike rate triples.
-LabeledSeries GenerateArtSpikeDensity(const NumentaConfig& config = {},
-                                      std::size_t n = 4000);
+/// "Art Increase Spike Density": 4000 points of baseline noise with
+/// spikes every ~25 points; inside the labeled region the spike rate
+/// triples.
+LabeledSeries GenerateArtSpikeDensity(const NumentaConfig& config = {});
 
-/// Ad-exchange-style noisy KPI with a handful of point anomalies.
-LabeledSeries GenerateAdExchange(const NumentaConfig& config = {},
-                                 std::size_t n = 1600);
+/// Ad-exchange-style noisy KPI (1600 points) with a handful of point
+/// anomalies.
+LabeledSeries GenerateAdExchange(const NumentaConfig& config = {});
 
 /// The full simulated NAB-style dataset collection (taxi series
 /// included with its official labels).

@@ -68,6 +68,9 @@ void ApplyIncident(std::vector<Series>& dims,
   }
 }
 
+// Fraction of machines whose anomalies are trivially easy.
+constexpr double kEasyFraction = 0.5;
+
 }  // namespace
 
 OmniArchive GenerateOmniArchive(const OmniConfig& config) {
@@ -86,7 +89,7 @@ OmniArchive GenerateOmniArchive(const OmniConfig& config) {
     const bool is_easy =
         (static_cast<double>(m) + 0.5) /
             static_cast<double>(config.num_machines) <
-        config.easy_fraction;
+        kEasyFraction;
     const bool is_sdm3_11 = names[m] == "machine-3-11";
     const bool is_machine_2_5 = names[m] == "machine-2-5";
 

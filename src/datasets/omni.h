@@ -28,8 +28,6 @@ struct OmniConfig {
   std::size_t num_dimensions = 38;
   std::size_t machine_length = 3000;
   std::size_t train_length = 800;
-  /// Fraction of machines whose anomalies are trivially easy.
-  double easy_fraction = 0.5;
 };
 
 struct OmniArchive {

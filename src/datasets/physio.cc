@@ -68,15 +68,19 @@ void AddPulse(Series& x, std::size_t start, std::size_t len,
   }
 }
 
+constexpr double kHeartRateBpm = 72.0;
+constexpr double kNoiseStd = 0.01;     // baseline sensor noise
+constexpr double kPvcFraction = 0.62;  // where (fractionally) the PVC beats
+
 struct BeatPlan {
   std::vector<std::size_t> starts;   // beat onset sample indices
   std::vector<std::size_t> lengths;  // beat interval lengths
   std::size_t pvc_index = 0;         // which beat is the PVC
 };
 
-BeatPlan PlanBeats(const PhysioConfig& cfg, std::size_t n, Rng& rng) {
+BeatPlan PlanBeats(std::size_t n, Rng& rng) {
   BeatPlan plan;
-  const double rr_samples = cfg.sample_rate_hz * 60.0 / cfg.heart_rate_bpm;
+  const double rr_samples = kPhysioSampleRateHz * 60.0 / kHeartRateBpm;
   // First pass: nominal beat onsets with small RR variability.
   std::vector<double> onsets;
   double pos = 0.0;
@@ -84,11 +88,11 @@ BeatPlan PlanBeats(const PhysioConfig& cfg, std::size_t n, Rng& rng) {
     onsets.push_back(pos);
     pos += rr_samples * rng.Uniform(0.96, 1.04);
   }
-  // Choose the PVC beat near pvc_fraction and make it premature: its
+  // Choose the PVC beat near kPvcFraction and make it premature: its
   // onset moves 30% earlier into the preceding interval, and the next
   // beat stays put (compensatory pause).
   std::size_t pvc = static_cast<std::size_t>(
-      cfg.pvc_fraction * static_cast<double>(onsets.size()));
+      kPvcFraction * static_cast<double>(onsets.size()));
   pvc = std::clamp<std::size_t>(pvc, 2, onsets.size() - 2);
   onsets[pvc] -= 0.30 * rr_samples;
 
@@ -109,18 +113,18 @@ BeatPlan PlanBeats(const PhysioConfig& cfg, std::size_t n, Rng& rng) {
 
 LabeledSeries GenerateEcgWithPvc(const PhysioConfig& config) {
   Rng rng(config.seed);
-  const std::size_t n = static_cast<std::size_t>(config.sample_rate_hz *
+  const std::size_t n = static_cast<std::size_t>(kPhysioSampleRateHz *
                                                  config.duration_sec);
   Series x(n, 0.0);
-  const BeatPlan plan = PlanBeats(config, n, rng);
+  const BeatPlan plan = PlanBeats(n, rng);
   for (std::size_t b = 0; b < plan.starts.size(); ++b) {
     AddBeat(x, plan.starts[b], plan.lengths[b], b == plan.pvc_index);
   }
   // Baseline wander + sensor noise.
   for (std::size_t i = 0; i < n; ++i) {
     x[i] += 0.05 * std::sin(2.0 * 3.14159265 * static_cast<double>(i) /
-                            (config.sample_rate_hz * 7.0)) +
-            rng.Gaussian(0.0, config.noise_std);
+                            (kPhysioSampleRateHz * 7.0)) +
+            rng.Gaussian(0.0, kNoiseStd);
   }
   // Label: the PVC beat's QRS region.
   const std::size_t pvc_start = plan.starts[plan.pvc_index];
@@ -133,12 +137,12 @@ LabeledSeries GenerateEcgWithPvc(const PhysioConfig& config) {
 EcgPlethPair GenerateBidmcPair(const PhysioConfig& config,
                                std::size_t train_length) {
   Rng rng(config.seed + 1);
-  const std::size_t n = static_cast<std::size_t>(config.sample_rate_hz *
+  const std::size_t n = static_cast<std::size_t>(kPhysioSampleRateHz *
                                                  config.duration_sec);
-  const std::size_t lag = static_cast<std::size_t>(config.pleth_lag_sec *
-                                                   config.sample_rate_hz);
+  const std::size_t lag = static_cast<std::size_t>(kPhysioPlethLagSec *
+                                                   kPhysioSampleRateHz);
   Series ecg(n, 0.0), pleth(n, 0.0);
-  const BeatPlan plan = PlanBeats(config, n, rng);
+  const BeatPlan plan = PlanBeats(n, rng);
   for (std::size_t b = 0; b < plan.starts.size(); ++b) {
     const bool pvc = b == plan.pvc_index;
     AddBeat(ecg, plan.starts[b], plan.lengths[b], pvc);
@@ -147,8 +151,8 @@ EcgPlethPair GenerateBidmcPair(const PhysioConfig& config,
              pvc ? 0.35 : rng.Uniform(0.95, 1.05));
   }
   for (std::size_t i = 0; i < n; ++i) {
-    ecg[i] += rng.Gaussian(0.0, config.noise_std);
-    pleth[i] += rng.Gaussian(0.0, config.noise_std * 0.5);
+    ecg[i] += rng.Gaussian(0.0, kNoiseStd);
+    pleth[i] += rng.Gaussian(0.0, kNoiseStd * 0.5);
   }
 
   const std::size_t pvc_start = plan.starts[plan.pvc_index];

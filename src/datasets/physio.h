@@ -7,7 +7,7 @@
 //  * BIDMC-style pleth + parallel ECG pair (Fig 11): the pleth anomaly
 //    is subtle; the simultaneously recorded ECG shows the PVC plainly,
 //    providing the "out-of-band" confirmation of §3.1. The mechanical
-//    pleth signal lags the electrical ECG by a configurable delay.
+//    pleth signal lags the electrical ECG by kPhysioPlethLagSec.
 
 #ifndef TSAD_DATASETS_PHYSIO_H_
 #define TSAD_DATASETS_PHYSIO_H_
@@ -18,14 +18,14 @@
 
 namespace tsad {
 
+/// Sample rate of every generated signal.
+inline constexpr double kPhysioSampleRateHz = 200.0;
+/// Mechanical delay of the pleth pulse behind the ECG beat.
+inline constexpr double kPhysioPlethLagSec = 0.15;
+
 struct PhysioConfig {
   uint64_t seed = 5;
-  double sample_rate_hz = 200.0;
-  double heart_rate_bpm = 72.0;
   double duration_sec = 60.0;    // Fig 13 uses one minute => 12000 pts
-  double noise_std = 0.01;       // baseline sensor noise
-  double pvc_fraction = 0.62;    // where (fractionally) the PVC beats
-  double pleth_lag_sec = 0.15;   // mechanical delay of pleth vs ECG
 };
 
 /// One-channel ECG with a single PVC; the label covers the aberrant

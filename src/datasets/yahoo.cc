@@ -29,6 +29,9 @@ constexpr Composition kA2Composition{0.400, 0.570};
 constexpr Composition kA3Composition{0.840, 0.140};
 constexpr Composition kA4Composition{0.390, 0.380};
 
+// End bias of the A1 anomaly positions (§2.5's run-to-failure flaw).
+constexpr double kRunToFailureBias = 0.75;
+
 YahooSeriesKind PickKind(std::size_t index, std::size_t total,
                          const Composition& comp) {
   // Deterministic striping: assign kinds by index so fractions are
@@ -502,7 +505,7 @@ YahooArchive GenerateYahooArchive(const YahooConfig& config) {
         // Duplicate pair: Real15 re-uses Real13's fork (see below).
         archive.a1.series.push_back(
             MakeGlobalSpikeSeries(name, config.a1_length,
-                                  config.run_to_failure_bias, rng));
+                                  kRunToFailureBias, rng));
         archive.a1_kinds.push_back(YahooSeriesKind::kMislabelSpecial);
         continue;
       }
@@ -510,7 +513,7 @@ YahooArchive GenerateYahooArchive(const YahooConfig& config) {
         // Same generator state as Real13 -> near-duplicate dataset.
         Rng dup = master.Fork(1000 + 12);  // Real13's stream
         LabeledSeries copy = MakeGlobalSpikeSeries(
-            name, config.a1_length, config.run_to_failure_bias, dup);
+            name, config.a1_length, kRunToFailureBias, dup);
         archive.a1.series.push_back(copy);
         archive.a1_kinds.push_back(YahooSeriesKind::kMislabelSpecial);
         archive.planted_defects.push_back(
@@ -550,16 +553,16 @@ YahooArchive GenerateYahooArchive(const YahooConfig& config) {
         // Series #1 carries the Fig 3 "two anomalies sandwiching one
         // normal point" density quirk.
         archive.a1.series.push_back(MakeGlobalSpikeSeries(
-            name, config.a1_length, config.run_to_failure_bias, rng,
+            name, config.a1_length, kRunToFailureBias, rng,
             /*sandwich_pair=*/id == 1));
         break;
       case YahooSeriesKind::kAdaptiveSpikes:
         archive.a1.series.push_back(MakeAdaptiveSpikeSeries(
-            name, config.a1_length, config.run_to_failure_bias, rng));
+            name, config.a1_length, kRunToFailureBias, rng));
         break;
       default:
         archive.a1.series.push_back(MakeHardSeries(
-            name, config.a1_length, config.run_to_failure_bias, rng));
+            name, config.a1_length, kRunToFailureBias, rng));
         break;
     }
     archive.a1_kinds.push_back(kind);

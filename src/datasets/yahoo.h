@@ -45,7 +45,6 @@ struct YahooConfig {
   std::size_t a4_count = 100;
   std::size_t a1_length = 1420;        // ~ the real A1 series length
   std::size_t synthetic_length = 1680; // ~ the real A2-A4 series length
-  double run_to_failure_bias = 0.75;   // end bias for A1/A2 positions
 };
 
 /// What kind of series the generator produced — the hidden cause behind

@@ -35,12 +35,11 @@ class MaxAbsDiffDetector : public AnomalyDetector {
 };
 
 /// Scores each point by the length of the constant run it belongs to
-/// (0 when not in a run of at least `min_run` points). Catches frozen
-/// telemetry.
+/// (0 when not in a run of at least `min_run` exactly equal points).
+/// Catches frozen telemetry.
 class ConstantRunDetector : public AnomalyDetector {
  public:
-  explicit ConstantRunDetector(std::size_t min_run = 3,
-                               double tolerance = 0.0);
+  explicit ConstantRunDetector(std::size_t min_run = 3);
 
   std::string_view name() const override { return name_; }
   using AnomalyDetector::Score;
@@ -49,7 +48,6 @@ class ConstantRunDetector : public AnomalyDetector {
 
  private:
   std::size_t min_run_;
-  double tolerance_;
   std::string name_;
 };
 

@@ -65,8 +65,6 @@ class TelemanomDetector : public AnomalyDetector {
   Result<std::vector<double>> Score(const Series& series,
                                     std::size_t train_length) const override;
 
-  const TelemanomConfig& config() const { return config_; }
-
  private:
   TelemanomConfig config_;
   std::string name_;

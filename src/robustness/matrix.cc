@@ -17,12 +17,12 @@ bool AllFinite(const std::vector<double>& x) {
   return true;
 }
 
-bool PeakWithinSlop(std::size_t peak, const LabeledSeries& series,
-                    std::size_t slop) {
+bool PeakWithinSlop(std::size_t peak, const LabeledSeries& series) {
+  constexpr std::size_t kPeakSlop = 100;  // positional play, in points
   if (peak == kNoPrediction || series.anomalies().empty()) return false;
   const AnomalyRegion& a = series.anomalies().front();
-  const std::size_t lo = a.begin > slop ? a.begin - slop : 0;
-  return peak >= lo && peak < a.end + slop;
+  const std::size_t lo = a.begin > kPeakSlop ? a.begin - kPeakSlop : 0;
+  return peak >= lo && peak < a.end + kPeakSlop;
 }
 
 }  // namespace
@@ -105,7 +105,7 @@ std::vector<RobustnessCell> RunRobustnessMatrix(
         cell.peak_drift =
             peak > clean.peak ? peak - clean.peak : clean.peak - peak;
       }
-      cell.peak_correct = PeakWithinSlop(peak, faulted, config.slop);
+      cell.peak_correct = PeakWithinSlop(peak, faulted);
       cell.discrimination = Discrimination(*scores);
     } else {
       cell.status = Status::Internal("non-finite or short score track");

@@ -33,7 +33,6 @@ std::vector<RobustnessCase> DefaultFaultMatrix(
 struct RobustnessConfig {
   std::vector<RobustnessCase> cases = DefaultFaultMatrix();
   uint64_t seed = 99;
-  std::size_t slop = 100;  // positional play when judging the peak
 };
 
 /// One (detector, fault, severity) outcome.
@@ -45,7 +44,7 @@ struct RobustnessCell {
   bool survived = false;       // OK + full length + all-finite scores
   double score_correlation = 0.0;  // Pearson vs the clean score track
   std::size_t peak_drift = 0;      // |peak(faulted) - peak(clean)|
-  bool peak_correct = false;       // faulted peak within slop of truth
+  bool peak_correct = false;       // faulted peak within 100 pts of truth
   double discrimination = 0.0;     // of the faulted track
 };
 

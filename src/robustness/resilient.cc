@@ -49,16 +49,16 @@ Result<std::vector<double>> ResilientDetector::RunStage(
                             std::to_string(scores->size()) + " scores for " +
                             std::to_string(input.values.size()) + " points");
   }
-  // A track that is mostly non-finite did not really succeed; patching
+  // A track more than half non-finite did not really succeed; patching
   // it point-wise would invent a signal that is not there.
+  constexpr double kMaxBadScoreFraction = 0.5;
   std::size_t bad = 0;
   for (double s : *scores) {
     if (!std::isfinite(s)) ++bad;
   }
   if (!scores->empty() &&
       static_cast<double>(bad) >
-          config_.max_bad_score_fraction *
-              static_cast<double>(scores->size())) {
+          kMaxBadScoreFraction * static_cast<double>(scores->size())) {
     return Status::Internal(std::string(detector.name()) + " emitted " +
                             std::to_string(bad) + "/" +
                             std::to_string(scores->size()) +
@@ -86,11 +86,13 @@ Result<std::vector<double>> ResilientDetector::Run(
   last_primary_status_ = Status::OK();
   last_scores_patched_ = 0;
 
+  // Past half missing, the series is noise, not data: refuse it.
+  constexpr double kMaxMissingFraction = 0.5;
   Result<SanitizedSeries> sanitized =
-      SanitizeSeries(series, config_.imputation, config_.sentinel,
-                     config_.max_missing_fraction);
+      SanitizeSeries(series, config_.imputation, kDefaultSentinel,
+                     kMaxMissingFraction);
   if (!sanitized.ok()) {
-    last_scan_ = ScanForMissing(series, config_.sentinel);
+    last_scan_ = ScanForMissing(series, kDefaultSentinel);
     return sanitized.status();
   }
   last_scan_ = sanitized->scan;

@@ -4,13 +4,14 @@
 // detector taking down a whole evaluation run. The wrapper builds a
 // staged pipeline around the inner detector:
 //
-//   1. validate + sanitize the input (missing markers imputed under a
-//      pluggable policy; refuse with kResourceExhausted past a damage
-//      limit),
+//   1. validate + sanitize the input (NaN, inf and kDefaultSentinel
+//      markers imputed under a pluggable policy; refuse with
+//      kResourceExhausted when more than half the input is missing —
+//      past that the series is noise, not data),
 //   2. score under a cooperative deadline (kDeadlineExceeded instead of
 //      an unbounded run — see robustness/deadline.h),
-//   3. sanitize the output (non-finite scores patched; a mostly
-//      non-finite track counts as failure, not success),
+//   3. sanitize the output (non-finite scores patched; a track more
+//      than half non-finite counts as failure, not success),
 //   4. on failure, retry once with a simplified configuration of the
 //      same detector (e.g. half the window), and finally
 //   5. degrade gracefully to a cheap fallback detector (moving z-score
@@ -34,18 +35,10 @@ namespace tsad {
 struct ResilientConfig {
   /// How missing input points are repaired before scoring.
   ImputationPolicy imputation = ImputationPolicy::kLinearInterpolate;
-  /// Missing-data marker recognized alongside NaN/inf.
-  double sentinel = kDefaultSentinel;
-  /// Refuse (kResourceExhausted) when more than this fraction of the
-  /// input is missing — past that the series is noise, not data.
-  double max_missing_fraction = 0.5;
   /// Per-attempt scoring budget; zero disables the watchdog. Applies to
   /// each stage (primary, retry, fallback) separately, so a timed-out
   /// primary still leaves the fallback its full budget.
   std::chrono::milliseconds deadline{0};
-  /// An attempt whose score track is more than this fraction non-finite
-  /// is treated as failed instead of being patched point-wise.
-  double max_bad_score_fraction = 0.5;
 };
 
 /// Which pipeline stage produced the scores of the last Score() call.
@@ -86,7 +79,6 @@ class ResilientDetector : public AnomalyDetector {
       const Result<std::vector<double>>& inner_scores) const;
 
   const AnomalyDetector& inner() const { return *inner_; }
-  const ResilientConfig& config() const { return config_; }
 
   /// The last_* telemetry below is mutable per-call state, so two
   /// threads must not Score() the same instance concurrently.

@@ -7,6 +7,10 @@ namespace tsad {
 
 namespace {
 
+// Window budget per series, as a fraction of its length (NAB's 10%
+// convention), shared equally by the anomalies.
+constexpr double kWindowFraction = 0.10;
+
 // NAB's scaled sigmoid: ~ +1 well left of the window end, 0 at the
 // window end, -> -1 far to the right.
 double ScaledSigmoid(double y) { return 2.0 / (1.0 + std::exp(5.0 * y)) - 1.0; }
@@ -41,11 +45,11 @@ Result<NabScore> ComputeNabScore(const std::vector<AnomalyRegion>& anomalies_in,
   const std::vector<AnomalyRegion> anomalies = NormalizeRegions(anomalies_in);
 
   // Build NAB windows: centered on each anomaly, total window budget =
-  // window_fraction * series_length spread over the anomalies.
+  // kWindowFraction * series_length spread over the anomalies.
   std::vector<Window> windows;
   if (!anomalies.empty()) {
     const double per_window =
-        config.window_fraction * static_cast<double>(series_length) /
+        kWindowFraction * static_cast<double>(series_length) /
         static_cast<double>(anomalies.size());
     for (const AnomalyRegion& a : anomalies) {
       const double center =

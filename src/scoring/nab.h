@@ -35,12 +35,10 @@ NabProfile NabStandardProfile();
 NabProfile NabRewardLowFpProfile();
 NabProfile NabRewardLowFnProfile();
 
+/// Each true anomaly's window spans 10% of the series length divided by
+/// the number of anomalies (NAB's convention).
 struct NabConfig {
   NabProfile profile;
-  /// Window length around each true anomaly, as a fraction of the
-  /// series length divided by the number of anomalies (NAB's 10%
-  /// convention).
-  double window_fraction = 0.10;
 };
 
 struct NabScore {

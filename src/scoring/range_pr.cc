@@ -7,6 +7,9 @@ namespace tsad {
 
 namespace {
 
+// Precision weighs every position of a predicted range equally.
+constexpr PositionalBias kPrecisionBias = PositionalBias::kFlat;
+
 // Positional weight of offset i (0-based) within a range of `length`
 // positions, per Tatbul et al.'s delta() examples.
 double PositionWeight(PositionalBias bias, std::size_t i, std::size_t length) {
@@ -89,8 +92,7 @@ RangePrResult ComputeRangePr(const std::vector<AnomalyRegion>& real_in,
       double precision_sum = 0.0;
       for (const AnomalyRegion& p : predicted) {
         precision_sum += RangeScore(p, real, /*alpha=*/0.0,
-                                    config.precision_bias,
-                                    config.cardinality_power);
+                                    kPrecisionBias, config.cardinality_power);
       }
       result.precision =
           precision_sum / static_cast<double>(predicted.size());

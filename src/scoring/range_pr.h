@@ -9,7 +9,8 @@
 // overlap reward integrates a positional-bias weight over the covered
 // positions, and the cardinality factor penalizes fragmented
 // detections. Precision is symmetric over predicted ranges with
-// alpha = 0 (existence is meaningless for precision).
+// alpha = 0 (existence is meaningless for precision) and a flat
+// positional bias.
 
 #ifndef TSAD_SCORING_RANGE_PR_H_
 #define TSAD_SCORING_RANGE_PR_H_
@@ -32,7 +33,6 @@ enum class PositionalBias {
 struct RangePrConfig {
   double alpha = 0.0;  // weight of the existence reward in recall
   PositionalBias recall_bias = PositionalBias::kFlat;
-  PositionalBias precision_bias = PositionalBias::kFlat;
   /// Cardinality penalty: overlap reward is divided by the number of
   /// distinct predicted ranges overlapping the real range, raised to
   /// this power (0 = no penalty, 1 = linear penalty).

@@ -16,8 +16,7 @@ bool UcrCorrect(const AnomalyRegion& anomaly, std::size_t predicted,
 }
 
 Result<UcrSeriesOutcome> ScoreUcrSeries(const LabeledSeries& series,
-                                        std::size_t predicted,
-                                        const UcrScoreConfig& config) {
+                                        std::size_t predicted) {
   if (series.anomalies().size() != 1) {
     return Status::InvalidArgument(
         "UCR scoring requires exactly one anomaly region; series '" +
@@ -27,7 +26,7 @@ Result<UcrSeriesOutcome> ScoreUcrSeries(const LabeledSeries& series,
   outcome.series_name = series.name();
   outcome.predicted = predicted;
   outcome.anomaly = series.anomalies().front();
-  outcome.correct = UcrCorrect(outcome.anomaly, predicted, config);
+  outcome.correct = UcrCorrect(outcome.anomaly, predicted);
   return outcome;
 }
 

@@ -53,11 +53,11 @@ struct UcrAccuracy {
   }
 };
 
-/// Scores one predicted location against a labeled series. Returns
-/// InvalidArgument unless the series has exactly one anomaly region.
+/// Scores one predicted location against a labeled series under the
+/// default UcrScoreConfig. Returns InvalidArgument unless the series
+/// has exactly one anomaly region.
 Result<UcrSeriesOutcome> ScoreUcrSeries(const LabeledSeries& series,
-                                        std::size_t predicted,
-                                        const UcrScoreConfig& config = {});
+                                        std::size_t predicted);
 
 }  // namespace tsad
 

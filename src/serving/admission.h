@@ -67,22 +67,13 @@ enum class AdmissionDecision {
 
 /// Pluggable per-Push admission decision. Called concurrently from
 /// every producer thread, outside the engine's locks: implementations
-/// must be thread-safe and cheap (one Push = one call).
+/// must be thread-safe and cheap (one Push = one call). With no policy
+/// (ServingConfig::admission null) every point is admitted, and
+/// queue-capacity backpressure still applies after it.
 class AdmissionPolicy {
  public:
   virtual ~AdmissionPolicy() = default;
-  virtual std::string_view name() const = 0;
   virtual AdmissionDecision Admit(const AdmissionRequest& request) const = 0;
-};
-
-/// The default when ServingConfig::admission is null: every point is
-/// admitted (queue-capacity backpressure still applies after it).
-class AdmitAllPolicy : public AdmissionPolicy {
- public:
-  std::string_view name() const override { return "admit-all"; }
-  AdmissionDecision Admit(const AdmissionRequest&) const override {
-    return AdmissionDecision::kAdmit;
-  }
 };
 
 /// Configuration for PriorityQuotaPolicy.
@@ -110,10 +101,7 @@ class PriorityQuotaPolicy : public AdmissionPolicy {
  public:
   explicit PriorityQuotaPolicy(PriorityQuotaConfig config = {});
 
-  std::string_view name() const override { return "priority-quota"; }
   AdmissionDecision Admit(const AdmissionRequest& request) const override;
-
-  const PriorityQuotaConfig& config() const { return config_; }
 
  private:
   PriorityQuotaConfig config_;

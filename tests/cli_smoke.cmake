@@ -33,6 +33,24 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "huge-period sesd detect exited ${rc}: ${out}${err}")
 endif()
 
+# A train_length header with a sign, trailing junk, overflow or more
+# points than the file holds is refused (exit 1), not wrapped or cut.
+set(rows "value,label\n1,0\n2,0\n3,0\n4,1\n5,0\n6,0\n7,0\n8,0\n")
+foreach(header "-5" "100abc" "99999999999999999999" "9")
+  file(WRITE ${WORK_DIR}/bad_train.csv
+       "# name=bad train_length=${header}\n${rows}")
+  execute_process(COMMAND ${TSAD_CLI} detect ${WORK_DIR}/bad_train.csv
+                          --detector zscore:w=4
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "train_length=${header} detect exited ${rc}, want 1: ${out}${err}")
+  endif()
+  string(FIND "${out}${err}" "InvalidArgument" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "train_length=${header} detect missing InvalidArgument: ${out}${err}")
+  endif()
+endforeach()
+
 # audit exits 2 on a flawed dataset by design; accept 0 or 2.
 execute_process(COMMAND ${TSAD_CLI} audit ${WORK_DIR}/nyc_taxi.csv
                         --report ${WORK_DIR}/report.md

@@ -38,6 +38,27 @@ TEST(CsvTest, RejectsMalformedRows) {
   EXPECT_FALSE(SeriesFromCsv("value,label\n1.0,zz\n").ok());
 }
 
+TEST(CsvTest, RejectsBadTrainLengthHeaders) {
+  for (const char* bad : {"-5", "100abc", "99999999999999999999", "", "+3"}) {
+    const Result<LabeledSeries> parsed = SeriesFromCsv(
+        std::string("# name=x train_length=") + bad + "\nvalue,label\n1,0\n");
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+TEST(CsvTest, RejectsTrainPrefixLongerThanTheRows) {
+  const std::string rows = "value,label\n1,0\n2,0\n3,1\n";
+  const Result<LabeledSeries> over =
+      SeriesFromCsv("# name=x train_length=4\n" + rows);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  const Result<LabeledSeries> whole =
+      SeriesFromCsv("# name=x train_length=3\r\n" + rows);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(whole->train_length(), 3u);
+}
+
 TEST(CsvTest, ToleratesCrLfAndBlankLines) {
   Result<LabeledSeries> parsed =
       SeriesFromCsv("# name=x train_length=0\r\nvalue,label\r\n\r\n1,0\r\n2,1\r\n");

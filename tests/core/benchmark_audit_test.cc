@@ -24,7 +24,7 @@ TEST(BenchmarkAuditTest, FlawedDatasetGetsTheVerdict) {
   }
   d.series.push_back(d.series.front());  // duplicate
   AuditConfig config;
-  config.mislabel.run_twin_search = false;  // keep the test fast
+  config.run_twin_search = false;  // keep the test fast
   const BenchmarkAudit audit = AuditBenchmark(d, config);
   EXPECT_TRUE(audit.irretrievably_flawed);
   EXPECT_GE(audit.verdict_reasons.size(), 2u);  // trivial + duplicate at least
@@ -44,7 +44,7 @@ TEST(BenchmarkAuditTest, CleanDatasetPasses) {
                           std::vector<AnomalyRegion>{{pos, pos + 1}});
   }
   AuditConfig config;
-  config.mislabel.run_twin_search = false;
+  config.run_twin_search = false;
   const BenchmarkAudit audit = AuditBenchmark(d, config);
   EXPECT_FALSE(audit.irretrievably_flawed) << FormatAudit(audit);
 }
@@ -57,7 +57,7 @@ TEST(BenchmarkAuditTest, FormatMentionsEverySection) {
   const AnomalyRegion r = InjectSpike(x, 350, 20.0);
   d.series.emplace_back("s", std::move(x), std::vector<AnomalyRegion>{r});
   AuditConfig config;
-  config.mislabel.run_twin_search = false;
+  config.run_twin_search = false;
   const std::string text = FormatAudit(AuditBenchmark(d, config));
   EXPECT_NE(text.find("Triviality"), std::string::npos);
   EXPECT_NE(text.find("Density"), std::string::npos);
@@ -70,7 +70,7 @@ TEST(BenchmarkAuditTest, SimulatedYahooA1IsIrretrievablyFlawed) {
   // The paper's §2.6 headline, end to end.
   const YahooArchive archive = GenerateYahooArchive();
   AuditConfig config;
-  config.mislabel.run_twin_search = false;  // twin search tested elsewhere
+  config.run_twin_search = false;  // twin search tested elsewhere
   const BenchmarkAudit audit = AuditBenchmark(archive.a1, config);
   EXPECT_TRUE(audit.irretrievably_flawed);
 }

@@ -146,8 +146,7 @@ TEST(FindDuplicateSeriesTest, DistinctSeriesPass) {
 TEST(AuditDatasetLabelsTest, FindsAllPlantedYahooDefects) {
   // End-to-end: the auditor rediscovers what the generator planted.
   const YahooArchive archive = GenerateYahooArchive();
-  MislabelAuditConfig config;
-  const auto findings = AuditDatasetLabels(archive.a1, config);
+  const auto findings = AuditDatasetLabels(archive.a1);
 
   auto has = [&](MislabelKind kind, const std::string& series) {
     for (const MislabelFinding& f : findings) {

@@ -44,7 +44,7 @@ TEST(SparklineTest, DegenerateInputs) {
 TEST(ReportTest, ContainsEverySection) {
   const BenchmarkDataset dataset = FlawedMiniDataset();
   AuditConfig config;
-  config.mislabel.run_twin_search = false;
+  config.run_twin_search = false;
   const BenchmarkAudit audit = AuditBenchmark(dataset, config);
   const std::string md = RenderAuditReport(audit, dataset);
 
@@ -69,7 +69,7 @@ TEST(ReportTest, CleanAuditRendersWithoutPanels) {
   d.series.emplace_back("quiet", std::move(x),
                         std::vector<AnomalyRegion>{{200, 201}});
   AuditConfig config;
-  config.mislabel.run_twin_search = false;
+  config.run_twin_search = false;
   const BenchmarkAudit audit = AuditBenchmark(d, config);
   const std::string md = RenderAuditReport(audit, d);
   EXPECT_NE(md.find("no flaw found"), std::string::npos);
@@ -79,7 +79,7 @@ TEST(ReportTest, CleanAuditRendersWithoutPanels) {
 TEST(ReportTest, WritesToFile) {
   const BenchmarkDataset dataset = FlawedMiniDataset();
   AuditConfig config;
-  config.mislabel.run_twin_search = false;
+  config.run_twin_search = false;
   const BenchmarkAudit audit = AuditBenchmark(dataset, config);
   const std::string path =
       (std::filesystem::temp_directory_path() / "tsad_report_test.md")
@@ -95,7 +95,7 @@ TEST(ReportTest, WritesToFile) {
 TEST(ReportTest, WriteToBadPathIsIOError) {
   const BenchmarkDataset dataset = FlawedMiniDataset();
   AuditConfig config;
-  config.mislabel.run_twin_search = false;
+  config.run_twin_search = false;
   const BenchmarkAudit audit = AuditBenchmark(dataset, config);
   EXPECT_EQ(
       WriteAuditReport(audit, dataset, "/nonexistent/dir/report.md").code(),

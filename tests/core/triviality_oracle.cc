@@ -151,7 +151,7 @@ TrivialitySolution SolveWithFormDirect(const LabeledSeries& series,
   }
 
   for (std::size_t k : space.ks) {
-    for (double c : space.cs) {
+    for (double c : kOneLinerCs) {
       OneLinerParams p;
       p.use_abs = use_abs;
       p.use_movmean = true;

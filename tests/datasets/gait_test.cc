@@ -37,7 +37,7 @@ TEST(GaitTest, SwappedCycleIsWeaker) {
                              x.begin() + static_cast<long>(r.end));
   // A normal cycle right before the anomaly.
   const Series normal_cycle(
-      x.begin() + static_cast<long>(r.begin - config.cycle_length),
+      x.begin() + static_cast<long>(r.begin - kGaitCycleLength),
       x.begin() + static_cast<long>(r.begin));
   EXPECT_LT(Max(anomaly_cycle), 0.8 * Max(normal_cycle));
 }
@@ -46,8 +46,8 @@ TEST(GaitTest, TurnaroundsAppearInTrainAndTest) {
   // §3.2: "we took pains to ensure that both the training and test data
   // have examples of this behavior."
   GaitConfig config;
-  EXPECT_LT(config.turnaround_every, config.train_cycles);
-  EXPECT_LT(config.turnaround_every,
+  EXPECT_LT(kGaitTurnaroundEvery, config.train_cycles);
+  EXPECT_LT(kGaitTurnaroundEvery,
             config.num_cycles - config.train_cycles);
 }
 
@@ -62,8 +62,7 @@ TEST(GaitTest, Deterministic) {
 
 TEST(GaitTest, AnomalyAvoidsRegularTurnarounds) {
   const GaitData data = GenerateGaitData();
-  GaitConfig config;
-  EXPECT_GE(data.anomaly_cycle % config.turnaround_every, 2u);
+  EXPECT_GE(data.anomaly_cycle % kGaitTurnaroundEvery, 2u);
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ TEST(BidmcPairTest, PlethLagsEcg) {
   const std::size_t pleth_begin = pair.pleth.anomalies().front().begin;
   EXPECT_GT(pleth_begin, ecg_begin);
   EXPECT_NEAR(static_cast<double>(pleth_begin - ecg_begin),
-              config.pleth_lag_sec * config.sample_rate_hz, 5.0);
+              kPhysioPlethLagSec * kPhysioSampleRateHz, 5.0);
 }
 
 TEST(BidmcPairTest, PvcPulseIsWeak) {

@@ -56,7 +56,7 @@ TEST(SemiSupDiscordTest, IgnoresBehaviorSeenInTraining) {
   // cycle dominates.
   GaitConfig cfg;
   const GaitData gait = GenerateGaitData(cfg);
-  SemiSupervisedDiscordDetector detector(cfg.cycle_length / 2);
+  SemiSupervisedDiscordDetector detector(kGaitCycleLength / 2);
   Result<std::vector<double>> scores = detector.Score(gait.series);
   ASSERT_TRUE(scores.ok()) << scores.status().ToString();
   const std::size_t peak =

@@ -14,7 +14,7 @@ namespace {
 TEST(PaperPipelineTest, YahooAuditFindsAllFourFlaws) {
   const YahooArchive archive = GenerateYahooArchive();
   AuditConfig config;
-  config.mislabel.run_twin_search = false;  // covered by mislabel tests
+  config.run_twin_search = false;  // covered by mislabel tests
   const BenchmarkAudit audit = AuditBenchmark(archive.a1, config);
   EXPECT_TRUE(audit.irretrievably_flawed);
   // Triviality (most series one-liner solvable).

@@ -36,12 +36,6 @@ TEST(StreamPriorityTest, ParseRejectsUnknownWithSuggestion) {
   EXPECT_NE(r.status().message().find("critical"), std::string::npos);
 }
 
-TEST(AdmitAllPolicyTest, AdmitsEverythingEvenAtCapacity) {
-  AdmitAllPolicy policy;
-  EXPECT_EQ(policy.Admit(Request(StreamPriority::kBatch, 100, 100)),
-            AdmissionDecision::kAdmit);
-}
-
 TEST(PriorityQuotaPolicyTest, FillCeilingsShedLowPrioritiesFirst) {
   PriorityQuotaPolicy policy;  // defaults: 1.0 / 0.9 / 0.75 / 0.5
   const std::size_t capacity = 100;
