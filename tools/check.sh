@@ -108,10 +108,10 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   echo "==> leaderboard smoke under ASan+UBSan (ctest -L leaderboard)"
   (cd "${repo_root}/build-sanitize" && ctest --output-on-failure -L leaderboard)
 
-  # Reproduction gate under ASan+UBSan: the default-seed board's JSON
-  # and the stdout of the 20 paper and ablation benches must match
-  # their files under tests/golden/ byte for byte, serial and at 4
-  # threads.
+  # Reproduction gate under ASan+UBSan: the default-seed board's JSON,
+  # the stdout of the 20 paper and ablation benches, and the audit's
+  # stdout and Markdown report must match their files under
+  # tests/golden/ byte for byte, serial and at 4 threads.
   echo "==> reproduction gate under ASan+UBSan (ctest -L repro)"
   (cd "${repo_root}/build-sanitize" && ctest --output-on-failure -L repro)
 
