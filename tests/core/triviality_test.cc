@@ -1,6 +1,9 @@
 #include "core/triviality.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -208,8 +211,8 @@ INSTANTIATE_TEST_SUITE_P(Magnitudes, SpikeSizeSweep,
 // ---------------------------------------------------------------------------
 // Memoized sweep vs. the frozen direct implementation: the cached grid
 // search must return IDENTICAL solutions — same solved flag, same
-// parameters, and bit-equal b and headroom (EXPECT_EQ on the doubles,
-// no tolerance) — on realistic archive series.
+// parameters, and the same bits of b and headroom (no tolerance; a NaN
+// headroom must be the same NaN) — on realistic archive series.
 
 void ExpectIdenticalSolutions(const TrivialitySolution& memoized,
                               const TrivialitySolution& direct,
@@ -220,8 +223,26 @@ void ExpectIdenticalSolutions(const TrivialitySolution& memoized,
   EXPECT_EQ(memoized.params.use_movmean, direct.params.use_movmean) << label;
   EXPECT_EQ(memoized.params.k, direct.params.k) << label;
   EXPECT_EQ(memoized.params.c, direct.params.c) << label;
-  EXPECT_EQ(memoized.params.b, direct.params.b) << label;
-  EXPECT_EQ(memoized.headroom, direct.headroom) << label;
+  EXPECT_EQ(std::bit_cast<uint64_t>(memoized.params.b),
+            std::bit_cast<uint64_t>(direct.params.b))
+      << label << " b " << memoized.params.b << " vs " << direct.params.b;
+  EXPECT_EQ(std::bit_cast<uint64_t>(memoized.headroom),
+            std::bit_cast<uint64_t>(direct.headroom))
+      << label << " headroom " << memoized.headroom << " vs "
+      << direct.headroom;
+}
+
+// Every form through SolveWithForm, and the whole search, against the
+// direct implementation.
+void ExpectSearchMatchesDirect(const LabeledSeries& s,
+                               const std::string& label) {
+  for (OneLinerForm form : {OneLinerForm::kEq3, OneLinerForm::kEq4,
+                            OneLinerForm::kEq5, OneLinerForm::kEq6}) {
+    ExpectIdenticalSolutions(SolveWithForm(s, form),
+                             SolveWithFormDirect(s, form),
+                             label + " " + std::string(OneLinerFormName(form)));
+  }
+  ExpectIdenticalSolutions(FindOneLiner(s), FindOneLinerDirect(s), label);
 }
 
 TEST(MemoizedSweepTest, MatchesDirectOnYahooSubset) {
@@ -240,6 +261,21 @@ TEST(MemoizedSweepTest, MatchesDirectOnYahooSubset) {
                                dataset->name + "/" + s.name());
     }
   }
+}
+
+// The full default archive: 367 series of 1,420 or 1,680 points, so
+// the largest window (k = 151) and long forbidden runs are exercised.
+TEST(MemoizedSweepTest, MatchesDirectOnDefaultYahooArchive) {
+  const YahooArchive archive = GenerateYahooArchive();
+  std::size_t series = 0;
+  for (const BenchmarkDataset* dataset : archive.all()) {
+    for (const LabeledSeries& s : dataset->series) {
+      ExpectIdenticalSolutions(FindOneLiner(s), FindOneLinerDirect(s),
+                               dataset->name + "/" + s.name());
+      ++series;
+    }
+  }
+  EXPECT_EQ(series, 367u);
 }
 
 TEST(MemoizedSweepTest, MatchesDirectOnNumentaDataset) {
@@ -275,7 +311,80 @@ TEST(MemoizedSweepTest, SolveWithFormMatchesDirectPerForm) {
 
 // The degenerate cases the direct sweep handles (full slop coverage, no
 // anomalies, too-short series) must fall out of the precomputed context
-// the same way.
+// the same way, and so must the inputs at the edges of the margin
+// arithmetic and of the index bounds (EdgeCase).
+enum class EdgeKind {
+  kConstant,            // every margin equal: nothing separates
+  kHalfZero,            // a flat half next to noise
+  kNaN,                 // one NaN value
+  kPosInf,              // one +inf value
+  kInfPair,             // a -inf and a +inf value
+  kHuge,                // x 1e300: the window sums of squares overflow
+  kSubnormal,           // x 1e-310: subnormal values
+  kRegionAtStart,       // a region at index 0
+  kRegionAtEnd,         // a region at the last index
+  kOverlappingRegions,  // two regions that overlap once slop is added
+  kShort,               // n = 3 to 7
+};
+
+LabeledSeries EdgeCase(EdgeKind kind, uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t n =
+      kind == EdgeKind::kShort ? 3 + static_cast<std::size_t>(seed % 5) : 100;
+  Series x = GaussianNoise(n, 1.0, rng);
+  const auto at = [&](std::size_t lo, std::size_t hi) {
+    return static_cast<std::size_t>(rng.UniformInt(
+        static_cast<int64_t>(lo), static_cast<int64_t>(hi)));
+  };
+  const double spike = rng.Uniform(2.0, 12.0);
+  std::vector<AnomalyRegion> regions;
+  const double inf = std::numeric_limits<double>::infinity();
+  switch (kind) {
+    case EdgeKind::kConstant:
+      x.assign(n, 4.25);
+      regions.push_back(InjectSpike(x, at(20, n - 21), 0.0));
+      break;
+    case EdgeKind::kHalfZero:
+      for (std::size_t i = 0; i < n / 2; ++i) x[i] = 0.0;
+      regions.push_back(InjectSpike(x, at(20, n - 21), spike));
+      break;
+    case EdgeKind::kNaN:
+      regions.push_back(InjectSpike(x, at(20, n - 21), spike));
+      x[at(0, n - 1)] = std::numeric_limits<double>::quiet_NaN();
+      break;
+    case EdgeKind::kPosInf:
+      regions.push_back(InjectSpike(x, at(20, n - 21), spike));
+      x[at(0, n - 1)] = inf;
+      break;
+    case EdgeKind::kInfPair:
+      regions.push_back(InjectSpike(x, at(20, n - 21), spike));
+      x[at(0, n - 1)] = -inf;
+      x[at(0, n - 1)] = inf;
+      break;
+    case EdgeKind::kHuge:
+    case EdgeKind::kSubnormal:
+      regions.push_back(InjectSpike(x, at(20, n - 21), spike));
+      for (double& v : x) v *= kind == EdgeKind::kHuge ? 1e300 : 1e-310;
+      break;
+    case EdgeKind::kRegionAtStart:
+      regions.push_back(InjectSpike(x, 0, spike));
+      break;
+    case EdgeKind::kRegionAtEnd:
+      regions.push_back(InjectSpike(x, n - 1, spike));
+      break;
+    case EdgeKind::kOverlappingRegions: {
+      const std::size_t pos = at(20, n - 30);
+      regions.push_back(InjectSpike(x, pos, spike));
+      regions.push_back(InjectSpike(x, pos + at(2, 6), spike));
+      break;
+    }
+    case EdgeKind::kShort:
+      regions.push_back(InjectSpike(x, at(0, n - 1), spike));
+      break;
+  }
+  return LabeledSeries("edge", std::move(x), std::move(regions));
+}
+
 TEST(MemoizedSweepTest, DegenerateCasesMatchDirect) {
   Rng rng(79);
   Series covered = GaussianNoise(10, 1.0, rng);
@@ -291,6 +400,14 @@ TEST(MemoizedSweepTest, DegenerateCasesMatchDirect) {
   const LabeledSeries tiny("short", Series{1.0, 2.0}, {{0, 1}});
   ExpectIdenticalSolutions(FindOneLiner(tiny), FindOneLinerDirect(tiny),
                            "too-short");
+
+  for (int kind = 0; kind <= static_cast<int>(EdgeKind::kShort); ++kind) {
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+      ExpectSearchMatchesDirect(
+          EdgeCase(static_cast<EdgeKind>(kind), seed),
+          "kind=" + std::to_string(kind) + " seed=" + std::to_string(seed));
+    }
+  }
 }
 
 }  // namespace
