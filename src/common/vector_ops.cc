@@ -76,9 +76,19 @@ std::vector<double> Abs(std::vector<double> x) {
 }
 
 std::vector<double> MovMean(const std::vector<double>& x, std::size_t k) {
+  return MovMeanFromSums(PrefixSums(x, nullptr), k);
+}
+
+std::vector<double> MovStd(const std::vector<double>& x, std::size_t k) {
+  std::vector<long double> sq;
+  const std::vector<long double> sums = PrefixSums(x, &sq);
+  return MovStdFromSums(sums, sq, k);
+}
+
+std::vector<double> MovMeanFromSums(const std::vector<long double>& sums,
+                                    std::size_t k) {
   assert(k >= 1);
-  const std::size_t n = x.size();
-  const std::vector<long double> sums = PrefixSums(x, nullptr);
+  const std::size_t n = sums.size() - 1;
   std::vector<double> out(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t lo, hi;
@@ -88,11 +98,11 @@ std::vector<double> MovMean(const std::vector<double>& x, std::size_t k) {
   return out;
 }
 
-std::vector<double> MovStd(const std::vector<double>& x, std::size_t k) {
+std::vector<double> MovStdFromSums(const std::vector<long double>& sums,
+                                   const std::vector<long double>& sq,
+                                   std::size_t k) {
   assert(k >= 1);
-  const std::size_t n = x.size();
-  std::vector<long double> sq;
-  const std::vector<long double> sums = PrefixSums(x, &sq);
+  const std::size_t n = sums.size() - 1;
   std::vector<double> out(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t lo, hi;

@@ -60,6 +60,15 @@ std::vector<double> MovMean(const std::vector<double>& x, std::size_t k);
 /// window alignment.
 std::vector<double> MovStd(const std::vector<double>& x, std::size_t k);
 
+/// The window loops of MovMean and MovStd over the caller's prefix sums
+/// (AppendPrefixSums from {0}) of a sums.size() - 1 value track, so
+/// several windows can share one set of sums.
+std::vector<double> MovMeanFromSums(const std::vector<long double>& sums,
+                                    std::size_t k);
+std::vector<double> MovStdFromSums(const std::vector<long double>& sums,
+                                   const std::vector<long double>& sq,
+                                   std::size_t k);
+
 /// Trailing (causal) moving mean over the last k samples (fewer at the
 /// start). Used by streaming-style detectors.
 std::vector<double> TrailingMean(const std::vector<double>& x, std::size_t k);

@@ -23,27 +23,25 @@ std::vector<uint8_t> AllowedMask(const LabeledSeries& series,
 }
 
 // Everything the b sweep derives from (series, slop) alone, hoisted
-// out of the (k, c) grid: the sweep runs once per candidate margin, but
-// the forbidden-index list and per-region index bounds are identical
-// for all of them. The stored indices are exactly the indices the
-// per-candidate scans of the frozen oracle (tests/core/
-// triviality_oracle.cc) visit, in the same order, so the sweep below
+// out of the (k, c) grid: the sweep runs once per candidate, but the
+// allowed mask and per-region index bounds are identical for all of
+// them. The sweep below visits the indices the frozen oracle's scans
+// (tests/core/triviality_oracle.cc) visit, in the same order, so it
 // folds the same doubles through the same max/min chain — bit-identical
 // solvability, b, and headroom.
 struct ExactSweepContext {
-  std::size_t margin_length = 0;  // == series.length(), the padded margin size
-  std::vector<std::size_t> forbidden;  // i >= 1 with allowed[i] == 0
+  std::vector<uint8_t> allowed;  // per series index, from AllowedMask
+  bool any_forbidden = false;    // some index i >= 1 is not allowed
   std::vector<std::pair<std::size_t, std::size_t>> region_bounds;  // [lo, hi)
 };
 
 ExactSweepContext BuildSweepContext(const LabeledSeries& series,
                                     std::size_t slop) {
   ExactSweepContext ctx;
-  ctx.margin_length = series.length();
-  const std::vector<uint8_t> allowed = AllowedMask(series, slop);
-  for (std::size_t i = 1; i < allowed.size(); ++i) {  // index 0 is padding
-    if (!allowed[i]) ctx.forbidden.push_back(i);
-  }
+  ctx.allowed = AllowedMask(series, slop);
+  // Index 0 has no diff predecessor, so it carries no margin.
+  ctx.any_forbidden = std::find(ctx.allowed.begin() + 1, ctx.allowed.end(),
+                                uint8_t{0}) != ctx.allowed.end();
   for (const AnomalyRegion& r : series.anomalies()) {
     const std::size_t lo = std::max<std::size_t>(1, r.begin > slop
                                                         ? r.begin - slop
@@ -54,24 +52,19 @@ ExactSweepContext BuildSweepContext(const LabeledSeries& series,
   return ctx;
 }
 
-// Decides solvability with an exact b sweep over a margin track
-// computed with b = 0 (so margin > b is the one-liner's predicate with
-// offset b); fills `b_out` and `headroom_out` when solvable.
+// Decides solvability with an exact b sweep over a candidate's margin
+// with b = 0 (so margin > b is the one-liner's predicate with offset
+// b), read in place: series index i holds margin[i - 1]. Fills `*b_out`
+// and `*headroom_out` when solvable.
 bool ExactBSweepWithContext(const ExactSweepContext& ctx,
-                            const std::vector<double>& margin, double* b_out,
+                            const OneLinerMarginView& margin, double* b_out,
                             double* headroom_out) {
   if (ctx.region_bounds.empty()) return false;  // no labeled anomalies
   // Degenerate case: the labeled regions plus slop cover every index,
   // so nothing is forbidden and ANY threshold would "solve" the series
   // with b = -inf and infinite headroom. A one-liner that may flag
   // everywhere is not a meaningful solution.
-  if (ctx.forbidden.empty()) return false;
-
-  // Largest margin among points that must not fire.
-  double forbidden_max = -std::numeric_limits<double>::infinity();
-  for (std::size_t i : ctx.forbidden) {
-    forbidden_max = std::max(forbidden_max, margin[i]);
-  }
+  if (!ctx.any_forbidden) return false;
 
   // Smallest per-region best margin: every region must contain (within
   // slop) at least one point whose margin strictly exceeds b.
@@ -79,35 +72,43 @@ bool ExactBSweepWithContext(const ExactSweepContext& ctx,
   for (const auto& [lo, hi] : ctx.region_bounds) {
     double region_best = -std::numeric_limits<double>::infinity();
     for (std::size_t i = lo; i < hi; ++i) {
-      region_best = std::max(region_best, margin[i]);
+      region_best = std::max(region_best, margin[i - 1]);
     }
     weakest_region = std::min(weakest_region, region_best);
   }
 
-  if (!(weakest_region > forbidden_max)) return false;
-  // Place b in the middle of the gap.
-  const double b = 0.5 * (weakest_region + forbidden_max);
-  if (b_out != nullptr) *b_out = b;
-  if (headroom_out != nullptr) {
-    // Headroom: the separating gap as a fraction of the full margin
-    // dynamic range. A decisive spike solution separates by a large
-    // fraction of the range; a lucky noise maximum by a sliver.
-    double margin_min = std::numeric_limits<double>::infinity();
-    double margin_max = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 1; i < margin.size(); ++i) {
-      margin_min = std::min(margin_min, margin[i]);
-      margin_max = std::max(margin_max, margin[i]);
+  // One ascending pass: the largest margin among points that must not
+  // fire, and the margin range for the headroom. forbidden_max only
+  // grows, so the candidate fails at the first forbidden point that
+  // reaches the weakest region.
+  double forbidden_max = -std::numeric_limits<double>::infinity();
+  double margin_min = std::numeric_limits<double>::infinity();
+  double margin_max = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 1; i <= margin.size; ++i) {
+    const double m = margin[i - 1];
+    if (!ctx.allowed[i]) {
+      forbidden_max = std::max(forbidden_max, m);
+      if (!(weakest_region > forbidden_max)) return false;
     }
-    const double range = std::max(1e-12, margin_max - margin_min);
-    *headroom_out = (weakest_region - forbidden_max) / range;
+    margin_min = std::min(margin_min, m);
+    margin_max = std::max(margin_max, m);
   }
+
+  // Place b in the middle of the gap.
+  *b_out = 0.5 * (weakest_region + forbidden_max);
+  // Headroom: the separating gap as a fraction of the full margin
+  // dynamic range. A decisive spike solution separates by a large
+  // fraction of the range; a lucky noise maximum by a sliver.
+  const double range = std::max(1e-12, margin_max - margin_min);
+  *headroom_out = (weakest_region - forbidden_max) / range;
   return true;
 }
 
-// The memoized grid search for one form: margins come from the shared
-// OneLinerMarginCache (diff tracks and per-k windows computed once for
-// the whole grid) and the b sweep from the shared context. Candidate
-// order, early exit, and best-selection are exactly the frozen oracle's.
+// The memoized grid search for one form: margins are read in place
+// from the shared OneLinerMarginCache (diff tracks, prefix sums and
+// per-k windows computed once for the whole grid) and the b sweep uses
+// the shared context. Candidate order, early exit, and best-selection
+// are exactly the frozen oracle's.
 TrivialitySolution SolveWithFormCached(const LabeledSeries& series,
                                        const ExactSweepContext& ctx,
                                        OneLinerMarginCache& cache,
@@ -125,9 +126,8 @@ TrivialitySolution SolveWithFormCached(const LabeledSeries& series,
   auto consider = [&](const OneLinerParams& base) {
     OneLinerParams zero_b = base;
     zero_b.b = 0.0;
-    const std::vector<double> margin = cache.Margin(zero_b);
     double b = 0.0, headroom = 0.0;
-    if (!ExactBSweepWithContext(ctx, margin, &b, &headroom)) return;
+    if (!ExactBSweepWithContext(ctx, cache.View(zero_b), &b, &headroom)) return;
     if (headroom < criteria.min_headroom) return;
     if (!best.solved || headroom > best.headroom) {
       best.solved = true;

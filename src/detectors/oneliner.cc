@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/vector_ops.h"
 
@@ -44,35 +45,9 @@ std::string OneLinerParams::ToMatlab() const {
 
 namespace {
 
-// The one place the right-hand side is assembled: b, then movmean,
-// then c * movstd, each a double addition. Direct, memoized and online
-// margins are bit-identical because they all end here with the same
-// window moments.
-double ComposeMargin(double d, double movmean, double movstd,
-                     const OneLinerParams& params) {
-  double rhs = params.b;
-  if (params.use_movmean) rhs += movmean;
-  if (params.c != 0.0) rhs += params.c * movstd;
-  return d - rhs;
-}
-
-// Margins over precomputed MovMean / MovStd tracks; `mm` / `ms` may be
-// null exactly when the predicate does not use them.
-std::vector<double> ComposeMargins(const std::vector<double>& d,
-                                   const double* mm, const double* ms,
-                                   const OneLinerParams& params) {
-  const OneLinerParams p = params;  // a local copy stays in registers
-  std::vector<double> margin(d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    margin[i] = ComposeMargin(d[i], mm != nullptr ? mm[i] : 0.0,
-                              ms != nullptr ? ms[i] : 0.0, p);
-  }
-  return margin;
-}
-
 // The margin (lhs - rhs) in the diff domain, length n-1. Recomputes
-// every track per call; the triviality sweep uses OneLinerMarginCache
-// instead.
+// every track per call; the triviality sweep reads OneLinerMarginCache
+// views instead.
 std::vector<double> DiffDomainMargin(const Series& series,
                                      const OneLinerParams& params) {
   std::vector<double> d = Diff(series);
@@ -81,16 +56,11 @@ std::vector<double> DiffDomainMargin(const Series& series,
   std::vector<double> mm, ms;
   if (params.use_movmean) mm = MovMean(d, k);
   if (params.c != 0.0) ms = MovStd(d, k);
-  return ComposeMargins(d, params.use_movmean ? mm.data() : nullptr,
-                        params.c != 0.0 ? ms.data() : nullptr, params);
-}
-
-// Aligns a diff-domain margin to the original series: index 0 (no diff
-// predecessor) gets the minimum margin so it can never look anomalous.
-std::vector<double> AlignMarginToSeries(const std::vector<double>& margin) {
-  const double floor_value =
-      margin.empty() ? 0.0 : *std::min_element(margin.begin(), margin.end());
-  return PadLeft(margin, 1, floor_value);
+  const OneLinerMarginView view{d.data(), mm.data(), ms.data(), d.size(),
+                                params};
+  std::vector<double> margin(view.size);
+  for (std::size_t j = 0; j < view.size; ++j) margin[j] = view[j];
+  return margin;
 }
 
 }  // namespace
@@ -123,65 +93,48 @@ std::vector<uint8_t> EvaluateOneLiner(const Series& series,
 std::vector<double> OneLinerMargin(const Series& series,
                                    const OneLinerParams& params) {
   if (series.size() < 2) return std::vector<double>(series.size(), 0.0);
-  return AlignMarginToSeries(DiffDomainMargin(series, params));
+  // Index 0 (no diff predecessor) gets the minimum margin so it can
+  // never look anomalous.
+  const std::vector<double> margin = DiffDomainMargin(series, params);
+  return PadLeft(margin, 1, *std::min_element(margin.begin(), margin.end()));
 }
 
-OneLinerMarginCache::OneLinerMarginCache(const Series& series)
-    : length_(series.size()) {
-  if (length_ < 2) return;
-  diff_ = Diff(series);
-  abs_diff_ = Abs(diff_);
+OneLinerMarginCache::OneLinerMarginCache(const Series& series) {
+  if (series.size() < 2) return;
+  lhs_[0].d = Diff(series);
+  lhs_[1].d = Abs(lhs_[0].d);
 }
 
-const std::vector<double>& OneLinerMarginCache::Track(bool use_abs) const {
-  return use_abs ? abs_diff_ : diff_;
-}
-
-OneLinerMarginCache::WindowTracks& OneLinerMarginCache::TracksFor(
-    bool use_abs, std::size_t k) {
-  auto& slot = windows_[use_abs ? 1 : 0];
-  for (auto& entry : slot) {
-    if (entry.first == k) return entry.second;
+const double* OneLinerMarginCache::Window(Lhs& lhs, std::size_t k,
+                                          bool movstd) {
+  if (lhs.sums.empty()) {
+    lhs.sums.assign(1, 0.0L);
+    lhs.sq.assign(1, 0.0L);
+    AppendPrefixSums(lhs.d.data(), lhs.d.size(), &lhs.sums, &lhs.sq);
   }
-  slot.emplace_back(k, WindowTracks{});
-  return slot.back().second;
-}
-
-const std::vector<double>& OneLinerMarginCache::MovMeanFor(bool use_abs,
-                                                           std::size_t k) {
-  WindowTracks& tracks = TracksFor(use_abs, k);
-  if (!tracks.has_movmean) {
-    tracks.movmean = MovMean(Track(use_abs), k);
-    tracks.has_movmean = true;
+  auto it = std::find_if(lhs.windows.begin(), lhs.windows.end(),
+                         [k](const Windows& w) { return w.k == k; });
+  if (it == lhs.windows.end()) it = lhs.windows.insert(it, Windows{k, {}, {}});
+  std::vector<double>& track = movstd ? it->movstd : it->movmean;
+  if (track.empty()) {
+    track = movstd ? MovStdFromSums(lhs.sums, lhs.sq, k)
+                   : MovMeanFromSums(lhs.sums, k);
     ++stats_.window_misses;
   } else {
     ++stats_.window_hits;
   }
-  return tracks.movmean;
+  return track.data();
 }
 
-const std::vector<double>& OneLinerMarginCache::MovStdFor(bool use_abs,
-                                                          std::size_t k) {
-  WindowTracks& tracks = TracksFor(use_abs, k);
-  if (!tracks.has_movstd) {
-    tracks.movstd = MovStd(Track(use_abs), k);
-    tracks.has_movstd = true;
-    ++stats_.window_misses;
-  } else {
-    ++stats_.window_hits;
-  }
-  return tracks.movstd;
-}
-
-std::vector<double> OneLinerMarginCache::Margin(const OneLinerParams& params) {
-  if (length_ < 2) return std::vector<double>(length_, 0.0);
-  const std::vector<double>& d = Track(params.use_abs);
+OneLinerMarginView OneLinerMarginCache::View(const OneLinerParams& params) {
+  Lhs& lhs = lhs_[params.use_abs ? 1 : 0];
+  OneLinerMarginView view{lhs.d.data(), nullptr, nullptr, lhs.d.size(),
+                          params};
+  if (view.size == 0) return view;
   const std::size_t k = std::max<std::size_t>(1, params.k);
-  const double* mm =
-      params.use_movmean ? MovMeanFor(params.use_abs, k).data() : nullptr;
-  const double* ms =
-      params.c != 0.0 ? MovStdFor(params.use_abs, k).data() : nullptr;
-  return AlignMarginToSeries(ComposeMargins(d, mm, ms, params));
+  if (params.use_movmean) view.movmean = Window(lhs, k, /*movstd=*/false);
+  if (params.c != 0.0) view.movstd = Window(lhs, k, /*movstd=*/true);
+  return view;
 }
 
 Result<std::vector<double>> OneLinerDetector::Score(

@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "detectors/detector.h"
@@ -77,30 +76,56 @@ std::vector<uint8_t> EvaluateOneLiner(const Series& series,
 std::vector<double> OneLinerMargin(const Series& series,
                                    const OneLinerParams& params);
 
+/// The one place the right-hand side is assembled: d - (b + movmean +
+/// c*movstd), summed in that order, each a double addition. `movmean`
+/// counts only when params.use_movmean, `movstd` only when c != 0.
+/// Direct, memoized and online margins are bit-identical because they
+/// all end here with the same window moments.
+inline double ComposeMargin(double d, double movmean, double movstd,
+                            const OneLinerParams& params) {
+  double rhs = params.b;
+  if (params.use_movmean) rhs += movmean;
+  if (params.c != 0.0) rhs += params.c * movstd;
+  return d - rhs;
+}
+
 /// The margin at diff index j of the lhs track `d` (diff or abs(diff)
-/// of the series): d[j] - (b + movmean + c*movstd), the right-hand
-/// side summed in that order, with the centered window moments of
-/// d[0, d.size()) read from its prefix sums (AppendPrefixSums). `sums`
-/// is read only when the predicate uses a window, `sq` only when
-/// c != 0.
-/// The online adapter calls it per index; the batch paths run the same
-/// pieces a track at a time (MovMean, MovStd, then the one composition
-/// of the right-hand side), so every margin agrees bit for bit.
+/// of the series), with the centered window moments of d[0, d.size())
+/// read from its prefix sums (AppendPrefixSums). `sums` is read only
+/// when the predicate uses a window, `sq` only when c != 0.
+/// The online adapter calls it per index; the batch paths read the same
+/// moments a track at a time (MovMean, MovStd), so every margin agrees
+/// bit for bit.
 double OneLinerMarginAt(const std::vector<double>& d,
                         const std::vector<long double>& sums,
                         const std::vector<long double>& sq, std::size_t j,
                         const OneLinerParams& params);
 
-/// Memoized margin evaluation for one fixed series, built for the
-/// triviality analyzer's (form, k, c) grid: every margin in the grid
-/// shares the same diff / abs(diff) track, and every c shares the same
-/// MovMean(d, k) / MovStd(d, k) windows, yet OneLinerMargin recomputes
-/// all of them per call. The cache computes each track once (the two
-/// diff tracks eagerly, the per-k windows lazily on first use) and then
-/// composes a margin with the exact expression OneLinerMargin evaluates
-/// — literally the same code path operating on the memoized inputs — so
-/// Margin() is BIT-IDENTICAL to OneLinerMargin(series, params) for
-/// every parameter setting.
+/// One parameter setting's margin, read in place from its tracks: the
+/// lhs track `d` (diff or abs(diff)) and, when the predicate uses them,
+/// its movmean and movstd windows. Entry j is the margin at diff index
+/// j, i.e. series index j + 1: OneLinerMargin(series, params)[j + 1].
+struct OneLinerMarginView {
+  const double* d = nullptr;
+  const double* movmean = nullptr;  // read only if params.use_movmean
+  const double* movstd = nullptr;   // read only if params.c != 0
+  std::size_t size = 0;             // series length - 1; 0 below 2 points
+  OneLinerParams params;
+
+  double operator[](std::size_t j) const {
+    return ComposeMargin(d[j], params.use_movmean ? movmean[j] : 0.0,
+                         params.c != 0.0 ? movstd[j] : 0.0, params);
+  }
+};
+
+/// Memoized margin tracks for one fixed series, built for the
+/// triviality analyzer's (form, k, c) grid: every setting shares one of
+/// the two lhs tracks (diff, abs(diff)), and every c shares its k's
+/// movmean / movstd windows. Each track's prefix sums are built once
+/// (AppendPrefixSums, with its first window) and each window is filled
+/// from them on first use (MovMeanFromSums, MovStdFromSums). View()
+/// composes nothing up front; its entries go through ComposeMargin over
+/// the moments OneLinerMargin reads, so they are BIT-IDENTICAL to it.
 ///
 /// NOT thread-safe: lazy memoization mutates internal state. The
 /// triviality analyzer parallelizes per series, so each worker owns its
@@ -110,33 +135,33 @@ class OneLinerMarginCache {
   /// Per-instance memoization counters: how often a window was served
   /// from the memo.
   struct Stats {
-    std::size_t window_hits = 0;    // MovMean/MovStd served from memo
+    std::size_t window_hits = 0;    // movmean/movstd served from memo
     std::size_t window_misses = 0;  // ... computed and stored
   };
 
   explicit OneLinerMarginCache(const Series& series);
 
-  /// Bit-identical to OneLinerMargin(series_, params).
-  std::vector<double> Margin(const OneLinerParams& params);
+  /// The margin of `params`, read from the memoized tracks; valid while
+  /// the cache lives.
+  OneLinerMarginView View(const OneLinerParams& params);
 
   const Stats& stats() const { return stats_; }
 
  private:
-  struct WindowTracks {
-    std::vector<double> movmean, movstd;
-    bool has_movmean = false, has_movstd = false;
+  struct Windows {
+    std::size_t k = 0;                    // the effective window max(1, k)
+    std::vector<double> movmean, movstd;  // each empty until first use
+  };
+  // One lhs track (diff or abs(diff)) with its prefix sums and windows.
+  struct Lhs {
+    std::vector<double> d;
+    std::vector<long double> sums, sq;  // built with the first window
+    std::vector<Windows> windows;
   };
 
-  const std::vector<double>& Track(bool use_abs) const;
-  const std::vector<double>& MovMeanFor(bool use_abs, std::size_t k);
-  const std::vector<double>& MovStdFor(bool use_abs, std::size_t k);
-  WindowTracks& TracksFor(bool use_abs, std::size_t k);
+  const double* Window(Lhs& lhs, std::size_t k, bool movstd);
 
-  std::size_t length_;           // original series length
-  std::vector<double> diff_;     // diff(TS)
-  std::vector<double> abs_diff_; // abs(diff(TS))
-  // Keyed by the effective window max(1, k); one map per lhs track.
-  std::vector<std::pair<std::size_t, WindowTracks>> windows_[2];
+  Lhs lhs_[2];  // [0] diff(TS), [1] abs(diff(TS))
   Stats stats_;
 };
 

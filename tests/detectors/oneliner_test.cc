@@ -156,10 +156,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OneLinerDegeneracy,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 // ---------------------------------------------------------------------------
-// OneLinerMarginCache: memoized margins must be BIT-IDENTICAL to the
-// per-call OneLinerMargin for every parameter setting
-// the triviality grid visits — EXPECT_EQ on whole vectors, no
-// tolerance.
+// OneLinerMarginCache: every entry of a memoized view must be
+// BIT-IDENTICAL to the per-call OneLinerMargin one index later, for
+// every parameter setting the triviality grid visits — EXPECT_EQ on
+// each double, no tolerance.
+
+void ExpectViewMatchesMargin(OneLinerMarginCache& cache, const Series& x,
+                             const OneLinerParams& p) {
+  const std::vector<double> direct = OneLinerMargin(x, p);
+  const OneLinerMarginView view = cache.View(p);
+  ASSERT_EQ(view.size, x.size() < 2 ? 0 : x.size() - 1) << p.ToMatlab();
+  for (std::size_t j = 0; j < view.size; ++j) {
+    EXPECT_EQ(view[j], direct[j + 1]) << p.ToMatlab() << " j=" << j;
+  }
+}
 
 TEST(OneLinerMarginCacheTest, MarginsBitIdenticalAcrossTheSearchGrid) {
   Rng rng(8);
@@ -177,8 +187,7 @@ TEST(OneLinerMarginCacheTest, MarginsBitIdenticalAcrossTheSearchGrid) {
             p.k = k;
             p.c = c;
             p.b = b;
-            EXPECT_EQ(cache.Margin(p), OneLinerMargin(x, p))
-                << p.ToMatlab();
+            ExpectViewMatchesMargin(cache, x, p);
           }
         }
       }
@@ -195,12 +204,12 @@ TEST(OneLinerMarginCacheTest, RepeatedWindowsHitTheMemo) {
   p.use_movmean = true;
   p.k = 11;
   p.c = 2.0;
-  cache.Margin(p);  // first use computes movmean + movstd for k=11
+  cache.View(p);  // first use computes movmean + movstd for k=11
   const auto after_first = cache.stats();
   EXPECT_EQ(after_first.window_misses, 2u);
   EXPECT_EQ(after_first.window_hits, 0u);
   p.c = 4.0;  // same k, different c: both windows must be served cached
-  cache.Margin(p);
+  cache.View(p);
   const auto after_second = cache.stats();
   EXPECT_EQ(after_second.window_misses, 2u);
   EXPECT_EQ(after_second.window_hits, 2u);
@@ -213,7 +222,7 @@ TEST(OneLinerMarginCacheTest, ShortSeriesMatchesDirectPath) {
     p.use_abs = true;
     p.use_movmean = true;
     p.c = 1.0;
-    EXPECT_EQ(cache.Margin(p), OneLinerMargin(x, p)) << x.size();
+    ExpectViewMatchesMargin(cache, x, p);
   }
 }
 
