@@ -98,9 +98,10 @@ bool ExactBSweepWithContext(const ExactSweepContext& ctx,
   *b_out = 0.5 * (weakest_region + forbidden_max);
   // Headroom: the separating gap as a fraction of the full margin
   // dynamic range. A decisive spike solution separates by a large
-  // fraction of the range; a lucky noise maximum by a sliver.
-  const double range = std::max(1e-12, margin_max - margin_min);
-  *headroom_out = (weakest_region - forbidden_max) / range;
+  // fraction of the range; a lucky noise maximum by a sliver. The range
+  // needs no floor: margin_max >= weakest_region > forbidden_max >=
+  // margin_min, so it is positive in any units.
+  *headroom_out = (weakest_region - forbidden_max) / (margin_max - margin_min);
   return true;
 }
 

@@ -77,7 +77,7 @@ bool ExactBSweep(const LabeledSeries& series, const std::vector<double>& margin,
       margin_min = std::min(margin_min, margin[i]);
       margin_max = std::max(margin_max, margin[i]);
     }
-    const double range = std::max(1e-12, margin_max - margin_min);
+    const double range = margin_max - margin_min;
     *headroom_out = (weakest_region - forbidden_max) / range;
   }
   return true;

@@ -175,6 +175,34 @@ TEST(FindOneLinerTest, PartialCoverageStillSolves) {
   EXPECT_TRUE(FindOneLiner(s).solved);
 }
 
+// Scaling a series by a power of two is exact in every step of the
+// search (diffs, window moments, margins, the gap and the margin
+// range), so the solution must not depend on the data's units: same
+// form, k, c and headroom, with b scaled by the same power.
+TEST(FindOneLinerTest, PowerOfTwoScalingKeepsTheSolution) {
+  const YahooArchive archive = GenerateYahooArchive();
+  for (const BenchmarkDataset* dataset : archive.all()) {
+    for (const LabeledSeries& s : dataset->series) {
+      const TrivialitySolution base = FindOneLiner(s);
+      for (const int exponent : {-60, -40, 40}) {
+        Series scaled = s.values();
+        for (double& v : scaled) v = std::ldexp(v, exponent);
+        const TrivialitySolution sol = FindOneLiner(LabeledSeries(
+            s.name(), std::move(scaled), s.anomalies(), s.train_length()));
+        const std::string label =
+            s.name() + " x 2^" + std::to_string(exponent);
+        ASSERT_EQ(sol.solved, base.solved) << label;
+        if (!base.solved) continue;
+        EXPECT_EQ(sol.params.form(), base.params.form()) << label;
+        EXPECT_EQ(sol.params.k, base.params.k) << label;
+        EXPECT_EQ(sol.params.c, base.params.c) << label;
+        EXPECT_EQ(sol.headroom, base.headroom) << label;
+        EXPECT_EQ(sol.params.b, std::ldexp(base.params.b, exponent)) << label;
+      }
+    }
+  }
+}
+
 // Property sweep: spikes of increasing size flip from (mostly)
 // unsolvable to (always) solvable. Tiny spikes can occasionally be
 // "solved" by a lucky parameter setting — the brute force is allowed
