@@ -114,13 +114,9 @@ Result<LabeledSeries> SeriesFromCsv(const std::string& text) {
     values.push_back(v);
     labels.push_back(lab != 0.0 ? 1 : 0);
   }
-  if (train_length > values.size()) {
-    return Status::InvalidArgument(
-        "train_length " + std::to_string(train_length) +
-        " exceeds the " + std::to_string(values.size()) + " rows read");
-  }
   LabeledSeries series(std::move(name), std::move(values),
                        RegionsFromBinary(labels), train_length);
+  TSAD_RETURN_IF_ERROR(series.ValidateLabels());
   return series;
 }
 

@@ -69,6 +69,17 @@ std::size_t LabeledSeries::NumAnomalousPoints() const {
 }
 
 Status LabeledSeries::Validate() const {
+  TSAD_RETURN_IF_ERROR(ValidateLabels());
+  for (double v : values_) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("series '" + name_ +
+                                     "': contains non-finite value");
+    }
+  }
+  return Status::OK();
+}
+
+Status LabeledSeries::ValidateLabels() const {
   for (const AnomalyRegion& r : anomalies_) {
     if (r.end > values_.size()) {
       return Status::InvalidArgument(
@@ -89,12 +100,6 @@ Status LabeledSeries::Validate() const {
         std::to_string(anomalies_.front().begin) +
         " lies inside the training prefix of length " +
         std::to_string(train_length_));
-  }
-  for (double v : values_) {
-    if (!std::isfinite(v)) {
-      return Status::InvalidArgument("series '" + name_ +
-                                     "': contains non-finite value");
-    }
   }
   return Status::OK();
 }

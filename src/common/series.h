@@ -102,9 +102,13 @@ class LabeledSeries {
                   values_.end());
   }
 
-  /// Structural validation: labels within bounds, train prefix within
-  /// bounds, train prefix anomaly-free, values finite.
+  /// Structural validation: ValidateLabels, then values finite.
   Status Validate() const;
+
+  /// Labels within bounds, train prefix within bounds and anomaly-free.
+  /// The CSV reader checks only this: non-finite values are for
+  /// resilient: specs to impute.
+  Status ValidateLabels() const;
 
  private:
   std::string name_;

@@ -51,6 +51,31 @@ foreach(header "-5" "100abc" "99999999999999999999" "9")
   endif()
 endforeach()
 
+# A label inside the training prefix is refused when the CSV is read
+# (exit 1, InvalidArgument), so detect and serve never score it.
+set(rows "")
+foreach(i RANGE 599)
+  if(i GREATER_EQUAL 50 AND i LESS 60)
+    string(APPEND rows "${i},1\n")
+  else()
+    string(APPEND rows "${i},0\n")
+  endif()
+endforeach()
+file(WRITE ${WORK_DIR}/label_in_prefix.csv
+     "# name=prefix train_length=100\nvalue,label\n${rows}")
+foreach(cmd "detect;${WORK_DIR}/label_in_prefix.csv;--detector;zscore:w=16"
+            "serve;--replay;${WORK_DIR}/label_in_prefix.csv;--detector;zscore:w=16")
+  execute_process(COMMAND ${TSAD_CLI} ${cmd}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "'${cmd}' on a label inside the prefix exited ${rc}, want 1: ${out}${err}")
+  endif()
+  string(FIND "${out}${err}" "InvalidArgument" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "'${cmd}' on a label inside the prefix missing InvalidArgument: ${out}${err}")
+  endif()
+endforeach()
+
 # audit exits 2 on a flawed dataset by design; accept 0 or 2.
 execute_process(COMMAND ${TSAD_CLI} audit ${WORK_DIR}/nyc_taxi.csv
                         --report ${WORK_DIR}/report.md

@@ -1,5 +1,6 @@
 #include "common/csv.h"
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 
@@ -10,7 +11,7 @@ namespace {
 
 LabeledSeries SampleSeries() {
   return LabeledSeries("demo series", {1.5, -2.25, 3.125, 0.0, 7.0},
-                       {{1, 3}}, 2);
+                       {{2, 4}}, 2);
 }
 
 TEST(CsvTest, SeriesRoundTripsThroughText) {
@@ -48,7 +49,7 @@ TEST(CsvTest, RejectsBadTrainLengthHeaders) {
 }
 
 TEST(CsvTest, RejectsTrainPrefixLongerThanTheRows) {
-  const std::string rows = "value,label\n1,0\n2,0\n3,1\n";
+  const std::string rows = "value,label\n1,0\n2,0\n3,0\n";
   const Result<LabeledSeries> over =
       SeriesFromCsv("# name=x train_length=4\n" + rows);
   ASSERT_FALSE(over.ok());
@@ -57,6 +58,31 @@ TEST(CsvTest, RejectsTrainPrefixLongerThanTheRows) {
       SeriesFromCsv("# name=x train_length=3\r\n" + rows);
   ASSERT_TRUE(whole.ok()) << whole.status().ToString();
   EXPECT_EQ(whole->train_length(), 3u);
+}
+
+TEST(CsvTest, RejectsALabelInsideTheTrainingPrefix) {
+  const std::string rows = "value,label\n1,0\n2,1\n3,0\n4,0\n";
+  const Result<LabeledSeries> inside =
+      SeriesFromCsv("# name=x train_length=2\n" + rows);
+  ASSERT_FALSE(inside.ok());
+  EXPECT_EQ(inside.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(inside.status().message().find("inside the training prefix"),
+            std::string::npos)
+      << inside.status().ToString();
+  // The prefix may end where the label begins.
+  EXPECT_TRUE(SeriesFromCsv("# name=x train_length=1\n" + rows).ok());
+}
+
+TEST(CsvTest, KeepsNonFiniteValues) {
+  // resilient: specs impute NaN input, so the reader must pass it on.
+  const Result<LabeledSeries> parsed =
+      SeriesFromCsv("# name=x train_length=1\nvalue,label\n1,0\nnan,0\n"
+                    "inf,1\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->length(), 3u);
+  EXPECT_TRUE(std::isnan(parsed->values()[1]));
+  EXPECT_TRUE(std::isinf(parsed->values()[2]));
+  EXPECT_TRUE(parsed->IsAnomalous(2));
 }
 
 TEST(CsvTest, ToleratesCrLfAndBlankLines) {
