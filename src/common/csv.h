@@ -24,9 +24,8 @@ namespace tsad {
 /// Serializes a labeled series to CSV text (see format above).
 std::string SeriesToCsv(const LabeledSeries& series);
 
-/// Parses CSV text produced by SeriesToCsv. A series that fails
-/// LabeledSeries::ValidateLabels (say, a label inside the training
-/// prefix) is InvalidArgument; non-finite values are kept.
+/// Parses CSV text produced by SeriesToCsv; returns the error of
+/// LabeledSeries::ValidateLabels, but keeps non-finite values.
 Result<LabeledSeries> SeriesFromCsv(const std::string& text);
 
 /// Writes a labeled series to a file.

@@ -105,9 +105,8 @@ class LabeledSeries {
   /// Structural validation: ValidateLabels, then values finite.
   Status Validate() const;
 
-  /// Labels within bounds, train prefix within bounds and anomaly-free.
-  /// The CSV reader checks only this: non-finite values are for
-  /// resilient: specs to impute.
+  /// Labels within bounds, train prefix within bounds and anomaly-free
+  /// (all the CSV reader checks: resilient: specs impute non-finites).
   Status ValidateLabels() const;
 
  private:

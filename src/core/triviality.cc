@@ -100,7 +100,8 @@ bool ExactBSweepWithContext(const ExactSweepContext& ctx,
   // dynamic range. A decisive spike solution separates by a large
   // fraction of the range; a lucky noise maximum by a sliver. The range
   // needs no floor: margin_max >= weakest_region > forbidden_max >=
-  // margin_min, so it is positive in any units.
+  // margin_min, so it is positive in any units (unless every forbidden
+  // margin is NaN: then forbidden_max stays -inf and the gap is inf).
   *headroom_out = (weakest_region - forbidden_max) / (margin_max - margin_min);
   return true;
 }
@@ -110,25 +111,21 @@ bool ExactBSweepWithContext(const ExactSweepContext& ctx,
 // per-k windows computed once for the whole grid) and the b sweep uses
 // the shared context. Candidate order, early exit, and best-selection
 // are exactly the frozen oracle's.
-TrivialitySolution SolveWithFormCached(const LabeledSeries& series,
-                                       const ExactSweepContext& ctx,
+TrivialitySolution SolveWithFormCached(const ExactSweepContext& ctx,
                                        OneLinerMarginCache& cache,
                                        OneLinerForm form,
                                        const OneLinerSearchSpace& space,
                                        const SolveCriteria& criteria) {
   TrivialitySolution best;
-  if (series.length() < 3) return best;
-
   const bool use_abs =
       form == OneLinerForm::kEq3 || form == OneLinerForm::kEq4;
   const bool adaptive =
       form == OneLinerForm::kEq4 || form == OneLinerForm::kEq6;
 
+  // Every candidate has b = 0, the margin the sweep expects.
   auto consider = [&](const OneLinerParams& base) {
-    OneLinerParams zero_b = base;
-    zero_b.b = 0.0;
     double b = 0.0, headroom = 0.0;
-    if (!ExactBSweepWithContext(ctx, cache.View(zero_b), &b, &headroom)) return;
+    if (!ExactBSweepWithContext(ctx, cache.View(base), &b, &headroom)) return;
     if (headroom < criteria.min_headroom) return;
     if (!best.solved || headroom > best.headroom) {
       best.solved = true;
@@ -170,7 +167,7 @@ TrivialitySolution SolveWithForm(const LabeledSeries& series,
   if (series.length() < 3) return {};
   const ExactSweepContext ctx = BuildSweepContext(series, criteria.slop);
   OneLinerMarginCache cache(series.values());
-  return SolveWithFormCached(series, ctx, cache, form, space, criteria);
+  return SolveWithFormCached(ctx, cache, form, space, criteria);
 }
 
 TrivialitySolution FindOneLiner(const LabeledSeries& series,
@@ -188,7 +185,7 @@ TrivialitySolution FindOneLiner(const LabeledSeries& series,
       OneLinerForm::kEq6};
   for (OneLinerForm form : kOrder) {
     TrivialitySolution s =
-        SolveWithFormCached(series, ctx, cache, form, space, criteria);
+        SolveWithFormCached(ctx, cache, form, space, criteria);
     if (s.solved) return s;
   }
   return {};

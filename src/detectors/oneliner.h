@@ -91,11 +91,9 @@ inline double ComposeMargin(double d, double movmean, double movstd,
 
 /// The margin at diff index j of the lhs track `d` (diff or abs(diff)
 /// of the series), with the centered window moments of d[0, d.size())
-/// read from its prefix sums (AppendPrefixSums). `sums` is read only
-/// when the predicate uses a window, `sq` only when c != 0.
-/// The online adapter calls it per index; the batch paths read the same
-/// moments a track at a time (MovMean, MovStd), so every margin agrees
-/// bit for bit.
+/// read from its prefix sums (AppendPrefixSums); the online adapter
+/// calls it per index. `sums` is read only when the predicate uses a
+/// window, `sq` only when c != 0.
 double OneLinerMarginAt(const std::vector<double>& d,
                         const std::vector<long double>& sums,
                         const std::vector<long double>& sq, std::size_t j,
@@ -142,7 +140,7 @@ class OneLinerMarginCache {
   explicit OneLinerMarginCache(const Series& series);
 
   /// The margin of `params`, read from the memoized tracks; valid while
-  /// the cache lives.
+  /// the cache lives (a later window moves a Windows, not its buffers).
   OneLinerMarginView View(const OneLinerParams& params);
 
   const Stats& stats() const { return stats_; }
