@@ -105,8 +105,8 @@ class LabeledSeries {
   /// Structural validation: ValidateLabels, then values finite.
   Status Validate() const;
 
-  /// Labels within bounds, train prefix within bounds and anomaly-free
-  /// (all the CSV reader checks: resilient: specs impute non-finites).
+  /// Labels within bounds, train prefix within bounds and anomaly-free:
+  /// what the CSV reader checks, since resilient: specs impute NaN.
   Status ValidateLabels() const;
 
  private:
