@@ -62,6 +62,25 @@ TEST(FindUnlabeledTwinsTest, FindsNasaFig9FrozenTwins) {
   EXPECT_EQ(rediscovered, 2u);
 }
 
+// On a noisy ramp every 16-point window looks alike, so the median
+// distance is small (1.21 here) and 0.25 x median (0.30) sits under
+// the identity cap 0.18 x sqrt(32) (1.02): the ratio decides. A near
+// copy of the labeled window (distance 0.10) is a twin; a looser copy
+// (0.47, 0.38 x median) is not.
+TEST(FindUnlabeledTwinsTest, MedianRatioBindsOnANoisyRamp) {
+  Rng rng(1);
+  Series x = Mix({LinearTrend(1200, 0.0, 0.01), GaussianNoise(1200, 0.01, rng)});
+  for (std::size_t j = 0; j < 16; ++j) {
+    x[300 + j] = x[600 + j] - 3.0 + rng.Gaussian(0.0, 0.001);
+    x[900 + j] = x[600 + j] + 3.0 + rng.Gaussian(0.0, 0.004);
+  }
+  const LabeledSeries s("ramp", std::move(x), {{600, 616}});
+  const auto findings = FindUnlabeledTwins(s);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].kind, MislabelKind::kUnlabeledTwin);
+  EXPECT_EQ(findings[0].position, 300u);
+}
+
 TEST(AuditConstantRunsTest, FindsHalfLabeledRun) {
   Series x(500);
   for (std::size_t i = 0; i < 500; ++i) {
