@@ -4,8 +4,9 @@
 // -9999 missing-data markers, NaN gaps from dropped samples, dead
 // feeds. This example corrupts a clean series the way §3 of the paper
 // describes, shows the bare detector failing on it, and then serves it
-// through the resilient wrapper — which sanitizes the input, enforces a
-// deadline, and degrades to a moving z-score instead of erroring.
+// through the resilient wrapper — which sanitizes the input, patches
+// stray non-finite scores, and degrades to a simplified retry and then
+// a moving z-score instead of erroring.
 //
 //   ./resilient_serving
 
@@ -25,9 +26,9 @@ int main() {
 
   // Corrupt it: 10% scattered missing markers plus a 5% dead-feed gap.
   FaultInjector injector(/*seed=*/14);
-  injector.Add({FaultType::kNanMissing, 0.05, kDefaultSentinel})
-      .Add({FaultType::kSentinelMissing, 0.05, kDefaultSentinel})
-      .Add({FaultType::kDropout, 0.05, kDefaultSentinel});
+  injector.Add({FaultType::kNanMissing, 0.05})
+      .Add({FaultType::kSentinelMissing, 0.05})
+      .Add({FaultType::kDropout, 0.05});
   const LabeledSeries dirty = injector.Apply(clean);
   const MissingScan scan = ScanForMissing(dirty.values());
   std::printf("corrupted %zu/%zu points (%.1f%%), longest gap %zu\n",
@@ -47,8 +48,9 @@ int main() {
                 PredictLocation(*bare_scores, dirty.train_length()));
   }
 
-  // The hardened pipeline can. A deadline keeps worst-case latency
-  // bounded; on breach it degrades to the moving z-score fallback.
+  // The hardened pipeline can: it interpolates the gaps before the
+  // discord search, and should that search fail it degrades to the
+  // moving z-score fallback.
   Result<std::unique_ptr<AnomalyDetector>> served =
       MakeDetector("resilient:discord:m=128");
   if (!served.ok()) {

@@ -158,8 +158,7 @@ Result<std::unique_ptr<AnomalyDetector>> MakeResilient(
   TSAD_ASSIGN_OR_RETURN(std::unique_ptr<AnomalyDetector> fallback,
                         MakeDetector("zscore:w=64"));
   return std::unique_ptr<AnomalyDetector>(std::make_unique<ResilientDetector>(
-      std::move(inner), ResilientConfig{}, std::move(simplified),
-      std::move(fallback)));
+      std::move(inner), std::move(simplified), std::move(fallback)));
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ void ApplyOne(Series& x, const FaultSpec& fault, Rng& rng) {
       break;
     case FaultType::kSentinelMissing:
       for (double& v : x) {
-        if (rng.Bernoulli(severity)) v = fault.sentinel;
+        if (rng.Bernoulli(severity)) v = kDefaultSentinel;
       }
       break;
     case FaultType::kDropout: {

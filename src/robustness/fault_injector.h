@@ -65,9 +65,6 @@ struct FaultSpec {
   ///  * kQuantization: grid step in units of the series std
   ///  * kAdditiveNoise: noise std in units of the series std
   double severity = 0.1;
-
-  /// Marker value written by kSentinelMissing.
-  double sentinel = kDefaultSentinel;
 };
 
 /// Applies faults in the order they were added. Deterministic: the

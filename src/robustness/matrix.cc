@@ -27,11 +27,11 @@ bool PeakWithinSlop(std::size_t peak, const LabeledSeries& series) {
 
 }  // namespace
 
-std::vector<RobustnessCase> DefaultFaultMatrix(
-    const std::vector<double>& severities) {
+std::vector<RobustnessCase> DefaultFaultMatrix() {
+  constexpr double kSeverities[] = {0.05, 0.1, 0.2};
   std::vector<RobustnessCase> cases;
   for (FaultType fault : AllFaultTypes()) {
-    for (double severity : severities) {
+    for (double severity : kSeverities) {
       cases.push_back({fault, severity});
     }
   }
@@ -42,7 +42,8 @@ std::vector<RobustnessCell> RunRobustnessMatrix(
     const LabeledSeries& series,
     const std::vector<const AnomalyDetector*>& detectors,
     const RobustnessConfig& config) {
-  const std::size_t num_cases = config.cases.size();
+  const std::vector<RobustnessCase> cases = DefaultFaultMatrix();
+  const std::size_t num_cases = cases.size();
 
   // Phase 1: the clean baseline per detector, in parallel.
   struct CleanRun {
@@ -78,7 +79,7 @@ std::vector<RobustnessCell> RunRobustnessMatrix(
     const std::size_t ci = flat % num_cases;
     const AnomalyDetector* detector = detectors[di];
     const CleanRun& clean = clean_runs[di];
-    const RobustnessCase& c = config.cases[ci];
+    const RobustnessCase& c = cases[ci];
     RobustnessCell cell;
     cell.detector = std::string(detector->name());
     cell.fault = c.fault;
@@ -86,7 +87,7 @@ std::vector<RobustnessCell> RunRobustnessMatrix(
     // Seeded off the case index so every detector faces the same
     // fault realization — the columns stay comparable.
     FaultInjector injector(config.seed + 1 + ci);
-    injector.Add({c.fault, c.severity, kDefaultSentinel});
+    injector.Add({c.fault, c.severity});
     const LabeledSeries faulted = injector.Apply(series);
 
     Result<std::vector<double>> scores = detector->Score(faulted);

@@ -26,12 +26,11 @@ struct RobustnessCase {
   double severity = 0.1;
 };
 
-/// Every fault type at the given severities (default 5%, 10%, 20%).
-std::vector<RobustnessCase> DefaultFaultMatrix(
-    const std::vector<double>& severities = {0.05, 0.1, 0.2});
+/// The cases every run covers: each fault type at 5%, 10% and 20%
+/// severity, fault-major.
+std::vector<RobustnessCase> DefaultFaultMatrix();
 
 struct RobustnessConfig {
-  std::vector<RobustnessCase> cases = DefaultFaultMatrix();
   uint64_t seed = 99;
 };
 
@@ -48,7 +47,8 @@ struct RobustnessCell {
   double discrimination = 0.0;     // of the faulted track
 };
 
-/// Runs the full matrix. Detectors whose clean run already fails
+/// Runs every detector over DefaultFaultMatrix(). Detectors whose
+/// clean run already fails
 /// contribute cells carrying that status. `series` should be clean;
 /// the harness injects the faults itself (seeded, reproducible).
 std::vector<RobustnessCell> RunRobustnessMatrix(

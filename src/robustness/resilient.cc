@@ -1,9 +1,8 @@
 #include "robustness/resilient.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
-
-#include "robustness/deadline.h"
 
 namespace tsad {
 
@@ -22,32 +21,24 @@ std::string_view ServedByName(ServedBy served) {
 }
 
 ResilientDetector::ResilientDetector(std::unique_ptr<AnomalyDetector> inner,
-                                     ResilientConfig config,
                                      std::unique_ptr<AnomalyDetector> simplified,
                                      std::unique_ptr<AnomalyDetector> fallback)
     : inner_(std::move(inner)),
       simplified_(std::move(simplified)),
       fallback_(std::move(fallback)),
-      config_(config),
       name_("resilient(" + std::string(inner_->name()) + ")") {}
 
 Result<std::vector<double>> ResilientDetector::RunStage(
-    const AnomalyDetector& detector, const SanitizedSeries& input,
-    std::size_t original_length, std::size_t train_length,
+    const AnomalyDetector& detector, const Series& input,
+    std::size_t train_length,
     const Result<std::vector<double>>* supplied) const {
-  Result<std::vector<double>> scores = [&] {
-    if (supplied != nullptr) return *supplied;
-    if (config_.deadline.count() > 0) {
-      DeadlineScope scope(config_.deadline);
-      return detector.Score(input.values, input.MapTrainLength(train_length));
-    }
-    return detector.Score(input.values, input.MapTrainLength(train_length));
-  }();
+  Result<std::vector<double>> scores =
+      supplied != nullptr ? *supplied : detector.Score(input, train_length);
   if (!scores.ok()) return scores;
-  if (scores->size() != input.values.size()) {
+  if (scores->size() != input.size()) {
     return Status::Internal(std::string(detector.name()) + " returned " +
                             std::to_string(scores->size()) + " scores for " +
-                            std::to_string(input.values.size()) + " points");
+                            std::to_string(input.size()) + " points");
   }
   // A track more than half non-finite did not really succeed; patching
   // it point-wise would invent a signal that is not there.
@@ -65,7 +56,7 @@ Result<std::vector<double>> ResilientDetector::RunStage(
                             " non-finite scores");
   }
   last_scores_patched_ = SanitizeScores(*scores);
-  return input.ExpandScores(*scores, original_length);
+  return scores;
 }
 
 Result<std::vector<double>> ResilientDetector::Score(
@@ -86,26 +77,23 @@ Result<std::vector<double>> ResilientDetector::Run(
   last_primary_status_ = Status::OK();
   last_scores_patched_ = 0;
 
-  // Past half missing, the series is noise, not data: refuse it.
-  constexpr double kMaxMissingFraction = 0.5;
-  Result<SanitizedSeries> sanitized =
-      SanitizeSeries(series, config_.imputation, kDefaultSentinel,
-                     kMaxMissingFraction);
+  Result<SanitizedSeries> sanitized = SanitizeSeries(series);
   if (!sanitized.ok()) {
-    last_scan_ = ScanForMissing(series, kDefaultSentinel);
+    last_scan_ = ScanForMissing(series);
     return sanitized.status();
   }
   last_scan_ = sanitized->scan;
+  const Series& input = sanitized->values;
+  const std::size_t train = std::min(train_length, input.size());
 
   // The caller's inner result is only the primary stage's own call when
-  // nothing was imputed (same values), MapTrainLength did not clamp
-  // (same prefix) and there is no watchdog for that call to honour.
-  if (sanitized->scan.num_missing() != 0 || config_.deadline.count() > 0 ||
-      train_length > series.size()) {
+  // nothing was imputed (same values) and the prefix was not clamped
+  // (same train_length).
+  if (sanitized->scan.num_missing() != 0 || train_length > series.size()) {
     inner_scores = nullptr;
   }
-  Result<std::vector<double>> primary = RunStage(
-      *inner_, *sanitized, series.size(), train_length, inner_scores);
+  Result<std::vector<double>> primary =
+      RunStage(*inner_, input, train, inner_scores);
   if (primary.ok()) {
     last_served_by_ = ServedBy::kPrimary;
     return primary;
@@ -113,8 +101,7 @@ Result<std::vector<double>> ResilientDetector::Run(
   last_primary_status_ = primary.status();
 
   if (simplified_ != nullptr) {
-    Result<std::vector<double>> retried =
-        RunStage(*simplified_, *sanitized, series.size(), train_length);
+    Result<std::vector<double>> retried = RunStage(*simplified_, input, train);
     if (retried.ok()) {
       last_served_by_ = ServedBy::kSimplified;
       return retried;
@@ -122,8 +109,7 @@ Result<std::vector<double>> ResilientDetector::Run(
   }
 
   if (fallback_ != nullptr) {
-    Result<std::vector<double>> rescued =
-        RunStage(*fallback_, *sanitized, series.size(), train_length);
+    Result<std::vector<double>> rescued = RunStage(*fallback_, input, train);
     if (rescued.ok()) {
       last_served_by_ = ServedBy::kFallback;
       return rescued;

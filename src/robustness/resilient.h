@@ -5,11 +5,10 @@
 // staged pipeline around the inner detector:
 //
 //   1. validate + sanitize the input (NaN, inf and kDefaultSentinel
-//      markers imputed under a pluggable policy; refuse with
+//      markers interpolated, see robustness/sanitize.h; refuse with
 //      kResourceExhausted when more than half the input is missing —
 //      past that the series is noise, not data),
-//   2. score under a cooperative deadline (kDeadlineExceeded instead of
-//      an unbounded run — see robustness/deadline.h),
+//   2. score with the wrapped detector,
 //   3. sanitize the output (non-finite scores patched; a track more
 //      than half non-finite counts as failure, not success),
 //   4. on failure, retry once with a simplified configuration of the
@@ -23,7 +22,6 @@
 #ifndef TSAD_ROBUSTNESS_RESILIENT_H_
 #define TSAD_ROBUSTNESS_RESILIENT_H_
 
-#include <chrono>
 #include <memory>
 #include <string>
 
@@ -31,15 +29,6 @@
 #include "robustness/sanitize.h"
 
 namespace tsad {
-
-struct ResilientConfig {
-  /// How missing input points are repaired before scoring.
-  ImputationPolicy imputation = ImputationPolicy::kLinearInterpolate;
-  /// Per-attempt scoring budget; zero disables the watchdog. Applies to
-  /// each stage (primary, retry, fallback) separately, so a timed-out
-  /// primary still leaves the fallback its full budget.
-  std::chrono::milliseconds deadline{0};
-};
 
 /// Which pipeline stage produced the scores of the last Score() call.
 enum class ServedBy {
@@ -57,7 +46,6 @@ class ResilientDetector : public AnomalyDetector {
   /// configuration) and `fallback` are optional stages; pass nullptr to
   /// skip them. The registry wires all three from a spec string.
   ResilientDetector(std::unique_ptr<AnomalyDetector> inner,
-                    ResilientConfig config = {},
                     std::unique_ptr<AnomalyDetector> simplified = nullptr,
                     std::unique_ptr<AnomalyDetector> fallback = nullptr);
 
@@ -70,8 +58,8 @@ class ResilientDetector : public AnomalyDetector {
   /// built from the same spec, on the same (series, train_length):
   /// `inner_scores` is that call's result, ok or not. It stands in for
   /// the primary stage only where that stage would make the very same
-  /// call: the sanitizer left the input unchanged, no deadline is set
-  /// and train_length <= series.size(). Elsewhere it is ignored and
+  /// call: the sanitizer left the input unchanged and
+  /// train_length <= series.size(). Elsewhere it is ignored and
   /// this is Score(). Every later step (score checks and patching,
   /// simplified retry, fallback, telemetry) runs as in Score().
   Result<std::vector<double>> ScoreReusing(
@@ -100,14 +88,13 @@ class ResilientDetector : public AnomalyDetector {
   // One stage: `detector` scores `input`, unless `supplied` already
   // holds that call's result. Then the checks and patching run.
   Result<std::vector<double>> RunStage(
-      const AnomalyDetector& detector, const SanitizedSeries& input,
-      std::size_t original_length, std::size_t train_length,
+      const AnomalyDetector& detector, const Series& input,
+      std::size_t train_length,
       const Result<std::vector<double>>* supplied = nullptr) const;
 
   std::unique_ptr<AnomalyDetector> inner_;
   std::unique_ptr<AnomalyDetector> simplified_;
   std::unique_ptr<AnomalyDetector> fallback_;
-  ResilientConfig config_;
   std::string name_;
 
   mutable ServedBy last_served_by_ = ServedBy::kNone;

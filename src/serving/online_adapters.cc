@@ -387,14 +387,12 @@ Status OnlineMerlin::Restore(std::string_view blob) {
 // ---------------------------------------------------------------------------
 // OnlineSanitizer
 
-OnlineSanitizer::OnlineSanitizer(std::unique_ptr<OnlineDetector> inner,
-                                 double sentinel)
+OnlineSanitizer::OnlineSanitizer(std::unique_ptr<OnlineDetector> inner)
     : inner_(std::move(inner)),
-      name_("online-resilient(" + std::string(inner_->name()) + ")"),
-      sentinel_(sentinel) {}
+      name_("online-resilient(" + std::string(inner_->name()) + ")") {}
 
 Status OnlineSanitizer::Observe(double value, std::vector<ScoredPoint>* out) {
-  if (!std::isfinite(value) || value == sentinel_) {
+  if (!std::isfinite(value) || value == kDefaultSentinel) {
     value = have_good_ ? last_good_ : 0.0;
     ++points_patched_;
   } else {
@@ -482,8 +480,7 @@ Result<std::unique_ptr<OnlineDetector>> MakeOnlineDetector(
     TSAD_ASSIGN_OR_RETURN(std::unique_ptr<OnlineDetector> inner,
                           MakeOnlineDetector(inner_spec, train_length));
     return std::unique_ptr<OnlineDetector>(
-        std::make_unique<OnlineSanitizer>(std::move(inner),
-                                          kDefaultSentinel));
+        std::make_unique<OnlineSanitizer>(std::move(inner)));
   }
 
   TSAD_ASSIGN_OR_RETURN(std::unique_ptr<AnomalyDetector> batch,

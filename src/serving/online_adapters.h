@@ -233,7 +233,7 @@ class OnlineMerlin : public OnlineDetector {
 /// The serving-path counterpart of the batch `resilient:` decorator:
 /// per-point input sanitization in front of any online adapter. Each
 /// arriving value that is non-finite or equals the missing-data
-/// sentinel is imputed causally (last observation carried forward; 0
+/// sentinel kDefaultSentinel is imputed causally (last observation carried forward; 0
 /// before the first good point) before the inner adapter sees it.
 ///
 /// Contract: feeding this wrapper a dirty stream is byte-identical to
@@ -245,7 +245,7 @@ class OnlineMerlin : public OnlineDetector {
 /// is exactly why the batch decorator cannot be served directly.
 class OnlineSanitizer : public OnlineDetector {
  public:
-  OnlineSanitizer(std::unique_ptr<OnlineDetector> inner, double sentinel);
+  explicit OnlineSanitizer(std::unique_ptr<OnlineDetector> inner);
 
   std::string_view name() const override { return name_; }
   Status Observe(double value, std::vector<ScoredPoint>* out) override;
@@ -262,7 +262,6 @@ class OnlineSanitizer : public OnlineDetector {
  private:
   std::unique_ptr<OnlineDetector> inner_;
   std::string name_;
-  double sentinel_;
   double last_good_ = 0.0;
   bool have_good_ = false;
   std::size_t points_patched_ = 0;

@@ -164,9 +164,9 @@ TEST_P(ContaminatedSeriesFuzz, ResilientWrapperNeverCrashesOrEmitsNaN) {
   InjectSmoothHump(x, 1100, 40, 1.5);
 
   FaultInjector injector(GetParam() + 5000);
-  injector.Add({FaultType::kNanMissing, 0.05, kDefaultSentinel})
-      .Add({FaultType::kSentinelMissing, 0.05, kDefaultSentinel})
-      .Add({FaultType::kDropout, 0.05, kDefaultSentinel});
+  injector.Add({FaultType::kNanMissing, 0.05})
+      .Add({FaultType::kSentinelMissing, 0.05})
+      .Add({FaultType::kDropout, 0.05});
   const Series dirty = injector.Apply(x);
 
   for (const std::string& name : RegisteredDetectorNames()) {

@@ -27,8 +27,8 @@ TEST(FaultInjectorTest, DeterministicUnderFixedSeed) {
   for (FaultType type : AllFaultTypes()) {
     FaultInjector a(42);
     FaultInjector b(42);
-    a.Add({type, 0.15, kDefaultSentinel});
-    b.Add({type, 0.15, kDefaultSentinel});
+    a.Add({type, 0.15});
+    b.Add({type, 0.15});
     EXPECT_TRUE(BitwiseEqual(a.Apply(clean), b.Apply(clean)))
         << FaultTypeName(type);
   }
@@ -38,8 +38,8 @@ TEST(FaultInjectorTest, DifferentSeedsDiffer) {
   const Series clean = CleanSine(1000, 1);
   FaultInjector a(1);
   FaultInjector b(2);
-  a.Add({FaultType::kNanMissing, 0.1, kDefaultSentinel});
-  b.Add({FaultType::kNanMissing, 0.1, kDefaultSentinel});
+  a.Add({FaultType::kNanMissing, 0.1});
+  b.Add({FaultType::kNanMissing, 0.1});
   EXPECT_FALSE(BitwiseEqual(a.Apply(clean), b.Apply(clean)));
 }
 
@@ -47,7 +47,7 @@ TEST(FaultInjectorTest, ZeroSeverityIsNoOp) {
   const Series clean = CleanSine(500, 2);
   FaultInjector injector(7);
   for (FaultType type : AllFaultTypes()) {
-    injector.Add({type, 0.0, kDefaultSentinel});
+    injector.Add({type, 0.0});
   }
   EXPECT_TRUE(BitwiseEqual(injector.Apply(clean), clean));
 }
@@ -64,10 +64,10 @@ TEST(FaultInjectorTest, NoFaultsIsIdentity) {
 TEST(FaultInjectorTest, AppendingFaultKeepsEarlierRealization) {
   const Series clean = CleanSine(1000, 4);
   FaultInjector just_nan(9);
-  just_nan.Add({FaultType::kNanMissing, 0.1, kDefaultSentinel});
+  just_nan.Add({FaultType::kNanMissing, 0.1});
   FaultInjector nan_then_noise(9);
-  nan_then_noise.Add({FaultType::kNanMissing, 0.1, kDefaultSentinel})
-      .Add({FaultType::kAdditiveNoise, 0.2, kDefaultSentinel});
+  nan_then_noise.Add({FaultType::kNanMissing, 0.1})
+      .Add({FaultType::kAdditiveNoise, 0.2});
 
   const Series a = just_nan.Apply(clean);
   const Series b = nan_then_noise.Apply(clean);
@@ -80,7 +80,7 @@ TEST(FaultInjectorTest, AppendingFaultKeepsEarlierRealization) {
 TEST(FaultInjectorTest, NanMissingHitsRoughlySeverityFraction) {
   const Series clean = CleanSine(2000, 5);
   FaultInjector injector(11);
-  injector.Add({FaultType::kNanMissing, 0.2, kDefaultSentinel});
+  injector.Add({FaultType::kNanMissing, 0.2});
   const MissingScan scan = ScanForMissing(injector.Apply(clean));
   EXPECT_EQ(scan.num_sentinel, 0u);
   EXPECT_GT(scan.num_nan, 300u);
@@ -90,12 +90,12 @@ TEST(FaultInjectorTest, NanMissingHitsRoughlySeverityFraction) {
 TEST(FaultInjectorTest, SentinelMissingWritesExactMarker) {
   const Series clean = CleanSine(1000, 6);
   FaultInjector injector(12);
-  injector.Add({FaultType::kSentinelMissing, 0.1, -7777.0});
+  injector.Add({FaultType::kSentinelMissing, 0.1});
   const Series dirty = injector.Apply(clean);
   std::size_t markers = 0;
   for (double v : dirty) {
     ASSERT_TRUE(std::isfinite(v));
-    markers += v == -7777.0 ? 1 : 0;
+    markers += v == -9999.0 ? 1 : 0;
   }
   EXPECT_GT(markers, 50u);
 }
@@ -103,7 +103,7 @@ TEST(FaultInjectorTest, SentinelMissingWritesExactMarker) {
 TEST(FaultInjectorTest, DropoutIsOneContiguousGap) {
   const Series clean = CleanSine(1000, 7);
   FaultInjector injector(13);
-  injector.Add({FaultType::kDropout, 0.1, kDefaultSentinel});
+  injector.Add({FaultType::kDropout, 0.1});
   const Series dirty = injector.Apply(clean);
 
   std::size_t first = dirty.size(), last = 0, total = 0;
@@ -122,7 +122,7 @@ TEST(FaultInjectorTest, DropoutIsOneContiguousGap) {
 TEST(FaultInjectorTest, StuckAtFreezesARun) {
   const Series clean = CleanSine(1000, 8);
   FaultInjector injector(14);
-  injector.Add({FaultType::kStuckAt, 0.1, kDefaultSentinel});
+  injector.Add({FaultType::kStuckAt, 0.1});
   const Series dirty = injector.Apply(clean);
 
   // All values stay finite and a run of ~100 identical values appears.
@@ -138,7 +138,7 @@ TEST(FaultInjectorTest, StuckAtFreezesARun) {
 TEST(FaultInjectorTest, ClippingOnlySaturates) {
   const Series clean = CleanSine(1000, 9);
   FaultInjector injector(15);
-  injector.Add({FaultType::kClipping, 0.2, kDefaultSentinel});
+  injector.Add({FaultType::kClipping, 0.2});
   const Series dirty = injector.Apply(clean);
 
   double clean_min = clean[0], clean_max = clean[0];
@@ -159,7 +159,7 @@ TEST(FaultInjectorTest, ClippingOnlySaturates) {
 TEST(FaultInjectorTest, QuantizationSnapsToGrid) {
   const Series clean = CleanSine(1000, 10);
   FaultInjector injector(16);
-  injector.Add({FaultType::kQuantization, 0.5, kDefaultSentinel});
+  injector.Add({FaultType::kQuantization, 0.5});
   const Series dirty = injector.Apply(clean);
 
   std::size_t distinct_pairs = 0;
@@ -179,7 +179,7 @@ TEST(FaultInjectorTest, QuantizationSnapsToGrid) {
 TEST(FaultInjectorTest, SpikeBurstAddsLargeExcursions) {
   const Series clean = CleanSine(1000, 11);
   FaultInjector injector(17);
-  injector.Add({FaultType::kSpikeBurst, 0.01, kDefaultSentinel});
+  injector.Add({FaultType::kSpikeBurst, 0.01});
   const Series dirty = injector.Apply(clean);
 
   std::size_t big = 0;
@@ -198,7 +198,7 @@ TEST(FaultInjectorTest, LabeledSeriesKeepsGroundTruth) {
   const LabeledSeries clean("truth", std::move(x), {r}, 200);
 
   FaultInjector injector(18);
-  injector.Add({FaultType::kNanMissing, 0.1, kDefaultSentinel});
+  injector.Add({FaultType::kNanMissing, 0.1});
   const LabeledSeries dirty = injector.Apply(clean);
 
   EXPECT_EQ(dirty.name(), clean.name());
@@ -213,7 +213,7 @@ TEST(FaultInjectorTest, EmptyAndTinySeriesDoNotCrash) {
     const Series clean(n, 1.0);
     FaultInjector injector(19);
     for (FaultType type : AllFaultTypes()) {
-      injector.Add({type, 0.3, kDefaultSentinel});
+      injector.Add({type, 0.3});
     }
     const Series dirty = injector.Apply(clean);
     EXPECT_EQ(dirty.size(), n);

@@ -18,8 +18,12 @@ LabeledSeries SmallFixture() {
 }
 
 TEST(RobustnessMatrixTest, DefaultMatrixCoversEveryFault) {
-  const std::vector<RobustnessCase> cases = DefaultFaultMatrix({0.05, 0.1});
-  EXPECT_EQ(cases.size(), AllFaultTypes().size() * 2);
+  const std::vector<RobustnessCase> cases = DefaultFaultMatrix();
+  ASSERT_EQ(cases.size(), AllFaultTypes().size() * 3);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(cases[i].fault, AllFaultTypes()[i / 3]);
+    EXPECT_EQ(cases[i].severity, (std::vector<double>{0.05, 0.1, 0.2}[i % 3]));
+  }
 }
 
 TEST(RobustnessMatrixTest, CellsCoverDetectorsTimesCases) {
@@ -30,18 +34,19 @@ TEST(RobustnessMatrixTest, CellsCoverDetectorsTimesCases) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
 
-  RobustnessConfig config;
-  config.cases = {{FaultType::kNanMissing, 0.1},
-                  {FaultType::kAdditiveNoise, 0.1}};
   const std::vector<RobustnessCell> cells =
-      RunRobustnessMatrix(series, {a->get(), b->get()}, config);
-  ASSERT_EQ(cells.size(), 4u);
+      RunRobustnessMatrix(series, {a->get(), b->get()});
+  const std::size_t num_cases = DefaultFaultMatrix().size();
+  ASSERT_EQ(cells.size(), 2 * num_cases);
   for (const RobustnessCell& cell : cells) {
     EXPECT_FALSE(cell.detector.empty());
   }
-  // The resilient wrapper survives the NaN case; noise is survivable
-  // for both.
-  EXPECT_TRUE(cells[3].survived);
+  // The resilient wrapper survives every cell, the missing-data faults
+  // included.
+  for (std::size_t i = num_cases; i < cells.size(); ++i) {
+    EXPECT_TRUE(cells[i].survived) << FaultTypeName(cells[i].fault) << " "
+                                   << cells[i].severity;
+  }
 }
 
 TEST(RobustnessMatrixTest, DeterministicUnderFixedSeed) {
@@ -51,17 +56,18 @@ TEST(RobustnessMatrixTest, DeterministicUnderFixedSeed) {
   ASSERT_TRUE(d.ok());
 
   RobustnessConfig config;
-  config.cases = {{FaultType::kSentinelMissing, 0.1}};
   config.seed = 5;
   const std::vector<RobustnessCell> first =
       RunRobustnessMatrix(series, {d->get()}, config);
   const std::vector<RobustnessCell> second =
       RunRobustnessMatrix(series, {d->get()}, config);
-  ASSERT_EQ(first.size(), 1u);
-  ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(first[0].survived, second[0].survived);
-  EXPECT_EQ(first[0].score_correlation, second[0].score_correlation);
-  EXPECT_EQ(first[0].peak_drift, second[0].peak_drift);
+  ASSERT_EQ(first.size(), DefaultFaultMatrix().size());
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].survived, second[i].survived) << i;
+    EXPECT_EQ(first[i].score_correlation, second[i].score_correlation) << i;
+    EXPECT_EQ(first[i].peak_drift, second[i].peak_drift) << i;
+  }
 }
 
 TEST(RobustnessMatrixTest, TableMentionsEveryDetectorAndFault) {
@@ -70,14 +76,13 @@ TEST(RobustnessMatrixTest, TableMentionsEveryDetectorAndFault) {
       MakeDetector("resilient:zscore:w=32");
   ASSERT_TRUE(d.ok());
 
-  RobustnessConfig config;
-  config.cases = {{FaultType::kNanMissing, 0.05},
-                  {FaultType::kClipping, 0.2}};
   const std::string table =
-      FormatRobustnessTable(RunRobustnessMatrix(series, {d->get()}, config));
+      FormatRobustnessTable(RunRobustnessMatrix(series, {d->get()}));
   EXPECT_NE(table.find("resilient(MovingZScore[w=32])"), std::string::npos);
-  EXPECT_NE(table.find("nan-missing"), std::string::npos);
-  EXPECT_NE(table.find("clipping"), std::string::npos);
+  for (FaultType fault : AllFaultTypes()) {
+    EXPECT_NE(table.find(std::string(FaultTypeName(fault))), std::string::npos)
+        << FaultTypeName(fault);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "robustness/resilient.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -10,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "robustness/deadline.h"
 #include "tsad.h"
 
 namespace tsad {
@@ -35,9 +33,9 @@ DirtyFixture MakeDirtyFixture() {
   LabeledSeries clean("dirty-fixture", std::move(x), {anomaly}, 900);
 
   FaultInjector injector(14);
-  injector.Add({FaultType::kNanMissing, 0.05, kDefaultSentinel})
-      .Add({FaultType::kSentinelMissing, 0.05, kDefaultSentinel})
-      .Add({FaultType::kDropout, 0.05, kDefaultSentinel});
+  injector.Add({FaultType::kNanMissing, 0.05})
+      .Add({FaultType::kSentinelMissing, 0.05})
+      .Add({FaultType::kDropout, 0.05});
   LabeledSeries dirty = injector.Apply(clean);
   return {std::move(clean), std::move(dirty)};
 }
@@ -47,23 +45,6 @@ std::unique_ptr<AnomalyDetector> ZScoreFallback() {
   EXPECT_TRUE(d.ok());
   return std::move(d.value());
 }
-
-// Spins until the cooperative deadline fires (or a wall-clock guard
-// trips, so a missing deadline cannot hang the test binary).
-class SlowDetector : public AnomalyDetector {
- public:
-  std::string_view name() const override { return "Slow"; }
-  using AnomalyDetector::Score;
-  Result<std::vector<double>> Score(const Series& series,
-                                    std::size_t) const override {
-    const auto start = std::chrono::steady_clock::now();
-    while (std::chrono::steady_clock::now() - start <
-           std::chrono::seconds(2)) {
-      TSAD_RETURN_IF_ERROR(CheckDeadline());
-    }
-    return std::vector<double>(series.size(), 1.0);
-  }
-};
 
 class AlwaysFailsDetector : public AnomalyDetector {
  public:
@@ -155,31 +136,11 @@ TEST(ResilientDetectorTest, CleanInputServedByPrimaryUntouched) {
   EXPECT_EQ(resilient.last_scan().num_missing(), 0u);
 }
 
-TEST(ResilientDetectorTest, DeadlineExceededFallsBackToMovingZScore) {
-  Rng rng(4);
-  Series x = GaussianNoise(500, 1.0, rng);
-  InjectSpike(x, 400, 10.0);
-
-  ResilientConfig config;
-  config.deadline = std::chrono::milliseconds(10);
-  ResilientDetector resilient(std::make_unique<SlowDetector>(), config,
-                              /*simplified=*/nullptr, ZScoreFallback());
-
-  Result<std::vector<double>> scores = resilient.Score(x, 100);
-  ASSERT_TRUE(scores.ok()) << scores.status().ToString();
-  EXPECT_EQ(scores->size(), x.size());
-  EXPECT_EQ(resilient.last_served_by(), ServedBy::kFallback);
-  EXPECT_EQ(resilient.last_primary_status().code(),
-            StatusCode::kDeadlineExceeded);
-  // The moving z-score fallback still finds the planted spike.
-  EXPECT_EQ(PredictLocation(*scores, 100), 400u);
-}
-
 TEST(ResilientDetectorTest, SimplifiedRetryRunsBeforeFallback) {
   Rng rng(5);
   const Series x = GaussianNoise(300, 1.0, rng);
 
-  ResilientDetector resilient(std::make_unique<AlwaysFailsDetector>(), {},
+  ResilientDetector resilient(std::make_unique<AlwaysFailsDetector>(),
                               /*simplified=*/ZScoreFallback(),
                               /*fallback=*/nullptr);
   Result<std::vector<double>> scores = resilient.Score(x, 50);
@@ -192,7 +153,7 @@ TEST(ResilientDetectorTest, AllStagesFailingReturnsPrimaryError) {
   Rng rng(6);
   const Series x = GaussianNoise(200, 1.0, rng);
 
-  ResilientDetector resilient(std::make_unique<AlwaysFailsDetector>(), {},
+  ResilientDetector resilient(std::make_unique<AlwaysFailsDetector>(),
                               std::make_unique<AlwaysFailsDetector>(),
                               std::make_unique<AlwaysFailsDetector>());
   Result<std::vector<double>> scores = resilient.Score(x, 50);
@@ -217,7 +178,7 @@ TEST(ResilientDetectorTest, MostlyBadTrackCountsAsFailure) {
   Rng rng(8);
   const Series x = GaussianNoise(100, 1.0, rng);
 
-  ResilientDetector resilient(std::make_unique<PartiallyNanDetector>(90), {},
+  ResilientDetector resilient(std::make_unique<PartiallyNanDetector>(90),
                               /*simplified=*/nullptr, ZScoreFallback());
   Result<std::vector<double>> scores = resilient.Score(x, 10);
   ASSERT_TRUE(scores.ok());
@@ -233,20 +194,6 @@ TEST(ResilientDetectorTest, TooDamagedInputIsResourceExhausted) {
   Result<std::vector<double>> scores = resilient.Score(x, 10);
   ASSERT_FALSE(scores.ok());
   EXPECT_EQ(scores.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(ResilientDetectorTest, DropAndReindexKeepsOriginalLength) {
-  const DirtyFixture f = MakeDirtyFixture();
-
-  ResilientConfig config;
-  config.imputation = ImputationPolicy::kDropAndReindex;
-  ResilientDetector resilient(ZScoreFallback(), config);
-  Result<std::vector<double>> scores =
-      resilient.Score(f.dirty.values(), f.dirty.train_length());
-  ASSERT_TRUE(scores.ok()) << scores.status().ToString();
-  ASSERT_EQ(scores->size(), f.dirty.length());
-  for (double s : *scores) ASSERT_TRUE(std::isfinite(s));
-  EXPECT_GT(resilient.last_scan().num_missing(), 0u);
 }
 
 TEST(ResilientDetectorTest, NameWrapsInnerName) {
@@ -310,7 +257,7 @@ TEST(ResilientReuseTest, InnerResultGivesScoreOutputOnCleanInput) {
       std::unique_ptr<AnomalyDetector> inner = make_inner();
       const Result<std::vector<double>> supplied = inner->Score(x, train);
       ResilientDetector resilient(
-          std::move(inner), {},
+          std::move(inner),
           with_simplified ? std::make_unique<PartiallyNanDetector>(0) : nullptr,
           ZScoreFallback());
       ExpectReuseMatchesScore(resilient, x, train, supplied);
@@ -342,27 +289,20 @@ TEST(ResilientReuseTest, SuppliedResultIgnoredWhereTheCallWouldDiffer) {
     nan_gapped[i] = kNan;
     sentinel_gapped[i] = kDefaultSentinel;
   }
-  ResilientConfig drop;
-  drop.imputation = ImputationPolicy::kDropAndReindex;
-  ResilientConfig watched;
-  watched.deadline = std::chrono::milliseconds(60000);
 
   const struct {
     const char* label;
     const Series& x;
     std::size_t train;
-    ResilientConfig config;
   } cases[] = {
-      {"NaN gap", nan_gapped, 100, {}},
-      {"sentinel gap", sentinel_gapped, 100, {}},
-      {"drop and reindex", nan_gapped, 100, drop},
-      {"deadline", clean, 100, watched},
-      {"train past the end", clean, clean.size() + 10, {}},
+      {"NaN gap", nan_gapped, 100},
+      {"sentinel gap", sentinel_gapped, 100},
+      {"train past the end", clean, clean.size() + 10},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.label);
-    ResilientDetector resilient(ZScoreFallback(), c.config,
-                                /*simplified=*/nullptr, ZScoreFallback());
+    ResilientDetector resilient(ZScoreFallback(), /*simplified=*/nullptr,
+                                ZScoreFallback());
     ExpectReuseMatchesScore(resilient, c.x, c.train,
                             std::vector<double>(c.x.size(), 42.0));
     ExpectReuseMatchesScore(resilient, c.x, c.train,

@@ -542,7 +542,7 @@ TEST(OnlineSanitizerTest, SnapshotRestoreCarriesImputationState) {
 TEST(OnlineSanitizerTest, CountsPatchedPoints) {
   auto inner = MakeOnlineDetector("zscore:w=8", 0);
   ASSERT_TRUE(inner.ok());
-  OnlineSanitizer sanitizer(std::move(*inner), kDefaultSentinel);
+  OnlineSanitizer sanitizer(std::move(*inner));
   std::vector<ScoredPoint> sink;
   ASSERT_TRUE(sanitizer.Observe(1.0, &sink).ok());
   ASSERT_TRUE(

@@ -93,8 +93,7 @@ TEST(MpxKernelTest, EquivalenceOnNanSanitizedInput) {
   for (std::size_t i = 150; i < 2000; i += 137) {
     damaged[i] = std::numeric_limits<double>::quiet_NaN();
   }
-  const Result<SanitizedSeries> repaired =
-      SanitizeSeries(damaged, ImputationPolicy::kLinearInterpolate);
+  const Result<SanitizedSeries> repaired = SanitizeSeries(damaged);
   ASSERT_TRUE(repaired.ok());
   const MatrixProfile oracle = Oracle(repaired->values, 32);
   for (const std::size_t threads : ThreadCountsToTest()) {
