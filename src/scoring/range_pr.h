@@ -3,14 +3,13 @@
 // have considered problems with current scoring functions".
 //
 // For each real anomaly range R_i:
-//   Recall(R_i) = alpha * Existence(R_i)
-//               + (1 - alpha) * CardinalityFactor * OverlapTotal(R_i)
-// where Existence is 1 iff any predicted range overlaps R_i, the
-// overlap reward integrates a positional-bias weight over the covered
-// positions, and the cardinality factor penalizes fragmented
-// detections. Precision is symmetric over predicted ranges with
-// alpha = 0 (existence is meaningless for precision) and a flat
-// positional bias.
+//   Recall(R_i) = CardinalityFactor * OverlapTotal(R_i)
+// where OverlapTotal sums, over the predicted ranges that overlap R_i,
+// the fraction of R_i's positions each one covers (Tatbul et al.'s
+// flat positional bias, with no existence reward: alpha = 0), and the
+// cardinality factor 1/k penalizes a range split across k > 1
+// predicted ranges. Precision is the same score over predicted ranges
+// against the real ones.
 
 #ifndef TSAD_SCORING_RANGE_PR_H_
 #define TSAD_SCORING_RANGE_PR_H_
@@ -22,23 +21,6 @@
 
 namespace tsad {
 
-/// Positional bias: which part of a range matters most.
-enum class PositionalBias {
-  kFlat,   // all positions equal
-  kFront,  // early detection rewarded (the pump-at-midnight story, §2.3)
-  kBack,   // late positions rewarded
-  kMiddle, // center rewarded
-};
-
-struct RangePrConfig {
-  double alpha = 0.0;  // weight of the existence reward in recall
-  PositionalBias recall_bias = PositionalBias::kFlat;
-  /// Cardinality penalty: overlap reward is divided by the number of
-  /// distinct predicted ranges overlapping the real range, raised to
-  /// this power (0 = no penalty, 1 = linear penalty).
-  double cardinality_power = 1.0;
-};
-
 struct RangePrResult {
   double precision = 0.0;
   double recall = 0.0;
@@ -48,8 +30,7 @@ struct RangePrResult {
 /// Computes range-based precision/recall/F1 between real and predicted
 /// anomaly region lists (both are normalized internally).
 RangePrResult ComputeRangePr(const std::vector<AnomalyRegion>& real,
-                             const std::vector<AnomalyRegion>& predicted,
-                             const RangePrConfig& config = {});
+                             const std::vector<AnomalyRegion>& predicted);
 
 }  // namespace tsad
 

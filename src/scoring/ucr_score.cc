@@ -4,12 +4,9 @@
 
 namespace tsad {
 
-bool UcrCorrect(const AnomalyRegion& anomaly, std::size_t predicted,
-                const UcrScoreConfig& config) {
-  std::size_t slop = config.slop_floor;
-  if (config.scale_slop_with_region) {
-    slop = std::max(slop, anomaly.length());
-  }
+bool UcrCorrect(const AnomalyRegion& anomaly, std::size_t predicted) {
+  constexpr std::size_t kSlopFloor = 100;
+  const std::size_t slop = std::max(kSlopFloor, anomaly.length());
   const std::size_t lo = anomaly.begin > slop ? anomaly.begin - slop : 0;
   const std::size_t hi = anomaly.end + slop;
   return predicted >= lo && predicted < hi;

@@ -18,20 +18,11 @@
 
 namespace tsad {
 
-struct UcrScoreConfig {
-  /// Allowed slack on each side of the labeled region, in points. The
-  /// official archive accepts predictions within max(100, region
-  /// length) of the region; `slop_floor` is that 100.
-  std::size_t slop_floor = 100;
-  /// If true, slop = max(slop_floor, region length); if false,
-  /// slop = slop_floor exactly.
-  bool scale_slop_with_region = true;
-};
-
 /// True iff `predicted` is a correct answer for a series whose single
-/// anomaly is `anomaly`.
-bool UcrCorrect(const AnomalyRegion& anomaly, std::size_t predicted,
-                const UcrScoreConfig& config = {});
+/// anomaly is `anomaly`: it lies inside the region widened on each side
+/// by the slop, max(100, region length) points, as the official
+/// archive scores it.
+bool UcrCorrect(const AnomalyRegion& anomaly, std::size_t predicted);
 
 /// Per-series result of a UCR evaluation.
 struct UcrSeriesOutcome {
@@ -53,9 +44,9 @@ struct UcrAccuracy {
   }
 };
 
-/// Scores one predicted location against a labeled series under the
-/// default UcrScoreConfig. Returns InvalidArgument unless the series
-/// has exactly one anomaly region.
+/// Scores one predicted location against a labeled series with
+/// UcrCorrect. Returns InvalidArgument unless the series has exactly
+/// one anomaly region.
 Result<UcrSeriesOutcome> ScoreUcrSeries(const LabeledSeries& series,
                                         std::size_t predicted);
 

@@ -13,7 +13,6 @@
 #include "scoring/nab.h"
 #include "scoring/point_adjust.h"
 #include "scoring/range_pr.h"
-#include "scoring/ucr_score.h"
 #include "confusion_oracle.h"
 
 namespace tsad {
@@ -135,26 +134,6 @@ TEST_P(ScoringProperties, NabMoreMissedWindowsScoresLower) {
     // Overlapping windows merged: a single detection may legitimately
     // cover several anomalies, so the gap can close — but never invert.
     EXPECT_GE(all_score->normalized, one_score->normalized);
-  }
-}
-
-TEST_P(ScoringProperties, UcrSlopMonotone) {
-  // A prediction correct under a small slop stays correct under a
-  // larger one.
-  Rng rng(GetParam() + 400);
-  const AnomalyRegion anomaly{2000, 2050};
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t predicted =
-        static_cast<std::size_t>(rng.UniformInt(1500, 2600));
-    UcrScoreConfig tight;
-    tight.slop_floor = 50;
-    tight.scale_slop_with_region = false;
-    UcrScoreConfig loose;
-    loose.slop_floor = 200;
-    loose.scale_slop_with_region = false;
-    if (UcrCorrect(anomaly, predicted, tight)) {
-      EXPECT_TRUE(UcrCorrect(anomaly, predicted, loose));
-    }
   }
 }
 

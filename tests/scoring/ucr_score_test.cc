@@ -36,14 +36,6 @@ TEST(UcrCorrectTest, SlopScalesWithLongRegions) {
   EXPECT_FALSE(UcrCorrect(anomaly, 9499));
 }
 
-TEST(UcrCorrectTest, FixedSlopWhenScalingDisabled) {
-  UcrScoreConfig config;
-  config.scale_slop_with_region = false;
-  const AnomalyRegion anomaly{10000, 10500};
-  EXPECT_TRUE(UcrCorrect(anomaly, 9900, config));
-  EXPECT_FALSE(UcrCorrect(anomaly, 9899, config));
-}
-
 TEST(UcrCorrectTest, NearZeroRegionClampsLowBound) {
   const AnomalyRegion anomaly{20, 25};
   EXPECT_TRUE(UcrCorrect(anomaly, 0));  // begin - slop clamps to 0
