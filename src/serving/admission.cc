@@ -38,29 +38,22 @@ Result<StreamPriority> ParseStreamPriority(std::string_view name) {
   return Status::InvalidArgument(std::move(message));
 }
 
-PriorityQuotaPolicy::PriorityQuotaPolicy(PriorityQuotaConfig config)
-    : config_(std::move(config)) {
-  for (double& limit : config_.fill_limit) {
-    limit = std::clamp(limit, 0.0, 1.0);
-  }
-}
-
 AdmissionDecision PriorityQuotaPolicy::Admit(
     const AdmissionRequest& request) const {
+  // Queue-fill ceiling per priority class, as a fraction of capacity.
+  constexpr double kFillLimit[kNumStreamPriorities] = {1.0, 0.9, 0.75, 0.5};
   const int p = std::clamp(static_cast<int>(request.priority), 0,
                            kNumStreamPriorities - 1);
   if (request.queue_capacity > 0) {
-    const double ceiling =
-        config_.fill_limit[static_cast<std::size_t>(p)] *
-        static_cast<double>(request.queue_capacity);
+    const double ceiling = kFillLimit[static_cast<std::size_t>(p)] *
+                           static_cast<double>(request.queue_capacity);
     if (static_cast<double>(request.queue_depth) >= ceiling) {
       return AdmissionDecision::kDeny;
     }
   }
-  std::uint64_t quota = config_.default_tenant_quota;
   const auto it = config_.tenant_quota.find(std::string(request.tenant));
-  if (it != config_.tenant_quota.end()) quota = it->second;
-  if (quota > 0 && request.tenant_in_flight >= quota) {
+  if (it != config_.tenant_quota.end() && it->second > 0 &&
+      request.tenant_in_flight >= it->second) {
     return AdmissionDecision::kDeny;
   }
   return AdmissionDecision::kAdmit;

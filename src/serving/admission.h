@@ -24,6 +24,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/status.h"
 
@@ -78,28 +79,27 @@ class AdmissionPolicy {
 
 /// Configuration for PriorityQuotaPolicy.
 struct PriorityQuotaConfig {
-  /// Per-class queue-fill ceiling, as a fraction of shard capacity:
-  /// class p is admitted only while depth < fill_limit[p] * capacity.
-  /// Lower classes keep headroom free for higher ones, so under overload
-  /// the queue's tail is reserved for kCritical — the ladder's "shed
-  /// the bulk work first" rung. Defaults: critical rides to the brim,
-  /// batch is denied once the queue is half full.
-  double fill_limit[kNumStreamPriorities] = {1.0, 0.9, 0.75, 0.5};
-
   /// Per-tenant cap on accepted-but-not-yet-drained points; a tenant at
-  /// its quota is denied until Pump drains its backlog. 0 = unlimited.
-  std::uint64_t default_tenant_quota = 0;
-
-  /// Per-tenant overrides of default_tenant_quota (0 = unlimited).
+  /// its quota is denied until Pump drains its backlog. A tenant that
+  /// is not listed, or is listed with 0, is unlimited.
   std::map<std::string, std::uint64_t> tenant_quota;
 };
 
 /// Priority fill ceilings + per-tenant in-flight quotas. Stateless
 /// (decisions are pure functions of the request), hence trivially
 /// thread-safe.
+///
+/// The ceilings are fractions of shard capacity: a stream of class
+/// critical, high, normal or batch is admitted only while the queue
+/// depth is below 1.0, 0.9, 0.75 or 0.5 times the capacity. Lower
+/// classes keep headroom free for higher ones, so under overload the
+/// queue's tail is reserved for kCritical — the ladder's "shed the
+/// bulk work first" rung: critical rides to the brim, batch is denied
+/// once the queue is half full.
 class PriorityQuotaPolicy : public AdmissionPolicy {
  public:
-  explicit PriorityQuotaPolicy(PriorityQuotaConfig config = {});
+  explicit PriorityQuotaPolicy(PriorityQuotaConfig config = {})
+      : config_(std::move(config)) {}
 
   AdmissionDecision Admit(const AdmissionRequest& request) const override;
 

@@ -37,7 +37,7 @@ TEST(StreamPriorityTest, ParseRejectsUnknownWithSuggestion) {
 }
 
 TEST(PriorityQuotaPolicyTest, FillCeilingsShedLowPrioritiesFirst) {
-  PriorityQuotaPolicy policy;  // defaults: 1.0 / 0.9 / 0.75 / 0.5
+  PriorityQuotaPolicy policy;  // ceilings: 1.0 / 0.9 / 0.75 / 0.5
   const std::size_t capacity = 100;
 
   struct Case {
@@ -59,19 +59,6 @@ TEST(PriorityQuotaPolicyTest, FillCeilingsShedLowPrioritiesFirst) {
   }
 }
 
-TEST(PriorityQuotaPolicyTest, FillLimitsAreClampedToUnitInterval) {
-  PriorityQuotaConfig config;
-  config.fill_limit[0] = 7.5;   // clamps to 1.0
-  config.fill_limit[3] = -2.0;  // clamps to 0.0: batch never admitted
-  PriorityQuotaPolicy policy(config);
-  EXPECT_EQ(policy.Admit(Request(StreamPriority::kCritical, 99, 100)),
-            AdmissionDecision::kAdmit);
-  EXPECT_EQ(policy.Admit(Request(StreamPriority::kCritical, 100, 100)),
-            AdmissionDecision::kDeny);
-  EXPECT_EQ(policy.Admit(Request(StreamPriority::kBatch, 0, 100)),
-            AdmissionDecision::kDeny);
-}
-
 TEST(PriorityQuotaPolicyTest, ZeroCapacityMeansNoFillCheck) {
   // capacity 0 = the engine did not size the queue; only quotas apply.
   PriorityQuotaPolicy policy;
@@ -81,19 +68,22 @@ TEST(PriorityQuotaPolicyTest, ZeroCapacityMeansNoFillCheck) {
 
 TEST(PriorityQuotaPolicyTest, TenantQuotasWithDefaultAndOverride) {
   PriorityQuotaConfig config;
-  config.default_tenant_quota = 5;
   config.tenant_quota["whale"] = 50;
   config.tenant_quota["capped"] = 1;
   PriorityQuotaPolicy policy(config);
 
-  // Default quota applies to unlisted tenants (and the "" default one).
-  EXPECT_EQ(policy.Admit(Request(StreamPriority::kNormal, 0, 100, "", 4)),
-            AdmissionDecision::kAdmit);
-  EXPECT_EQ(policy.Admit(Request(StreamPriority::kNormal, 0, 100, "", 5)),
-            AdmissionDecision::kDeny);
-  // Overrides replace the default in both directions.
+  // Unlisted tenants (and the "" default one) are unlimited.
+  EXPECT_EQ(
+      policy.Admit(Request(StreamPriority::kNormal, 0, 100, "", 1u << 30)),
+      AdmissionDecision::kAdmit);
+  EXPECT_EQ(
+      policy.Admit(Request(StreamPriority::kNormal, 0, 100, "other", 1u << 30)),
+      AdmissionDecision::kAdmit);
+  // A listed tenant is denied once its backlog reaches its quota.
   EXPECT_EQ(policy.Admit(Request(StreamPriority::kNormal, 0, 100, "whale", 49)),
             AdmissionDecision::kAdmit);
+  EXPECT_EQ(policy.Admit(Request(StreamPriority::kNormal, 0, 100, "whale", 50)),
+            AdmissionDecision::kDeny);
   EXPECT_EQ(
       policy.Admit(Request(StreamPriority::kNormal, 0, 100, "capped", 1)),
       AdmissionDecision::kDeny);
@@ -105,7 +95,7 @@ TEST(PriorityQuotaPolicyTest, TenantQuotasWithDefaultAndOverride) {
 
 TEST(PriorityQuotaPolicyTest, ZeroQuotaMeansUnlimited) {
   PriorityQuotaConfig config;
-  config.default_tenant_quota = 0;
+  config.tenant_quota["t"] = 0;
   PriorityQuotaPolicy policy(config);
   EXPECT_EQ(
       policy.Admit(Request(StreamPriority::kNormal, 0, 100, "t", 1u << 30)),

@@ -409,7 +409,7 @@ TEST(ShardedEngineTest, AdmissionPolicyDeniesWithoutHarmingTheStream) {
       ++denied;
     }
   }
-  // fill_limit[kBatch] = 0.5: the second half of the flood is denied.
+  // The batch ceiling is 0.5: the second half of the flood is denied.
   EXPECT_EQ(denied, 50u);
   EXPECT_EQ(engine.stats().points_denied, denied);
   EXPECT_EQ(engine.stats().points_shed, 0u);
