@@ -30,33 +30,33 @@ DensityStats AnalyzeDensity(const LabeledSeries& series) {
   return stats;
 }
 
-DensityFlags ClassifyDensity(const DensityStats& stats,
-                             const DensityThresholds& thresholds) {
+DensityFlags ClassifyDensity(const DensityStats& stats) {
   // A region longer than these fractions of the test span is §2.3's
-  // "huge contiguous" flaw; regions at most kAdjacentGap normal points
-  // apart are "adjacent".
+  // "huge contiguous" flaw; kManyRegions or more regions are "many"
+  // (SMD machine-2-5 has 21); regions at most kAdjacentGap normal
+  // points apart are "adjacent".
   constexpr double kContiguousHalf = 0.5;
   constexpr double kContiguousThird = 1.0 / 3.0;
+  constexpr std::size_t kManyRegions = 10;
   constexpr std::size_t kAdjacentGap = 2;
   DensityFlags flags;
   flags.over_half_contiguous =
       stats.max_contiguous_fraction > kContiguousHalf;
   flags.over_third_contiguous =
       stats.max_contiguous_fraction > kContiguousThird;
-  flags.many_regions = stats.num_regions >= thresholds.many_regions;
+  flags.many_regions = stats.num_regions >= kManyRegions;
   flags.adjacent_regions =
       stats.num_regions >= 2 && stats.min_gap <= kAdjacentGap;
   flags.ideal_single_anomaly = stats.num_regions == 1;
   return flags;
 }
 
-DensityCensus CensusDensity(const BenchmarkDataset& dataset,
-                            const DensityThresholds& thresholds) {
+DensityCensus CensusDensity(const BenchmarkDataset& dataset) {
   DensityCensus census;
   census.dataset_name = dataset.name;
   for (const LabeledSeries& s : dataset.series) {
     DensityStats stats = AnalyzeDensity(s);
-    const DensityFlags flags = ClassifyDensity(stats, thresholds);
+    const DensityFlags flags = ClassifyDensity(stats);
     if (flags.over_half_contiguous) ++census.over_half;
     if (flags.over_third_contiguous) ++census.over_third;
     if (flags.many_regions) ++census.many_regions;

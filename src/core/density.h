@@ -33,23 +33,18 @@ struct DensityStats {
 
 DensityStats AnalyzeDensity(const LabeledSeries& series);
 
-struct DensityThresholds {
-  std::size_t many_regions = 10;
-};
-
 /// Which density flaws a series exhibits.
 struct DensityFlags {
   bool over_half_contiguous = false;
   bool over_third_contiguous = false;
-  bool many_regions = false;
+  bool many_regions = false;  // 10 or more labeled regions
   bool adjacent_regions = false;
   /// The paper's ideal: exactly one anomaly (§2.3, "the ideal number of
   /// anomalies in a single testing time series is exactly one").
   bool ideal_single_anomaly = false;
 };
 
-DensityFlags ClassifyDensity(const DensityStats& stats,
-                             const DensityThresholds& thresholds = {});
+DensityFlags ClassifyDensity(const DensityStats& stats);
 
 /// Archive-level census used by the density bench.
 struct DensityCensus {
@@ -62,8 +57,7 @@ struct DensityCensus {
   std::size_t single_anomaly = 0;
 };
 
-DensityCensus CensusDensity(const BenchmarkDataset& dataset,
-                            const DensityThresholds& thresholds = {});
+DensityCensus CensusDensity(const BenchmarkDataset& dataset);
 
 }  // namespace tsad
 

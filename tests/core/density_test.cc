@@ -74,16 +74,20 @@ TEST(CensusDensityTest, CountsAcrossDataset) {
 }
 
 TEST(CensusDensityTest, CustomThresholds) {
-  BenchmarkDataset d;
-  d.series.emplace_back("five-regions", Series(200, 0.0),
-                        std::vector<AnomalyRegion>{
-                            {10, 12}, {30, 32}, {50, 52}, {70, 72}, {90, 92}});
-  DensityThresholds strict;
-  strict.many_regions = 5;
-  EXPECT_EQ(CensusDensity(d, strict).many_regions, 1u);
-  DensityThresholds lax;
-  lax.many_regions = 10;
-  EXPECT_EQ(CensusDensity(d, lax).many_regions, 0u);
+  // "Many regions" starts at 10: nine are not many, ten are.
+  auto regions = [](std::size_t count) {
+    std::vector<AnomalyRegion> out;
+    for (std::size_t i = 0; i < count; ++i) {
+      out.push_back({10 + 20 * i, 12 + 20 * i});
+    }
+    return out;
+  };
+  BenchmarkDataset nine;
+  nine.series.emplace_back("nine-regions", Series(300, 0.0), regions(9));
+  EXPECT_EQ(CensusDensity(nine).many_regions, 0u);
+  BenchmarkDataset ten;
+  ten.series.emplace_back("ten-regions", Series(300, 0.0), regions(10));
+  EXPECT_EQ(CensusDensity(ten).many_regions, 1u);
 }
 
 }  // namespace
