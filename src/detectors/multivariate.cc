@@ -6,9 +6,8 @@
 
 namespace tsad {
 
-Result<std::vector<double>> ScoreMultivariate(const AnomalyDetector& detector,
-                                              const MultivariateSeries& machine,
-                                              ScoreAggregation aggregation) {
+Result<std::vector<double>> ScoreMultivariate(
+    const AnomalyDetector& detector, const MultivariateSeries& machine) {
   const std::size_t n = machine.length();
   if (machine.num_dimensions() == 0 || n == 0) {
     return Status::InvalidArgument("empty multivariate series");
@@ -26,24 +25,14 @@ Result<std::vector<double>> ScoreMultivariate(const AnomalyDetector& detector,
     // Z-scale so heterogeneous channels contribute comparably.
     std::vector<double> z = ZNormalize(std::move(scores.value()));
     ++used;
-    switch (aggregation) {
-      case ScoreAggregation::kMax:
-        for (std::size_t i = 0; i < n; ++i) {
-          aggregated[i] = used == 1 ? z[i] : std::max(aggregated[i], z[i]);
-        }
-        break;
-      case ScoreAggregation::kMean:
-        for (std::size_t i = 0; i < n; ++i) aggregated[i] += z[i];
-        break;
+    for (std::size_t i = 0; i < n; ++i) {
+      aggregated[i] = used == 1 ? z[i] : std::max(aggregated[i], z[i]);
     }
   }
   if (used == 0) {
     return first_error.ok()
                ? Status::Internal("no dimension produced scores")
                : first_error;
-  }
-  if (aggregation == ScoreAggregation::kMean) {
-    for (double& v : aggregated) v /= static_cast<double>(used);
   }
   return aggregated;
 }

@@ -18,21 +18,15 @@
 
 namespace tsad {
 
-/// How per-dimension score tracks are combined.
-enum class ScoreAggregation {
-  kMax,   // any dimension can raise the alarm (Fig 1 semantics)
-  kMean,  // consensus across dimensions
-};
-
-/// Runs `detector` on every dimension and aggregates. Each dimension's
-/// score track is z-scaled first (per-dimension scores are not
-/// commensurable across heterogeneous telemetry channels).
+/// Runs `detector` on every dimension and takes the per-point max, so
+/// any dimension can raise the alarm (Fig 1 semantics). Each
+/// dimension's score track is z-scaled first (per-dimension scores are
+/// not commensurable across heterogeneous telemetry channels).
 ///
 /// Dimensions on which the detector errors are skipped; if every
 /// dimension errors the first error is returned.
 Result<std::vector<double>> ScoreMultivariate(
-    const AnomalyDetector& detector, const MultivariateSeries& machine,
-    ScoreAggregation aggregation = ScoreAggregation::kMax);
+    const AnomalyDetector& detector, const MultivariateSeries& machine);
 
 }  // namespace tsad
 

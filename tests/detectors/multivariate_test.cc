@@ -28,28 +28,12 @@ MultivariateSeries MakeMachine(uint64_t seed, std::size_t incident_dim) {
 TEST(MultivariateTest, MaxAggregationSeesSingleDimIncident) {
   const MultivariateSeries machine = MakeMachine(1, 3);
   MovingZScoreDetector detector(50);
-  Result<std::vector<double>> scores =
-      ScoreMultivariate(detector, machine, ScoreAggregation::kMax);
+  Result<std::vector<double>> scores = ScoreMultivariate(detector, machine);
   ASSERT_TRUE(scores.ok());
   ASSERT_EQ(scores->size(), machine.length());
   const std::size_t peak = PredictLocation(*scores, machine.train_length());
   EXPECT_GE(peak, 995u);
   EXPECT_LT(peak, 1070u);
-}
-
-TEST(MultivariateTest, MeanAggregationDilutesSingleDimIncident) {
-  const MultivariateSeries machine = MakeMachine(2, 0);
-  MovingZScoreDetector detector(50);
-  Result<std::vector<double>> max_scores =
-      ScoreMultivariate(detector, machine, ScoreAggregation::kMax);
-  Result<std::vector<double>> mean_scores =
-      ScoreMultivariate(detector, machine, ScoreAggregation::kMean);
-  ASSERT_TRUE(max_scores.ok());
-  ASSERT_TRUE(mean_scores.ok());
-  // Both tracks peak at the incident, but max discriminates harder for
-  // a one-dimension incident.
-  EXPECT_GT(Discrimination(*max_scores) * 1.05,
-            Discrimination(*mean_scores));
 }
 
 TEST(MultivariateTest, EmptyMachineRejected) {
