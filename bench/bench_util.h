@@ -121,10 +121,10 @@ inline void PrintHeader(const std::string& title) {
   std::printf("%s\n", std::string(72, '=').c_str());
 }
 
-/// Renders a coarse ASCII sparkline of a series (for the paper's
-/// "visualize the data" recommendation, §4.3).
-inline std::string Sparkline(const std::vector<double>& x,
-                             std::size_t width = 70) {
+/// Renders a coarse ASCII sparkline of a series, at most 70 characters
+/// wide (for the paper's "visualize the data" recommendation, §4.3).
+inline std::string Sparkline(const std::vector<double>& x) {
+  constexpr std::size_t kWidth = 70;
   static const char* kLevels[] = {" ", ".", ":", "-", "=", "+", "*", "#"};
   if (x.empty()) return "";
   double lo = x[0], hi = x[0];
@@ -134,7 +134,7 @@ inline std::string Sparkline(const std::vector<double>& x,
   }
   const double range = hi - lo > 1e-12 ? hi - lo : 1.0;
   std::string out;
-  const std::size_t stride = x.size() / width + 1;
+  const std::size_t stride = x.size() / kWidth + 1;
   for (std::size_t i = 0; i < x.size(); i += stride) {
     double peak = x[i];
     for (std::size_t j = i; j < i + stride && j < x.size(); ++j) {

@@ -93,15 +93,6 @@ class LabeledSeries {
   /// Total number of points labeled anomalous.
   std::size_t NumAnomalousPoints() const;
 
-  /// The test portion (everything after the training prefix), as a copy.
-  Series TestValues() const {
-    return Series(values_.begin() +
-                      static_cast<std::ptrdiff_t>(
-                          train_length_ < values_.size() ? train_length_
-                                                         : values_.size()),
-                  values_.end());
-  }
-
   /// Structural validation: ValidateLabels, then values finite.
   Status Validate() const;
 

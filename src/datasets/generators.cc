@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "common/stats.h"
 
 namespace tsad {
 
@@ -18,40 +17,6 @@ Series Sinusoid(std::size_t n, double period, double amplitude, double phase) {
   for (std::size_t i = 0; i < n; ++i) {
     x[i] = amplitude *
            std::sin(kTwoPi * static_cast<double>(i) / period + phase);
-  }
-  return x;
-}
-
-Series Sawtooth(std::size_t n, double period, double amplitude,
-                double fall_fraction, double phase) {
-  assert(period > 0.0);
-  fall_fraction = std::clamp(fall_fraction, 0.01, 0.99);
-  Series x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double t = std::fmod(static_cast<double>(i) / period + phase, 1.0);
-    if (t < 0.0) t += 1.0;
-    const double rise = 1.0 - fall_fraction;
-    double v;
-    if (t < rise) {
-      v = t / rise;  // slow climb 0 -> 1
-    } else {
-      v = 1.0 - (t - rise) / fall_fraction;  // steep fall 1 -> 0
-    }
-    x[i] = amplitude * (v - 0.5);
-  }
-  return x;
-}
-
-Series Harmonics(std::size_t n, double period,
-                 const std::vector<double>& amplitudes, double phase) {
-  Series x(n, 0.0);
-  for (std::size_t h = 0; h < amplitudes.size(); ++h) {
-    if (amplitudes[h] == 0.0) continue;
-    const double p = period / static_cast<double>(h + 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += amplitudes[h] *
-              std::sin(kTwoPi * static_cast<double>(i) / p + phase);
-    }
   }
   return x;
 }
@@ -114,24 +79,6 @@ AnomalyRegion InjectLevelShift(Series& x, std::size_t pos, double magnitude,
   for (std::size_t i = pos; i < x.size(); ++i) x[i] += magnitude;
   const std::size_t end = std::min(x.size(), pos + std::max<std::size_t>(
                                                        1, label_width));
-  return {pos, end};
-}
-
-AnomalyRegion InjectVarianceBurst(Series& x, std::size_t pos,
-                                  std::size_t width, double factor, Rng& rng) {
-  if (x.empty() || width == 0) return {};
-  pos = std::min(pos, x.size() - 1);
-  const std::size_t end = std::min(x.size(), pos + width);
-  // Local level from up to 50 points before the burst.
-  const std::size_t ctx_lo = pos >= 50 ? pos - 50 : 0;
-  Series context(x.begin() + static_cast<std::ptrdiff_t>(ctx_lo),
-                 x.begin() + static_cast<std::ptrdiff_t>(pos));
-  const double level = context.empty() ? x[pos] : Mean(context);
-  const double local_std =
-      context.size() >= 2 ? std::max(1e-6, StdDev(context)) : 1.0;
-  for (std::size_t i = pos; i < end; ++i) {
-    x[i] = level + rng.Gaussian(0.0, local_std * factor);
-  }
   return {pos, end};
 }
 

@@ -23,19 +23,6 @@ namespace tsad {
 /// Sinusoid: amplitude * sin(2*pi*(i/period) + phase).
 Series Sinusoid(std::size_t n, double period, double amplitude, double phase);
 
-/// Asymmetric sawtooth-like seasonal wave: rises slowly over the
-/// period then descends steeply during the final `fall_fraction` of
-/// each cycle. Steep descents make |diff| large for normal data —
-/// exactly the regime where the signed one-liners (5)/(6) beat the
-/// abs() ones (3)/(4) (see the Yahoo A3/A4 discussion in DESIGN.md).
-Series Sawtooth(std::size_t n, double period, double amplitude,
-                double fall_fraction, double phase);
-
-/// Sum of sinusoidal harmonics with the given amplitudes; harmonic h
-/// has period period/h.
-Series Harmonics(std::size_t n, double period,
-                 const std::vector<double>& amplitudes, double phase);
-
 /// Gaussian random walk with per-step standard deviation `step_std`,
 /// pulled back toward `level` with strength `reversion` in [0, 1).
 Series MeanRevertingWalk(std::size_t n, double level, double step_std,
@@ -70,11 +57,6 @@ AnomalyRegion InjectDropout(Series& x, std::size_t pos, std::size_t width,
 /// level.
 AnomalyRegion InjectLevelShift(Series& x, std::size_t pos, double magnitude,
                                std::size_t label_width);
-
-/// Variance change: noise in [pos, pos+width) is scaled by `factor`
-/// around the local mean (estimated from a window before pos).
-AnomalyRegion InjectVarianceBurst(Series& x, std::size_t pos,
-                                  std::size_t width, double factor, Rng& rng);
 
 /// Freeze: [pos, pos+width) is replaced by the value at pos (the NASA
 /// "dynamic behavior becomes frozen" anomaly of Fig 9).

@@ -65,12 +65,6 @@ TEST(LabeledSeriesTest, BinaryLabelsMatchesRegions) {
   EXPECT_EQ(s.BinaryLabels(), expected);
 }
 
-TEST(LabeledSeriesTest, TestValuesSkipsTrainPrefix) {
-  LabeledSeries s("t", {1, 2, 3, 4, 5}, {}, 2);
-  const Series expected = {3, 4, 5};
-  EXPECT_EQ(s.TestValues(), expected);
-}
-
 TEST(LabeledSeriesValidateTest, AcceptsWellFormed) {
   LabeledSeries s("t", Series(100, 0.0), {{50, 60}}, 10);
   EXPECT_TRUE(s.Validate().ok());

@@ -12,7 +12,8 @@
 namespace tsad {
 namespace {
 
-Series CleanBase(uint64_t seed, std::size_t n = 6000) {
+Series CleanBase(uint64_t seed) {
+  constexpr std::size_t n = 6000;
   Rng rng(seed);
   return Mix({Sinusoid(n, 120.0, 1.0, 0.3), Sinusoid(n, 29.0, 0.2, 1.0),
               GaussianNoise(n, 0.03, rng)});

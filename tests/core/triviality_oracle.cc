@@ -164,16 +164,14 @@ TrivialitySolution SolveWithFormDirect(const LabeledSeries& series,
   return best;
 }
 
-TrivialitySolution FindOneLinerDirect(const LabeledSeries& series,
-                                      const OneLinerSearchSpace& space,
-                                      const SolveCriteria& criteria) {
+TrivialitySolution FindOneLinerDirect(const LabeledSeries& series) {
   // The paper's numbering order: simplified thresholds first within
   // each lhs family.
   static constexpr OneLinerForm kOrder[] = {
       OneLinerForm::kEq3, OneLinerForm::kEq4, OneLinerForm::kEq5,
       OneLinerForm::kEq6};
   for (OneLinerForm form : kOrder) {
-    TrivialitySolution s = SolveWithFormDirect(series, form, space, criteria);
+    TrivialitySolution s = SolveWithFormDirect(series, form);
     if (s.solved) return s;
   }
   return {};

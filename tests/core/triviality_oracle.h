@@ -30,9 +30,9 @@ TrivialitySolution SolveWithFormDirect(const LabeledSeries& series,
                                        OneLinerForm form,
                                        const OneLinerSearchSpace& space = {},
                                        const SolveCriteria& criteria = {});
-TrivialitySolution FindOneLinerDirect(const LabeledSeries& series,
-                                      const OneLinerSearchSpace& space = {},
-                                      const SolveCriteria& criteria = {});
+/// FindOneLiner's default search, run form by form with
+/// SolveWithFormDirect.
+TrivialitySolution FindOneLinerDirect(const LabeledSeries& series);
 
 }  // namespace testing
 }  // namespace tsad

@@ -25,7 +25,8 @@ struct Fixture {
   std::vector<double> scores;
 };
 
-Fixture RandomFixture(uint64_t seed, std::size_t n = 600) {
+Fixture RandomFixture(uint64_t seed) {
+  constexpr std::size_t n = 600;
   Rng rng(seed);
   Fixture f;
   f.truth.resize(n);

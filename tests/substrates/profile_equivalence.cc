@@ -128,11 +128,12 @@ std::vector<std::uint8_t> FlatFlags(const std::vector<double>& x,
 
 // The three-clause contract (plus the no-neighbor clause). `flat` holds
 // the flat classification of the entries' side. `label` names the
-// candidate in failure messages.
+// candidate in failure messages. Clause 3 compares the top
+// kContractDiscords discords.
+constexpr std::size_t kContractDiscords = 3;
 ::testing::AssertionResult CheckProfileContract(
     const MatrixProfile& oracle, const MatrixProfile& candidate,
-    const std::vector<std::uint8_t>& flat, std::size_t discords,
-    const char* label) {
+    const std::vector<std::uint8_t>& flat, const char* label) {
   if (candidate.size() != oracle.size() ||
       candidate.subsequence_length != oracle.subsequence_length) {
     return ::testing::AssertionFailure()
@@ -179,8 +180,10 @@ std::vector<std::uint8_t> FlatFlags(const std::vector<double>& x,
   }
 
   // Discord positions and ordering, exactly.
-  const std::vector<Discord> ref_discords = TopDiscords(oracle, discords);
-  const std::vector<Discord> cand_discords = TopDiscords(candidate, discords);
+  const std::vector<Discord> ref_discords =
+      TopDiscords(oracle, kContractDiscords);
+  const std::vector<Discord> cand_discords =
+      TopDiscords(candidate, kContractDiscords);
   const auto dump = [](const std::vector<Discord>& ds) {
     std::ostringstream out;
     for (const Discord& d : ds) out << " " << d.position << "(" << d.distance
@@ -203,14 +206,13 @@ std::vector<std::uint8_t> FlatFlags(const std::vector<double>& x,
 ::testing::AssertionResult CheckCandidate(const MatrixProfile& oracle,
                                           const Result<MatrixProfile>& candidate,
                                           const std::vector<std::uint8_t>& flat,
-                                          std::size_t discords,
                                           const char* label) {
   if (!candidate.ok()) {
     return ::testing::AssertionFailure()
            << label << " rejected an input the oracle accepted: "
            << candidate.status().message();
   }
-  return CheckProfileContract(oracle, *candidate, flat, discords, label);
+  return CheckProfileContract(oracle, *candidate, flat, label);
 }
 
 }  // namespace
@@ -227,7 +229,8 @@ Result<MatrixProfile> ComputeMatrixProfileNaive(
 }
 
 Result<MatrixProfile> ComputeLeftMatrixProfileNaive(
-    const std::vector<double>& series, std::size_t m, std::size_t exclusion) {
+    const std::vector<double>& series, std::size_t m) {
+  std::size_t exclusion = std::numeric_limits<std::size_t>::max();  // default
   std::size_t count = 0;
   TSAD_RETURN_IF_ERROR(profile_internal::ValidateLeftProfile(
       series.size(), m, &exclusion, &count));
@@ -284,25 +287,25 @@ std::vector<ProfileTestFamily> SimulatorFamilies() {
 
 ::testing::AssertionResult ExpectProfileEquivalence(
     const std::vector<double>& series, std::size_t m,
-    const MatrixProfile& oracle, std::size_t discords) {
+    const MatrixProfile& oracle) {
   return CheckCandidate(oracle, ComputeMatrixProfile(series, m),
-                        FlatFlags(series, m), discords, "mpx");
+                        FlatFlags(series, m), "mpx");
 }
 
 ::testing::AssertionResult ExpectAbJoinEquivalence(
     const std::vector<double>& query_series,
     const std::vector<double>& reference_series, std::size_t m,
-    const MatrixProfile& oracle, std::size_t discords) {
+    const MatrixProfile& oracle) {
   return CheckCandidate(oracle,
                         ComputeAbJoin(query_series, reference_series, m),
-                        FlatFlags(query_series, m), discords, "mpx/ab");
+                        FlatFlags(query_series, m), "mpx/ab");
 }
 
 ::testing::AssertionResult ExpectLeftProfileEquivalence(
     const std::vector<double>& series, std::size_t m,
-    const MatrixProfile& oracle, std::size_t discords) {
+    const MatrixProfile& oracle) {
   return CheckCandidate(oracle, ComputeLeftMatrixProfile(series, m),
-                        FlatFlags(series, m), discords, "mpx/left");
+                        FlatFlags(series, m), "mpx/left");
 }
 
 ::testing::AssertionResult ExpectStreamingMpxEquivalence(
@@ -348,9 +351,9 @@ std::vector<ProfileTestFamily> SimulatorFamilies() {
              << (self.ok() ? left : self).status().message();
     }
     const ::testing::AssertionResult merged = CheckProfileContract(
-        *self, collect(&StreamingMpx::Merged), flat, 3, "streaming/merged");
+        *self, collect(&StreamingMpx::Merged), flat, "streaming/merged");
     if (!merged) return merged;
-    return CheckProfileContract(*left, collect(&StreamingMpx::Left), flat, 3,
+    return CheckProfileContract(*left, collect(&StreamingMpx::Left), flat,
                                 "streaming/left");
   }
 
@@ -385,7 +388,7 @@ std::vector<ProfileTestFamily> SimulatorFamilies() {
              << " outside the eligible retained range";
     }
   }
-  return CheckProfileContract(oracle, right, flat, 3, "streaming/right");
+  return CheckProfileContract(oracle, right, flat, "streaming/right");
 }
 
 }  // namespace testing

@@ -73,11 +73,10 @@ Result<MatrixProfile> ComputeMatrixProfileNaive(
     std::size_t exclusion = std::numeric_limits<std::size_t>::max());
 
 /// Naive left-profile oracle: same contract as ComputeLeftMatrixProfile
-/// (neighbors j <= i - exclusion - 1; entries without one stay +inf /
-/// kNoNeighbor).
+/// at its default exclusion (neighbors j <= i - exclusion - 1; entries
+/// without one stay +inf / kNoNeighbor).
 Result<MatrixProfile> ComputeLeftMatrixProfileNaive(
-    const std::vector<double>& series, std::size_t m,
-    std::size_t exclusion = std::numeric_limits<std::size_t>::max());
+    const std::vector<double>& series, std::size_t m);
 
 /// Naive AB-join oracle: same contract as ComputeAbJoin.
 Result<MatrixProfile> ComputeAbJoinNaive(
@@ -99,11 +98,11 @@ std::vector<ProfileTestFamily> SimulatorFamilies();
 
 /// Runs ComputeMatrixProfile(series, m) at the CURRENT thread count and
 /// ISA tier and checks the three-clause contract above against
-/// `oracle` (ComputeMatrixProfileNaive(series, m)). `discords` is the k
-/// handed to TopDiscords for clause 3.
+/// `oracle` (ComputeMatrixProfileNaive(series, m)). Clause 3 compares
+/// the top 3 discords.
 ::testing::AssertionResult ExpectProfileEquivalence(
     const std::vector<double>& series, std::size_t m,
-    const MatrixProfile& oracle, std::size_t discords = 3);
+    const MatrixProfile& oracle);
 
 /// Runs ComputeAbJoin(query, reference, m) and checks the contract
 /// against `oracle` (ComputeAbJoinNaive of the same pair). Flat entries
@@ -111,7 +110,7 @@ std::vector<ProfileTestFamily> SimulatorFamilies();
 ::testing::AssertionResult ExpectAbJoinEquivalence(
     const std::vector<double>& query_series,
     const std::vector<double>& reference_series, std::size_t m,
-    const MatrixProfile& oracle, std::size_t discords = 3);
+    const MatrixProfile& oracle);
 
 /// Runs ComputeLeftMatrixProfile(series, m) at the default exclusion and
 /// checks the contract against `oracle`
@@ -120,7 +119,7 @@ std::vector<ProfileTestFamily> SimulatorFamilies();
 /// both sides exactly.
 ::testing::AssertionResult ExpectLeftProfileEquivalence(
     const std::vector<double>& series, std::size_t m,
-    const MatrixProfile& oracle, std::size_t discords = 3);
+    const MatrixProfile& oracle);
 
 /// Certifies the streaming kernel (StreamingMpx) fed the series point
 /// by point with ring capacity `buffer_cap`:
