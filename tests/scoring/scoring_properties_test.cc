@@ -13,6 +13,7 @@
 #include "scoring/nab.h"
 #include "scoring/point_adjust.h"
 #include "scoring/range_pr.h"
+#include "scoring/ucr_score.h"
 #include "confusion_oracle.h"
 
 namespace tsad {
@@ -135,6 +136,28 @@ TEST_P(ScoringProperties, NabMoreMissedWindowsScoresLower) {
     // Overlapping windows merged: a single detection may legitimately
     // cover several anomalies, so the gap can close — but never invert.
     EXPECT_GE(all_score->normalized, one_score->normalized);
+  }
+}
+
+TEST_P(ScoringProperties, UcrSlopMonotone) {
+  // The slop grows with the region (max(100, length)), so a prediction
+  // correct for a region stays correct for every longer region that
+  // contains it.
+  Rng rng(GetParam() + 400);
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto draw = [&rng](std::int64_t lo, std::int64_t hi) {
+      return static_cast<std::size_t>(rng.UniformInt(lo, hi));
+    };
+    const std::size_t begin = draw(1000, 3000);
+    const AnomalyRegion region{begin, begin + draw(1, 400)};
+    const AnomalyRegion wider{region.begin - draw(0, 300),
+                              region.end + draw(0, 300)};
+    const std::size_t predicted = draw(0, 4000);
+    if (UcrCorrect(region, predicted)) {
+      EXPECT_TRUE(UcrCorrect(wider, predicted))
+          << "[" << region.begin << ", " << region.end << ") within ["
+          << wider.begin << ", " << wider.end << ") at " << predicted;
+    }
   }
 }
 
