@@ -48,9 +48,9 @@ struct RobustnessCell {
 };
 
 /// Runs every detector over DefaultFaultMatrix(). Detectors whose
-/// clean run already fails
-/// contribute cells carrying that status. `series` should be clean;
-/// the harness injects the faults itself (seeded, reproducible).
+/// clean run already fails contribute cells carrying that status.
+/// `series` should be clean; the harness injects the faults itself
+/// (seeded, reproducible).
 std::vector<RobustnessCell> RunRobustnessMatrix(
     const LabeledSeries& series,
     const std::vector<const AnomalyDetector*>& detectors,

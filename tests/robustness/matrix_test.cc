@@ -18,11 +18,12 @@ LabeledSeries SmallFixture() {
 }
 
 TEST(RobustnessMatrixTest, DefaultMatrixCoversEveryFault) {
+  constexpr double kSeverities[] = {0.05, 0.1, 0.2};
   const std::vector<RobustnessCase> cases = DefaultFaultMatrix();
   ASSERT_EQ(cases.size(), AllFaultTypes().size() * 3);
   for (std::size_t i = 0; i < cases.size(); ++i) {
     EXPECT_EQ(cases[i].fault, AllFaultTypes()[i / 3]);
-    EXPECT_EQ(cases[i].severity, (std::vector<double>{0.05, 0.1, 0.2}[i % 3]));
+    EXPECT_EQ(cases[i].severity, kSeverities[i % 3]);
   }
 }
 
