@@ -144,10 +144,10 @@ TEST_P(ScoringProperties, UcrSlopMonotone) {
   // correct for a region stays correct for every longer region that
   // contains it.
   Rng rng(GetParam() + 400);
+  const auto draw = [&rng](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::size_t>(rng.UniformInt(lo, hi));
+  };
   for (int trial = 0; trial < 20; ++trial) {
-    const auto draw = [&rng](std::int64_t lo, std::int64_t hi) {
-      return static_cast<std::size_t>(rng.UniformInt(lo, hi));
-    };
     const std::size_t begin = draw(1000, 3000);
     const AnomalyRegion region{begin, begin + draw(1, 400)};
     const AnomalyRegion wider{region.begin - draw(0, 300),
