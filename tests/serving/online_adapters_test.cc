@@ -270,6 +270,27 @@ TEST(OnlineAdapterTest, StreamingDiscordTooShortMatchesBatchError) {
   EXPECT_EQ(scores.status().code(), flush.code());
 }
 
+TEST(OnlineAdapterTest, TooShortStreamsFlushTheBatchError) {
+  // A stream too short to score ends with the very error batch Score
+  // returns on the same points: the same code and the same message.
+  const Series x = SyntheticStream(16, 4);  // one subsequence of 16
+  for (const char* spec : {"streaming:m=16", "floss:16:128"}) {
+    SCOPED_TRACE(spec);
+    auto online = MakeOnlineDetector(spec, 0);
+    ASSERT_TRUE(online.ok()) << online.status().message();
+    std::vector<ScoredPoint> emitted;
+    for (double v : x) ASSERT_TRUE((*online)->Observe(v, &emitted).ok());
+    const Status flush = (*online)->Flush(&emitted);
+
+    auto batch = MakeDetector(spec);
+    ASSERT_TRUE(batch.ok());
+    auto scores = (*batch)->Score(x, 0);
+    ASSERT_FALSE(scores.ok());
+    EXPECT_EQ(flush.code(), scores.status().code());
+    EXPECT_EQ(flush.message(), scores.status().message());
+  }
+}
+
 TEST(OnlineAdapterTest, StreamingDiscordRejectsPreStreamingMpxSnapshot) {
   // A snapshot written before streaming discord moved onto StreamingMpx:
   // the adapter header, then the old left-profile kernel layout (m,
