@@ -90,7 +90,23 @@ std::size_t FlossCore::MemoryBytes() const {
   return mpx_.MemoryBytes() + ends_.capacity() * sizeof(std::size_t);
 }
 
-Status FlossCore::Deserialize(ByteReader* reader) {
+Status FlossCore::CheckLength(std::size_t n) const {
+  if (n < lag_ + 1) {
+    return Status::InvalidArgument(
+        "series too short: need at least 2 subsequences of length " +
+        std::to_string(lag_));
+  }
+  return Status::OK();
+}
+
+FlossCore FlossCore::Fresh() const {
+  FlossParams params;
+  params.m = lag_;
+  params.buffer_cap = mpx_.config().buffer_cap;
+  return FlossCore(params);
+}
+
+Status FlossCore::Deserialize(ByteReader* reader, std::uint64_t /*seen*/) {
   counted_ = false;
   return mpx_.Deserialize(reader);
 }

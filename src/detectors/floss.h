@@ -105,10 +105,18 @@ class FlossCore {
   /// core's lifetime.
   std::size_t MemoryBytes() const;
 
+  /// The end-of-stream length rule: a stream of n points must hold at
+  /// least 2 subsequences.
+  Status CheckLength(std::size_t n) const;
+
+  /// These parameters at the start of a stream.
+  FlossCore Fresh() const;
+
   /// The running arc count is derived state: it is not serialized, and
-  /// the first Step after Deserialize recounts it.
+  /// the first Step after Deserialize recounts it. Deserialize expects
+  /// a Fresh() core.
   void Serialize(ByteWriter* writer) const { mpx_.Serialize(writer); }
-  Status Deserialize(ByteReader* reader);
+  Status Deserialize(ByteReader* reader, std::uint64_t seen);
 
  private:
   // Rebuilds arcs_ and ends_ at local evaluation position p from the

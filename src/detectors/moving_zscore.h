@@ -50,6 +50,12 @@ class MovingZScoreCore {
   /// Heap bytes held (the ring at capacity).
   std::size_t MemoryBytes() const { return ring_.capacity() * sizeof(double); }
 
+  /// Any stream length can be scored: the first `window` points score 0.
+  Status CheckLength(std::size_t /*n*/) const { return Status::OK(); }
+
+  /// This window at the start of a stream.
+  MovingZScoreCore Fresh() const { return MovingZScoreCore(window_); }
+
   /// Snapshot codec: the window sums, then the ring. Deserialize needs
   /// the number of points stepped so far and rejects a ring whose size
   /// is not min(seen, window).

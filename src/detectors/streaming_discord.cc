@@ -5,20 +5,56 @@
 
 namespace tsad {
 
-StreamingMpxConfig StreamingDiscordKernelConfig(std::size_t m) {
+namespace {
+
+StreamingMpxConfig KernelConfig(std::size_t m) {
   StreamingMpxConfig config;
   config.m = m;
   config.buffer_cap = 0;
   return config;
 }
 
-double StreamingDiscordScore(const StreamingMpx& kernel, std::size_t t,
-                             std::size_t burn_in) {
+}  // namespace
+
+StreamingDiscordCore::StreamingDiscordCore(std::size_t m, std::size_t burn_in)
+    : kernel_(KernelConfig(m)), burn_in_(burn_in) {}
+
+double StreamingDiscordCore::Step(double x) {
+  kernel_.Push(x);
   // Causal alignment: the newest entry describes the window ending at
-  // the point just pushed (index t) and becomes known exactly there.
-  if (t < burn_in || kernel.num_subsequences() == 0) return 0.0;
-  const double d = kernel.Left(kernel.num_subsequences() - 1).distance;
+  // the point just pushed (index points_seen() - 1) and becomes known
+  // exactly there.
+  if (kernel_.points_seen() <= burn_in_ || kernel_.num_subsequences() == 0) {
+    return 0.0;
+  }
+  const double d = kernel_.Left(kernel_.num_subsequences() - 1).distance;
   return std::isfinite(d) ? d : 0.0;
+}
+
+Status StreamingDiscordCore::CheckLength(std::size_t n) const {
+  if (n < kernel_.config().m + 1) {
+    return Status::InvalidArgument(
+        "series too short: need at least 2 subsequences of length " +
+        std::to_string(kernel_.config().m));
+  }
+  return Status::OK();
+}
+
+void StreamingDiscordCore::Serialize(ByteWriter* writer) const {
+  writer->PutU64(burn_in_);
+  kernel_.Serialize(writer);
+}
+
+Status StreamingDiscordCore::Deserialize(ByteReader* reader,
+                                         std::uint64_t /*seen*/) {
+  std::uint64_t burn_in;
+  TSAD_RETURN_IF_ERROR(reader->GetU64(&burn_in));
+  if (burn_in != burn_in_) {
+    return Status::InvalidArgument(
+        "snapshot burn_in mismatch: " + std::to_string(burn_in) +
+        " in the snapshot, " + std::to_string(burn_in_) + " in the detector");
+  }
+  return kernel_.Deserialize(reader);
 }
 
 StreamingDiscordDetector::StreamingDiscordDetector(std::size_t m,
@@ -27,28 +63,23 @@ StreamingDiscordDetector::StreamingDiscordDetector(std::size_t m,
       burn_in_(burn_in == 0 ? 4 * m : burn_in),
       name_("StreamingDiscord[m=" + std::to_string(m) + "]") {}
 
-Result<std::vector<double>> StreamingDiscordDetector::Score(
-    const Series& series, std::size_t /*train_length*/) const {
+Result<StreamingDiscordCore> StreamingDiscordDetector::MakeCore() const {
   if (m_ < 3) {
     return Status::InvalidArgument(
         "streaming discord requires subsequence length m >= 3, got m=" +
         std::to_string(m_) +
         " (the m/2 exclusion zone degenerates for shorter windows)");
   }
-  if (series.size() < m_ + 1) {
-    return Status::InvalidArgument(
-        "series too short: need at least 2 subsequences of length " +
-        std::to_string(m_));
-  }
+  return StreamingDiscordCore(m_, burn_in_);
+}
 
-  // Replay through the causal kernel — the same one the online adapter
-  // advances point by point — so streaming replay reproduces these
-  // scores byte for byte.
-  StreamingMpx kernel(StreamingDiscordKernelConfig(m_));
+Result<std::vector<double>> StreamingDiscordDetector::Score(
+    const Series& series, std::size_t /*train_length*/) const {
+  TSAD_ASSIGN_OR_RETURN(StreamingDiscordCore core, MakeCore());
+  TSAD_RETURN_IF_ERROR(core.CheckLength(series.size()));
   std::vector<double> scores(series.size(), 0.0);
   for (std::size_t t = 0; t < series.size(); ++t) {
-    kernel.Push(series[t]);
-    scores[t] = StreamingDiscordScore(kernel, t, burn_in_);
+    scores[t] = core.Step(series[t]);
   }
   return scores;
 }

@@ -10,32 +10,58 @@
 // nature, and callers should treat the first few hundred points as
 // burn-in (the NAB probationary period).
 //
-// Score() replays the series through StreamingMpx without eviction
-// (StreamingDiscordKernelConfig) rather than the batch left profile,
-// so the batch path and the serving layer's point-at-a-time
-// OnlineStreamingDiscord adapter are bit-identical by construction.
+// Score() steps StreamingDiscordCore — StreamingMpx without eviction
+// rather than the batch left profile, plus the burn-in — over the
+// series, and the serving layer's online adapter steps the same core
+// point by point, so the two are bit-identical by construction.
 
 #ifndef TSAD_DETECTORS_STREAMING_DISCORD_H_
 #define TSAD_DETECTORS_STREAMING_DISCORD_H_
 
 #include <cstddef>
+#include <cstdint>
 
+#include "common/wire.h"
 #include "detectors/detector.h"
 #include "substrates/streaming_mpx.h"
 
 namespace tsad {
 
-/// The kernel both the batch detector and the online adapter advance:
-/// subsequence length m, the default m/2 exclusion, no eviction
-/// (buffer_cap = 0), so every entry's left profile sees the whole past.
-StreamingMpxConfig StreamingDiscordKernelConfig(std::size_t m);
+/// The streaming discord step core: a StreamingMpx kernel of
+/// subsequence length m with the default m/2 exclusion and no eviction
+/// (buffer_cap = 0), so every entry's left profile sees the whole past,
+/// and the burn-in. It holds the whole stream.
+class StreamingDiscordCore {
+ public:
+  /// Requires m >= 3 (StreamingDiscordDetector::MakeCore checks it).
+  StreamingDiscordCore(std::size_t m, std::size_t burn_in);
 
-/// The score of the point that completes the newest subsequence of
-/// `kernel` at stream index `t`: that subsequence's left-profile
-/// distance, or 0 during burn-in (t < burn_in), before the first window
-/// completes, or while no eligible past neighbor exists.
-double StreamingDiscordScore(const StreamingMpx& kernel, std::size_t t,
-                             std::size_t burn_in);
+  /// Pushes x and returns the left-profile distance of the subsequence
+  /// x completes, or 0 during burn-in, before the first window
+  /// completes, or while no eligible past neighbor exists.
+  double Step(double x);
+
+  /// Bytes held by the kernel; grows with the stream.
+  std::size_t MemoryBytes() const { return kernel_.MemoryBytes(); }
+
+  /// The end-of-stream length rule: a stream of n points must hold at
+  /// least 2 subsequences.
+  Status CheckLength(std::size_t n) const;
+
+  /// This core's parameters at the start of a stream.
+  StreamingDiscordCore Fresh() const {
+    return StreamingDiscordCore(kernel_.config().m, burn_in_);
+  }
+
+  /// Snapshot codec: the burn-in, then the kernel. Deserialize expects
+  /// a Fresh() core and refuses a blob written with another burn-in.
+  void Serialize(ByteWriter* writer) const;
+  Status Deserialize(ByteReader* reader, std::uint64_t seen);
+
+ private:
+  StreamingMpx kernel_;
+  std::size_t burn_in_;
+};
 
 class StreamingDiscordDetector : public AnomalyDetector {
  public:
@@ -54,7 +80,10 @@ class StreamingDiscordDetector : public AnomalyDetector {
   Result<std::vector<double>> Score(const Series& series,
                                     std::size_t train_length) const override;
 
-  std::size_t subsequence_length() const { return m_; }
+  /// The core Score() steps and the online adapter serves;
+  /// InvalidArgument when m < 3.
+  Result<StreamingDiscordCore> MakeCore() const;
+
   /// The resolved burn-in (never 0: the constructor maps 0 to 4*m).
   std::size_t burn_in() const { return burn_in_; }
 

@@ -7,7 +7,9 @@
 #include "common/vector_ops.h"
 #include "detectors/control_chart.h"
 #include "detectors/cusum.h"
+#include "detectors/floss.h"
 #include "detectors/merlin.h"
+#include "detectors/moving_zscore.h"
 #include "detectors/reference_stats.h"
 #include "detectors/registry.h"
 #include "detectors/streaming_discord.h"
@@ -29,47 +31,74 @@ Status CheckBlobName(ByteReader* reader, std::string_view expected) {
   return Status::OK();
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// OnlineMovingZScore
+// StepCoreOnline
 
-OnlineMovingZScore::OnlineMovingZScore(std::string name, std::size_t window)
-    : name_(std::move(name)), core_(window) {}
+// The online form of a per-point detector, for Core = MovingZScoreCore,
+// StreamingDiscordCore or FlossCore: each Observe steps the core once
+// and emits its score, Flush applies the core's end-of-stream length
+// rule, and a snapshot is the name, `observed`, then the core's bytes.
+// A Core provides
+//   double Step(double x);
+//   std::size_t MemoryBytes() const;
+//   Status CheckLength(std::size_t n) const;  // may n points be scored?
+//   Core Fresh() const;  // these parameters at the start of a stream
+//   void Serialize(ByteWriter*) const;
+//   Status Deserialize(ByteReader*, std::uint64_t seen);
+template <typename Core>
+class StepCoreOnline final : public OnlineDetector {
+ public:
+  StepCoreOnline(std::string name, Core core)
+      : name_(std::move(name)), core_(std::move(core)) {}
 
-Status OnlineMovingZScore::Observe(double value,
-                                   std::vector<ScoredPoint>* out) {
-  out->push_back({observed_, core_.Step(value)});
-  ++observed_;
-  return Status::OK();
-}
+  std::string_view name() const override { return name_; }
 
-Status OnlineMovingZScore::Flush(std::vector<ScoredPoint>* /*out*/) {
-  return Status::OK();  // every point was scored on arrival
-}
+  Status Observe(double value, std::vector<ScoredPoint>* out) override {
+    out->push_back({observed_, core_.Step(value)});
+    ++observed_;
+    return Status::OK();
+  }
 
-Result<std::string> OnlineMovingZScore::Snapshot() const {
-  ByteWriter writer;
-  writer.PutString(name_);
-  writer.PutU64(observed_);
-  core_.Serialize(&writer);
-  return writer.Take();
-}
+  // Every point was scored on arrival; only the length rule is left.
+  Status Flush(std::vector<ScoredPoint>* /*out*/) override {
+    return core_.CheckLength(observed_);
+  }
 
-Status OnlineMovingZScore::Restore(std::string_view blob) {
-  ByteReader reader(blob);
-  TSAD_RETURN_IF_ERROR(CheckBlobName(&reader, name_));
-  std::uint64_t observed;
-  TSAD_RETURN_IF_ERROR(reader.GetU64(&observed));
-  // Deserialize into a scratch core so a corrupt blob cannot leave the
-  // live one half-overwritten.
-  MovingZScoreCore core = core_;
-  TSAD_RETURN_IF_ERROR(core.Deserialize(&reader, observed));
-  TSAD_RETURN_IF_ERROR(reader.ExpectDone());
-  core_ = std::move(core);
-  observed_ = observed;
-  return Status::OK();
-}
+  Result<std::string> Snapshot() const override {
+    ByteWriter writer;
+    writer.PutString(name_);
+    writer.PutU64(observed_);
+    core_.Serialize(&writer);
+    return writer.Take();
+  }
+
+  Status Restore(std::string_view blob) override {
+    ByteReader reader(blob);
+    TSAD_RETURN_IF_ERROR(CheckBlobName(&reader, name_));
+    std::uint64_t observed;
+    TSAD_RETURN_IF_ERROR(reader.GetU64(&observed));
+    // Decode into a fresh core, not a copy of the live one (a
+    // streaming discord kernel holds the whole stream), and commit
+    // only once the blob is read to its end: a refused blob leaves
+    // this adapter as it was.
+    Core core = core_.Fresh();
+    TSAD_RETURN_IF_ERROR(core.Deserialize(&reader, observed));
+    TSAD_RETURN_IF_ERROR(reader.ExpectDone());
+    core_ = std::move(core);
+    observed_ = observed;
+    return Status::OK();
+  }
+
+  std::size_t MemoryFootprint() const override {
+    return sizeof(*this) + name_.capacity() + core_.MemoryBytes();
+  }
+
+ private:
+  std::string name_;
+  Core core_;
+};
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // ReferenceStatsOnline
@@ -236,102 +265,6 @@ Status OnlineOneLiner::Restore(std::string_view blob) {
 }
 
 // ---------------------------------------------------------------------------
-// OnlineStreamingDiscord
-
-OnlineStreamingDiscord::OnlineStreamingDiscord(std::string name, std::size_t m,
-                                               std::size_t burn_in)
-    : name_(std::move(name)),
-      m_(m),
-      burn_in_(burn_in),
-      kernel_(StreamingDiscordKernelConfig(m)) {}
-
-Status OnlineStreamingDiscord::Observe(double value,
-                                       std::vector<ScoredPoint>* out) {
-  kernel_.Push(value);
-  out->push_back(
-      {observed_, StreamingDiscordScore(kernel_, observed_, burn_in_)});
-  ++observed_;
-  return Status::OK();
-}
-
-Status OnlineStreamingDiscord::Flush(std::vector<ScoredPoint>* /*out*/) {
-  if (observed_ < m_ + 1) {
-    return Status::InvalidArgument(
-        "series too short: need at least 2 subsequences of length " +
-        std::to_string(m_));
-  }
-  return Status::OK();
-}
-
-Result<std::string> OnlineStreamingDiscord::Snapshot() const {
-  ByteWriter writer;
-  writer.PutString(name_);
-  writer.PutU64(observed_);
-  writer.PutU64(burn_in_);
-  kernel_.Serialize(&writer);
-  return writer.Take();
-}
-
-Status OnlineStreamingDiscord::Restore(std::string_view blob) {
-  ByteReader reader(blob);
-  TSAD_RETURN_IF_ERROR(CheckBlobName(&reader, name_));
-  std::uint64_t observed, burn_in;
-  TSAD_RETURN_IF_ERROR(reader.GetU64(&observed));
-  TSAD_RETURN_IF_ERROR(reader.GetU64(&burn_in));
-  if (burn_in != burn_in_) {
-    return Status::InvalidArgument("snapshot burn_in mismatch for " + name_);
-  }
-  TSAD_RETURN_IF_ERROR(kernel_.Deserialize(&reader));
-  TSAD_RETURN_IF_ERROR(reader.ExpectDone());
-  observed_ = observed;
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// OnlineFloss
-
-OnlineFloss::OnlineFloss(std::string name, const FlossParams& params)
-    : name_(std::move(name)), params_(params), core_(params) {}
-
-Status OnlineFloss::Observe(double value, std::vector<ScoredPoint>* out) {
-  out->push_back({observed_, core_.Step(value)});
-  ++observed_;
-  return Status::OK();
-}
-
-Status OnlineFloss::Flush(std::vector<ScoredPoint>* /*out*/) {
-  if (observed_ < params_.m + 1) {
-    return Status::InvalidArgument(
-        "series too short: need at least 2 subsequences of length " +
-        std::to_string(params_.m));
-  }
-  return Status::OK();
-}
-
-Result<std::string> OnlineFloss::Snapshot() const {
-  ByteWriter writer;
-  writer.PutString(name_);
-  writer.PutU64(observed_);
-  core_.Serialize(&writer);
-  return writer.Take();
-}
-
-Status OnlineFloss::Restore(std::string_view blob) {
-  ByteReader reader(blob);
-  TSAD_RETURN_IF_ERROR(CheckBlobName(&reader, name_));
-  std::uint64_t observed;
-  TSAD_RETURN_IF_ERROR(reader.GetU64(&observed));
-  // Deserialize into a scratch core so a corrupt blob cannot leave the
-  // live one half-overwritten.
-  FlossCore core(params_);
-  TSAD_RETURN_IF_ERROR(core.Deserialize(&reader));
-  TSAD_RETURN_IF_ERROR(reader.ExpectDone());
-  core_ = std::move(core);
-  observed_ = observed;
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
 // OnlineMerlin
 
 OnlineMerlin::OnlineMerlin(std::string name, std::size_t min_length,
@@ -488,8 +421,9 @@ Result<std::unique_ptr<OnlineDetector>> MakeOnlineDetector(
   std::string online_name = "online:" + std::string(batch->name());
 
   if (auto* z = dynamic_cast<const MovingZScoreDetector*>(batch.get())) {
-    return std::unique_ptr<OnlineDetector>(std::make_unique<OnlineMovingZScore>(
-        std::move(online_name), z->window()));
+    return std::unique_ptr<OnlineDetector>(
+        std::make_unique<StepCoreOnline<MovingZScoreCore>>(
+            std::move(online_name), MovingZScoreCore(z->window())));
   }
   if (auto* c = dynamic_cast<const CusumDetector*>(batch.get())) {
     TSAD_RETURN_IF_ERROR(TrainPrefixRequired("cusum", train_length));
@@ -517,20 +451,15 @@ Result<std::unique_ptr<OnlineDetector>> MakeOnlineDetector(
         std::move(online_name), o->params()));
   }
   if (auto* s = dynamic_cast<const StreamingDiscordDetector*>(batch.get())) {
-    if (s->subsequence_length() < 3) {
-      return Status::InvalidArgument(
-          "streaming discord requires subsequence length m >= 3, got m=" +
-          std::to_string(s->subsequence_length()) +
-          " (the m/2 exclusion zone degenerates for shorter windows)");
-    }
+    TSAD_ASSIGN_OR_RETURN(StreamingDiscordCore core, s->MakeCore());
     return std::unique_ptr<OnlineDetector>(
-        std::make_unique<OnlineStreamingDiscord>(std::move(online_name),
-                                                 s->subsequence_length(),
-                                                 s->burn_in()));
+        std::make_unique<StepCoreOnline<StreamingDiscordCore>>(
+            std::move(online_name), std::move(core)));
   }
   if (auto* f = dynamic_cast<const FlossDetector*>(batch.get())) {
     return std::unique_ptr<OnlineDetector>(
-        std::make_unique<OnlineFloss>(std::move(online_name), f->params()));
+        std::make_unique<StepCoreOnline<FlossCore>>(std::move(online_name),
+                                                    FlossCore(f->params())));
   }
   if (auto* m = dynamic_cast<const MerlinDetector*>(batch.get())) {
     return std::unique_ptr<OnlineDetector>(std::make_unique<OnlineMerlin>(

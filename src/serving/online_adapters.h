@@ -1,14 +1,21 @@
 // Online adapters: one OnlineDetector per batch detector whose math is
 // causal enough to stream. Each causal detector has one scoring core
 // that its batch Score() runs as a loop and its adapter steps point by
-// point — MovingZScoreCore, CusumCore, EwmaChartCore, PageHinkleyCore,
-// StreamingMpx with StreamingDiscordScore, FlossCore, and the
-// one-liner's window moments and margin composition (per index in
-// OneLinerMarginAt, a track at a time in batch) — so replay is
-// bit-identical by construction, not merely close. An adapter only
-// buffers what its core cannot score yet, orders the emissions, frames
-// snapshots and accounts memory. MERLIN is acausal: its adapter runs
-// the batch detector at Flush().
+// point, so replay is bit-identical by construction, not merely close:
+//
+//  * the per-point detectors (moving z-score, streaming discord,
+//    FLOSS) score every point as it arrives from a step core
+//    (MovingZScoreCore, StreamingDiscordCore, FlossCore), served by one
+//    adapter template in online_adapters.cc that MakeOnlineDetector
+//    builds;
+//  * the reference-statistics detectors step CusumCore, EwmaChartCore
+//    or PageHinkleyCore once their training prefix is fitted;
+//  * the one-liner composes its window moments and margin per index
+//    (OneLinerMarginAt), as batch does a track at a time.
+//
+// An adapter only buffers what its core cannot score yet, orders the
+// emissions, frames snapshots and accounts memory. MERLIN is acausal:
+// its adapter runs the batch detector at Flush().
 //
 // Build adapters through MakeOnlineDetector(), which parses the same
 // spec grammar as the batch registry and rejects configurations whose
@@ -23,12 +30,8 @@
 #include <string>
 #include <vector>
 
-#include "common/wire.h"
-#include "detectors/floss.h"
-#include "detectors/moving_zscore.h"
 #include "detectors/oneliner.h"
 #include "serving/online_detector.h"
-#include "substrates/streaming_mpx.h"
 
 namespace tsad {
 
@@ -51,26 +54,6 @@ Result<std::unique_ptr<OnlineDetector>> MakeOnlineDetector(
 
 /// Spec names MakeOnlineDetector accepts.
 std::vector<std::string> OnlineCapableDetectorNames();
-
-/// Trailing moving z-score: steps the shared MovingZScoreCore. Emits
-/// one score per point, 0 for the first `window`.
-class OnlineMovingZScore : public OnlineDetector {
- public:
-  OnlineMovingZScore(std::string name, std::size_t window);
-
-  std::string_view name() const override { return name_; }
-  Status Observe(double value, std::vector<ScoredPoint>* out) override;
-  Status Flush(std::vector<ScoredPoint>* out) override;
-  Result<std::string> Snapshot() const override;
-  Status Restore(std::string_view blob) override;
-  std::size_t MemoryFootprint() const override {
-    return sizeof(*this) + name_.capacity() + core_.MemoryBytes();
-  }
-
- private:
-  std::string name_;
-  MovingZScoreCore core_;
-};
 
 /// The reference-statistics family, for Core = CusumCore,
 /// EwmaChartCore or PageHinkleyCore: buffers the training prefix, fits
@@ -145,58 +128,6 @@ class OnlineOneLiner : public OnlineDetector {
   std::vector<long double> sq_;
   std::size_t emitted_ = 0;  // margins emitted so far (diff indices)
   double run_min_ = 0.0;     // running global minimum margin
-};
-
-/// Streaming discord: wraps the no-eviction StreamingMpx kernel (which
-/// the batch StreamingDiscordDetector::Score also replays through — the
-/// equivalence is by construction, see detectors/streaming_discord.h).
-/// Emits one score per point; burn-in and non-finite entries score 0.
-class OnlineStreamingDiscord : public OnlineDetector {
- public:
-  OnlineStreamingDiscord(std::string name, std::size_t m,
-                         std::size_t burn_in);
-
-  std::string_view name() const override { return name_; }
-  Status Observe(double value, std::vector<ScoredPoint>* out) override;
-  Status Flush(std::vector<ScoredPoint>* out) override;
-  Result<std::string> Snapshot() const override;
-  Status Restore(std::string_view blob) override;
-  std::size_t MemoryFootprint() const override {
-    return sizeof(*this) + name_.capacity() + kernel_.MemoryBytes();
-  }
-
- private:
-  std::string name_;
-  std::size_t m_;
-  std::size_t burn_in_;
-  StreamingMpx kernel_;
-};
-
-/// FLOSS regime-change scoring: wraps the shared FlossCore (which the
-/// batch FlossDetector::Score also replays through — byte-identical by
-/// construction). Emits exactly one score per point. Unlike the
-/// left-profile adapters, MemoryFootprint() is CONSTANT over the
-/// stream's lifetime — the streaming-MPX ring buffer is reserved to
-/// its maximum at construction — so a floss stream's serving cost
-/// never grows, which is what makes profile-based detectors feasible
-/// under the engine's memory budget at fleet scale.
-class OnlineFloss : public OnlineDetector {
- public:
-  OnlineFloss(std::string name, const FlossParams& params);
-
-  std::string_view name() const override { return name_; }
-  Status Observe(double value, std::vector<ScoredPoint>* out) override;
-  Status Flush(std::vector<ScoredPoint>* out) override;
-  Result<std::string> Snapshot() const override;
-  Status Restore(std::string_view blob) override;
-  std::size_t MemoryFootprint() const override {
-    return sizeof(*this) + name_.capacity() + core_.MemoryBytes();
-  }
-
- private:
-  std::string name_;
-  FlossParams params_;
-  FlossCore core_;
 };
 
 /// MERLIN multi-length discord scoring as a servable stream. MERLIN is

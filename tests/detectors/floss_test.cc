@@ -240,7 +240,7 @@ TEST_P(FlossArcOracleTest, RunningCountMatchesTheRecount) {
         core->Serialize(&writer);
         auto restored = std::make_unique<FlossCore>(params);
         ByteReader reader(writer.str());
-        ASSERT_TRUE(restored->Deserialize(&reader).ok()) << "t=" << t;
+        ASSERT_TRUE(restored->Deserialize(&reader, t + 1).ok()) << "t=" << t;
         ASSERT_TRUE(reader.ExpectDone().ok()) << "t=" << t;
         core = std::move(restored);
         if (evicted) ++restores_after_eviction;
