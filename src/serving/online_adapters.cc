@@ -248,14 +248,19 @@ Status OnlineOneLiner::Restore(std::string_view blob) {
   ByteReader reader(blob);
   TSAD_RETURN_IF_ERROR(CheckBlobName(&reader, name_));
   std::uint64_t observed, emitted;
+  double prev, run_min;
+  std::vector<double> d;
   TSAD_RETURN_IF_ERROR(reader.GetU64(&observed));
   TSAD_RETURN_IF_ERROR(reader.GetU64(&emitted));
-  TSAD_RETURN_IF_ERROR(reader.GetDouble(&prev_));
-  TSAD_RETURN_IF_ERROR(reader.GetDouble(&run_min_));
-  TSAD_RETURN_IF_ERROR(reader.GetDoubles(&d_));
+  TSAD_RETURN_IF_ERROR(reader.GetDouble(&prev));
+  TSAD_RETURN_IF_ERROR(reader.GetDouble(&run_min));
+  TSAD_RETURN_IF_ERROR(reader.GetDoubles(&d));
   TSAD_RETURN_IF_ERROR(reader.ExpectDone());
   observed_ = observed;
   emitted_ = emitted;
+  prev_ = prev;
+  run_min_ = run_min;
+  d_ = std::move(d);
   // Rebuild the prefix sums by re-appending d_ in order — the
   // identical operation sequence, hence identical rounding.
   sums_.assign(1, 0.0L);
@@ -357,17 +362,21 @@ Status OnlineSanitizer::Restore(std::string_view blob) {
   ByteReader reader(blob);
   TSAD_RETURN_IF_ERROR(CheckBlobName(&reader, name_));
   std::uint64_t observed, patched, have_good;
+  double last_good;
+  std::string inner_blob;
   TSAD_RETURN_IF_ERROR(reader.GetU64(&observed));
   TSAD_RETURN_IF_ERROR(reader.GetU64(&patched));
   TSAD_RETURN_IF_ERROR(reader.GetU64(&have_good));
-  TSAD_RETURN_IF_ERROR(reader.GetDouble(&last_good_));
-  std::string inner_blob;
+  TSAD_RETURN_IF_ERROR(reader.GetDouble(&last_good));
   TSAD_RETURN_IF_ERROR(reader.GetString(&inner_blob));
   TSAD_RETURN_IF_ERROR(reader.ExpectDone());
+  // The inner adapter's refusal leaves it as it was, so nothing here
+  // changes before it accepts.
   TSAD_RETURN_IF_ERROR(inner_->Restore(inner_blob));
   observed_ = observed;
   points_patched_ = patched;
   have_good_ = have_good != 0;
+  last_good_ = last_good;
   return Status::OK();
 }
 

@@ -433,6 +433,66 @@ TEST(OnlineAdapterTest, RestoreRejectsForeignBlobs) {
   EXPECT_FALSE((*same)->Restore(blob->substr(0, blob->size() - 3)).ok());
 }
 
+// True when both emission lists hold the same indices and score bits in
+// the same order.
+bool SameEmissions(const std::vector<ScoredPoint>& a,
+                   const std::vector<ScoredPoint>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].index != b[i].index ||
+        std::memcmp(&a[i].score, &b[i].score, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(OnlineAdapterTest, RefusedRestoreLeavesTheAdapterAsItWas) {
+  // A restore that fails must never half-apply. Each adapter scores 300
+  // points, is refused another stream's 200-point snapshot with bytes
+  // appended, and must then emit exactly what an adapter that never
+  // tried to restore emits. The wrappers get NaNs to impute, the first
+  // right after the refusal, so their carried value is checked too.
+  const Series clean = SyntheticStream(600, 51);
+  Series dirty = clean;
+  for (const std::size_t i : {300, 301, 455}) {
+    dirty[i] = std::numeric_limits<double>::quiet_NaN();
+  }
+  const Series other = SyntheticStream(200, 52);
+  std::vector<SpecCase> cases = EquivalenceCases();
+  cases.push_back({"resilient:zscore:w=32", 0});
+  cases.push_back({"resilient:streaming:m=16", 0});
+  for (const SpecCase& c : cases) {
+    SCOPED_TRACE(c.spec + " train=" + std::to_string(c.train_length));
+    const Series& x = c.spec.rfind("resilient:", 0) == 0 ? dirty : clean;
+
+    auto donor = MakeOnlineDetector(c.spec, c.train_length);
+    ASSERT_TRUE(donor.ok());
+    std::vector<ScoredPoint> sink;
+    for (double v : other) ASSERT_TRUE((*donor)->Observe(v, &sink).ok());
+    Result<std::string> foreign = (*donor)->Snapshot();
+    ASSERT_TRUE(foreign.ok());
+    foreign->append("junk");
+
+    auto tried = MakeOnlineDetector(c.spec, c.train_length);
+    auto untouched = MakeOnlineDetector(c.spec, c.train_length);
+    ASSERT_TRUE(tried.ok());
+    ASSERT_TRUE(untouched.ok());
+    std::vector<ScoredPoint> got, want;
+    for (std::size_t t = 0; t < x.size(); ++t) {
+      if (t == 300) {
+        EXPECT_FALSE((*tried)->Restore(*foreign).ok());
+        EXPECT_EQ((*tried)->observed(), 300u);
+      }
+      ASSERT_TRUE((*tried)->Observe(x[t], &got).ok()) << "t=" << t;
+      ASSERT_TRUE((*untouched)->Observe(x[t], &want).ok()) << "t=" << t;
+    }
+    ASSERT_TRUE((*tried)->Flush(&got).ok());
+    ASSERT_TRUE((*untouched)->Flush(&want).ok());
+    EXPECT_TRUE(SameEmissions(got, want));
+  }
+}
+
 TEST(OnlineAdapterTest, OnlineCapableNamesMatchesFactoryBehavior) {
   const std::vector<std::string> names = OnlineCapableDetectorNames();
   for (const std::string& name : names) {
