@@ -41,13 +41,8 @@ EwmaChartDetector::EwmaChartDetector(double lambda) : lambda_(lambda) {
 
 Result<std::vector<double>> EwmaChartDetector::Score(
     const Series& series, std::size_t train_length) const {
-  std::vector<double> scores(series.size());
-  if (series.empty()) return scores;
-  EwmaChartCore core(lambda_, FitReferenceStats(series, train_length));
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    scores[i] = core.Step(series[i]);
-  }
-  return scores;
+  return StepScores(
+      EwmaChartCore(lambda_, FitReferenceStats(series, train_length)), series);
 }
 
 PageHinkleyDetector::PageHinkleyDetector(double delta) : delta_(delta) {
@@ -58,13 +53,8 @@ PageHinkleyDetector::PageHinkleyDetector(double delta) : delta_(delta) {
 
 Result<std::vector<double>> PageHinkleyDetector::Score(
     const Series& series, std::size_t train_length) const {
-  std::vector<double> scores(series.size());
-  if (series.empty()) return scores;
-  PageHinkleyCore core(delta_, FitReferenceStats(series, train_length));
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    scores[i] = core.Step(series[i]);
-  }
-  return scores;
+  return StepScores(
+      PageHinkleyCore(delta_, FitReferenceStats(series, train_length)), series);
 }
 
 }  // namespace tsad

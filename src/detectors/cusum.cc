@@ -25,14 +25,9 @@ CusumDetector::CusumDetector(double drift, double reset_threshold)
 
 Result<std::vector<double>> CusumDetector::Score(
     const Series& series, std::size_t train_length) const {
-  std::vector<double> scores(series.size());
-  if (series.empty()) return scores;
-  CusumCore core(drift_, reset_threshold_,
-                 FitReferenceStats(series, train_length));
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    scores[i] = core.Step(series[i]);
-  }
-  return scores;
+  return StepScores(CusumCore(drift_, reset_threshold_,
+                              FitReferenceStats(series, train_length)),
+                    series);
 }
 
 }  // namespace tsad

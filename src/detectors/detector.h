@@ -48,6 +48,19 @@ class AnomalyDetector {
   virtual bool concurrent_score_safe() const { return true; }
 };
 
+/// The batch form of a per-point detector: steps `core` once per point
+/// of `series`, in order, and returns the scores. The detector's online
+/// adapter steps the same core one point at a time, so batch and online
+/// scores are the same bytes.
+template <typename Core>
+std::vector<double> StepScores(Core core, const Series& series) {
+  std::vector<double> scores(series.size());
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    scores[i] = core.Step(series[i]);
+  }
+  return scores;
+}
+
 /// Index of the highest score at or after `test_start` — the "predicted
 /// anomaly location" under the UCR archive's single-anomaly protocol.
 /// Returns kNoPrediction for empty input or test_start out of range.

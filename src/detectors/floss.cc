@@ -180,14 +180,7 @@ Result<std::vector<double>> FlossDetector::Score(
         "series too short: need at least 2 subsequences of length " +
         std::to_string(params_.m));
   }
-  // Replay through the same core the online adapter advances point by
-  // point — bit-identical by construction.
-  FlossCore core(params_);
-  std::vector<double> scores(series.size(), 0.0);
-  for (std::size_t t = 0; t < series.size(); ++t) {
-    scores[t] = core.Step(series[t]);
-  }
-  return scores;
+  return StepScores(FlossCore(params_), series);
 }
 
 }  // namespace tsad

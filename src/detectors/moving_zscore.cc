@@ -49,12 +49,7 @@ MovingZScoreDetector::MovingZScoreDetector(std::size_t window)
 
 Result<std::vector<double>> MovingZScoreDetector::Score(
     const Series& series, std::size_t /*train_length*/) const {
-  std::vector<double> scores(series.size());
-  MovingZScoreCore core(window_);
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    scores[i] = core.Step(series[i]);
-  }
-  return scores;
+  return StepScores(MovingZScoreCore(window_), series);
 }
 
 }  // namespace tsad

@@ -77,11 +77,7 @@ Result<std::vector<double>> StreamingDiscordDetector::Score(
     const Series& series, std::size_t /*train_length*/) const {
   TSAD_ASSIGN_OR_RETURN(StreamingDiscordCore core, MakeCore());
   TSAD_RETURN_IF_ERROR(core.CheckLength(series.size()));
-  std::vector<double> scores(series.size(), 0.0);
-  for (std::size_t t = 0; t < series.size(); ++t) {
-    scores[t] = core.Step(series[t]);
-  }
-  return scores;
+  return StepScores(std::move(core), series);
 }
 
 }  // namespace tsad
