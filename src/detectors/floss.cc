@@ -73,12 +73,7 @@ Result<FlossParams> ParseFlossSpec(const std::string& spec) {
           ParseSizeToken(tail, "buffer", spec, &params.buffer_cap));
     }
   }
-  if (params.m < 3) {
-    return Status::InvalidArgument(
-        "floss requires subsequence length m >= 3, got m=" +
-        std::to_string(params.m) +
-        " (the m/2 exclusion zone degenerates for shorter windows)");
-  }
+  TSAD_RETURN_IF_ERROR(CheckSubsequenceLength("floss", params.m));
   TSAD_RETURN_IF_ERROR(ValidateKernelConfig(params));
   return params;
 }
@@ -91,12 +86,7 @@ std::size_t FlossCore::MemoryBytes() const {
 }
 
 Status FlossCore::CheckLength(std::size_t n) const {
-  if (n < lag_ + 1) {
-    return Status::InvalidArgument(
-        "series too short: need at least 2 subsequences of length " +
-        std::to_string(lag_));
-  }
-  return Status::OK();
+  return CheckTwoSubsequences(n, lag_);
 }
 
 FlossCore FlossCore::Fresh() const {
@@ -169,17 +159,9 @@ FlossDetector::FlossDetector(const FlossParams& params)
 
 Result<std::vector<double>> FlossDetector::Score(
     const Series& series, std::size_t /*train_length*/) const {
-  if (params_.m < 3) {
-    return Status::InvalidArgument(
-        "floss requires subsequence length m >= 3, got m=" +
-        std::to_string(params_.m));
-  }
+  TSAD_RETURN_IF_ERROR(CheckSubsequenceLength("floss", params_.m));
   TSAD_RETURN_IF_ERROR(ValidateKernelConfig(params_));
-  if (series.size() < params_.m + 1) {
-    return Status::InvalidArgument(
-        "series too short: need at least 2 subsequences of length " +
-        std::to_string(params_.m));
-  }
+  TSAD_RETURN_IF_ERROR(CheckTwoSubsequences(series.size(), params_.m));
   return StepScores(FlossCore(params_), series);
 }
 

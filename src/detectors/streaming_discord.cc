@@ -32,12 +32,7 @@ double StreamingDiscordCore::Step(double x) {
 }
 
 Status StreamingDiscordCore::CheckLength(std::size_t n) const {
-  if (n < kernel_.config().m + 1) {
-    return Status::InvalidArgument(
-        "series too short: need at least 2 subsequences of length " +
-        std::to_string(kernel_.config().m));
-  }
-  return Status::OK();
+  return CheckTwoSubsequences(n, kernel_.config().m);
 }
 
 void StreamingDiscordCore::Serialize(ByteWriter* writer) const {
@@ -64,12 +59,7 @@ StreamingDiscordDetector::StreamingDiscordDetector(std::size_t m,
       name_("StreamingDiscord[m=" + std::to_string(m) + "]") {}
 
 Result<StreamingDiscordCore> StreamingDiscordDetector::MakeCore() const {
-  if (m_ < 3) {
-    return Status::InvalidArgument(
-        "streaming discord requires subsequence length m >= 3, got m=" +
-        std::to_string(m_) +
-        " (the m/2 exclusion zone degenerates for shorter windows)");
-  }
+  TSAD_RETURN_IF_ERROR(CheckSubsequenceLength("streaming discord", m_));
   return StreamingDiscordCore(m_, burn_in_);
 }
 

@@ -52,12 +52,8 @@ inline std::size_t LowestFlatOutsideExclusion(
 inline Status ValidateSelfJoin(std::size_t n, std::size_t m,
                                std::size_t* exclusion, std::size_t* count) {
   if (m < 2) return Status::InvalidArgument("subsequence length must be >= 2");
+  TSAD_RETURN_IF_ERROR(CheckTwoSubsequences(n, m));
   *count = NumSubsequences(n, m);
-  if (*count < 2) {
-    return Status::InvalidArgument(
-        "series too short: need at least 2 subsequences of length " +
-        std::to_string(m));
-  }
   if (*exclusion == std::numeric_limits<std::size_t>::max()) {
     *exclusion = DefaultSelfJoinExclusion(m);
   }
@@ -93,12 +89,8 @@ inline Status ValidateAbJoin(std::size_t query_n, std::size_t reference_n,
 inline Status ValidateLeftProfile(std::size_t n, std::size_t m,
                                   std::size_t* exclusion, std::size_t* count) {
   if (m < 2) return Status::InvalidArgument("subsequence length must be >= 2");
+  TSAD_RETURN_IF_ERROR(CheckTwoSubsequences(n, m));
   *count = NumSubsequences(n, m);
-  if (*count < 2) {
-    return Status::InvalidArgument(
-        "series too short: need at least 2 subsequences of length " +
-        std::to_string(m));
-  }
   if (*exclusion == std::numeric_limits<std::size_t>::max()) {
     *exclusion = DefaultSelfJoinExclusion(m);
   }

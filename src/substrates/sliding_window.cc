@@ -2,8 +2,24 @@
 
 #include <cassert>
 #include <cmath>
+#include <string>
 
 namespace tsad {
+
+Status CheckTwoSubsequences(std::size_t n, std::size_t m) {
+  if (NumSubsequences(n, m) >= 2) return Status::OK();
+  return Status::InvalidArgument(
+      "series too short: need at least 2 subsequences of length " +
+      std::to_string(m));
+}
+
+Status CheckSubsequenceLength(std::string_view detector, std::size_t m) {
+  if (m >= 3) return Status::OK();
+  return Status::InvalidArgument(
+      std::string(detector) + " requires subsequence length m >= 3, got m=" +
+      std::to_string(m) +
+      " (the m/2 exclusion zone degenerates for shorter windows)");
+}
 
 WindowStats ComputeWindowStats(const std::vector<double>& x, std::size_t m) {
   WindowStats stats;

@@ -6,7 +6,10 @@
 #define TSAD_SUBSTRATES_SLIDING_WINDOW_H_
 
 #include <cstddef>
+#include <string_view>
 #include <vector>
+
+#include "common/status.h"
 
 namespace tsad {
 
@@ -34,6 +37,18 @@ std::vector<double> Subsequence(const std::vector<double>& x,
 inline std::size_t NumSubsequences(std::size_t n, std::size_t m) {
   return (m == 0 || m > n) ? 0 : n - m + 1;
 }
+
+/// OK when a length-n series holds at least 2 length-m subsequences,
+/// the fewest a profile has a neighbour in; InvalidArgument ("series
+/// too short") otherwise. The self-join and left-profile kernels, FLOSS
+/// and streaming discord all refuse a short series with it.
+Status CheckTwoSubsequences(std::size_t n, std::size_t m);
+
+/// OK when m >= 3; otherwise InvalidArgument naming `detector`. With
+/// the default m/2 exclusion zone, shorter windows admit
+/// adjacent-offset trivial matches and the profile degenerates to near
+/// zero everywhere, so FLOSS and streaming discord refuse them.
+Status CheckSubsequenceLength(std::string_view detector, std::size_t m);
 
 /// Finds maximal runs of (near-)constant values: consecutive points
 /// differing by at most `tolerance`, of length at least `min_length`.
