@@ -211,7 +211,6 @@ int main(int argc, char** argv) {
   config.queue_capacity = kStreams * kBatch * 3 / (kShards * 2);
   config.overflow = OverflowPolicy::kShed;
   config.recovery.max_retries = 3;
-  config.recovery.backoff_pumps = 1;
   PriorityQuotaConfig quotas;
   // Pin one tenant at ~80% of its per-pump demand: sustained denials.
   quotas.tenant_quota["tenant-3"] = kStreams / kTenants * kBatch * 4 / 5;

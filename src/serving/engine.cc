@@ -189,7 +189,6 @@ ShardedEngine::ShardedEngine(ServingConfig config)
     shards_.push_back(std::make_unique<Shard>());
   }
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
-  if (config_.recovery.backoff_pumps == 0) config_.recovery.backoff_pumps = 1;
 }
 
 ShardedEngine::~ShardedEngine() = default;
@@ -378,8 +377,7 @@ void ShardedEngine::EnterQuarantine(StreamState* state, const Status& cause,
   state->detector.reset();
   SetFootprint(state, 0);
   state->retries.store(0, std::memory_order_relaxed);
-  state->next_retry_pump = pump_epoch_.load(std::memory_order_relaxed) +
-                           config_.recovery.backoff_pumps;
+  state->next_retry_pump = pump_epoch_.load(std::memory_order_relaxed) + 1;
   Status annotated(cause.code(),
                    "stream '" + state->id + "': " + cause.message());
   state->Set(StreamState::Health::kQuarantined, Status::OK(),
@@ -428,10 +426,10 @@ void ShardedEngine::AttemptRecovery(StreamState* state, bool force) {
                                            std::to_string(attempts) +
                                            " recovery attempts)"));
     } else {
-      // Exponential backoff, measured in pumps: 1, 2, 4, ... * base.
+      // Exponential backoff, measured in pumps: 1, 2, 4, ...
       state->next_retry_pump =
           pump_epoch_.load(std::memory_order_relaxed) +
-          (config_.recovery.backoff_pumps << attempts);
+          (std::uint64_t{1} << attempts);
     }
     return;
   }

@@ -75,14 +75,13 @@ enum class OverflowPolicy {
 };
 
 /// Quarantine-and-recover tuning. Disabled by default: max_retries == 0
-/// preserves the original sticky-error semantics.
+/// preserves the original sticky-error semantics. A quarantined stream
+/// retries one pump later, and waits twice as long after each failed
+/// attempt (1, 2, 4, ... pumps). Pump-counted, not wall-clock, so
+/// recovery schedules are deterministic under test.
 struct RecoveryConfig {
   /// Recovery attempts before a quarantined stream fails for good.
   int max_retries = 0;
-  /// Pumps to wait before the first recovery attempt; doubles after
-  /// each failed attempt (1, 2, 4, ...). Pump-counted, not wall-clock,
-  /// so recovery schedules are deterministic under test.
-  std::uint64_t backoff_pumps = 1;
 };
 
 struct ServingConfig {

@@ -566,7 +566,6 @@ TEST(FlossServingTest, QuarantineRecoveryReplaysAcrossAnEviction) {
   ServingConfig config;
   config.num_shards = 1;
   config.recovery.max_retries = 3;
-  config.recovery.backoff_pumps = 1;
   config.detector_decorator =
       [fired](std::unique_ptr<OnlineDetector> inner, const std::string&)
       -> Result<std::unique_ptr<OnlineDetector>> {

@@ -491,7 +491,6 @@ TEST(ShardedEngineTest, QuarantineRecoversByteIdentically) {
   ServingConfig config;
   config.num_shards = 1;
   config.recovery.max_retries = 3;
-  config.recovery.backoff_pumps = 1;
   config.detector_decorator =
       [fired](std::unique_ptr<OnlineDetector> inner, const std::string&)
       -> Result<std::unique_ptr<OnlineDetector>> {
@@ -527,7 +526,6 @@ TEST(ShardedEngineTest, RetryBoundExhaustionFailsTheStream) {
   ServingConfig config;
   config.num_shards = 1;
   config.recovery.max_retries = 2;
-  config.recovery.backoff_pumps = 1;
   config.detector_decorator =
       [](std::unique_ptr<OnlineDetector> inner, const std::string&)
       -> Result<std::unique_ptr<OnlineDetector>> {
@@ -626,7 +624,6 @@ TEST(ShardedEngineTest, SnapshotCarriesErroredAndQuarantinedStreams) {
   ServingConfig config;
   config.num_shards = 2;
   config.recovery.max_retries = 3;
-  config.recovery.backoff_pumps = 8;  // long: still quarantined at snapshot
   config.detector_decorator =
       [fired](std::unique_ptr<OnlineDetector> inner, const std::string& id)
       -> Result<std::unique_ptr<OnlineDetector>> {
@@ -644,7 +641,8 @@ TEST(ShardedEngineTest, SnapshotCarriesErroredAndQuarantinedStreams) {
     ASSERT_TRUE(engine.Push("flaky", flaky_data[t]).ok());
     ASSERT_TRUE(engine.Push("steady", steady_data[t]).ok());
   }
-  auto blob = engine.Snapshot();  // pumps: flaky quarantines
+  // Snapshot's own pump quarantines flaky; its retry is one pump away.
+  auto blob = engine.Snapshot();
   ASSERT_TRUE(blob.ok()) << blob.status().message();
   EXPECT_EQ(engine.stats().quarantines, 1u);
   EXPECT_EQ(engine.StreamStatus("flaky").code(), StatusCode::kInternal);
@@ -736,7 +734,6 @@ TEST(ShardedEngineTest, MemoryTotalMatchesRollupThroughEveryLadderRung) {
   config.num_shards = 2;
   config.memory_budget_bytes = 1;  // every idle non-critical stream goes cold
   config.recovery.max_retries = 3;
-  config.recovery.backoff_pumps = 1;
   config.detector_decorator =
       [flaky_fired, late_fired](std::unique_ptr<OnlineDetector> inner,
                                 const std::string& id)
@@ -1087,7 +1084,6 @@ std::unique_ptr<ShardedEngine> PinnedEngine(std::size_t extra = 0) {
   config.queue_capacity = std::size_t{1} << 20;
   config.memory_budget_bytes = 1;
   config.recovery.max_retries = 1;
-  config.recovery.backoff_pumps = 1;
   config.detector_decorator =
       [fired](std::unique_ptr<OnlineDetector> inner, const std::string& id)
       -> Result<std::unique_ptr<OnlineDetector>> {
