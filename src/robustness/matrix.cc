@@ -5,6 +5,7 @@
 
 #include "common/parallel.h"
 #include "common/stats.h"
+#include "scoring/ucr_score.h"
 
 namespace tsad {
 
@@ -15,14 +16,6 @@ bool AllFinite(const std::vector<double>& x) {
     if (!std::isfinite(v)) return false;
   }
   return true;
-}
-
-bool PeakWithinSlop(std::size_t peak, const LabeledSeries& series) {
-  constexpr std::size_t kPeakSlop = 100;  // positional play, in points
-  if (peak == kNoPrediction || series.anomalies().empty()) return false;
-  const AnomalyRegion& a = series.anomalies().front();
-  const std::size_t lo = a.begin > kPeakSlop ? a.begin - kPeakSlop : 0;
-  return peak >= lo && peak < a.end + kPeakSlop;
 }
 
 }  // namespace
@@ -106,7 +99,8 @@ std::vector<RobustnessCell> RunRobustnessMatrix(
         cell.peak_drift =
             peak > clean.peak ? peak - clean.peak : clean.peak - peak;
       }
-      cell.peak_correct = PeakWithinSlop(peak, faulted);
+      cell.peak_correct = !faulted.anomalies().empty() &&
+                          UcrCorrect(faulted.anomalies().front(), peak);
       cell.discrimination = Discrimination(*scores);
     } else {
       cell.status = Status::Internal("non-finite or short score track");

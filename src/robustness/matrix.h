@@ -43,7 +43,7 @@ struct RobustnessCell {
   bool survived = false;       // OK + full length + all-finite scores
   double score_correlation = 0.0;  // Pearson vs the clean score track
   std::size_t peak_drift = 0;      // |peak(faulted) - peak(clean)|
-  bool peak_correct = false;       // faulted peak within 100 pts of truth
+  bool peak_correct = false;       // faulted peak UcrCorrect on the label
   double discrimination = 0.0;     // of the faulted track
 };
 

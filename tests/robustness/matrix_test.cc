@@ -86,5 +86,42 @@ TEST(RobustnessMatrixTest, TableMentionsEveryDetectorAndFault) {
   }
 }
 
+// Peaks at one fixed index, whatever the input.
+class FixedPeakDetector : public AnomalyDetector {
+ public:
+  explicit FixedPeakDetector(std::size_t peak) : peak_(peak) {}
+  std::string_view name() const override { return "fixed-peak"; }
+  using AnomalyDetector::Score;
+  Result<std::vector<double>> Score(
+      const Series& series, std::size_t /*train_length*/) const override {
+    std::vector<double> scores(series.size(), 0.0);
+    if (peak_ < scores.size()) scores[peak_] = 1.0;
+    return scores;
+  }
+
+ private:
+  std::size_t peak_;
+};
+
+TEST(RobustnessMatrixTest, PeakColumnUsesTheUcrSlopOfLongLabels) {
+  // The archive's slop is max(100, region length): a peak 300 points
+  // before a 500-point label is a correct UCR answer, so every cell
+  // must score it a hit.
+  Rng rng(22);
+  LabeledSeries series("long-label", GaussianNoise(3000, 1.0, rng),
+                       {{2000, 2500}}, 500);
+  ASSERT_TRUE(UcrCorrect(series.anomalies().front(), 1700));
+  const FixedPeakDetector detector(1700);
+  const std::vector<RobustnessCell> cells =
+      RunRobustnessMatrix(series, {&detector});
+  ASSERT_EQ(cells.size(), DefaultFaultMatrix().size());
+  for (const RobustnessCell& cell : cells) {
+    SCOPED_TRACE(std::string(FaultTypeName(cell.fault)) + " " +
+                 std::to_string(cell.severity));
+    EXPECT_TRUE(cell.survived);
+    EXPECT_TRUE(cell.peak_correct);
+  }
+}
+
 }  // namespace
 }  // namespace tsad
