@@ -59,14 +59,16 @@ int main() {
   }
   const auto* resilient =
       static_cast<const ResilientDetector*>(served->get());
-  Result<std::vector<double>> scores = (*served)->Score(dirty);
+  ResilientReport report;
+  Result<std::vector<double>> scores =
+      resilient->Score(dirty.values(), dirty.train_length(), &report);
   if (!scores.ok()) {
     std::printf("resilient    : %s\n", scores.status().ToString().c_str());
     return 1;
   }
   const std::size_t peak = PredictLocation(*scores, dirty.train_length());
   std::printf("resilient    : served by %s, peak at %zu (truth [%zu, %zu))\n",
-              std::string(ServedByName(resilient->last_served_by())).c_str(),
+              std::string(ServedByName(report.served_by)).c_str(),
               peak, anomaly.begin, anomaly.end);
   return 0;
 }

@@ -442,10 +442,13 @@ Result<LeaderboardReport> RunLeaderboard(const LeaderboardConfig& config) {
                                               : config.detectors;
 
   // Fail fast on a bad spec (with the registry's "did you mean"),
-  // before any series is generated or scored.
+  // before any series is generated or scored. Score() keeps no state
+  // between calls, so every job shares these instances.
+  std::vector<std::unique_ptr<AnomalyDetector>> instances;
   for (const std::string& spec : report.detectors) {
-    Result<std::unique_ptr<AnomalyDetector>> probe = MakeDetector(spec);
-    if (!probe.ok()) return probe.status();
+    TSAD_ASSIGN_OR_RETURN(std::unique_ptr<AnomalyDetector> detector,
+                          MakeDetector(spec));
+    instances.push_back(std::move(detector));
   }
 
   std::vector<std::vector<LabeledSeries>> family_series;
@@ -501,21 +504,14 @@ Result<LeaderboardReport> RunLeaderboard(const LeaderboardConfig& config) {
     const Job& job = jobs[j];
     const LabeledSeries& series = family_series[job.family][job.series];
     const std::size_t slot = series_offset[job.family] + job.series;
-    // Each job builds its own instances: a ResilientDetector keeps
-    // per-call telemetry, so it is not concurrent_score_safe.
-    Result<std::unique_ptr<AnomalyDetector>> host =
-        MakeDetector(report.detectors[job.host]);
     const Result<std::vector<double>> scored =
-        host.ok() ? (*host)->Score(series) : host.status();
+        instances[job.host]->Score(series);
     const SeriesEval& host_eval = evals[job.host * num_series + slot] =
         EvaluateScores(scored, series, report.metrics, config.delay_tolerance);
     for (std::size_t rider : riders[job.host]) {
-      Result<std::unique_ptr<AnomalyDetector>> wrapper =
-          MakeDetector(report.detectors[rider]);
-      if (!wrapper.ok()) continue;  // the slot stays a detector error
       Result<std::vector<double>> wrapped =
-          dynamic_cast<const ResilientDetector&>(**wrapper).ScoreReusing(
-              series.values(), series.train_length(), scored);
+          dynamic_cast<const ResilientDetector&>(*instances[rider])
+              .ScoreReusing(series.values(), series.train_length(), scored);
       // A metric row depends only on the score bytes, the series and the
       // config, so a track identical to the host's shares its row.
       evals[rider * num_series + slot] =

@@ -16,7 +16,8 @@
 // whose wrapper reuses the same result wherever its primary stage
 // would make that same call (ResilientDetector::ScoreReusing). A
 // resilient: row whose inner spec is not on the board runs its own
-// jobs. Each job builds its own detector instances and the cells are
+// jobs. Every job scores through one instance per spec, built once up
+// front (Score() keeps no state between calls), and the cells are
 // aggregated in slot order, so the report is bit-identical at any
 // thread count.
 

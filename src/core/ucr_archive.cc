@@ -350,8 +350,7 @@ UcrArchive BuildFullArchive(uint64_t seed) {
 UcrAccuracy EvaluateOnArchive(const AnomalyDetector& detector,
                               const UcrArchive& archive) {
   // Each dataset is scored independently; the per-series loop fans out
-  // over the pool when the detector allows concurrent Score() calls on
-  // one instance. Outcomes land in archive order either way.
+  // over the pool, and outcomes land in archive order.
   auto score_one = [&](std::size_t i) -> UcrSeriesOutcome {
     const LabeledSeries& series = archive.datasets[i];
     UcrSeriesOutcome outcome;
@@ -376,16 +375,14 @@ UcrAccuracy EvaluateOnArchive(const AnomalyDetector& detector,
 
   const std::size_t n = archive.datasets.size();
   UcrAccuracy accuracy;
-  if (detector.concurrent_score_safe()) {
-    Result<std::vector<UcrSeriesOutcome>> outcomes =
-        ParallelMap<UcrSeriesOutcome>(
-            n, [&](std::size_t i) -> Result<UcrSeriesOutcome> {
-              return score_one(i);
-            });
-    if (outcomes.ok()) accuracy.outcomes = std::move(*outcomes);
-  }
-  if (accuracy.outcomes.size() != n) {  // serial detector, or a
-    accuracy.outcomes.clear();          // contained worker exception
+  Result<std::vector<UcrSeriesOutcome>> outcomes =
+      ParallelMap<UcrSeriesOutcome>(
+          n, [&](std::size_t i) -> Result<UcrSeriesOutcome> {
+            return score_one(i);
+          });
+  if (outcomes.ok()) {
+    accuracy.outcomes = std::move(*outcomes);
+  } else {  // a contained worker exception: score serially
     for (std::size_t i = 0; i < n; ++i) {
       accuracy.outcomes.push_back(score_one(i));
     }

@@ -116,9 +116,8 @@ UcrArchive BuildFullArchive(uint64_t seed = 99);
 /// labeled region (with the default UCR slop). Series the detector
 /// errors on count as incorrect (with the error recorded in the
 /// outcome's name field).
-/// When detector.concurrent_score_safe() holds, series are scored in
-/// parallel over the common/parallel.h pool; outcomes are placed in
-/// archive order regardless of thread count.
+/// Series are scored in parallel over the common/parallel.h pool;
+/// outcomes are placed in archive order regardless of thread count.
 UcrAccuracy EvaluateOnArchive(const AnomalyDetector& detector,
                               const UcrArchive& archive);
 

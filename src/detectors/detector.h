@@ -31,7 +31,10 @@ class AnomalyDetector {
   /// Scores `series`; the result has exactly series.size() entries,
   /// higher = more anomalous. `train_length` is the anomaly-free prefix
   /// the detector may fit on (0 = unsupervised; detectors that require
-  /// training data return FailedPrecondition in that case).
+  /// training data return FailedPrecondition in that case). A pure
+  /// function of its arguments: no detector keeps state between calls,
+  /// so the parallel harnesses (EvaluateOnArchive, the robustness
+  /// matrix, the leaderboard) score one instance from many threads.
   virtual Result<std::vector<double>> Score(const Series& series,
                                             std::size_t train_length) const = 0;
 
@@ -39,13 +42,6 @@ class AnomalyDetector {
   Result<std::vector<double>> Score(const LabeledSeries& series) const {
     return Score(series.values(), series.train_length());
   }
-
-  /// True when concurrent Score() calls on this SAME instance are safe.
-  /// Stateless detectors (the default) qualify; wrappers that keep
-  /// mutable per-call telemetry (the resilient decorator) override this
-  /// to false, and parallel harnesses (EvaluateOnArchive, the
-  /// robustness matrix) score such instances serially.
-  virtual bool concurrent_score_safe() const { return true; }
 };
 
 /// The batch form of a per-point detector: steps `core` once per point

@@ -108,16 +108,11 @@ std::vector<RobustnessCell> RunRobustnessMatrix(
     return cell;
   };
 
-  // Grain = one detector's full row of cells: Score() is const but not
-  // required to be concurrency-safe on the SAME instance (the resilient
-  // wrapper keeps mutable diagnostics), so all cells of one detector
-  // stay on one worker while distinct detectors fan out.
   Result<std::vector<RobustnessCell>> cells = ParallelMap<RobustnessCell>(
       detectors.size() * num_cases,
       [&](std::size_t flat) -> Result<RobustnessCell> {
         return make_cell(flat);
-      },
-      /*grain=*/num_cases);
+      });
   if (cells.ok()) return std::move(*cells);
   std::vector<RobustnessCell> fallback;
   for (std::size_t flat = 0; flat < detectors.size() * num_cases; ++flat) {

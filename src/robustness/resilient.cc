@@ -30,7 +30,7 @@ ResilientDetector::ResilientDetector(std::unique_ptr<AnomalyDetector> inner,
 
 Result<std::vector<double>> ResilientDetector::RunStage(
     const AnomalyDetector& detector, const Series& input,
-    std::size_t train_length,
+    std::size_t train_length, std::size_t* patched,
     const Result<std::vector<double>>* supplied) const {
   Result<std::vector<double>> scores =
       supplied != nullptr ? *supplied : detector.Score(input, train_length);
@@ -55,34 +55,41 @@ Result<std::vector<double>> ResilientDetector::RunStage(
                             std::to_string(scores->size()) +
                             " non-finite scores");
   }
-  last_scores_patched_ = SanitizeScores(*scores);
+  *patched = SanitizeScores(*scores);
   return scores;
 }
 
 Result<std::vector<double>> ResilientDetector::Score(
     const Series& series, std::size_t train_length) const {
-  return Run(series, train_length, nullptr);
+  return Run(series, train_length, nullptr, nullptr);
+}
+
+Result<std::vector<double>> ResilientDetector::Score(
+    const Series& series, std::size_t train_length,
+    ResilientReport* report) const {
+  return Run(series, train_length, nullptr, report);
 }
 
 Result<std::vector<double>> ResilientDetector::ScoreReusing(
     const Series& series, std::size_t train_length,
-    const Result<std::vector<double>>& inner_scores) const {
-  return Run(series, train_length, &inner_scores);
+    const Result<std::vector<double>>& inner_scores,
+    ResilientReport* report) const {
+  return Run(series, train_length, &inner_scores, report);
 }
 
 Result<std::vector<double>> ResilientDetector::Run(
     const Series& series, std::size_t train_length,
-    const Result<std::vector<double>>* inner_scores) const {
-  last_served_by_ = ServedBy::kNone;
-  last_primary_status_ = Status::OK();
-  last_scores_patched_ = 0;
-
+    const Result<std::vector<double>>* inner_scores,
+    ResilientReport* out) const {
+  ResilientReport discarded;
+  ResilientReport& report = out != nullptr ? *out : discarded;
+  report = ResilientReport{};
   Result<SanitizedSeries> sanitized = SanitizeSeries(series);
   if (!sanitized.ok()) {
-    last_scan_ = ScanForMissing(series);
+    report.scan = ScanForMissing(series);
     return sanitized.status();
   }
-  last_scan_ = sanitized->scan;
+  report.scan = sanitized->scan;
   const Series& input = sanitized->values;
   const std::size_t train = std::min(train_length, input.size());
 
@@ -92,26 +99,28 @@ Result<std::vector<double>> ResilientDetector::Run(
   if (sanitized->scan.num_missing() != 0 || train_length > series.size()) {
     inner_scores = nullptr;
   }
-  Result<std::vector<double>> primary =
-      RunStage(*inner_, input, train, inner_scores);
+  Result<std::vector<double>> primary = RunStage(
+      *inner_, input, train, &report.scores_patched, inner_scores);
   if (primary.ok()) {
-    last_served_by_ = ServedBy::kPrimary;
+    report.served_by = ServedBy::kPrimary;
     return primary;
   }
-  last_primary_status_ = primary.status();
+  report.primary_status = primary.status();
 
   if (simplified_ != nullptr) {
-    Result<std::vector<double>> retried = RunStage(*simplified_, input, train);
+    Result<std::vector<double>> retried =
+        RunStage(*simplified_, input, train, &report.scores_patched);
     if (retried.ok()) {
-      last_served_by_ = ServedBy::kSimplified;
+      report.served_by = ServedBy::kSimplified;
       return retried;
     }
   }
 
   if (fallback_ != nullptr) {
-    Result<std::vector<double>> rescued = RunStage(*fallback_, input, train);
+    Result<std::vector<double>> rescued =
+        RunStage(*fallback_, input, train, &report.scores_patched);
     if (rescued.ok()) {
-      last_served_by_ = ServedBy::kFallback;
+      report.served_by = ServedBy::kFallback;
       return rescued;
     }
   }

@@ -17,7 +17,9 @@
 //      by default via the registry) rather than erroring out.
 //
 // The registry exposes this as the spec prefix `resilient:<spec>`, e.g.
-// `resilient:discord:m=128`.
+// `resilient:discord:m=128`. Like every detector's, its Score() keeps
+// no state between calls; a caller that wants to know which stage
+// served a call passes a ResilientReport.
 
 #ifndef TSAD_ROBUSTNESS_RESILIENT_H_
 #define TSAD_ROBUSTNESS_RESILIENT_H_
@@ -30,15 +32,24 @@
 
 namespace tsad {
 
-/// Which pipeline stage produced the scores of the last Score() call.
+/// Which pipeline stage produced a call's scores.
 enum class ServedBy {
-  kNone,        // no call yet, or every stage failed
+  kNone,        // every stage failed
   kPrimary,     // the wrapped detector
   kSimplified,  // the simplified-configuration retry
   kFallback,    // the registered fallback detector
 };
 
 std::string_view ServedByName(ServedBy served);
+
+/// What one Score() or ScoreReusing() call did, stage by stage.
+struct ResilientReport {
+  ServedBy served_by = ServedBy::kNone;
+  Status primary_status;           // the primary stage's error, or OK
+  MissingScan scan;                // of the input series
+  std::size_t scores_patched = 0;  // non-finite scores the served stage
+                                   // emitted, patched to 0
+};
 
 class ResilientDetector : public AnomalyDetector {
  public:
@@ -53,6 +64,10 @@ class ResilientDetector : public AnomalyDetector {
   using AnomalyDetector::Score;
   Result<std::vector<double>> Score(const Series& series,
                                     std::size_t train_length) const override;
+  /// Score() that also writes what the call did into *report.
+  Result<std::vector<double>> Score(const Series& series,
+                                    std::size_t train_length,
+                                    ResilientReport* report) const;
 
   /// Score() for a caller that has already run inner(), or a detector
   /// built from the same spec, on the same (series, train_length):
@@ -61,46 +76,33 @@ class ResilientDetector : public AnomalyDetector {
   /// call: the sanitizer left the input unchanged and
   /// train_length <= series.size(). Elsewhere it is ignored and
   /// this is Score(). Every later step (score checks and patching,
-  /// simplified retry, fallback, telemetry) runs as in Score().
+  /// simplified retry, fallback, the report) runs as in Score().
   Result<std::vector<double>> ScoreReusing(
       const Series& series, std::size_t train_length,
-      const Result<std::vector<double>>& inner_scores) const;
+      const Result<std::vector<double>>& inner_scores,
+      ResilientReport* report = nullptr) const;
 
   const AnomalyDetector& inner() const { return *inner_; }
 
-  /// The last_* telemetry below is mutable per-call state, so two
-  /// threads must not Score() the same instance concurrently.
-  bool concurrent_score_safe() const override { return false; }
-
-  // Telemetry from the most recent Score() or ScoreReusing() call
-  // (single-threaded use).
-  ServedBy last_served_by() const { return last_served_by_; }
-  const Status& last_primary_status() const { return last_primary_status_; }
-  const MissingScan& last_scan() const { return last_scan_; }
-  std::size_t last_scores_patched() const { return last_scores_patched_; }
-
  private:
   // The one pipeline behind Score() (inner_scores == nullptr) and
-  // ScoreReusing().
+  // ScoreReusing(); fills *report unless it is null.
   Result<std::vector<double>> Run(
       const Series& series, std::size_t train_length,
-      const Result<std::vector<double>>* inner_scores) const;
+      const Result<std::vector<double>>* inner_scores,
+      ResilientReport* report) const;
   // One stage: `detector` scores `input`, unless `supplied` already
-  // holds that call's result. Then the checks and patching run.
+  // holds that call's result. Then the checks run and the scores are
+  // patched, counting the patches into *patched.
   Result<std::vector<double>> RunStage(
       const AnomalyDetector& detector, const Series& input,
-      std::size_t train_length,
+      std::size_t train_length, std::size_t* patched,
       const Result<std::vector<double>>* supplied = nullptr) const;
 
   std::unique_ptr<AnomalyDetector> inner_;
   std::unique_ptr<AnomalyDetector> simplified_;
   std::unique_ptr<AnomalyDetector> fallback_;
   std::string name_;
-
-  mutable ServedBy last_served_by_ = ServedBy::kNone;
-  mutable Status last_primary_status_;
-  mutable MissingScan last_scan_;
-  mutable std::size_t last_scores_patched_ = 0;
 };
 
 }  // namespace tsad

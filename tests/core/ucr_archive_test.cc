@@ -1,12 +1,16 @@
 #include "core/ucr_archive.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/vector_ops.h"
 #include "datasets/generators.h"
 #include "detectors/discord.h"
 #include "detectors/naive.h"
+#include "detectors/registry.h"
 
 namespace tsad {
 namespace {
@@ -154,6 +158,27 @@ TEST(EvaluateOnArchiveTest, OutcomesRecordPredictions) {
   ASSERT_EQ(acc.outcomes.size(), archive.datasets.size());
   for (const UcrSeriesOutcome& o : acc.outcomes) {
     EXPECT_FALSE(o.series_name.empty());
+  }
+}
+
+TEST(EvaluateOnArchiveTest, SharedResilientInstanceMatchesSerialRun) {
+  // Pool workers share the one resilient instance; the outcomes equal a
+  // one-thread run's, in archive order.
+  const UcrArchive archive = BuildDemoArchive();
+  Result<std::unique_ptr<AnomalyDetector>> d =
+      MakeDetector("resilient:zscore:w=64");
+  ASSERT_TRUE(d.ok());
+  SetParallelThreads(1);
+  const UcrAccuracy serial = EvaluateOnArchive(**d, archive);
+  SetParallelThreads(4);
+  const UcrAccuracy parallel = EvaluateOnArchive(**d, archive);
+  SetParallelThreads(0);
+  ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
+  EXPECT_EQ(parallel.correct, serial.correct);
+  for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {
+    EXPECT_EQ(parallel.outcomes[i].series_name, serial.outcomes[i].series_name);
+    EXPECT_EQ(parallel.outcomes[i].predicted, serial.outcomes[i].predicted);
+    EXPECT_EQ(parallel.outcomes[i].correct, serial.outcomes[i].correct);
   }
 }
 

@@ -127,13 +127,14 @@ TEST(ResilientDetectorTest, CleanInputServedByPrimaryUntouched) {
   auto inner = ZScoreFallback();
   const AnomalyDetector* raw = inner.get();
   ResilientDetector resilient(std::move(inner));
-  Result<std::vector<double>> wrapped = resilient.Score(x, 200);
+  ResilientReport report;
+  Result<std::vector<double>> wrapped = resilient.Score(x, 200, &report);
   Result<std::vector<double>> direct = raw->Score(x, 200);
   ASSERT_TRUE(wrapped.ok());
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(*wrapped, *direct);
-  EXPECT_EQ(resilient.last_served_by(), ServedBy::kPrimary);
-  EXPECT_EQ(resilient.last_scan().num_missing(), 0u);
+  EXPECT_EQ(report.served_by, ServedBy::kPrimary);
+  EXPECT_EQ(report.scan.num_missing(), 0u);
 }
 
 TEST(ResilientDetectorTest, SimplifiedRetryRunsBeforeFallback) {
@@ -143,10 +144,11 @@ TEST(ResilientDetectorTest, SimplifiedRetryRunsBeforeFallback) {
   ResilientDetector resilient(std::make_unique<AlwaysFailsDetector>(),
                               /*simplified=*/ZScoreFallback(),
                               /*fallback=*/nullptr);
-  Result<std::vector<double>> scores = resilient.Score(x, 50);
+  ResilientReport report;
+  Result<std::vector<double>> scores = resilient.Score(x, 50, &report);
   ASSERT_TRUE(scores.ok());
-  EXPECT_EQ(resilient.last_served_by(), ServedBy::kSimplified);
-  EXPECT_EQ(resilient.last_primary_status().code(), StatusCode::kInternal);
+  EXPECT_EQ(report.served_by, ServedBy::kSimplified);
+  EXPECT_EQ(report.primary_status.code(), StatusCode::kInternal);
 }
 
 TEST(ResilientDetectorTest, AllStagesFailingReturnsPrimaryError) {
@@ -156,10 +158,11 @@ TEST(ResilientDetectorTest, AllStagesFailingReturnsPrimaryError) {
   ResilientDetector resilient(std::make_unique<AlwaysFailsDetector>(),
                               std::make_unique<AlwaysFailsDetector>(),
                               std::make_unique<AlwaysFailsDetector>());
-  Result<std::vector<double>> scores = resilient.Score(x, 50);
+  ResilientReport report;
+  Result<std::vector<double>> scores = resilient.Score(x, 50, &report);
   ASSERT_FALSE(scores.ok());
   EXPECT_EQ(scores.status().code(), StatusCode::kInternal);
-  EXPECT_EQ(resilient.last_served_by(), ServedBy::kNone);
+  EXPECT_EQ(report.served_by, ServedBy::kNone);
 }
 
 TEST(ResilientDetectorTest, FewBadScoresArePatchedNotFailed) {
@@ -167,10 +170,11 @@ TEST(ResilientDetectorTest, FewBadScoresArePatchedNotFailed) {
   const Series x = GaussianNoise(100, 1.0, rng);
 
   ResilientDetector resilient(std::make_unique<PartiallyNanDetector>(5));
-  Result<std::vector<double>> scores = resilient.Score(x, 10);
+  ResilientReport report;
+  Result<std::vector<double>> scores = resilient.Score(x, 10, &report);
   ASSERT_TRUE(scores.ok());
-  EXPECT_EQ(resilient.last_served_by(), ServedBy::kPrimary);
-  EXPECT_EQ(resilient.last_scores_patched(), 5u);
+  EXPECT_EQ(report.served_by, ServedBy::kPrimary);
+  EXPECT_EQ(report.scores_patched, 5u);
   for (double s : *scores) EXPECT_TRUE(std::isfinite(s));
 }
 
@@ -180,10 +184,11 @@ TEST(ResilientDetectorTest, MostlyBadTrackCountsAsFailure) {
 
   ResilientDetector resilient(std::make_unique<PartiallyNanDetector>(90),
                               /*simplified=*/nullptr, ZScoreFallback());
-  Result<std::vector<double>> scores = resilient.Score(x, 10);
+  ResilientReport report;
+  Result<std::vector<double>> scores = resilient.Score(x, 10, &report);
   ASSERT_TRUE(scores.ok());
-  EXPECT_EQ(resilient.last_served_by(), ServedBy::kFallback);
-  EXPECT_EQ(resilient.last_primary_status().code(), StatusCode::kInternal);
+  EXPECT_EQ(report.served_by, ServedBy::kFallback);
+  EXPECT_EQ(report.primary_status.code(), StatusCode::kInternal);
 }
 
 TEST(ResilientDetectorTest, TooDamagedInputIsResourceExhausted) {
@@ -212,17 +217,15 @@ bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 // Score() and then ScoreReusing(supplied) on the same instance must
-// agree on the status or the bytes, and on the telemetry.
+// agree on the status or the bytes, and on the report.
 void ExpectReuseMatchesScore(const ResilientDetector& resilient,
                              const Series& x, std::size_t train,
                              const Result<std::vector<double>>& supplied) {
-  const Result<std::vector<double>> scored = resilient.Score(x, train);
-  const ServedBy served = resilient.last_served_by();
-  const std::size_t patched = resilient.last_scores_patched();
-  const StatusCode primary = resilient.last_primary_status().code();
-
+  ResilientReport scored_report, reused_report;
+  const Result<std::vector<double>> scored =
+      resilient.Score(x, train, &scored_report);
   const Result<std::vector<double>> reused =
-      resilient.ScoreReusing(x, train, supplied);
+      resilient.ScoreReusing(x, train, supplied, &reused_report);
   ASSERT_EQ(reused.ok(), scored.ok()) << reused.status().ToString();
   if (scored.ok()) {
     EXPECT_TRUE(SameBytes(*reused, *scored));
@@ -230,9 +233,10 @@ void ExpectReuseMatchesScore(const ResilientDetector& resilient,
     EXPECT_EQ(reused.status().code(), scored.status().code());
     EXPECT_EQ(reused.status().message(), scored.status().message());
   }
-  EXPECT_EQ(resilient.last_served_by(), served);
-  EXPECT_EQ(resilient.last_scores_patched(), patched);
-  EXPECT_EQ(resilient.last_primary_status().code(), primary);
+  EXPECT_EQ(reused_report.served_by, scored_report.served_by);
+  EXPECT_EQ(reused_report.scores_patched, scored_report.scores_patched);
+  EXPECT_EQ(reused_report.primary_status.code(),
+            scored_report.primary_status.code());
 }
 
 TEST(ResilientReuseTest, InnerResultGivesScoreOutputOnCleanInput) {
@@ -270,11 +274,12 @@ TEST(ResilientReuseTest, SuppliedResultReallyServesThePrimaryStage) {
   const Series x = GaussianNoise(200, 1.0, rng);
   ResilientDetector resilient(ZScoreFallback());
   const std::vector<double> supplied(x.size(), 42.0);
+  ResilientReport report;
   const Result<std::vector<double>> reused =
-      resilient.ScoreReusing(x, 50, supplied);
+      resilient.ScoreReusing(x, 50, supplied, &report);
   ASSERT_TRUE(reused.ok());
   EXPECT_EQ(*reused, supplied);
-  EXPECT_EQ(resilient.last_served_by(), ServedBy::kPrimary);
+  EXPECT_EQ(report.served_by, ServedBy::kPrimary);
 }
 
 // Wherever the primary stage would not make the inner detector's plain
@@ -307,6 +312,39 @@ TEST(ResilientReuseTest, SuppliedResultIgnoredWhereTheCallWouldDiffer) {
                             std::vector<double>(c.x.size(), 42.0));
     ExpectReuseMatchesScore(resilient, c.x, c.train,
                             Status::Internal("stale inner result"));
+  }
+}
+
+TEST(ResilientDetectorTest, OneInstanceScoresFromManyThreadsAsSerially) {
+  // Score() keeps no state between calls, so pool workers may share one
+  // instance: each call's scores and report equal a serial call's.
+  Rng rng(12);
+  const Series clean = GaussianNoise(300, 1.0, rng);
+  Series gapped = clean;
+  for (std::size_t i = 100; i < 110; ++i) gapped[i] = kNan;
+  const ResilientDetector resilient(std::make_unique<PartiallyNanDetector>(5),
+                                    /*simplified=*/nullptr, ZScoreFallback());
+  constexpr std::size_t kCalls = 32;
+  auto call = [&](std::size_t i, ResilientReport* report) {
+    return resilient.Score(i % 2 == 0 ? clean : gapped, 50, report);
+  };
+
+  SetParallelThreads(4);
+  std::vector<ResilientReport> reports(kCalls);
+  const Result<std::vector<std::vector<double>>> shared =
+      ParallelMap<std::vector<double>>(
+          kCalls, [&](std::size_t i) { return call(i, &reports[i]); });
+  SetParallelThreads(0);
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    ResilientReport report;
+    const Result<std::vector<double>> serial = call(i, &report);
+    ASSERT_TRUE(serial.ok());
+    EXPECT_TRUE(SameBytes((*shared)[i], *serial)) << "call " << i;
+    EXPECT_EQ(reports[i].served_by, report.served_by) << "call " << i;
+    EXPECT_EQ(reports[i].scores_patched, report.scores_patched) << "call " << i;
+    EXPECT_EQ(reports[i].scan.num_missing(), report.scan.num_missing())
+        << "call " << i;
   }
 }
 
