@@ -134,9 +134,11 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   (cd "${repo_root}/build-sanitize" && ctest --output-on-failure -L panprofile)
 
   # TSan pass: the parallel layer, the serving engine, the MPX tile
-  # workers and the leaderboard sweep (one job writes the result slots
-  # of a row and of every resilient: row riding on it) are the
-  # thread-touching subsystems, so build just their test binaries
+  # workers, the leaderboard sweep (one job writes the result slots of
+  # a row and of every resilient: row riding on it) and the harnesses
+  # whose pool workers score one shared detector instance (the
+  # resilient wrapper, the robustness matrix, EvaluateOnArchive) are
+  # the thread-touching subsystems, so build just their test binaries
   # (examples/tools off; benches stay configured for the chaos harness
   # below) and run the corresponding suites — determinism, error
   # containment, deadline propagation, concurrent producers — under
@@ -149,17 +151,22 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
     -DTSAD_BUILD_EXAMPLES=OFF -DTSAD_BUILD_TOOLS=OFF
   echo "==> building ${tsan_dir} (parallel_test serving_engine_test" \
        "matrix_profile_test mpx_kernel_test streaming_mpx_test" \
-       "leaderboard_test floss_test bench_chaos_serving)"
+       "leaderboard_test resilient_test robustness_matrix_test" \
+       "ucr_archive_test floss_test bench_chaos_serving)"
   cmake --build "${tsan_dir}" -j "${jobs}" \
     --target parallel_test serving_engine_test \
              matrix_profile_test mpx_kernel_test streaming_mpx_test \
              simd_dispatch_test cpu_features_test \
              merlin_test join_kernels_test leaderboard_test \
+             resilient_test robustness_matrix_test ucr_archive_test \
              floss_test bench_chaos_serving
   echo "==> testing ${tsan_dir} (Parallel* + ShardedEngine* + MPX" \
-       "diagonal kernel + Leaderboard*)"
-  (cd "${tsan_dir}" && ctest --output-on-failure \
-    -R 'Parallel|ShardedEngine|MatrixProfileTest|MpxKernel|Leaderboard')
+       "diagonal kernel + Leaderboard* + Resilient* + RobustnessMatrix*" \
+       "+ EvaluateOnArchive*)"
+  tsan_suites='Parallel|ShardedEngine|MatrixProfileTest|MpxKernel|Leaderboard'
+  tsan_suites+='|ResilientDetectorTest|ResilientReuseTest|RobustnessMatrixTest'
+  tsan_suites+='|EvaluateOnArchiveTest'
+  (cd "${tsan_dir}" && ctest --output-on-failure -R "${tsan_suites}")
   # The floss serving tests drive the engine's quarantine/recovery and
   # per-type memory rollup from floss streams; run the whole label so
   # the equivalence harness's thread sweep also executes under TSan.
