@@ -1016,6 +1016,131 @@ TEST(ShardedEngineTest, CheckpointsFollowTheRecoverySetting) {
   }
 }
 
+// Forwards to an inner adapter, except that the first Restore made
+// while `armed` is set fails (and disarms it) before the inner adapter
+// sees the blob: a thaw or recovery whose restore hits a transient fault.
+class FailRestoreOnceDetector : public OnlineDetector {
+ public:
+  FailRestoreOnceDetector(std::unique_ptr<OnlineDetector> inner,
+                          std::shared_ptr<std::atomic<bool>> armed)
+      : inner_(std::move(inner)), armed_(std::move(armed)) {}
+  std::string_view name() const override { return inner_->name(); }
+  Status Observe(double value, std::vector<ScoredPoint>* out) override {
+    const Status status = inner_->Observe(value, out);
+    observed_ = inner_->observed();
+    return status;
+  }
+  Status Flush(std::vector<ScoredPoint>* out) override {
+    return inner_->Flush(out);
+  }
+  Result<std::string> Snapshot() const override { return inner_->Snapshot(); }
+  Status Restore(std::string_view blob) override {
+    if (armed_->exchange(false)) {
+      return Status::Internal("injected restore failure");
+    }
+    const Status status = inner_->Restore(blob);
+    observed_ = inner_->observed();
+    return status;
+  }
+  std::size_t MemoryFootprint() const override {
+    return inner_->MemoryFootprint();
+  }
+
+ private:
+  std::unique_ptr<OnlineDetector> inner_;
+  std::shared_ptr<std::atomic<bool>> armed_;
+};
+
+TEST(ShardedEngineTest, FailingThawQuarantinesOrFailsTheStream) {
+  // A one-byte budget sends the stream cold after its first 40 points;
+  // the thaw that the next 30 points trigger then fails its restore.
+  const std::string spec = "zscore:w=16";
+  const Series x = MakeStream(70, 95);
+  auto cold_engine = [&spec, &x](bool recover,
+                                 std::shared_ptr<std::atomic<bool>> armed) {
+    ServingConfig config;
+    config.num_shards = 1;
+    config.memory_budget_bytes = 1;
+    if (recover) config.recovery.max_retries = 3;
+    config.detector_decorator =
+        [armed](std::unique_ptr<OnlineDetector> inner, const std::string&)
+        -> Result<std::unique_ptr<OnlineDetector>> {
+      return std::unique_ptr<OnlineDetector>(
+          std::make_unique<FailRestoreOnceDetector>(std::move(inner), armed));
+    };
+    auto engine = std::make_unique<ShardedEngine>(config);
+    EXPECT_TRUE(engine->AddStream("s", spec).ok());
+    for (std::size_t t = 0; t < 40; ++t) {
+      EXPECT_TRUE(engine->Push("s", x[t]).ok());
+    }
+    EXPECT_TRUE(engine->Pump().ok());
+    EXPECT_EQ(engine->stats().streams_cold, 1u);
+    EXPECT_GT(engine->stats().cold_bytes, 0u);
+    armed->store(true);
+    return engine;
+  };
+
+  {
+    SCOPED_TRACE("recovery on: the cold blob becomes the recovery point");
+    auto armed = std::make_shared<std::atomic<bool>>(false);
+    std::unique_ptr<ShardedEngine> engine = cold_engine(true, armed);
+    for (std::size_t t = 40; t < 70; ++t) {
+      ASSERT_TRUE(engine->Push("s", x[t]).ok());
+    }
+    ASSERT_TRUE(engine->Pump().ok());
+    EXPECT_FALSE(armed->load());
+    ServingStats stats = engine->stats();
+    EXPECT_EQ(stats.quarantines, 1u);
+    EXPECT_EQ(stats.thaws, 0u);
+    EXPECT_EQ(stats.streams_quarantined, 1u);
+    EXPECT_EQ(stats.cold_bytes, 0u);
+    EXPECT_EQ(engine->StreamStatus("s").code(), StatusCode::kInternal);
+    // The retry one pump later restores the former cold blob and
+    // replays the 30 buffered points.
+    ASSERT_TRUE(engine->Pump().ok());
+    stats = engine->stats();
+    EXPECT_EQ(stats.recoveries, 1u);
+    EXPECT_EQ(stats.recovery_failures, 0u);
+    EXPECT_TRUE(engine->StreamStatus("s").ok());
+    Result<std::vector<double>> scores = engine->FinishStream("s");
+    ASSERT_TRUE(scores.ok()) << scores.status().message();
+    EXPECT_TRUE(BitEqual(*scores, BatchScores(spec, x, 0)));
+  }
+  {
+    SCOPED_TRACE("recovery off: the stream fails sticky");
+    auto armed = std::make_shared<std::atomic<bool>>(false);
+    std::unique_ptr<ShardedEngine> engine = cold_engine(false, armed);
+    for (std::size_t t = 40; t < 70; ++t) {
+      ASSERT_TRUE(engine->Push("s", x[t]).ok());
+    }
+    ASSERT_TRUE(engine->Pump().ok());
+    const ServingStats stats = engine->stats();
+    EXPECT_EQ(stats.points_dropped, 30u);
+    EXPECT_EQ(stats.quarantines, 0u);
+    EXPECT_EQ(stats.thaws, 0u);
+    EXPECT_EQ(stats.streams_cold, 0u);
+    EXPECT_EQ(stats.cold_bytes, 0u);
+    EXPECT_EQ(engine->StreamStatus("s").code(), StatusCode::kInternal);
+    EXPECT_EQ(engine->Push("s", 1.0).code(), StatusCode::kInternal);
+    EXPECT_EQ(engine->FinishStream("s").status().code(),
+              StatusCode::kInternal);
+  }
+  for (const bool recover : {false, true}) {
+    SCOPED_TRACE(recover ? "FinishStream's thaw fails, recovery on"
+                         : "FinishStream's thaw fails, recovery off");
+    auto armed = std::make_shared<std::atomic<bool>>(false);
+    std::unique_ptr<ShardedEngine> engine = cold_engine(recover, armed);
+    Result<std::vector<double>> scores = engine->FinishStream("s");
+    EXPECT_EQ(scores.status().code(), StatusCode::kInternal);
+    EXPECT_FALSE(armed->load());
+    EXPECT_EQ(engine->num_streams(), 0u);
+    const ServingStats stats = engine->stats();
+    EXPECT_EQ(stats.cold_bytes, 0u);
+    EXPECT_EQ(stats.streams_cold, 0u);
+    EXPECT_EQ(stats.thaws, 0u);
+  }
+}
+
 // A zscore:w=16 stream record up to and including its scored-point
 // count; `health` is the wire value (0 healthy, 1 cold, 2 quarantined,
 // 3 failed).
