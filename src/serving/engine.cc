@@ -75,17 +75,16 @@ Status GetScores(std::string_view bytes, std::vector<ScoredPoint>* out) {
 
 }  // namespace
 
-struct ShardedEngine::StreamState {
-  // Where a stream sits on the degradation ladder. Transitions happen
-  // only under the owning shard's pump lock; the value itself is
-  // guarded by mu so producers and stats() can read it.
-  enum class Health : std::uint8_t {
-    kHealthy = 0,     // detector live
-    kCold = 1,        // detector snapshotted to cold_blob, memory freed
-    kQuarantined = 2, // detector down, points buffering, recovery pending
-    kFailed = 3,      // sticky error, the terminal rung
-  };
+// Where a stream sits on the degradation ladder. Transitions happen
+// only under the owning shard's pump lock, through SetHealth.
+enum class ShardedEngine::Health : std::uint8_t {
+  kHealthy = 0,     // detector live
+  kCold = 1,        // detector down to `saved`, memory freed
+  kQuarantined = 2, // detector down, points buffering, recovery pending
+  kFailed = 3,      // sticky error, the terminal rung
+};
 
+struct ShardedEngine::StreamState {
   std::string id;
   std::string spec;
   std::size_t train_length = 0;
@@ -104,21 +103,22 @@ struct ShardedEngine::StreamState {
   // Pump joined.
   std::vector<ScoredPoint> out;
 
-  // Last-known-good recovery point (pump-lock domain). The checkpoint
-  // pair is refreshed after every successful drain, so on a detector
-  // error `out` rolls back to checkpoint_out and the failing batch goes
-  // to `pending` — nothing scored past the checkpoint survives, which
-  // is what keeps recovered streams byte-identical to batch.
-  std::string checkpoint_blob;
-  std::size_t checkpoint_out = 0;
+  // The saved state (pump-lock domain). While the detector is down the
+  // stream is Restore(saved) (a fresh detector when empty), then
+  // out[0, saved_out), then a replay of `pending`; a cold stream has
+  // saved_out == out.size() and nothing pending. With recovery on, a
+  // live stream keeps its checkpoint here, refreshed after every drain,
+  // so on a detector error `out` rolls back to saved_out and the failing
+  // batch goes to `pending` — nothing scored past the checkpoint
+  // survives, which is what keeps recovered streams byte-identical to
+  // batch.
+  std::string saved;
+  std::size_t saved_out = 0;
   std::vector<double> pending;       // accepted, not yet scored
   // Failed recovery attempts so far. Written in the pump-lock domain;
   // atomic because StreamStatus() reports it from any thread.
   std::atomic<int> retries{0};
   std::uint64_t next_retry_pump = 0; // pump epoch gating the next attempt
-
-  // Cold store (pump-lock domain): the detector snapshot while evicted.
-  std::string cold_blob;
 
   // Approximate live detector bytes; 0 while cold/failed. Written in
   // the pump-lock domain through SetFootprint once registered, read
@@ -140,29 +140,17 @@ struct ShardedEngine::StreamState {
   // swaps it with the inbox, so both keep their capacity.
   std::vector<double> batch;
 
-  // Health + sticky failure + quarantine cause; guarded by mu (read by
-  // producers and stats(), written in the pump-lock domain).
+  // Read without a lock by producers, stats() and the eviction scan.
+  std::atomic<Health> health{Health::kHealthy};
+  // The sticky error while failed, the cause while quarantined, else
+  // OK. Guarded by mu; written before `health` moves.
   mutable std::mutex mu;
-  Health health = Health::kHealthy;
-  Status status = Status::OK();  // non-OK only when kFailed
-  Status cause = Status::OK();   // the error that caused quarantine
-  // health == kFailed, readable without mu: Push's one check per point.
-  std::atomic<bool> failed{false};
+  Status status = Status::OK();
 
+  Health GetHealth() const { return health.load(std::memory_order_acquire); }
   Status GetStatus() const {
     std::lock_guard<std::mutex> lock(mu);
     return status;
-  }
-  Health GetHealth() const {
-    std::lock_guard<std::mutex> lock(mu);
-    return health;
-  }
-  void Set(Health h, Status s, Status c) {
-    std::lock_guard<std::mutex> lock(mu);
-    health = h;
-    status = std::move(s);
-    cause = std::move(c);
-    failed.store(h == Health::kFailed, std::memory_order_release);
   }
 };
 
@@ -264,7 +252,7 @@ Status ShardedEngine::AddStream(const std::string& id,
 
 Status ShardedEngine::Push(const std::string& id, double value) {
   TSAD_ASSIGN_OR_RETURN(std::shared_ptr<StreamState> state, FindStream(id));
-  if (state->failed.load(std::memory_order_acquire)) return state->GetStatus();
+  if (state->GetHealth() == Health::kFailed) return state->GetStatus();
   Shard& shard = *shards_[state->shard];
 
   if (config_.admission != nullptr) {
@@ -327,195 +315,180 @@ void ShardedEngine::SetFootprint(StreamState* state, std::size_t bytes) {
   }
 }
 
-Status ShardedEngine::ThawStream(StreamState* state) {
-  // Pump lock held; health is kCold. On error the cold blob is left in
-  // place — the caller decides whether to quarantine or fail.
-  TSAD_ASSIGN_OR_RETURN(
-      std::unique_ptr<OnlineDetector> detector,
-      BuildDetector(state->spec, state->train_length, state->id));
-  TSAD_RETURN_IF_ERROR(detector->Restore(state->cold_blob));
-  state->detector = std::move(detector);
-  cold_bytes_.fetch_sub(state->cold_blob.size(), std::memory_order_relaxed);
-  // The thawed state is the recovery point when recovery is enabled;
-  // otherwise nothing reads the blob again.
-  if (config_.recovery.max_retries > 0) {
-    state->checkpoint_blob = std::move(state->cold_blob);
-    state->checkpoint_out = state->out.size();
+void ShardedEngine::SetHealth(StreamState* state, Health health,
+                              Status status) {
+  // Pump lock held. cold_bytes_ counts `saved` while the stream is cold,
+  // so it moves here, where a stream enters or leaves the cold store.
+  const Health old = state->health.load(std::memory_order_relaxed);
+  if (old == Health::kCold) {
+    cold_bytes_.fetch_sub(state->saved.size(), std::memory_order_relaxed);
   }
-  Release(&state->cold_blob);
-  SetFootprint(state, state->detector->MemoryFootprint());
-  state->Set(StreamState::Health::kHealthy, Status::OK(), Status::OK());
-  thaws_.fetch_add(1, std::memory_order_relaxed);
+  if (health == Health::kCold) {
+    cold_bytes_.fetch_add(state->saved.size(), std::memory_order_relaxed);
+  }
+  {
+    std::lock_guard<std::mutex> lock(state->mu);
+    state->status = std::move(status);
+  }
+  state->health.store(health, std::memory_order_release);
+}
+
+Status ShardedEngine::ObserveAll(OnlineDetector* detector,
+                                 const std::vector<double>& values,
+                                 std::vector<ScoredPoint>* out,
+                                 std::size_t* consumed) const {
+  std::optional<DeadlineScope> deadline;
+  if (config_.stream_deadline.count() > 0) {
+    deadline.emplace(config_.stream_deadline);
+  }
+  for (*consumed = 0; *consumed < values.size(); ++*consumed) {
+    TSAD_RETURN_IF_ERROR(CheckDeadline());
+    TSAD_RETURN_IF_ERROR(detector->Observe(values[*consumed], out));
+  }
   return Status::OK();
+}
+
+bool ShardedEngine::Checkpoint(StreamState* state) {
+  // Pump lock held, detector live, `out` complete up to its state.
+  if (config_.recovery.max_retries == 0) {
+    Release(&state->saved);  // nothing reads it again
+    return true;
+  }
+  Result<std::string> blob = state->detector->Snapshot();
+  if (!blob.ok()) {
+    // The recovery point cannot move forward: the detector's state is
+    // unserializable, so treat it like a detector failure.
+    FailStream(state, blob.status());
+    return false;
+  }
+  state->saved = std::move(blob).value();
+  state->saved_out = state->out.size();
+  return true;
 }
 
 void ShardedEngine::FailStream(StreamState* state, const Status& cause) {
   // Pump lock held. The terminal rung: sticky status, buffered points
-  // dropped, detector and recovery state released.
+  // dropped, detector and saved state released.
   points_dropped_.fetch_add(state->pending.size(), std::memory_order_relaxed);
   state->pending.clear();
   state->pending.shrink_to_fit();
-  Release(&state->checkpoint_blob);
-  cold_bytes_.fetch_sub(state->cold_blob.size(), std::memory_order_relaxed);
-  Release(&state->cold_blob);
   state->detector.reset();
   SetFootprint(state, 0);
-  const Status sticky(cause.code(),
-                      "stream '" + state->id + "': " + cause.message());
-  state->Set(StreamState::Health::kFailed, sticky, sticky);
+  SetHealth(state, Health::kFailed,
+            Status(cause.code(),
+                   "stream '" + state->id + "': " + cause.message()));
+  Release(&state->saved);  // after SetHealth, which reads its size
 }
 
 void ShardedEngine::EnterQuarantine(StreamState* state, const Status& cause,
                                     const std::vector<double>& values) {
-  // Pump lock held. Roll `out` back to the checkpoint (partial scores
+  // Pump lock held. Roll `out` back to the saved state (partial scores
   // from the failing batch must not survive — the recovery replay will
   // re-emit them) and buffer the whole batch for that replay.
-  points_scored_.fetch_sub(state->out.size() - state->checkpoint_out,
+  points_scored_.fetch_sub(state->out.size() - state->saved_out,
                            std::memory_order_relaxed);
-  state->out.resize(state->checkpoint_out);
+  state->out.resize(state->saved_out);
   state->pending.insert(state->pending.end(), values.begin(), values.end());
   state->detector.reset();
   SetFootprint(state, 0);
   state->retries.store(0, std::memory_order_relaxed);
   state->next_retry_pump = pump_epoch_.load(std::memory_order_relaxed) + 1;
-  Status annotated(cause.code(),
-                   "stream '" + state->id + "': " + cause.message());
-  state->Set(StreamState::Health::kQuarantined, Status::OK(),
-             std::move(annotated));
+  SetHealth(state, Health::kQuarantined,
+            Status(cause.code(),
+                   "stream '" + state->id + "': " + cause.message()));
   quarantines_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ShardedEngine::AttemptRecovery(StreamState* state, bool force) {
-  // Pump lock held; health is kQuarantined.
-  if (!force && pump_epoch_.load(std::memory_order_relaxed) <
-                    state->next_retry_pump) {
+void ShardedEngine::RecoveryFailed(StreamState* state, const Status& cause,
+                                   bool final) {
+  // Pump lock held; the stream is quarantined.
+  recovery_failures_.fetch_add(1, std::memory_order_relaxed);
+  const int attempts =
+      state->retries.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (final || attempts >= config_.recovery.max_retries) {
+    FailStream(state, Status(cause.code(), cause.message() + " (after " +
+                                               std::to_string(attempts) +
+                                               " recovery attempts)"));
     return;
   }
+  // Exponential backoff, measured in pumps: 1, 2, 4, ...
+  state->next_retry_pump = pump_epoch_.load(std::memory_order_relaxed) +
+                           (std::uint64_t{1} << attempts);
+}
 
-  Status status = Status::OK();
-  std::unique_ptr<OnlineDetector> detector;
+Status ShardedEngine::Revive(StreamState* state) {
+  // Pump lock held; the stream is cold or quarantined. Nothing changes
+  // until the rebuilt detector has replayed every pending point.
+  TSAD_ASSIGN_OR_RETURN(
+      std::unique_ptr<OnlineDetector> detector,
+      BuildDetector(state->spec, state->train_length, state->id));
+  if (!state->saved.empty()) {
+    TSAD_RETURN_IF_ERROR(detector->Restore(state->saved));
+  }
   std::vector<ScoredPoint> replayed;
-  {
-    Result<std::unique_ptr<OnlineDetector>> built =
-        BuildDetector(state->spec, state->train_length, state->id);
-    status = built.status();
-    if (status.ok()) detector = std::move(built).value();
-  }
-  if (status.ok() && !state->checkpoint_blob.empty()) {
-    status = detector->Restore(state->checkpoint_blob);
-  }
-  if (status.ok()) {
-    std::optional<DeadlineScope> deadline;
-    if (config_.stream_deadline.count() > 0) {
-      deadline.emplace(config_.stream_deadline);
-    }
-    for (double value : state->pending) {
-      status = CheckDeadline();
-      if (status.ok()) status = detector->Observe(value, &replayed);
-      if (!status.ok()) break;
-    }
-  }
+  std::size_t consumed;
+  TSAD_RETURN_IF_ERROR(
+      ObserveAll(detector.get(), state->pending, &replayed, &consumed));
 
-  if (!status.ok()) {
-    recovery_failures_.fetch_add(1, std::memory_order_relaxed);
-    const int attempts =
-        state->retries.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (force || attempts >= config_.recovery.max_retries) {
-      FailStream(state,
-                 Status(status.code(), status.message() + " (after " +
-                                           std::to_string(attempts) +
-                                           " recovery attempts)"));
-    } else {
-      // Exponential backoff, measured in pumps: 1, 2, 4, ...
-      state->next_retry_pump =
-          pump_epoch_.load(std::memory_order_relaxed) +
-          (std::uint64_t{1} << attempts);
-    }
-    return;
-  }
-
-  // Recovered: splice the replayed scores in after the checkpoint and
-  // refresh the checkpoint so the next failure rolls back to here.
+  // Revived: splice the replayed scores in after out[0, saved_out).
+  const bool thawed = state->GetHealth() == Health::kCold;
   state->out.insert(state->out.end(), replayed.begin(), replayed.end());
   points_scored_.fetch_add(replayed.size(), std::memory_order_relaxed);
   state->pending.clear();
   state->pending.shrink_to_fit();
   state->detector = std::move(detector);
-  Result<std::string> checkpoint = state->detector->Snapshot();
-  if (!checkpoint.ok()) {
-    FailStream(state, checkpoint.status());
-    return;
-  }
-  state->checkpoint_blob = std::move(checkpoint).value();
-  state->checkpoint_out = state->out.size();
-  state->retries.store(0, std::memory_order_relaxed);
   SetFootprint(state, state->detector->MemoryFootprint());
-  state->Set(StreamState::Health::kHealthy, Status::OK(), Status::OK());
-  recoveries_.fetch_add(1, std::memory_order_relaxed);
+  SetHealth(state, Health::kHealthy, Status::OK());
+  if (thawed) {
+    // A thaw replays nothing, so with recovery on `saved` stays the
+    // checkpoint as it is.
+    if (config_.recovery.max_retries == 0) Release(&state->saved);
+    thaws_.fetch_add(1, std::memory_order_relaxed);
+    return Status::OK();
+  }
+  // A recovery moved past `saved`: the next failure rolls back to here.
+  if (Checkpoint(state)) {
+    state->retries.store(0, std::memory_order_relaxed);
+    recoveries_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return Status::OK();
 }
 
 void ShardedEngine::ProcessGroup(StreamState* state,
                                  const std::vector<double>& values) {
   // Pump lock held: one drained inbox, in arrival order.
-  const bool recoverable = config_.recovery.max_retries > 0;
+  Status status = Status::OK();
   switch (state->GetHealth()) {
-    case StreamState::Health::kFailed:
+    case Health::kFailed:
       points_dropped_.fetch_add(values.size(), std::memory_order_relaxed);
       return;
-    case StreamState::Health::kQuarantined:
+    case Health::kQuarantined:
       // Buffer behind the recovery point; Pump's recovery sweep (or
       // FinishStream) replays these once the detector is back.
       state->pending.insert(state->pending.end(), values.begin(),
                             values.end());
       return;
-    case StreamState::Health::kCold: {
-      Status thawed = ThawStream(state);
-      if (!thawed.ok()) {
-        // A bad cold snapshot is a detector failure. Promote the cold
-        // blob to the recovery checkpoint first so the quarantined
-        // state stays self-consistent (recovery retries the restore;
-        // if the blob really is corrupt, retries exhaust and the
-        // stream fails sticky).
-        cold_bytes_.fetch_sub(state->cold_blob.size(),
-                              std::memory_order_relaxed);
-        state->checkpoint_blob = std::move(state->cold_blob);
-        Release(&state->cold_blob);
-        state->checkpoint_out = state->out.size();
-        if (recoverable) {
-          EnterQuarantine(state, thawed, values);
-        } else {
-          points_dropped_.fetch_add(values.size(),
-                                    std::memory_order_relaxed);
-          FailStream(state, thawed);
-        }
-        return;
-      }
+    case Health::kCold:
+      // A cold state that does not restore is a detector failure:
+      // quarantined, the stream keeps `saved` and recovery retries it.
+      status = Revive(state);
       break;
-    }
-    case StreamState::Health::kHealthy:
+    case Health::kHealthy:
       break;
   }
 
-  std::optional<DeadlineScope> deadline;
-  if (config_.stream_deadline.count() > 0) {
-    deadline.emplace(config_.stream_deadline);
-  }
-  const std::size_t before = state->out.size();
-  Status status = Status::OK();
   std::size_t consumed = 0;
-  for (double value : values) {
-    status = CheckDeadline();
-    if (status.ok()) status = state->detector->Observe(value, &state->out);
-    if (!status.ok()) break;
-    ++consumed;
+  if (status.ok()) {
+    const std::size_t before = state->out.size();
+    status = ObserveAll(state->detector.get(), values, &state->out, &consumed);
+    points_scored_.fetch_add(state->out.size() - before,
+                             std::memory_order_relaxed);
+    state->last_active_pump.store(
+        pump_epoch_.load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
   }
-  points_scored_.fetch_add(state->out.size() - before,
-                           std::memory_order_relaxed);
-  state->last_active_pump.store(pump_epoch_.load(std::memory_order_relaxed),
-                                std::memory_order_relaxed);
-
   if (!status.ok()) {
-    if (recoverable) {
+    if (config_.recovery.max_retries > 0) {
       EnterQuarantine(state, status, values);
     } else {
       points_dropped_.fetch_add(values.size() - consumed,
@@ -524,19 +497,8 @@ void ShardedEngine::ProcessGroup(StreamState* state,
     }
     return;
   }
-
   SetFootprint(state, state->detector->MemoryFootprint());
-  if (recoverable) {
-    Result<std::string> checkpoint = state->detector->Snapshot();
-    if (!checkpoint.ok()) {
-      // Can't roll forward the recovery point; the detector's state is
-      // unserializable, so treat it like a detector failure.
-      FailStream(state, checkpoint.status());
-      return;
-    }
-    state->checkpoint_blob = std::move(checkpoint).value();
-    state->checkpoint_out = state->out.size();
-  }
+  Checkpoint(state);
 }
 
 void ShardedEngine::DrainShard(std::size_t shard_index) {
@@ -586,16 +548,20 @@ Status ShardedEngine::Pump() {
     {
       std::lock_guard<std::mutex> lock(registry_mu_);
       for (const auto& [id, state] : streams_) {
-        if (state->GetHealth() == StreamState::Health::kQuarantined) {
+        if (state->GetHealth() == Health::kQuarantined) {
           quarantined.push_back(state);
         }
       }
     }
+    const std::uint64_t epoch = pump_epoch_.load(std::memory_order_relaxed);
     for (const auto& state : quarantined) {
       std::lock_guard<std::mutex> pump_lock(shards_[state->shard]->pump_mu);
-      if (state->GetHealth() == StreamState::Health::kQuarantined) {
-        AttemptRecovery(state.get(), /*force=*/false);
+      if (state->GetHealth() != Health::kQuarantined ||
+          epoch < state->next_retry_pump) {
+        continue;
       }
+      const Status revived = Revive(state.get());
+      if (!revived.ok()) RecoveryFailed(state.get(), revived, /*final=*/false);
     }
   }
 
@@ -647,7 +613,7 @@ void ShardedEngine::EnforceMemoryBudget() {
     victims.reserve(streams_.size());
     for (const auto& [id, state] : streams_) {
       if (state->priority == StreamPriority::kCritical) continue;
-      if (state->GetHealth() != StreamState::Health::kHealthy) continue;
+      if (state->GetHealth() != Health::kHealthy) continue;
       victims.push_back(
           {static_cast<int>(state->priority),
            state->last_active_pump.load(std::memory_order_relaxed), state});
@@ -671,20 +637,18 @@ void ShardedEngine::EnforceMemoryBudget() {
     // have failed or quarantined the stream, a racing FinishStream
     // removed it, or a producer queued a point its next drain scores.
     if (!state->registered) continue;
-    if (state->GetHealth() != StreamState::Health::kHealthy) continue;
+    if (state->GetHealth() != Health::kHealthy) continue;
     {
       std::lock_guard<std::mutex> lock(shard.queue_mu);
       if (!state->inbox.empty()) continue;
     }
     Result<std::string> blob = state->detector->Snapshot();
     if (!blob.ok()) continue;  // unserializable: skip, evict the next one
-    state->cold_blob = std::move(blob).value();
-    cold_bytes_.fetch_add(state->cold_blob.size(),
-                          std::memory_order_relaxed);
+    state->saved = std::move(blob).value();
+    state->saved_out = state->out.size();
     state->detector.reset();
-    Release(&state->checkpoint_blob);
     SetFootprint(state, 0);
-    state->Set(StreamState::Health::kCold, Status::OK(), Status::OK());
+    SetHealth(state, Health::kCold, Status::OK());
     cold_evictions_.fetch_add(1, std::memory_order_relaxed);
   }
   memory_bytes_.store(live_bytes_.load(std::memory_order_relaxed),
@@ -709,19 +673,16 @@ Result<std::vector<double>> ShardedEngine::FinishStream(const std::string& id) {
   // drain of points that raced the removal, no longer move live_bytes_.
   SetFootprint(state.get(), 0);
   state->registered = false;
-  switch (state->GetHealth()) {
-    case StreamState::Health::kQuarantined:
-      // The stream is ending: recover now, backoff notwithstanding. A
-      // failed forced attempt fails the stream.
-      AttemptRecovery(state.get(), /*force=*/true);
-      break;
-    case StreamState::Health::kCold: {
-      Status thawed = ThawStream(state.get());
-      if (!thawed.ok()) FailStream(state.get(), thawed);
-      break;
+  const Health health = state->GetHealth();
+  if (health == Health::kCold || health == Health::kQuarantined) {
+    // The stream is ending: revive it now, backoff notwithstanding. A
+    // failed attempt fails the stream.
+    const Status revived = Revive(state.get());
+    if (!revived.ok() && health == Health::kQuarantined) {
+      RecoveryFailed(state.get(), revived, /*final=*/true);
+    } else if (!revived.ok()) {
+      FailStream(state.get(), revived);
     }
-    default:
-      break;
   }
   TSAD_RETURN_IF_ERROR(state->GetStatus());
   const std::size_t before = state->out.size();
@@ -738,17 +699,17 @@ Result<std::vector<double>> ShardedEngine::FinishStream(const std::string& id) {
 
 Status ShardedEngine::StreamStatus(const std::string& id) const {
   TSAD_ASSIGN_OR_RETURN(std::shared_ptr<StreamState> state, FindStream(id));
-  std::lock_guard<std::mutex> lock(state->mu);
-  if (state->health == StreamState::Health::kQuarantined) {
-    return Status(state->cause.code(),
+  const Status status = state->GetStatus();
+  if (state->GetHealth() == Health::kQuarantined) {
+    return Status(status.code(),
                   "quarantined (" +
                       std::to_string(
                           state->retries.load(std::memory_order_relaxed)) +
                       "/" +
                       std::to_string(config_.recovery.max_retries) +
-                      " recovery attempts): " + state->cause.message());
+                      " recovery attempts): " + status.message());
   }
-  return state->status;
+  return status;
 }
 
 Result<std::string> ShardedEngine::Snapshot() {
@@ -769,12 +730,9 @@ Result<std::string> ShardedEngine::Snapshot() {
     constexpr std::size_t kWords = 17;
     std::size_t bytes = kWords * 8 + state.id.size() + state.spec.size() +
                         state.tenant.size() + 16 * state.out.size() +
-                        state.checkpoint_blob.size() + state.cold_blob.size() +
-                        8 * state.pending.size();
+                        state.saved.size() + 8 * state.pending.size();
     if (state.detector != nullptr) bytes += state.detector->MemoryFootprint();
-    std::lock_guard<std::mutex> lock(state.mu);
-    return bytes + state.status.message().size() +
-           state.cause.message().size();
+    return bytes + state.GetStatus().message().size();
   };
   // Streams in id order, so engines holding the same streams write the
   // same bytes whatever order the hashed registry iterates in. The
@@ -805,31 +763,28 @@ Result<std::string> ShardedEngine::Snapshot() {
       std::lock_guard<std::mutex> queue_lock(shards_[state->shard]->queue_mu);
       record->PutU64(state->accepted);
     }
-    StreamState::Health health;
-    Status status, cause;
-    {
-      std::lock_guard<std::mutex> state_lock(state->mu);
-      health = state->health;
-      status = state->status;
-      cause = state->cause;
-    }
+    const Health health = state->GetHealth();
+    const Status status = state->GetStatus();
+    // The sticky field holds a failed stream's error; a quarantined
+    // stream's cause follows its checkpoint.
+    const Status sticky = health == Health::kFailed ? status : Status::OK();
     record->PutU64(static_cast<std::uint64_t>(health));
-    record->PutU64(static_cast<std::uint64_t>(status.code()));
-    record->PutString(status.message());
+    record->PutU64(static_cast<std::uint64_t>(sticky.code()));
+    record->PutString(sticky.message());
     PutScores(record, state->out);
     switch (health) {
-      case StreamState::Health::kHealthy: {
+      case Health::kHealthy: {
         TSAD_ASSIGN_OR_RETURN(std::string blob, state->detector->Snapshot());
         record->PutString(blob);
         break;
       }
-      case StreamState::Health::kCold:
-        // Serialized without thawing: the cold blob IS the state.
-        record->PutString(state->cold_blob);
+      case Health::kCold:
+        // Serialized without thawing: `saved` IS the state.
+        record->PutString(state->saved);
         break;
-      case StreamState::Health::kQuarantined: {
-        record->PutString(state->checkpoint_blob);
-        record->PutU64(state->checkpoint_out);
+      case Health::kQuarantined: {
+        record->PutString(state->saved);
+        record->PutU64(state->saved_out);
         record->PutDoubles(state->pending);
         record->PutU64(static_cast<std::uint64_t>(
             state->retries.load(std::memory_order_relaxed)));
@@ -839,11 +794,11 @@ Result<std::string> ShardedEngine::Snapshot() {
             state->next_retry_pump > epoch ? state->next_retry_pump - epoch
                                            : 0;
         record->PutU64(remaining);
-        record->PutU64(static_cast<std::uint64_t>(cause.code()));
-        record->PutString(cause.message());
+        record->PutU64(static_cast<std::uint64_t>(status.code()));
+        record->PutString(status.message());
         break;
       }
-      case StreamState::Health::kFailed:
+      case Health::kFailed:
         break;  // sticky status above is the whole state
     }
     return Status::OK();
@@ -888,9 +843,9 @@ Status ShardedEngine::Restore(std::string_view blob) {
   // already in `state`, its bulk parts still views into `blob`.
   struct Frame {
     std::shared_ptr<StreamState> state;
-    StreamState::Health health = StreamState::Health::kHealthy;
+    Health health = Health::kHealthy;
     std::string_view scores;      // the (index, score) pairs
-    std::string_view state_blob;  // detector, cold or checkpoint blob
+    std::string_view state_blob;  // the detector's or the saved state
     std::string_view pending;     // a quarantined stream's points
   };
   auto frame_stream = [&](Frame* frame) -> Status {
@@ -911,8 +866,7 @@ Status ShardedEngine::Restore(std::string_view blob) {
     if (priority >= static_cast<std::uint64_t>(kNumStreamPriorities)) {
       return Status::InvalidArgument("snapshot has invalid priority class");
     }
-    if (health_raw > static_cast<std::uint64_t>(
-                         StreamState::Health::kFailed)) {
+    if (health_raw > static_cast<std::uint64_t>(Health::kFailed)) {
       return Status::InvalidArgument("snapshot has invalid stream health");
     }
     TSAD_RETURN_IF_ERROR(reader.GetBytes(
@@ -920,17 +874,15 @@ Status ShardedEngine::Restore(std::string_view blob) {
     state->train_length = static_cast<std::size_t>(train_length);
     state->priority = static_cast<StreamPriority>(priority);
     state->accepted = static_cast<std::size_t>(accepted);
-    const auto health = static_cast<StreamState::Health>(health_raw);
-    state->health = health;
+    const auto health = static_cast<Health>(health_raw);
+    state->health.store(health, std::memory_order_relaxed);
     state->status = Status(static_cast<StatusCode>(code), std::move(message));
-    state->failed.store(health == StreamState::Health::kFailed,
-                        std::memory_order_relaxed);
     switch (health) {
-      case StreamState::Health::kHealthy:
-      case StreamState::Health::kCold:
+      case Health::kHealthy:
+      case Health::kCold:
         TSAD_RETURN_IF_ERROR(reader.GetStringView(&frame->state_blob));
         break;
-      case StreamState::Health::kQuarantined: {
+      case Health::kQuarantined: {
         TSAD_RETURN_IF_ERROR(reader.GetStringView(&frame->state_blob));
         std::uint64_t checkpoint_out, pending_count, retries, remaining,
             cause_code;
@@ -943,15 +895,15 @@ Status ShardedEngine::Restore(std::string_view blob) {
         TSAD_RETURN_IF_ERROR(reader.GetU64(&cause_code));
         std::string cause_message;
         TSAD_RETURN_IF_ERROR(reader.GetString(&cause_message));
-        state->checkpoint_out = static_cast<std::size_t>(checkpoint_out);
+        state->saved_out = static_cast<std::size_t>(checkpoint_out);
         state->retries.store(static_cast<int>(retries),
                              std::memory_order_relaxed);
         state->next_retry_pump = epoch + remaining;
-        state->cause = Status(static_cast<StatusCode>(cause_code),
-                              std::move(cause_message));
+        state->status = Status(static_cast<StatusCode>(cause_code),
+                               std::move(cause_message));
         break;
       }
-      case StreamState::Health::kFailed:
+      case Health::kFailed:
         break;
     }
     state->shard = ShardOf(state->id);  // re-placed under the new config
@@ -964,31 +916,32 @@ Status ShardedEngine::Restore(std::string_view blob) {
     StreamState& state = *frame.state;
     TSAD_RETURN_IF_ERROR(GetScores(frame.scores, &state.out));
     switch (frame.health) {
-      case StreamState::Health::kHealthy: {
+      case Health::kHealthy: {
         TSAD_ASSIGN_OR_RETURN(
             state.detector,
             BuildDetector(state.spec, state.train_length, state.id));
         TSAD_RETURN_IF_ERROR(state.detector->Restore(frame.state_blob));
         if (config_.recovery.max_retries > 0) {  // the first recovery point
-          state.checkpoint_blob.assign(frame.state_blob);
-          state.checkpoint_out = state.out.size();
+          state.saved.assign(frame.state_blob);
+          state.saved_out = state.out.size();
         }
         state.footprint.store(state.detector->MemoryFootprint(),
                               std::memory_order_relaxed);
         break;
       }
-      case StreamState::Health::kCold:
-        state.cold_blob.assign(frame.state_blob);
+      case Health::kCold:
+        state.saved.assign(frame.state_blob);
+        state.saved_out = state.out.size();
         break;
-      case StreamState::Health::kQuarantined: {
-        state.checkpoint_blob.assign(frame.state_blob);
+      case Health::kQuarantined: {
+        state.saved.assign(frame.state_blob);
         state.pending.resize(frame.pending.size() / 8);
         ByteReader pending(frame.pending);
         TSAD_RETURN_IF_ERROR(
             pending.GetWords(state.pending.data(), state.pending.size()));
         break;
       }
-      case StreamState::Health::kFailed:
+      case Health::kFailed:
         break;
     }
     return Status::OK();
@@ -1034,7 +987,9 @@ Status ShardedEngine::Restore(std::string_view blob) {
     }
     state.registered = true;
     restored_live_bytes += state.footprint.load(std::memory_order_relaxed);
-    restored_cold_bytes += state.cold_blob.size();
+    if (frame.health == Health::kCold) {
+      restored_cold_bytes += state.saved.size();
+    }
   }
   streams_ = std::move(restored);
   live_bytes_.fetch_add(restored_live_bytes, std::memory_order_relaxed);
@@ -1073,10 +1028,10 @@ ServingStats ShardedEngine::stats() const {
     std::lock_guard<std::mutex> lock(registry_mu_);
     for (const auto& [id, state] : streams_) {
       switch (state->GetHealth()) {
-        case StreamState::Health::kCold:
+        case Health::kCold:
           ++out.streams_cold;
           break;
-        case StreamState::Health::kQuarantined:
+        case Health::kQuarantined:
           ++out.streams_quarantined;
           break;
         default:

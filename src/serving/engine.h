@@ -256,6 +256,7 @@ class ShardedEngine {
   std::size_t num_streams() const;
 
  private:
+  enum class Health : std::uint8_t;
   struct StreamState;
   struct Shard;
 
@@ -266,16 +267,36 @@ class ShardedEngine {
       const std::string& spec, std::size_t train_length,
       const std::string& id) const;
 
-  // All four run with the owning shard's pump lock held.
+  // The rest run with the owning shard's pump lock held.
   void ProcessGroup(StreamState* state, const std::vector<double>& values);
+  // Rebuilds a cold or quarantined stream: restores its saved state,
+  // replays its pending points under the drain budget and splices in
+  // their scores. On error the stream is left as it was, for the caller
+  // to quarantine, retry or fail.
+  Status Revive(StreamState* state);
+  // Feeds `values` to `detector` in order, appending its scores to
+  // `out`, until the first error; the drain budget is checked before
+  // each point. `consumed` counts the points the detector took.
+  Status ObserveAll(OnlineDetector* detector,
+                    const std::vector<double>& values,
+                    std::vector<ScoredPoint>* out,
+                    std::size_t* consumed) const;
+  // With recovery on, makes the live detector's state the stream's
+  // recovery point; with it off, frees the saved state. Returns false
+  // after failing the stream when the detector cannot write its state.
+  bool Checkpoint(StreamState* state);
   void EnterQuarantine(StreamState* state, const Status& cause,
                        const std::vector<double>& values);
-  void AttemptRecovery(StreamState* state, bool force);
-  Status ThawStream(StreamState* state);
-
+  // A quarantined stream's revival failed: backs off, or fails the
+  // stream once its retries are spent or when `final`.
+  void RecoveryFailed(StreamState* state, const Status& cause, bool final);
   void FailStream(StreamState* state, const Status& cause);
-  // Pump lock held: sets the stream's footprint and moves live_bytes_
-  // by the difference while the stream is registered.
+  // Moves the stream along the ladder with its status (the sticky error
+  // while failed, the cause while quarantined, else OK), and cold_bytes_
+  // with it.
+  void SetHealth(StreamState* state, Health health, Status status);
+  // Sets the stream's footprint and moves live_bytes_ by the difference
+  // while the stream is registered.
   void SetFootprint(StreamState* state, std::size_t bytes);
   void EnforceMemoryBudget();
   std::shared_ptr<std::atomic<std::uint64_t>> TenantCounter(
