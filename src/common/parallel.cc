@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <charconv>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
@@ -10,8 +11,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-
-#include "robustness/deadline.h"
 
 namespace tsad {
 
@@ -49,10 +48,6 @@ struct Job {
   std::size_t grain = 1;
   std::size_t num_chunks = 0;
   const std::function<Status(std::size_t)>* fn = nullptr;
-
-  // Deadline of the submitting thread, re-installed on every worker.
-  bool deadline_active = false;
-  std::chrono::steady_clock::time_point deadline;
 
   std::atomic<std::size_t> next_chunk{0};  // claim counter
   std::atomic<std::size_t> remaining;      // chunks not yet finished
@@ -149,8 +144,6 @@ class ThreadPool {
     job->num_chunks = (end - begin + grain - 1) / grain;
     job->fn = &fn;
     job->remaining.store(job->num_chunks, std::memory_order_relaxed);
-    job->deadline_active = DeadlineActive();
-    if (job->deadline_active) job->deadline = DeadlineTimePoint();
 
     const std::size_t threads = ParallelThreads();
     const bool serial = t_in_worker || threads <= 1 || job->num_chunks <= 1;
@@ -248,14 +241,7 @@ class ThreadPool {
           continue;
         }
       }
-      if (job->deadline_active) {
-        // Adopt the submitter's absolute deadline so CheckDeadline()
-        // polls inside the loop body stay cooperative per worker.
-        DeadlineScope scope(job->deadline);
-        job->RunChunks();
-      } else {
-        job->RunChunks();
-      }
+      job->RunChunks();
     }
   }
 

@@ -14,10 +14,6 @@
 //    from starting at higher indices; a worker that throws is caught
 //    and converted to an Internal status. Neither deadlocks the pool
 //    or takes the process down.
-//  * Deadline transparency. If the submitting thread has an active
-//    DeadlineScope, its absolute deadline is re-installed on every
-//    worker, so cooperative CheckDeadline() polling inside the loop
-//    body keeps working under parallel execution.
 //
 // Thread count resolution (first match wins): SetParallelThreads(n)
 // with n > 0, the TSAD_THREADS environment variable, then

@@ -8,7 +8,6 @@
 
 #include "common/parallel.h"
 #include "detectors/discord.h"
-#include "robustness/deadline.h"
 #include "substrates/mp_kernels.h"
 #include "substrates/profile_internal.h"
 
@@ -144,7 +143,6 @@ Status Remeasure(const Series& x, const Layer& layer, Carry* carry) {
   const std::size_t chunks =
       (layer.count + kRemeasureChunk - 1) / kRemeasureChunk;
   return ParallelFor(0, chunks, [&](std::size_t c) -> Status {
-    TSAD_RETURN_IF_ERROR(CheckDeadline());
     const std::size_t end =
         std::min(layer.count, (c + 1) * kRemeasureChunk);
     for (std::size_t i = c * kRemeasureChunk; i < end; ++i) {
@@ -320,7 +318,6 @@ Result<LengthDiscord> RefineLength(const Series& x, const Layer& layer,
   const auto run_batch = [&](const std::vector<std::size_t>& batch) -> Status {
     TSAD_RETURN_IF_ERROR(
         ParallelFor(0, batch.size(), [&](std::size_t k) -> Status {
-          TSAD_RETURN_IF_ERROR(CheckDeadline());
           results[k] = ExactNn(x, layer, batch[k], cov_row, (*scratch)[k]);
           return Status::OK();
         }));
@@ -415,7 +412,6 @@ Result<std::vector<LengthDiscord>> MerlinSweep(const Series& series,
   out.reserve(max_length - min_length + 1);
   std::size_t prev_pos = kNoNeighbor;
   for (std::size_t m = min_length; m <= max_length; ++m) {
-    TSAD_RETURN_IF_ERROR(CheckDeadline());
     const Layer layer = BuildLayer(series, m);
     if (m == min_length) {
       TSAD_RETURN_IF_ERROR(Refresh(series, layer, &carry));

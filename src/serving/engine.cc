@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <optional>
 #include <utility>
 
 #include "common/parallel.h"
 #include "common/wire.h"
-#include "robustness/deadline.h"
 #include "serving/online_adapters.h"
 
 namespace tsad {
@@ -337,12 +335,21 @@ Status ShardedEngine::ObserveAll(OnlineDetector* detector,
                                  const std::vector<double>& values,
                                  std::vector<ScoredPoint>* out,
                                  std::size_t* consumed) const {
-  std::optional<DeadlineScope> deadline;
-  if (config_.stream_deadline.count() > 0) {
-    deadline.emplace(config_.stream_deadline);
+  // The budget runs from here; now + budget saturates at the clock's
+  // last time point, so a budget past it never expires.
+  using Clock = std::chrono::steady_clock;
+  const bool timed = config_.stream_deadline.count() > 0;
+  Clock::time_point deadline = Clock::time_point::max();
+  if (timed) {
+    const Clock::time_point now = Clock::now();
+    if (config_.stream_deadline < Clock::time_point::max() - now) {
+      deadline = now + config_.stream_deadline;
+    }
   }
   for (*consumed = 0; *consumed < values.size(); ++*consumed) {
-    TSAD_RETURN_IF_ERROR(CheckDeadline());
+    if (timed && Clock::now() >= deadline) {
+      return Status::DeadlineExceeded("stream deadline expired");
+    }
     TSAD_RETURN_IF_ERROR(detector->Observe(values[*consumed], out));
   }
   return Status::OK();

@@ -28,22 +28,24 @@
 //   3. EVICT  — when the rolled-up OnlineDetector::MemoryFootprint()
 //      exceeds memory_budget_bytes, the least-recently-active streams
 //      of the lowest priority class are cold-evicted: detector state is
-//      snapshotted into an in-memory cold store and freed, and the
+//      snapshotted into the stream's one saved state and freed, and the
 //      stream is thawed transparently (byte-exact restore) when its
 //      next point is drained. kCritical streams are never evicted.
 //   4. QUARANTINE — with recovery enabled, a stream whose detector
-//      errors is quarantined instead of failed: its scores roll back
-//      to the last good checkpoint and arriving points buffer.
+//      errors, or whose saved state fails to restore, is quarantined
+//      instead of failed: its scores roll back to the saved state (the
+//      last good checkpoint) and arriving points buffer.
 //   5. RECOVER — after a backoff (measured in pumps, so tests are
-//      deterministic) the stream is rebuilt from its checkpoint and
-//      the buffered points are replayed. A transient fault therefore
-//      loses NOTHING: the recovered stream's final scores are still
-//      byte-identical to the batch detector. Retries are bounded;
-//      exhausting them fails the stream with the classic sticky error.
+//      deterministic) the stream is revived as a cold stream is thawed:
+//      rebuilt from its saved state, with the buffered points replayed.
+//      A transient fault therefore loses NOTHING: the recovered
+//      stream's final scores are still byte-identical to the batch
+//      detector. Retries are bounded; exhausting them fails the stream
+//      with the classic sticky error.
 //
 // Failure containment (recovery disabled, the default). A stream whose
-// detector errors — including a per-stream deadline expiring mid-drain
-// (kDeadlineExceeded) — gets a STICKY error status: its remaining
+// detector errors — including its drain deadline (stream_deadline)
+// expiring, kDeadlineExceeded — gets a STICKY error status: its remaining
 // queued points are dropped, later Push()es are rejected with the same
 // status, and FinishStream() surfaces it. Other streams, including
 // those on the same shard, are untouched.
@@ -91,10 +93,12 @@ struct ServingConfig {
   /// stream inboxes between drains.
   std::size_t queue_capacity = 1024;
   OverflowPolicy overflow = OverflowPolicy::kShed;
-  /// Per-stream time budget for one drain pass; 0 disables. Installed
-  /// as a DeadlineScope around each stream's batch of queued points, so
-  /// detectors that poll CheckDeadline() are also covered. Recovery
-  /// replays run under the same budget.
+  /// Per-stream time budget for one drain pass; 0 disables. The budget
+  /// starts when a stream's batch of queued points starts and is checked
+  /// before each point; once it is spent, the stream fails (or, with
+  /// recovery on, is quarantined) with kDeadlineExceeded. A point the
+  /// detector is already observing is not interrupted. Recovery replays
+  /// run under the same budget.
   std::chrono::nanoseconds stream_deadline{0};
 
   /// Admission policy consulted before each Push enqueues; null admits

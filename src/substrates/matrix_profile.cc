@@ -9,7 +9,6 @@
 #include "common/fft.h"
 #include "common/parallel.h"
 #include "common/stats.h"
-#include "robustness/deadline.h"
 #include "substrates/mp_kernels.h"
 #include "substrates/profile_internal.h"
 
@@ -242,7 +241,6 @@ Status RunCrossSweeps(const std::vector<CrossSweep>& sweeps, std::size_t m,
     const std::size_t max_len =
         std::min(sweep.count_a, sweep.count_b - tile.d_begin);
     for (std::size_t r0 = 0; r0 < max_len; r0 += kMpxRowBlock) {
-      TSAD_RETURN_IF_ERROR(CheckDeadline());
       args.r0 = r0;
       args.r1 = std::min(max_len, r0 + kMpxRowBlock);
       block(args);
@@ -326,7 +324,6 @@ Result<MatrixProfile> ComputeMatrixProfile(const std::vector<double>& series,
         // advanced by the rank-2 recurrence within it.
         const std::size_t max_len = count - args.d_begin;  // longest diagonal
         for (std::size_t r0 = 0; r0 < max_len; r0 += kMpxRowBlock) {
-          TSAD_RETURN_IF_ERROR(CheckDeadline());
           args.r0 = r0;
           args.r1 = std::min(max_len, r0 + kMpxRowBlock);
           variant.mpx_block(args);

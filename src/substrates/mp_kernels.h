@@ -40,8 +40,8 @@ namespace tsad {
 /// updating local_corr/local_index on both the row side (entry o,
 /// neighbor o+d) and the column side (entry o+d, neighbor o) with the
 /// lexicographic-max rule. Diagonals with r0 >= count-d are skipped.
-/// The caller owns the tile loop, row-block loop, deadline polls, and
-/// the cross-tile merge.
+/// The caller owns the tile loop, row-block loop and the cross-tile
+/// merge.
 struct MpxBlockArgs {
   const double* series = nullptr;
   const double* means = nullptr;

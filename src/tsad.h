@@ -62,7 +62,6 @@
 #include "serving/online_detector.h"  // IWYU pragma: export
 #include "serving/replay.h"           // IWYU pragma: export
 
-#include "robustness/deadline.h"        // IWYU pragma: export
 #include "robustness/fault_injector.h"  // IWYU pragma: export
 #include "robustness/matrix.h"          // IWYU pragma: export
 #include "robustness/resilient.h"       // IWYU pragma: export

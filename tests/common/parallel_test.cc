@@ -13,7 +13,6 @@
 #include "common/rng.h"
 #include "core/triviality.h"
 #include "datasets/generators.h"
-#include "robustness/deadline.h"
 #include "substrates/matrix_profile.h"
 
 namespace tsad {
@@ -178,22 +177,6 @@ TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock) {
   });
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(total.load(), 8 * 16);
-}
-
-// The submitter's DeadlineScope must be visible to workers: an already
-// expired deadline makes every CheckDeadline() poll fail, and the loop
-// reports kDeadlineExceeded for the lowest polled index.
-TEST(ParallelForTest, DeadlinePropagatesToWorkers) {
-  for (std::size_t threads : TestThreadCounts()) {
-    ThreadCountGuard guard(threads);
-    DeadlineScope scope(std::chrono::nanoseconds(0));
-    const Status s = ParallelFor(0, 64, [](std::size_t) -> Status {
-      return CheckDeadline();
-    });
-    ASSERT_FALSE(s.ok()) << "threads=" << threads;
-    EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded)
-        << "threads=" << threads;
-  }
 }
 
 TEST(ParallelThreadsTest, OverrideWinsAndClearRestoresDefault) {
