@@ -96,9 +96,15 @@ FlossCore FlossCore::Fresh() const {
   return FlossCore(params);
 }
 
-Status FlossCore::Deserialize(ByteReader* reader, std::uint64_t /*seen*/) {
+Status FlossCore::Deserialize(ByteReader* reader, std::uint64_t seen) {
   counted_ = false;
-  return mpx_.Deserialize(reader);
+  TSAD_RETURN_IF_ERROR(mpx_.Deserialize(reader));
+  if (mpx_.points_seen() != seen) {
+    return Status::InvalidArgument(
+        "FLOSS snapshot observed " + std::to_string(seen) +
+        " points, its kernel holds " + std::to_string(mpx_.points_seen()));
+  }
+  return Status::OK();
 }
 
 void FlossCore::Recount(std::size_t p) {

@@ -41,7 +41,7 @@ void StreamingDiscordCore::Serialize(ByteWriter* writer) const {
 }
 
 Status StreamingDiscordCore::Deserialize(ByteReader* reader,
-                                         std::uint64_t /*seen*/) {
+                                         std::uint64_t seen) {
   std::uint64_t burn_in;
   TSAD_RETURN_IF_ERROR(reader->GetU64(&burn_in));
   if (burn_in != burn_in_) {
@@ -49,7 +49,13 @@ Status StreamingDiscordCore::Deserialize(ByteReader* reader,
         "snapshot burn_in mismatch: " + std::to_string(burn_in) +
         " in the snapshot, " + std::to_string(burn_in_) + " in the detector");
   }
-  return kernel_.Deserialize(reader);
+  TSAD_RETURN_IF_ERROR(kernel_.Deserialize(reader));
+  if (kernel_.points_seen() != seen) {
+    return Status::InvalidArgument(
+        "streaming discord snapshot observed " + std::to_string(seen) +
+        " points, its kernel holds " + std::to_string(kernel_.points_seen()));
+  }
+  return Status::OK();
 }
 
 StreamingDiscordDetector::StreamingDiscordDetector(std::size_t m,

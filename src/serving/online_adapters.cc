@@ -171,6 +171,15 @@ Status ReferenceStatsOnline<Core>::Restore(std::string_view blob) {
   Core core = core_.WithReference(ref);
   TSAD_RETURN_IF_ERROR(core.GetState(&reader));
   TSAD_RETURN_IF_ERROR(reader.ExpectDone());
+  // Until the prefix is fitted every point waits in the buffer; after,
+  // none does.
+  if (trained != 0 ? !buffer.empty()
+                   : buffer.size() != observed || observed >= train_length_) {
+    return Status::InvalidArgument(
+        "snapshot of " + name_ + " observed " + std::to_string(observed) +
+        " points but buffers " + std::to_string(buffer.size()) +
+        (trained != 0 ? " after training" : " before training"));
+  }
   core_ = core;
   buffer_ = std::move(buffer);
   observed_ = observed;
@@ -256,6 +265,14 @@ Status OnlineOneLiner::Restore(std::string_view blob) {
   TSAD_RETURN_IF_ERROR(reader.GetDouble(&run_min));
   TSAD_RETURN_IF_ERROR(reader.GetDoubles(&d));
   TSAD_RETURN_IF_ERROR(reader.ExpectDone());
+  // One diff per point after the first, and a margin emitted per diff
+  // at most.
+  if (d.size() != (observed == 0 ? 0 : observed - 1) || emitted > d.size()) {
+    return Status::InvalidArgument(
+        "snapshot of " + name_ + " observed " + std::to_string(observed) +
+        " points but holds " + std::to_string(d.size()) + " diffs and " +
+        std::to_string(emitted) + " emitted margins");
+  }
   observed_ = observed;
   emitted_ = emitted;
   prev_ = prev;

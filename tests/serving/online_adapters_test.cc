@@ -493,6 +493,47 @@ TEST(OnlineAdapterTest, RefusedRestoreLeavesTheAdapterAsItWas) {
   }
 }
 
+TEST(OnlineAdapterTest, RestoreRefusesAnObservedCountItsStateContradicts) {
+  // Every snapshot leads with the adapter name, then `observed`. Taken
+  // after 200 points and rewritten to 190 or 210, it must be refused
+  // wherever the state carries its own count: the streaming kernels, the
+  // one-liner's diff track, MERLIN's buffer, a z-score ring that has not
+  // filled, and a reference-statistics prefix still buffering. A full
+  // z-score ring and a fitted prefix hold no count to compare with.
+  const Series x = SyntheticStream(200, 61);
+  for (const SpecCase& c : EquivalenceCases()) {
+    const bool full_ring = c.spec.rfind("zscore:w=", 0) == 0 &&
+                           std::stoul(c.spec.substr(9)) <= x.size();
+    const bool fitted = c.train_length > 0 && c.train_length <= x.size();
+    if (full_ring || fitted) continue;
+    auto online = MakeOnlineDetector(c.spec, c.train_length);
+    ASSERT_TRUE(online.ok()) << c.spec;
+    std::vector<ScoredPoint> sink;
+    for (double v : x) ASSERT_TRUE((*online)->Observe(v, &sink).ok());
+    Result<std::string> blob = (*online)->Snapshot();
+    ASSERT_TRUE(blob.ok());
+    const std::size_t at = 8 + (*online)->name().size();  // past the name
+    for (const std::uint64_t observed : {190, 210}) {
+      SCOPED_TRACE(c.spec + " train=" + std::to_string(c.train_length) +
+                   " observed=" + std::to_string(observed));
+      ByteWriter count;
+      count.PutU64(observed);
+      std::string damaged = *blob;
+      damaged.replace(at, 8, count.str());
+      auto fresh = MakeOnlineDetector(c.spec, c.train_length);
+      ASSERT_TRUE(fresh.ok());
+      const Status restored = (*fresh)->Restore(damaged);
+      EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument)
+          << restored.ToString();
+      EXPECT_EQ((*fresh)->observed(), 0u);
+    }
+    // The untouched blob still restores.
+    auto fresh = MakeOnlineDetector(c.spec, c.train_length);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_TRUE((*fresh)->Restore(*blob).ok()) << c.spec;
+  }
+}
+
 TEST(OnlineAdapterTest, OnlineCapableNamesMatchesFactoryBehavior) {
   const std::vector<std::string> names = OnlineCapableDetectorNames();
   for (const std::string& name : names) {
