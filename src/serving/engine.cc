@@ -876,12 +876,16 @@ Status ShardedEngine::Restore(std::string_view blob) {
     if (health_raw > static_cast<std::uint64_t>(Health::kFailed)) {
       return Status::InvalidArgument("snapshot has invalid stream health");
     }
+    const auto health = static_cast<Health>(health_raw);
+    if ((health == Health::kFailed) == (code == 0)) {
+      return Status::InvalidArgument(
+          "snapshot stream status contradicts its health");
+    }
     TSAD_RETURN_IF_ERROR(reader.GetBytes(
         16 * static_cast<std::size_t>(out_count), &frame->scores));
     state->train_length = static_cast<std::size_t>(train_length);
     state->priority = static_cast<StreamPriority>(priority);
     state->accepted = static_cast<std::size_t>(accepted);
-    const auto health = static_cast<Health>(health_raw);
     state->health.store(health, std::memory_order_relaxed);
     state->status = Status(static_cast<StatusCode>(code), std::move(message));
     switch (health) {
@@ -894,6 +898,10 @@ Status ShardedEngine::Restore(std::string_view blob) {
         std::uint64_t checkpoint_out, pending_count, retries, remaining,
             cause_code;
         TSAD_RETURN_IF_ERROR(reader.GetU64(&checkpoint_out));
+        if (checkpoint_out != out_count) {
+          return Status::InvalidArgument(
+              "snapshot has a quarantined stream off its checkpoint");
+        }
         TSAD_RETURN_IF_ERROR(reader.GetCount(8, &pending_count));
         TSAD_RETURN_IF_ERROR(reader.GetBytes(
             8 * static_cast<std::size_t>(pending_count), &frame->pending));
@@ -902,6 +910,10 @@ Status ShardedEngine::Restore(std::string_view blob) {
         TSAD_RETURN_IF_ERROR(reader.GetU64(&cause_code));
         std::string cause_message;
         TSAD_RETURN_IF_ERROR(reader.GetString(&cause_message));
+        if (cause_code == 0) {
+          return Status::InvalidArgument(
+              "snapshot has a quarantined stream without a cause");
+        }
         state->saved_out = static_cast<std::size_t>(checkpoint_out);
         state->retries.store(static_cast<int>(retries),
                              std::memory_order_relaxed);

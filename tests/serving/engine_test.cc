@@ -1145,7 +1145,8 @@ TEST(ShardedEngineTest, FailingThawQuarantinesOrFailsTheStream) {
 // count; `health` is the wire value (0 healthy, 1 cold, 2 quarantined,
 // 3 failed).
 void PutStreamPrefix(ByteWriter* writer, const std::string& id,
-                     std::uint64_t health, std::uint64_t out_count) {
+                     std::uint64_t health, std::uint64_t out_count,
+                     StatusCode status = StatusCode::kOk) {
   writer->PutString(id);
   writer->PutString("zscore:w=16");
   writer->PutU64(0);  // train_length
@@ -1153,7 +1154,7 @@ void PutStreamPrefix(ByteWriter* writer, const std::string& id,
   writer->PutString("");  // tenant
   writer->PutU64(0);      // accepted
   writer->PutU64(health);
-  writer->PutU64(0);      // status code
+  writer->PutU64(static_cast<std::uint64_t>(status));
   writer->PutString("");  // status message
   writer->PutU64(out_count);
 }
@@ -1183,6 +1184,62 @@ TEST(ShardedEngineTest, RestoreRejectsInflatedCountsWithoutThrowing) {
     EXPECT_NO_THROW(restored = engine.Restore(blob));
     EXPECT_EQ(restored.code(), StatusCode::kOutOfRange);
     EXPECT_EQ(engine.num_streams(), 0u);
+  }
+}
+
+TEST(ShardedEngineTest, RestoreRefusesAStatusThatContradictsTheHealth) {
+  // A stream's status is its sticky error exactly when it failed, and a
+  // quarantined stream carries its cause and sits at its checkpoint. A
+  // failed record with an OK status used to restore: Push then returned
+  // OK without queueing the point, and FinishStream flushed the stream's
+  // null detector.
+  Result<std::unique_ptr<OnlineDetector>> detector =
+      MakeOnlineDetector("zscore:w=16", 0);
+  ASSERT_TRUE(detector.ok());
+  Result<std::string> good = (*detector)->Snapshot();
+  ASSERT_TRUE(good.ok());
+  constexpr StatusCode kOk = StatusCode::kOk;
+  constexpr StatusCode kInternal = StatusCode::kInternal;
+  auto record = [&good](std::uint64_t health, StatusCode status) {
+    ByteWriter writer;
+    writer.PutString("tsad-serving-engine-v2");
+    writer.PutU64(1);  // streams
+    PutStreamPrefix(&writer, "s", health, /*out_count=*/0, status);
+    if (health != 3) writer.PutString(*good);  // detector or saved state
+    return writer;
+  };
+  auto quarantined = [&record](StatusCode status, std::uint64_t checkpoint_out,
+                               StatusCode cause) {
+    ByteWriter writer = record(2, status);
+    writer.PutU64(checkpoint_out);
+    writer.PutDoubles({});  // pending points
+    writer.PutU64(0);       // retries
+    writer.PutU64(0);       // pumps to the next retry
+    writer.PutU64(static_cast<std::uint64_t>(cause));
+    writer.PutString("cause");
+    return writer.Take();
+  };
+
+  // The crafted quarantined record is well formed when consistent.
+  {
+    ShardedEngine engine;
+    ASSERT_TRUE(engine.Restore(quarantined(kOk, 0, kInternal)).ok());
+    EXPECT_EQ(engine.stats().streams_quarantined, 1u);
+  }
+  const std::pair<const char*, std::string> contradictions[] = {
+      {"failed, OK status", record(3, kOk).Take()},
+      {"healthy, error status", record(0, kInternal).Take()},
+      {"cold, error status", record(1, kInternal).Take()},
+      {"quarantined, error status", quarantined(kInternal, 0, kInternal)},
+      {"quarantined, OK cause", quarantined(kOk, 0, kOk)},
+      {"quarantined off its checkpoint", quarantined(kOk, 5, kInternal)},
+  };
+  for (const auto& [what, blob] : contradictions) {
+    ShardedEngine engine;
+    const Status restored = engine.Restore(blob);
+    EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument)
+        << what << ": " << restored.ToString();
+    EXPECT_EQ(engine.num_streams(), 0u) << what;
   }
 }
 
