@@ -36,6 +36,9 @@ void Release(std::string* blob) { std::string().swap(*blob); }
 // 1.4 MB of peak memory on the perfbench serve fleet).
 constexpr std::size_t kSnapshotBatch = 64;
 
+// Pumps whose durations the p99 covers.
+constexpr std::size_t kPumpWindow = 256;
+
 // On 64-bit hosts a ScoredPoint lies in memory as the wire's (index,
 // score) word pair, so a stream's scores move as one bulk copy.
 constexpr bool kScoredPointIsTwoWords =
@@ -579,15 +582,11 @@ Status ShardedEngine::Pump() {
           .count();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++pumps_;
-    pump_total_seconds_ += seconds;
-    pump_max_seconds_ = std::max(pump_max_seconds_, seconds);
-    if (pump_ring_.size() < PumpLatencyStats::kWindow) {
+    const std::size_t slot = pumps_++ % kPumpWindow;
+    if (slot == pump_ring_.size()) {
       pump_ring_.push_back(seconds);
-      pump_ring_pos_ = pump_ring_.size() % PumpLatencyStats::kWindow;
     } else {
-      pump_ring_[pump_ring_pos_] = seconds;
-      pump_ring_pos_ = (pump_ring_pos_ + 1) % PumpLatencyStats::kWindow;
+      pump_ring_[slot] = seconds;
     }
   }
   return status;
@@ -1063,30 +1062,12 @@ ServingStats ShardedEngine::stats() const {
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
   out.pumps = pumps_;
-  out.pump.count = pumps_;
-  out.pump.mean_seconds = pumps_ > 0 ? pump_total_seconds_ /
-                                           static_cast<double>(pumps_)
-                                     : 0.0;
-  out.pump.max_seconds = pump_max_seconds_;
-  // Unroll the ring oldest-first: [pos, end) then [0, pos) once full.
-  out.pump.recent.reserve(pump_ring_.size());
-  if (pump_ring_.size() < PumpLatencyStats::kWindow) {
-    out.pump.recent = pump_ring_;
-  } else {
-    out.pump.recent.insert(out.pump.recent.end(),
-                           pump_ring_.begin() +
-                               static_cast<std::ptrdiff_t>(pump_ring_pos_),
-                           pump_ring_.end());
-    out.pump.recent.insert(out.pump.recent.end(), pump_ring_.begin(),
-                           pump_ring_.begin() +
-                               static_cast<std::ptrdiff_t>(pump_ring_pos_));
-  }
-  if (!out.pump.recent.empty()) {
-    std::vector<double> sorted = out.pump.recent;
-    std::sort(sorted.begin(), sorted.end());
-    const std::size_t rank = static_cast<std::size_t>(
-        0.99 * static_cast<double>(sorted.size() - 1));
-    out.pump.p99_seconds = sorted[rank];
+  if (!pump_ring_.empty()) {
+    std::vector<double> window = pump_ring_;
+    const auto rank = static_cast<std::ptrdiff_t>(
+        0.99 * static_cast<double>(window.size() - 1));
+    std::nth_element(window.begin(), window.begin() + rank, window.end());
+    out.p99_pump_seconds = window[static_cast<std::size_t>(rank)];
   }
   return out;
 }

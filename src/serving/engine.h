@@ -142,20 +142,6 @@ struct StreamOptions {
   std::size_t train_length = 0;
 };
 
-/// Bounded pump-latency summary. Mean/max are exact over the engine's
-/// lifetime; p99 and `recent` cover the last kWindow pumps — a
-/// long-lived engine holds O(1) stats memory, not one double per Pump.
-struct PumpLatencyStats {
-  static constexpr std::size_t kWindow = 256;
-
-  std::uint64_t count = 0;
-  double mean_seconds = 0.0;   // running mean, all pumps
-  double max_seconds = 0.0;    // running max, all pumps
-  double p99_seconds = 0.0;    // 99th percentile of the retained window
-  std::vector<double> recent;  // last <= kWindow pump durations, oldest
-                               // first
-};
-
 /// Per-detector-type rollup of live stream state, keyed by
 /// DetectorTypeKey(spec). `bytes` sums MemoryFootprint() over the
 /// type's LIVE detectors (cold/quarantined/failed streams hold no live
@@ -181,7 +167,7 @@ struct ServingStats {
   std::uint64_t points_denied = 0;  // rejected by the admission policy
   std::uint64_t points_dropped = 0; // discarded after a sticky error
   std::uint64_t pumps = 0;
-  PumpLatencyStats pump;
+  double p99_pump_seconds = 0.0;  // 99th percentile of the last 256 pumps
 
   // Degradation-ladder telemetry.
   std::uint64_t quarantines = 0;         // streams entering quarantine
@@ -335,10 +321,9 @@ class ShardedEngine {
 
   mutable std::mutex stats_mu_;
   std::uint64_t pumps_ = 0;
-  double pump_total_seconds_ = 0.0;
-  double pump_max_seconds_ = 0.0;
-  std::vector<double> pump_ring_;  // last <= PumpLatencyStats::kWindow
-  std::size_t pump_ring_pos_ = 0;  // next slot to overwrite
+  // Durations of the last <= 256 pumps; pump k (from 1) writes slot
+  // (k - 1) % 256, so the engine holds O(1) stats memory.
+  std::vector<double> pump_ring_;
 };
 
 }  // namespace tsad

@@ -95,7 +95,7 @@ Result<ReplayReport> ReplayThroughEngine(const Series& series,
   report.thaws = stats.thaws;
   report.quarantines = stats.quarantines;
   report.recoveries = stats.recoveries;
-  report.p99_pump_seconds = stats.pump.p99_seconds;
+  report.p99_pump_seconds = stats.p99_pump_seconds;
   report.detector_memory = std::move(detector_memory);
 
   if (options.verify_against_batch) {
