@@ -81,6 +81,16 @@ for spec in cusum ewma pagehinkley oneliner:u=1,k=7,c=2; do
     --replay "${serve_work}/G-1.csv" \
     --streams 4 --detector "${spec}" --threads 4
 done
+# With recovery on, a thawed stream keeps its saved state as its
+# recovery checkpoint instead of freeing it: evict/thaw under recovery.
+"${repo_root}/build/tools/tsad" serve \
+  --replay "${serve_work}/nyc_taxi.csv" \
+  --streams 4 --detector zscore:w=96 --mem-budget 1 --recover 2 \
+  --threads 4 | grep 'byte-identical'
+"${repo_root}/build/tools/tsad" serve \
+  --replay "${serve_work}/G-1.csv" \
+  --streams 4 --detector floss:16:128 --mem-budget 1 --recover 2 \
+  --threads 4 | grep 'byte-identical'
 
 # perfbench, the repository benchmark, builds the library from this
 # checkout and checks each workload's results in-run, but no ctest
@@ -141,8 +151,8 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   # the thread-touching subsystems, so build just their test binaries
   # (examples/tools off; benches stay configured for the chaos harness
   # below) and run the corresponding suites — determinism, error
-  # containment, deadline propagation, concurrent producers — under
-  # the race detector. (The ASan+UBSan pass above already runs both
+  # containment, concurrent producers, engine replays — under the race
+  # detector. (The ASan+UBSan pass above already runs both
   # chaos sizes via the full suite.)
   tsan_dir="${repo_root}/build-tsan"
   echo "==> configuring ${tsan_dir} (TSAD_SANITIZE=thread)"
@@ -160,12 +170,12 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
              merlin_test join_kernels_test leaderboard_test \
              resilient_test robustness_matrix_test ucr_archive_test \
              floss_test bench_chaos_serving
-  echo "==> testing ${tsan_dir} (Parallel* + ShardedEngine* + MPX" \
-       "diagonal kernel + Leaderboard* + Resilient* + RobustnessMatrix*" \
-       "+ EvaluateOnArchive*)"
-  tsan_suites='Parallel|ShardedEngine|MatrixProfileTest|MpxKernel|Leaderboard'
-  tsan_suites+='|ResilientDetectorTest|ResilientReuseTest|RobustnessMatrixTest'
-  tsan_suites+='|EvaluateOnArchiveTest'
+  echo "==> testing ${tsan_dir} (Parallel* + ShardedEngine* + ReplayTest*" \
+       "+ MPX diagonal kernel + Leaderboard* + Resilient*" \
+       "+ RobustnessMatrix* + EvaluateOnArchive*)"
+  tsan_suites='Parallel|ShardedEngine|ReplayTest|MatrixProfileTest|MpxKernel'
+  tsan_suites+='|Leaderboard|ResilientDetectorTest|ResilientReuseTest'
+  tsan_suites+='|RobustnessMatrixTest|EvaluateOnArchiveTest'
   (cd "${tsan_dir}" && ctest --output-on-failure -R "${tsan_suites}")
   # The floss serving tests drive the engine's quarantine/recovery and
   # per-type memory rollup from floss streams; run the whole label so
