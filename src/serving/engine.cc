@@ -144,7 +144,7 @@ struct ShardedEngine::StreamState {
   // Read without a lock by producers, stats() and the eviction scan.
   std::atomic<Health> health{Health::kHealthy};
   // The sticky error while failed, the cause while quarantined, else
-  // OK. Guarded by mu; written before `health` moves.
+  // OK. Guarded by mu, which `health` also moves under.
   mutable std::mutex mu;
   Status status = Status::OK();
 
@@ -327,10 +327,8 @@ void ShardedEngine::SetHealth(StreamState* state, Health health,
   if (health == Health::kCold) {
     cold_bytes_.fetch_add(state->saved.size(), std::memory_order_relaxed);
   }
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->status = std::move(status);
-  }
+  std::lock_guard<std::mutex> lock(state->mu);
+  state->status = std::move(status);
   state->health.store(health, std::memory_order_release);
 }
 
@@ -563,11 +561,11 @@ Status ShardedEngine::Pump() {
         }
       }
     }
-    const std::uint64_t epoch = pump_epoch_.load(std::memory_order_relaxed);
     for (const auto& state : quarantined) {
       std::lock_guard<std::mutex> pump_lock(shards_[state->shard]->pump_mu);
       if (state->GetHealth() != Health::kQuarantined ||
-          epoch < state->next_retry_pump) {
+          pump_epoch_.load(std::memory_order_relaxed) <
+              state->next_retry_pump) {
         continue;
       }
       const Status revived = Revive(state.get());
@@ -705,7 +703,8 @@ Result<std::vector<double>> ShardedEngine::FinishStream(const std::string& id) {
 
 Status ShardedEngine::StreamStatus(const std::string& id) const {
   TSAD_ASSIGN_OR_RETURN(std::shared_ptr<StreamState> state, FindStream(id));
-  const Status status = state->GetStatus();
+  std::lock_guard<std::mutex> lock(state->mu);  // health and status agree
+  const Status& status = state->status;
   if (state->GetHealth() == Health::kQuarantined) {
     return Status(status.code(),
                   "quarantined (" +
