@@ -44,8 +44,8 @@
 //      with the classic sticky error.
 //
 // Failure containment (recovery disabled, the default). A stream whose
-// detector errors — including its drain deadline (stream_deadline)
-// expiring, kDeadlineExceeded — gets a STICKY error status: its remaining
+// detector errors — or whose drain deadline (stream_deadline) expires,
+// kDeadlineExceeded — gets a STICKY error status: its remaining
 // queued points are dropped, later Push()es are rejected with the same
 // status, and FinishStream() surfaces it. Other streams, including
 // those on the same shard, are untouched.
@@ -257,7 +257,7 @@ class ShardedEngine {
       const std::string& spec, std::size_t train_length,
       const std::string& id) const;
 
-  // The rest run with the owning shard's pump lock held.
+  // These run with the owning shard's pump lock held.
   void ProcessGroup(StreamState* state, const std::vector<double>& values);
   // Rebuilds a cold or quarantined stream: restores its saved state,
   // replays its pending points under the drain budget and splices in
@@ -288,6 +288,7 @@ class ShardedEngine {
   // Sets the stream's footprint and moves live_bytes_ by the difference
   // while the stream is registered.
   void SetFootprint(StreamState* state, std::size_t bytes);
+
   void EnforceMemoryBudget();
   std::shared_ptr<std::atomic<std::uint64_t>> TenantCounter(
       const std::string& tenant);
