@@ -365,69 +365,6 @@ TEST(ShardedEngineTest, StatsCountPointsAndPumps) {
   EXPECT_GT(stats.p99_pump_seconds, 0.0);
 }
 
-// Forwards to an inner adapter, sleeping `delay` in each Observe while
-// `slow` is set.
-class SlowDetector : public OnlineDetector {
- public:
-  SlowDetector(std::unique_ptr<OnlineDetector> inner,
-               std::shared_ptr<std::atomic<bool>> slow,
-               std::chrono::milliseconds delay)
-      : inner_(std::move(inner)), slow_(std::move(slow)), delay_(delay) {}
-  std::string_view name() const override { return inner_->name(); }
-  Status Observe(double value, std::vector<ScoredPoint>* out) override {
-    if (slow_->load()) std::this_thread::sleep_for(delay_);
-    const Status status = inner_->Observe(value, out);
-    observed_ = inner_->observed();
-    return status;
-  }
-  Status Flush(std::vector<ScoredPoint>* out) override {
-    return inner_->Flush(out);
-  }
-  Result<std::string> Snapshot() const override { return inner_->Snapshot(); }
-  Status Restore(std::string_view blob) override {
-    const Status status = inner_->Restore(blob);
-    observed_ = inner_->observed();
-    return status;
-  }
-
- private:
-  std::unique_ptr<OnlineDetector> inner_;
-  std::shared_ptr<std::atomic<bool>> slow_;
-  std::chrono::milliseconds delay_;
-};
-
-TEST(ShardedEngineTest, PumpLatencyRingStaysBounded) {
-  // The p99 covers the last 256 pumps only: 8 slow pumps hold it up
-  // while they are among them, and 8 more fast pumps push them out.
-  constexpr std::chrono::milliseconds kDelay(50);
-  auto slow = std::make_shared<std::atomic<bool>>(true);
-  ServingConfig config;
-  config.num_shards = 1;
-  config.detector_decorator =
-      [slow, kDelay](std::unique_ptr<OnlineDetector> inner,
-                     const std::string&)
-      -> Result<std::unique_ptr<OnlineDetector>> {
-    return std::unique_ptr<OnlineDetector>(
-        std::make_unique<SlowDetector>(std::move(inner), slow, kDelay));
-  };
-  ShardedEngine engine(config);
-  ASSERT_TRUE(engine.AddStream("s", "zscore:w=8").ok());
-  auto pump = [&engine](std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(engine.Push("s", static_cast<double>(i)).ok());
-      ASSERT_TRUE(engine.Pump().ok());
-    }
-  };
-  pump(8);
-  slow->store(false);
-  pump(248);
-  EXPECT_GE(engine.stats().p99_pump_seconds, 0.05);
-  pump(8);
-  const ServingStats stats = engine.stats();
-  EXPECT_EQ(stats.pumps, 264u);
-  EXPECT_LT(stats.p99_pump_seconds, 0.05);
-}
-
 TEST(ShardedEngineTest, AdmissionPolicyDeniesWithoutHarmingTheStream) {
   ServingConfig config;
   config.num_shards = 1;
@@ -527,6 +464,58 @@ class FailOnceDetector : public OnlineDetector {
   std::size_t fail_at_;
   std::shared_ptr<std::atomic<bool>> fired_;
 };
+
+// Sleeps `delay` in each Observe while `slow` is set.
+class SlowDetector : public FailOnceDetector {
+ public:
+  SlowDetector(std::unique_ptr<OnlineDetector> inner,
+               std::shared_ptr<std::atomic<bool>> slow,
+               std::chrono::milliseconds delay)
+      : FailOnceDetector(std::move(inner), SIZE_MAX,
+                         std::make_shared<std::atomic<bool>>(false)),
+        slow_(std::move(slow)),
+        delay_(delay) {}
+  Status Observe(double value, std::vector<ScoredPoint>* out) override {
+    if (slow_->load()) std::this_thread::sleep_for(delay_);
+    return FailOnceDetector::Observe(value, out);
+  }
+
+ private:
+  std::shared_ptr<std::atomic<bool>> slow_;
+  std::chrono::milliseconds delay_;
+};
+
+TEST(ShardedEngineTest, PumpLatencyRingStaysBounded) {
+  // The p99 covers the last 256 pumps only: 8 slow pumps hold it up
+  // while they are among them, and 8 more fast pumps push them out.
+  constexpr std::chrono::milliseconds kDelay(50);
+  auto slow = std::make_shared<std::atomic<bool>>(true);
+  ServingConfig config;
+  config.num_shards = 1;
+  config.detector_decorator =
+      [slow, kDelay](std::unique_ptr<OnlineDetector> inner,
+                     const std::string&)
+      -> Result<std::unique_ptr<OnlineDetector>> {
+    return std::unique_ptr<OnlineDetector>(
+        std::make_unique<SlowDetector>(std::move(inner), slow, kDelay));
+  };
+  ShardedEngine engine(config);
+  ASSERT_TRUE(engine.AddStream("s", "zscore:w=8").ok());
+  auto pump = [&engine](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(engine.Push("s", static_cast<double>(i)).ok());
+      ASSERT_TRUE(engine.Pump().ok());
+    }
+  };
+  pump(8);
+  slow->store(false);
+  pump(248);
+  EXPECT_GE(engine.stats().p99_pump_seconds, 0.05);
+  pump(8);
+  const ServingStats stats = engine.stats();
+  EXPECT_EQ(stats.pumps, 264u);
+  EXPECT_LT(stats.p99_pump_seconds, 0.05);
+}
 
 TEST(ShardedEngineTest, QuarantineRecoversByteIdentically) {
   // The fired flag lives OUTSIDE the detector, so the failure does not
@@ -1060,38 +1049,24 @@ TEST(ShardedEngineTest, CheckpointsFollowTheRecoverySetting) {
   }
 }
 
-// Forwards to an inner adapter, except that the first Restore made
-// while `armed` is set fails (and disarms it) before the inner adapter
-// sees the blob: a thaw or recovery whose restore hits a transient fault.
-class FailRestoreOnceDetector : public OnlineDetector {
+// Fails the first Restore made while `armed` is set (and disarms it)
+// before the inner adapter sees the blob: a thaw or recovery whose
+// restore hits a transient fault.
+class FailRestoreOnceDetector : public FailOnceDetector {
  public:
   FailRestoreOnceDetector(std::unique_ptr<OnlineDetector> inner,
                           std::shared_ptr<std::atomic<bool>> armed)
-      : inner_(std::move(inner)), armed_(std::move(armed)) {}
-  std::string_view name() const override { return inner_->name(); }
-  Status Observe(double value, std::vector<ScoredPoint>* out) override {
-    const Status status = inner_->Observe(value, out);
-    observed_ = inner_->observed();
-    return status;
-  }
-  Status Flush(std::vector<ScoredPoint>* out) override {
-    return inner_->Flush(out);
-  }
-  Result<std::string> Snapshot() const override { return inner_->Snapshot(); }
+      : FailOnceDetector(std::move(inner), SIZE_MAX,
+                         std::make_shared<std::atomic<bool>>(false)),
+        armed_(std::move(armed)) {}
   Status Restore(std::string_view blob) override {
     if (armed_->exchange(false)) {
       return Status::Internal("injected restore failure");
     }
-    const Status status = inner_->Restore(blob);
-    observed_ = inner_->observed();
-    return status;
-  }
-  std::size_t MemoryFootprint() const override {
-    return inner_->MemoryFootprint();
+    return FailOnceDetector::Restore(blob);
   }
 
  private:
-  std::unique_ptr<OnlineDetector> inner_;
   std::shared_ptr<std::atomic<bool>> armed_;
 };
 
