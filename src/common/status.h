@@ -34,6 +34,10 @@ enum class StatusCode {
   kResourceExhausted = 9,
 };
 
+/// The largest StatusCode: a code read from outside the program (a
+/// snapshot, say) above it names no status.
+inline constexpr StatusCode kLastStatusCode = StatusCode::kResourceExhausted;
+
 /// Returns a human-readable name for a status code ("OK",
 /// "InvalidArgument", ...).
 std::string_view StatusCodeToString(StatusCode code);

@@ -874,6 +874,9 @@ Status ShardedEngine::Restore(std::string_view blob) {
     if (health_raw > static_cast<std::uint64_t>(Health::kFailed)) {
       return Status::InvalidArgument("snapshot has invalid stream health");
     }
+    if (code > static_cast<std::uint64_t>(kLastStatusCode)) {
+      return Status::InvalidArgument("snapshot has invalid status code");
+    }
     const auto health = static_cast<Health>(health_raw);
     if ((health == Health::kFailed) == (code == 0)) {
       return Status::InvalidArgument(
@@ -908,7 +911,8 @@ Status ShardedEngine::Restore(std::string_view blob) {
         TSAD_RETURN_IF_ERROR(reader.GetU64(&cause_code));
         std::string cause_message;
         TSAD_RETURN_IF_ERROR(reader.GetString(&cause_message));
-        if (cause_code == 0) {
+        if (cause_code == 0 ||
+            cause_code > static_cast<std::uint64_t>(kLastStatusCode)) {
           return Status::InvalidArgument(
               "snapshot has a quarantined stream without a cause");
         }

@@ -1165,7 +1165,7 @@ TEST(ShardedEngineTest, FailingThawQuarantinesOrFailsTheStream) {
 // 3 failed).
 void PutStreamPrefix(ByteWriter* writer, const std::string& id,
                      std::uint64_t health, std::uint64_t out_count,
-                     StatusCode status = StatusCode::kOk) {
+                     std::uint64_t status_code = 0) {
   writer->PutString(id);
   writer->PutString("zscore:w=16");
   writer->PutU64(0);  // train_length
@@ -1173,7 +1173,7 @@ void PutStreamPrefix(ByteWriter* writer, const std::string& id,
   writer->PutString("");  // tenant
   writer->PutU64(0);      // accepted
   writer->PutU64(health);
-  writer->PutU64(static_cast<std::uint64_t>(status));
+  writer->PutU64(status_code);
   writer->PutString("");  // status message
   writer->PutU64(out_count);
 }
@@ -1209,17 +1209,19 @@ TEST(ShardedEngineTest, RestoreRejectsInflatedCountsWithoutThrowing) {
 TEST(ShardedEngineTest, RestoreRefusesAStatusThatContradictsTheHealth) {
   // A stream's status is its sticky error exactly when it failed, and a
   // quarantined stream carries its cause and sits at its checkpoint. A
-  // failed record with an OK status used to restore: Push then returned
-  // OK without queueing the point, and FinishStream flushed the stream's
-  // null detector.
+  // failed record with an OK status used to restore (so did a code that
+  // a cast to StatusCode wraps to OK): Push then returned OK without
+  // queueing the point, and FinishStream flushed the stream's null
+  // detector.
   Result<std::unique_ptr<OnlineDetector>> detector =
       MakeOnlineDetector("zscore:w=16", 0);
   ASSERT_TRUE(detector.ok());
   Result<std::string> good = (*detector)->Snapshot();
   ASSERT_TRUE(good.ok());
-  constexpr StatusCode kOk = StatusCode::kOk;
-  constexpr StatusCode kInternal = StatusCode::kInternal;
-  auto record = [&good](std::uint64_t health, StatusCode status) {
+  constexpr std::uint64_t kOk = 0;
+  constexpr auto kInternal = static_cast<std::uint64_t>(StatusCode::kInternal);
+  constexpr std::uint64_t kWrapsToOk = std::uint64_t{1} << 32;
+  auto record = [&good](std::uint64_t health, std::uint64_t status) {
     ByteWriter writer;
     writer.PutString("tsad-serving-engine-v2");
     writer.PutU64(1);  // streams
@@ -1227,14 +1229,15 @@ TEST(ShardedEngineTest, RestoreRefusesAStatusThatContradictsTheHealth) {
     if (health != 3) writer.PutString(*good);  // detector or saved state
     return writer;
   };
-  auto quarantined = [&record](StatusCode status, std::uint64_t checkpoint_out,
-                               StatusCode cause) {
+  auto quarantined = [&record](std::uint64_t status,
+                               std::uint64_t checkpoint_out,
+                               std::uint64_t cause) {
     ByteWriter writer = record(2, status);
     writer.PutU64(checkpoint_out);
     writer.PutDoubles({});  // pending points
     writer.PutU64(0);       // retries
     writer.PutU64(0);       // pumps to the next retry
-    writer.PutU64(static_cast<std::uint64_t>(cause));
+    writer.PutU64(cause);
     writer.PutString("cause");
     return writer.Take();
   };
@@ -1247,10 +1250,13 @@ TEST(ShardedEngineTest, RestoreRefusesAStatusThatContradictsTheHealth) {
   }
   const std::pair<const char*, std::string> contradictions[] = {
       {"failed, OK status", record(3, kOk).Take()},
+      {"failed, a code that wraps to OK", record(3, kWrapsToOk).Take()},
       {"healthy, error status", record(0, kInternal).Take()},
       {"cold, error status", record(1, kInternal).Take()},
       {"quarantined, error status", quarantined(kInternal, 0, kInternal)},
       {"quarantined, OK cause", quarantined(kOk, 0, kOk)},
+      {"quarantined, a cause that wraps to OK",
+       quarantined(kOk, 0, kWrapsToOk)},
       {"quarantined off its checkpoint", quarantined(kOk, 5, kInternal)},
   };
   for (const auto& [what, blob] : contradictions) {
