@@ -1049,24 +1049,38 @@ TEST(ShardedEngineTest, CheckpointsFollowTheRecoverySetting) {
   }
 }
 
-// Fails the first Restore made while `armed` is set (and disarms it)
-// before the inner adapter sees the blob: a thaw or recovery whose
-// restore hits a transient fault.
-class FailRestoreOnceDetector : public FailOnceDetector {
+// Forwards to an inner adapter, except that the first Restore made
+// while `armed` is set fails (and disarms it) before the inner adapter
+// sees the blob: a thaw or recovery whose restore hits a transient fault.
+class FailRestoreOnceDetector : public OnlineDetector {
  public:
   FailRestoreOnceDetector(std::unique_ptr<OnlineDetector> inner,
                           std::shared_ptr<std::atomic<bool>> armed)
-      : FailOnceDetector(std::move(inner), SIZE_MAX,
-                         std::make_shared<std::atomic<bool>>(false)),
-        armed_(std::move(armed)) {}
+      : inner_(std::move(inner)), armed_(std::move(armed)) {}
+  std::string_view name() const override { return inner_->name(); }
+  Status Observe(double value, std::vector<ScoredPoint>* out) override {
+    const Status status = inner_->Observe(value, out);
+    observed_ = inner_->observed();
+    return status;
+  }
+  Status Flush(std::vector<ScoredPoint>* out) override {
+    return inner_->Flush(out);
+  }
+  Result<std::string> Snapshot() const override { return inner_->Snapshot(); }
   Status Restore(std::string_view blob) override {
     if (armed_->exchange(false)) {
       return Status::Internal("injected restore failure");
     }
-    return FailOnceDetector::Restore(blob);
+    const Status status = inner_->Restore(blob);
+    observed_ = inner_->observed();
+    return status;
+  }
+  std::size_t MemoryFootprint() const override {
+    return inner_->MemoryFootprint();
   }
 
  private:
+  std::unique_ptr<OnlineDetector> inner_;
   std::shared_ptr<std::atomic<bool>> armed_;
 };
 
