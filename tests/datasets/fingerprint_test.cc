@@ -1,13 +1,17 @@
 // Pins every bit of the simulators' default outputs: an FNV-1a hash
 // over each value's IEEE-754 bits, each label region and the training
 // prefix. The printed goldens show 3-4 digits or %.9g, so a one-ulp
-// change to a generated value is visible only here.
+// change to a generated value is visible only here. The Yahoo pins also
+// cover the series names, the per-series kinds and the planted defects,
+// at 1 and at 4 threads.
 
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "datasets/gait.h"
 #include "datasets/nasa.h"
 #include "datasets/omni.h"
@@ -22,6 +26,13 @@ class Fingerprint {
   void Add(std::uint64_t word) {
     for (int i = 0; i < 8; ++i) {
       hash_ ^= (word >> (8 * i)) & 0xffu;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  void Add(std::string_view text) {
+    Add(text.size());
+    for (char c : text) {
+      hash_ ^= static_cast<unsigned char>(c);
       hash_ *= 1099511628211ull;
     }
   }
@@ -56,11 +67,62 @@ class Fingerprint {
   std::uint64_t hash_ = 1469598103934665603ull;
 };
 
-TEST(DatasetFingerprintTest, YahooArchive) {
-  const YahooArchive archive = GenerateYahooArchive();
+// Everything GenerateYahooArchive returns: the four datasets with each
+// series' name, the four kind vectors and every planted defect.
+std::uint64_t YahooFingerprint(const YahooArchive& archive) {
   Fingerprint f;
-  for (const BenchmarkDataset* d : archive.all()) f.Add(*d);
-  EXPECT_EQ(f.hash(), 5522509027968150089ull);
+  for (const BenchmarkDataset* d : archive.all()) {
+    f.Add(*d);
+    for (const LabeledSeries& s : d->series) f.Add(s.name());
+  }
+  for (const std::vector<YahooSeriesKind>* kinds :
+       {&archive.a1_kinds, &archive.a2_kinds, &archive.a3_kinds,
+        &archive.a4_kinds}) {
+    f.Add(kinds->size());
+    for (YahooSeriesKind kind : *kinds) {
+      f.Add(static_cast<std::uint64_t>(kind));
+    }
+  }
+  f.Add(archive.planted_defects.size());
+  for (const PlantedDefect& defect : archive.planted_defects) {
+    f.Add(defect.series_name);
+    f.Add(defect.kind);
+    f.Add(defect.position);
+  }
+  return f.hash();
+}
+
+// Generates the archive serially and at 4 threads, expecting `hash`
+// from both, then puts the thread count back.
+void ExpectYahooFingerprint(const YahooConfig& config, std::uint64_t hash) {
+  const std::size_t saved = ParallelThreads();
+  for (std::size_t threads : {1, 4}) {
+    SetParallelThreads(threads);
+    EXPECT_EQ(YahooFingerprint(GenerateYahooArchive(config)), hash)
+        << "threads = " << threads;
+  }
+  SetParallelThreads(saved);
+}
+
+TEST(DatasetFingerprintTest, YahooArchive) {
+  ExpectYahooFingerprint(YahooConfig{}, 2159050281623013482ull);
+}
+
+// A shrunk archive: A1 keeps only the Real13/Real15 duplicate pair of
+// the specials, and 44 series split unevenly over the pool.
+TEST(DatasetFingerprintTest, ShrunkYahooArchive) {
+  YahooConfig config;
+  config.seed = 7;
+  config.a1_count = 20;
+  config.a2_count = 8;
+  config.a3_count = 8;
+  config.a4_count = 8;
+  ExpectYahooFingerprint(config, 7241401606021116026ull);
+  const YahooArchive archive = GenerateYahooArchive(config);
+  EXPECT_EQ(archive.a1_kinds[12], YahooSeriesKind::kMislabelSpecial);
+  EXPECT_EQ(archive.a1_kinds[14], YahooSeriesKind::kMislabelSpecial);
+  ASSERT_EQ(archive.planted_defects.size(), 1u);
+  EXPECT_EQ(archive.planted_defects[0].series_name, "A1-Real15");
 }
 
 TEST(DatasetFingerprintTest, NasaArchive) {
