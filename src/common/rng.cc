@@ -101,7 +101,7 @@ uint64_t Rng::Poisson(double mean) {
   return k - 1;
 }
 
-Rng Rng::Fork(uint64_t stream) {
+Rng Rng::Fork(uint64_t stream) const {
   // Mix the original seed with the stream id through SplitMix64 so
   // forked generators are independent of draw order on the parent.
   uint64_t mix = seed_ ^ (0xA0761D6478BD642FULL * (stream + 1));

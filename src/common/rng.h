@@ -52,8 +52,8 @@ class Rng {
   /// A derived generator: deterministic function of this generator's
   /// seed lineage and `stream`. Lets one master seed drive many
   /// independent series without consuming state in order-dependent
-  /// ways.
-  Rng Fork(uint64_t stream);
+  /// ways. Reads only the seed, so threads may fork one master at once.
+  Rng Fork(uint64_t stream) const;
 
  private:
   uint64_t state_[4];

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <utility>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "datasets/generators.h"
 
@@ -483,157 +486,179 @@ LabeledSeries MakeTogglingLabels(const std::string& name, std::size_t n,
   return LabeledSeries(name, std::move(x), std::move(anomalies));
 }
 
+// One series of the archive and what the serial pass files beside it.
+struct GeneratedSeries {
+  LabeledSeries series;
+  YahooSeriesKind kind = YahooSeriesKind::kMislabelSpecial;
+  std::optional<PlantedDefect> defect;  // the A1 specials' planted flaw
+};
+
+// ---- A1: 67 "real" series with planted mislabel specials. ----------------
+// Special ids follow the paper's figures (1-based naming).
+GeneratedSeries MakeA1Series(const YahooConfig& config, const Rng& master,
+                             std::size_t i) {
+  const std::size_t id = i + 1;
+  const std::string name = "A1-Real" + std::to_string(id);
+  const std::size_t n = config.a1_length;
+  Rng rng = master.Fork(1000 + i);
+  GeneratedSeries out;
+  switch (id) {
+    case 13:
+      // Duplicate pair: Real15 re-uses Real13's fork (see below).
+      out.series = MakeGlobalSpikeSeries(name, n, kRunToFailureBias, rng);
+      return out;
+    case 15: {
+      // Same generator state as Real13 -> near-duplicate dataset.
+      Rng dup = master.Fork(1000 + 12);  // Real13's stream
+      out.series = MakeGlobalSpikeSeries(name, n, kRunToFailureBias, dup);
+      out.defect = PlantedDefect{name, "duplicate-of-A1-Real13", 0};
+      return out;
+    }
+    case 32:
+      out.series = MakeHalfLabeledConstant(name, n, rng, &out.defect.emplace());
+      return out;
+    case 46:
+      out.series =
+          MakeUnlabeledTwinDropout(name, n, rng, &out.defect.emplace());
+      return out;
+    case 47:
+      out.series = MakeFalseRoundedBottom(name, n, rng, &out.defect.emplace());
+      return out;
+    case 67:
+      out.series = MakeTogglingLabels(name, n, rng, &out.defect.emplace());
+      return out;
+    default:
+      break;
+  }
+  out.kind = PickKind(i, config.a1_count, kA1Composition);
+  switch (out.kind) {
+    case YahooSeriesKind::kGlobalSpikes:
+      // Series #1 carries the Fig 3 "two anomalies sandwiching one
+      // normal point" density quirk.
+      out.series = MakeGlobalSpikeSeries(name, n, kRunToFailureBias, rng,
+                                         /*sandwich_pair=*/id == 1);
+      break;
+    case YahooSeriesKind::kAdaptiveSpikes:
+      out.series = MakeAdaptiveSpikeSeries(name, n, kRunToFailureBias, rng);
+      break;
+    default:
+      out.series = MakeHardSeries(name, n, kRunToFailureBias, rng);
+      break;
+  }
+  return out;
+}
+
+// ---- A2: 100 synthetic, abs-diff regime. ---------------------------------
+GeneratedSeries MakeA2Series(const YahooConfig& config, const Rng& master,
+                             std::size_t i) {
+  const std::string name = "A2-synthetic-" + std::to_string(i + 1);
+  const std::size_t n = config.synthetic_length;
+  Rng rng = master.Fork(2000 + i);
+  GeneratedSeries out;
+  out.kind = PickKind(i, config.a2_count, kA2Composition);
+  switch (out.kind) {
+    case YahooSeriesKind::kGlobalSpikes:
+      out.series = MakeGlobalSpikeSeries(name, n, 0.4, rng);
+      break;
+    case YahooSeriesKind::kAdaptiveSpikes:
+      out.series = MakeAdaptiveSpikeSeries(name, n, 0.4, rng);
+      break;
+    default:
+      out.series = MakeHardSeries(name, n, 0.4, rng);
+      break;
+  }
+  return out;
+}
+
+// ---- A3 (100 synthetic, signed-diff regime) and A4 (the same + more ------
+// ---- hard changepoints): `set` is 3 or 4. --------------------------------
+GeneratedSeries MakeSawtoothSetSeries(const YahooConfig& config,
+                                      const Rng& master, int set,
+                                      std::size_t i) {
+  const std::string name =
+      "A" + std::to_string(set) + "-synthetic-" + std::to_string(i + 1);
+  const std::size_t n = config.synthetic_length;
+  Rng rng = master.Fork(static_cast<uint64_t>(set) * 1000 + i);
+  GeneratedSeries out;
+  out.kind = set == 3 ? PickKind(i, config.a3_count, kA3Composition)
+                      : PickKind(i, config.a4_count, kA4Composition);
+  switch (out.kind) {
+    case YahooSeriesKind::kGlobalSpikes:
+      out.series = MakeSawtoothSpikeSeries(name, n, rng);
+      break;
+    case YahooSeriesKind::kAdaptiveSpikes:
+      out.series = MakeAdaptiveSawtoothSeries(name, n, rng);
+      break;
+    default:
+      out.series = MakeHardSawtoothSeries(name, n, rng);
+      break;
+  }
+  return out;
+}
+
+// Series `g` of the whole archive, counting through A1, A2, A3 and A4
+// in order. A pure function of (config, g): every series draws only
+// from its own fork of the master seed.
+GeneratedSeries MakeArchiveSeries(const YahooConfig& config,
+                                  const Rng& master, std::size_t g) {
+  if (g < config.a1_count) return MakeA1Series(config, master, g);
+  g -= config.a1_count;
+  if (g < config.a2_count) return MakeA2Series(config, master, g);
+  g -= config.a2_count;
+  if (g < config.a3_count) return MakeSawtoothSetSeries(config, master, 3, g);
+  return MakeSawtoothSetSeries(config, master, 4, g - config.a3_count);
+}
+
 }  // namespace
 
 YahooArchive GenerateYahooArchive(const YahooConfig& config) {
+  // The series are independent jobs: build them across the pool, then
+  // file them serially in archive order, so the archive is bit-identical
+  // at every thread count.
+  const Rng master(config.seed);
+  const std::size_t total =
+      config.a1_count + config.a2_count + config.a3_count + config.a4_count;
+  Result<std::vector<GeneratedSeries>> built = ParallelMap<GeneratedSeries>(
+      total, [&](std::size_t g) -> Result<GeneratedSeries> {
+        return MakeArchiveSeries(config, master, g);
+      });
+  std::vector<GeneratedSeries> series;
+  if (built.ok()) {
+    series = std::move(*built);
+  } else {
+    // Only a contained worker exception (e.g. bad_alloc) lands here;
+    // build serially so it reaches the caller as it always did.
+    series.reserve(total);
+    for (std::size_t g = 0; g < total; ++g) {
+      series.push_back(MakeArchiveSeries(config, master, g));
+    }
+  }
+
   YahooArchive archive;
   archive.a1.name = "Yahoo A1";
   archive.a2.name = "Yahoo A2";
   archive.a3.name = "Yahoo A3";
   archive.a4.name = "Yahoo A4";
-  Rng master(config.seed);
-
-  // ---- A1: 67 "real" series with planted mislabel specials. --------------
-  // Special indices follow the paper's figures (1-based naming).
-  for (std::size_t i = 0; i < config.a1_count; ++i) {
-    const std::size_t id = i + 1;
-    const std::string name = "A1-Real" + std::to_string(id);
-    Rng rng = master.Fork(1000 + i);
-    PlantedDefect defect;
-    switch (id) {
-      case 13: {
-        // Duplicate pair: Real15 re-uses Real13's fork (see below).
-        archive.a1.series.push_back(
-            MakeGlobalSpikeSeries(name, config.a1_length,
-                                  kRunToFailureBias, rng));
-        archive.a1_kinds.push_back(YahooSeriesKind::kMislabelSpecial);
-        continue;
+  const std::pair<BenchmarkDataset*, std::vector<YahooSeriesKind>*> sets[] = {
+      {&archive.a1, &archive.a1_kinds},
+      {&archive.a2, &archive.a2_kinds},
+      {&archive.a3, &archive.a3_kinds},
+      {&archive.a4, &archive.a4_kinds}};
+  const std::size_t counts[] = {config.a1_count, config.a2_count,
+                                config.a3_count, config.a4_count};
+  auto next = series.begin();
+  for (std::size_t s = 0; s < 4; ++s) {
+    auto& [dataset, kinds] = sets[s];
+    dataset->series.reserve(counts[s]);
+    kinds->reserve(counts[s]);
+    for (std::size_t i = 0; i < counts[s]; ++i, ++next) {
+      dataset->series.push_back(std::move(next->series));
+      kinds->push_back(next->kind);
+      if (next->defect) {
+        archive.planted_defects.push_back(std::move(*next->defect));
       }
-      case 15: {
-        // Same generator state as Real13 -> near-duplicate dataset.
-        Rng dup = master.Fork(1000 + 12);  // Real13's stream
-        LabeledSeries copy = MakeGlobalSpikeSeries(
-            name, config.a1_length, kRunToFailureBias, dup);
-        archive.a1.series.push_back(copy);
-        archive.a1_kinds.push_back(YahooSeriesKind::kMislabelSpecial);
-        archive.planted_defects.push_back(
-            {name, "duplicate-of-A1-Real13", 0});
-        continue;
-      }
-      case 32:
-        archive.a1.series.push_back(MakeHalfLabeledConstant(
-            name, config.a1_length, rng, &defect));
-        archive.a1_kinds.push_back(YahooSeriesKind::kMislabelSpecial);
-        archive.planted_defects.push_back(defect);
-        continue;
-      case 46:
-        archive.a1.series.push_back(MakeUnlabeledTwinDropout(
-            name, config.a1_length, rng, &defect));
-        archive.a1_kinds.push_back(YahooSeriesKind::kMislabelSpecial);
-        archive.planted_defects.push_back(defect);
-        continue;
-      case 47:
-        archive.a1.series.push_back(MakeFalseRoundedBottom(
-            name, config.a1_length, rng, &defect));
-        archive.a1_kinds.push_back(YahooSeriesKind::kMislabelSpecial);
-        archive.planted_defects.push_back(defect);
-        continue;
-      case 67:
-        archive.a1.series.push_back(
-            MakeTogglingLabels(name, config.a1_length, rng, &defect));
-        archive.a1_kinds.push_back(YahooSeriesKind::kMislabelSpecial);
-        archive.planted_defects.push_back(defect);
-        continue;
-      default:
-        break;
     }
-    const YahooSeriesKind kind = PickKind(i, config.a1_count, kA1Composition);
-    switch (kind) {
-      case YahooSeriesKind::kGlobalSpikes:
-        // Series #1 carries the Fig 3 "two anomalies sandwiching one
-        // normal point" density quirk.
-        archive.a1.series.push_back(MakeGlobalSpikeSeries(
-            name, config.a1_length, kRunToFailureBias, rng,
-            /*sandwich_pair=*/id == 1));
-        break;
-      case YahooSeriesKind::kAdaptiveSpikes:
-        archive.a1.series.push_back(MakeAdaptiveSpikeSeries(
-            name, config.a1_length, kRunToFailureBias, rng));
-        break;
-      default:
-        archive.a1.series.push_back(MakeHardSeries(
-            name, config.a1_length, kRunToFailureBias, rng));
-        break;
-    }
-    archive.a1_kinds.push_back(kind);
   }
-
-  // ---- A2: 100 synthetic, abs-diff regime. -------------------------------
-  for (std::size_t i = 0; i < config.a2_count; ++i) {
-    const std::string name = "A2-synthetic-" + std::to_string(i + 1);
-    Rng rng = master.Fork(2000 + i);
-    const YahooSeriesKind kind = PickKind(i, config.a2_count, kA2Composition);
-    switch (kind) {
-      case YahooSeriesKind::kGlobalSpikes:
-        archive.a2.series.push_back(MakeGlobalSpikeSeries(
-            name, config.synthetic_length, 0.4, rng));
-        break;
-      case YahooSeriesKind::kAdaptiveSpikes:
-        archive.a2.series.push_back(MakeAdaptiveSpikeSeries(
-            name, config.synthetic_length, 0.4, rng));
-        break;
-      default:
-        archive.a2.series.push_back(
-            MakeHardSeries(name, config.synthetic_length, 0.4, rng));
-        break;
-    }
-    archive.a2_kinds.push_back(kind);
-  }
-
-  // ---- A3: 100 synthetic, signed-diff regime. ----------------------------
-  for (std::size_t i = 0; i < config.a3_count; ++i) {
-    const std::string name = "A3-synthetic-" + std::to_string(i + 1);
-    Rng rng = master.Fork(3000 + i);
-    const YahooSeriesKind kind = PickKind(i, config.a3_count, kA3Composition);
-    switch (kind) {
-      case YahooSeriesKind::kGlobalSpikes:
-        archive.a3.series.push_back(
-            MakeSawtoothSpikeSeries(name, config.synthetic_length, rng));
-        break;
-      case YahooSeriesKind::kAdaptiveSpikes:
-        archive.a3.series.push_back(
-            MakeAdaptiveSawtoothSeries(name, config.synthetic_length, rng));
-        break;
-      default:
-        archive.a3.series.push_back(
-            MakeHardSawtoothSeries(name, config.synthetic_length, rng));
-        break;
-    }
-    archive.a3_kinds.push_back(kind);
-  }
-
-  // ---- A4: 100 synthetic, signed-diff regime + more hard changepoints. ---
-  for (std::size_t i = 0; i < config.a4_count; ++i) {
-    const std::string name = "A4-synthetic-" + std::to_string(i + 1);
-    Rng rng = master.Fork(4000 + i);
-    const YahooSeriesKind kind = PickKind(i, config.a4_count, kA4Composition);
-    switch (kind) {
-      case YahooSeriesKind::kGlobalSpikes:
-        archive.a4.series.push_back(
-            MakeSawtoothSpikeSeries(name, config.synthetic_length, rng));
-        break;
-      case YahooSeriesKind::kAdaptiveSpikes:
-        archive.a4.series.push_back(
-            MakeAdaptiveSawtoothSeries(name, config.synthetic_length, rng));
-        break;
-      default:
-        archive.a4.series.push_back(
-            MakeHardSawtoothSeries(name, config.synthetic_length, rng));
-        break;
-    }
-    archive.a4_kinds.push_back(kind);
-  }
-
   return archive;
 }
 
