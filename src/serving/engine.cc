@@ -1018,12 +1018,13 @@ Status ShardedEngine::Restore(std::string_view blob) {
   return Status::OK();
 }
 
-std::string DetectorTypeKey(const std::string& spec) {
+std::string DetectorTypeKey(std::string_view spec) {
   const std::size_t colon = spec.find(':');
-  std::string key = spec.substr(0, colon);
-  if (key == "resilient" && colon != std::string::npos) {
+  std::string key(spec.substr(0, colon));
+  if (key == "resilient" && colon != std::string_view::npos) {
     const std::size_t inner_end = spec.find(':', colon + 1);
-    key += ':' + spec.substr(colon + 1, inner_end - colon - 1);
+    key += ':';
+    key += spec.substr(colon + 1, inner_end - colon - 1);
   }
   return key;
 }
@@ -1046,6 +1047,9 @@ ServingStats ShardedEngine::stats() const {
   out.memory_bytes = memory_bytes_.load(std::memory_order_relaxed);
   out.cold_bytes = cold_bytes_.load(std::memory_order_relaxed);
   {
+    // Tally by spec, which a fleet repeats across many streams, and
+    // fold the few distinct specs into type keys: no string per stream.
+    std::map<std::string_view, DetectorTypeStats> by_spec;
     std::lock_guard<std::mutex> lock(registry_mu_);
     for (const auto& [id, state] : streams_) {
       switch (state->GetHealth()) {
@@ -1058,19 +1062,27 @@ ServingStats ShardedEngine::stats() const {
         default:
           break;
       }
-      DetectorTypeStats& type = out.detector_memory[DetectorTypeKey(state->spec)];
-      ++type.streams;
-      type.bytes += state->footprint.load(std::memory_order_relaxed);
+      DetectorTypeStats& spec = by_spec[state->spec];
+      ++spec.streams;
+      spec.bytes += state->footprint.load(std::memory_order_relaxed);
+    }
+    for (const auto& [spec, tally] : by_spec) {
+      DetectorTypeStats& type = out.detector_memory[DetectorTypeKey(spec)];
+      type.streams += tally.streams;
+      type.bytes += tally.bytes;
     }
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
   out.pumps = pumps_;
   if (!pump_ring_.empty()) {
+    // Nearest rank: the ceil(0.99 n)-th smallest, so the slowest of
+    // fewer than 100 pumps is the p99.
     std::vector<double> window = pump_ring_;
-    const auto rank = static_cast<std::ptrdiff_t>(
-        0.99 * static_cast<double>(window.size() - 1));
-    std::nth_element(window.begin(), window.begin() + rank, window.end());
-    out.p99_pump_seconds = window[static_cast<std::size_t>(rank)];
+    const std::size_t rank = (99 * window.size() + 99) / 100 - 1;
+    std::nth_element(window.begin(),
+                     window.begin() + static_cast<std::ptrdiff_t>(rank),
+                     window.end());
+    out.p99_pump_seconds = window[rank];
   }
   return out;
 }

@@ -61,6 +61,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -157,7 +158,7 @@ struct DetectorTypeStats {
 /// to the first ':' — except `resilient:`, which keeps its inner
 /// detector name too ("resilient:zscore:w=32" -> "resilient:zscore"),
 /// because the wrapper's footprint is dominated by what it wraps.
-std::string DetectorTypeKey(const std::string& spec);
+std::string DetectorTypeKey(std::string_view spec);
 
 /// Engine-wide counters; obtained via stats() (a consistent copy).
 struct ServingStats {
@@ -167,7 +168,8 @@ struct ServingStats {
   std::uint64_t points_denied = 0;  // rejected by the admission policy
   std::uint64_t points_dropped = 0; // discarded after a sticky error
   std::uint64_t pumps = 0;
-  double p99_pump_seconds = 0.0;  // 99th percentile of the last 256 pumps
+  double p99_pump_seconds = 0.0;  // nearest-rank 99th percentile of the
+                                  // last 256 pumps' wall times
 
   // Degradation-ladder telemetry.
   std::uint64_t quarantines = 0;         // streams entering quarantine

@@ -517,6 +517,33 @@ TEST(ShardedEngineTest, PumpLatencyRingStaysBounded) {
   EXPECT_LT(stats.p99_pump_seconds, 0.05);
 }
 
+TEST(ShardedEngineTest, PumpP99OfFewPumpsIsTheSlowest) {
+  // Nearest rank: below 100 pumps the p99 is the slowest pump, here
+  // the one of five that drains a point of the slow stream.
+  constexpr std::chrono::milliseconds kDelay(20);
+  auto slow = std::make_shared<std::atomic<bool>>(false);
+  ServingConfig config;
+  config.num_shards = 1;
+  config.detector_decorator =
+      [slow, kDelay](std::unique_ptr<OnlineDetector> inner,
+                     const std::string&)
+      -> Result<std::unique_ptr<OnlineDetector>> {
+    return std::unique_ptr<OnlineDetector>(
+        std::make_unique<SlowDetector>(std::move(inner), slow, kDelay));
+  };
+  ShardedEngine engine(config);
+  ASSERT_TRUE(engine.AddStream("s", "zscore:w=8").ok());
+  for (int i = 0; i < 5; ++i) {
+    slow->store(i == 2);
+    ASSERT_TRUE(engine.Push("s", static_cast<double>(i)).ok());
+    ASSERT_TRUE(engine.Pump().ok());
+  }
+  const ServingStats stats = engine.stats();
+  EXPECT_EQ(stats.pumps, 5u);
+  EXPECT_GE(stats.p99_pump_seconds,
+            std::chrono::duration<double>(kDelay).count());
+}
+
 TEST(ShardedEngineTest, QuarantineRecoversByteIdentically) {
   // The fired flag lives OUTSIDE the detector, so the failure does not
   // re-fire after recovery rebuilds the detector from its checkpoint.
