@@ -145,8 +145,9 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
 
   # TSan pass: the parallel layer, the serving engine, the MPX tile
   # workers, the leaderboard sweep (one job writes the result slots of
-  # a row and of every resilient: row riding on it) and the harnesses
-  # whose pool workers score one shared detector instance (the
+  # a row and of every resilient: row riding on it), the Yahoo
+  # generator (pool workers fork one shared master generator) and the
+  # harnesses whose pool workers score one shared detector instance (the
   # resilient wrapper, the robustness matrix, EvaluateOnArchive) are
   # the thread-touching subsystems, so build just their test binaries
   # (examples/tools off; benches stay configured for the chaos harness
@@ -162,20 +163,21 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   echo "==> building ${tsan_dir} (parallel_test serving_engine_test" \
        "matrix_profile_test mpx_kernel_test streaming_mpx_test" \
        "leaderboard_test resilient_test robustness_matrix_test" \
-       "ucr_archive_test floss_test bench_chaos_serving)"
+       "ucr_archive_test dataset_fingerprint_test floss_test" \
+       "bench_chaos_serving)"
   cmake --build "${tsan_dir}" -j "${jobs}" \
     --target parallel_test serving_engine_test \
              matrix_profile_test mpx_kernel_test streaming_mpx_test \
              simd_dispatch_test cpu_features_test \
              merlin_test join_kernels_test leaderboard_test \
              resilient_test robustness_matrix_test ucr_archive_test \
-             floss_test bench_chaos_serving
+             dataset_fingerprint_test floss_test bench_chaos_serving
   echo "==> testing ${tsan_dir} (Parallel* + ShardedEngine* + ReplayTest*" \
        "+ MPX diagonal kernel + Leaderboard* + Resilient*" \
-       "+ RobustnessMatrix* + EvaluateOnArchive*)"
+       "+ RobustnessMatrix* + EvaluateOnArchive* + DatasetFingerprint*)"
   tsan_suites='Parallel|ShardedEngine|ReplayTest|MatrixProfileTest|MpxKernel'
   tsan_suites+='|Leaderboard|ResilientDetectorTest|ResilientReuseTest'
-  tsan_suites+='|RobustnessMatrixTest|EvaluateOnArchiveTest'
+  tsan_suites+='|RobustnessMatrixTest|EvaluateOnArchiveTest|DatasetFingerprint'
   (cd "${tsan_dir}" && ctest --output-on-failure -R "${tsan_suites}")
   # The floss serving tests drive the engine's quarantine/recovery and
   # per-type memory rollup from floss streams; run the whole label so
