@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <utility>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -489,8 +488,9 @@ LabeledSeries MakeTogglingLabels(const std::string& name, std::size_t n,
 // One series of the archive and what the serial pass files beside it.
 struct GeneratedSeries {
   LabeledSeries series;
+  // Stays kMislabelSpecial for the A1 specials; PickKind sets the rest.
   YahooSeriesKind kind = YahooSeriesKind::kMislabelSpecial;
-  std::optional<PlantedDefect> defect;  // the A1 specials' planted flaw
+  std::optional<PlantedDefect> defect;  // an A1 special's planted flaw
 };
 
 // ---- A1: 67 "real" series with planted mislabel specials. ----------------
@@ -635,30 +635,25 @@ YahooArchive GenerateYahooArchive(const YahooConfig& config) {
   }
 
   YahooArchive archive;
-  archive.a1.name = "Yahoo A1";
-  archive.a2.name = "Yahoo A2";
-  archive.a3.name = "Yahoo A3";
-  archive.a4.name = "Yahoo A4";
-  const std::pair<BenchmarkDataset*, std::vector<YahooSeriesKind>*> sets[] = {
-      {&archive.a1, &archive.a1_kinds},
-      {&archive.a2, &archive.a2_kinds},
-      {&archive.a3, &archive.a3_kinds},
-      {&archive.a4, &archive.a4_kinds}};
-  const std::size_t counts[] = {config.a1_count, config.a2_count,
-                                config.a3_count, config.a4_count};
   auto next = series.begin();
-  for (std::size_t s = 0; s < 4; ++s) {
-    auto& [dataset, kinds] = sets[s];
-    dataset->series.reserve(counts[s]);
-    kinds->reserve(counts[s]);
-    for (std::size_t i = 0; i < counts[s]; ++i, ++next) {
-      dataset->series.push_back(std::move(next->series));
-      kinds->push_back(next->kind);
+  const auto file = [&](const char* name, std::size_t count,
+                        BenchmarkDataset& dataset,
+                        std::vector<YahooSeriesKind>& kinds) {
+    dataset.name = name;
+    dataset.series.reserve(count);
+    kinds.reserve(count);
+    for (std::size_t i = 0; i < count; ++i, ++next) {
+      dataset.series.push_back(std::move(next->series));
+      kinds.push_back(next->kind);
       if (next->defect) {
         archive.planted_defects.push_back(std::move(*next->defect));
       }
     }
-  }
+  };
+  file("Yahoo A1", config.a1_count, archive.a1, archive.a1_kinds);
+  file("Yahoo A2", config.a2_count, archive.a2, archive.a2_kinds);
+  file("Yahoo A3", config.a3_count, archive.a3, archive.a3_kinds);
+  file("Yahoo A4", config.a4_count, archive.a4, archive.a4_kinds);
   return archive;
 }
 

@@ -1047,10 +1047,11 @@ ServingStats ShardedEngine::stats() const {
   out.memory_bytes = memory_bytes_.load(std::memory_order_relaxed);
   out.cold_bytes = cold_bytes_.load(std::memory_order_relaxed);
   {
+    std::lock_guard<std::mutex> lock(registry_mu_);
     // Tally by spec, which a fleet repeats across many streams, and
     // fold the few distinct specs into type keys: no string per stream.
+    // The views point into registered streams, so the lock outlives them.
     std::map<std::string_view, DetectorTypeStats> by_spec;
-    std::lock_guard<std::mutex> lock(registry_mu_);
     for (const auto& [id, state] : streams_) {
       switch (state->GetHealth()) {
         case Health::kCold:
