@@ -108,8 +108,9 @@ TEST(DatasetFingerprintTest, YahooArchive) {
   ExpectYahooFingerprint(YahooConfig{}, 2159050281623013482ull);
 }
 
-// A shrunk archive: A1 keeps only the Real13/Real15 duplicate pair of
-// the specials, and 44 series split unevenly over the pool.
+// A shrunk archive of 20 + 8 + 8 + 8 series: A1 keeps only the
+// Real13/Real15 duplicate pair of the specials, and the sets' sizes
+// differ, so the filing pass splits the job results unevenly.
 TEST(DatasetFingerprintTest, ShrunkYahooArchive) {
   YahooConfig config;
   config.seed = 7;
