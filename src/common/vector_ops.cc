@@ -76,40 +76,40 @@ std::vector<double> Abs(std::vector<double> x) {
 }
 
 std::vector<double> MovMean(const std::vector<double>& x, std::size_t k) {
-  return MovMeanFromSums(PrefixSums(x, nullptr), k);
+  std::vector<double> out(x.size());
+  MovMeanFromSums(PrefixSums(x, nullptr), k, 0, x.size(), out.data());
+  return out;
 }
 
 std::vector<double> MovStd(const std::vector<double>& x, std::size_t k) {
   std::vector<long double> sq;
   const std::vector<long double> sums = PrefixSums(x, &sq);
-  return MovStdFromSums(sums, sq, k);
-}
-
-std::vector<double> MovMeanFromSums(const std::vector<long double>& sums,
-                                    std::size_t k) {
-  assert(k >= 1);
-  const std::size_t n = sums.size() - 1;
-  std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t lo, hi;
-    CenteredWindow(i, n, k, &lo, &hi);
-    out[i] = WindowMean(sums, lo, hi);
-  }
+  std::vector<double> out(x.size());
+  MovStdFromSums(sums, sq, k, 0, x.size(), out.data());
   return out;
 }
 
-std::vector<double> MovStdFromSums(const std::vector<long double>& sums,
-                                   const std::vector<long double>& sq,
-                                   std::size_t k) {
-  assert(k >= 1);
+void MovMeanFromSums(const std::vector<long double>& sums, std::size_t k,
+                     std::size_t lo, std::size_t hi, double* out) {
+  assert(k >= 1 && lo <= hi && hi < sums.size());
   const std::size_t n = sums.size() - 1;
-  std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t lo, hi;
-    CenteredWindow(i, n, k, &lo, &hi);
-    out[i] = WindowStd(sums, sq, lo, hi);
+  for (std::size_t i = lo; i < hi; ++i) {
+    std::size_t wlo, whi;
+    CenteredWindow(i, n, k, &wlo, &whi);
+    out[i] = WindowMean(sums, wlo, whi);
   }
-  return out;
+}
+
+void MovStdFromSums(const std::vector<long double>& sums,
+                    const std::vector<long double>& sq, std::size_t k,
+                    std::size_t lo, std::size_t hi, double* out) {
+  assert(k >= 1 && lo <= hi && hi < sums.size());
+  const std::size_t n = sums.size() - 1;
+  for (std::size_t i = lo; i < hi; ++i) {
+    std::size_t wlo, whi;
+    CenteredWindow(i, n, k, &wlo, &whi);
+    out[i] = WindowStd(sums, sq, wlo, whi);
+  }
 }
 
 std::vector<double> TrailingMean(const std::vector<double>& x, std::size_t k) {

@@ -61,13 +61,16 @@ std::vector<double> MovMean(const std::vector<double>& x, std::size_t k);
 std::vector<double> MovStd(const std::vector<double>& x, std::size_t k);
 
 /// The window loops of MovMean and MovStd over the caller's prefix sums
-/// (AppendPrefixSums from {0}) of a sums.size() - 1 value track, so
-/// several windows can share one set of sums.
-std::vector<double> MovMeanFromSums(const std::vector<long double>& sums,
-                                    std::size_t k);
-std::vector<double> MovStdFromSums(const std::vector<long double>& sums,
-                                   const std::vector<long double>& sq,
-                                   std::size_t k);
+/// (AppendPrefixSums from {0}) of a sums.size() - 1 value track,
+/// restricted to entries [lo, hi) (lo <= hi <= track length) and
+/// written to out[lo, hi), so several windows can share one set of sums
+/// and a caller can fill only the entries it reads. MovMean and MovStd
+/// run them over the whole track.
+void MovMeanFromSums(const std::vector<long double>& sums, std::size_t k,
+                     std::size_t lo, std::size_t hi, double* out);
+void MovStdFromSums(const std::vector<long double>& sums,
+                    const std::vector<long double>& sq, std::size_t k,
+                    std::size_t lo, std::size_t hi, double* out);
 
 /// Trailing (causal) moving mean over the last k samples (fewer at the
 /// start). Used by streaming-style detectors.

@@ -1,6 +1,7 @@
 #include "detectors/oneliner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -99,42 +100,88 @@ std::vector<double> OneLinerMargin(const Series& series,
   return PadLeft(margin, 1, *std::min_element(margin.begin(), margin.end()));
 }
 
-OneLinerMarginCache::OneLinerMarginCache(const Series& series) {
-  if (series.size() < 2) return;
-  lhs_[0].d = Diff(series);
-  lhs_[1].d = Abs(lhs_[0].d);
-}
-
-const double* OneLinerMarginCache::Window(Lhs& lhs, std::size_t k,
-                                          bool movstd) {
-  if (lhs.sums.empty()) {
-    lhs.sums.assign(1, 0.0L);
-    lhs.sq.assign(1, 0.0L);
-    AppendPrefixSums(lhs.d.data(), lhs.d.size(), &lhs.sums, &lhs.sq);
+void OneLinerMarginCache::Reset(const Series& series) {
+  const std::size_t n = series.size() < 2 ? 0 : series.size() - 1;
+  Lhs& diff = lhs_[0];
+  Lhs& abs = lhs_[1];
+  diff.d.resize(n);
+  abs.d.resize(n);
+  for (std::size_t j = 0; j < n; ++j) {  // Diff(series) and its Abs
+    diff.d[j] = series[j + 1] - series[j];
+    abs.d[j] = std::fabs(diff.d[j]);
   }
-  auto it = std::find_if(lhs.windows.begin(), lhs.windows.end(),
-                         [k](const Windows& w) { return w.k == k; });
-  if (it == lhs.windows.end()) it = lhs.windows.insert(it, Windows{k, {}, {}});
-  std::vector<double>& track = movstd ? it->movstd : it->movmean;
-  if (track.empty()) {
-    track = movstd ? MovStdFromSums(lhs.sums, lhs.sq, k)
-                   : MovMeanFromSums(lhs.sums, k);
-    ++stats_.window_misses;
-  } else {
-    ++stats_.window_hits;
-  }
-  return track.data();
+  diff.summed = abs.summed = false;
+  used_windows_ = 0;
 }
 
 OneLinerMarginView OneLinerMarginCache::View(const OneLinerParams& params) {
-  Lhs& lhs = lhs_[params.use_abs ? 1 : 0];
-  OneLinerMarginView view{lhs.d.data(), nullptr, nullptr, lhs.d.size(),
-                          params};
-  if (view.size == 0) return view;
+  const std::size_t track = params.use_abs ? 1 : 0;
+  Lhs& lhs = lhs_[track];
+  const std::size_t n = lhs.d.size();
+  OneLinerMarginView view{lhs.d.data(), nullptr, nullptr, n, params};
+  if (n == 0 || !params.uses_window()) return view;
   const std::size_t k = std::max<std::size_t>(1, params.k);
-  if (params.use_movmean) view.movmean = Window(lhs, k, /*movstd=*/false);
-  if (params.c != 0.0) view.movstd = Window(lhs, k, /*movstd=*/true);
+  std::size_t slot = 0;
+  while (slot < used_windows_ &&
+         (windows_[slot].lhs != track || windows_[slot].k != k)) {
+    ++slot;
+  }
+  if (slot == used_windows_) {
+    if (!lhs.summed) {
+      lhs.sums.assign(1, 0.0L);
+      lhs.sq.assign(1, 0.0L);
+      lhs.sums.reserve(n + 1);
+      lhs.sq.reserve(n + 1);
+      AppendPrefixSums(lhs.d.data(), n, &lhs.sums, &lhs.sq);
+      lhs.summed = true;
+    }
+    if (slot == windows_.size()) windows_.emplace_back();
+    ++used_windows_;
+    Windows& w = windows_[slot];
+    w.lhs = track;
+    w.k = k;
+    if (w.movmean.size() < n) {
+      w.movmean.resize(n);
+      w.movstd.resize(n);
+    }
+    const std::size_t blocks = (n + kBlock - 1) / kBlock;
+    w.mean_filled.assign(blocks, 0);
+    w.std_filled.assign(blocks, 0);
+  }
+  view.movmean = windows_[slot].movmean.data();
+  view.movstd = windows_[slot].movstd.data();
+  view.cache = this;
+  view.slot = slot;
   return view;
+}
+
+void OneLinerMarginCache::Fill(std::size_t slot, const OneLinerParams& params,
+                               std::size_t lo, std::size_t hi) {
+  if (lo >= hi) return;
+  Windows& w = windows_[slot];
+  const Lhs& lhs = lhs_[w.lhs];
+  for (std::size_t block = lo / kBlock; block * kBlock < hi; ++block) {
+    const std::size_t begin = block * kBlock;
+    const std::size_t end = std::min(lhs.d.size(), begin + kBlock);
+    if (params.use_movmean) {
+      if (w.mean_filled[block]) {
+        ++stats_.block_hits;
+      } else {
+        MovMeanFromSums(lhs.sums, w.k, begin, end, w.movmean.data());
+        w.mean_filled[block] = 1;
+        ++stats_.block_misses;
+      }
+    }
+    if (params.c != 0.0) {
+      if (w.std_filled[block]) {
+        ++stats_.block_hits;
+      } else {
+        MovStdFromSums(lhs.sums, lhs.sq, w.k, begin, end, w.movstd.data());
+        w.std_filled[block] = 1;
+        ++stats_.block_misses;
+      }
+    }
+  }
 }
 
 Result<std::vector<double>> OneLinerDetector::Score(

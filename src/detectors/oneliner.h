@@ -99,16 +99,28 @@ double OneLinerMarginAt(const std::vector<double>& d,
                         const std::vector<long double>& sq, std::size_t j,
                         const OneLinerParams& params);
 
+class OneLinerMarginCache;
+
 /// One parameter setting's margin, read in place from its tracks: the
 /// lhs track `d` (diff or abs(diff)) and, when the predicate uses them,
 /// its movmean and movstd windows. Entry j is the margin at diff index
 /// j, i.e. series index j + 1: OneLinerMargin(series, params)[j + 1].
+/// A view OneLinerMarginCache::View hands out reads windows the cache
+/// fills on demand: an entry is readable once Fill has covered it.
 struct OneLinerMarginView {
   const double* d = nullptr;
   const double* movmean = nullptr;  // read only if params.use_movmean
   const double* movstd = nullptr;   // read only if params.c != 0
   std::size_t size = 0;             // series length - 1; 0 below 2 points
   OneLinerParams params;
+  // The cache that fills the windows and their slot in it; null when
+  // every entry is readable already.
+  OneLinerMarginCache* cache = nullptr;
+  std::size_t slot = 0;
+
+  /// Makes entries [lo, hi) readable (hi <= size); a no-op for a view
+  /// that reads no window or whole ones.
+  void Fill(std::size_t lo, std::size_t hi) const;
 
   double operator[](std::size_t j) const {
     return ComposeMargin(d[j], params.use_movmean ? movmean[j] : 0.0,
@@ -116,52 +128,84 @@ struct OneLinerMarginView {
   }
 };
 
-/// Memoized margin tracks for one fixed series, built for the
+/// Memoized margin tracks for one series at a time, built for the
 /// triviality analyzer's (form, k, c) grid: every setting shares one of
 /// the two lhs tracks (diff, abs(diff)), and every c shares its k's
 /// movmean / movstd windows. Each track's prefix sums are built once
-/// (AppendPrefixSums, with its first window) and each window is filled
-/// from them on first use (MovMeanFromSums, MovStdFromSums). View()
+/// per series (AppendPrefixSums, with its first window), and each
+/// window is filled from them only in the kBlock-entry blocks a view's
+/// Fill covers (MovMeanFromSums, MovStdFromSums over the block). View()
 /// composes nothing up front; its entries go through ComposeMargin over
 /// the moments OneLinerMargin reads, so they are BIT-IDENTICAL to it.
 ///
+/// Reset points the cache at another series and keeps every buffer, so
+/// a cache that searches many series stops allocating once it has seen
+/// the longest of them.
+///
 /// NOT thread-safe: lazy memoization mutates internal state. The
-/// triviality analyzer parallelizes per series, so each worker owns its
-/// own cache; that is the intended usage.
+/// triviality analyzer gives each pool task its own cache; that is the
+/// intended usage.
 class OneLinerMarginCache {
  public:
-  /// Per-instance memoization counters: how often a window was served
-  /// from the memo.
+  /// Windows are filled in blocks of this many entries.
+  static constexpr std::size_t kBlock = 128;
+
+  /// Per-instance memoization counters, in window blocks: how often a
+  /// Fill found a movmean/movstd block filled, and how often it filled
+  /// one.
   struct Stats {
-    std::size_t window_hits = 0;    // movmean/movstd served from memo
-    std::size_t window_misses = 0;  // ... computed and stored
+    std::size_t block_hits = 0;
+    std::size_t block_misses = 0;
   };
 
-  explicit OneLinerMarginCache(const Series& series);
+  OneLinerMarginCache() = default;
+  explicit OneLinerMarginCache(const Series& series) { Reset(series); }
 
-  /// The margin of `params`, read from the memoized tracks; valid while
-  /// the cache lives (a later window moves a Windows, not its buffers).
+  /// Points the cache at `series`: rebuilds both lhs tracks and forgets
+  /// every window, keeping the buffers. Views handed out before are
+  /// invalid from here on.
+  void Reset(const Series& series);
+
+  /// The margin of `params`, read from the memoized tracks; valid until
+  /// the next Reset (a later window moves a Windows, not its buffers).
+  /// An entry that reads a window is readable once the view's Fill has
+  /// covered it.
   OneLinerMarginView View(const OneLinerParams& params);
 
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Windows {
-    std::size_t k = 0;                    // the effective window max(1, k)
-    std::vector<double> movmean, movstd;  // each empty until first use
-  };
-  // One lhs track (diff or abs(diff)) with its prefix sums and windows.
+  friend struct OneLinerMarginView;
+
+  // One lhs track (diff or abs(diff)) with its prefix sums.
   struct Lhs {
     std::vector<double> d;
-    std::vector<long double> sums, sq;  // built with the first window
-    std::vector<Windows> windows;
+    std::vector<long double> sums, sq;
+    bool summed = false;  // sums and sq hold the current series' track
+  };
+  // One (lhs track, k) pair's movmean and movstd: at least as long as
+  // the track, and valid in the blocks whose flag is set.
+  struct Windows {
+    std::size_t lhs = 0;  // index into lhs_
+    std::size_t k = 0;    // the effective window max(1, k)
+    std::vector<double> movmean, movstd;
+    std::vector<uint8_t> mean_filled, std_filled;  // one flag per block
   };
 
-  const double* Window(Lhs& lhs, std::size_t k, bool movstd);
+  void Fill(std::size_t slot, const OneLinerParams& params, std::size_t lo,
+            std::size_t hi);
 
   Lhs lhs_[2];  // [0] diff(TS), [1] abs(diff(TS))
+  // windows_[0, used_windows_) belong to the current series; the rest
+  // only keep their buffers for later series.
+  std::vector<Windows> windows_;
+  std::size_t used_windows_ = 0;
   Stats stats_;
 };
+
+inline void OneLinerMarginView::Fill(std::size_t lo, std::size_t hi) const {
+  if (cache != nullptr) cache->Fill(slot, params, lo, hi);
+}
 
 /// AnomalyDetector adapter so one-liners can run through the generic
 /// evaluation pipeline next to Discord/Telemanom.

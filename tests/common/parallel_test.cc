@@ -220,9 +220,11 @@ TEST(ParseThreadCountTest, RefusesSignsJunkOverflowAndTheLimitPlusOne) {
 // layer must produce identical output at every thread count.
 // ---------------------------------------------------------------------
 
+// 650 to 905 points: several OneLinerMarginCache::kBlock window
+// blocks, so a search fills and reuses blocks across its candidates.
 LabeledSeries MakeSpikeSeries(uint64_t seed, double spike) {
   Rng rng(seed);
-  Series x = GaussianNoise(600, 1.0, rng);
+  Series x = GaussianNoise(650 + seed % 256, 1.0, rng);
   const AnomalyRegion r = InjectSpike(x, 400, spike);
   return LabeledSeries("spike", std::move(x), {r});
 }
@@ -255,17 +257,20 @@ void ExpectReportsIdentical(const TrivialityReport& a,
   }
 }
 
+// 750 series make 12 pool tasks of up to 64 (the last one partial), so
+// at 2 and 4 threads every worker runs several tasks, each with its own
+// search state reused across series of different lengths.
 TEST(ParallelDeterminismTest, AnalyzeTrivialityIdenticalAcrossThreadCounts) {
   BenchmarkDataset mixed;
   mixed.name = "mixed";
-  for (uint64_t i = 0; i < 4; ++i) {
+  for (uint64_t i = 0; i < 250; ++i) {
     mixed.series.push_back(MakeSpikeSeries(300 + i, 18.0));
-    mixed.series.push_back(MakeSpikeSeries(400 + i, 0.5));
+    mixed.series.push_back(MakeSpikeSeries(700 + i, 0.5));
   }
   BenchmarkDataset easy;
   easy.name = "easy";
-  for (uint64_t i = 0; i < 3; ++i) {
-    easy.series.push_back(MakeSpikeSeries(500 + i, 25.0));
+  for (uint64_t i = 0; i < 250; ++i) {
+    easy.series.push_back(MakeSpikeSeries(1100 + i, 25.0));
   }
   const std::vector<const BenchmarkDataset*> datasets = {&mixed, &easy};
 
@@ -274,7 +279,7 @@ TEST(ParallelDeterminismTest, AnalyzeTrivialityIdenticalAcrossThreadCounts) {
     ThreadCountGuard guard(1);
     baseline = AnalyzeTriviality(datasets);
   }
-  ASSERT_EQ(baseline.total, 11u);
+  ASSERT_EQ(baseline.total, 750u);
   for (std::size_t threads : TestThreadCounts()) {
     ThreadCountGuard guard(threads);
     const TrivialityReport report = AnalyzeTriviality(datasets);

@@ -438,5 +438,122 @@ TEST(MemoizedSweepTest, DegenerateCasesMatchDirect) {
   }
 }
 
+// Series several window blocks long (OneLinerMarginCache::kBlock diffs
+// each; every EdgeCase above fits in one), with the inputs a block-wise
+// window fill and the remembered rejecting points could get wrong.
+enum class SeamKind {
+  kNonFiniteBeforeSeam,  // NaN / +inf / -inf on the last diff of a block
+  kNonFiniteAfterSeam,   // ... on the first diffs of the next block
+  kRegionAcrossSeam,     // a region whose slop bounds end or start at a seam
+  kRegionInLastBlock,    // a region in the last, partial block
+  kNaNAtRejecter,        // the point that rejects (3) and (5) has a NaN
+                         // margin for every windowed candidate
+  kStepAtLastRejecter,   // odd seeds: an unlabeled step rejects (3);
+                         // even seeds: the next series labels that step
+};
+
+LabeledSeries SeamCase(SeamKind kind, uint64_t seed) {
+  constexpr std::size_t kBlock = OneLinerMarginCache::kBlock;
+  Rng rng(seed);
+  // 700 to 1,000 points, never a whole number of blocks of diffs.
+  const std::size_t n = 700 + static_cast<std::size_t>(rng.UniformInt(0, 300));
+  Series x = GaussianNoise(n, 1.0, rng);
+  const std::size_t blocks = (n - 1 + kBlock - 1) / kBlock;
+  // Diff index `seam` opens a block; series index t enters diffs t - 1
+  // and t.
+  const std::size_t seam =
+      kBlock * static_cast<std::size_t>(
+                   rng.UniformInt(1, static_cast<int64_t>(blocks) - 1));
+  const double spike = rng.Uniform(6.0, 14.0);
+  const double values[] = {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  const double non_finite = values[seed % 3];
+  std::vector<AnomalyRegion> regions;
+  switch (kind) {
+    case SeamKind::kNonFiniteBeforeSeam:
+      regions.push_back(InjectSpike(x, seam > n / 2 ? 100 : n - 100, spike));
+      x[seam - seed % 2] = non_finite;
+      break;
+    case SeamKind::kNonFiniteAfterSeam:
+      regions.push_back(InjectSpike(x, seam > n / 2 ? 100 : n - 100, spike));
+      x[seam + 1 + seed % 2] = non_finite;
+      break;
+    case SeamKind::kRegionAcrossSeam:
+      // Bounds [pos - 3, pos + 4) read diffs [pos - 4, pos + 3): the
+      // last diff of a block at pos = seam + 3, the first of the next
+      // at pos = seam - 2.
+      regions.push_back(InjectSpike(x, seam - 2 + seed % 6, spike));
+      break;
+    case SeamKind::kRegionInLastBlock: {
+      const std::size_t last = (blocks - 1) * kBlock + 1;
+      regions.push_back(InjectSpike(
+          x,
+          static_cast<std::size_t>(rng.UniformInt(
+              static_cast<int64_t>(last), static_cast<int64_t>(n - 1))),
+          spike));
+      break;
+    }
+    case SeamKind::kNaNAtRejecter: {
+      // The labeled spike comes first and a larger unlabeled one after
+      // a NaN: (3) and (5) are rejected at the unlabeled spike, whose
+      // windows, like every window after the NaN, read NaN.
+      regions.push_back(InjectSpike(x, 100 + seed % 50, 15.0));
+      const std::size_t nan_at = n / 2;
+      x[nan_at] = std::numeric_limits<double>::quiet_NaN();
+      x[nan_at + 10 + seed % 20] += 40.0;
+      break;
+    }
+    case SeamKind::kStepAtLastRejecter: {
+      // Run in seed order, the even seed's series follows the odd one's
+      // in the same search state, and its region holds the point that
+      // rejected the odd series' candidates.
+      const std::size_t step_at = 200 + 100 * ((seed - 1) / 2);
+      if (seed % 2 == 1) {
+        regions.push_back(InjectSpike(x, 600, 15.0));
+        InjectLevelShift(x, step_at, 40.0, 1);
+      } else {
+        regions.push_back(InjectLevelShift(x, step_at, 40.0, 1));
+      }
+      break;
+    }
+  }
+  return LabeledSeries("seam", std::move(x), std::move(regions));
+}
+
+// Every form and the whole search against the direct implementation,
+// and the same series through AnalyzeTriviality, whose pool tasks reuse
+// one search state across lengths and non-finite inputs.
+TEST(MemoizedSweepTest, BlockSeamsAndRememberedPointsMatchDirect) {
+  BenchmarkDataset dataset;
+  dataset.name = "seams";
+  std::vector<TrivialitySolution> direct;
+  std::size_t solved_by_windows_past_a_nan = 0;
+  for (int kind = 0; kind <= static_cast<int>(SeamKind::kStepAtLastRejecter);
+       ++kind) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      const LabeledSeries s = SeamCase(static_cast<SeamKind>(kind), seed);
+      const std::string label =
+          "kind=" + std::to_string(kind) + " seed=" + std::to_string(seed);
+      ExpectSearchMatchesDirect(s, label);
+      direct.push_back(FindOneLinerDirect(s));
+      if (static_cast<SeamKind>(kind) == SeamKind::kNaNAtRejecter &&
+          direct.back().solved && direct.back().params.uses_window()) {
+        ++solved_by_windows_past_a_nan;
+      }
+      dataset.series.push_back(s);
+    }
+  }
+  // The NaN-margin rejecter case only tests something if a windowed
+  // candidate gets past that point.
+  EXPECT_GT(solved_by_windows_past_a_nan, 0u);
+  const TrivialityReport report = AnalyzeTriviality({&dataset});
+  ASSERT_EQ(report.series.size(), direct.size());
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    ExpectIdenticalSolutions(report.series[i].solution, direct[i],
+                             "AnalyzeTriviality series " + std::to_string(i));
+  }
+}
+
 }  // namespace
 }  // namespace tsad

@@ -166,6 +166,7 @@ void ExpectViewMatchesMargin(OneLinerMarginCache& cache, const Series& x,
   const std::vector<double> direct = OneLinerMargin(x, p);
   const OneLinerMarginView view = cache.View(p);
   ASSERT_EQ(view.size, x.size() < 2 ? 0 : x.size() - 1) << p.ToMatlab();
+  view.Fill(0, view.size);
   for (std::size_t j = 0; j < view.size; ++j) {
     EXPECT_EQ(view[j], direct[j + 1]) << p.ToMatlab() << " j=" << j;
   }
@@ -197,22 +198,62 @@ TEST(OneLinerMarginCacheTest, MarginsBitIdenticalAcrossTheSearchGrid) {
 
 TEST(OneLinerMarginCacheTest, RepeatedWindowsHitTheMemo) {
   Rng rng(9);
-  const Series x = GaussianNoise(400, 1.0, rng);
+  const Series x = GaussianNoise(400, 1.0, rng);  // 399 diffs: 4 blocks
   OneLinerMarginCache cache(x);
   OneLinerParams p;
   p.use_abs = true;
   p.use_movmean = true;
   p.k = 11;
   p.c = 2.0;
-  cache.View(p);  // first use computes movmean + movstd for k=11
+  OneLinerMarginView view = cache.View(p);
+  view.Fill(0, view.size);  // computes movmean + movstd for k=11
   const auto after_first = cache.stats();
-  EXPECT_EQ(after_first.window_misses, 2u);
-  EXPECT_EQ(after_first.window_hits, 0u);
-  p.c = 4.0;  // same k, different c: both windows must be served cached
-  cache.View(p);
+  EXPECT_EQ(after_first.block_misses, 8u);
+  EXPECT_EQ(after_first.block_hits, 0u);
+  p.c = 4.0;  // same k, different c: every block must be served cached
+  view = cache.View(p);
+  view.Fill(0, view.size);
   const auto after_second = cache.stats();
-  EXPECT_EQ(after_second.window_misses, 2u);
-  EXPECT_EQ(after_second.window_hits, 2u);
+  EXPECT_EQ(after_second.block_misses, 8u);
+  EXPECT_EQ(after_second.block_hits, 8u);
+}
+
+// Blocks filled last to first, and a cache reset onto a shorter series
+// and back onto a longer one, must read the same bits as a view filled
+// in order on a fresh cache: no block depends on its neighbours, and
+// no entry survives from the previous series.
+TEST(OneLinerMarginCacheTest, BlocksFilledInReverseMatchTheDirectMargin) {
+  OneLinerMarginCache cache;
+  for (const std::size_t n : {1000u, 700u, 1000u}) {
+    Rng rng(10 + n);
+    Series x = GaussianNoise(n, 1.5, rng);
+    x[n / 2] += 25.0;
+    cache.Reset(x);
+    for (const bool use_abs : {true, false}) {
+      for (const std::size_t k : {5u, 151u}) {
+        for (const double c : {0.0, 3.0}) {
+          OneLinerParams p;
+          p.use_abs = use_abs;
+          p.use_movmean = true;
+          p.k = k;
+          p.c = c;
+          const std::vector<double> direct = OneLinerMargin(x, p);
+          const OneLinerMarginView view = cache.View(p);
+          ASSERT_EQ(view.size, n - 1);
+          constexpr std::size_t kBlock = OneLinerMarginCache::kBlock;
+          for (std::size_t lo = (view.size - 1) / kBlock * kBlock;;
+               lo -= kBlock) {
+            view.Fill(lo, std::min(view.size, lo + kBlock));
+            if (lo == 0) break;
+          }
+          for (std::size_t j = 0; j < view.size; ++j) {
+            EXPECT_EQ(view[j], direct[j + 1])
+                << "n=" << n << " " << p.ToMatlab() << " j=" << j;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(OneLinerMarginCacheTest, ShortSeriesMatchesDirectPath) {
