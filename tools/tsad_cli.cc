@@ -341,18 +341,16 @@ int CmdTriviality(const Args& args) {
     std::printf("%s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  int exit_code = 0;
-  for (const LabeledSeries& s : dataset->series) {
-    const TrivialitySolution sol = FindOneLiner(s);
-    if (sol.solved) {
-      std::printf("%-40s TRIVIAL: %s\n", s.name().c_str(),
-                  sol.params.ToMatlab().c_str());
-      exit_code = 2;
+  const TrivialityReport report = AnalyzeTriviality({&*dataset});
+  for (const SeriesTriviality& s : report.series) {
+    if (s.solution.solved) {
+      std::printf("%-40s TRIVIAL: %s\n", s.series_name.c_str(),
+                  s.solution.params.ToMatlab().c_str());
     } else {
-      std::printf("%-40s not one-liner solvable\n", s.name().c_str());
+      std::printf("%-40s not one-liner solvable\n", s.series_name.c_str());
     }
   }
-  return exit_code;
+  return report.solved > 0 ? 2 : 0;
 }
 
 int CmdDetect(const Args& args) {
