@@ -40,7 +40,10 @@ void BM_FindOneLiner(benchmark::State& state) {
 BENCHMARK(BM_FindOneLiner)->Range(1 << 10, 1 << 15)->Complexity();
 
 void BM_FindOneLinerUnsolvable(benchmark::State& state) {
-  // Worst case: nothing solves, the full grid is searched.
+  // Nothing solves, so every candidate of the grid is tried, but most
+  // end at once: a forbidden point that rejected an earlier candidate
+  // of the series is tested before the ascending scan, and usually
+  // rejects this one too.
   tsad::Rng rng(2);
   tsad::Series x =
       tsad::GaussianNoise(static_cast<std::size_t>(state.range(0)), 1.0, rng);
