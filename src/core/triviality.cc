@@ -36,23 +36,18 @@ struct ExactSweepContext {
 // flagged iff it lies within `slop` of some ground-truth region.
 void ResetSweepContext(const LabeledSeries& series, std::size_t slop,
                        ExactSweepContext& ctx) {
+  // Index 0 has no diff predecessor, so it carries no margin: region
+  // bounds and the forbidden check start at index 1.
   ctx.allowed.assign(series.length(), 0);
+  ctx.region_bounds.clear();
   for (const AnomalyRegion& r : series.anomalies()) {
     const std::size_t lo = r.begin > slop ? r.begin - slop : 0;
     const std::size_t hi = std::min(series.length(), r.end + slop);
     for (std::size_t i = lo; i < hi; ++i) ctx.allowed[i] = 1;
+    ctx.region_bounds.emplace_back(std::max<std::size_t>(1, lo), hi);
   }
-  // Index 0 has no diff predecessor, so it carries no margin.
   ctx.any_forbidden = std::find(ctx.allowed.begin() + 1, ctx.allowed.end(),
                                 uint8_t{0}) != ctx.allowed.end();
-  ctx.region_bounds.clear();
-  for (const AnomalyRegion& r : series.anomalies()) {
-    const std::size_t lo = std::max<std::size_t>(1, r.begin > slop
-                                                        ? r.begin - slop
-                                                        : 0);
-    const std::size_t hi = std::min(series.length(), r.end + slop);
-    ctx.region_bounds.emplace_back(lo, hi);
-  }
   ctx.num_rejecters = 0;
 }
 
