@@ -7,7 +7,10 @@
 //    run together, never what any lane computes;
 //  * streaming MPX: bit-identical ring state and profiles across
 //    tiers, before and after eviction;
-//  * MerlinSweep: bit-identical discords across tiers.
+//  * MerlinSweep: bit-identical discords across tiers;
+//  * one FNV-1a constant per kernel (self-join, AB-join, left profile,
+//    MerlinSweep, StreamingMpx) that pins every output bit across
+//    commits, at every tier and at 1 and 4 threads.
 //
 // The scalar tier is the anchor: it runs on every host, so CI machines
 // without AVX still execute every assertion here (the per-tier loops
@@ -15,7 +18,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -268,6 +274,143 @@ TEST(SimdDispatchTest, PanDiscordSweepIsBitIdenticalAcrossIsaTiers) {
       }
     }
   }
+}
+
+// FNV-1a 64 over 64-bit words, as DatasetFingerprintTest hashes the
+// simulators' outputs: one constant pins every bit of a kernel's
+// output across commits, where the tests above compare tiers within
+// one build and the oracle tests allow a tolerance.
+class OutputPin {
+ public:
+  void Add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (word >> (8 * i)) & 0xffu;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  void Add(double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    Add(bits);
+  }
+  void Add(const MatrixProfile& p) {
+    Add(std::uint64_t{p.size()});
+    for (const double d : p.distances) Add(d);
+    for (const std::size_t j : p.indices) Add(std::uint64_t{j});
+  }
+  void Add(const StreamingMpx::Entry& e) {
+    Add(e.distance);
+    Add(std::uint64_t{e.neighbor});
+  }
+
+  std::uint64_t hash() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 1469598103934665603ull;
+};
+
+// Expects `pin()` to hash to `want` at every supported tier, at 1 and
+// at 4 threads.
+template <typename Pin>
+void ExpectPinnedAtEveryTier(std::uint64_t want, const Pin& pin) {
+  DispatchGuard guard;
+  for (const SimdTier tier : SupportedTiers()) {
+    ASSERT_TRUE(SetSimdTierOverride(tier).ok()) << SimdTierName(tier);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SetParallelThreads(threads);
+      EXPECT_EQ(pin(), want) << SimdTierName(tier) << " threads=" << threads;
+    }
+  }
+}
+
+// Self-joins at m = 8, 32 and 64, so the 8- and 16-diagonal vector
+// groups are left partial at different diagonals: flat runs at 7.5 and
+// 1e6; 9,000 points, which span several 1,024-offset row blocks; and
+// one NaN (whose profile ROADMAP item 2 will change on purpose).
+TEST(SimdDispatchTest, SelfJoinOutputBitsArePinned) {
+  const Series flats = WalkWithFlats(3000, 61);
+  const Series long_walk = RandomWalk(9000, 62);
+  const Series with_nan = [] {
+    Series x = RandomWalk(1500, 63);
+    x[700] = std::numeric_limits<double>::quiet_NaN();
+    return x;
+  }();
+  ExpectPinnedAtEveryTier(12819557451099571772ull, [&] {
+    OutputPin pin;
+    for (const Series* x : {&flats, &long_walk, &with_nan}) {
+      for (const std::size_t m : {8, 32, 64}) {
+        const Result<MatrixProfile> p = ComputeMatrixProfile(*x, m);
+        EXPECT_TRUE(p.ok());
+        if (p.ok()) pin.Add(*p);
+      }
+    }
+    return pin.hash();
+  });
+}
+
+TEST(SimdDispatchTest, AbJoinOutputBitsArePinned) {
+  const Series query = WalkWithFlats(1600, 65);
+  const Series reference = WalkWithFlats(2000, 66);
+  ExpectPinnedAtEveryTier(4668796363772531439ull, [&] {
+    OutputPin pin;
+    for (const auto& [a, b] : {std::pair{&query, &reference},
+                               std::pair{&reference, &query}}) {
+      const Result<MatrixProfile> p = ComputeAbJoin(*a, *b, 32);
+      EXPECT_TRUE(p.ok());
+      if (p.ok()) pin.Add(*p);
+    }
+    return pin.hash();
+  });
+}
+
+TEST(SimdDispatchTest, LeftProfileOutputBitsArePinned) {
+  const Series x = WalkWithFlats(2600, 67);
+  ExpectPinnedAtEveryTier(3368824722681084134ull, [&] {
+    OutputPin pin;
+    const Result<MatrixProfile> p = ComputeLeftMatrixProfile(x, 32);
+    EXPECT_TRUE(p.ok());
+    if (p.ok()) pin.Add(*p);
+    return pin.hash();
+  });
+}
+
+TEST(SimdDispatchTest, MerlinSweepOutputBitsArePinned) {
+  const Series x = WalkWithFlats(2200, 71);
+  ExpectPinnedAtEveryTier(18003949686137492815ull, [&] {
+    OutputPin pin;
+    const Result<std::vector<LengthDiscord>> rows = MerlinSweep(x, 24, 48);
+    EXPECT_TRUE(rows.ok());
+    if (!rows.ok()) return pin.hash();
+    for (const LengthDiscord& row : *rows) {
+      pin.Add(std::uint64_t{row.length});
+      pin.Add(std::uint64_t{row.position});
+      pin.Add(row.distance);
+      pin.Add(row.normalized);
+    }
+    return pin.hash();
+  });
+}
+
+TEST(SimdDispatchTest, StreamingMpxOutputBitsArePinned) {
+  const Series x = WalkWithFlats(2400, 64);
+  StreamingMpxConfig config;
+  config.m = 32;
+  config.buffer_cap = 1024;
+  ASSERT_TRUE(StreamingMpx::Validate(config).ok());
+  ExpectPinnedAtEveryTier(13785099729774847719ull, [&] {
+    StreamingMpx kernel(config);
+    for (const double v : x) kernel.Push(v);
+    EXPECT_GT(kernel.evictions(), 0u);
+    OutputPin pin;
+    pin.Add(std::uint64_t{kernel.evictions()});
+    pin.Add(std::uint64_t{kernel.first_subsequence()});
+    pin.Add(std::uint64_t{kernel.num_subsequences()});
+    for (std::size_t i = 0; i < kernel.num_subsequences(); ++i) {
+      pin.Add(kernel.Left(i));
+      pin.Add(kernel.Right(i));
+    }
+    return pin.hash();
+  });
 }
 
 TEST(SimdDispatchTest, ActiveTierDefaultsToDetection) {
