@@ -32,7 +32,9 @@ namespace {
 Status ValidateMerlinRange(const Series& series, std::size_t min_length,
                            std::size_t max_length) {
   TSAD_RETURN_IF_ERROR(ValidateMerlinLengths(min_length, max_length));
-  if (NumSubsequences(series.size(), max_length) < 2 * max_length) {
+  // Halving the count instead of doubling max_length is exact and
+  // cannot wrap (2 * 2^63 is 0 in a size_t).
+  if (NumSubsequences(series.size(), max_length) / 2 < max_length) {
     return Status::InvalidArgument(
         "series too short for MERLIN at max_length " +
         std::to_string(max_length));

@@ -12,10 +12,12 @@ SemiSupervisedDiscordDetector::SemiSupervisedDiscordDetector(std::size_t m)
 
 Result<std::vector<double>> SemiSupervisedDiscordDetector::Score(
     const Series& series, std::size_t train_length) const {
-  if (train_length < 2 * m_) {
+  // train_length / 2 < m is train_length < 2 * m without the wrap of
+  // 2 * m at m >= 2^63.
+  if (train_length / 2 < m_) {
     return Status::FailedPrecondition(
-        "SemiSupervisedDiscord requires train_length >= 2*m = " +
-        std::to_string(2 * m_) + "; got " + std::to_string(train_length));
+        "SemiSupervisedDiscord requires train_length >= 2*m with m = " +
+        std::to_string(m_) + "; got " + std::to_string(train_length));
   }
   if (train_length >= series.size()) {
     return Status::InvalidArgument("no test span after the training prefix");

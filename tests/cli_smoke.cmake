@@ -33,6 +33,19 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "huge-period sesd detect exited ${rc}: ${out}${err}")
 endif()
 
+# A MERLIN max_length of 2^63 wraps to 0 when doubled; the range check
+# must still refuse it (exit 1) rather than abort reserving 2^63 rows.
+execute_process(COMMAND ${TSAD_CLI} detect ${WORK_DIR}/nyc_taxi.csv
+                        --detector merlin:max=9223372036854775808
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "huge-length merlin detect exited ${rc}, want 1: ${out}${err}")
+endif()
+string(FIND "${out}${err}" "series too short for MERLIN at max_length 9223372036854775808" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR "huge-length merlin detect missing the range error: ${out}${err}")
+endif()
+
 # A train_length header with a sign, trailing junk, overflow or more
 # points than the file holds is refused (exit 1), not wrapped or cut.
 set(rows "value,label\n1,0\n2,0\n3,0\n4,1\n5,0\n6,0\n7,0\n8,0\n")

@@ -208,6 +208,23 @@ TEST(MerlinSweepTest, RejectsBadRanges) {
   EXPECT_FALSE(MerlinSweep(x, 40, 400).ok());  // series too short
 }
 
+// 2 * 2^63 wraps to 0 in a size_t, so a doubled max_length once passed
+// the length check and the sweep threw reserving 2^63 rows.
+TEST(MerlinSweepTest, RejectsAMaxLengthWhoseDoubleWraps) {
+  const Series x(500, 1.0);
+  const std::size_t huge = std::size_t{1} << 63;
+  for (const auto& sweep : {MerlinSweep, MerlinSweepPerLength}) {
+    const Result<std::vector<LengthDiscord>> rows = sweep(x, 40, huge);
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rows.status().message().find(
+                  "series too short for MERLIN at max_length "
+                  "9223372036854775808"),
+              std::string::npos)
+        << rows.status().ToString();
+  }
+}
+
 // The all-lengths ("pan") discord contract of MerlinSweep, per length:
 // the position TopDiscords(ComputeMatrixProfile(series, m), 1)
 // reports, with the distance re-measured exactly (the oracle's distance

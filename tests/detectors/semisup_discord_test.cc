@@ -1,6 +1,7 @@
 #include "detectors/semisup_discord.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,21 @@ TEST(SemiSupDiscordTest, RequiresTrainingPrefix) {
   ASSERT_FALSE(scores.ok());
   EXPECT_EQ(scores.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_FALSE(detector.Score(Series(500, 1.0), 500).ok());  // no test span
+}
+
+// 2 * 2^63 wraps to 0 in a size_t: the length check must still refuse
+// every training prefix, and say m rather than a wrapped 2*m.
+TEST(SemiSupDiscordTest, RequiresTrainingPrefixWhenTwiceMWraps) {
+  SemiSupervisedDiscordDetector detector(std::size_t{1} << 63);
+  for (const std::size_t train : {std::size_t{0}, std::size_t{100}}) {
+    Result<std::vector<double>> scores = detector.Score(Series(500, 1.0), train);
+    ASSERT_FALSE(scores.ok());
+    EXPECT_EQ(scores.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(scores.status().message(),
+              "SemiSupervisedDiscord requires train_length >= 2*m with m = "
+              "9223372036854775808; got " +
+                  std::to_string(train));
+  }
 }
 
 TEST(SemiSupDiscordTest, FindsNovelBehavior) {
