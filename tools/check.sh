@@ -160,18 +160,15 @@ if [[ "${SKIP_SANITIZERS:-0}" != "1" ]]; then
   cmake -B "${tsan_dir}" -S "${repo_root}" \
     -DTSAD_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTSAD_BUILD_EXAMPLES=OFF -DTSAD_BUILD_TOOLS=OFF
-  echo "==> building ${tsan_dir} (parallel_test serving_engine_test" \
-       "matrix_profile_test mpx_kernel_test streaming_mpx_test" \
-       "leaderboard_test resilient_test robustness_matrix_test" \
-       "ucr_archive_test dataset_fingerprint_test floss_test" \
-       "bench_chaos_serving)"
-  cmake --build "${tsan_dir}" -j "${jobs}" \
-    --target parallel_test serving_engine_test \
-             matrix_profile_test mpx_kernel_test streaming_mpx_test \
-             simd_dispatch_test cpu_features_test \
-             merlin_test join_kernels_test leaderboard_test \
-             resilient_test robustness_matrix_test ucr_archive_test \
-             dataset_fingerprint_test floss_test bench_chaos_serving
+  # One list feeds both the log line and the build, so they cannot drift.
+  tsan_targets=(parallel_test serving_engine_test
+                matrix_profile_test mpx_kernel_test streaming_mpx_test
+                simd_dispatch_test cpu_features_test
+                merlin_test join_kernels_test leaderboard_test
+                resilient_test robustness_matrix_test ucr_archive_test
+                dataset_fingerprint_test floss_test bench_chaos_serving)
+  echo "==> building ${tsan_dir} (${tsan_targets[*]})"
+  cmake --build "${tsan_dir}" -j "${jobs}" --target "${tsan_targets[@]}"
   echo "==> testing ${tsan_dir} (Parallel* + ShardedEngine* + ReplayTest*" \
        "+ MPX diagonal kernel + Leaderboard* + Resilient*" \
        "+ RobustnessMatrix* + EvaluateOnArchive* + DatasetFingerprint*)"
