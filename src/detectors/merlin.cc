@@ -114,7 +114,8 @@ double DistanceFromCorr(double corr, double two_m) {
 // +/-0, i.e. the sqrt(2m) a row charges a flat partner.
 double PairCorr(const Series& x, const Layer& layer, std::size_t i,
                 std::size_t j) {
-  return MpxSeedCov(x.data(), layer.stats.means.data(), i, j, layer.m) *
+  const double* means = layer.stats.means.data();
+  return MpxSeedCov(x.data(), means, x.data(), means, i, j, layer.m) *
          layer.inv[i] * layer.inv[j];
 }
 

@@ -71,6 +71,7 @@ double ZNormPairDistance(double qt, double mean_a, double std_a, double mean_b,
 // seed, and offset 0 is always a block start) but is kept zero so the
 // arrays index directly by offset.
 struct MpxSide {
+  const std::vector<double>* series = nullptr;
   WindowStats stats;
   std::vector<double> inv;
   std::vector<std::size_t> flat_indices;
@@ -80,6 +81,7 @@ struct MpxSide {
 MpxSide BuildMpxSide(const std::vector<double>& series, std::size_t m,
                      std::size_t count) {
   MpxSide s;
+  s.series = &series;
   s.stats = ComputeWindowStats(series, m);
   const double sqrt_m = std::sqrt(static_cast<double>(m));
   s.inv.resize(count);
@@ -106,40 +108,6 @@ struct CorrProfile {
   std::vector<double> corr;
   std::vector<std::size_t> index;
 };
-
-// Runs `num_tiles` tiles over a small fixed worker set. Each worker
-// owns ONE local profile of `entries` for its whole strided tile share
-// (per-tile locals would cost two allocations, fills and a merge per
-// tile — with the dispatched SIMD kernels that bookkeeping, not the
-// recurrence, would dominate) and merges it into `best` under a mutex
-// with the lexicographic max. The result is independent of the
-// partition and the thread count: every diagonal's chain lives in one
-// tile, and both the local accumulation and the merge are
-// order-independent. 4 shares per thread keep the tail balanced.
-// `run_tile(t, local_corr, local_index)` computes tile t.
-template <typename RunTile>
-Status RunTiles(std::size_t num_tiles, std::size_t entries, CorrProfile* best,
-                const RunTile& run_tile) {
-  best->corr.assign(entries, kNegInf);
-  best->index.assign(entries, kNoNeighbor);
-  if (num_tiles == 0) return Status::OK();
-  std::mutex merge_mutex;
-  const std::size_t workers = std::min(
-      num_tiles, std::max<std::size_t>(ParallelThreads(), 1) * 4);
-  return ParallelFor(0, workers, [&](std::size_t w) -> Status {
-    std::vector<double> local_corr(entries, kNegInf);
-    std::vector<std::size_t> local_index(entries, kNoNeighbor);
-    for (std::size_t t = w; t < num_tiles; t += workers) {
-      TSAD_RETURN_IF_ERROR(run_tile(t, local_corr.data(), local_index.data()));
-    }
-    std::lock_guard<std::mutex> lock(merge_mutex);
-    for (std::size_t i = 0; i < entries; ++i) {
-      MpxUpdateBest(best->corr.data(), best->index.data(), local_corr[i], i,
-                    local_index[i]);
-    }
-    return Status::OK();
-  });
-}
 
 // Correlation -> distance for entries [begin, size), with the SCAMP
 // flat cases patched in: a flat entry i sits at distance 0 from
@@ -178,27 +146,37 @@ MatrixProfile FinishProfile(const CorrProfile& best,
   return profile;
 }
 
-// One diagonal half-space of a cross join: side A offsets o pair with
-// side B offsets o + d over d in [d_begin, d_end), updating the A side
-// (entry o) or the B side (entry o + d). The AB-join runs two sweeps
-// (the rectangle's two halves), the left profile one.
-struct CrossSweep {
+// One sweep of a join: side A offsets o pair with side B offsets o + d
+// over diagonals d in [d_begin, d_end), updating side A (entry o), side
+// B (entry o + d) or both. The self-join is one both-sides sweep of a
+// series against itself, the left profile one B sweep over the causal
+// diagonals, and the AB-join an A and a B sweep (the rectangle's two
+// halves).
+struct JoinSweep {
   const MpxSide* a = nullptr;
-  const std::vector<double>* series_a = nullptr;
-  std::size_t count_a = 0;
   const MpxSide* b = nullptr;
-  const std::vector<double>* series_b = nullptr;
-  std::size_t count_b = 0;
   std::size_t d_begin = 0;
   std::size_t d_end = 0;
-  bool update_a = false;
+  MpxUpdate update = MpxUpdate::kBoth;
 };
 
-// The cross-join driver: the self-join's tile partition (tiles never
-// straddle a sweep) and fixed row blocks, through the dispatched
-// one-sided variants.
-Status RunCrossSweeps(const std::vector<CrossSweep>& sweeps, std::size_t m,
-                      std::size_t entries, CorrProfile* best) {
+// The join driver. Every sweep is cut into tiles of kMpxDiagTile
+// diagonals (tiles never straddle a sweep), and each tile walks its
+// offsets in fixed row blocks, every diagonal freshly seeded at a
+// block's first offset, through the dispatched join block. The tiles
+// run over a small fixed worker set: each worker owns ONE local
+// profile of `entries` for its whole strided tile share (per-tile
+// locals would cost two allocations, fills and a merge per tile — with
+// the dispatched SIMD kernels that bookkeeping, not the recurrence,
+// would dominate) and merges it into `best` under a mutex with the
+// lexicographic max. The result is independent of the partition and
+// the thread count: every diagonal's chain lives in one tile, and both
+// the local accumulation and the merge are order-independent. 4 shares
+// per thread keep the tail balanced. The ISA tier is resolved once per
+// join, so a concurrent override change cannot mix tiers within one
+// profile.
+Status RunJoinSweeps(const std::vector<JoinSweep>& sweeps, std::size_t m,
+                     std::size_t entries, CorrProfile* best) {
   struct Tile {
     std::size_t sweep = 0;
     std::size_t d_begin = 0;
@@ -211,39 +189,52 @@ Status RunCrossSweeps(const std::vector<CrossSweep>& sweeps, std::size_t m,
       tiles.push_back({s, d, std::min(sweeps[s].d_end, d + kMpxDiagTile)});
     }
   }
+  best->corr.assign(entries, kNegInf);
+  best->index.assign(entries, kNoNeighbor);
+  if (tiles.empty()) return Status::OK();
   const MpKernelVariant& variant = ActiveKernelVariant();
-  return RunTiles(tiles.size(), entries, best,
-                  [&](std::size_t t, double* local_corr,
-                      std::size_t* local_index) -> Status {
-    const Tile& tile = tiles[t];
-    const CrossSweep& sweep = sweeps[tile.sweep];
-    MpxCrossBlockArgs args;
-    args.series_a = sweep.series_a->data();
-    args.means_a = sweep.a->stats.means.data();
-    args.ddf_a = sweep.a->ddf.data();
-    args.ddg_a = sweep.a->ddg.data();
-    args.inv_a = sweep.a->inv.data();
-    args.count_a = sweep.count_a;
-    args.series_b = sweep.series_b->data();
-    args.means_b = sweep.b->stats.means.data();
-    args.ddf_b = sweep.b->ddf.data();
-    args.ddg_b = sweep.b->ddg.data();
-    args.inv_b = sweep.b->inv.data();
-    args.count_b = sweep.count_b;
-    args.m = m;
-    args.d_begin = tile.d_begin;
-    args.d_end = tile.d_end;
-    args.local_corr = local_corr;
-    args.local_index = local_index;
-    const MpxCrossBlockFn block =
-        sweep.update_a ? variant.mpx_cross_a : variant.mpx_cross_b;
-    // Longest diagonal of the tile (d ascending shortens them).
-    const std::size_t max_len =
-        std::min(sweep.count_a, sweep.count_b - tile.d_begin);
-    for (std::size_t r0 = 0; r0 < max_len; r0 += kMpxRowBlock) {
-      args.r0 = r0;
-      args.r1 = std::min(max_len, r0 + kMpxRowBlock);
-      block(args);
+  std::mutex merge_mutex;
+  const std::size_t workers = std::min(
+      tiles.size(), std::max<std::size_t>(ParallelThreads(), 1) * 4);
+  return ParallelFor(0, workers, [&](std::size_t w) -> Status {
+    std::vector<double> local_corr(entries, kNegInf);
+    std::vector<std::size_t> local_index(entries, kNoNeighbor);
+    for (std::size_t t = w; t < tiles.size(); t += workers) {
+      const JoinSweep& sweep = sweeps[tiles[t].sweep];
+      const MpxSide& a = *sweep.a;
+      const MpxSide& b = *sweep.b;
+      MpxBlockArgs args;
+      args.series_a = a.series->data();
+      args.means_a = a.stats.means.data();
+      args.ddf_a = a.ddf.data();
+      args.ddg_a = a.ddg.data();
+      args.inv_a = a.inv.data();
+      args.count_a = a.inv.size();
+      args.series_b = b.series->data();
+      args.means_b = b.stats.means.data();
+      args.ddf_b = b.ddf.data();
+      args.ddg_b = b.ddg.data();
+      args.inv_b = b.inv.data();
+      args.count_b = b.inv.size();
+      args.m = m;
+      args.d_begin = tiles[t].d_begin;
+      args.d_end = tiles[t].d_end;
+      args.update = sweep.update;
+      args.local_corr = local_corr.data();
+      args.local_index = local_index.data();
+      // Longest diagonal of the tile (d ascending shortens them).
+      const std::size_t max_len =
+          std::min(args.count_a, args.count_b - args.d_begin);
+      for (std::size_t r0 = 0; r0 < max_len; r0 += kMpxRowBlock) {
+        args.r0 = r0;
+        args.r1 = std::min(max_len, r0 + kMpxRowBlock);
+        variant.mpx_block(args);
+      }
+    }
+    std::lock_guard<std::mutex> lock(merge_mutex);
+    for (std::size_t i = 0; i < entries; ++i) {
+      MpxUpdateBest(best->corr.data(), best->index.data(), local_corr[i], i,
+                    local_index[i]);
     }
     return Status::OK();
   });
@@ -296,40 +287,13 @@ Result<MatrixProfile> ComputeMatrixProfile(const std::vector<double>& series,
       profile_internal::ValidateSelfJoin(series.size(), m, &exclusion, &count));
   const MpxSide side = BuildMpxSide(series, m, count);
 
-  const std::size_t min_diag = exclusion + 1;  // validation: < count
-  const std::size_t num_tiles =
-      (count - min_diag + kMpxDiagTile - 1) / kMpxDiagTile;
-  // The ISA tier is resolved once per profile, so a concurrent override
-  // change cannot mix tiers within one profile.
-  const MpKernelVariant& variant = ActiveKernelVariant();
+  // One both-sides sweep of the series against itself over the
+  // diagonals d > exclusion: pair (o, o + d) updates entry o with
+  // neighbor o + d and entry o + d with neighbor o.
   CorrProfile best;
-  TSAD_RETURN_IF_ERROR(RunTiles(
-      num_tiles, count, &best,
-      [&](std::size_t tile, double* local_corr,
-          std::size_t* local_index) -> Status {
-        MpxBlockArgs args;
-        args.series = series.data();
-        args.means = side.stats.means.data();
-        args.ddf = side.ddf.data();
-        args.ddg = side.ddg.data();
-        args.inv = side.inv.data();
-        args.m = m;
-        args.count = count;
-        args.d_begin = min_diag + tile * kMpxDiagTile;
-        args.d_end = std::min(count, args.d_begin + kMpxDiagTile);
-        args.local_corr = local_corr;
-        args.local_index = local_index;
-        // Cache-blocked traversal: offsets advance in row blocks, each
-        // diagonal freshly seeded at the block's first offset and
-        // advanced by the rank-2 recurrence within it.
-        const std::size_t max_len = count - args.d_begin;  // longest diagonal
-        for (std::size_t r0 = 0; r0 < max_len; r0 += kMpxRowBlock) {
-          args.r0 = r0;
-          args.r1 = std::min(max_len, r0 + kMpxRowBlock);
-          variant.mpx_block(args);
-        }
-        return Status::OK();
-      }));
+  TSAD_RETURN_IF_ERROR(RunJoinSweeps(
+      {{&side, &side, exclusion + 1, count, MpxUpdate::kBoth}}, m, count,
+      &best));
 
   return FinishProfile(best, side.inv, m, 0, [&](std::size_t i) {
     return profile_internal::LowestFlatOutsideExclusion(side.flat_indices, i,
@@ -349,14 +313,9 @@ Result<MatrixProfile> ComputeLeftMatrixProfile(
   // past neighbor o. Entries below exclusion + 1 never appear as o + d
   // and keep the +inf / kNoNeighbor contract.
   const std::size_t min_diag = exclusion + 1;
-  std::vector<CrossSweep> sweeps;
-  if (min_diag < count) {
-    sweeps.push_back(
-        {&side, &series, count, &side, &series, count, min_diag, count,
-         false});
-  }
   CorrProfile best;
-  TSAD_RETURN_IF_ERROR(RunCrossSweeps(sweeps, m, count, &best));
+  TSAD_RETURN_IF_ERROR(RunJoinSweeps(
+      {{&side, &side, min_diag, count, MpxUpdate::kB}}, m, count, &best));
 
   const std::vector<std::size_t>& flat = side.flat_indices;
   return FinishProfile(best, side.inv, m, min_diag, [&](std::size_t i) {
@@ -380,15 +339,10 @@ Result<MatrixProfile> ComputeAbJoin(const std::vector<double>& query_series,
   // query side as side A; sweep 2 covers the transposed strict half
   // (d = i - j in [1, nq), A = reference) updating the query side as
   // side B. Every (i, j) pair lands in exactly one sweep.
-  std::vector<CrossSweep> sweeps;
-  sweeps.push_back(
-      {&qs, &query_series, nq, &rs, &reference_series, nr, 0, nr, true});
-  if (nq > 1) {
-    sweeps.push_back(
-        {&rs, &reference_series, nr, &qs, &query_series, nq, 1, nq, false});
-  }
   CorrProfile best;
-  TSAD_RETURN_IF_ERROR(RunCrossSweeps(sweeps, m, nq, &best));
+  TSAD_RETURN_IF_ERROR(RunJoinSweeps(
+      {{&qs, &rs, 0, nr, MpxUpdate::kA}, {&rs, &qs, 1, nq, MpxUpdate::kB}},
+      m, nq, &best));
 
   // A flat query subsequence sits at distance 0 from the LOWEST flat
   // reference index.

@@ -39,12 +39,14 @@
 //    runtime-dispatched variants of substrates/mp_kernels.h, at every
 //    ISA tier.
 //
-// The AB-join and the left profile run the same machinery over the
-// CROSS covariance: diagonal d pairs offset o of side A with offset
-// o + d of side B, with one-sided profile updates. The AB-join covers
-// its nq x nr rectangle as two sweeps (reference index >= query index,
-// then the transposed strict half); the left profile is the single
-// sweep over d > exclusion of a series joined with itself.
+// All three joins run one driver and one dispatched block over two
+// sides: diagonal d pairs offset o of side A with offset o + d of side
+// B, and each sweep names the side(s) whose profile a pair updates.
+// The self-join is one both-sides sweep over d > exclusion of a series
+// joined with itself; the left profile is the same sweep updating only
+// the later side; the AB-join covers its nq x nr rectangle as two
+// one-sided sweeps (reference index >= query index, then the
+// transposed strict half).
 //
 // Feed sanitized inputs: NaNs propagate through the covariance chain
 // and poison whole diagonals. The certification against the naive

@@ -8,39 +8,9 @@
 
 namespace tsad {
 
-double MpxSeedCov(const double* series, const double* means, std::size_t a,
-                  std::size_t b, std::size_t m) {
-  const double mu_a = means[a];
-  const double mu_b = means[b];
-  double c = 0.0;
-  for (std::size_t k = 0; k < m; ++k) {
-    c += (series[a + k] - mu_a) * (series[b + k] - mu_b);
-  }
-  return c;
-}
-
-void MpxBlockScalarRange(const MpxBlockArgs& a, std::size_t d_begin,
-                         std::size_t d_end) {
-  for (std::size_t d = d_begin; d < d_end; ++d) {
-    const std::size_t len = a.count - d;  // offsets valid in [0, len)
-    if (a.r0 >= len) break;               // d ascending => len descending
-    const std::size_t end = a.r1 < len ? a.r1 : len;
-    double c = MpxSeedCov(a.series, a.means, a.r0, a.r0 + d, a.m);
-    const double seed_corr = c * a.inv[a.r0] * a.inv[a.r0 + d];
-    MpxUpdateBest(a.local_corr, a.local_index, seed_corr, a.r0, a.r0 + d);
-    MpxUpdateBest(a.local_corr, a.local_index, seed_corr, a.r0 + d, a.r0);
-    for (std::size_t o = a.r0 + 1; o < end; ++o) {
-      c += a.ddf[o] * a.ddg[o + d] + a.ddf[o + d] * a.ddg[o];
-      const double corr = c * a.inv[o] * a.inv[o + d];
-      MpxUpdateBest(a.local_corr, a.local_index, corr, o, o + d);
-      MpxUpdateBest(a.local_corr, a.local_index, corr, o + d, o);
-    }
-  }
-}
-
-double MpxSeedCovCross(const double* series_a, const double* means_a,
-                       const double* series_b, const double* means_b,
-                       std::size_t a, std::size_t b, std::size_t m) {
+double MpxSeedCov(const double* series_a, const double* means_a,
+                  const double* series_b, const double* means_b,
+                  std::size_t a, std::size_t b, std::size_t m) {
   const double mu_a = means_a[a];
   const double mu_b = means_b[b];
   double c = 0.0;
@@ -52,54 +22,49 @@ double MpxSeedCovCross(const double* series_a, const double* means_a,
 
 namespace {
 
-// One template instead of two hand-kept copies: the update side is the
-// ONLY difference between the A and B cross ranges, and keeping the
-// arithmetic chain literally shared is what makes the two exported
-// ranges (and the vector variants' per-lane chains) provably identical.
-template <bool kUpdateA>
-void MpxCrossScalarRange(const MpxCrossBlockArgs& a, std::size_t d_begin,
-                         std::size_t d_end) {
+// One template for the three update sides: the side is the ONLY
+// difference between them, and keeping the arithmetic chain literally
+// shared is what makes the three (and the vector variants' per-lane
+// chains) provably identical.
+template <bool kUpdateA, bool kUpdateB>
+void MpxScalarRange(const MpxBlockArgs& a, std::size_t d_begin,
+                    std::size_t d_end) {
   for (std::size_t d = d_begin; d < d_end; ++d) {
     const std::size_t len_b = a.count_b - d;  // offsets valid in [0, len)
     const std::size_t len = a.count_a < len_b ? a.count_a : len_b;
     if (a.r0 >= len) break;  // d ascending => len non-increasing
     const std::size_t end = a.r1 < len ? a.r1 : len;
-    double c = MpxSeedCovCross(a.series_a, a.means_a, a.series_b, a.means_b,
-                               a.r0, a.r0 + d, a.m);
-    const double seed_corr = c * a.inv_a[a.r0] * a.inv_b[a.r0 + d];
-    if (kUpdateA) {
-      MpxUpdateBest(a.local_corr, a.local_index, seed_corr, a.r0, a.r0 + d);
-    } else {
-      MpxUpdateBest(a.local_corr, a.local_index, seed_corr, a.r0 + d, a.r0);
-    }
+    double c = MpxSeedCov(a.series_a, a.means_a, a.series_b, a.means_b,
+                          a.r0, a.r0 + d, a.m);
+    MpxUpdatePair<kUpdateA, kUpdateB>(
+        a, c * a.inv_a[a.r0] * a.inv_b[a.r0 + d], a.r0, a.r0 + d);
     for (std::size_t o = a.r0 + 1; o < end; ++o) {
       c += a.ddf_a[o] * a.ddg_b[o + d] + a.ddf_b[o + d] * a.ddg_a[o];
-      const double corr = c * a.inv_a[o] * a.inv_b[o + d];
-      if (kUpdateA) {
-        MpxUpdateBest(a.local_corr, a.local_index, corr, o, o + d);
-      } else {
-        MpxUpdateBest(a.local_corr, a.local_index, corr, o + d, o);
-      }
+      MpxUpdatePair<kUpdateA, kUpdateB>(a, c * a.inv_a[o] * a.inv_b[o + d],
+                                        o, o + d);
     }
   }
 }
 
 }  // namespace
 
-void MpxCrossBlockScalarRangeA(const MpxCrossBlockArgs& args,
-                               std::size_t d_begin, std::size_t d_end) {
-  MpxCrossScalarRange<true>(args, d_begin, d_end);
-}
-
-void MpxCrossBlockScalarRangeB(const MpxCrossBlockArgs& args,
-                               std::size_t d_begin, std::size_t d_end) {
-  MpxCrossScalarRange<false>(args, d_begin, d_end);
+void MpxBlockScalarRange(const MpxBlockArgs& args, std::size_t d_begin,
+                         std::size_t d_end) {
+  switch (args.update) {
+    case MpxUpdate::kA:
+      return MpxScalarRange<true, false>(args, d_begin, d_end);
+    case MpxUpdate::kB:
+      return MpxScalarRange<false, true>(args, d_begin, d_end);
+    case MpxUpdate::kBoth:
+      return MpxScalarRange<true, true>(args, d_begin, d_end);
+  }
 }
 
 void PanCovRowScalarRange(const PanCovRowArgs& a, std::size_t j_begin,
                           std::size_t j_end) {
   for (std::size_t j = j_begin; j < j_end; ++j) {
-    a.out[j] = MpxSeedCov(a.series, a.means, a.pos, j, a.m);
+    a.out[j] =
+        MpxSeedCov(a.series, a.means, a.series, a.means, a.pos, j, a.m);
   }
 }
 
@@ -111,7 +76,7 @@ void MpxAdvanceLagsScalarRange(MpxAdvanceLagsArgs& a, std::size_t k_begin,
     const std::size_t il = i - a.base;
     double c;
     if ((a.j + lag) % a.reseed == 0) {
-      c = MpxSeedCov(a.x, a.means, il, a.jl, a.m);
+      c = MpxSeedCov(a.x, a.means, a.x, a.means, il, a.jl, a.m);
     } else {
       c = a.diag_cov[k] + a.ddf[il] * a.ddg[a.jl] + a.ddf[a.jl] * a.ddg[il];
     }

@@ -1,10 +1,12 @@
 // Kernel-variant registry for the matrix-profile engines.
 //
-// The hot inner loops of the batch MPX joins, MERLIN's refinement rows
-// and the streaming MPX substrate are compiled once per ISA tier
+// Three hot inner loops are compiled once per ISA tier
 // (scalar/SSE2/AVX2/AVX-512) in dedicated translation units carrying
 // per-TU -msse2/-mavx2/-mavx512f flags, and selected at runtime through
-// this registry via common/cpu_features.h. The default build stays
+// this registry via common/cpu_features.h: the MPX join block (one
+// kernel for the self-join, the AB-join and the left profile, which
+// differ only in the side whose profile a pair updates), the streaming
+// MPX lag advance and MERLIN's refinement row. The default build stays
 // portable: baseline TUs never emit wide-SIMD instructions, and a
 // variant only runs after CPUID confirms the host supports its tier.
 //
@@ -17,8 +19,9 @@
 //  * variant TUs compile with -ffp-contract=off, so no mul+add is
 //    fused into an FMA even where the ISA has one (AVX-512F does);
 //  * each diagonal's running covariance stays in one vector lane, and
-//    every O(m) covariance seed is computed by the ONE shared scalar
-//    helper below, compiled once in the baseline TU;
+//    every O(m) covariance seed runs the ONE MpxSeedCov chain below,
+//    compiled once in the baseline TU and lane for lane in the vector
+//    group seeds;
 //  * profile updates are order-independent lexicographic maxima
 //    (higher correlation wins, ties to the lower neighbor index), so
 //    visiting candidates in vector-group order instead of scalar order
@@ -33,46 +36,27 @@
 
 namespace tsad {
 
-/// One (row block, diagonal range) cell of the batch MPX traversal:
-/// for every diagonal d in [d_begin, d_end), seed the covariance of
-/// pair (r0, r0+d) with MpxSeedCov, then advance it through offsets
-/// o in (r0, min(r1, count-d)) by the rank-2 ddf/ddg recurrence,
-/// updating local_corr/local_index on both the row side (entry o,
-/// neighbor o+d) and the column side (entry o+d, neighbor o) with the
-/// lexicographic-max rule. Diagonals with r0 >= count-d are skipped.
-/// The caller owns the tile loop, row-block loop and the cross-tile
-/// merge.
-struct MpxBlockArgs {
-  const double* series = nullptr;
-  const double* means = nullptr;
-  const double* ddf = nullptr;
-  const double* ddg = nullptr;
-  const double* inv = nullptr;
-  std::size_t m = 0;
-  std::size_t count = 0;
-  std::size_t r0 = 0;      // row-block start offset
-  std::size_t r1 = 0;      // row-block end bound (exclusive)
-  std::size_t d_begin = 0;
-  std::size_t d_end = 0;
-  double* local_corr = nullptr;
-  std::size_t* local_index = nullptr;
-};
-using MpxBlockFn = void (*)(const MpxBlockArgs&);
+/// Which profile an MPX join block updates: side A's (entry o,
+/// neighbor o + d), side B's (entry o + d, neighbor o) or both. The
+/// self-join is the both-sides case of a series joined with itself;
+/// the AB-join runs an A and a B sweep over its rectangle's two
+/// diagonal half-spaces; the (causal) left profile runs one B sweep.
+enum class MpxUpdate { kA, kB, kBoth };
 
-/// One (row block, diagonal range) cell of a CROSS-join MPX traversal
-/// (AB-join or left profile): diagonal d pairs offset o of side A with
-/// offset o + d of side B, valid while o < count_a and o + d < count_b,
-/// i.e. o < min(count_a, count_b - d) — non-increasing in d, so the
-/// same break-on-short-diagonal walk as the self-join applies. The
-/// covariance recurrence is the rank-2 cross form
+/// One (row block, diagonal range) cell of an MPX join: diagonal d
+/// pairs offset o of side A with offset o + d of side B, valid while
+/// o < min(count_a, count_b - d), which is non-increasing in d, so a
+/// walk over ascending diagonals stops at the first one too short for
+/// the block. For every diagonal d in [d_begin, d_end), seed the
+/// covariance of pair (r0, r0 + d) with MpxSeedCov, then advance it
+/// through offsets o in (r0, min(r1, count_a, count_b - d)) by the
+/// rank-2 recurrence
 ///   c += ddf_a[o] * ddg_b[o + d] + ddf_b[o + d] * ddg_a[o],
-/// seeded per block by MpxSeedCovCross. Unlike the self-join, only ONE
-/// side's profile is updated: the `mpx_cross_a` variant updates entry o
-/// (neighbor o + d), `mpx_cross_b` updates entry o + d (neighbor o) —
-/// AB-joins run one sweep of each over the two diagonal half-spaces,
-/// the (causal) left profile runs only the b side. local_corr and
-/// local_index are indexed by the UPDATED side's offsets.
-struct MpxCrossBlockArgs {
+/// updating the `update` side(s) with the lexicographic-max rule.
+/// local_corr and local_index are indexed by the updated side's
+/// offsets (one index space when both sides are one series). The
+/// caller owns the tile loop, row-block loop and the cross-tile merge.
+struct MpxBlockArgs {
   const double* series_a = nullptr;
   const double* means_a = nullptr;
   const double* ddf_a = nullptr;
@@ -90,10 +74,11 @@ struct MpxCrossBlockArgs {
   std::size_t r1 = 0;      // offset-block end bound (exclusive)
   std::size_t d_begin = 0;
   std::size_t d_end = 0;
+  MpxUpdate update = MpxUpdate::kBoth;
   double* local_corr = nullptr;
   std::size_t* local_index = nullptr;
 };
-using MpxCrossBlockFn = void (*)(const MpxCrossBlockArgs&);
+using MpxBlockFn = void (*)(const MpxBlockArgs&);
 
 /// A bounded log of right-profile neighbour changes: one (local index,
 /// previous neighbour) pair per change, in no particular order. `size`
@@ -154,8 +139,9 @@ using MpxAdvanceLagsFn = void (*)(MpxAdvanceLagsArgs&);
 
 /// One exact refinement row of MerlinSweep (detectors/merlin.h):
 /// locally-centered covariances of the query subsequence at `pos`
-/// against EVERY subsequence — out[j] = MpxSeedCov(series, means, pos,
-/// j, m), the O(n*m) direct form of a MASS row. Fully accurate (no
+/// against EVERY subsequence — out[j] is MpxSeedCov of the pair
+/// (pos, j) with the series on both sides, the O(n*m) direct form of a
+/// MASS row. Fully accurate (no
 /// uncentered cancellation, no FFT rounding) and vectorized across
 /// adjacent columns exactly like the kernels' group seeds.
 struct PanCovRowArgs {
@@ -172,8 +158,6 @@ using PanCovRowFn = void (*)(const PanCovRowArgs&);
 struct MpKernelVariant {
   SimdTier tier = SimdTier::kScalar;
   MpxBlockFn mpx_block = nullptr;
-  MpxCrossBlockFn mpx_cross_a = nullptr;  // update side A (entry o)
-  MpxCrossBlockFn mpx_cross_b = nullptr;  // update side B (entry o + d)
   MpxAdvanceLagsFn mpx_advance_lags = nullptr;
   PanCovRowFn pan_cov_row = nullptr;
 };
@@ -194,33 +178,19 @@ const MpKernelVariant& ActiveKernelVariant();
 // the exact tier bit-identical across tiers.
 // ---------------------------------------------------------------------------
 
-/// Locally-centered O(m) covariance of the subsequence pair (a, b):
-/// sum_k (series[a+k]-means[a]) * (series[b+k]-means[b]), accumulated
-/// left to right. The ONE seed every MPX path (batch, streaming
-/// re-seed) uses.
-double MpxSeedCov(const double* series, const double* means, std::size_t a,
-                  std::size_t b, std::size_t m);
+/// Locally-centered O(m) covariance of side-A subsequence `a` against
+/// side-B subsequence `b`: sum_k (series_a[a+k]-means_a[a]) *
+/// (series_b[b+k]-means_b[b]), accumulated left to right. The ONE seed
+/// every MPX path (batch joins, streaming re-seed, MERLIN rows) uses;
+/// a self-pair passes the same series as both sides.
+double MpxSeedCov(const double* series_a, const double* means_a,
+                  const double* series_b, const double* means_b,
+                  std::size_t a, std::size_t b, std::size_t m);
 
-/// Cross-series variant of MpxSeedCov: the locally-centered O(m)
-/// covariance of side-A subsequence `a` against side-B subsequence `b`,
-/// with the EXACT per-k operation chain of MpxSeedCov (so a cross seed
-/// over a == b sides reproduces the self-join seed bit for bit).
-double MpxSeedCovCross(const double* series_a, const double* means_a,
-                       const double* series_b, const double* means_b,
-                       std::size_t a, std::size_t b, std::size_t m);
-
-/// Scalar MpxBlock over diagonals [d_begin, d_end) of args' row block.
+/// Scalar MPX join block over diagonals [d_begin, d_end) of args' row
+/// block, on args.update's side(s).
 void MpxBlockScalarRange(const MpxBlockArgs& args, std::size_t d_begin,
                          std::size_t d_end);
-
-/// Scalar cross-join block over diagonals [d_begin, d_end), updating
-/// side A (entry o, neighbor o + d).
-void MpxCrossBlockScalarRangeA(const MpxCrossBlockArgs& args,
-                               std::size_t d_begin, std::size_t d_end);
-
-/// Scalar cross-join block updating side B (entry o + d, neighbor o).
-void MpxCrossBlockScalarRangeB(const MpxCrossBlockArgs& args,
-                               std::size_t d_begin, std::size_t d_end);
 
 /// Scalar lag advance over lags [k_begin, k_end).
 void MpxAdvanceLagsScalarRange(MpxAdvanceLagsArgs& args, std::size_t k_begin,
@@ -239,6 +209,20 @@ inline void MpxUpdateBest(double* corr, std::size_t* index, double candidate,
       (candidate == corr[row] && col < index[row])) {
     corr[row] = candidate;
     index[row] = col;
+  }
+}
+
+/// The join update of pair (o, o + d) = (o, od) with correlation
+/// `candidate` on the compile-time side(s): entry o of side A takes
+/// neighbor od, entry od of side B takes neighbor o.
+template <bool kUpdateA, bool kUpdateB>
+inline void MpxUpdatePair(const MpxBlockArgs& args, double candidate,
+                          std::size_t o, std::size_t od) {
+  if (kUpdateA) {
+    MpxUpdateBest(args.local_corr, args.local_index, candidate, o, od);
+  }
+  if (kUpdateB) {
+    MpxUpdateBest(args.local_corr, args.local_index, candidate, od, o);
   }
 }
 

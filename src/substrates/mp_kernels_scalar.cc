@@ -13,14 +13,6 @@ void MpxBlock(const MpxBlockArgs& args) {
   MpxBlockScalarRange(args, args.d_begin, args.d_end);
 }
 
-void MpxCrossBlockA(const MpxCrossBlockArgs& args) {
-  MpxCrossBlockScalarRangeA(args, args.d_begin, args.d_end);
-}
-
-void MpxCrossBlockB(const MpxCrossBlockArgs& args) {
-  MpxCrossBlockScalarRangeB(args, args.d_begin, args.d_end);
-}
-
 void MpxAdvanceLags(MpxAdvanceLagsArgs& args) {
   MpxAdvanceLagsScalarRange(args, 0, args.nlags);
 }
@@ -37,8 +29,6 @@ MpKernelVariant ScalarVariant() {
   MpKernelVariant v;
   v.tier = SimdTier::kScalar;
   v.mpx_block = MpxBlock;
-  v.mpx_cross_a = MpxCrossBlockA;
-  v.mpx_cross_b = MpxCrossBlockB;
   v.mpx_advance_lags = MpxAdvanceLags;
   v.pan_cov_row = PanCovRow;
   return v;

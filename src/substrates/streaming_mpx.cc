@@ -150,18 +150,6 @@ std::size_t StreamingMpx::LagCount(std::size_t newest) const {
   return span > config_.exclusion ? span - config_.exclusion : 0;
 }
 
-double StreamingMpx::CenteredDot(std::size_t i, std::size_t j) const {
-  const std::size_t il = i - base_;
-  const std::size_t jl = j - base_;
-  const double mu_a = means_[il];
-  const double mu_b = means_[jl];
-  double c = 0.0;
-  for (std::size_t k = 0; k < config_.m; ++k) {
-    c += (x_[il + k] - mu_a) * (x_[jl + k] - mu_b);
-  }
-  return c;
-}
-
 void StreamingMpx::Prune() {
   const std::size_t drop = chunk_;
   const auto erase_front = [drop](auto& v) {
@@ -287,7 +275,9 @@ void StreamingMpx::Push(double value, RightChangeLog* changes) {
     const std::size_t lag = config_.exclusion + 1 + nlags;
     const std::size_t i = j - lag;
     const std::size_t il = i - base_;
-    const double c = CenteredDot(i, j);
+    const double c =
+        MpxSeedCov(x_.data(), means_.data(), x_.data(), means_.data(), il,
+                   jl, m);
     diag_cov_.push_back(c);
     const double corr = c * inv_[il] * inv_j;
     if (corr > right_corr_[il]) {

@@ -198,9 +198,6 @@ class StreamingMpx {
 
  private:
   void Prune();
-  // Locally-centered O(m) covariance of subsequence pair (i, j),
-  // global indices — the same seed the batch joins use per row block.
-  double CenteredDot(std::size_t i, std::size_t j) const;
   // Number of tracked diagonals when `newest` is the newest
   // subsequence: lags exclusion+1 .. min(newest - base_, band).
   std::size_t LagCount(std::size_t newest) const;
