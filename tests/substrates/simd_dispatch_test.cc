@@ -326,7 +326,9 @@ void ExpectPinnedAtEveryTier(std::uint64_t want, const Pin& pin) {
 // Self-joins at m = 8, 32 and 64, so the 8- and 16-diagonal vector
 // groups are left partial at different diagonals: flat runs at 7.5 and
 // 1e6; 9,000 points, which span several 1,024-offset row blocks; and
-// one NaN (whose profile ROADMAP item 2 will change on purpose).
+// one NaN, pinned with the diagonals it poisons today (confining a
+// non-finite value to the windows that hold it will change this hash
+// on purpose).
 TEST(SimdDispatchTest, SelfJoinOutputBitsArePinned) {
   const Series flats = WalkWithFlats(3000, 61);
   const Series long_walk = RandomWalk(9000, 62);
