@@ -18,10 +18,6 @@ void AppendPrefixSums(const double* x, std::size_t n,
   }
 }
 
-namespace {
-
-// Prefix sums of the whole of x, and of its squares into `*sq` when
-// `sq` is non-null.
 std::vector<long double> PrefixSums(const std::vector<double>& x,
                                     std::vector<long double>* sq) {
   std::vector<long double> sums{0.0L};
@@ -33,8 +29,6 @@ std::vector<long double> PrefixSums(const std::vector<double>& x,
   AppendPrefixSums(x.data(), x.size(), &sums, sq);
   return sums;
 }
-
-}  // namespace
 
 void CenteredWindow(std::size_t i, std::size_t n, std::size_t k,
                     std::size_t* lo, std::size_t* hi) {
@@ -130,15 +124,12 @@ void ZNormalizeInPlace(std::vector<double>& x) {
     sum += v;
     sq += static_cast<long double>(v) * v;
   }
-  const long double n = static_cast<long double>(x.size());
-  const double mean = static_cast<double>(sum / n);
-  long double var = sq / n - (sum / n) * (sum / n);
-  if (var < 0.0L) var = 0.0L;
-  const double sd = std::sqrt(static_cast<double>(var));
-  if (sd < 1e-12) {
-    for (double& v : x) v -= mean;
+  const WindowMoments w =
+      MomentsFromSums(sum, sq, static_cast<long double>(x.size()));
+  if (w.stddev < 1e-12) {
+    for (double& v : x) v -= w.mean;
   } else {
-    for (double& v : x) v = (v - mean) / sd;
+    for (double& v : x) v = (v - w.mean) / w.stddev;
   }
 }
 

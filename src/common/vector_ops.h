@@ -13,6 +13,7 @@
 #ifndef TSAD_COMMON_VECTOR_OPS_H_
 #define TSAD_COMMON_VECTOR_OPS_H_
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -33,6 +34,32 @@ std::vector<double> Abs(std::vector<double> x);
 void AppendPrefixSums(const double* x, std::size_t n,
                       std::vector<long double>* sums,
                       std::vector<long double>* sq);
+
+/// The prefix sums of the whole of x (AppendPrefixSums from {0}), and
+/// of its squares into `*sq` when `sq` is non-null.
+std::vector<long double> PrefixSums(const std::vector<double>& x,
+                                    std::vector<long double>* sq);
+
+/// Population mean and standard deviation of a window of values.
+struct WindowMoments {
+  double mean = 0.0;
+  double stddev = 0.0;
+};
+
+/// The population moments of `count` values from their sum `s` and sum
+/// of squares `ss`: the long-double mean s / count and variance
+/// ss / count - mean^2, clamped at 0, then the mean rounded to double
+/// and the sqrt of the variance rounded to double. Every
+/// population-moment path (ComputeWindowStats, StreamingMpx, the moving
+/// z-score and ZNormalizeInPlace) converts its sums here, so they round
+/// alike.
+inline WindowMoments MomentsFromSums(long double s, long double ss,
+                                     long double count) {
+  const long double mean = s / count;
+  long double var = ss / count - mean * mean;
+  if (var < 0.0L) var = 0.0L;
+  return {static_cast<double>(mean), std::sqrt(static_cast<double>(var))};
+}
 
 /// MATLAB's centered window of length k (k >= 1) around index i of an
 /// n-value track: k/2 values back and (k-1)/2 ahead, truncated to

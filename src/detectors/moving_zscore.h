@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/vector_ops.h"
 #include "common/wire.h"
 #include "detectors/detector.h"
 
@@ -30,12 +31,9 @@ class MovingZScoreCore {
   /// until `window` points have been seen.
   double Step(double x) {
     if (ring_.size() < window_) return Fill(x);
-    const long double w = static_cast<long double>(window_);
-    const long double mean = sum_ / w;
-    long double var = sq_ / w - mean * mean;
-    if (var < 0.0L) var = 0.0L;
-    const double sd = std::max(kMinStd, std::sqrt(static_cast<double>(var)));
-    const double score = std::fabs(x - static_cast<double>(mean)) / sd;
+    const WindowMoments w =
+        MomentsFromSums(sum_, sq_, static_cast<long double>(window_));
+    const double score = std::fabs(x - w.mean) / std::max(kMinStd, w.stddev);
     // Slide: the delta `x - old` is formed in double before widening
     // to the long-double sum.
     const double old = ring_[head_];

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <string>
 
+#include "common/vector_ops.h"
+
 namespace tsad {
 
 Status CheckTwoSubsequences(std::size_t n, std::size_t m) {
@@ -29,20 +31,14 @@ WindowStats ComputeWindowStats(const std::vector<double>& x, std::size_t m) {
   stats.means.resize(count);
   stats.stds.resize(count);
 
-  std::vector<long double> sums(n + 1, 0.0L), sq(n + 1, 0.0L);
-  for (std::size_t i = 0; i < n; ++i) {
-    sums[i + 1] = sums[i] + x[i];
-    sq[i + 1] = sq[i] + static_cast<long double>(x[i]) * x[i];
-  }
+  std::vector<long double> sq;
+  const std::vector<long double> sums = PrefixSums(x, &sq);
   const long double dm = static_cast<long double>(m);
   for (std::size_t i = 0; i < count; ++i) {
-    const long double s = sums[i + m] - sums[i];
-    const long double ss = sq[i + m] - sq[i];
-    const long double mean = s / dm;
-    long double var = ss / dm - mean * mean;
-    if (var < 0.0L) var = 0.0L;
-    stats.means[i] = static_cast<double>(mean);
-    stats.stds[i] = std::sqrt(static_cast<double>(var));
+    const WindowMoments w =
+        MomentsFromSums(sums[i + m] - sums[i], sq[i + m] - sq[i], dm);
+    stats.means[i] = w.mean;
+    stats.stds[i] = w.stddev;
   }
   return stats;
 }

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/saturating.h"
+#include "common/vector_ops.h"
 #include "substrates/mp_kernels.h"
 #include "substrates/profile_internal.h"
 
@@ -205,22 +206,18 @@ void StreamingMpx::Push(double value, RightChangeLog* changes) {
   // kernels on an un-pruned stream.
   const std::size_t j = seen_ - m;  // global index of the new subsequence
   const std::size_t jl = j - base_;
-  const long double dm = static_cast<long double>(m);
-  const long double s = tot_sum_ - psum_ring_[(seen_ - m) % ring];
-  const long double ss = tot_sq_ - psq_ring_[(seen_ - m) % ring];
-  const long double mean = s / dm;
-  long double var = ss / dm - mean * mean;
-  if (var < 0.0L) var = 0.0L;
-  const double mean_d = static_cast<double>(mean);
-  const double std_d = std::sqrt(static_cast<double>(var));
-  means_.push_back(mean_d);
-  stds_.push_back(std_d);
-  if (profile_internal::IsFlat(mean_d, std_d)) {
+  const WindowMoments w =
+      MomentsFromSums(tot_sum_ - psum_ring_[(seen_ - m) % ring],
+                      tot_sq_ - psq_ring_[(seen_ - m) % ring],
+                      static_cast<long double>(m));
+  means_.push_back(w.mean);
+  stds_.push_back(w.stddev);
+  if (profile_internal::IsFlat(w.mean, w.stddev)) {
     inv_.push_back(0.0);
     if (changes != nullptr) LogNewFlat(j, changes);
     flat_.push_back(j);
   } else {
-    inv_.push_back(1.0 / (std_d * std::sqrt(static_cast<double>(m))));
+    inv_.push_back(1.0 / (w.stddev * std::sqrt(static_cast<double>(m))));
   }
   // Difference tracks, fixed at arrival (entry 0 of the stream is kept
   // zero and never read — lag frontiers at the oldest retained
