@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/vector_ops.h"
 #include "detectors/control_chart.h"
@@ -426,18 +427,15 @@ Result<std::unique_ptr<OnlineDetector>> MakeOnlineDetector(
   // The batch `resilient:` decorator sanitizes with the whole series in
   // hand, so it has no bit-exact online form; serve the causal
   // equivalent instead — the inner adapter behind a per-point
-  // sanitizer. (Before this branch existed the prefix fell through to a
-  // misleading "no online adapter for 'resilient'" error.)
-  constexpr std::string_view kResilientPrefix = "resilient:";
-  if (spec.rfind(kResilientPrefix, 0) == 0) {
-    const std::string inner_spec = spec.substr(kResilientPrefix.size());
-    if (inner_spec.empty()) {
+  // sanitizer.
+  if (const std::optional<std::string> inner_spec = ResilientInnerSpec(spec)) {
+    if (inner_spec->empty()) {
       return Status::InvalidArgument(
           "spec 'resilient:' needs an inner detector, e.g. "
           "'resilient:zscore:w=64'");
     }
     TSAD_ASSIGN_OR_RETURN(std::unique_ptr<OnlineDetector> inner,
-                          MakeOnlineDetector(inner_spec, train_length));
+                          MakeOnlineDetector(*inner_spec, train_length));
     return std::unique_ptr<OnlineDetector>(
         std::make_unique<OnlineSanitizer>(std::move(inner)));
   }
