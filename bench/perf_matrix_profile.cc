@@ -1,13 +1,14 @@
-// Performance benchmarks for the matrix-profile substrate: MASS
-// distance profiles and the MPX joins. Establishes that the substrate
-// scales as published (n log n per MASS query, n^2 for the self-join).
+// Performance benchmarks for the matrix-profile substrate: one
+// subsequence's distance profile and the MPX joins. Establishes that
+// the substrate scales as published (n m per distance profile, n^2 for
+// the self-join).
 //
 // Before the google-benchmark suites run, main() times the MPX
 // self-join single-threaded at every ISA tier the host supports, the
-// AB-join and left profile, MerlinSweep against the per-length
-// recompute on a random walk (merlin_pan_speedup) and on white noise,
-// its worst case (merlin_noise_speedup), and the parallel layer's
-// scaling, and writes the results to
+// AB-join and left profile, MerlinSweep on a random walk
+// (merlin_pan_ms) and on white noise, its worst case
+// (merlin_noise_sweep_ms), and the parallel layer's scaling, and
+// writes the results to
 // BENCH_perf_matrix_profile.json — the machine-readable record CI
 // archives. Flags: --threads N, --mp-isa T, --smoke (tiny run for the
 // perf_smoke ctest label; writes no JSON — but still sweeps every
@@ -48,18 +49,15 @@ tsad::Series RandomWalk(std::size_t n, uint64_t seed) {
   return x;
 }
 
-void BM_MassDistanceProfile(benchmark::State& state) {
+void BM_DistanceProfile(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t m = 128;
   const tsad::Series x = RandomWalk(n, 1);
-  const tsad::Series query = tsad::Subsequence(x, n / 2, m);
-  const tsad::WindowStats stats = tsad::ComputeWindowStats(x, m);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tsad::MassDistanceProfile(x, query, stats));
+    benchmark::DoNotOptimize(tsad::DistanceProfile(x, n / 2, 128));
   }
   state.SetComplexityN(static_cast<int64_t>(n));
 }
-BENCHMARK(BM_MassDistanceProfile)->Range(1 << 10, 1 << 16)->Complexity();
+BENCHMARK(BM_DistanceProfile)->Range(1 << 10, 1 << 16)->Complexity();
 
 void BM_MpxMatrixProfile(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -167,45 +165,30 @@ int main(int argc, char** argv) {
   fields.push_back({"ab_mpx_ms", ab_mpx_ms});
   fields.push_back({"left_mpx_ms", left_mpx_ms});
 
-  // MERLIN legs: MerlinSweep versus the per-length full recompute, over
-  // the registry's default length range, on the walk and on white noise
-  // of the same size. Noise is the search's worst case — no
-  // subsequence resembles another, so carried neighbours go stale and
-  // refinement runs the most rows. Capped at 16384 points so the
-  // per-length baseline stays affordable at TSAD_PERF_MP_N=65536.
+  // MERLIN legs: MerlinSweep over the registry's default length range,
+  // on the walk and on white noise of the same size. Noise is the
+  // search's worst case — no subsequence resembles another, so carried
+  // neighbours go stale and refinement runs the most rows. Capped at
+  // 16384 points, so the MERLIN fields time the same input whatever
+  // TSAD_PERF_MP_N is.
   const std::size_t n_merlin = std::min<std::size_t>(n, 1 << 14);
   const tsad::Series x_merlin(
       x.begin(), x.begin() + static_cast<std::ptrdiff_t>(n_merlin));
   const tsad::Series noise_merlin = WhiteNoise(n_merlin, 3);
   const std::size_t merlin_min = smoke ? 24 : 48;
   const std::size_t merlin_max = smoke ? 40 : 96;
-  const auto per_length = [&](const tsad::Series& s) {
-    return tsad::MerlinSweepPerLength(s, merlin_min, merlin_max);
-  };
   const auto sweep = [&](const tsad::Series& s) {
     return tsad::MerlinSweep(s, merlin_min, merlin_max);
   };
-  const double merlin_per_length_ms = TimeMs(x_merlin, per_length);
   const double merlin_pan_ms = TimeMs(x_merlin, sweep);
-  const double merlin_noise_per_length_ms = TimeMs(noise_merlin, per_length);
   const double merlin_noise_sweep_ms = TimeMs(noise_merlin, sweep);
-  std::printf("merlin n=%zu m=[%zu, %zu]: per-length %.1f ms, sweep %.1f ms "
-              "(speedup %.2fx)\n",
-              n_merlin, merlin_min, merlin_max, merlin_per_length_ms,
-              merlin_pan_ms, merlin_per_length_ms / merlin_pan_ms);
-  std::printf("merlin white noise n=%zu: per-length %.1f ms, sweep %.1f ms "
-              "(speedup %.2fx)\n",
-              n_merlin, merlin_noise_per_length_ms, merlin_noise_sweep_ms,
-              merlin_noise_per_length_ms / merlin_noise_sweep_ms);
+  std::printf("merlin n=%zu m=[%zu, %zu]: sweep %.1f ms\n", n_merlin,
+              merlin_min, merlin_max, merlin_pan_ms);
+  std::printf("merlin white noise n=%zu: sweep %.1f ms\n", n_merlin,
+              merlin_noise_sweep_ms);
   fields.push_back({"merlin_n", static_cast<double>(n_merlin)});
-  fields.push_back({"merlin_per_length_ms", merlin_per_length_ms});
   fields.push_back({"merlin_pan_ms", merlin_pan_ms});
-  fields.push_back(
-      {"merlin_pan_speedup", merlin_per_length_ms / merlin_pan_ms});
-  fields.push_back({"merlin_noise_per_length_ms", merlin_noise_per_length_ms});
   fields.push_back({"merlin_noise_sweep_ms", merlin_noise_sweep_ms});
-  fields.push_back({"merlin_noise_speedup",
-                    merlin_noise_per_length_ms / merlin_noise_sweep_ms});
 
   // The parallel leg is only meaningful when the pool actually has
   // more than one thread; on a 1-core runner it is skipped and marked

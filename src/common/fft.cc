@@ -59,42 +59,4 @@ void Fft(std::vector<std::complex<double>>& x, bool inverse) {
   }
 }
 
-std::vector<double> SlidingDotProductNaive(const std::vector<double>& t,
-                                           const std::vector<double>& q) {
-  const std::size_t n = t.size();
-  const std::size_t m = q.size();
-  if (m == 0 || m > n) return {};
-  std::vector<double> out(n - m + 1);
-  for (std::size_t i = 0; i + m <= n; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < m; ++j) acc += t[i + j] * q[j];
-    out[i] = acc;
-  }
-  return out;
-}
-
-std::vector<double> SlidingDotProduct(const std::vector<double>& t,
-                                      const std::vector<double>& q) {
-  const std::size_t n = t.size();
-  const std::size_t m = q.size();
-  if (m == 0 || m > n) return {};
-  if (n < 64) return SlidingDotProductNaive(t, q);  // not worth the FFT
-
-  const std::size_t size = NextPowerOfTwo(n + m - 1);
-  std::vector<std::complex<double>> fa(size), fb(size);
-  for (std::size_t i = 0; i < n; ++i) fa[i] = t[i];
-  // Reverse q so that convolution yields correlation.
-  for (std::size_t i = 0; i < m; ++i) fb[i] = q[m - 1 - i];
-
-  Fft(fa, /*inverse=*/false);
-  Fft(fb, /*inverse=*/false);
-  for (std::size_t i = 0; i < size; ++i) fa[i] *= fb[i];
-  Fft(fa, /*inverse=*/true);
-
-  // Valid correlation outputs live at offsets m-1 .. n-1.
-  std::vector<double> out(n - m + 1);
-  for (std::size_t i = 0; i + m <= n; ++i) out[i] = fa[i + m - 1].real();
-  return out;
-}
-
 }  // namespace tsad

@@ -88,10 +88,10 @@ std::vector<MislabelFinding> FindUnlabeledTwins(const LabeledSeries& series) {
     }
     if (start + m > x.size()) start = x.size() - m;
 
-    const std::vector<double> profile =
-        MassDistanceProfile(x, Subsequence(x, start, m));
-    if (profile.empty()) continue;
-    const double median_dist = Median(std::vector<double>(profile));
+    const Result<std::vector<double>> distances = DistanceProfile(x, start, m);
+    if (!distances.ok()) continue;
+    const std::vector<double>& profile = *distances;
+    const double median_dist = Median(profile);
     if (median_dist <= 1e-12) continue;  // degenerate (constant series)
     const double max_distance = std::sqrt(2.0 * static_cast<double>(m));
     const double threshold = std::min(kTwinRatio * median_dist,

@@ -49,10 +49,11 @@ struct MislabelFinding {
   std::string detail;
 };
 
-/// Finds unlabeled twins of each labeled anomaly via MASS profiles: a
-/// window clear of every label whose z-normalized distance to the
-/// labeled exemplar is both far below the series' median and near
-/// identity (the thresholds and their rationale are in mislabel.cc).
+/// Finds unlabeled twins of each labeled anomaly from the labeled
+/// window's distance profile (DistanceProfile): a window clear of every
+/// label whose z-normalized distance to the labeled exemplar is both
+/// far below the series' median and near identity (the thresholds and
+/// their rationale are in mislabel.cc).
 std::vector<MislabelFinding> FindUnlabeledTwins(const LabeledSeries& series);
 
 /// Finds constant runs (at least 12 points within 1e-9) that are

@@ -24,11 +24,10 @@ Status ValidateMerlinLengths(std::size_t min_length, std::size_t max_length) {
 
 namespace {
 
-// MERLIN's range contract, shared by the search and the per-length
-// baseline: the length range, plus enough subsequences at the LARGEST
-// length to make "discord" meaningful. Strictly tighter than the
-// self-join's own validation at every length of the range, so the
-// ComputeMatrixProfile calls below cannot fail on the shape.
+// MERLIN's range contract: the length range, plus enough subsequences
+// at the LARGEST length to make "discord" meaningful. Strictly tighter
+// than the self-join's own validation at every length of the range, so
+// the ComputeMatrixProfile calls below cannot fail on the shape.
 Status ValidateMerlinRange(const Series& series, std::size_t min_length,
                            std::size_t max_length) {
   TSAD_RETURN_IF_ERROR(ValidateMerlinLengths(min_length, max_length));
@@ -214,17 +213,15 @@ struct ExactRow {
 // Exact NN distance (and neighbor) of the subsequence at `pos`, with
 // the m/2 trivial-match exclusion — the measurement DRAG's refinement
 // phase makes, via one dispatched DIRECT row of locally-centered
-// covariances (mp_kernels.h pan_cov_row) instead of a MASS FFT pass:
-// the same real value with better conditioning (each dot is centered,
-// so nothing cancels) and an order of magnitude cheaper at this
-// one-query-many-rows access pattern. Flat cases reproduce the
-// SCAMP/PairDistance semantics exactly: flat-flat pairs at 0, mixed
+// covariances (mp_kernels.h pan_cov_row, the row DistanceProfile also
+// reads): each dot is centered, so nothing cancels. Flat cases
+// reproduce the SCAMP semantics exactly: flat-flat pairs at 0, mixed
 // pairs at sqrt(2m).
 ExactRow ExactNn(const Series& x, const Layer& layer, std::size_t pos,
                  PanCovRowFn cov_row, std::vector<double>& scratch) {
   ExactRow row;
   // No admissible partner at all (exclusion swallows the range) stays
-  // +inf, as the MASS-row scan reported it.
+  // +inf.
   if (pos <= layer.exclusion && pos + layer.exclusion + 1 >= layer.count) {
     return row;
   }
@@ -427,48 +424,6 @@ Result<std::vector<LengthDiscord>> MerlinSweep(const Series& series,
         RefineLength(series, layer, prev_pos, &carry, cov_row, &scratch));
     out.push_back(d);
     prev_pos = d.position;
-  }
-  return out;
-}
-
-Result<std::vector<LengthDiscord>> MerlinSweepPerLength(
-    const Series& series, std::size_t min_length, std::size_t max_length) {
-  TSAD_RETURN_IF_ERROR(ValidateMerlinRange(series, min_length, max_length));
-  std::vector<LengthDiscord> out;
-  out.reserve(max_length - min_length + 1);
-  for (std::size_t m = min_length; m <= max_length; ++m) {
-    TSAD_ASSIGN_OR_RETURN(const MatrixProfile mp,
-                          ComputeMatrixProfile(series, m));
-    const std::vector<Discord> top = TopDiscords(mp, 1);
-    if (top.empty()) {
-      return Status::Internal("no discord found at length " +
-                              std::to_string(m));
-    }
-    LengthDiscord ld;
-    ld.length = m;
-    ld.position = top.front().position;
-    ld.distance = top.front().distance;
-    // Resolve mutual-NN rounding-level ties the way MerlinSweep does:
-    // the kernel computes the shared pair distance once per DIRECTION,
-    // and the two directions can round apart by ~1e-14, making a strict
-    // argmax pick whichever position the noise favored. The first
-    // (lowest) position within kPanTieCorrEps of the maximum wins — see
-    // merlin.h.
-    if (std::isfinite(ld.distance)) {
-      const double tie_sq =
-          2.0 * static_cast<double>(m) * kPanTieCorrEps;
-      const double best_sq = ld.distance * ld.distance;
-      for (std::size_t i = 0; i < ld.position; ++i) {
-        const double d = mp.distances[i];
-        if (std::isfinite(d) && d * d >= best_sq - tie_sq) {
-          ld.position = i;
-          ld.distance = d;
-          break;
-        }
-      }
-    }
-    ld.normalized = ld.distance / std::sqrt(static_cast<double>(m));
-    out.push_back(ld);
   }
   return out;
 }

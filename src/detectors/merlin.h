@@ -13,9 +13,9 @@
 // so refining subsequences in bound order with exact rows finds the
 // top discord after a handful of rows; a length whose refinement runs
 // past a budget worth about one self-join refreshes every candidate
-// from ComputeMatrixProfile instead. MerlinSweepPerLength keeps the
-// per-length recompute as the oracle/baseline the search is certified
-// (and benchmarked) against.
+// from ComputeMatrixProfile instead. The per-length recompute (one
+// self-join and TopDiscords per length) is the oracle the search is
+// certified against; it lives with the tests.
 
 #ifndef TSAD_DETECTORS_MERLIN_H_
 #define TSAD_DETECTORS_MERLIN_H_
@@ -43,8 +43,8 @@ struct LengthDiscord {
 /// directions slightly differently (the kernel recurrence by the path
 /// it took along each diagonal, the refinement row by its own dot
 /// order), so a strict argmax would make the reported position an
-/// artifact of which backend computed the profile. MerlinSweep and
-/// MerlinSweepPerLength both resolve such ties with this epsilon: far
+/// artifact of which backend computed the profile. MerlinSweep and its
+/// per-length test oracle both resolve such ties with this epsilon: far
 /// above ~1e-13 directional rounding, far below any genuine gap
 /// between distinct discords.
 inline constexpr double kPanTieCorrEps = 1e-8;
@@ -67,16 +67,6 @@ Status ValidateMerlinLengths(std::size_t min_length, std::size_t max_length);
 Result<std::vector<LengthDiscord>> MerlinSweep(const Series& series,
                                                std::size_t min_length,
                                                std::size_t max_length);
-
-/// The per-length baseline: one full matrix profile + TopDiscords(mp,
-/// 1) per length, with mutual-NN rounding-level ties resolved to the
-/// lowest position by the shared kPanTieCorrEps contract. Same
-/// validation, same output contract as MerlinSweep — the oracle its
-/// equivalence tests check against, the "before" leg of the MERLIN
-/// bench and the strided-grid path of `tsad panprofile`. Runs
-/// ComputeMatrixProfile, so it benefits from --mp-isa.
-Result<std::vector<LengthDiscord>> MerlinSweepPerLength(
-    const Series& series, std::size_t min_length, std::size_t max_length);
 
 /// Detector adapter: the per-point score is the maximum
 /// length-normalized discord coverage across the swept lengths, making

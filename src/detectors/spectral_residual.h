@@ -3,8 +3,8 @@
 // log-amplitude spectrum, subtract its local average (the "spectral
 // residual"), transform back — the saliency map peaks where the series
 // is locally surprising. Fast, parameter-light, and another simple
-// method for the §4.5 roster; it rides on the same FFT substrate as
-// MASS.
+// method for the §4.5 roster; it rides on the FFT substrate
+// (common/fft.h) that seasonal ESD also uses.
 
 #ifndef TSAD_DETECTORS_SPECTRAL_RESIDUAL_H_
 #define TSAD_DETECTORS_SPECTRAL_RESIDUAL_H_

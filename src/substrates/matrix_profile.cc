@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
+#include <string>
 
-#include "common/fft.h"
 #include "common/parallel.h"
-#include "common/stats.h"
 #include "substrates/mp_kernels.h"
 #include "substrates/profile_internal.h"
 
@@ -46,21 +43,6 @@ constexpr std::size_t kMpxDiagTile = 128;
 constexpr std::size_t kMpxRowBlock = 1024;
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-// Pairwise z-normalized distance from a dot product `qt` and rolling
-// means/stds, with the SCAMP flat cases (flat-vs-flat 0, flat-vs-dynamic
-// sqrt(2m)). MASS is its only user.
-double ZNormPairDistance(double qt, double mean_a, double std_a, double mean_b,
-                         double std_b, std::size_t m) {
-  const double dm = static_cast<double>(m);
-  const bool flat_a = profile_internal::IsFlat(mean_a, std_a);
-  const bool flat_b = profile_internal::IsFlat(mean_b, std_b);
-  if (flat_a && flat_b) return 0.0;
-  if (flat_a || flat_b) return std::sqrt(2.0 * dm);
-  double corr = (qt - dm * mean_a * mean_b) / (dm * std_a * std_b);
-  corr = std::clamp(corr, -1.0, 1.0);
-  return std::sqrt(std::max(0.0, 2.0 * dm * (1.0 - corr)));
-}
 
 // Per-side precompute of the MPX drivers: rolling stats, muinvn inverse
 // norms (0 for flats, so every correlation a flat takes part in is
@@ -138,9 +120,8 @@ MatrixProfile FinishProfile(const CorrProfile& best,
       continue;
     }
     if (best.index[i] == kNoNeighbor) continue;  // NaN-poisoned input
-    const double corr = std::clamp(best.corr[i], -1.0, 1.0);
-    const double v = two_m * (1.0 - corr);
-    profile.distances[i] = std::sqrt(v > 0.0 ? v : 0.0);
+    profile.distances[i] =
+        profile_internal::CorrToDistance(best.corr[i], two_m);
     profile.indices[i] = best.index[i];
   }
   return profile;
@@ -242,41 +223,39 @@ Status RunJoinSweeps(const std::vector<JoinSweep>& sweeps, std::size_t m,
 
 }  // namespace
 
-std::vector<double> MassDistanceProfile(const std::vector<double>& series,
-                                        const std::vector<double>& query,
-                                        const WindowStats& stats) {
-  const std::size_t m = query.size();
+Result<std::vector<double>> DistanceProfile(const std::vector<double>& series,
+                                            std::size_t pos, std::size_t m) {
+  if (m < 2) return Status::InvalidArgument("subsequence length must be >= 2");
   const std::size_t count = NumSubsequences(series.size(), m);
-  // Mismatched stats (e.g. computed for a different window length) are
-  // a caller bug that would read past the stats arrays below. An assert
-  // compiles out in release builds, so fail loudly in all modes.
-  if (stats.size() != count) {
-    std::fprintf(stderr,
-                 "MassDistanceProfile: window stats for %zu subsequences do "
-                 "not match the %zu subsequences of the series/query pair "
-                 "(series %zu, query %zu) — were the stats computed with a "
-                 "different window length?\n",
-                 stats.size(), count, series.size(), m);
-    std::abort();
+  if (pos >= count) {
+    return Status::InvalidArgument(
+        "no length-" + std::to_string(m) + " subsequence starts at " +
+        std::to_string(pos) + " in " + std::to_string(series.size()) +
+        " points");
   }
-  if (count == 0) return {};
-
-  const std::vector<double> qt = SlidingDotProduct(series, query);
-  const double mean_q = Mean(query);
-  const double std_q = StdDev(query);
-
-  std::vector<double> dist(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    dist[i] = ZNormPairDistance(qt[i], mean_q, std_q, stats.means[i],
-                                stats.stds[i], m);
+  const MpxSide side = BuildMpxSide(series, m, count);
+  std::vector<double> profile(count);
+  PanCovRowArgs args;
+  args.series = series.data();
+  args.means = side.stats.means.data();
+  args.pos = pos;
+  args.m = m;
+  args.count = count;
+  args.out = profile.data();
+  ActiveKernelVariant().pan_cov_row(args);
+  const double two_m = 2.0 * static_cast<double>(m);
+  const double inv_pos = side.inv[pos];
+  for (std::size_t j = 0; j < count; ++j) {
+    if (inv_pos == 0.0 || side.inv[j] == 0.0) {
+      // The SCAMP flat cases: 0 between two flats, sqrt(2m) otherwise.
+      profile[j] = inv_pos == 0.0 && side.inv[j] == 0.0 ? 0.0
+                                                         : std::sqrt(two_m);
+    } else {
+      profile[j] = profile_internal::CorrToDistance(
+          profile[j] * inv_pos * side.inv[j], two_m);
+    }
   }
-  return dist;
-}
-
-std::vector<double> MassDistanceProfile(const std::vector<double>& series,
-                                        const std::vector<double>& query) {
-  return MassDistanceProfile(series, query,
-                             ComputeWindowStats(series, query.size()));
+  return profile;
 }
 
 Result<MatrixProfile> ComputeMatrixProfile(const std::vector<double>& series,

@@ -1,8 +1,9 @@
-// Matrix profile substrate: MASS distance profiles and the MPX
-// diagonal-traversal joins (self-join, AB-join, left profile), the
-// machinery behind the time series discord detector the paper uses in
-// Figs 8 and 13 (Yeh et al. ICDM'16, Yankov/Keogh ICDM'07, Zimmerman
-// et al. SoCC'19).
+// Matrix profile substrate: the MPX diagonal-traversal joins
+// (self-join, AB-join, left profile), the machinery behind the time
+// series discord detector the paper uses in Figs 8 and 13 (Yeh et al.
+// ICDM'16, Yankov/Keogh ICDM'07, Zimmerman et al. SoCC'19), and the
+// distance profile of one subsequence against its series, which the
+// twin audit reads.
 //
 // All distances are z-normalized Euclidean distances between length-m
 // subsequences. Near-constant subsequences are handled with the SCAMP
@@ -108,16 +109,19 @@ inline std::size_t DefaultSelfJoinExclusion(std::size_t m) { return m / 2; }
 /// Default overlap-suppression zone of TopDiscords: m.
 inline std::size_t DefaultDiscordExclusion(std::size_t m) { return m; }
 
-/// MASS: z-normalized distance profile of `query` against every
-/// subsequence of `series` in O(n log n). `stats` must be
-/// ComputeWindowStats(series, query.size()).
-std::vector<double> MassDistanceProfile(const std::vector<double>& series,
-                                        const std::vector<double>& query,
-                                        const WindowStats& stats);
-
-/// Convenience overload computing the window stats internally.
-std::vector<double> MassDistanceProfile(const std::vector<double>& series,
-                                        const std::vector<double>& query);
+/// The distance profile of subsequence `pos`: entry j is the
+/// z-normalized distance from series[pos, pos + m) to series[j, j + m),
+/// for every one of the n - m + 1 subsequences (entry pos, the self
+/// match, is 0 up to rounding). No exclusion zone applies. Each entry
+/// comes from a locally-centered covariance (MpxSeedCov, through the
+/// dispatched pan_cov_row row MERLIN refines with) scaled by the MPX
+/// window stats, so only those stats' prefix-sum rounding grows with
+/// the series' level. The SCAMP flat cases give 0 between two flats and
+/// sqrt(2m) between a flat and a dynamic subsequence. O(n m), and
+/// bit-identical at every ISA tier. Returns InvalidArgument if m < 2 or
+/// pos + m > n.
+Result<std::vector<double>> DistanceProfile(const std::vector<double>& series,
+                                            std::size_t pos, std::size_t m);
 
 /// Self-join in O(n^2) time and O(n) memory. The exclusion zone
 /// suppresses trivial matches: neighbor j of subsequence i is only

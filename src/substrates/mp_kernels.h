@@ -6,9 +6,11 @@
 // this registry via common/cpu_features.h: the MPX join block (one
 // kernel for the self-join, the AB-join and the left profile, which
 // differ only in the side whose profile a pair updates), the streaming
-// MPX lag advance and MERLIN's refinement row. The default build stays
-// portable: baseline TUs never emit wide-SIMD instructions, and a
-// variant only runs after CPUID confirms the host supports its tier.
+// MPX lag advance and the exact covariance row that MERLIN's
+// refinement and the twin audit's distance profiles read. The default
+// build stays portable: baseline TUs never emit wide-SIMD
+// instructions, and a variant only runs after CPUID confirms the host
+// supports its tier.
 //
 // Bit-identity contract: every variant of the same
 // operation produces bit-identical results to the scalar baseline on
@@ -137,12 +139,12 @@ struct MpxAdvanceLagsArgs {
 };
 using MpxAdvanceLagsFn = void (*)(MpxAdvanceLagsArgs&);
 
-/// One exact refinement row of MerlinSweep (detectors/merlin.h):
-/// locally-centered covariances of the query subsequence at `pos`
-/// against EVERY subsequence — out[j] is MpxSeedCov of the pair
-/// (pos, j) with the series on both sides, the O(n*m) direct form of a
-/// MASS row. Fully accurate (no
-/// uncentered cancellation, no FFT rounding) and vectorized across
+/// One exact covariance row: locally-centered covariances of the
+/// query subsequence at `pos` against EVERY subsequence — out[j] is
+/// MpxSeedCov of the pair (pos, j) with the series on both sides, in
+/// O(n*m). MerlinSweep's refinement rows (detectors/merlin.h) and
+/// DistanceProfile (the twin audit's profiles) both read it. Fully
+/// accurate (no uncentered cancellation) and vectorized across
 /// adjacent columns exactly like the kernels' group seeds.
 struct PanCovRowArgs {
   const double* series = nullptr;

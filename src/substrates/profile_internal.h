@@ -34,6 +34,15 @@ inline bool IsFlat(double mean, double std) {
   return std < kFlatSigmaRel * (1.0 + std::fabs(mean));
 }
 
+// A Pearson correlation as a z-normalized distance, sqrt(2m(1 - corr))
+// with two_m = 2m: the correlation is clamped to [-1, 1] and a negative
+// rounding residue of the product to 0. A NaN correlation passes the
+// clamp and reads 0.
+inline double CorrToDistance(double corr, double two_m) {
+  const double v = two_m * (1.0 - std::clamp(corr, -1.0, 1.0));
+  return std::sqrt(v > 0.0 ? v : 0.0);
+}
+
 // The SCAMP flat-flat tie-break: the lowest index in `flat` (ascending
 // flat subsequence indices) outside i's exclusion zone, or kNoNeighbor.
 inline std::size_t LowestFlatOutsideExclusion(

@@ -376,9 +376,7 @@ StreamingMpx::Entry StreamingMpx::Right(std::size_t local) const {
     return entry;
   }
   if (right_idx_[local] == kNoNeighbor) return entry;
-  const double corr = std::clamp(right_corr_[local], -1.0, 1.0);
-  const double v = two_m * (1.0 - corr);
-  entry.distance = std::sqrt(v > 0.0 ? v : 0.0);
+  entry.distance = profile_internal::CorrToDistance(right_corr_[local], two_m);
   entry.neighbor = right_idx_[local];
   return entry;
 }
@@ -407,9 +405,7 @@ StreamingMpx::Entry StreamingMpx::Left(std::size_t local) const {
     return entry;
   }
   if (left_idx_[local] == kNoNeighbor) return entry;
-  const double corr = std::clamp(left_corr_[local], -1.0, 1.0);
-  const double v = two_m * (1.0 - corr);
-  entry.distance = std::sqrt(v > 0.0 ? v : 0.0);
+  entry.distance = profile_internal::CorrToDistance(left_corr_[local], two_m);
   entry.neighbor = left_idx_[local];
   return entry;
 }
@@ -458,9 +454,7 @@ StreamingMpx::Entry StreamingMpx::Merged(std::size_t local) const {
     return entry;
   }
   if (idx == kNoNeighbor) return entry;
-  const double clamped = std::clamp(corr, -1.0, 1.0);
-  const double v = two_m * (1.0 - clamped);
-  entry.distance = std::sqrt(v > 0.0 ? v : 0.0);
+  entry.distance = profile_internal::CorrToDistance(corr, two_m);
   entry.neighbor = idx;
   return entry;
 }

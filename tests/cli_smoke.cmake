@@ -273,9 +273,8 @@ if(found EQUAL -1)
   message(FATAL_ERROR "panprofile output missing peak line: ${out}")
 endif()
 
-# panprofile strided grid: one self-join plus TopDiscords per grid
-# length (MerlinSweepPerLength) instead of the search; same output
-# contract.
+# panprofile strided grid: one single-length MERLIN sweep per grid
+# length; same output contract.
 execute_process(COMMAND ${TSAD_CLI} panprofile ${WORK_DIR}/nyc_taxi.csv
                         --min-length 32 --max-length 64 --step 8
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out)

@@ -1,7 +1,6 @@
 #include "common/fft.h"
 
 #include <cmath>
-#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -107,62 +106,6 @@ TEST(FftTest, EmptyInputIsANoOp) {
   Fft(x, /*inverse=*/false);
   EXPECT_TRUE(x.empty());
 }
-
-TEST(SlidingDotProductTest, MatchesNaiveOnRandomData) {
-  Rng rng(11);
-  std::vector<double> t(500), q(37);
-  for (double& v : t) v = rng.Gaussian();
-  for (double& v : q) v = rng.Gaussian();
-  const auto fast = SlidingDotProduct(t, q);
-  const auto naive = SlidingDotProductNaive(t, q);
-  ASSERT_EQ(fast.size(), naive.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_NEAR(fast[i], naive[i], 1e-8) << "i=" << i;
-  }
-}
-
-TEST(SlidingDotProductTest, HandlesDegenerateSizes) {
-  EXPECT_TRUE(SlidingDotProduct({1, 2}, {}).empty());
-  EXPECT_TRUE(SlidingDotProduct({1}, {1, 2}).empty());
-  const auto one = SlidingDotProduct({2, 3, 4}, {5});
-  EXPECT_EQ(one, (std::vector<double>{10, 15, 20}));
-}
-
-TEST(SlidingDotProductTest, QueryEqualsSeries) {
-  const std::vector<double> t = {1, 2, 3};
-  const auto out = SlidingDotProduct(t, t);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_NEAR(out[0], 14.0, 1e-12);
-}
-
-// Property: for many (n, m) shapes the FFT path agrees with the naive
-// path, including sizes around the small-input cutoff.
-class SlidingDotShapes
-    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
-
-TEST_P(SlidingDotShapes, FastMatchesNaive) {
-  const auto [n, m] = GetParam();
-  Rng rng(n * 1000 + m);
-  std::vector<double> t(n), q(m);
-  for (double& v : t) v = rng.Uniform(-10, 10);
-  for (double& v : q) v = rng.Uniform(-10, 10);
-  const auto fast = SlidingDotProduct(t, q);
-  const auto naive = SlidingDotProductNaive(t, q);
-  ASSERT_EQ(fast.size(), naive.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_NEAR(fast[i], naive[i], 1e-7);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, SlidingDotShapes,
-    ::testing::Values(std::pair<std::size_t, std::size_t>{8, 3},
-                      std::pair<std::size_t, std::size_t>{63, 63},
-                      std::pair<std::size_t, std::size_t>{64, 1},
-                      std::pair<std::size_t, std::size_t>{65, 64},
-                      std::pair<std::size_t, std::size_t>{100, 10},
-                      std::pair<std::size_t, std::size_t>{1000, 100},
-                      std::pair<std::size_t, std::size_t>{1023, 511}));
 
 }  // namespace
 }  // namespace tsad

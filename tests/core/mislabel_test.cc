@@ -1,6 +1,8 @@
 #include "core/mislabel.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -79,6 +81,34 @@ TEST(FindUnlabeledTwinsTest, MedianRatioBindsOnANoisyRamp) {
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].kind, MislabelKind::kUnlabeledTwin);
   EXPECT_EQ(findings[0].position, 300u);
+}
+
+// Z-normalized distances do not depend on a series' level, so a shift
+// must leave every twin where it was. Each profile entry's covariance
+// is centered; only the window stats' prefix-sum rounding grows with
+// the level, which moves distances by well under 1e-3 at +1e7.
+TEST(FindUnlabeledTwinsTest, ShiftedSeriesKeepTheirTwins) {
+  const YahooArchive archive = GenerateYahooArchive();
+  std::size_t twins = 0;
+  for (const LabeledSeries& s : archive.a1.series) {
+    const std::vector<MislabelFinding> base = FindUnlabeledTwins(s);
+    twins += base.size();
+    for (const double offset : {1e6, 1e7}) {
+      Series x = s.values();
+      for (double& v : x) v += offset;
+      const LabeledSeries shifted(s.name(), std::move(x), s.anomalies(),
+                                  s.train_length());
+      const std::vector<MislabelFinding> found = FindUnlabeledTwins(shifted);
+      EXPECT_EQ(found.size(), base.size()) << s.name() << " +" << offset;
+      for (std::size_t k = 0; k < std::min(found.size(), base.size()); ++k) {
+        EXPECT_EQ(found[k].position, base[k].position)
+            << s.name() << " +" << offset << " twin " << k;
+        EXPECT_NEAR(found[k].distance, base[k].distance, 1e-3)
+            << s.name() << " +" << offset << " twin " << k;
+      }
+    }
+  }
+  EXPECT_GT(twins, 0u);
 }
 
 TEST(AuditConstantRunsTest, FindsHalfLabeledRun) {

@@ -11,9 +11,12 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/ucr_archive.h"
+#include "merlin_oracle.h"
 
 namespace tsad {
 namespace {
+
+using testing::MerlinSweepPerLength;
 
 class ThreadCountGuard {
  public:

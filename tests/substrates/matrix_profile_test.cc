@@ -27,43 +27,80 @@ Series SineWithSpike(std::size_t n, std::size_t spike_at) {
   return x;
 }
 
-TEST(MassTest, ExactMatchHasZeroDistance) {
+TEST(DistanceProfileTest, SelfMatchHasZeroDistance) {
   Rng rng(2);
   Series x(400);
   for (double& v : x) v = rng.Gaussian();
   const std::size_t m = 32;
-  const auto query = Subsequence(x, 100, m);
-  const auto profile = MassDistanceProfile(x, query);
-  ASSERT_EQ(profile.size(), x.size() - m + 1);
-  EXPECT_NEAR(profile[100], 0.0, 1e-6);
+  const Result<std::vector<double>> profile = DistanceProfile(x, 100, m);
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  ASSERT_EQ(profile->size(), x.size() - m + 1);
+  EXPECT_NEAR((*profile)[100], 0.0, 1e-6);
   // Every entry is a valid z-normalized distance: within [0, 2*sqrt(m)].
-  for (double d : profile) {
-    EXPECT_GE(d, -1e-9);
+  for (double d : *profile) {
+    EXPECT_GE(d, 0.0);
     EXPECT_LE(d, 2.0 * std::sqrt(static_cast<double>(m)) + 1e-9);
   }
 }
 
-TEST(MassTest, ScaledOffsetCopiesAlsoMatch) {
+TEST(DistanceProfileTest, AffineCopyMatches) {
   Rng rng(3);
   Series x(300);
   for (double& v : x) v = rng.Gaussian();
   // Plant an affine copy of x[40, 72) at 200.
   for (std::size_t i = 0; i < 32; ++i) x[200 + i] = 3.0 * x[40 + i] + 11.0;
-  const auto profile = MassDistanceProfile(x, Subsequence(x, 40, 32));
-  EXPECT_NEAR(profile[200], 0.0, 1e-6);  // z-norm kills scale & offset
+  const Result<std::vector<double>> profile = DistanceProfile(x, 40, 32);
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  EXPECT_NEAR((*profile)[200], 0.0, 1e-6);  // z-norm kills scale & offset
 }
 
-TEST(MassTest, FlatVsNonFlatConvention) {
+TEST(DistanceProfileTest, FlatVsNonFlatConvention) {
   Series x(100, 1.0);
   for (std::size_t i = 50; i < 100; ++i) {
     x[i] = std::sin(static_cast<double>(i));
   }
   const std::size_t m = 16;
-  const Series flat_query(m, 3.0);
-  const auto profile = MassDistanceProfile(x, flat_query);
-  // Flat query vs flat region: 0. Flat query vs dynamic region: sqrt(2m).
-  EXPECT_NEAR(profile[0], 0.0, 1e-9);
-  EXPECT_NEAR(profile[70], std::sqrt(2.0 * m), 1e-9);
+  const double sqrt_two_m = std::sqrt(2.0 * static_cast<double>(m));
+  // Flat window vs flat window: exactly 0. Flat vs dynamic: exactly
+  // sqrt(2m), from either side.
+  const Result<std::vector<double>> flat = DistanceProfile(x, 10, m);
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  EXPECT_EQ((*flat)[0], 0.0);
+  EXPECT_EQ((*flat)[70], sqrt_two_m);
+  const Result<std::vector<double>> dynamic = DistanceProfile(x, 70, m);
+  ASSERT_TRUE(dynamic.ok()) << dynamic.status().ToString();
+  EXPECT_EQ((*dynamic)[10], sqrt_two_m);
+}
+
+TEST(DistanceProfileTest, MatchesNaiveOracle) {
+  for (const testing::ProfileTestFamily& family :
+       testing::SimulatorFamilies()) {
+    const std::size_t count = family.values.size() - family.m + 1;
+    for (const std::size_t pos : {std::size_t{0}, count / 2, count - 1}) {
+      EXPECT_TRUE(testing::ExpectDistanceProfileEquivalence(family.values,
+                                                            pos, family.m))
+          << family.name << " pos=" << pos;
+    }
+  }
+  // A 1e6-level flat run inside an O(1) walk: queries before, inside
+  // and after the run.
+  Rng rng(5);
+  Series walk(2000);
+  double level = 0.0;
+  for (double& v : walk) v = level += rng.Gaussian();
+  for (std::size_t i = 900; i < 1000; ++i) walk[i] = 1e6;
+  for (const std::size_t pos : {100, 920, 1500}) {
+    EXPECT_TRUE(testing::ExpectDistanceProfileEquivalence(walk, pos, 32))
+        << "pos=" << pos;
+  }
+}
+
+TEST(DistanceProfileTest, RejectsBadArguments) {
+  const Series x(100, 0.0);
+  EXPECT_FALSE(DistanceProfile(x, 0, 1).ok());    // m < 2
+  EXPECT_FALSE(DistanceProfile(x, 90, 16).ok());  // runs past the end
+  EXPECT_FALSE(DistanceProfile(x, 0, 101).ok());  // no subsequence at all
+  EXPECT_TRUE(DistanceProfile(x, 84, 16).ok());   // the last subsequence
 }
 
 TEST(MatrixProfileTest, MatchesNaive) {
@@ -367,19 +404,6 @@ TEST(TopDiscordsTest, AllInfiniteProfileYieldsNoDiscords) {
   profile.distances.assign(50, std::numeric_limits<double>::infinity());
   profile.indices.assign(50, kNoNeighbor);
   EXPECT_TRUE(TopDiscords(profile, 3).empty());
-}
-
-// Mismatched window stats used to be a debug-only assert; in release
-// the MASS kernel read past the stats arrays. Must abort loudly in all
-// build modes.
-TEST(MassDeathTest, MismatchedStatsAbortLoudly) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Rng rng(46);
-  Series x(200);
-  for (double& v : x) v = rng.Gaussian();
-  const auto query = Subsequence(x, 10, 16);
-  const WindowStats wrong = ComputeWindowStats(x, 8);  // wrong window length
-  EXPECT_DEATH(MassDistanceProfile(x, query, wrong), "do not match");
 }
 
 }  // namespace

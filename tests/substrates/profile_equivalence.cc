@@ -250,6 +250,46 @@ Result<MatrixProfile> ComputeAbJoinNaive(
                    [](std::size_t, std::size_t) { return true; });
 }
 
+::testing::AssertionResult ExpectDistanceProfileEquivalence(
+    const std::vector<double>& series, std::size_t pos, std::size_t m) {
+  const Result<std::vector<double>> candidate = DistanceProfile(series, pos, m);
+  if (!candidate.ok()) {
+    return ::testing::AssertionFailure()
+           << "DistanceProfile rejected the input: "
+           << candidate.status().message();
+  }
+  const NaiveSide side = MakeSide(series, m);
+  if (candidate->size() != side.count) {
+    return ::testing::AssertionFailure()
+           << "profile has " << candidate->size() << " entries, want "
+           << side.count;
+  }
+  const double sq_tol = 2.0 * static_cast<double>(m) * kMpxCorrTolerance;
+  for (std::size_t j = 0; j < side.count; ++j) {
+    const double got = (*candidate)[j];
+    if (side.flat[pos] || side.flat[j]) {
+      const double want = side.flat[pos] && side.flat[j]
+                              ? 0.0
+                              : std::sqrt(2.0 * static_cast<double>(m));
+      if (got != want) {
+        return ::testing::AssertionFailure()
+               << "flat entry " << j << " must be exactly " << want
+               << ", got " << got;
+      }
+      continue;
+    }
+    const double want = RowDistance(&side.z[pos * m], &side.z[j * m], m);
+    const double err = std::fabs(want * want - got * got);
+    if (!(err <= sq_tol)) {  // negated: catches NaN too
+      return ::testing::AssertionFailure()
+             << "entry " << j << " out of tolerance: oracle d=" << want
+             << " DistanceProfile d=" << got << " squared-distance error "
+             << err << " > " << sq_tol;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 std::vector<ProfileTestFamily> SimulatorFamilies() {
   std::vector<ProfileTestFamily> families;
   {

@@ -83,6 +83,14 @@ Result<MatrixProfile> ComputeAbJoinNaive(
     const std::vector<double>& query_series,
     const std::vector<double>& reference_series, std::size_t m);
 
+/// Runs DistanceProfile(series, pos, m) and checks it entry by entry
+/// against the naive distance of the z-normalized subsequences: entries
+/// where either side is flat EXACTLY (0 between two flats, sqrt(2m)
+/// otherwise), dynamic entries within the 2m * kMpxCorrTolerance
+/// squared-distance bound.
+::testing::AssertionResult ExpectDistanceProfileEquivalence(
+    const std::vector<double>& series, std::size_t pos, std::size_t m);
+
 /// One representative series per simulator family (yahoo A1/A4, taxi,
 /// nasa, omni, physio ECG, gait), truncated so O(n^2) oracles stay
 /// test-sized, with the window length the detectors actually use on

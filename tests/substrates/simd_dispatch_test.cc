@@ -9,8 +9,8 @@
 //    tiers, before and after eviction;
 //  * MerlinSweep: bit-identical discords across tiers;
 //  * one FNV-1a constant per kernel (self-join, AB-join, left profile,
-//    MerlinSweep, StreamingMpx) that pins every output bit across
-//    commits, at every tier and at 1 and 4 threads.
+//    MerlinSweep, StreamingMpx, DistanceProfile) that pins every output
+//    bit across commits, at every tier and at 1 and 4 threads.
 //
 // The scalar tier is the anchor: it runs on every host, so CI machines
 // without AVX still execute every assertion here (the per-tier loops
@@ -410,6 +410,26 @@ TEST(SimdDispatchTest, StreamingMpxOutputBitsArePinned) {
     for (std::size_t i = 0; i < kernel.num_subsequences(); ++i) {
       pin.Add(kernel.Left(i));
       pin.Add(kernel.Right(i));
+    }
+    return pin.hash();
+  });
+}
+
+// Distance profiles at m = 8, 32 and 64 from a dynamic window, a
+// window in the 7.5 flat run, one in the 1e6 run and the last window.
+TEST(SimdDispatchTest, DistanceProfileOutputBitsArePinned) {
+  const Series x = WalkWithFlats(3000, 68);
+  ExpectPinnedAtEveryTier(9185849966612231682ull, [&] {
+    OutputPin pin;
+    for (const std::size_t m : {8, 32, 64}) {
+      for (const std::size_t pos : {std::size_t{333}, std::size_t{752},
+                                    std::size_t{1505}, x.size() - m}) {
+        const Result<std::vector<double>> p = DistanceProfile(x, pos, m);
+        EXPECT_TRUE(p.ok());
+        if (!p.ok()) continue;
+        pin.Add(std::uint64_t{p->size()});
+        for (const double d : *p) pin.Add(d);
+      }
     }
     return pin.hash();
   });

@@ -14,7 +14,8 @@
 //       MERLIN-style sweep: the top discord at every subsequence length
 //       of [min, max] (default 48..96), plus the length whose
 //       normalized discord distance peaks. --step > 1 sweeps a strided
-//       length grid with one self-join per grid length.
+//       length grid, one single-length MERLIN sweep per grid length, so
+//       each grid length answers as the dense sweep does.
 //   tsad robustness [file.csv] [--detectors SPEC,SPEC,...] [--seed N]
 //       Run the fault x severity robustness matrix (NaN / -9999 missing
 //       markers, dropouts, stuck-at, spikes, clipping, quantization,
@@ -411,8 +412,9 @@ int CmdPanProfile(const Args& args) {
     }
     rows = std::move(sweep.value());
   } else {
-    // A strided grid shares nothing between its lengths: one self-join
-    // and TopDiscords per grid length, with MERLIN's tie rule.
+    // A strided grid shares nothing between its lengths: one
+    // single-length sweep per grid length, which answers as the dense
+    // range does at that length.
     const Status range =
         ValidateMerlinLengths(args.min_length, args.max_length);
     if (!range.ok()) {
@@ -423,7 +425,7 @@ int CmdPanProfile(const Args& args) {
     for (std::size_t k = 0; k <= last; ++k) {
       const std::size_t m = args.min_length + k * args.step;
       Result<std::vector<LengthDiscord>> one =
-          MerlinSweepPerLength(series->values(), m, m);
+          MerlinSweep(series->values(), m, m);
       if (!one.ok()) {
         std::printf("%s\n", one.status().ToString().c_str());
         return 1;
