@@ -415,8 +415,8 @@ TEST(SimdDispatchTest, StreamingMpxOutputBitsArePinned) {
   });
 }
 
-// Distance profiles at m = 8, 32 and 64 from a dynamic window, a
-// window in the 7.5 flat run, one in the 1e6 run and the last window.
+// Distance profiles at m = 8, 32 and 64 from a dynamic window, windows
+// starting in the 7.5 and the 1e6 flat runs, and the last window.
 TEST(SimdDispatchTest, DistanceProfileOutputBitsArePinned) {
   const Series x = WalkWithFlats(3000, 68);
   ExpectPinnedAtEveryTier(9185849966612231682ull, [&] {
